@@ -8,11 +8,12 @@
 // (lp_solved == false) on a scenario where dense enumeration succeeded —
 // the cap-infeasibility cliff is exactly what the engine removes.
 
+#include <algorithm>
+
 #include "bench_common.hpp"
 
 #include "approx/config_lp.hpp"
 #include "gen/config_scenarios.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -47,7 +48,6 @@ int main() {
   std::cout << "E11: configuration LP for vertical items (Lemma 10) — "
                "dense enumeration vs column generation\n\n";
   Rng rng(13);
-  runtime::ThreadPool pricing_pool(2);
 
   // Sweep: height classes x box-width scale, plus the legacy random mix.
   std::vector<Scenario> scenarios;
@@ -88,7 +88,6 @@ int main() {
       const bool is_cg = engine == ConfigLpEngine::kColumnGeneration;
       VerticalFillParams params;
       params.engine = engine;
-      params.pricing_pool = is_cg ? &pricing_pool : nullptr;
       Stopwatch timer;
       const VerticalFillResult fill = fill_vertical_items(
           scenario.data.instance, scenario.data.indices, scenario.data.rounding,

@@ -7,10 +7,7 @@
 //
 // Streaming rows ("stream" mode) additionally report time-to-first-result:
 // the wall-clock gap between calling solve_many_stream and popping the
-// first completion-order event, versus the full-batch join.  The
-// "solve54_overlap" rows time solve54 with the step-1/round-1 overlap on
-// vs. off (identical results by construction — the flag only moves
-// wall-clock time).
+// first completion-order event, versus the full-batch join.
 //
 // Skewed-batch scenarios (DESIGN.md, "The work-stealing scheduler"):
 //
@@ -54,7 +51,6 @@
 #include <vector>
 
 #include "algo/portfolio.hpp"
-#include "approx/solve54.hpp"
 #include "bench_common.hpp"
 #include "runtime/channel.hpp"
 #include "runtime/parallel.hpp"
@@ -417,59 +413,9 @@ int main_impl(int argc, char** argv) {
                                        : 0.0),
                         pool.size(), pool.counters()));
     }
-
-    // Mode 4: solve54 with the step-1 bounds/witness tasks overlapped with
-    // the round-1 floor probe, against the strictly-sequential schedule.
-    // The pools here are internal to solve54 (pool_size 0 in the row); the
-    // steal counters are the process-total delta across the timed region —
-    // exact, because transient pools fold their counters into the totals
-    // at destruction.
-    {
-      approx::Approx54Params off;
-      off.overlap_step1 = false;
-      approx::Approx54Params on;
-      on.overlap_step1 = true;
-      const approx::Approx54Result result_off = approx::solve54(instance, off);
-      const approx::Approx54Result result_on = approx::solve54(instance, on);
-      if (result_on.packing != result_off.packing ||
-          result_on.peak != result_off.peak) {
-        std::cerr << "determinism violation (solve54 overlap, " << family.name
-                  << ")\n";
-        return EXIT_FAILURE;
-      }
-      const runtime::SchedulerCounters before = runtime::scheduler_totals();
-      const double off_millis =
-          time_millis(repeats, [&]() { (void)approx::solve54(instance, off); });
-      const double on_millis =
-          time_millis(repeats, [&]() { (void)approx::solve54(instance, on); });
-      const runtime::SchedulerCounters after = runtime::scheduler_totals();
-      const runtime::SchedulerCounters delta{
-          after.submitted - before.submitted, after.executed - before.executed,
-          after.steals - before.steals,
-          after.steal_fails - before.steal_fails};
-      const double speedup = on_millis > 0 ? off_millis / on_millis : 0.0;
-      table.begin_row()
-          .cell("solve54_overlap")
-          .cell(family.name)
-          .cell(2)
-          .cell(on_millis)
-          .cell(speedup);
-      emit(body, sched_fields(machine_fields(JsonRow())
-                                  .field("bench", "parallel_scaling")
-                                  .field("mode", "solve54_overlap")
-                                  .field("family", family.name)
-                                  .field("n", kN)
-                                  .field("hardware_threads", hardware)
-                                  .field("rounds", result_on.report.rounds)
-                                  .field("attempts", result_on.report.attempts)
-                                  .field("millis_overlap_off", off_millis)
-                                  .field("millis_overlap_on", on_millis)
-                                  .field("speedup", speedup),
-                              /*pool_size=*/0, delta));
-    }
   }
 
-  // Mode 5 ("sched_skew"): the synthetic skewed batch.  Sleep-based, so
+  // Mode 4 ("sched_skew"): the synthetic skewed batch.  Sleep-based, so
   // the static-vs-stealing gap parallelizes on any machine — the >= 1.5x
   // assertion is unconditional and gates CI.
   int failures = 0;
@@ -520,7 +466,7 @@ int main_impl(int argc, char** argv) {
     }
   }
 
-  // Mode 6 ("solve_skew"): one ~10x instance amid cheap ones through
+  // Mode 5 ("solve_skew"): one ~10x instance amid cheap ones through
   // solve_many.  Checksums are machine-independent (always compared by
   // --check); the speedup assertion needs real cores, so it only applies
   // on machines reporting >= 8 hardware threads.

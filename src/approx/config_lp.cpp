@@ -8,8 +8,6 @@
 
 #include "lp/simplex.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dsp::approx {
@@ -341,24 +339,11 @@ void run_column_generation(const Instance& instance,
   for (std::size_t b = 0; b < nb; ++b) add_column(b, empty_config);
 
   // Distinct capacities (ascending) and their boxes (ascending): the fixed
-  // reduction order that keeps the generated column sequence — and hence the
-  // realized packing — independent of the pricing schedule.
+  // order in which columns are priced and added, so the generated column
+  // sequence — and hence the realized packing — is a function of the input.
   std::map<Height, std::vector<std::size_t>> boxes_by_capacity;
   for (std::size_t b = 0; b < nb; ++b) {
     boxes_by_capacity[boxes[b].capacity].push_back(b);
-  }
-  std::vector<Height> capacities;
-  capacities.reserve(boxes_by_capacity.size());
-  for (const auto& [capacity, box_list] : boxes_by_capacity) {
-    (void)box_list;
-    capacities.push_back(capacity);
-  }
-  // One pricing scratch per distinct capacity: concurrent pricing tasks get
-  // disjoint slots (parallel_map hands each task its index), and the slots
-  // persist across rounds and — via VerticalFillParams::scratch — across
-  // bisection attempts.
-  if (scratch.pricing.size() < capacities.size()) {
-    scratch.pricing.resize(capacities.size());
   }
 
   std::vector<double>& values = scratch.values;
@@ -389,31 +374,15 @@ void run_column_generation(const Instance& instance,
       values[h] = feasible ? static_cast<double>(setup.heights[h]) + y[nb + h]
                            : y[nb + h];
     }
-    std::vector<PricedConfig> priced;
-    if (params.pricing_pool != nullptr && capacities.size() > 1) {
-      priced = runtime::parallel_map(
-          *params.pricing_pool, capacities,
-          [&](Height capacity, std::size_t index) {
-            return price_knapsack(setup.heights, values, capacity,
-                                  scratch.pricing[index]);
-          });
-    } else {
-      priced.reserve(capacities.size());
-      for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
-        priced.push_back(price_knapsack(setup.heights, values, capacities[ci],
-                                        scratch.pricing[ci]));
-      }
-    }
     bool added = false;
-    for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
-      const PricedConfig& price = priced[ci];
+    for (const auto& [capacity, box_list] : boxes_by_capacity) {
+      const PricedConfig price =
+          price_knapsack(setup.heights, values, capacity, scratch.pricing);
       if (!price.exact) result->capped = true;
-      for (const std::size_t b : boxes_by_capacity[capacities[ci]]) {
+      for (const std::size_t b : box_list) {
         const bool improving =
-            feasible
-                ? static_cast<double>(capacities[ci]) - y[b] - price.value <
-                      -1e-7
-                : y[b] + price.value > 1e-7;
+            feasible ? static_cast<double>(capacity) - y[b] - price.value < -1e-7
+                     : y[b] + price.value > 1e-7;
         if (improving && add_column(b, price.config)) added = true;
       }
     }

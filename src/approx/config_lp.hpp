@@ -8,10 +8,6 @@
 #include "approx/pricing.hpp"
 #include "approx/rounding.hpp"
 
-namespace dsp::runtime {
-class ThreadPool;
-}
-
 namespace dsp::approx {
 
 /// A gap box available to vertical items: the free space above the already
@@ -39,10 +35,10 @@ enum class ConfigLpEngine {
 };
 
 /// Reusable buffers of fill_vertical_items: the flat configuration store,
-/// its dedup index, the per-capacity pricing scratches and the hoisted
-/// per-round vectors.  A solve54 bisection passes one scratch per attempt
-/// slot so repeated attempts stop re-allocating; every call fully re-derives
-/// the contents, so reuse never changes a result (tested).
+/// its dedup index, the pricing scratch and the hoisted per-round vectors.
+/// A solve54 bisection passes one scratch to every attempt so repeated
+/// attempts stop re-allocating; every call fully re-derives the contents,
+/// so reuse never changes a result (tested).
 struct VerticalFillScratch {
   /// Flat SoA configuration store: one row of `classes` ints per
   /// configuration, all rows in one contiguous buffer.
@@ -52,7 +48,7 @@ struct VerticalFillScratch {
   // intern_config); never iterated, so its order cannot reach a result.
   std::unordered_map<std::uint64_t, std::vector<std::pair<std::size_t, std::size_t>>>
       dedup;
-  std::vector<PricingScratch> pricing;  ///< one per distinct box capacity
+  PricingScratch pricing;                ///< the knapsack DP buffers
   std::vector<double> values;           ///< per-class pricing values
   std::vector<double> entries;          ///< master-column build buffer
 };
@@ -67,10 +63,6 @@ struct VerticalFillParams {
   std::size_t max_configs = 4096;
   /// Column generation: safety valve on generate -> re-solve rounds.
   std::size_t max_pricing_rounds = 64;
-  /// Optional pool for concurrent pricing (one knapsack per distinct box
-  /// capacity).  Results are reduced in a fixed capacity-then-box order, so
-  /// the fill is bit-identical for every pool size, nullptr included.
-  runtime::ThreadPool* pricing_pool = nullptr;
   /// Optional reusable buffers (see VerticalFillScratch).  nullptr uses a
   /// call-local scratch — same results, more allocator traffic.
   VerticalFillScratch* scratch = nullptr;

@@ -1,9 +1,8 @@
 #include "approx/solve54.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <limits>
 #include <memory>
-#include <numeric>
 #include <optional>
 
 #include "algo/portfolio.hpp"
@@ -11,26 +10,11 @@
 #include "core/bounds.hpp"
 #include "core/profile.hpp"
 #include "obs/trace.hpp"
-#include "runtime/autotune.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dsp::approx {
 
 namespace {
-
-/// Reusable per-runner-slot state: the demand-profile backend (reset, not
-/// reconstructed, between attempts) and the Lemma-10 fill buffers.  solve54
-/// keeps one slot per runner lane; each lane owns its slot for the round,
-/// so concurrent attempts always hit disjoint slots and a slot is only
-/// ever reused after its previous attempt completed.  Reuse changes no
-/// result: reset() restores the all-zero profile and the fill scratch is
-/// fully re-derived per call (both tested).
-struct AttemptScratch {
-  std::unique_ptr<ProfileBackend> profile;
-  VerticalFillScratch fill;
-};
 
 struct AttemptOutcome {
   Packing packing;
@@ -108,13 +92,13 @@ std::vector<GapBox> gap_boxes_of_profile(const ProfileBackend& occupancy,
 }
 
 /// One attempt at the height guess h_guess (steps 3-6 of the algorithm).
-/// `pricing_pool` (may be null) is shared across concurrent attempts; the
-/// Lemma-10 stage only uses it for fixed-order-reduced pricing, so the
-/// outcome is independent of the pool and its size.
+/// `occupancy` must hold the all-zero profile on entry; it and
+/// `fill_scratch` are reused across the bisection (reset() restores the
+/// all-zero profile and the fill scratch is fully re-derived per call, so
+/// reuse changes no result; both tested).
 AttemptOutcome attempt(const Instance& instance, Height h_guess,
-                       const Approx54Params& params,
-                       runtime::ThreadPool* pricing_pool,
-                       AttemptScratch& scratch) {
+                       const Approx54Params& params, ProfileBackend& occupancy,
+                       VerticalFillScratch& fill_scratch) {
   AttemptOutcome outcome;
   outcome.cls =
       select_parameters(instance, h_guess, params.epsilon, params.ladder_length);
@@ -123,16 +107,6 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
   const Height budget =
       ceil_mul(h_guess, Fraction(5, 4) + params.epsilon);
 
-  // kAuto resolves from (width, n) only — both fixed across the bisection —
-  // so the reused backend is always the one a fresh construction would pick.
-  if (scratch.profile == nullptr) {
-    scratch.profile = make_profile_backend(params.backend,
-                                           instance.strip_width(),
-                                           instance.size());
-  } else {
-    scratch.profile->reset();
-  }
-  ProfileBackend& occupancy = *scratch.profile;
   Packing packing;
   packing.start.assign(instance.size(), -1);
   const auto place = [&](std::size_t i, Length x) {
@@ -175,8 +149,7 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
     fill_params.engine = params.lp_engine;
     fill_params.max_configs = params.max_configs;
     fill_params.max_pricing_rounds = params.max_pricing_rounds;
-    fill_params.pricing_pool = pricing_pool;
-    fill_params.scratch = &scratch.fill;
+    fill_params.scratch = &fill_scratch;
     const VerticalFillResult fill =
         fill_vertical_items(instance, vertical, rounding, gaps, fill_params);
     outcome.lp_used = fill.lp_solved;
@@ -239,222 +212,67 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   DSP_REQUIRE(instance.size() > 0, "solve54 on empty instance");
   DSP_REQUIRE(params.epsilon > Fraction(0) && params.epsilon <= Fraction(1, 2),
               "epsilon must be in (0, 1/2]");
-  DSP_REQUIRE(params.probe_parallelism >= 1,
-              "probe_parallelism must be >= 1, got "
-                  << params.probe_parallelism);
-  DSP_REQUIRE(params.probe_concurrency >= 0,
-              "probe_concurrency must be >= 0 (0 = auto), got "
-                  << params.probe_concurrency);
-  DSP_REQUIRE(params.lp_pricing_threads >= 0,
-              "lp_pricing_threads must be >= 0 (0 = auto), got "
-                  << params.lp_pricing_threads);
   Approx54Result result;
   Approx54Report& report = result.report;
-  report.probe_parallelism = params.probe_parallelism;
-  report.overlapped = params.overlap_step1;
   report.lp_engine = params.lp_engine;
 
-  // The tuner only ever decides how many workers run a fixed work list, so
-  // a fresh per-call instance (unmeasured defaults, then this call's own
-  // samples) and a shared serving-layer one produce the same packings.
-  runtime::AutoTuner local_tuner;
-  runtime::AutoTuner& tuner = params.tuner ? *params.tuner : local_tuner;
-
-  const int k_max = params.probe_parallelism;
-  const runtime::ThreadPoolOptions pool_options{
-      static_cast<std::size_t>(k_max), params.stealing};
-  std::optional<runtime::ThreadPool> pool;  // spawned for overlap/wide rounds
-  // One pricing pool shared by every attempt (concurrent attempts included:
-  // pricing tasks are pure knapsacks that never submit to a pool, so no
-  // nesting deadlock is possible).  The Lemma-10 stage reduces priced
-  // columns in fixed order, so pool size never changes any packing.
-  int pricing_threads = params.lp_pricing_threads;
-  if (pricing_threads == 0) {
-    pricing_threads = tuner.choose_pricing_threads(
-        static_cast<int>(runtime::ThreadPool::hardware_threads()));
-  }
-  report.pricing_threads = pricing_threads;
-  std::optional<runtime::ThreadPool> pricing_pool;
-  if (pricing_threads > 1 &&
-      params.lp_engine == ConfigLpEngine::kColumnGeneration) {
-    pricing_pool.emplace(runtime::ThreadPoolOptions{
-        static_cast<std::size_t>(pricing_threads), params.stealing});
-  }
-  runtime::ThreadPool* const pricing = pricing_pool ? &*pricing_pool : nullptr;
-  // One reusable scratch per runner slot (see AttemptScratch): concurrent
-  // attempts always hit disjoint slots, and a slot is recycled across the
-  // whole bisection.
-  std::vector<AttemptScratch> scratches(static_cast<std::size_t>(k_max));
-
-  // Every attempt runs under a tuner timer, so the EWMA of attempt cost
-  // accumulates no matter which path executed it.  The timer is an opaque
-  // runtime/ object — wall-clock never reaches this layer directly (the
-  // determinism lint enforces that split).
-  const auto timed_attempt = [&](Height guess, AttemptScratch& scratch) {
-    const runtime::AutoTuner::AttemptTimer timer = tuner.time_attempt();
-    AttemptOutcome outcome;
-    {
-      const obs::ScopedSpan span(obs::Phase::kAttempt, &outcome.attempt_nanos);
-      outcome = attempt(instance, guess, params, pricing, scratch);
-    }
-    return outcome;
-  };
-
-  // Step 1: bounds.  The witness doubles as the fallback packing.  With
-  // overlap_step1 the lower bound and the witness portfolio run as one pool
-  // task each while this thread probes the optimistic guess H' = lower
-  // bound (the bound task is O(n), so it joins almost immediately and the
-  // probe overlaps the expensive witness portfolio).  Both tasks are joined
-  // before any round-2 guess is chosen.
-  // Round 1 is always the optimistic floor probe H' = lower bound; the
-  // overlap flag only decides whether the step-1 tasks run concurrently
-  // with it, so on/off results are bit-identical (same probe grid).
+  // Step 1: bounds.  The witness doubles as the fallback packing.
+  report.lower_bound = combined_lower_bound(instance);
   Packing witness;
-  std::optional<AttemptOutcome> speculative;
-  Height speculative_guess = 0;
-  if (params.overlap_step1) {
-    // k_max workers (>= 1) suffice: the bound task is O(n) and finishes
-    // before the witness needs a second worker even on a 1-thread pool
-    // (externals drain FIFO off one deque, so the bound task — submitted
-    // first — runs first).
-    pool.emplace(pool_options);
-    std::future<Height> bound_task =
-        pool->submit([&]() { return combined_lower_bound(instance); });
-    std::future<Packing> witness_task = pool->submit([&]() {
-      const obs::ScopedSpan span(obs::Phase::kWitness);
-      return algo::best_of_portfolio(instance, nullptr, params.backend);
-    });
-    report.lower_bound = bound_task.get();
-    speculative_guess = std::max<Height>(1, report.lower_bound);
-    speculative = timed_attempt(speculative_guess, scratches[0]);
-    witness = witness_task.get();
-  } else {
-    report.lower_bound = combined_lower_bound(instance);
-    {
-      const obs::ScopedSpan span(obs::Phase::kWitness);
-      witness = algo::best_of_portfolio(instance, nullptr, params.backend);
-    }
-    speculative_guess = std::max<Height>(1, report.lower_bound);
-    speculative = timed_attempt(speculative_guess, scratches[0]);
+  {
+    const obs::ScopedSpan span(obs::Phase::kWitness);
+    witness = algo::best_of_portfolio(instance, nullptr, params.backend);
   }
   const Height witness_peak = peak_height(instance, witness);
   report.upper_bound = witness_peak;
 
-  Packing best_packing = witness;
+  Packing best_packing = std::move(witness);
   Height best_peak = witness_peak;
-  Height best_pipeline_peak = 0;
-  bool have_pipeline = false;
+  Height best_pipeline_peak = std::numeric_limits<Height>::max();
 
-  // Step 2: (speculative) binary search over H'.  Each round probes k
-  // guesses splitting [lo, hi] into k+1 equal segments; k = 1 degenerates to
-  // the classic bisection probe-for-probe (the single guess is the midpoint).
-  // Outcomes are reduced in ascending-guess order, so the search trajectory
-  // is deterministic for any thread schedule: the smallest successful guess
-  // becomes the new ceiling and every failed guess below it raises the
-  // floor, exactly the sequential success/failure invariant applied to all
-  // resolved probes at once.
+  // One profile and one fill scratch serve every attempt.  kAuto resolves
+  // from (width, n) only, so the reused backend is the one a fresh
+  // construction per attempt would pick.
+  const std::unique_ptr<ProfileBackend> occupancy = make_profile_backend(
+      params.backend, instance.strip_width(), instance.size());
+  VerticalFillScratch fill_scratch;
+
+  // Step 2: binary search over H'.  Round 1 is the floor probe
+  // H' = lower bound (lower bound <= witness peak always): success ends the
+  // search there, failure raises the floor past it.  Later rounds probe the
+  // midpoint; a success becomes the new ceiling, a failure the new floor.
   Height lo = report.lower_bound;
   Height hi = witness_peak;
   std::optional<AttemptOutcome> best_outcome;
-  if (speculative) {
-    // The overlapped probe is round 1.  Its guess is the floor of the
-    // interval (lower bound <= witness peak always), so the usual
-    // transitions apply: success ends the search at the lower bound,
-    // failure raises the floor past it.
+  const auto probe = [&](Height guess) {
+    if (report.attempts > 0) occupancy->reset();
     ++report.rounds;
     ++report.attempts;
-    AttemptOutcome& outcome = *speculative;
+    AttemptOutcome outcome;
+    {
+      const obs::ScopedSpan span(obs::Phase::kAttempt, &outcome.attempt_nanos);
+      outcome = attempt(instance, guess, params, *occupancy, fill_scratch);
+    }
     report.attempt_nanos += outcome.attempt_nanos;
     report.pricing_nanos += outcome.pricing_nanos;
     report.lp_resolve_nanos += outcome.lp_resolve_nanos;
-    best_pipeline_peak = outcome.peak;
-    have_pipeline = true;
+    best_pipeline_peak = std::min(best_pipeline_peak, outcome.peak);
     if (outcome.peak < best_peak) {
       best_peak = outcome.peak;
       best_packing = outcome.packing;
     }
     if (outcome.within_budget) {
-      report.best_guess = speculative_guess;
-      hi = speculative_guess - 1;
-      best_outcome = std::move(*speculative);
+      report.best_guess = guess;
+      hi = guess - 1;
+      best_outcome = std::move(outcome);
     } else {
-      lo = speculative_guess + 1;
+      lo = guess + 1;
     }
-    speculative.reset();
-  }
+  };
+  probe(std::max<Height>(1, lo));
   while (lo <= hi) {
     const obs::ScopedSpan round_span(obs::Phase::kBisectionRound);
-    ++report.rounds;
-    const Height span = hi - lo;
-    const auto k = static_cast<int>(
-        std::min<Height>(static_cast<Height>(k_max), span + 1));
-    std::vector<Height> guesses;
-    for (int i = 1; i <= k; ++i) {
-      const Height guess = lo + (span * i) / (k + 1);
-      if (guesses.empty() || guesses.back() != guess) guesses.push_back(guess);
-    }
-    // How many of this round's guesses run at once: the fixed knob, or the
-    // auto-tuner's call from the attempt-cost EWMA vs. free hardware.  The
-    // guesses are self-scheduled over `runners` tasks via a shared index
-    // counter; outcomes land by guess index, so the reduction below never
-    // sees which runner (or which order) produced them.
-    int concurrency = params.probe_concurrency;
-    if (concurrency == 0 && guesses.size() > 1) {
-      concurrency =
-          tuner.choose_probe_concurrency(static_cast<int>(guesses.size()));
-    }
-    const std::size_t runners =
-        std::min<std::size_t>(std::max(concurrency, 1), guesses.size());
-    std::vector<AttemptOutcome> outcomes;
-    if (runners > 1) {
-      report.probe_concurrency = static_cast<int>(runners);
-      if (!pool) pool.emplace(pool_options);
-      outcomes.resize(guesses.size());
-      std::atomic<std::size_t> next_guess{0};
-      std::vector<std::size_t> lanes(runners);
-      std::iota(lanes.begin(), lanes.end(), std::size_t{0});
-      (void)runtime::parallel_map(
-          *pool, lanes, [&](std::size_t lane, std::size_t) {
-            for (;;) {
-              const std::size_t i =
-                  next_guess.fetch_add(1, std::memory_order_relaxed);
-              if (i >= guesses.size()) return 0;
-              outcomes[i] = timed_attempt(guesses[i], scratches[lane]);
-            }
-          });
-    } else {
-      outcomes.reserve(guesses.size());
-      for (const Height guess : guesses) {
-        outcomes.push_back(timed_attempt(guess, scratches[0]));
-      }
-    }
-    report.attempts += guesses.size();
-    bool resolved = false;
-    for (std::size_t i = 0; i < guesses.size(); ++i) {
-      AttemptOutcome& outcome = outcomes[i];
-      report.attempt_nanos += outcome.attempt_nanos;
-      report.pricing_nanos += outcome.pricing_nanos;
-      report.lp_resolve_nanos += outcome.lp_resolve_nanos;
-      if (!have_pipeline || outcome.peak < best_pipeline_peak) {
-        best_pipeline_peak = outcome.peak;
-        have_pipeline = true;
-      }
-      if (outcome.peak < best_peak) {
-        best_peak = outcome.peak;
-        best_packing = outcome.packing;
-      }
-      // Guesses past the first success lie above the new ceiling; they only
-      // feed the best-packing tracking above.
-      if (resolved) continue;
-      if (outcome.within_budget) {
-        report.best_guess = guesses[i];
-        best_outcome = std::move(outcome);
-        hi = guesses[i] - 1;
-        resolved = true;
-      } else {
-        lo = guesses[i] + 1;
-      }
-    }
+    probe(lo + (hi - lo) / 2);
   }
   if (best_outcome) {
     const Classification& cls = best_outcome->cls;
@@ -474,7 +292,7 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
     report.lp_capped = best_outcome->lp_capped;
     report.lp_overflow = best_outcome->lp_overflow;
   }
-  report.pipeline_peak = have_pipeline ? best_pipeline_peak : witness_peak;
+  report.pipeline_peak = best_pipeline_peak;
   report.final_peak = best_peak;
   result.packing = std::move(best_packing);
   result.peak = best_peak;

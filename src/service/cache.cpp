@@ -49,14 +49,13 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
   ContentHasher hasher;
   // Domain salt + fingerprint version: bump if the absorbed field set ever
   // changes, so stale persisted keys (a future follow-up) cannot alias.
-  hasher.absorb(0x6473702d73727631ull);  // "dsp-srv1"
+  hasher.absorb(0x6473702d73727632ull);  // "dsp-srv2"
   hasher.absorb(static_cast<std::uint64_t>(params.engine));
   if (params.engine == ServeEngine::kSolve54) {
     // Result-affecting solve54 knobs only.  Excluded on purpose — proved
-    // result-invariant by the runtime determinism suites — are
-    // lp_pricing_threads, probe_concurrency, stealing, the tuner pointer,
-    // and overlap_step1, plus ServeParams::backend, ::threads and
-    // ::stealing (see DESIGN.md, "The work-stealing scheduler").
+    // result-invariant by the backend and runtime determinism suites — are
+    // ServeParams::backend, ::threads and ::stealing (see DESIGN.md, "The
+    // work-stealing scheduler").
     const approx::Approx54Params& approx = params.approx;
     hasher.absorb_signed(approx.epsilon.num());
     hasher.absorb_signed(approx.epsilon.den());
@@ -65,7 +64,6 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
     hasher.absorb(approx.max_configs);
     hasher.absorb(approx.max_pricing_rounds);
     hasher.absorb(approx.max_gap_boxes);
-    hasher.absorb_signed(approx.probe_parallelism);
   }
   return hasher.digest64();
 }
@@ -325,18 +323,6 @@ CachingSolver::CachingSolver(const ServeParams& params,
         out.push_back({"scheduler.executed", sched.executed, false});
         out.push_back({"scheduler.steals", sched.steals, false});
         out.push_back({"scheduler.steal_fails", sched.steal_fails, false});
-        const runtime::TunerSnapshot tuner = tuner_.snapshot();
-        out.push_back({"tuner.attempt_samples", tuner.attempt_samples, false});
-        out.push_back(
-            {"tuner.attempt_ewma_nanos", tuner.attempt_ewma_nanos, true});
-        out.push_back({"tuner.decisions", tuner.decisions, false});
-        out.push_back({"tuner.last_probe_concurrency",
-                       static_cast<std::uint64_t>(
-                           tuner.last_probe_concurrency),
-                       true});
-        out.push_back({"tuner.last_pricing_threads",
-                       static_cast<std::uint64_t>(tuner.last_pricing_threads),
-                       true});
       });
 }
 
@@ -349,10 +335,6 @@ CachedSolve CachingSolver::compute_canonical(const Instance& canonical) {
   } else {
     approx::Approx54Params approx = params_.approx;
     approx.backend = params_.backend;  // ServeParams::backend is THE backend
-    approx.stealing = params_.stealing;
-    // The solver's own tuner unless the caller injected one: measurements
-    // then accumulate across every request this solver serves.
-    if (approx.tuner == nullptr) approx.tuner = &tuner_;
     approx::Approx54Result result = approx::solve54(canonical, approx);
     solve.packing = std::move(result.packing);
     solve.peak = result.peak;

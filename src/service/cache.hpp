@@ -36,7 +36,6 @@
 #include "core/packing.hpp"
 #include "core/profile.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/autotune.hpp"
 #include "runtime/channel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/canonical.hpp"
@@ -67,13 +66,12 @@ struct ServeParams {
   ProfileBackendKind backend = ProfileBackendKind::kAuto;
   /// Execution knob: pool size for solve_many fan-out; 0 = hardware.
   std::size_t threads = 0;
-  /// Execution knob: work stealing on the batch pools and inside solve54
+  /// Execution knob: work stealing on the batch pools
   /// (ThreadPoolOptions::stealing); off is the static-sharding baseline.
   bool stealing = true;
-  /// Result-affecting solve54 parameters (engine == kSolve54 only).  The
-  /// execution knobs inside (lp_pricing_threads, probe_concurrency,
-  /// stealing, tuner, overlap_step1) are NOT fingerprinted; epsilon,
-  /// ladder, LP engine, caps and probe_parallelism are.
+  /// Result-affecting solve54 parameters (engine == kSolve54 only):
+  /// epsilon, ladder, LP engine and caps are fingerprinted; the backend
+  /// inside is overridden by `backend` above.
   approx::Approx54Params approx;
   /// Debug escape hatch: compute every request (no lookups, no inserts).
   /// Responses must stay bit-identical — the bypass only skips the cache.
@@ -270,15 +268,11 @@ class CachingSolver {
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
   [[nodiscard]] CacheStats stats() const { return cache_.stats(); }
   /// Scheduler counters for stats surfaces: process-wide totals from
-  /// retired pools (this solver's batch pools and solve54's probe/pricing
-  /// pools are per-call, so they have always been destroyed — and folded
-  /// into the totals — by the time a stats reader arrives).
+  /// retired pools (this solver's batch pools are per-call, so they have
+  /// always been destroyed — and folded into the totals — by the time a
+  /// stats reader arrives).
   [[nodiscard]] runtime::SchedulerCounters scheduler_counters() const {
     return runtime::scheduler_totals();
-  }
-  /// This solver's long-lived auto-tuner state (EWMA, last knob choices).
-  [[nodiscard]] runtime::TunerSnapshot tuner_snapshot() const {
-    return tuner_.snapshot();
   }
   /// The underlying cache, for persistence (warm load, export, the insert
   /// observer).  Entries are keyed by this solver's fingerprint.
@@ -290,11 +284,7 @@ class CachingSolver {
   ServeParams params_;
   std::uint64_t fingerprint_;
   SolveCache cache_;
-  /// Shared across every request this solver serves, so attempt-cost
-  /// measurements accumulate and the auto-tuned knobs converge under
-  /// sustained traffic.  Internally synchronized; never fingerprinted.
-  runtime::AutoTuner tuner_;
-  /// Registry pull-source exporting cache.* / scheduler.* / tuner.* samples.
+  /// Registry pull-source exporting cache.* / scheduler.* samples.
   /// Declared last: it captures `this`, so it must unregister (its
   /// destructor) before any member it reads is torn down.
   obs::Registry::Source obs_source_;

@@ -209,11 +209,6 @@ WireStats Daemon::wire_stats() const {
   stats.scheduler.steals = scheduler.steals;
   stats.scheduler.steal_fails = scheduler.steal_fails;
   stats.scheduler.occupancy = runtime::process_active_workers();
-  const runtime::TunerSnapshot tuner = solver_.tuner_snapshot();
-  stats.scheduler.tuner_decisions = tuner.decisions;
-  stats.scheduler.attempt_ewma_nanos = tuner.attempt_ewma_nanos;
-  stats.scheduler.probe_concurrency = tuner.last_probe_concurrency;
-  stats.scheduler.pricing_threads = tuner.last_pricing_threads;
   const obs::HistogramSnapshot request =
       obs::phase_histogram(obs::Phase::kRequest).snapshot();
   stats.obs.request_count = request.total;

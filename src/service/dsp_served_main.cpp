@@ -10,14 +10,12 @@
 //
 //   dsp_served [--port P] [--engine portfolio|solve54]
 //              [--backend auto|dense|sparse] [--threads N] [--steal 0|1]
-//              [--probe-concurrency N] [--pricing-threads N] [--cache-mb M]
-//              [--max-concurrent N] [--max-queue N]
+//              [--cache-mb M] [--max-concurrent N] [--max-queue N]
 //              [--persist DIR] [--snapshot-every N]
 //              [--metrics-out FILE] [--trace-out FILE]
 //
-// --steal/--probe-concurrency/--pricing-threads mirror dsp_solve's flags:
-// execution knobs only (responses are bit-identical either way), strict
-// integer parsing, 0 = auto-tuned where documented there.
+// --steal mirrors dsp_solve's flag: an execution knob only (responses are
+// bit-identical either way), strict integer parsing.
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase
@@ -84,9 +82,7 @@ void print_usage(std::ostream& os) {
   os << "usage: dsp_served [--port P] [--engine portfolio|solve54]\n"
         "                  [--backend auto|dense|sparse] [--threads N] "
         "[--steal 0|1]\n"
-        "                  [--probe-concurrency N] [--pricing-threads N] "
-        "[--cache-mb M]\n"
-        "                  [--max-concurrent N] [--max-queue N]\n"
+        "                  [--cache-mb M] [--max-concurrent N] [--max-queue N]\n"
         "                  [--persist DIR] [--snapshot-every N]\n"
         "                  [--metrics-out FILE] [--trace-out FILE]\n"
         "       dsp_served --connect P [--host ADDR] [--repeat R]\n"
@@ -161,12 +157,6 @@ void print_usage(std::ostream& os) {
       const std::size_t value = parse_count(arg, next_value(i, arg));
       if (value > 1) usage_error("--steal takes 0 or 1");
       options.daemon.serve.stealing = value == 1;
-    } else if (arg == "--probe-concurrency") {
-      options.daemon.serve.approx.probe_concurrency =
-          static_cast<int>(parse_count(arg, next_value(i, arg)));
-    } else if (arg == "--pricing-threads") {
-      options.daemon.serve.approx.lp_pricing_threads =
-          static_cast<int>(parse_count(arg, next_value(i, arg)));
     } else if (arg == "--cache-mb") {
       options.cache_mb = parse_count(arg, next_value(i, arg));
       if (options.cache_mb == 0) {

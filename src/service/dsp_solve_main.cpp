@@ -13,13 +13,9 @@
 //     --engine portfolio|solve54   pipeline to serve with (default portfolio)
 //     --backend auto|dense|sparse  profile backend (default auto)
 //     --threads N                  batch fan-out workers (default hardware)
-//     --steal 0|1                  work stealing on the batch/probe pools
+//     --steal 0|1                  work stealing on the batch pools
 //                                  (default 1; 0 = static sharding; results
 //                                  identical either way)
-//     --probe-concurrency N        in-flight solve54 probes per round
-//                                  (default 0 = auto-tuned)
-//     --pricing-threads N          solve54 pricing-pool workers
-//                                  (default 1; 0 = auto-tuned)
 //     --cache-mb M                 solve-cache budget in MiB (default 64)
 //     --repeat R                   serve the request list R times (default 1;
 //                                  repeats after the first hit the cache)
@@ -72,10 +68,8 @@ struct CliOptions {
 void print_usage(std::ostream& os) {
   os << "usage: dsp_solve [--engine portfolio|solve54] [--backend "
         "auto|dense|sparse]\n"
-        "                 [--threads N] [--steal 0|1] [--probe-concurrency N]\n"
-        "                 [--pricing-threads N] [--cache-mb M] [--repeat R] "
-        "[--no-cache]\n"
-        "                 [--metrics-out FILE] [--trace-out FILE]\n"
+        "                 [--threads N] [--steal 0|1] [--cache-mb M] [--repeat R]\n"
+        "                 [--no-cache] [--metrics-out FILE] [--trace-out FILE]\n"
         "                 [--emit-corpus DIR] <file-or-directory>...\n";
 }
 
@@ -135,12 +129,6 @@ void print_usage(std::ostream& os) {
       const std::size_t value = parse_count(arg, next_value(i, arg));
       if (value > 1) usage_error("--steal takes 0 or 1");
       options.serve.stealing = value == 1;
-    } else if (arg == "--probe-concurrency") {
-      options.serve.approx.probe_concurrency =
-          static_cast<int>(parse_count(arg, next_value(i, arg)));
-    } else if (arg == "--pricing-threads") {
-      options.serve.approx.lp_pricing_threads =
-          static_cast<int>(parse_count(arg, next_value(i, arg)));
     } else if (arg == "--cache-mb") {
       options.cache_mb = parse_count(arg, next_value(i, arg));
       if (options.cache_mb == 0) {
@@ -225,6 +213,9 @@ int main(int argc, char** argv) {
     std::vector<Height> file_lower_bounds;
     wires.reserve(files.size());
     for (const std::string& file : files) {
+      // The row's lower bound is traced work too: give it a request id of
+      // its own so no span in the trace is left unattributed.
+      const obs::RequestScope ingest_scope;
       wires.push_back(service::load_instance_file(file));
       file_instances.push_back(wires.back().to_instance());
       file_lower_bounds.push_back(combined_lower_bound(file_instances.back()));

@@ -93,11 +93,6 @@ std::string encode_stats(const WireStats& stats) {
   payload.u64(stats.scheduler.steals);
   payload.u64(stats.scheduler.steal_fails);
   payload.u64(stats.scheduler.occupancy);
-  payload.u64(stats.scheduler.tuner_decisions);
-  payload.u64(stats.scheduler.attempt_ewma_nanos);
-  // Knob choices are small non-negative ints; carried as u64 like the rest.
-  payload.u64(static_cast<std::uint64_t>(stats.scheduler.probe_concurrency));
-  payload.u64(static_cast<std::uint64_t>(stats.scheduler.pricing_threads));
   payload.u64(stats.obs.request_count);
   payload.u64(stats.obs.request_p50_nanos);
   payload.u64(stats.obs.request_p95_nanos);
@@ -140,10 +135,6 @@ WireStats decode_stats(std::string payload, const std::string& source) {
   stats.scheduler.steals = reader.u64();
   stats.scheduler.steal_fails = reader.u64();
   stats.scheduler.occupancy = reader.u64();
-  stats.scheduler.tuner_decisions = reader.u64();
-  stats.scheduler.attempt_ewma_nanos = reader.u64();
-  stats.scheduler.probe_concurrency = static_cast<std::int64_t>(reader.u64());
-  stats.scheduler.pricing_threads = static_cast<std::int64_t>(reader.u64());
   stats.obs.request_count = reader.u64();
   stats.obs.request_p50_nanos = reader.u64();
   stats.obs.request_p95_nanos = reader.u64();

@@ -28,22 +28,17 @@ struct DaemonStats {
   bool draining = false;
 };
 
-/// Scheduler/auto-tuner visibility (DESIGN.md, "The work-stealing
-/// scheduler"): process-wide counters from retired pools plus the serving
-/// solver's tuner state.
+/// Scheduler visibility (DESIGN.md, "The work-stealing scheduler"):
+/// process-wide counters from retired pools plus the live occupancy gauge.
 struct SchedulerStats {
   std::uint64_t submitted = 0;    ///< tasks accepted across all pools
   std::uint64_t executed = 0;     ///< tasks completed
   std::uint64_t steals = 0;       ///< tasks migrated off their deque
   std::uint64_t steal_fails = 0;  ///< empty-victim probes
   std::uint64_t occupancy = 0;    ///< workers running a task right now
-  std::uint64_t tuner_decisions = 0;
-  std::uint64_t attempt_ewma_nanos = 0;
-  std::int64_t probe_concurrency = 0;  ///< tuner's last choice (0 = none yet)
-  std::int64_t pricing_threads = 0;    ///< tuner's last choice (0 = none yet)
 };
 
-/// Observability roll-up carried on the v2 stats frame: the request-phase
+/// Observability roll-up carried on the stats frame: the request-phase
 /// latency histogram boiled down to quantiles, plus tracer ring health.
 /// Quantiles are log2-bucket upper bounds (obs/metrics.hpp), not exact
 /// order statistics — coarse by design, deterministic to derive.
@@ -84,10 +79,11 @@ inline constexpr std::uint8_t kBusy = 4;       // response
 inline constexpr std::uint8_t kMetricsOk = 5;  // response
 
 /// Leading version byte of the stats_ok payload.  v1 (the unversioned
-/// layout) started with the engine-string length, so a v2 payload read by
-/// a v1 client fails fast as a bogus string length, and a v1 payload read
-/// here fails with an explicit version mismatch — never a silent misparse.
-inline constexpr std::uint8_t kStatsVersion = 2;
+/// layout) started with the engine-string length, so a versioned payload
+/// read by a v1 client fails fast as a bogus string length, and any other
+/// version read here fails with an explicit version mismatch — never a
+/// silent misparse.  v3 dropped v2's four auto-tuner scheduler fields.
+inline constexpr std::uint8_t kStatsVersion = 3;
 
 /// Leading version byte of the metrics_ok payload (Prometheus-style text).
 inline constexpr std::uint8_t kMetricsVersion = 1;

@@ -333,6 +333,10 @@ void validate_wire_instance(const WireInstance& instance,
   DSP_REQUIRE(instance.strip_width >= 1,
               source << ": strip width " << instance.strip_width
                      << " must be >= 1");
+  DSP_REQUIRE(instance.strip_width <= kMaxStripWidth,
+              source << ": strip width " << instance.strip_width
+                     << " exceeds the cap " << kMaxStripWidth
+                     << " (profiles are O(W) memory)");
   std::unordered_map<std::int64_t, std::size_t> first_index;
   for (std::size_t i = 0; i < instance.items.size(); ++i) {
     const WireItem& item = instance.items[i];
@@ -585,8 +589,6 @@ void save_report_binary(std::ostream& os, const approx::Approx54Report& r) {
   writer.u64(r.lp_overflow);
   writer.u64(r.attempts);
   writer.u64(r.rounds);
-  writer.i64(r.probe_parallelism);
-  writer.boolean(r.overlapped);
   os << writer.bytes();
 }
 
@@ -610,8 +612,7 @@ void save_report_json(std::ostream& os, const approx::Approx54Report& r) {
      << ",\"lp_pricing_rounds\":" << r.lp_pricing_rounds << ",\"lp_capped\":"
      << (r.lp_capped ? "true" : "false") << ",\"lp_overflow\":" << r.lp_overflow
      << ",\"attempts\":" << r.attempts << ",\"rounds\":" << r.rounds
-     << ",\"probe_parallelism\":" << r.probe_parallelism << ",\"overlapped\":"
-     << (r.overlapped ? "true" : "false") << "}\n";
+     << "}\n";
 }
 
 [[nodiscard]] approx::Approx54Report load_report_binary(
@@ -644,8 +645,6 @@ void save_report_json(std::ostream& os, const approx::Approx54Report& r) {
   r.lp_overflow = static_cast<std::size_t>(reader.u64());
   r.attempts = static_cast<std::size_t>(reader.u64());
   r.rounds = static_cast<std::size_t>(reader.u64());
-  r.probe_parallelism = static_cast<int>(reader.i64());
-  r.overlapped = reader.boolean();
   reader.done();
   return r;
 }
@@ -711,10 +710,7 @@ void save_report_json(std::ostream& os, const approx::Approx54Report& r) {
       r.attempts = static_cast<std::size_t>(parser.parse_int());
     } else if (key == "rounds") {
       r.rounds = static_cast<std::size_t>(parser.parse_int());
-    } else if (key == "probe_parallelism") {
-      r.probe_parallelism = static_cast<int>(parser.parse_int());
-    } else if (key == "overlapped") r.overlapped = parser.parse_bool();
-    else parser.fail("unknown report key \"" + key + "\"", key_offset);
+    } else parser.fail("unknown report key \"" + key + "\"", key_offset);
   });
   parser.done();
   check_json_envelope(parser, RecordTag::kReport, record_type, saw_type,
@@ -725,8 +721,7 @@ void save_report_json(std::ostream& os, const approx::Approx54Report& r) {
       "lower_bound", "upper_bound", "best_guess", "pipeline_peak",
       "final_peak", "delta", "mu", "count_per_category", "medium_area",
       "lp_used", "lp_engine", "lp_configurations", "lp_pricing_rounds",
-      "lp_capped", "lp_overflow", "attempts", "rounds", "probe_parallelism",
-      "overlapped"};
+      "lp_capped", "lp_overflow", "attempts", "rounds"};
   for (const char* required : kRequiredKeys) {
     if (!seen.contains(required)) {
       parser.fail("missing report key \"" + std::string(required) + "\"", 0);

@@ -39,6 +39,12 @@ enum class WireFormat {
 
 [[nodiscard]] std::string_view to_string(WireFormat format);
 
+/// Largest strip width an instance record may declare (2^20).  Profiles are
+/// O(W) memory, so without a cap a ~150-byte request could demand
+/// gigabytes; 2^20 still holds a week at one-second resolution and bounds a
+/// sparse profile to ~64 MiB.
+inline constexpr Length kMaxStripWidth = Length{1} << 20;
+
 /// One item as it travels on the wire: the geometric payload plus the
 /// caller-facing identity (`id`, unique per instance) and a free-form
 /// `label`.  Ids and labels survive save/load but are deliberately NOT part
@@ -79,8 +85,8 @@ void save_instance(std::ostream& os, const WireInstance& instance,
                    WireFormat format);
 
 /// Parses (auto-detecting the encoding) and validates: rejects a missing or
-/// unknown version, nonpositive width/height, width > W, duplicate ids, and
-/// the empty instance.  Every error message names `source`, the offending
+/// unknown version, W > kMaxStripWidth, nonpositive width/height, width > W,
+/// duplicate ids, and the empty instance.  Every error message names `source`, the offending
 /// item index, and the byte offset of the offending record.
 [[nodiscard]] WireInstance load_instance(std::istream& is,
                                          const std::string& source = "<stream>");

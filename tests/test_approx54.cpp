@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <vector>
+
 #include "approx/config_lp.hpp"
 #include "approx/solve54.hpp"
 #include "core/bounds.hpp"
 #include "exact/dsp_exact.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "gen/gap.hpp"
 #include "gen/smart_grid.hpp"
@@ -114,10 +120,112 @@ TEST(Solve54, ReportIsConsistent) {
   EXPECT_EQ(report.final_peak, result.peak);
   EXPECT_GE(report.pipeline_peak, report.lower_bound);
   EXPECT_GE(report.attempts, 1u);
+  EXPECT_EQ(report.rounds, report.attempts);  // one probe per round
   if (report.best_guess > 0) {
     std::size_t total = 0;
     for (const std::size_t c : report.count_per_category) total += c;
     EXPECT_EQ(total, inst.size());
+  }
+}
+
+TEST(Solve54, RoundOneIsTheFloorProbe) {
+  Rng rng(405);
+  const Instance inst = gen::random_uniform(30, 48, 20, 10, rng);
+  const Approx54Result result = solve54(inst);
+  // If the optimistic floor probe succeeds, the search ends in one round
+  // with best_guess == lower_bound; otherwise the bisection continues and
+  // best_guess (if any) lies strictly above the floor.
+  if (result.report.rounds == 1) {
+    EXPECT_EQ(result.report.best_guess, result.report.lower_bound);
+  } else if (result.report.best_guess > 0) {
+    EXPECT_GT(result.report.best_guess, result.report.lower_bound);
+  }
+  EXPECT_GE(result.report.attempts, 1u);
+}
+
+/// FNV-1a over the start positions: a compact fingerprint of a packing.
+std::uint64_t fingerprint_of(const Packing& packing) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const Length start : packing.start) {
+    hash ^= static_cast<std::uint64_t>(start);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(Solve54, GoldenPackingsMatchRecordedFingerprints) {
+  // Recorded default-parameter answers on the golden corpus: a change to
+  // the search, the attempt or the witness that moves a single start, on
+  // either backend, fails here.  Re-record only for a deliberate change.
+  struct Expected {
+    const char* name;
+    Height peak;
+    std::uint64_t fingerprint;
+  };
+  static constexpr Expected kExpected[] = {
+      {"correlated", 33, 0x0e2d36d0a5303f5full},
+      {"equal-width", 16, 0xa08c81b701614cbfull},
+      {"gap", 5, 0x773baabf979b19c8ull},
+      {"hardness", 4, 0x6739243c9ab5826eull},
+      {"perfect", 20, 0xa0a58069c89e4768ull},
+      {"smart-grid", 74, 0x484e423b12ccb624ull},
+      {"tall", 22, 0xc1057c4d0967d9a3ull},
+      {"uniform", 34, 0x946e0cc5a2de9575ull},
+      {"wide", 73, 0x7395ae1d67b8cd8bull},
+  };
+  const std::vector<gen::GoldenInstance> corpus = gen::golden_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kExpected));
+  for (std::size_t f = 0; f < corpus.size(); ++f) {
+    ASSERT_EQ(corpus[f].name, kExpected[f].name);
+    for (const ProfileBackendKind backend :
+         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
+      Approx54Params params;
+      params.backend = backend;
+      const Approx54Result result = solve54(corpus[f].instance, params);
+      EXPECT_EQ(result.peak, kExpected[f].peak) << corpus[f].name;
+      EXPECT_EQ(fingerprint_of(result.packing), kExpected[f].fingerprint)
+          << corpus[f].name << " backend "
+          << (backend == ProfileBackendKind::kDense ? "dense" : "sparse");
+    }
+  }
+}
+
+TEST(Solve54, SoundOnRandomInstances) {
+  Rng rng(1234);
+  for (int round = 0; round < 3; ++round) {
+    const Instance inst = gen::random_uniform(48, 64, 24, 12, rng);
+    const Approx54Result result = solve54(inst);
+    validate_packing(inst, result.packing);
+    EXPECT_EQ(peak_height(inst, result.packing), result.peak);
+    // Never worse than the witness, never below the floor.
+    EXPECT_LE(result.peak, result.report.upper_bound);
+    EXPECT_GE(result.peak, result.report.lower_bound);
+    if (result.report.best_guess > 0) {
+      EXPECT_GE(result.report.best_guess, result.report.lower_bound);
+      EXPECT_LE(result.report.best_guess, result.report.upper_bound);
+    }
+  }
+}
+
+TEST(Solve54, AttemptsStayWithinThePlainBisectionDepth) {
+  // The floor probe, then bisection over the remaining (LB, UB]: at most
+  // 1 + bit_width(UB - LB) attempts, one per round.
+  std::vector<Instance> instances;
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    instances.push_back(golden.instance);
+  }
+  Rng rng(1235);
+  for (int round = 0; round < 4; ++round) {
+    instances.push_back(gen::random_uniform(40, 96, 32, 16, rng));
+  }
+  for (const Instance& inst : instances) {
+    const Approx54Report report = solve54(inst).report;
+    ASSERT_GE(report.upper_bound, report.lower_bound) << inst.summary();
+    const auto gap =
+        static_cast<std::uint64_t>(report.upper_bound - report.lower_bound);
+    EXPECT_GE(report.attempts, 1u);
+    EXPECT_LE(report.attempts, 1u + std::bit_width(gap)) << inst.summary();
+    EXPECT_EQ(report.rounds, report.attempts);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "approx/config_lp.hpp"
@@ -9,7 +10,6 @@
 #include "gen/config_scenarios.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
-#include "runtime/thread_pool.hpp"
 #include "util/prng.hpp"
 
 namespace dsp::approx {
@@ -27,12 +27,10 @@ Scenario random_scenario(Rng& rng, int max_classes = 5) {
 }
 
 VerticalFillResult run_engine(const Scenario& scenario, ConfigLpEngine engine,
-                              runtime::ThreadPool* pool = nullptr,
                               std::size_t max_configs = 4096,
                               std::size_t max_rounds = 64) {
   VerticalFillParams params;
   params.engine = engine;
-  params.pricing_pool = pool;
   params.max_configs = max_configs;
   params.max_pricing_rounds = max_rounds;
   return fill_vertical_items(scenario.instance, scenario.indices,
@@ -97,22 +95,29 @@ TEST(ConfigLpEngines, ColumnGenerationMatchesDenseOnRandomScenarios) {
   }
 }
 
-TEST(ConfigLpEngines, BitIdenticalAcrossPricingPools) {
-  Rng rng(202);
-  for (int round = 0; round < 8; ++round) {
-    const Scenario scenario = random_scenario(rng);
-    const VerticalFillResult baseline =
-        run_engine(scenario, ConfigLpEngine::kColumnGeneration, nullptr);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      runtime::ThreadPool pool(threads);
-      const VerticalFillResult fill =
-          run_engine(scenario, ConfigLpEngine::kColumnGeneration, &pool);
-      EXPECT_EQ(fill.start, baseline.start) << "threads " << threads;
-      EXPECT_EQ(fill.overflow, baseline.overflow) << "threads " << threads;
-      EXPECT_EQ(fill.configurations, baseline.configurations);
-      EXPECT_EQ(fill.pricing_rounds, baseline.pricing_rounds);
-      EXPECT_EQ(fill.lp_solved, baseline.lp_solved);
-      EXPECT_EQ(fill.lp_objective, baseline.lp_objective);
+TEST(ConfigLpEngines, ReusedScratchMatchesFreshScratch) {
+  // solve54 threads one VerticalFillScratch through every attempt of its
+  // bisection; a scratch left dirty by earlier (larger or smaller)
+  // scenarios must not move a single start.
+  Rng rng(203);
+  VerticalFillScratch shared;
+  for (int round = 0; round < 12; ++round) {
+    const Scenario scenario = random_scenario(rng, 2 + round % 5);
+    for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
+                                        ConfigLpEngine::kColumnGeneration}) {
+      const VerticalFillResult fresh = run_engine(scenario, engine);
+      VerticalFillParams params;
+      params.engine = engine;
+      params.scratch = &shared;
+      const VerticalFillResult reused =
+          fill_vertical_items(scenario.instance, scenario.indices,
+                              scenario.rounding, scenario.boxes, params);
+      EXPECT_EQ(reused.start, fresh.start) << "round " << round;
+      EXPECT_EQ(reused.overflow, fresh.overflow);
+      EXPECT_EQ(reused.configurations, fresh.configurations);
+      EXPECT_EQ(reused.pricing_rounds, fresh.pricing_rounds);
+      EXPECT_EQ(reused.lp_solved, fresh.lp_solved);
+      EXPECT_EQ(reused.lp_objective, fresh.lp_objective);
     }
   }
 }
@@ -133,12 +138,12 @@ TEST(ConfigLpEngines, ColumnGenerationSurvivesTheDenseCapCliff) {
   scenario.rounding.grid.assign(items.size(), 1);
 
   const VerticalFillResult dense =
-      run_engine(scenario, ConfigLpEngine::kDenseEnumeration, nullptr, 16);
+      run_engine(scenario, ConfigLpEngine::kDenseEnumeration, 16);
   EXPECT_TRUE(dense.capped);
   EXPECT_FALSE(dense.lp_solved) << "the cap cliff this test relies on is "
                                    "gone; pick a harder scenario";
   const VerticalFillResult cg =
-      run_engine(scenario, ConfigLpEngine::kColumnGeneration, nullptr, 16);
+      run_engine(scenario, ConfigLpEngine::kColumnGeneration, 16);
   EXPECT_TRUE(cg.lp_solved);
   EXPECT_FALSE(cg.capped);
   // The basic solution may be fractional (overflow items are fine — Lemma
@@ -194,7 +199,7 @@ TEST(ConfigLpEngines, SafetyValveSetsCappedInsteadOfLooping) {
   Rng rng(404);
   const Scenario scenario = random_scenario(rng);
   const VerticalFillResult one_round = run_engine(
-      scenario, ConfigLpEngine::kColumnGeneration, nullptr, 4096, 1);
+      scenario, ConfigLpEngine::kColumnGeneration, 4096, 1);
   // One pricing round cannot reach convergence on a non-trivial scenario:
   // the valve must report it rather than silently continuing.
   EXPECT_TRUE(one_round.capped);
@@ -229,7 +234,7 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
                               "the generator no longer produces V items";
 }
 
-TEST(Solve54Engines, BitIdenticalAcrossPricingThreadsAndBackends) {
+TEST(Solve54Engines, BitIdenticalAcrossBackends) {
   Rng rng(606);
   const std::vector<Instance> instances = {
       gen::random_uniform(50, 160, 6, 24, rng),
@@ -239,62 +244,51 @@ TEST(Solve54Engines, BitIdenticalAcrossPricingThreadsAndBackends) {
     Approx54Params baseline_params;
     baseline_params.lp_engine = ConfigLpEngine::kColumnGeneration;
     const Approx54Result baseline = solve54(inst, baseline_params);
-    for (const int threads : {1, 2, 8}) {
-      for (const ProfileBackendKind backend :
-           {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-        Approx54Params params = baseline_params;
-        params.lp_pricing_threads = threads;
-        params.backend = backend;
-        const Approx54Result result = solve54(inst, params);
-        EXPECT_EQ(result.packing.start, baseline.packing.start)
-            << "threads " << threads << " backend "
-            << static_cast<int>(backend);
-        EXPECT_EQ(result.peak, baseline.peak);
-        EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
-        EXPECT_EQ(result.report.lp_configurations,
-                  baseline.report.lp_configurations);
-        EXPECT_EQ(result.report.lp_pricing_rounds,
-                  baseline.report.lp_pricing_rounds);
-      }
+    for (const ProfileBackendKind backend :
+         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
+      Approx54Params params = baseline_params;
+      params.backend = backend;
+      const Approx54Result result = solve54(inst, params);
+      EXPECT_EQ(result.packing.start, baseline.packing.start)
+          << "backend " << static_cast<int>(backend);
+      EXPECT_EQ(result.peak, baseline.peak);
+      EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
+      EXPECT_EQ(result.report.lp_configurations,
+                baseline.report.lp_configurations);
+      EXPECT_EQ(result.report.lp_pricing_rounds,
+                baseline.report.lp_pricing_rounds);
     }
   }
 }
 
-TEST(Solve54Engines, SharedPricingPoolUnderConcurrentAttemptsIsBitIdentical) {
-  // probe_parallelism > 1 runs attempts concurrently on the bisection pool;
-  // with lp_pricing_threads > 1 those attempts all issue parallel_map calls
-  // into the *one* shared pricing pool at the same time.  The packing must
-  // not depend on either pool's size (this is also the only place the
-  // concurrent-submitters path runs under TSan).
+TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
+  // Batch pools and daemon connections call solve54 from many threads at
+  // once; each call owns its profile backend and LP scratch, so concurrent
+  // calls share no mutable state (this is the place TSan sees it).
   Rng rng(808);
   const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
-  Approx54Params baseline_params;
-  baseline_params.lp_engine = ConfigLpEngine::kColumnGeneration;
-  baseline_params.probe_parallelism = 3;
-  // Pinned: auto (0) would serialize the attempts on narrow machines and
-  // this test exists to run the concurrent-submitters path.
-  baseline_params.probe_concurrency = 3;
-  baseline_params.lp_pricing_threads = 1;
-  const Approx54Result baseline = solve54(inst, baseline_params);
-  for (const int pricing_threads : {2, 8}) {
-    Approx54Params params = baseline_params;
-    params.lp_pricing_threads = pricing_threads;
-    const Approx54Result result = solve54(inst, params);
-    EXPECT_EQ(result.packing.start, baseline.packing.start)
-        << "lp_pricing_threads " << pricing_threads;
-    EXPECT_EQ(result.peak, baseline.peak);
-    EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
-    EXPECT_EQ(result.report.attempts, baseline.report.attempts);
+  for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
+                                      ConfigLpEngine::kColumnGeneration}) {
+    Approx54Params params;
+    params.lp_engine = engine;
+    const Approx54Result reference = solve54(inst, params);
+    std::vector<Approx54Result> results(4);
+    std::vector<std::thread> callers;
+    for (Approx54Result& slot : results) {
+      callers.emplace_back(
+          [&inst, &params, &slot] { slot = solve54(inst, params); });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (const Approx54Result& result : results) {
+      EXPECT_EQ(result.packing.start, reference.packing.start)
+          << "engine " << static_cast<int>(engine);
+      EXPECT_EQ(result.peak, reference.peak);
+      EXPECT_EQ(result.report.best_guess, reference.report.best_guess);
+      EXPECT_EQ(result.report.attempts, reference.report.attempts);
+      EXPECT_EQ(result.report.lp_configurations,
+                reference.report.lp_configurations);
+    }
   }
-}
-
-TEST(Solve54Engines, RejectsNegativePricingThreads) {
-  // 0 now means "auto-tuned"; only genuinely negative widths are invalid.
-  Rng rng(707);
-  const Instance inst = gen::random_uniform(5, 10, 4, 4, rng);
-  Approx54Params params;
-  params.lp_pricing_threads = -1;
-  EXPECT_THROW((void)solve54(inst, params), InvalidInput);
 }
 
 }  // namespace

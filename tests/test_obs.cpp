@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -375,6 +376,92 @@ TEST(RequestScopeTest, NestedScopesAdoptTheOuterId) {
   EXPECT_GT(next.id(), outer_id) << "fresh scopes mint fresh ids";
 }
 
+TEST(RequestScopeTest, Solve54SpansAllCarryTheRequestId) {
+  // solve54 runs on its caller's thread, so every span it records — the
+  // witness portfolio and the lower bound included — joins the request.
+  const SwitchGuard guard;
+  set_tracing_enabled(true);
+  Tracer::global().clear();
+  Rng rng(503);
+  const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
+  std::uint64_t request_id = 0;
+  {
+    const RequestScope scope;
+    request_id = scope.id();
+    (void)approx::solve54(instance);
+  }
+  set_tracing_enabled(false);
+  std::ostringstream os;
+  Tracer::global().write_chrome_trace(os);
+  Tracer::global().clear();
+
+  const std::string id_field =
+      "\"args\":{\"request_id\":" + std::to_string(request_id) + "}";
+  std::vector<std::string> names;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.find("\"name\":\"");
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + 8;
+    const std::string name = line.substr(begin, line.find('"', begin) - begin);
+    EXPECT_NE(line.find(id_field), std::string::npos)
+        << "span " << name << " is not attributed to request " << request_id
+        << ": " << line;
+    names.push_back(name);
+  }
+  for (const char* phase : {"witness", "lower_bound", "attempt"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), phase), names.end())
+        << "no " << phase << " span recorded";
+  }
+}
+
+TEST(TracerTest, Solve54SpansStayOnTheCallingThread) {
+  // A solve54 call run on a fresh thread records every span into that one
+  // thread's ring: the trace shows a single tid, so no work ran elsewhere.
+  const SwitchGuard guard;
+  set_tracing_enabled(true);
+  Tracer::global().clear();
+  Rng rng(504);
+  const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
+  std::thread caller([&instance] { (void)approx::solve54(instance); });
+  caller.join();
+  set_tracing_enabled(false);
+  std::ostringstream os;
+  Tracer::global().write_chrome_trace(os);
+  Tracer::global().clear();
+
+  std::vector<std::string> tids;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.find("\"tid\":");
+    if (at == std::string::npos) continue;
+    const std::size_t begin = at + 6;
+    tids.push_back(line.substr(begin, line.find(',', begin) - begin));
+  }
+  ASSERT_FALSE(tids.empty()) << "solve54 recorded no spans";
+  for (const std::string& tid : tids) {
+    EXPECT_EQ(tid, tids.front()) << os.str();
+  }
+}
+
+TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
+  service::ServeParams params;
+  params.engine = service::ServeEngine::kSolve54;
+  service::CachingSolver solver(params);
+  Rng rng(505);
+  (void)solver.solve(gen::random_uniform(16, 32, 12, 8, rng));
+  const MetricsSnapshot snap = Registry::global().snapshot();
+  const runtime::SchedulerCounters totals = solver.scheduler_counters();
+  EXPECT_EQ(snap.sample_value("scheduler.submitted"), totals.submitted);
+  EXPECT_EQ(snap.sample_value("scheduler.executed"), totals.executed);
+  EXPECT_EQ(snap.sample_value("cache.misses"), 1u);
+  for (const Sample& sample : snap.samples) {
+    EXPECT_EQ(sample.name.find("tuner"), std::string::npos) << sample.name;
+  }
+  EXPECT_EQ(Registry::global().prometheus_text().find("tuner"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Frame codec: versioned stats, metrics frames.
 // ---------------------------------------------------------------------------
@@ -388,7 +475,7 @@ service::WireStats sample_wire_stats() {
   stats.daemon.requests = 29;
   stats.daemon.draining = true;
   stats.scheduler.submitted = 100;
-  stats.scheduler.pricing_threads = 2;
+  stats.scheduler.occupancy = 2;
   stats.obs.request_count = 27;
   stats.obs.request_p50_nanos = 65535;
   stats.obs.request_p95_nanos = 131071;
@@ -429,8 +516,68 @@ TEST(FrameCodecObsTest, OldStatsVersionFailsWithClearError) {
   } catch (const InvalidInput& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected " +
+                        std::to_string(service::frame::kStatsVersion)),
+              std::string::npos)
+        << what;
   }
+}
+
+TEST(FrameCodecObsTest, Version2StatsFailsWithClearError) {
+  // v2 carried four auto-tuner fields after the scheduler counters; a v2
+  // payload must be refused by version, never misread as v3.
+  std::string payload = service::frame::encode_stats(sample_wire_stats());
+  payload[0] = 2;
+  try {
+    (void)service::frame::decode_stats(payload, "v2-daemon");
+    FAIL() << "version 2 must be rejected";
+  } catch (const InvalidInput& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected 3"), std::string::npos) << what;
+  }
+}
+
+TEST(FrameCodecObsTest, SchedulerFieldsRoundTrip) {
+  service::WireStats stats = sample_wire_stats();
+  stats.scheduler.submitted = 101;
+  stats.scheduler.executed = 97;
+  stats.scheduler.steals = 13;
+  stats.scheduler.steal_fails = 41;
+  stats.scheduler.occupancy = 3;
+  const service::WireStats decoded = service::frame::decode_stats(
+      service::frame::encode_stats(stats), "test");
+  EXPECT_EQ(decoded.scheduler.submitted, 101u);
+  EXPECT_EQ(decoded.scheduler.executed, 97u);
+  EXPECT_EQ(decoded.scheduler.steals, 13u);
+  EXPECT_EQ(decoded.scheduler.steal_fails, 41u);
+  EXPECT_EQ(decoded.scheduler.occupancy, 3u);
+  // The fields after the scheduler block still line up.
+  EXPECT_EQ(decoded.obs.spans_dropped, stats.obs.spans_dropped);
+  EXPECT_EQ(decoded.obs.tracing_enabled, stats.obs.tracing_enabled);
+}
+
+TEST(FrameCodecObsTest, CheckedInStatsFrameDecodesAtTheCurrentVersion) {
+  // The fuzz seed for the stats_ok decoder must exercise the accept path,
+  // so it is re-recorded whenever kStatsVersion moves.
+  const std::string path = std::string(DSP_SOURCE_DIR) +
+                           "/fuzz/corpus/daemon_frame/stats_ok_v3.frame";
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file) << "cannot open " << path;
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  const std::string frame = bytes.str();
+  ASSERT_GE(frame.size(), service::frame::kHeaderSize);
+  const service::frame::Header header =
+      service::frame::parse_header(frame.data());
+  EXPECT_EQ(header.type, service::frame::kStatsOk);
+  ASSERT_EQ(header.length, frame.size() - service::frame::kHeaderSize);
+  const std::string payload = frame.substr(service::frame::kHeaderSize);
+  EXPECT_EQ(static_cast<std::uint8_t>(payload[0]),
+            service::frame::kStatsVersion);
+  const service::WireStats decoded =
+      service::frame::decode_stats(payload, path);
+  EXPECT_EQ(service::frame::encode_stats(decoded), payload);
 }
 
 TEST(FrameCodecObsTest, MetricsRoundTripAndVersionGate) {
@@ -478,7 +625,6 @@ TEST_P(TracingBitIdentity, PackingsIdenticalTracingOnAndOff) {
   params.backend = backend;
   params.threads = threads;
   params.bypass_cache = true;  // force a real solve on every pass
-  params.approx.probe_parallelism = 2;
 
   const auto solve_all = [&]() {
     service::CachingSolver solver(params);
@@ -566,7 +712,7 @@ TEST(PhaseBreakdown, ReportCarriesAttemptNanosWhenMetricsOn) {
   EXPECT_GT(result.report.attempts, 0u);
   EXPECT_GT(result.report.attempt_nanos, 0u);
   // Pricing and LP-resolve time are slices of attempt time (summed over
-  // the same attempts), so the ordering holds even under concurrency.
+  // the same attempts).
   EXPECT_GE(result.report.attempt_nanos, result.report.pricing_nanos);
   EXPECT_GE(result.report.pricing_nanos, result.report.lp_resolve_nanos);
 }

@@ -155,18 +155,6 @@ TEST(ErrorPaths, ValidatePackingThrowsWithExplanation) {
   EXPECT_NE(strip_msg.find("leaves the strip"), std::string::npos) << strip_msg;
 }
 
-TEST(ErrorPaths, Approx54ParamsRejectProbeParallelismBelowOne) {
-  const Instance instance = tiny_instance();
-  approx::Approx54Params params;
-  params.probe_parallelism = 0;
-  const std::string msg =
-      message_of([&]() { (void)approx::solve54(instance, params); });
-  EXPECT_NE(msg.find("probe_parallelism must be >= 1"), std::string::npos)
-      << msg;
-  params.probe_parallelism = -3;
-  EXPECT_THROW((void)approx::solve54(instance, params), InvalidInput);
-}
-
 TEST(ErrorPaths, Approx54ParamsRejectBadEpsilon) {
   const Instance instance = tiny_instance();
   approx::Approx54Params params;
@@ -174,6 +162,13 @@ TEST(ErrorPaths, Approx54ParamsRejectBadEpsilon) {
   EXPECT_THROW((void)approx::solve54(instance, params), InvalidInput);
   params.epsilon = Fraction(2, 3);
   EXPECT_THROW((void)approx::solve54(instance, params), InvalidInput);
+}
+
+TEST(ErrorPaths, Solve54RejectsEmptyInstance) {
+  const Instance empty(6, {});
+  const std::string msg =
+      message_of([&]() { (void)approx::solve54(empty); });
+  EXPECT_NE(msg.find("solve54 on empty instance"), std::string::npos) << msg;
 }
 
 }  // namespace

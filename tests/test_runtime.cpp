@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "algo/portfolio.hpp"
-#include "approx/solve54.hpp"
 #include "core/packing.hpp"
 #include "gen/families.hpp"
 #include "runtime/parallel.hpp"
@@ -174,55 +173,6 @@ TEST(SolveMany, EmptyBatchAndSharedPool) {
   const auto via_shared = runtime::solve_many(pool, batch);
   ASSERT_EQ(via_shared.size(), 1u);
   EXPECT_EQ(via_shared[0].packing, algo::best_of_portfolio(batch[0]));
-}
-
-// ---------------------------------------------------------------------------
-// Speculative bisection.
-// ---------------------------------------------------------------------------
-
-TEST(SpeculativeBisection, DefaultKOneMatchesSequentialDiagnostics) {
-  Rng rng(99);
-  const Instance instance = gen::random_uniform(32, 48, 24, 10, rng);
-  const approx::Approx54Result sequential = approx::solve54(instance);
-  EXPECT_EQ(sequential.report.probe_parallelism, 1);
-  // One probe per round: the k=1 path is the classic bisection.
-  EXPECT_EQ(sequential.report.rounds, sequential.report.attempts);
-}
-
-TEST(SpeculativeBisection, WiderProbesShrinkRoundsAndStaySound) {
-  Rng rng(1234);
-  for (int round = 0; round < 3; ++round) {
-    const Instance instance = gen::random_uniform(48, 64, 24, 12, rng);
-    const approx::Approx54Result sequential = approx::solve54(instance);
-    for (const int k : {2, 3, 5}) {
-      approx::Approx54Params params;
-      params.probe_parallelism = k;
-      const approx::Approx54Result speculative = approx::solve54(instance, params);
-      EXPECT_EQ(speculative.report.probe_parallelism, k);
-      validate_packing(instance, speculative.packing);
-      EXPECT_EQ(peak_height(instance, speculative.packing), speculative.peak);
-      // Soundness: never worse than the witness, never below the floor.
-      EXPECT_LE(speculative.peak, speculative.report.upper_bound);
-      EXPECT_GE(speculative.peak, speculative.report.lower_bound);
-      // The wider front never needs more rounds than the bisection.
-      EXPECT_LE(speculative.report.rounds, sequential.report.rounds);
-      // Both searches resolve the same successful guess: the attempt
-      // predicate is evaluated at deterministic splits either way, and on
-      // these instances the success region is an interval.
-      EXPECT_EQ(speculative.report.best_guess, sequential.report.best_guess)
-          << instance.summary() << " k=" << k;
-    }
-  }
-}
-
-TEST(SpeculativeBisection, RejectsNonPositiveParallelism) {
-  Rng rng(3);
-  const Instance instance = gen::random_uniform(5, 10, 5, 4, rng);
-  for (const int bad : {0, -1, -8}) {
-    approx::Approx54Params params;
-    params.probe_parallelism = bad;
-    EXPECT_THROW((void)approx::solve54(instance, params), InvalidInput);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-// The work-stealing scheduler and the adaptive-parallelism controller
-// (DESIGN.md, "The work-stealing scheduler"): deque protocol order,
-// forced steals vs. the static-sharding baseline, pool-sizing fallbacks,
-// the AutoTuner's integer EWMA and decision rules, determinism of skewed
-// batches across thread counts x stealing modes x backends, and the
-// process-wide counter plumbing the serving layer reports.
+// The work-stealing scheduler (DESIGN.md, "The work-stealing scheduler"):
+// deque protocol order, forced steals vs. the static-sharding baseline,
+// pool-sizing fallbacks, determinism of skewed batches across thread
+// counts x stealing modes x backends, the process-wide counter plumbing
+// the serving layer reports, and solve54 staying off every pool.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +14,8 @@
 #include <vector>
 
 #include "approx/solve54.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
-#include "runtime/autotune.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
@@ -37,8 +36,8 @@ TEST(ResolveWorkerCount, ExplicitRequestAlwaysWins) {
 
 TEST(ResolveWorkerCount, UnknownHardwareFallsBackToTwo) {
   // hardware_concurrency() == 0 means "unknown", not "none".  Two workers
-  // keep the overlap paths (bound task + witness task) genuinely
-  // concurrent instead of silently serializing.
+  // keep batch fan-out genuinely concurrent instead of silently
+  // serializing.
   EXPECT_EQ(runtime::resolve_worker_count(0, 0),
             runtime::kUnknownHardwareWorkers);
   EXPECT_EQ(runtime::kUnknownHardwareWorkers, 2u);
@@ -58,9 +57,7 @@ TEST(ResolveWorkerCount, HardwareThreadsIsNeverZero) {
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerProtocol, ExternalTasksDrainInSubmissionOrder) {
-  // One worker, gated so all three tasks are queued before any runs.  The
-  // solve54 overlap path relies on exactly this FIFO (bound task before
-  // witness task on a 1-worker pool).
+  // One worker, gated so all three tasks are queued before any runs.
   runtime::ThreadPool pool(runtime::ThreadPoolOptions{1, true});
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
@@ -253,158 +250,68 @@ TEST(SchedulerDeterminism, ParallelMapIdenticalWithAndWithoutStealing) {
 }
 
 // ---------------------------------------------------------------------------
-// AutoTuner: integer EWMA and the decision rules.
+// solve54 runs on its caller's thread.
 // ---------------------------------------------------------------------------
 
-TEST(AutoTunerTest, FirstSampleSeedsTheEwma) {
-  runtime::AutoTuner tuner;
-  EXPECT_EQ(tuner.snapshot().attempt_samples, 0u);
-  tuner.record_attempt_nanos(1000);
-  runtime::TunerSnapshot snap = tuner.snapshot();
-  EXPECT_EQ(snap.attempt_samples, 1u);
-  EXPECT_EQ(snap.attempt_ewma_nanos, 1000u);
-}
-
-TEST(AutoTunerTest, EwmaIsExactIntegerArithmetic) {
-  runtime::AutoTuner tuner;
-  tuner.record_attempt_nanos(1000);
-  // ewma += (sample - ewma) >> 2.
-  tuner.record_attempt_nanos(2000);
-  EXPECT_EQ(tuner.snapshot().attempt_ewma_nanos, 1000u + (1000u >> 2));
-  tuner.record_attempt_nanos(0);
-  EXPECT_EQ(tuner.snapshot().attempt_ewma_nanos, 1250u - (1250u >> 2));
-}
-
-TEST(AutoTunerTest, CheapAttemptsSerializeTheProbes) {
-  runtime::AutoTuner tuner;
-  tuner.record_attempt_nanos(runtime::AutoTuner::kAttemptParallelNanos / 10);
-  EXPECT_EQ(tuner.choose_probe_concurrency(8), 1);
-  EXPECT_EQ(tuner.snapshot().last_probe_concurrency, 1);
-  EXPECT_GE(tuner.snapshot().decisions, 1u);
-}
-
-TEST(AutoTunerTest, ExpensiveAttemptsFanOutWithinTheCap) {
-  runtime::AutoTuner tuner;
-  tuner.record_attempt_nanos(runtime::AutoTuner::kAttemptParallelNanos * 10);
-  const int choice = tuner.choose_probe_concurrency(8);
-  EXPECT_GE(choice, 1);
-  EXPECT_LE(choice, 8);
-  // A cap of 1 (single guess) can never fan out, measured or not.
-  EXPECT_EQ(tuner.choose_probe_concurrency(1), 1);
-}
-
-TEST(AutoTunerTest, UnmeasuredProbeChoiceUsesFreeWidthBounded) {
-  // Optimistic before any sample: the first multi-guess round is exactly
-  // where the heavy instances show up.  Still within [1, cap].
-  runtime::AutoTuner tuner;
-  const int choice = tuner.choose_probe_concurrency(4);
-  EXPECT_GE(choice, 1);
-  EXPECT_LE(choice, 4);
-}
-
-TEST(AutoTunerTest, PricingStaysSerialUntilProvenExpensive) {
-  runtime::AutoTuner tuner;
-  // Unmeasured: conservative.
-  EXPECT_EQ(tuner.choose_pricing_threads(8), 1);
-  // Measured but cheap: still serial.
-  tuner.record_attempt_nanos(runtime::AutoTuner::kPricingParallelNanos / 4);
-  EXPECT_EQ(tuner.choose_pricing_threads(8), 1);
-  // Expensive attempts unlock the pool, bounded by the cap.
-  for (int i = 0; i < 16; ++i) {
-    tuner.record_attempt_nanos(runtime::AutoTuner::kPricingParallelNanos * 4);
+TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
+  // Pools fold their counters into the process totals when destroyed, so
+  // any pool a solve54 call spawned (and joined) would show up here.
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    const runtime::SchedulerCounters before = runtime::scheduler_totals();
+    (void)approx::solve54(golden.instance);
+    const runtime::SchedulerCounters after = runtime::scheduler_totals();
+    EXPECT_EQ(after.submitted, before.submitted) << golden.name;
+    EXPECT_EQ(after.executed, before.executed) << golden.name;
   }
-  const int choice = tuner.choose_pricing_threads(8);
-  EXPECT_GE(choice, 1);
-  EXPECT_LE(choice, 8);
-  EXPECT_EQ(tuner.snapshot().last_pricing_threads, choice);
 }
 
-// ---------------------------------------------------------------------------
-// solve54: the auto knobs are execution-only.
-// ---------------------------------------------------------------------------
-
-TEST(Solve54Scheduler, ProbeConcurrencyValuesAreBitIdentical) {
+TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
+  // Narrow items on a wide strip populate the Lemma-10 LP, the stage that
+  // used to fan its pricing out to a pool.
   Rng rng(909);
   const Instance inst = gen::random_uniform(48, 240, 4, 24, rng);
-  approx::Approx54Params base;
-  base.lp_engine = approx::ConfigLpEngine::kColumnGeneration;
-  base.probe_parallelism = 3;  // multi-guess rounds exist
-  base.probe_concurrency = 1;
-  const approx::Approx54Result reference = approx::solve54(inst, base);
-  for (const int concurrency : {0, 2, 4}) {
-    for (const bool stealing : {false, true}) {
-      approx::Approx54Params params = base;
-      params.probe_concurrency = concurrency;
-      params.stealing = stealing;
-      const approx::Approx54Result result = approx::solve54(inst, params);
-      EXPECT_EQ(result.packing.start, reference.packing.start)
-          << "probe_concurrency " << concurrency << " stealing " << stealing;
-      EXPECT_EQ(result.peak, reference.peak);
-      EXPECT_EQ(result.report.attempts, reference.report.attempts);
-      EXPECT_EQ(result.report.best_guess, reference.report.best_guess);
-      EXPECT_GE(result.report.probe_concurrency, 1);
+  for (const approx::ConfigLpEngine engine :
+       {approx::ConfigLpEngine::kDenseEnumeration,
+        approx::ConfigLpEngine::kColumnGeneration}) {
+    for (const ProfileBackendKind backend :
+         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
+      approx::Approx54Params params;
+      params.lp_engine = engine;
+      params.backend = backend;
+      const runtime::SchedulerCounters before = runtime::scheduler_totals();
+      (void)approx::solve54(inst, params);
+      const runtime::SchedulerCounters after = runtime::scheduler_totals();
+      EXPECT_EQ(after.submitted, before.submitted)
+          << "engine " << static_cast<int>(engine) << " backend "
+          << static_cast<int>(backend);
     }
   }
 }
 
-TEST(Solve54Scheduler, AutoPricingThreadsAreBitIdentical) {
-  Rng rng(910);
-  const Instance inst = gen::random_uniform(40, 240, 4, 24, rng);
-  approx::Approx54Params base;
-  base.lp_engine = approx::ConfigLpEngine::kColumnGeneration;
-  base.lp_pricing_threads = 1;
-  const approx::Approx54Result reference = approx::solve54(inst, base);
-  for (const int pricing : {0, 2}) {
-    approx::Approx54Params params = base;
-    params.lp_pricing_threads = pricing;
-    const approx::Approx54Result result = approx::solve54(inst, params);
-    EXPECT_EQ(result.packing.start, reference.packing.start)
-        << "lp_pricing_threads " << pricing;
-    EXPECT_EQ(result.peak, reference.peak);
-    EXPECT_GE(result.report.pricing_threads, 1);
-  }
-}
-
-TEST(Solve54Scheduler, RejectsNegativeProbeConcurrency) {
-  Rng rng(911);
-  const Instance inst = gen::random_uniform(5, 10, 4, 4, rng);
-  approx::Approx54Params params;
-  params.probe_concurrency = -1;
-  EXPECT_THROW((void)approx::solve54(inst, params), InvalidInput);
-}
-
-TEST(Solve54Scheduler, SharedTunerAccumulatesAcrossCalls) {
-  Rng rng(912);
-  const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
-  runtime::AutoTuner tuner;
-  approx::Approx54Params params;
-  params.tuner = &tuner;
-  const approx::Approx54Result first = approx::solve54(inst, params);
-  const std::uint64_t samples_after_one = tuner.snapshot().attempt_samples;
-  EXPECT_GE(samples_after_one, first.report.attempts);
-  const approx::Approx54Result second = approx::solve54(inst, params);
-  EXPECT_EQ(second.packing.start, first.packing.start);
-  EXPECT_GT(tuner.snapshot().attempt_samples, samples_after_one);
-}
-
 // ---------------------------------------------------------------------------
-// Serving layer: counters and tuner surface.
+// Serving layer: counters and the batch-pool stealing knob.
 // ---------------------------------------------------------------------------
 
-TEST(ServingScheduler, CachingSolverExposesTunerAndCounters) {
+TEST(ServingScheduler, CachingSolverExposesCounters) {
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  params.approx.lp_pricing_threads = 0;  // auto: consults the shared tuner
+  params.threads = 2;
   service::CachingSolver solver(params, service::CacheOptions{1 << 20, 1});
   Rng rng(913);
   const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
+  const runtime::SchedulerCounters before = solver.scheduler_counters();
   (void)solver.solve(inst);
-  const runtime::TunerSnapshot snap = solver.tuner_snapshot();
-  EXPECT_GE(snap.decisions, 1u);
-  EXPECT_GE(snap.attempt_samples, 1u);
-  // The process-total counters are readable through the solver (exact
-  // values depend on what other tests ran in this process).
-  (void)solver.scheduler_counters();
+  const runtime::SchedulerCounters after = solver.scheduler_counters();
+  // A single request is served on the calling thread end to end.
+  EXPECT_EQ(after.submitted, before.submitted);
+  // A batch fans out over a pool whose counters fold into the totals.
+  (void)solver.solve_many(skewed_batch(915, 8, 16, 6));
+  const runtime::SchedulerCounters batched = solver.scheduler_counters();
+  EXPECT_GT(batched.submitted, after.submitted);
+  EXPECT_EQ(batched.executed - after.executed,
+            batched.submitted - after.submitted);
+  const runtime::SchedulerCounters totals = runtime::scheduler_totals();
+  EXPECT_EQ(totals.submitted, batched.submitted);
 }
 
 TEST(ServingScheduler, StealingKnobKeepsBatchAnswersIdentical) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -182,8 +183,6 @@ TEST(WireReportTest, HandCraftedReportRoundTrips) {
   report.lp_overflow = 2;
   report.attempts = 9;
   report.rounds = 5;
-  report.probe_parallelism = 3;
-  report.overlapped = true;
   for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
     std::ostringstream out;
     save_report(out, report, format);
@@ -208,8 +207,6 @@ TEST(WireReportTest, HandCraftedReportRoundTrips) {
     EXPECT_EQ(loaded.lp_overflow, report.lp_overflow);
     EXPECT_EQ(loaded.attempts, report.attempts);
     EXPECT_EQ(loaded.rounds, report.rounds);
-    EXPECT_EQ(loaded.probe_parallelism, report.probe_parallelism);
-    EXPECT_EQ(loaded.overlapped, report.overlapped);
   }
 }
 
@@ -224,6 +221,60 @@ TEST(WireReportTest, MissingReportKeysAreRejected) {
               std::string::npos)
         << error.what();
   }
+}
+
+TEST(WireReportTest, SavedReportCarriesNoRetiredFields) {
+  // The sequential solve54 has no probe fan-out, pricing pool or step-1
+  // overlap, so the report record no longer names them.
+  Rng rng(98);
+  const Instance instance = gen::random_uniform(12, 24, 10, 6, rng);
+  std::ostringstream out;
+  save_report(out, approx::solve54(instance).report, WireFormat::kJson);
+  const std::string text = out.str();
+  for (const char* retired : {"probe_parallelism", "probe_concurrency",
+                              "pricing_threads", "overlapped"}) {
+    EXPECT_EQ(text.find(retired), std::string::npos)
+        << "retired field " << retired << " in: " << text;
+  }
+}
+
+TEST(WireReportTest, RetiredReportKeyIsRejected) {
+  // A record from a writer that still emits a retired field fails loudly
+  // under strict ingest instead of being half-read.
+  std::ostringstream out;
+  save_report(out, approx::Approx54Report{}, WireFormat::kJson);
+  std::string text = out.str();
+  const std::string anchor = "\"rounds\":";
+  const auto at = text.find(anchor);
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "\"probe_parallelism\":1,");
+  std::istringstream in(text);
+  try {
+    (void)load_report(in, "old.json");
+    FAIL() << "expected InvalidInput";
+  } catch (const InvalidInput& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown report key \"probe_parallelism\""),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(WireReportTest, RealSolve54ReportRoundTripsBinary) {
+  Rng rng(97);
+  const Instance instance = gen::random_uniform(16, 32, 12, 8, rng);
+  const approx::Approx54Report report = approx::solve54(instance).report;
+  std::ostringstream out;
+  save_report(out, report, WireFormat::kBinary);
+  std::istringstream in(out.str());
+  const approx::Approx54Report loaded = load_report(in);
+  EXPECT_EQ(loaded.lower_bound, report.lower_bound);
+  EXPECT_EQ(loaded.upper_bound, report.upper_bound);
+  EXPECT_EQ(loaded.best_guess, report.best_guess);
+  EXPECT_EQ(loaded.final_peak, report.final_peak);
+  EXPECT_EQ(loaded.attempts, report.attempts);
+  EXPECT_EQ(loaded.rounds, report.rounds);
+  EXPECT_EQ(loaded.rounds, loaded.attempts);  // one probe per round
 }
 
 TEST(WireReportTest, ShortCountPerCategoryIsRejected) {
@@ -301,6 +352,50 @@ TEST(WireValidationTest, RejectsNonpositiveHeight) {
 TEST(WireValidationTest, RejectsWidthBeyondStrip) {
   WireInstance wire{"", 10, {{0, 3, 2, ""}, {1, 11, 2, ""}}};
   expect_rejected(wire, {"item 1", "width 11", "strip width 10", "offset"});
+}
+
+TEST(WireValidationTest, RejectsStripWidthBeyondTheCap) {
+  // A two-item request must not be able to demand an O(W) profile of
+  // gigabytes: the width is rejected at ingest, before any allocation.
+  const WireInstance huge{"", 300000000, {{0, 1, 1, ""}, {1, 2, 3, ""}}};
+  expect_rejected(huge, {"strip width 300000000", "cap 1048576"});
+  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
+    std::ostringstream out;
+    save_instance(out, huge, format);
+    std::istringstream in(out.str());
+    expect_throw_contains(in, "exceeds the cap");
+  }
+  // The cap itself is servable.
+  const WireInstance widest{"", kMaxStripWidth, {{0, 1, 1, ""}}};
+  std::ostringstream out;
+  save_instance(out, widest, WireFormat::kBinary);
+  std::istringstream in(out.str());
+  EXPECT_EQ(load_instance(in).strip_width, kMaxStripWidth);
+}
+
+TEST(WireValidationTest, RejectsStripWidthOneAboveTheCap) {
+  const Length over = kMaxStripWidth + 1;
+  const WireInstance wire{"", over, {{0, 1, 1, ""}}};
+  expect_rejected(wire, {"strip width " + std::to_string(over),
+                         "cap " + std::to_string(kMaxStripWidth)});
+  std::ostringstream out;
+  save_instance(out, wire, WireFormat::kBinary);
+  std::istringstream in(out.str());
+  expect_throw_contains(in, "strip width " + std::to_string(over));
+}
+
+TEST(WireValidationTest, HugeWidthCorpusEntryIsRejected) {
+  // The checked-in fuzz seed is the ~150-byte request that used to drive
+  // the solver into bad_alloc; it must fail at ingest, naming the cap.
+  const std::string path = std::string(DSP_SOURCE_DIR) +
+                           "/fuzz/corpus/load_instance/huge_width.json";
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file) << "cannot open " << path;
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  EXPECT_LT(bytes.str().size(), 200u);
+  std::istringstream in(bytes.str());
+  expect_throw_contains(in, "exceeds the cap");
 }
 
 TEST(WireValidationTest, RejectsDuplicateIds) {

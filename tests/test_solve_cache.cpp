@@ -372,11 +372,6 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
     v.approx.max_gap_boxes = 12;
     variants.push_back(v);
   }
-  {
-    ServeParams v = s54;
-    v.approx.probe_parallelism = 4;
-    variants.push_back(v);
-  }
   for (std::size_t a = 0; a < variants.size(); ++a) {
     for (std::size_t b = a + 1; b < variants.size(); ++b) {
       EXPECT_NE(params_fingerprint(variants[a]), params_fingerprint(variants[b]))
@@ -386,7 +381,7 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
 }
 
 TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
-  // Thread counts, backend, pricing threads and step-1 overlap are proven
+  // Thread counts, backend and batch-pool stealing are proven
   // result-invariant; changing them must keep the fingerprint (so a warm
   // cache keeps serving).
   ServeParams base;
@@ -399,26 +394,22 @@ TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
   v.backend = ProfileBackendKind::kSparse;
   EXPECT_EQ(params_fingerprint(v), reference);
   v = base;
-  v.approx.lp_pricing_threads = 4;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.approx.overlap_step1 = false;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
   v.bypass_cache = true;
   EXPECT_EQ(params_fingerprint(v), reference);
   v = base;
   v.stealing = false;
   EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.approx.stealing = false;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.approx.probe_concurrency = 4;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.approx.lp_pricing_threads = 0;  // auto-tuned width is still execution-only
-  EXPECT_EQ(params_fingerprint(v), reference);
+}
+
+TEST(ParamsFingerprintTest, DefaultFingerprintsArePinned) {
+  // The fingerprint is half of every persisted cache key.  A change to the
+  // absorbed field set must come with a salt bump (and a re-pin here), so
+  // a warm store written under another set can never alias.
+  ServeParams portfolio;
+  ServeParams s54;
+  s54.engine = ServeEngine::kSolve54;
+  EXPECT_EQ(params_fingerprint(portfolio), 0xbf08fc9cf9d4e93cull);
+  EXPECT_EQ(params_fingerprint(s54), 0xa1494076f8d1b6c7ull);
 }
 
 // ---------------------------------------------------------------------------

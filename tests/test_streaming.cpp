@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "algo/portfolio.hpp"
-#include "approx/solve54.hpp"
 #include "core/packing.hpp"
 #include "gen/families.hpp"
 #include "runtime/channel.hpp"
@@ -367,65 +366,6 @@ TEST(PortfolioEvents, BaselinePortfolioSizeMatchesEveryBackend) {
             algo::baseline_portfolio(ProfileBackendKind::kDense).size());
   EXPECT_EQ(algo::baseline_portfolio_size(),
             algo::baseline_portfolio(ProfileBackendKind::kSparse).size());
-}
-
-// ---------------------------------------------------------------------------
-// solve54 step-1/round-1 overlap.
-// ---------------------------------------------------------------------------
-
-TEST(Solve54Overlap, OverlapOnAndOffAreBitIdentical) {
-  Rng rng(404);
-  for (int round = 0; round < 4; ++round) {
-    const Instance instance = gen::random_uniform(36, 56, 24, 10, rng);
-    approx::Approx54Params on;
-    on.overlap_step1 = true;
-    approx::Approx54Params off;
-    off.overlap_step1 = false;
-    const approx::Approx54Result a = approx::solve54(instance, on);
-    const approx::Approx54Result b = approx::solve54(instance, off);
-    EXPECT_TRUE(a.report.overlapped);
-    EXPECT_FALSE(b.report.overlapped);
-    // The flag moves wall-clock time only: same probe grid, same answer.
-    EXPECT_EQ(a.packing, b.packing) << instance.summary();
-    EXPECT_EQ(a.peak, b.peak);
-    EXPECT_EQ(a.report.best_guess, b.report.best_guess);
-    EXPECT_EQ(a.report.rounds, b.report.rounds);
-    EXPECT_EQ(a.report.attempts, b.report.attempts);
-  }
-}
-
-TEST(Solve54Overlap, RoundOneIsTheFloorProbe) {
-  Rng rng(405);
-  const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
-  const approx::Approx54Result result = approx::solve54(instance);
-  // If the optimistic floor probe succeeds, the search ends in one round
-  // with best_guess == lower_bound; otherwise the bisection continues and
-  // best_guess (if any) lies strictly above the floor.
-  if (result.report.rounds == 1) {
-    EXPECT_EQ(result.report.best_guess, result.report.lower_bound);
-  } else if (result.report.best_guess > 0) {
-    EXPECT_GT(result.report.best_guess, result.report.lower_bound);
-  }
-  EXPECT_GE(result.report.attempts, 1u);
-}
-
-TEST(Solve54Overlap, OverlapComposesWithSpeculativeBisection) {
-  Rng rng(406);
-  const Instance instance = gen::random_uniform(48, 64, 24, 12, rng);
-  approx::Approx54Params sequential;
-  sequential.overlap_step1 = false;
-  const approx::Approx54Result base = approx::solve54(instance, sequential);
-  for (const int k : {2, 3}) {
-    approx::Approx54Params params;
-    params.probe_parallelism = k;
-    params.overlap_step1 = true;
-    const approx::Approx54Result wide = approx::solve54(instance, params);
-    validate_packing(instance, wide.packing);
-    EXPECT_EQ(wide.report.best_guess, base.report.best_guess);
-    EXPECT_LE(wide.report.rounds, base.report.rounds);
-    EXPECT_LE(wide.peak, wide.report.upper_bound);
-    EXPECT_GE(wide.peak, wide.report.lower_bound);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ Checks:
      span is either disjoint from or fully contained in the one enclosing
      it — partial overlap means the RAII scoping was violated;
   4. optional: --require-phase NAME asserts a span with that name exists,
-     --require-request-ids asserts at least one span carries a nonzero
-     request id.
+     --require-request-ids asserts every span carries a nonzero request
+     id (no span, on any thread, is left unattributed).
 
 Exit status: 0 clean, 1 on any finding, 2 on usage/IO errors.
 """
@@ -97,7 +97,7 @@ def main() -> int:
     parser.add_argument(
         "--require-request-ids",
         action="store_true",
-        help="fail unless at least one span carries a nonzero request id",
+        help="fail if any span has request id 0 (or there are no spans)",
     )
     options = parser.parse_args()
 
@@ -123,8 +123,14 @@ def main() -> int:
         if phase not in names:
             fail(f"required phase {phase!r} absent (saw: {sorted(names)})")
     if options.require_request_ids:
-        if not any(event["args"]["request_id"] > 0 for event in events):
-            fail("no span carries a nonzero request id")
+        if not events:
+            fail("no spans to attribute")
+        orphans = [e for e in events if e["args"]["request_id"] == 0]
+        if orphans:
+            fail(
+                f"{len(orphans)} of {len(events)} spans carry request id 0 "
+                f"(phases: {sorted({e['name'] for e in orphans})})"
+            )
 
     print(
         f"check_trace: OK — {len(events)} spans, {len(names)} phases, "

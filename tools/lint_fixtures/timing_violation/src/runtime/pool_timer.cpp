@@ -1,5 +1,5 @@
-// Fixture: wall-clock in a runtime file that is NOT the allowlisted
-// auto-tuner.  The runtime wall-clock-only pass must flag this.
+// Fixture: wall-clock in a runtime file.  No runtime file may name a
+// clock, so the runtime wall-clock-only pass must flag this.
 #include <chrono>
 
 namespace fixture {
