@@ -19,8 +19,8 @@
 //              queueing without bound, and the shed count is reported.
 //   sched    — Zipf traffic over a skewed instance set (one ~10x instance
 //              amid cheap ones) against the solve54 engine; the row carries
-//              the latencies and the scheduler counters the stats frame
-//              exposes.
+//              the latencies and the process scheduler counters (the values
+//              the daemon exports as scheduler.* samples).
 //
 // One JSON row per phase, the same flat shape every bench prints.
 
@@ -37,6 +37,7 @@
 
 #include "bench_common.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/daemon.hpp"
 
 namespace {
@@ -106,10 +107,9 @@ struct PhaseResult {
 }
 
 void print_phase_row(const std::string& phase, const PhaseResult& result,
-                     const service::WireStats& stats, double wall_seconds,
+                     const service::CacheStats& cache, double wall_seconds,
                      std::uint64_t warm_loaded) {
-  const double total =
-      static_cast<double>(stats.cache.hits + stats.cache.misses);
+  const double total = static_cast<double>(cache.hits + cache.misses);
   JsonRow()
       .field("bench", "serving")
       .field("phase", phase)
@@ -118,9 +118,9 @@ void print_phase_row(const std::string& phase, const PhaseResult& result,
       .field("zipf_s", kZipfS)
       .field("p50_ms", percentile(result.latencies_ms, 0.50))
       .field("p99_ms", percentile(result.latencies_ms, 0.99))
-      .field("hits", stats.cache.hits)
-      .field("misses", stats.cache.misses)
-      .field("hit_rate", total == 0.0 ? 0.0 : stats.cache.hits / total)
+      .field("hits", cache.hits)
+      .field("misses", cache.misses)
+      .field("hit_rate", total == 0.0 ? 0.0 : cache.hits / total)
       .field("warm_loaded", warm_loaded)
       .field("wall_s", wall_seconds)
       .print(std::cout);
@@ -162,7 +162,7 @@ int main() {
     Stopwatch wall;
     cold = play_trace(daemon.port(), wires, trace);
     const double wall_seconds = wall.seconds();
-    print_phase_row("cold", cold, daemon.wire_stats(), wall_seconds,
+    print_phase_row("cold", cold, daemon.solver().stats(), wall_seconds,
                     daemon.stats().warm_loaded);
     daemon.stop();  // graceful drain: compacts the cache to state_dir
   }
@@ -175,11 +175,11 @@ int main() {
     Stopwatch wall;
     const PhaseResult warm = play_trace(daemon.port(), wires, trace);
     const double wall_seconds = wall.seconds();
-    const service::WireStats stats = daemon.wire_stats();
-    print_phase_row("warm", warm, stats, wall_seconds, warm_loaded);
-    if (warm_loaded == 0 || stats.cache.misses != 0) {
+    const service::CacheStats cache = daemon.solver().stats();
+    print_phase_row("warm", warm, cache, wall_seconds, warm_loaded);
+    if (warm_loaded == 0 || cache.misses != 0) {
       std::cerr << "FAIL: warm restart missed (warm_loaded=" << warm_loaded
-                << ", misses=" << stats.cache.misses << ")\n";
+                << ", misses=" << cache.misses << ")\n";
       identical = false;
     }
     for (std::size_t r = 0; r < trace.size(); ++r) {
@@ -337,7 +337,7 @@ int main() {
     obs::set_metrics_enabled(true);  // restore the process defaults
     obs::set_tracing_enabled(false);
     const std::uint64_t spans_recorded =
-        daemon.wire_stats().obs.spans_recorded;
+        obs::Tracer::global().spans_recorded();
     double wall_s[3];
     for (std::size_t m = 0; m < 3; ++m) {
       std::sort(rep_seconds[m].begin(), rep_seconds[m].end());
@@ -396,7 +396,7 @@ int main() {
     const PhaseResult result = play_trace(daemon.port(), skew_wires,
                                           skew_trace);
     const double wall_seconds = wall.seconds();
-    const service::WireStats stats = daemon.wire_stats();
+    const runtime::SchedulerCounters sched = runtime::scheduler_totals();
     JsonRow()
         .field("bench", "serving")
         .field("phase", "sched")
@@ -405,11 +405,11 @@ int main() {
         .field("zipf_s", kZipfS)
         .field("p50_ms", percentile(result.latencies_ms, 0.50))
         .field("p99_ms", percentile(result.latencies_ms, 0.99))
-        .field("sched_submitted", stats.scheduler.submitted)
-        .field("sched_executed", stats.scheduler.executed)
-        .field("steals", stats.scheduler.steals)
-        .field("steal_fails", stats.scheduler.steal_fails)
-        .field("occupancy", stats.scheduler.occupancy)
+        .field("sched_submitted", sched.submitted)
+        .field("sched_executed", sched.executed)
+        .field("steals", sched.steals)
+        .field("steal_fails", sched.steal_fails)
+        .field("occupancy", runtime::process_active_workers())
         .field("wall_s", wall_seconds)
         .print(std::cout);
     daemon.stop();

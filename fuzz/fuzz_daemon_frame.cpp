@@ -12,7 +12,8 @@
 //
 // Accepted payloads are re-encoded and compared to prove decode/encode
 // round-trip identity (the daemon relies on it when it relays cached
-// responses).
+// responses), and a metrics_ok exposition is also read with
+// obs::exposition_sample, the text parser client mode runs on it.
 //
 // Build with -DDSP_FUZZ=ON; see fuzz_load_instance.cpp for the
 // libFuzzer-vs-standalone-driver split.
@@ -24,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "service/frame_codec.hpp"
 #include "service/wire.hpp"
 #include "util/check.hpp"
@@ -31,6 +33,13 @@
 namespace {
 
 namespace frame = dsp::service::frame;
+
+/// The samples dsp_served's client mode reads from a daemon's exposition.
+constexpr const char* kClientSamples[] = {
+    "serve.engine",  "cache.capacity_bytes", "cache.hits",
+    "cache.misses",  "cache.inflight_joins", "cache.evictions",
+    "cache.entries",
+};
 
 void expect(bool ok, const char* what) {
   if (!ok) {
@@ -64,21 +73,21 @@ void decode_payload(std::uint8_t type, const std::string& payload) {
     } catch (const dsp::InvalidInput&) {
     }
   }
-  if (type == frame::kStatsOk) {
-    try {
-      const dsp::service::WireStats stats =
-          frame::decode_stats(payload, "fuzz stats_ok payload");
-      expect(frame::encode_stats(stats) == payload,
-             "stats_ok decode/encode round-trip mismatch");
-    } catch (const dsp::InvalidInput&) {
-    }
-  }
   if (type == frame::kMetricsOk) {
     try {
       const std::string exposition =
           frame::decode_metrics(payload, "fuzz metrics_ok payload");
       expect(frame::encode_metrics(exposition) == payload,
              "metrics_ok decode/encode round-trip mismatch");
+      // The exposition text is network input too: client mode parses
+      // these samples out of it.  Each read gets its own net, so one
+      // malformed line does not hide a crash on another name.
+      for (const char* name : kClientSamples) {
+        try {
+          (void)dsp::obs::exposition_sample(exposition, name);
+        } catch (const dsp::InvalidInput&) {
+        }
+      }
     } catch (const dsp::InvalidInput&) {
     }
   }

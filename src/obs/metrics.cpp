@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <limits>
 #include <sstream>
+
+#include "util/check.hpp"
 
 namespace dsp::obs {
 
@@ -172,7 +175,7 @@ std::uint64_t MetricsSnapshot::sample_value(std::string_view name) const {
 namespace {
 
 /// `cache.hits` -> `dsp_cache_hits` (Prometheus names take [a-zA-Z0-9_:]).
-[[nodiscard]] std::string exposition_name(const std::string& name) {
+[[nodiscard]] std::string exposition_name(std::string_view name) {
   std::string out = "dsp_";
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -213,6 +216,30 @@ std::string Registry::prometheus_text() const {
     os << name << "_count " << histogram.total << "\n";
   }
   return std::move(os).str();
+}
+
+std::optional<std::uint64_t> exposition_sample(std::string_view text,
+                                               std::string_view name) {
+  const std::string wanted = exposition_name(name);
+  while (!text.empty()) {
+    const std::size_t end = text.find('\n');
+    const std::string_view line = text.substr(0, end);
+    text = end == std::string_view::npos ? std::string_view{}
+                                         : text.substr(end + 1);
+    // `dsp_x` must not match `dsp_x_sum` or `dsp_x_bucket{...}`: the name
+    // ends at a space or at the end of the line.
+    if (!line.starts_with(wanted)) continue;
+    const std::string_view rest = line.substr(wanted.size());
+    if (!rest.empty() && rest.front() != ' ') continue;
+    const std::string_view digits = rest.empty() ? rest : rest.substr(1);
+    const char* const last = digits.data() + digits.size();
+    std::uint64_t value = 0;
+    const auto [at, error] = std::from_chars(digits.data(), last, value);
+    DSP_REQUIRE(error == std::errc{} && at == last,
+                "metrics exposition: " << wanted << " has no u64 value");
+    return value;
+  }
+  return std::nullopt;
 }
 
 }  // namespace dsp::obs

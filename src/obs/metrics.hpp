@@ -4,10 +4,9 @@
 // gauges, and fixed-bucket log2 latency histograms behind one process-wide
 // export surface.
 //
-// Before this layer, every stats consumer was hand-wired: CacheStats,
-// SchedulerCounters, TunerSnapshot, AdmissionGate::Counters and the
-// daemon's own atomics each grew bespoke plumbing through
-// CachingSolver::stats() and the stats frame.  The registry unifies them:
+// The exposition is the process's single stats surface: the daemon serves
+// it over the wire (its `metrics` frame) and every stats reader, in process
+// or remote, reads the same samples.  The registry holds two kinds:
 //
 //  * owned instruments — Counter (sharded-atomic, monotonic), Gauge
 //    (last-value), Histogram (64 log2 buckets, sharded-atomic, exact
@@ -20,7 +19,9 @@
 //
 // Naming scheme: dot-separated `<subsystem>.<metric>[_<unit>]`, e.g.
 // `cache.hits`, `phase.solve_nanos`.  The Prometheus text exposition
-// rewrites dots to underscores under a `dsp_` prefix (`dsp_cache_hits`).
+// rewrites dots to underscores under a `dsp_` prefix (`dsp_cache_hits`),
+// and exposition_sample() reads a value back out of that text by its
+// registry name, so this module alone owns both the format and the rule.
 //
 // Determinism: nothing here reads a clock (that is obs/trace.cpp's job,
 // and the determinism lint pins it there) and nothing here feeds values
@@ -35,6 +36,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -249,5 +251,15 @@ class Registry {
   std::vector<SourceEntry> sources_ DSP_GUARDED_BY(mutex_);
   std::uint64_t next_token_ DSP_GUARDED_BY(mutex_) = 1;
 };
+
+/// Reads one scalar sample out of a prometheus_text() exposition.  `name`
+/// is the registry name (`cache.hits`), mapped with the exposition's own
+/// `dsp_`/underscore rule; histogram series are addressed by suffix
+/// (`phase.request_nanos_count`).  Returns the value of the first line
+/// `<mapped-name> <value>`, or nullopt when no line carries the sample.
+/// The text may come off a socket: a matching line whose value is not a
+/// full-string u64 (or that has no value at all) throws InvalidInput.
+[[nodiscard]] std::optional<std::uint64_t> exposition_sample(
+    std::string_view text, std::string_view name);
 
 }  // namespace dsp::obs

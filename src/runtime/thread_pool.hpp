@@ -183,7 +183,7 @@ class ThreadPool {
 [[nodiscard]] SchedulerCounters scheduler_totals();
 
 /// Workers currently running a task across *all* live pools in the
-/// process (the daemon's stats frame reports it as scheduler occupancy).
+/// process (the daemon exports it as the `scheduler.occupancy` gauge).
 [[nodiscard]] std::size_t process_active_workers();
 
 }  // namespace dsp::runtime

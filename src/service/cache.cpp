@@ -304,12 +304,15 @@ CachingSolver::CachingSolver(const ServeParams& params,
       fingerprint_(params_fingerprint(params)),
       cache_(cache_options) {
   // Pull-source: serving-layer counters materialize in the registry on
-  // demand (stats frame, --metrics-out) instead of being double-counted
+  // demand (metrics frame, --metrics-out) instead of being double-counted
   // into push-style instruments.  Registration order means a newer solver
   // in the same process shadows an older one's samples, which matches the
   // "latest solver owns the serving stack" semantics of the daemon.
   obs_source_ = obs::Registry::global().register_source(
       [this](std::vector<obs::Sample>& out) {
+        out.push_back({"serve.engine",
+                       static_cast<std::uint64_t>(params_.engine), true});
+        out.push_back({"cache.capacity_bytes", cache_.capacity_bytes(), true});
         const CacheStats cache = cache_.stats();
         out.push_back({"cache.hits", cache.hits, false});
         out.push_back({"cache.misses", cache.misses, false});

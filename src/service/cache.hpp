@@ -267,13 +267,6 @@ class CachingSolver {
   [[nodiscard]] const ServeParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
   [[nodiscard]] CacheStats stats() const { return cache_.stats(); }
-  /// Scheduler counters for stats surfaces: process-wide totals from
-  /// retired pools (this solver's batch pools are per-call, so they have
-  /// always been destroyed — and folded into the totals — by the time a
-  /// stats reader arrives).
-  [[nodiscard]] runtime::SchedulerCounters scheduler_counters() const {
-    return runtime::scheduler_totals();
-  }
   /// The underlying cache, for persistence (warm load, export, the insert
   /// observer).  Entries are keyed by this solver's fingerprint.
   [[nodiscard]] SolveCache& cache() { return cache_; }
@@ -284,7 +277,9 @@ class CachingSolver {
   ServeParams params_;
   std::uint64_t fingerprint_;
   SolveCache cache_;
-  /// Registry pull-source exporting cache.* / scheduler.* samples.
+  /// Registry pull-source exporting serve.engine and the cache.* /
+  /// scheduler.* samples (the scheduler ones are process-wide totals:
+  /// batch pools are per-call, so they have always retired by read time).
   /// Declared last: it captures `this`, so it must unregister (its
   /// destructor) before any member it reads is torn down.
   obs::Registry::Source obs_source_;

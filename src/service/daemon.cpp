@@ -115,19 +115,18 @@ Daemon::Daemon(const DaemonOptions& options)
   port_ = ntohs(bound.sin_port);
 
   // Registered after every member above is live; the source only reads
-  // atomics, the gate's own lock, and the store's counters, so stats and
-  // metrics frames may pull it concurrently with serving.
+  // atomics, the gate's own lock, the store's counters and process-wide
+  // gauges, so metrics frames may pull it concurrently with serving.
   obs_source_ = obs::Registry::global().register_source(
       [this](std::vector<obs::Sample>& out) {
-        out.push_back({"daemon.accepted", accepted_.load(), false});
-        out.push_back({"daemon.requests", requests_.load(), false});
-        out.push_back({"daemon.served", served_.load(), false});
-        out.push_back({"daemon.shed", shed_.load(), false});
-        out.push_back({"daemon.errors", errors_.load(), false});
-        out.push_back({"daemon.warm_loaded", warm_loaded_, false});
-        out.push_back({"daemon.draining",
-                       draining_.load() ? std::uint64_t{1} : std::uint64_t{0},
-                       true});
+        const DaemonStats daemon = stats();
+        out.push_back({"daemon.accepted", daemon.accepted, false});
+        out.push_back({"daemon.requests", daemon.requests, false});
+        out.push_back({"daemon.served", daemon.served, false});
+        out.push_back({"daemon.shed", daemon.shed, false});
+        out.push_back({"daemon.errors", daemon.errors, false});
+        out.push_back({"daemon.warm_loaded", daemon.warm_loaded, false});
+        out.push_back({"daemon.draining", daemon.draining, true});
         const runtime::AdmissionGate::Counters gate = gate_.counters();
         out.push_back({"admission.admitted", gate.admitted, false});
         out.push_back({"admission.queued", gate.queued, false});
@@ -140,6 +139,12 @@ Daemon::Daemon(const DaemonOptions& options)
           out.push_back({"persist.appends", store_->appends(), false});
           out.push_back({"persist.compactions", store_->compactions(), false});
         }
+        out.push_back({"scheduler.occupancy",
+                       runtime::process_active_workers(), true});
+        const obs::Tracer& tracer = obs::Tracer::global();
+        out.push_back({"trace.spans_recorded", tracer.spans_recorded(), false});
+        out.push_back({"trace.spans_dropped", tracer.spans_dropped(), false});
+        out.push_back({"trace.enabled", obs::tracing_enabled(), true});
       });
 }
 
@@ -190,34 +195,6 @@ DaemonStats Daemon::stats() const {
   stats.errors = errors_.load();
   stats.warm_loaded = warm_loaded_;
   stats.draining = draining_.load();
-  return stats;
-}
-
-WireStats Daemon::wire_stats() const {
-  WireStats stats;
-  stats.engine = std::string(to_string(options_.serve.engine));
-  stats.capacity_bytes = options_.cache.capacity_bytes;
-  stats.cache = solver_.stats();
-  stats.daemon = this->stats();
-  if (store_) {
-    stats.persisted_appends = store_->appends();
-    stats.compactions = store_->compactions();
-  }
-  const runtime::SchedulerCounters scheduler = solver_.scheduler_counters();
-  stats.scheduler.submitted = scheduler.submitted;
-  stats.scheduler.executed = scheduler.executed;
-  stats.scheduler.steals = scheduler.steals;
-  stats.scheduler.steal_fails = scheduler.steal_fails;
-  stats.scheduler.occupancy = runtime::process_active_workers();
-  const obs::HistogramSnapshot request =
-      obs::phase_histogram(obs::Phase::kRequest).snapshot();
-  stats.obs.request_count = request.total;
-  stats.obs.request_p50_nanos = request.quantile(50, 100);
-  stats.obs.request_p95_nanos = request.quantile(95, 100);
-  stats.obs.request_p99_nanos = request.quantile(99, 100);
-  stats.obs.spans_recorded = obs::Tracer::global().spans_recorded();
-  stats.obs.spans_dropped = obs::Tracer::global().spans_dropped();
-  stats.obs.tracing_enabled = obs::tracing_enabled();
   return stats;
 }
 
@@ -311,9 +288,6 @@ bool Daemon::handle_frame(int fd, std::uint8_t type, std::string payload) {
                            frame::encode_message(error.what()));
       }
     }
-    case frame::kStats:
-      return write_frame(fd, frame::kStatsOk,
-                         frame::encode_stats(wire_stats()));
     case frame::kMetrics:
       return write_frame(
           fd, frame::kMetricsOk,
@@ -427,15 +401,6 @@ SolveResponse DaemonClient::solve(const WireInstance& instance,
   DSP_REQUIRE(reply.status == SolveReply::Status::kOk,
               peer_ << ": " << reply.message);
   return std::move(reply.response);
-}
-
-WireStats DaemonClient::stats() {
-  send_frame(frame::kStats, std::string());
-  auto [type, payload] = read_frame();
-  DSP_REQUIRE(type == frame::kStatsOk,
-              peer_ << ": unexpected reply frame type "
-                    << static_cast<int>(type) << " to a stats request");
-  return frame::decode_stats(std::move(payload), peer_ + ": stats_ok frame");
 }
 
 std::string DaemonClient::metrics() {

@@ -10,11 +10,12 @@
 //   requests             responses
 //   1 solve   (instance) 1 solve_ok   (u8 outcome, i64 peak, str winner,
 //                                      u64 n, i64 start[n])
-//   2 stats   (empty)    2 error      (str message)
-//   3 metrics (empty)    3 stats_ok   (u8 version, counters record —
-//                                      see WireStats / kStatsVersion)
+//   3 metrics (empty)    2 error      (str message)
 //                        4 busy       (str reason — shed or draining)
 //                        5 metrics_ok (u8 version, str Prometheus text)
+//
+// Request 2 and response 3 (the retired stats/stats_ok pair) stay unused;
+// every counter a client can read is a sample in the metrics exposition.
 //
 // A solve payload is one DSPW instance record, binary or JSON (the same
 // auto-detection as load_instance); the response packing is in the
@@ -44,7 +45,6 @@
 #include "runtime/admission.hpp"
 #include "runtime/sync.hpp"
 #include "service/cache.hpp"
-#include "service/frame_codec.hpp"
 #include "service/persist.hpp"
 #include "service/wire.hpp"
 
@@ -65,8 +65,17 @@ struct DaemonOptions {
   std::size_t snapshot_every = 256;
 };
 
-// DaemonStats and WireStats (the stats_ok payload record) live in
-// frame_codec.hpp with the codecs that serialize them.
+/// The daemon's own lifetime counters (Daemon::stats()); the registry
+/// source exports the same values as the `daemon.*` samples.
+struct DaemonStats {
+  std::uint64_t accepted = 0;     ///< connections accepted
+  std::uint64_t requests = 0;     ///< frames received
+  std::uint64_t served = 0;       ///< solve_ok responses
+  std::uint64_t shed = 0;         ///< busy responses (queue full or draining)
+  std::uint64_t errors = 0;       ///< error responses
+  std::uint64_t warm_loaded = 0;  ///< entries restored from disk at boot
+  bool draining = false;
+};
 
 class Daemon {
  public:
@@ -91,7 +100,6 @@ class Daemon {
   void stop();
 
   [[nodiscard]] DaemonStats stats() const;
-  [[nodiscard]] WireStats wire_stats() const;
   [[nodiscard]] CachingSolver& solver() { return solver_; }
   [[nodiscard]] const DaemonOptions& options() const { return options_; }
 
@@ -126,8 +134,9 @@ class Daemon {
   std::atomic<std::uint64_t> errors_{0};
   std::uint64_t warm_loaded_ = 0;
   /// Registry pull-source exporting daemon.* / admission.* / persist.*
-  /// samples.  Declared last: it captures `this` and reads the members
-  /// above, so it must unregister before any of them is torn down.
+  /// samples plus the process-wide scheduler.occupancy and trace.* ones.
+  /// Declared last: it captures `this` and reads the members above, so it
+  /// must unregister before any of them is torn down.
   obs::Registry::Source obs_source_;
 };
 
@@ -166,11 +175,10 @@ class DaemonClient {
   [[nodiscard]] SolveResponse solve(const WireInstance& instance,
                                     WireFormat format = WireFormat::kBinary);
 
-  [[nodiscard]] WireStats stats();
-
   /// Fetches the daemon's metrics exposition (Prometheus-style text) via a
-  /// metrics frame.  Throws InvalidInput on protocol errors, including a
-  /// daemon answering with an unknown exposition version.
+  /// metrics frame — the daemon's one stats surface; read values out of it
+  /// with obs::exposition_sample.  Throws InvalidInput on protocol errors,
+  /// including a daemon answering with an unknown exposition version.
   [[nodiscard]] std::string metrics();
 
  private:

@@ -31,8 +31,10 @@
 //              [--format binary|json] [--metrics-out FILE]
 //              <file-or-directory>...
 //
-// In client mode --metrics-out fetches the *daemon's* exposition over a
-// metrics frame and writes it to FILE (stdout rows stay byte-identical).
+// Client mode reads everything it reports about the daemon — engine, cache
+// budget, summary counters — from the daemon's metrics exposition (one
+// metrics frame before the first solve, one after the last); --metrics-out
+// writes that second exposition to FILE (stdout rows stay byte-identical).
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on load/solve/connect
 // failures.
@@ -45,7 +47,9 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <fstream>
@@ -267,7 +271,8 @@ int run_daemon(const CliOptions& options) {
   // Lifetime scheduler counters ride along: by drain time every transient
   // pool has retired, so the process-wide totals are complete.
   const runtime::SchedulerCounters sched = runtime::scheduler_totals();
-  const service::ObsStats obs_stats = daemon.wire_stats().obs;
+  const obs::HistogramSnapshot request =
+      obs::phase_histogram(obs::Phase::kRequest).snapshot();
   JsonRow()
       .field("dsp_served", "drained")
       .field("accepted", stats.accepted)
@@ -277,11 +282,11 @@ int run_daemon(const CliOptions& options) {
       .field("errors", stats.errors)
       .field("steals", sched.steals)
       .field("steal_fails", sched.steal_fails)
-      .field("request_p50_nanos", obs_stats.request_p50_nanos)
-      .field("request_p95_nanos", obs_stats.request_p95_nanos)
-      .field("request_p99_nanos", obs_stats.request_p99_nanos)
-      .field("spans_recorded", obs_stats.spans_recorded)
-      .field("spans_dropped", obs_stats.spans_dropped)
+      .field("request_p50_nanos", request.quantile(50, 100))
+      .field("request_p95_nanos", request.quantile(95, 100))
+      .field("request_p99_nanos", request.quantile(99, 100))
+      .field("spans_recorded", obs::Tracer::global().spans_recorded())
+      .field("spans_dropped", obs::Tracer::global().spans_dropped())
       .print(std::cout);
   // Phase-level latency breakdown, one row per phase that fired (coarse
   // log2-bucket quantiles; the histograms live for the process lifetime).
@@ -318,12 +323,30 @@ int run_daemon(const CliOptions& options) {
 // Client mode: rows byte-identical to dsp_solve's.
 // ---------------------------------------------------------------------------
 
+/// A sample the daemon's exposition must carry; a daemon without it is not
+/// speaking this client's protocol.
+[[nodiscard]] std::uint64_t daemon_sample(const std::string& exposition,
+                                          std::string_view name) {
+  const std::optional<std::uint64_t> value =
+      obs::exposition_sample(exposition, name);
+  DSP_REQUIRE(value, "daemon metrics exposition lacks " << name);
+  return *value;
+}
+
 int run_client(const CliOptions& options,
                const std::vector<std::string>& files) {
   service::DaemonClient client(options.connect_port, options.host);
   // The daemon, not this client, owns the engine and the cache budget the
   // rows report.
-  const service::WireStats server = client.stats();
+  const std::string boot = client.metrics();
+  const std::uint64_t engine_ordinal = daemon_sample(boot, "serve.engine");
+  DSP_REQUIRE(engine_ordinal <=
+                  static_cast<std::uint64_t>(service::ServeEngine::kSolve54),
+              "daemon reports unknown serve engine " << engine_ordinal);
+  const auto engine_kind = static_cast<service::ServeEngine>(engine_ordinal);
+  const std::string engine(service::to_string(engine_kind));
+  const std::uint64_t capacity_bytes =
+      daemon_sample(boot, "cache.capacity_bytes");
 
   std::vector<service::WireInstance> wires;
   std::vector<Height> lower_bounds;
@@ -342,22 +365,27 @@ int run_client(const CliOptions& options,
       service::print_answer_row(
           std::cout, service::AnswerRow{files[f], wires[f].name,
                                         wires[f].items.size(),
-                                        wires[f].strip_width, server.engine,
+                                        wires[f].strip_width, engine,
                                         lower_bounds[f], response.peak,
                                         response.winner, response.outcome});
     }
   }
 
-  const service::WireStats after = client.stats();
+  const std::string after = client.metrics();
+  service::CacheStats cache;
+  cache.hits = daemon_sample(after, "cache.hits");
+  cache.misses = daemon_sample(after, "cache.misses");
+  cache.inflight_joins = daemon_sample(after, "cache.inflight_joins");
+  cache.evictions = daemon_sample(after, "cache.evictions");
+  cache.entries = daemon_sample(after, "cache.entries");
   service::print_summary_row(
       std::cout,
-      service::SummaryRow{requests, files.size(), options.repeat, after.cache,
-                          static_cast<std::size_t>(after.capacity_bytes >> 20)});
+      service::SummaryRow{requests, files.size(), options.repeat, cache,
+                          static_cast<std::size_t>(capacity_bytes >> 20)});
   if (!options.metrics_out.empty()) {
     // The daemon's exposition (this client records no metrics of note).
-    const std::string exposition = client.metrics();
     write_observability_file(options.metrics_out, "metrics exposition",
-                             [&](std::ostream& os) { os << exposition; });
+                             [&](std::ostream& os) { os << after; });
   }
   return 0;
 }

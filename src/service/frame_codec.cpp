@@ -67,85 +67,6 @@ SolveResponse decode_solve_ok(std::string payload, const std::string& source) {
   return response;
 }
 
-std::string encode_stats(const WireStats& stats) {
-  detail::BinaryWriter payload;
-  payload.u8(kStatsVersion);
-  payload.str(stats.engine);
-  payload.u64(stats.capacity_bytes);
-  payload.u64(stats.cache.hits);
-  payload.u64(stats.cache.misses);
-  payload.u64(stats.cache.inflight_joins);
-  payload.u64(stats.cache.evictions);
-  payload.u64(stats.cache.oversized);
-  payload.u64(stats.cache.entries);
-  payload.u64(stats.cache.bytes);
-  payload.u64(stats.daemon.accepted);
-  payload.u64(stats.daemon.requests);
-  payload.u64(stats.daemon.served);
-  payload.u64(stats.daemon.shed);
-  payload.u64(stats.daemon.errors);
-  payload.u64(stats.daemon.warm_loaded);
-  payload.boolean(stats.daemon.draining);
-  payload.u64(stats.persisted_appends);
-  payload.u64(stats.compactions);
-  payload.u64(stats.scheduler.submitted);
-  payload.u64(stats.scheduler.executed);
-  payload.u64(stats.scheduler.steals);
-  payload.u64(stats.scheduler.steal_fails);
-  payload.u64(stats.scheduler.occupancy);
-  payload.u64(stats.obs.request_count);
-  payload.u64(stats.obs.request_p50_nanos);
-  payload.u64(stats.obs.request_p95_nanos);
-  payload.u64(stats.obs.request_p99_nanos);
-  payload.u64(stats.obs.spans_recorded);
-  payload.u64(stats.obs.spans_dropped);
-  payload.boolean(stats.obs.tracing_enabled);
-  return payload.take();
-}
-
-WireStats decode_stats(std::string payload, const std::string& source) {
-  detail::BinaryReader reader(std::move(payload), source);
-  WireStats stats;
-  const std::uint8_t version = reader.u8();
-  if (version != kStatsVersion) {
-    reader.fail("stats payload version " + std::to_string(version) +
-                    ", expected " + std::to_string(kStatsVersion),
-                0);
-  }
-  stats.engine = reader.str();
-  stats.capacity_bytes = reader.u64();
-  stats.cache.hits = reader.u64();
-  stats.cache.misses = reader.u64();
-  stats.cache.inflight_joins = reader.u64();
-  stats.cache.evictions = reader.u64();
-  stats.cache.oversized = reader.u64();
-  stats.cache.entries = reader.u64();
-  stats.cache.bytes = reader.u64();
-  stats.daemon.accepted = reader.u64();
-  stats.daemon.requests = reader.u64();
-  stats.daemon.served = reader.u64();
-  stats.daemon.shed = reader.u64();
-  stats.daemon.errors = reader.u64();
-  stats.daemon.warm_loaded = reader.u64();
-  stats.daemon.draining = reader.boolean();
-  stats.persisted_appends = reader.u64();
-  stats.compactions = reader.u64();
-  stats.scheduler.submitted = reader.u64();
-  stats.scheduler.executed = reader.u64();
-  stats.scheduler.steals = reader.u64();
-  stats.scheduler.steal_fails = reader.u64();
-  stats.scheduler.occupancy = reader.u64();
-  stats.obs.request_count = reader.u64();
-  stats.obs.request_p50_nanos = reader.u64();
-  stats.obs.request_p95_nanos = reader.u64();
-  stats.obs.request_p99_nanos = reader.u64();
-  stats.obs.spans_recorded = reader.u64();
-  stats.obs.spans_dropped = reader.u64();
-  stats.obs.tracing_enabled = reader.boolean();
-  reader.done();
-  return stats;
-}
-
 std::string encode_metrics(const std::string& exposition) {
   detail::BinaryWriter payload;
   payload.u8(kMetricsVersion);

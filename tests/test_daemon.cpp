@@ -3,9 +3,15 @@
 // round-trip, torn-tail crash recovery, warm restart), the strict CLI
 // helpers shared by the serving executables, and dsp_served end-to-end
 // over real loopback TCP — including the concurrent-client soak the
-// sanitizer jobs lean on.
+// sanitizer jobs lean on, and a retired frame type answered as unknown.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -17,9 +23,11 @@
 #include <vector>
 
 #include "gen/smart_grid.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/admission.hpp"
 #include "service/cli.hpp"
 #include "service/daemon.hpp"
+#include "service/frame_codec.hpp"
 #include "service/persist.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -27,6 +35,7 @@
 namespace dsp::service {
 namespace {
 
+using obs::exposition_sample;
 using runtime::AdmissionGate;
 
 CacheKey key_of(std::uint64_t a, std::uint64_t fingerprint = 1) {
@@ -345,12 +354,15 @@ TEST(DaemonTest, ServesSolveAndStatsOverTcp) {
   EXPECT_EQ(second.winner, first.winner);
   EXPECT_EQ(second.packing.start, first.packing.start);
 
-  const WireStats stats = client.stats();
-  EXPECT_EQ(stats.engine, "portfolio");
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
-  EXPECT_EQ(stats.daemon.served, 2u);
-  EXPECT_FALSE(stats.daemon.draining);
+  // The daemon's solver is the only CachingSolver alive, so the cache.*
+  // samples are its own.
+  const std::string metrics = client.metrics();
+  EXPECT_EQ(exposition_sample(metrics, "serve.engine"),
+            static_cast<std::uint64_t>(ServeEngine::kPortfolio));
+  EXPECT_EQ(exposition_sample(metrics, "cache.misses"), 1u);
+  EXPECT_EQ(exposition_sample(metrics, "cache.hits"), 1u);
+  EXPECT_EQ(exposition_sample(metrics, "daemon.served"), 2u);
+  EXPECT_EQ(exposition_sample(metrics, "daemon.draining"), 0u);
   daemon.stop();
 }
 
@@ -383,7 +395,7 @@ TEST(DaemonTest, InvalidRequestGetsAnErrorFrameAndConnectionSurvives) {
   // The error was answered in-band; the same connection keeps serving.
   const SolveResponse good = client.solve(small_wire(2));
   EXPECT_GT(good.packing.start.size(), 0u);
-  EXPECT_EQ(client.stats().daemon.errors, 1u);
+  EXPECT_EQ(exposition_sample(client.metrics(), "daemon.errors"), 1u);
   daemon.stop();
 }
 
@@ -416,9 +428,55 @@ TEST(DaemonTest, WarmRestartKeepsTheCacheBitExactly) {
       EXPECT_EQ(warm.winner, cold[seed].winner);
       EXPECT_EQ(warm.packing.start, cold[seed].packing.start);
     }
-    EXPECT_EQ(client.stats().cache.misses, 0u);
+    EXPECT_EQ(exposition_sample(client.metrics(), "cache.misses"), 0u);
     daemon.stop();
   }
+}
+
+TEST(DaemonTest, RetiredStatsFrameIsAnUnknownTypeAndTheDaemonServesOn) {
+  Daemon daemon(test_options());
+  daemon.start();
+  // DaemonClient cannot send type 2 any more, so speak raw frames.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{5, 0};  // a daemon that never closes fails, not hangs
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  address.sin_port = htons(daemon.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                      sizeof(address)),
+            0);
+  const std::string request = frame::encode_frame(2, std::string());
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string reply;
+  char buffer[256];
+  ssize_t got = 0;
+  while ((got = ::recv(fd, buffer, sizeof(buffer), 0)) > 0) {
+    reply.append(buffer, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  EXPECT_EQ(got, 0) << "the daemon must close the connection (EOF)";
+
+  // Exactly one error frame, then EOF.
+  ASSERT_GE(reply.size(), frame::kHeaderSize);
+  const frame::Header header = frame::parse_header(reply.data());
+  EXPECT_EQ(header.type, frame::kError);
+  ASSERT_EQ(header.length, reply.size() - frame::kHeaderSize);
+  const std::string message =
+      frame::decode_message(reply.substr(frame::kHeaderSize), "test");
+  EXPECT_NE(message.find("unknown request frame type 2"), std::string::npos)
+      << message;
+
+  // Only that connection closed: a fresh client is still served.
+  DaemonClient client(daemon.port());
+  EXPECT_GT(client.solve(small_wire(1)).packing.start.size(), 0u);
+  EXPECT_EQ(exposition_sample(client.metrics(), "daemon.errors"), 1u);
+  daemon.stop();
 }
 
 TEST(DaemonTest, DrainClosesConnectionsAndRefusesNewOnes) {

@@ -1,16 +1,22 @@
 // The observability layer (DESIGN.md, "Observability"): histogram edge
 // cases and exact concurrent merges, registry snapshot/exposition and
-// pull-source semantics, the tracer's ring buffer and Chrome trace JSON,
+// pull-source semantics, reading the exposition back (and what a live
+// daemon's exposition carries), the tracer's ring buffer and Chrome trace
+// JSON,
 // and — the contract everything else rides on — packings bit-identical
 // with tracing on vs. off across {1,2,8} threads and both profile
 // backends, with the obs switches provably outside the cache fingerprint.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
+#include <filesystem>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +28,9 @@
 #include "gen/smart_grid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
+#include "service/daemon.hpp"
 #include "service/frame_codec.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -451,7 +459,7 @@ TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
   Rng rng(505);
   (void)solver.solve(gen::random_uniform(16, 32, 12, 8, rng));
   const MetricsSnapshot snap = Registry::global().snapshot();
-  const runtime::SchedulerCounters totals = solver.scheduler_counters();
+  const runtime::SchedulerCounters totals = runtime::scheduler_totals();
   EXPECT_EQ(snap.sample_value("scheduler.submitted"), totals.submitted);
   EXPECT_EQ(snap.sample_value("scheduler.executed"), totals.executed);
   EXPECT_EQ(snap.sample_value("cache.misses"), 1u);
@@ -463,122 +471,159 @@ TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec: versioned stats, metrics frames.
+// Reading the exposition back (exposition_sample), and what a daemon's
+// exposition carries.
 // ---------------------------------------------------------------------------
 
-service::WireStats sample_wire_stats() {
-  service::WireStats stats;
-  stats.engine = "solve54";
-  stats.capacity_bytes = 8 << 20;
-  stats.cache.hits = 18;
-  stats.cache.misses = 9;
-  stats.daemon.requests = 29;
-  stats.daemon.draining = true;
-  stats.scheduler.submitted = 100;
-  stats.scheduler.occupancy = 2;
-  stats.obs.request_count = 27;
-  stats.obs.request_p50_nanos = 65535;
-  stats.obs.request_p95_nanos = 131071;
-  stats.obs.request_p99_nanos = 131071;
-  stats.obs.spans_recorded = 54;
-  stats.obs.spans_dropped = 3;
-  stats.obs.tracing_enabled = true;
-  return stats;
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+TEST(ExpositionReaderTest, RoundTripsEveryScalarSample) {
+  Registry registry;
+  registry.counter("reader.requests").inc(29);
+  (void)registry.counter("reader.untouched");  // exported as 0
+  registry.gauge("reader.level").set(7);
+  registry.histogram("reader.latency_nanos").record(1000);
+  const Registry::Source source =
+      registry.register_source([](std::vector<Sample>& out) {
+        out.push_back({"reader.max", kMaxU64, false});
+        out.push_back({"reader-dash.level", 3, true});  // '-' maps to '_'
+      });
+  const std::string text = registry.prometheus_text();
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.samples.size(), 5u);
+  for (const Sample& sample : snap.samples) {
+    EXPECT_EQ(exposition_sample(text, sample.name), sample.value)
+        << sample.name;
+  }
+  // Histogram series are addressed by their suffixed names.
+  EXPECT_EQ(exposition_sample(text, "reader.latency_nanos_count"), 1u);
+  EXPECT_EQ(exposition_sample(text, "reader.latency_nanos_sum"), 1000u);
 }
 
-TEST(FrameCodecObsTest, StatsRoundTripCarriesObsFields) {
-  const service::WireStats stats = sample_wire_stats();
-  const std::string payload = service::frame::encode_stats(stats);
-  EXPECT_EQ(static_cast<std::uint8_t>(payload[0]),
-            service::frame::kStatsVersion);
-  const service::WireStats decoded =
-      service::frame::decode_stats(payload, "test");
-  EXPECT_EQ(decoded.engine, stats.engine);
-  EXPECT_EQ(decoded.cache.hits, stats.cache.hits);
-  EXPECT_EQ(decoded.obs.request_count, stats.obs.request_count);
-  EXPECT_EQ(decoded.obs.request_p50_nanos, stats.obs.request_p50_nanos);
-  EXPECT_EQ(decoded.obs.request_p95_nanos, stats.obs.request_p95_nanos);
-  EXPECT_EQ(decoded.obs.request_p99_nanos, stats.obs.request_p99_nanos);
-  EXPECT_EQ(decoded.obs.spans_recorded, stats.obs.spans_recorded);
-  EXPECT_EQ(decoded.obs.spans_dropped, stats.obs.spans_dropped);
-  EXPECT_EQ(decoded.obs.tracing_enabled, stats.obs.tracing_enabled);
-  // Byte-exact re-encode: the fuzz harness relies on it.
-  EXPECT_EQ(service::frame::encode_stats(decoded), payload);
+TEST(ExpositionReaderTest, AbsentNameIsNullopt) {
+  const std::string text =
+      "# TYPE dsp_cache_hits counter\n"
+      "dsp_cache_hits 18\n"
+      "dsp_phase_solve_nanos_bucket{le=\"+Inf\"} 3\n"
+      "dsp_phase_solve_nanos_sum 9\n";
+  EXPECT_EQ(exposition_sample(text, "cache.hits"), 18u);
+  EXPECT_EQ(exposition_sample(text, "cache.misses"), std::nullopt);
+  EXPECT_EQ(exposition_sample("", "cache.hits"), std::nullopt);
+  // A name that is only a prefix of a longer series does not match it.
+  EXPECT_EQ(exposition_sample(text, "cache"), std::nullopt);
+  EXPECT_EQ(exposition_sample(text, "phase.solve_nanos"), std::nullopt);
 }
 
-TEST(FrameCodecObsTest, OldStatsVersionFailsWithClearError) {
-  std::string payload = service::frame::encode_stats(sample_wire_stats());
-  payload[0] = 1;  // the unversioned-era layout started differently, but a
-                   // deliberate wrong version byte is the clearest probe
-  try {
-    (void)service::frame::decode_stats(payload, "old-client");
-    FAIL() << "version 1 must be rejected";
-  } catch (const InvalidInput& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected " +
-                        std::to_string(service::frame::kStatsVersion)),
+TEST(ExpositionReaderTest, MalformedValueThrows) {
+  const auto read_x = [](const std::string& line) {
+    return exposition_sample("dsp_y 1\n" + line + "\n", "x");
+  };
+  EXPECT_THROW((void)read_x("dsp_x 12a"), InvalidInput);
+  EXPECT_THROW((void)read_x("dsp_x -1"), InvalidInput);
+  EXPECT_THROW((void)read_x("dsp_x +1"), InvalidInput);
+  EXPECT_THROW((void)read_x("dsp_x 18446744073709551616"), InvalidInput);
+  EXPECT_THROW((void)read_x("dsp_x "), InvalidInput);
+  EXPECT_THROW((void)read_x("dsp_x"), InvalidInput);  // no space, no value
+  // The largest u64 parses, with or without a trailing newline.
+  EXPECT_EQ(read_x("dsp_x 18446744073709551615"), kMaxU64);
+  EXPECT_EQ(exposition_sample("dsp_x 18446744073709551615", "x"), kMaxU64);
+}
+
+TEST(ExpositionReaderTest, LiveDaemonExportsEveryRetiredStatsField) {
+  // The daemon's retired stats_ok frame (v3) carried the fields below; each
+  // now lives in the exposition as the sample named next to it.
+  const SwitchGuard guard;
+  set_metrics_enabled(true);
+  const std::string state_dir =
+      (std::filesystem::temp_directory_path() /
+       ("dsp_test_obs_mapping_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(state_dir);
+  service::DaemonOptions options;
+  options.serve.threads = 1;
+  options.cache.capacity_bytes = 4 << 20;
+  options.persist_dir = state_dir;
+  std::string text;
+  {
+    service::Daemon daemon(options);
+    daemon.start();
+    service::DaemonClient client(daemon.port());
+    Rng rng(506);
+    const service::WireInstance wire = service::WireInstance::from_instance(
+        gen::smart_grid(12, 48, rng), "mapping");
+    (void)client.solve(wire);
+    (void)client.solve(wire);
+    text = client.metrics();
+    daemon.stop();
+  }
+  std::filesystem::remove_all(state_dir);
+
+  struct Field {
+    const char* v3_field;
+    const char* sample;
+  };
+  constexpr Field kMapping[] = {
+      {"engine", "serve.engine"},  // the ServeEngine ordinal
+      {"capacity_bytes", "cache.capacity_bytes"},
+      {"cache.hits", "cache.hits"},
+      {"cache.misses", "cache.misses"},
+      {"cache.inflight_joins", "cache.inflight_joins"},
+      {"cache.evictions", "cache.evictions"},
+      {"cache.oversized", "cache.oversized"},
+      {"cache.entries", "cache.entries"},
+      {"cache.bytes", "cache.bytes"},
+      {"daemon.accepted", "daemon.accepted"},
+      {"daemon.requests", "daemon.requests"},
+      {"daemon.served", "daemon.served"},
+      {"daemon.shed", "daemon.shed"},
+      {"daemon.errors", "daemon.errors"},
+      {"daemon.warm_loaded", "daemon.warm_loaded"},
+      {"daemon.draining", "daemon.draining"},
+      {"persisted_appends", "persist.appends"},
+      {"compactions", "persist.compactions"},
+      {"scheduler.submitted", "scheduler.submitted"},
+      {"scheduler.executed", "scheduler.executed"},
+      {"scheduler.steals", "scheduler.steals"},
+      {"scheduler.steal_fails", "scheduler.steal_fails"},
+      {"scheduler.occupancy", "scheduler.occupancy"},
+      {"obs.request_count", "phase.request_nanos_count"},
+      {"obs.spans_recorded", "trace.spans_recorded"},
+      {"obs.spans_dropped", "trace.spans_dropped"},
+      {"obs.tracing_enabled", "trace.enabled"},
+  };
+  for (const Field& field : kMapping) {
+    EXPECT_TRUE(exposition_sample(text, field.sample).has_value())
+        << field.v3_field << " -> " << field.sample;
+  }
+  // obs.request_p50/p95/p99_nanos were bucket-upper quantiles of the
+  // phase.request_nanos histogram: the bucket holding each one is
+  // populated, so its cumulative `le` series is in the text.
+  const HistogramSnapshot request = phase_histogram(Phase::kRequest).snapshot();
+  for (const std::uint64_t q : {50u, 95u, 99u}) {
+    const std::string le = std::to_string(request.quantile(q, 100));
+    EXPECT_NE(text.find("dsp_phase_request_nanos_bucket{le=\"" + le + "\"}"),
               std::string::npos)
-        << what;
+        << "p" << q;
   }
+
+  // The values, not just their presence (this test's daemon owns the only
+  // CachingSolver, so the cache.* samples are its own).
+  EXPECT_EQ(exposition_sample(text, "serve.engine"),
+            static_cast<std::uint64_t>(service::ServeEngine::kPortfolio));
+  EXPECT_EQ(exposition_sample(text, "cache.capacity_bytes"), 4u << 20);
+  EXPECT_EQ(exposition_sample(text, "cache.misses"), 1u);
+  EXPECT_EQ(exposition_sample(text, "cache.hits"), 1u);
+  EXPECT_EQ(exposition_sample(text, "daemon.served"), 2u);
+  EXPECT_EQ(exposition_sample(text, "daemon.requests"), 3u);  // + metrics
+  EXPECT_EQ(exposition_sample(text, "persist.appends"), 1u);
+  EXPECT_EQ(exposition_sample(text, "phase.request_nanos_count"),
+            request.total);
+  EXPECT_EQ(exposition_sample(text, "trace.enabled"), 0u);
 }
 
-TEST(FrameCodecObsTest, Version2StatsFailsWithClearError) {
-  // v2 carried four auto-tuner fields after the scheduler counters; a v2
-  // payload must be refused by version, never misread as v3.
-  std::string payload = service::frame::encode_stats(sample_wire_stats());
-  payload[0] = 2;
-  try {
-    (void)service::frame::decode_stats(payload, "v2-daemon");
-    FAIL() << "version 2 must be rejected";
-  } catch (const InvalidInput& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected 3"), std::string::npos) << what;
-  }
-}
-
-TEST(FrameCodecObsTest, SchedulerFieldsRoundTrip) {
-  service::WireStats stats = sample_wire_stats();
-  stats.scheduler.submitted = 101;
-  stats.scheduler.executed = 97;
-  stats.scheduler.steals = 13;
-  stats.scheduler.steal_fails = 41;
-  stats.scheduler.occupancy = 3;
-  const service::WireStats decoded = service::frame::decode_stats(
-      service::frame::encode_stats(stats), "test");
-  EXPECT_EQ(decoded.scheduler.submitted, 101u);
-  EXPECT_EQ(decoded.scheduler.executed, 97u);
-  EXPECT_EQ(decoded.scheduler.steals, 13u);
-  EXPECT_EQ(decoded.scheduler.steal_fails, 41u);
-  EXPECT_EQ(decoded.scheduler.occupancy, 3u);
-  // The fields after the scheduler block still line up.
-  EXPECT_EQ(decoded.obs.spans_dropped, stats.obs.spans_dropped);
-  EXPECT_EQ(decoded.obs.tracing_enabled, stats.obs.tracing_enabled);
-}
-
-TEST(FrameCodecObsTest, CheckedInStatsFrameDecodesAtTheCurrentVersion) {
-  // The fuzz seed for the stats_ok decoder must exercise the accept path,
-  // so it is re-recorded whenever kStatsVersion moves.
-  const std::string path = std::string(DSP_SOURCE_DIR) +
-                           "/fuzz/corpus/daemon_frame/stats_ok_v3.frame";
-  std::ifstream file(path, std::ios::binary);
-  ASSERT_TRUE(file) << "cannot open " << path;
-  std::ostringstream bytes;
-  bytes << file.rdbuf();
-  const std::string frame = bytes.str();
-  ASSERT_GE(frame.size(), service::frame::kHeaderSize);
-  const service::frame::Header header =
-      service::frame::parse_header(frame.data());
-  EXPECT_EQ(header.type, service::frame::kStatsOk);
-  ASSERT_EQ(header.length, frame.size() - service::frame::kHeaderSize);
-  const std::string payload = frame.substr(service::frame::kHeaderSize);
-  EXPECT_EQ(static_cast<std::uint8_t>(payload[0]),
-            service::frame::kStatsVersion);
-  const service::WireStats decoded =
-      service::frame::decode_stats(payload, path);
-  EXPECT_EQ(service::frame::encode_stats(decoded), payload);
-}
+// ---------------------------------------------------------------------------
+// Frame codec: the metrics frame.
+// ---------------------------------------------------------------------------
 
 TEST(FrameCodecObsTest, MetricsRoundTripAndVersionGate) {
   const std::string exposition =

@@ -16,6 +16,7 @@
 #include "approx/solve54.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
@@ -118,26 +119,32 @@ TEST(SchedulerStealing, IdleWorkerStealsFromBlockedVictim) {
 }
 
 TEST(SchedulerStealing, StaticModeNeverSteals) {
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, false});
-  EXPECT_FALSE(pool.stealing());
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  auto blocker = pool.submit([open]() { open.wait(); });
-  std::vector<std::future<int>> work;
-  for (int i = 0; i < 8; ++i) {
-    work.push_back(pool.submit([i]() { return i; }));
+  const runtime::SchedulerCounters before = runtime::scheduler_totals();
+  {
+    runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, false});
+    EXPECT_FALSE(pool.stealing());
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    auto blocker = pool.submit([open]() { open.wait(); });
+    std::vector<std::future<int>> work;
+    for (int i = 0; i < 8; ++i) {
+      work.push_back(pool.submit([i]() { return i; }));
+    }
+    // Worker 1's share completes; worker 0's waits for the gate — pinned.
+    gate.set_value();
+    blocker.get();
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(work[static_cast<std::size_t>(i)].get(), i);
+    }
   }
-  // Worker 1's share completes; worker 0's waits for the gate — pinned.
-  gate.set_value();
-  blocker.get();
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(work[static_cast<std::size_t>(i)].get(), i);
-  }
-  const runtime::SchedulerCounters counters = pool.counters();
-  EXPECT_EQ(counters.steals, 0u);
-  EXPECT_EQ(counters.steal_fails, 0u);
-  EXPECT_EQ(counters.submitted, 9u);
-  EXPECT_EQ(counters.executed, 9u);
+  // A task's future is ready before its worker counts it executed, so the
+  // counts are read only once the pool is destroyed and folded them into
+  // the process totals.
+  const runtime::SchedulerCounters after = runtime::scheduler_totals();
+  EXPECT_EQ(after.steals - before.steals, 0u);
+  EXPECT_EQ(after.steal_fails - before.steal_fails, 0u);
+  EXPECT_EQ(after.submitted - before.submitted, 9u);
+  EXPECT_EQ(after.executed - before.executed, 9u);
 }
 
 TEST(SchedulerStealing, CountersAccumulateIntoProcessTotals) {
@@ -299,19 +306,20 @@ TEST(ServingScheduler, CachingSolverExposesCounters) {
   service::CachingSolver solver(params, service::CacheOptions{1 << 20, 1});
   Rng rng(913);
   const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
-  const runtime::SchedulerCounters before = solver.scheduler_counters();
+  const runtime::SchedulerCounters before = runtime::scheduler_totals();
   (void)solver.solve(inst);
-  const runtime::SchedulerCounters after = solver.scheduler_counters();
+  const runtime::SchedulerCounters after = runtime::scheduler_totals();
   // A single request is served on the calling thread end to end.
   EXPECT_EQ(after.submitted, before.submitted);
   // A batch fans out over a pool whose counters fold into the totals.
   (void)solver.solve_many(skewed_batch(915, 8, 16, 6));
-  const runtime::SchedulerCounters batched = solver.scheduler_counters();
+  const runtime::SchedulerCounters batched = runtime::scheduler_totals();
   EXPECT_GT(batched.submitted, after.submitted);
   EXPECT_EQ(batched.executed - after.executed,
             batched.submitted - after.submitted);
-  const runtime::SchedulerCounters totals = runtime::scheduler_totals();
-  EXPECT_EQ(totals.submitted, batched.submitted);
+  // The solver's registry source exports those same process totals.
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  EXPECT_EQ(snap.sample_value("scheduler.submitted"), batched.submitted);
 }
 
 TEST(ServingScheduler, StealingKnobKeepsBatchAnswersIdentical) {
