@@ -74,13 +74,19 @@ std::optional<Packing> first_fit_with_budget(const Instance& instance,
 }
 
 Packing first_fit_search(const Instance& instance, ProfileBackendKind backend) {
-  Height lo = combined_lower_bound(instance);
-  const Packing greedy = greedy_lowest_peak(
-      instance, ItemOrder::kDecreasingHeight, backend);
+  return first_fit_search(
+      instance, combined_lower_bound(instance),
+      greedy_lowest_peak(instance, ItemOrder::kDecreasingHeight, backend),
+      backend);
+}
+
+Packing first_fit_search(const Instance& instance, Height lower_bound,
+                         const Packing& greedy, ProfileBackendKind backend) {
+  Height lo = lower_bound;
   Height hi = peak_height(instance, greedy);
-  std::optional<Packing> best;
-  if (hi <= lo) return greedy;
   // Invariant: a feasible packing is known for budget hi (the greedy one).
+  // Every probe that succeeds peaks at <= its budget < the greedy peak.
+  std::optional<Packing> best;
   while (lo < hi) {
     const Height mid = lo + (hi - lo) / 2;
     if (auto packing = first_fit_with_budget(instance, mid, backend)) {
@@ -90,9 +96,7 @@ Packing first_fit_search(const Instance& instance, ProfileBackendKind backend) {
       lo = mid + 1;
     }
   }
-  if (best && peak_height(instance, *best) <= peak_height(instance, greedy)) {
-    return *best;
-  }
+  if (best) return std::move(*best);
   return greedy;
 }
 

@@ -42,6 +42,14 @@ enum class ItemOrder {
     const Instance& instance,
     ProfileBackendKind backend = ProfileBackendKind::kDense);
 
+/// The same search from bounds the caller already holds: `lower_bound` must
+/// be combined_lower_bound(instance) and `greedy` the packing of
+/// greedy_lowest_peak(instance, kDecreasingHeight) (on any backend: they
+/// agree).  Returns exactly what the overload above returns.
+[[nodiscard]] Packing first_fit_search(
+    const Instance& instance, Height lower_bound, const Packing& greedy,
+    ProfileBackendKind backend = ProfileBackendKind::kDense);
+
 /// Yaw et al. [31] consider the equal-width special case.  With k = floor(W/w)
 /// columns, items sorted by decreasing height are assigned LPT-style to the
 /// currently lowest column.  Throws InvalidInput if widths differ.

@@ -14,6 +14,13 @@ namespace dsp::algo {
 struct NamedAlgorithm {
   std::string name;
   std::function<Packing(const Instance&)> run;
+  /// Optional shortcut for best_of_portfolio: returns exactly what `run`
+  /// returns, given combined_lower_bound(instance) and the packing of the
+  /// earlier member `seed_member`.  Standalone callers use `run`.
+  std::function<Packing(const Instance&, Height lower_bound,
+                        const Packing& seed)>
+      run_seeded = nullptr;
+  std::size_t seed_member = 0;
 };
 
 /// All general-purpose baselines (the equal-width folding is excluded: it
@@ -33,7 +40,11 @@ struct NamedAlgorithm {
 /// discarding a portfolio.
 [[nodiscard]] std::size_t baseline_portfolio_size();
 
-/// Runs the whole portfolio and returns the packing with the lowest peak.
+/// Runs the portfolio in order and returns the packing with the lowest peak
+/// (the earliest member on ties).  Stops once the best peak reaches
+/// combined_lower_bound: no feasible packing peaks lower, and only a
+/// strictly lower peak replaces the best, so the skipped members cannot
+/// change the answer.  Seeded members get their seed member's packing.
 /// If `winner` is non-null it receives the winning algorithm's name.
 /// The default kAuto backend resolves per instance, so large-W instances
 /// pick the sparse profile without caller opt-in; dense and sparse produce

@@ -63,7 +63,9 @@ std::vector<GapBox> gap_boxes_of_profile(const ProfileBackend& occupancy,
     run_start = run_end;
   }
   while (boxes.size() > max_boxes) {
-    // Merge the narrowest box into its lower-capacity neighbour.
+    // Merge the narrowest box (the first on ties) into its left neighbour
+    // when that one is adjacent or the box is the last, else into its right
+    // neighbour; the merged box keeps the lower of the two capacities.
     std::size_t narrow = 0;
     for (std::size_t b = 1; b < boxes.size(); ++b) {
       if (boxes[b].width < boxes[narrow].width) narrow = b;

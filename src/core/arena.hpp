@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -18,6 +20,9 @@ inline constexpr std::size_t kHotPathAlignment = 64;
 /// for the SIMD kernels.
 template <typename T, std::size_t Alignment = kHotPathAlignment>
 struct AlignedAllocator {
+  static_assert(Alignment >= alignof(std::max_align_t) && Alignment <= 128 &&
+                    (Alignment & (Alignment - 1)) == 0,
+                "the shift to the aligned address must fit in one byte");
   using value_type = T;
   /// Explicit rebind: allocator_traits cannot synthesize one because the
   /// alignment is a non-type template parameter.
@@ -30,12 +35,28 @@ struct AlignedAllocator {
   template <typename U>
   AlignedAllocator(const AlignedAllocator<U, Alignment>&) noexcept {}
 
+  /// Over-allocates by `Alignment` through the plain operator new, rounds
+  /// the address up and keeps the shift in the byte below it.  glibc's
+  /// aligned operator new (memalign) requests size + alignment + a header
+  /// and trims the block back to `size`, so a freed block cannot serve the
+  /// next aligned request of the same size unless a neighbour is free too:
+  /// solves that build megabyte segment trees between long-lived small
+  /// allocations grew the heap by gigabytes.  A plain block is reused.
   [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
+    if (n > (std::numeric_limits<std::size_t>::max() - Alignment) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    auto* raw =
+        static_cast<unsigned char*>(::operator new(n * sizeof(T) + Alignment));
+    const std::size_t shift =
+        Alignment - reinterpret_cast<std::uintptr_t>(raw) % Alignment;
+    unsigned char* out = raw + shift;
+    out[-1] = static_cast<unsigned char>(shift);
+    return reinterpret_cast<T*>(out);
   }
   void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t(Alignment));
+    auto* out = reinterpret_cast<unsigned char*>(p);
+    ::operator delete(out - out[-1]);
   }
 
   template <typename U>

@@ -107,11 +107,12 @@ ProfileBackendKind resolve_backend(ProfileBackendKind kind, Length strip_width,
                                    std::size_t expected_items) {
   if (kind != ProfileBackendKind::kAuto) return kind;
   // Dense sweeps cost Θ(W) per placement, the sparse searches polylog W per
-  // blocked run: prefer the tree once the strip is wide and the items are
-  // too few to densely cover it.
+  // blocked run: prefer the tree once the items are too few to densely
+  // cover the strip.  The factor 16 is measured end to end (DESIGN.md
+  // §profile backends): at W = 2048, n = 100 the tree already wins.
   const auto items =
       static_cast<Length>(std::max<std::size_t>(expected_items, 1));
-  const bool sparse = strip_width >= 1024 && strip_width > 32 * items;
+  const bool sparse = strip_width > 16 * items;
   return sparse ? ProfileBackendKind::kSparse : ProfileBackendKind::kDense;
 }
 

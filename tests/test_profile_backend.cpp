@@ -21,8 +21,21 @@ TEST(ProfileBackend, FactoryProducesRequestedKind) {
 }
 
 TEST(ProfileBackend, AutoResolvesByShape) {
-  // Narrow strip: dense regardless of item count.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100, 2),
+  // The crossover is W > 16 n, on both sides of the boundary.
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1600, 100),
+            ProfileBackendKind::kDense);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1601, 100),
+            ProfileBackendKind::kSparse);
+  // The solve-cold cells it moves: W = 2048 with n = 100 is sparse, while
+  // W = 1024 with n = 100 and W = 2048 with n = 400 stay dense.
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 2048, 100),
+            ProfileBackendKind::kSparse);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1024, 100),
+            ProfileBackendKind::kDense);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 2048, 400),
+            ProfileBackendKind::kDense);
+  // Narrow golden-size strips stay dense.
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 96, 24),
             ProfileBackendKind::kDense);
   // Wide, lightly covered strip: sparse.
   EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100000, 10),
