@@ -3,15 +3,12 @@
 // assignments are recovered with the constructive sweep.  Also demonstrates
 // the Corollary-3/4 machine-augmentation frameworks.
 
-#include <future>
 #include <iostream>
 #include <string>
 
 #include "augment/augment.hpp"
 #include "exact/pts_exact.hpp"
 #include "pts/pts.hpp"
-#include "runtime/channel.hpp"
-#include "runtime/parallel.hpp"
 #include "service/cache.hpp"
 #include "transform/transform.hpp"
 #include "util/prng.hpp"
@@ -68,14 +65,12 @@ int main() {
   std::cout << "(optimal makespan on 6 machines was " << opt.makespan
             << "; augmentation may only improve it)\n";
 
-  // Batch capacity planning on the runtime: a fleet of clusters, each with
-  // its own job mix and a shared deadline T.  Theorem 1 maps "finish by T"
-  // onto a strip of width T, and the DSP peak of the packing is the machine
-  // count that cluster needs.  solve_many_stream shards the fleet across
-  // the thread pool, streams each cluster's plan the moment it resolves
-  // (completion order — the progress bar below), and still returns, per
-  // cluster, exactly the sequential best_of_portfolio answer (runtime
-  // determinism contract, DESIGN.md).
+  // Batch capacity planning: a fleet of clusters, each with its own job mix
+  // and a shared deadline T.  Theorem 1 maps "finish by T" onto a strip of
+  // width T, and the DSP peak of the packing is the machine count that
+  // cluster needs.  CachingSolver::solve_many shards the fleet across a
+  // work-stealing pool and returns, per cluster, exactly the answer of
+  // serving that cluster alone (runtime determinism contract, DESIGN.md).
   constexpr Length kDeadline = 24;
   constexpr std::size_t kFleet = 8;
   std::vector<pts::PtsInstance> fleet;
@@ -91,27 +86,10 @@ int main() {
     fleet.emplace_back(6, mix);
     strips.push_back(transform::pts_to_dsp_instance(fleet.back(), kDeadline));
   }
-  runtime::Channel<runtime::BatchEvent> progress;
-  auto planning = std::async(std::launch::async, [&strips, &progress]() {
-    return runtime::solve_many_stream(strips, progress);
-  });
-  std::cout << "\nStreaming fleet planning (one line per resolved cluster, "
-               "completion order):\n";
-  std::size_t resolved = 0;
-  while (const auto event = progress.pop()) {
-    ++resolved;
-    std::string bar(kFleet, '.');
-    for (std::size_t filled = 0; filled < resolved; ++filled) {
-      bar[filled] = '#';
-    }
-    std::cout << "  [" << bar << "] " << resolved << "/" << kFleet
-              << "  cluster " << event->index << " -> "
-              << event->result.peak << " machines (winner "
-              << event->result.winner << ")\n";
-  }
-  const std::vector<runtime::BatchResult> plans = planning.get();
+  service::CachingSolver planner;
+  const std::vector<service::SolveResponse> plans = planner.solve_many(strips);
   std::cout << "\nFleet capacity plan (deadline T=" << kDeadline
-            << ", solve_many_stream over " << kFleet << " clusters):\n";
+            << ", solve_many over " << kFleet << " clusters):\n";
   Table plan_table({"cluster", "jobs", "work LB", "machines", "winner"});
   for (std::size_t c = 0; c < kFleet; ++c) {
     plan_table.begin_row()

@@ -43,12 +43,6 @@ const std::vector<NamedAlgorithm>& baseline_portfolio() {
   return portfolio;
 }
 
-std::size_t baseline_portfolio_size() {
-  // Reads the process-wide cached portfolio, so the count has a single
-  // source of truth and callers sizing pools don't need to pick a backend.
-  return baseline_portfolio().size();
-}
-
 Packing best_of_portfolio(const Instance& instance, std::string* winner,
                           ProfileBackendKind backend) {
   DSP_REQUIRE(instance.size() > 0, "best_of_portfolio on empty instance");

@@ -34,12 +34,6 @@ struct NamedAlgorithm {
 [[nodiscard]] std::vector<NamedAlgorithm> baseline_portfolio(
     ProfileBackendKind backend);
 
-/// Member count of the baseline portfolio — identical for every backend
-/// (the backend only rebinds placement profiles, it never adds or removes
-/// members).  Use this to size thread pools without constructing and
-/// discarding a portfolio.
-[[nodiscard]] std::size_t baseline_portfolio_size();
-
 /// Runs the portfolio in order and returns the packing with the lowest peak
 /// (the earliest member on ties).  Stops once the best peak reaches
 /// combined_lower_bound: no feasible packing peaks lower, and only a

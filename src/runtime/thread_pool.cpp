@@ -35,10 +35,8 @@ std::size_t ThreadPool::hardware_threads() {
   return resolve_worker_count(0, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(const ThreadPoolOptions& options)
-    : stealing_(options.stealing) {
-  const std::size_t threads = resolve_worker_count(
-      options.threads, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(std::size_t threads) {
+  threads = resolve_worker_count(threads, std::thread::hardware_concurrency());
   queues_.reserve(threads);
   steal_cursors_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
@@ -48,10 +46,6 @@ ThreadPool::ThreadPool(const ThreadPoolOptions& options)
     // worker but different workers fan out from different starting points
     // instead of all hammering victim 0.
     steal_cursors_.push_back(Rng::mix_seed(t) % threads);
-  }
-  {
-    const MutexLock lock(mutex_);
-    queued_.assign(threads, 0);
   }
   workers_.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
@@ -66,11 +60,10 @@ ThreadPool::~ThreadPool() {
   }
   work_available_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Invariant: submit refuses once stopping_ is set and workers drain
-  // before exiting (their own deque in static mode, the whole pool in
-  // stealing mode), so no enqueued task — hence no outstanding future —
-  // can be left behind after the joins.  (All workers are joined, but the
-  // reads still formally need the capabilities.)
+  // Invariant: submit refuses once stopping_ is set and workers drain the
+  // whole pool before exiting, so no enqueued task — hence no outstanding
+  // future — can be left behind after the joins.  (All workers are joined,
+  // but the reads still formally need the capabilities.)
   {
     const MutexLock lock(mutex_);
     assert(pending_ == 0);
@@ -111,7 +104,6 @@ void ThreadPool::enqueue(Task task) {
     // empty deque knows the task is in flight and rescans instead of
     // exiting (see worker_loop).
     ++pending_;
-    ++queued_[target];
   }
   {
     const MutexLock lock(queues_[target]->mutex);
@@ -122,9 +114,8 @@ void ThreadPool::enqueue(Task task) {
     }
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  // notify_all, not notify_one: in static mode only the assigned worker
-  // may take this task, and notify_one could wake a different sleeper.
-  work_available_.notify_all();
+  // Any worker may take the task (its own deque or by stealing).
+  work_available_.notify_one();
 }
 
 bool ThreadPool::try_pop_own(std::size_t self, Task& task) {
@@ -136,7 +127,6 @@ bool ThreadPool::try_pop_own(std::size_t self, Task& task) {
   }
   const MutexLock lock(mutex_);
   --pending_;
-  --queued_[self];
   return true;
 }
 
@@ -164,7 +154,6 @@ bool ThreadPool::try_steal(std::size_t self, Task& task) {
   steals_.fetch_add(1, std::memory_order_relaxed);
   const MutexLock lock(mutex_);
   --pending_;
-  --queued_[victim];
   return true;
 }
 
@@ -182,27 +171,22 @@ void ThreadPool::worker_loop(std::size_t self) {
   tl_worker = self;
   for (;;) {
     Task task;
-    if (try_pop_own(self, task) || (stealing_ && try_steal(self, task))) {
+    if (try_pop_own(self, task) || try_steal(self, task)) {
       run_task(task);
       continue;
     }
     {
       MutexLock lock(mutex_);
-      if (stealing_) {
-        while (!stopping_ && pending_ == 0) work_available_.wait(lock);
-        // Drain before exiting even when stopping: every submitted future
-        // must become ready, or a waiting caller would deadlock.
-        if (stopping_ && pending_ == 0) break;
-      } else {
-        while (!stopping_ && queued_[self] == 0) work_available_.wait(lock);
-        if (stopping_ && queued_[self] == 0) break;
-      }
+      while (!stopping_ && pending_ == 0) work_available_.wait(lock);
+      // Drain before exiting even when stopping: every submitted future
+      // must become ready, or a waiting caller would deadlock.
+      if (stopping_ && pending_ == 0) break;
     }
     // Accounted work exists but the scan found nothing: the producer is
-    // between its counter increment and its deque push (or, in stealing
-    // mode, the task sits on a deque another worker is about to drain).
-    // Yield and rescan rather than sleeping — the gap is two lock scopes
-    // wide, and a sleep here could miss the already-sent notification.
+    // between its counter increment and its deque push, or the task sits
+    // on a deque another worker is about to drain.  Yield and rescan rather
+    // than sleeping — the gap is two lock scopes wide, and a sleep here
+    // could miss the already-sent notification.
     std::this_thread::yield();
   }
   tl_pool = nullptr;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -48,45 +49,32 @@ struct SchedulerCounters {
 /// Pool size used when hardware concurrency is unknown (reported 0).
 inline constexpr std::size_t kUnknownHardwareWorkers = 2;
 
-struct ThreadPoolOptions {
-  /// Worker threads; 0 means hardware_threads().
-  std::size_t threads = 0;
-  /// Work stealing on (the default) or off.  Off pins every task to the
-  /// deque it was placed on — the static-sharding baseline the benches
-  /// A/B against, never a correctness knob (results are scheduling-
-  /// invariant either way; see DESIGN.md, "The work-stealing scheduler").
-  bool stealing = true;
-};
-
-/// Fixed-size thread pool behind every parallel entry point of the runtime
-/// (DESIGN.md, "The work-stealing scheduler").  Each worker owns a
-/// Chase–Lev-style deque — owner end LIFO for tasks it spawns, thief end
-/// FIFO — guarded by a per-deque Mutex rather than the lock-free original:
-/// tasks here are coarse (one algorithm run, one batch instance), so a short critical section per pop is noise, and the
+/// Fixed-size work-stealing thread pool: the runtime's one scheduler, used
+/// for batch fan-out through parallel_map (DESIGN.md, "The parallel
+/// runtime").  Each worker owns a Chase–Lev-style deque — owner end LIFO
+/// for tasks it spawns, thief end FIFO — guarded by a per-deque Mutex
+/// rather than the lock-free original: tasks here are coarse (one batch
+/// instance), so a short critical section per pop is noise, and the
 /// capability annotations keep the protocol provable under
 /// -Wthread-safety.
 ///
 /// Placement: a task submitted from off-pool goes round-robin to the next
 /// worker's thief end, so a single worker drains external work in
 /// submission order (FIFO).  A task submitted by a pool worker goes to its
-/// own owner end (LIFO, cache-warm).  With stealing enabled, an idle worker
-/// probes victims in deterministic round-robin order starting from a
-/// per-worker seeded offset and takes from the thief end.
+/// own owner end (LIFO, cache-warm).  An idle worker probes victims in
+/// deterministic round-robin order starting from a per-worker seeded
+/// offset and takes from the thief end.
 ///
 /// Determinism: stealing moves *where and when* a task runs, never what it
-/// computes or how results reduce — every reduction in parallel.hpp runs
-/// in fixed input order, so outputs are bit-identical with stealing on or
-/// off, for any worker count.
+/// computes or how results reduce — parallel_map reduces in fixed input
+/// order, so outputs are bit-identical for any worker count.
 ///
 /// Exceptions thrown by a task are captured in its future and rethrown at
 /// `get()`; a task failure never takes down a worker.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers with stealing enabled; 0 means
-  /// hardware_threads().
-  explicit ThreadPool(std::size_t threads = 0)
-      : ThreadPool(ThreadPoolOptions{threads, true}) {}
-  explicit ThreadPool(const ThreadPoolOptions& options);
+  /// Spawns `threads` workers; 0 means hardware_threads().
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -94,9 +82,6 @@ class ThreadPool {
 
   /// Number of worker threads (always >= 1).
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Whether idle workers steal (fixed at construction).
-  [[nodiscard]] bool stealing() const { return stealing_; }
 
   /// resolve_worker_count(0, std::thread::hardware_concurrency()) — always
   /// >= 1, and 2 when the hardware width is unknown.
@@ -157,7 +142,6 @@ class ThreadPool {
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::size_t> steal_cursors_;
   std::vector<std::thread> workers_;
-  bool stealing_ = true;
 
   // Central accounting: pending work totals and lifecycle.  Counters are
   // incremented *before* the task lands in its deque and decremented
@@ -166,7 +150,6 @@ class ThreadPool {
   Mutex mutex_;
   CondVar work_available_;
   std::ptrdiff_t pending_ DSP_GUARDED_BY(mutex_) = 0;
-  std::vector<std::ptrdiff_t> queued_ DSP_GUARDED_BY(mutex_);
   std::size_t next_worker_ DSP_GUARDED_BY(mutex_) = 0;
   bool stopping_ DSP_GUARDED_BY(mutex_) = false;
 
@@ -176,6 +159,48 @@ class ThreadPool {
   std::atomic<std::uint64_t> steal_fails_{0};
   std::atomic<std::size_t> active_{0};
 };
+
+/// Applies `fn(item, index)` to every element on the pool and returns the
+/// results in input order.  If any task throws, all tasks are still awaited
+/// (they may reference caller-owned state) and the first exception in input
+/// order is rethrown.
+template <typename T, typename F>
+auto parallel_map(ThreadPool& pool, const std::vector<T>& items, F&& fn)
+    -> std::vector<std::invoke_result_t<F&, const T&, std::size_t>> {
+  using R = std::invoke_result_t<F&, const T&, std::size_t>;
+  std::vector<std::future<R>> futures;
+  futures.reserve(items.size());
+  try {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      futures.push_back(
+          pool.submit([&fn, &item = items[i], i]() { return fn(item, i); }));
+    }
+  } catch (...) {
+    // submit can throw (stopping pool, allocation failure).  The tasks
+    // already enqueued reference `fn` and `items`, so they must finish
+    // before this frame unwinds; their own errors are subsumed by the
+    // submit failure.
+    for (std::future<R>& future : futures) {
+      try {
+        (void)future.get();
+      } catch (...) {
+      }
+    }
+    throw;
+  }
+  std::vector<R> results;
+  results.reserve(items.size());
+  std::exception_ptr first_error;
+  for (std::future<R>& future : futures) {
+    try {
+      results.push_back(future.get());
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return results;
+}
 
 /// Scheduler counters accumulated from every pool destroyed so far in this
 /// process (transient per-batch pools die before a stats reader arrives;

@@ -8,7 +8,7 @@
 
 #include "algo/portfolio.hpp"
 #include "obs/trace.hpp"
-#include "runtime/parallel.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/sync.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -54,8 +54,8 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
   if (params.engine == ServeEngine::kSolve54) {
     // Result-affecting solve54 knobs only.  Excluded on purpose — proved
     // result-invariant by the backend and runtime determinism suites — are
-    // ServeParams::backend, ::threads and ::stealing (see DESIGN.md, "The
-    // work-stealing scheduler").
+    // ServeParams::backend and ::threads (see DESIGN.md, "The parallel
+    // runtime").
     const approx::Approx54Params& approx = params.approx;
     hasher.absorb_signed(approx.epsilon.num());
     hasher.absorb_signed(approx.epsilon.den());
@@ -374,34 +374,14 @@ SolveResponse CachingSolver::solve(const Instance& instance) {
 std::vector<SolveResponse> CachingSolver::solve_many(
     const std::vector<Instance>& instances) {
   if (instances.empty()) return {};
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{
-      runtime::own_pool_size(params_.threads, instances.size()),
-      params_.stealing});
+  // Never more workers than requests: an idle worker only costs startup.
+  const std::size_t requested = params_.threads > 0
+                                    ? params_.threads
+                                    : runtime::ThreadPool::hardware_threads();
+  runtime::ThreadPool pool(std::min(requested, instances.size()));
   return runtime::parallel_map(
       pool, instances,
       [this](const Instance& instance, std::size_t) { return solve(instance); });
-}
-
-std::vector<SolveResponse> CachingSolver::solve_many_stream(
-    const std::vector<Instance>& instances, runtime::Channel<ServeEvent>& sink) {
-  const runtime::ChannelCloser<ServeEvent> closer(&sink);
-  if (instances.empty()) return {};
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{
-      runtime::own_pool_size(params_.threads, instances.size()),
-      params_.stealing});
-  return runtime::parallel_map(
-      pool, instances, [&](const Instance& instance, std::size_t index) {
-        try {
-          SolveResponse response = solve(instance);
-          sink.push(ServeEvent{index, response});
-          return response;
-        } catch (...) {
-          // Fail fast on the stream, like solve_many_stream: a live consumer
-          // must not mistake a failed serve for a clean finish.
-          sink.push_exception(std::current_exception());
-          throw;
-        }
-      });
 }
 
 }  // namespace dsp::service

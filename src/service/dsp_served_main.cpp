@@ -9,13 +9,13 @@
 // gracefully, and prints a "drained" row with its lifetime counters.
 //
 //   dsp_served [--port P] [--engine portfolio|solve54]
-//              [--backend auto|dense|sparse] [--threads N] [--steal 0|1]
+//              [--backend auto|dense|sparse]
 //              [--cache-mb M] [--max-concurrent N] [--max-queue N]
 //              [--persist DIR] [--snapshot-every N]
 //              [--metrics-out FILE] [--trace-out FILE]
 //
-// --steal mirrors dsp_solve's flag: an execution knob only (responses are
-// bit-identical either way), strict integer parsing.
+// Each admitted request is served on its connection's thread, so
+// --max-concurrent is the daemon's concurrency; there is no batch pool.
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase
@@ -84,8 +84,7 @@ struct CliOptions {
 
 void print_usage(std::ostream& os) {
   os << "usage: dsp_served [--port P] [--engine portfolio|solve54]\n"
-        "                  [--backend auto|dense|sparse] [--threads N] "
-        "[--steal 0|1]\n"
+        "                  [--backend auto|dense|sparse]\n"
         "                  [--cache-mb M] [--max-concurrent N] [--max-queue N]\n"
         "                  [--persist DIR] [--snapshot-every N]\n"
         "                  [--metrics-out FILE] [--trace-out FILE]\n"
@@ -155,12 +154,6 @@ void print_usage(std::ostream& os) {
       } else {
         usage_error("unknown backend " + value);
       }
-    } else if (arg == "--threads") {
-      options.daemon.serve.threads = parse_count(arg, next_value(i, arg));
-    } else if (arg == "--steal") {
-      const std::size_t value = parse_count(arg, next_value(i, arg));
-      if (value > 1) usage_error("--steal takes 0 or 1");
-      options.daemon.serve.stealing = value == 1;
     } else if (arg == "--cache-mb") {
       options.cache_mb = parse_count(arg, next_value(i, arg));
       if (options.cache_mb == 0) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iterator>
@@ -125,6 +126,28 @@ TEST(Solve54, ReportIsConsistent) {
     std::size_t total = 0;
     for (const std::size_t c : report.count_per_category) total += c;
     EXPECT_EQ(total, inst.size());
+  }
+}
+
+TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
+  // E7 reports pipeline_peak next to the returned peak: the pipeline's own
+  // best may exceed the returned peak (the witness can win), never the
+  // other way round.
+  std::vector<Instance> instances;
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    instances.push_back(golden.instance);
+  }
+  Rng rng(29);
+  for (int round = 0; round < 6; ++round) {
+    instances.push_back(gen::random_uniform(30, 64, 32, 16, rng));
+  }
+  for (const Instance& inst : instances) {
+    const Approx54Report report = solve54(inst).report;
+    ASSERT_GE(report.attempts, 1u) << inst.summary();
+    EXPECT_EQ(report.final_peak,
+              std::min(report.upper_bound, report.pipeline_peak))
+        << inst.summary();
+    EXPECT_LE(report.final_peak, report.pipeline_peak) << inst.summary();
   }
 }
 

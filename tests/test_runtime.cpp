@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
-#include <numeric>
+#include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/portfolio.hpp"
 #include "core/packing.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
-#include "util/check.hpp"
+#include "service/cache.hpp"
+#include "service/canonical.hpp"
 #include "util/prng.hpp"
 
 namespace dsp {
@@ -81,6 +85,22 @@ TEST(ThreadPool, PendingTasksStillCompleteAtDestruction) {
   EXPECT_EQ(done.load(), 200);
 }
 
+TEST(ThreadPoolStop, SubmitStillWorksUpToDestruction) {
+  // The throw-on-stopping guard must not affect a live pool: heavy
+  // submit/drain churn right up to the destructor stays clean.
+  for (int round = 0; round < 20; ++round) {
+    runtime::ThreadPool pool(2);
+    std::vector<std::future<int>> futures;
+    futures.reserve(32);
+    for (int i = 0; i < 32; ++i) {
+      futures.push_back(pool.submit([i]() { return i; }));
+    }
+    int sum = 0;
+    for (auto& future : futures) sum += future.get();
+    EXPECT_EQ(sum, 31 * 32 / 2);
+  }
+}
+
 TEST(ParallelMap, PreservesInputOrderAndRethrows) {
   runtime::ThreadPool pool(4);
   const std::vector<int> items = {5, 3, 8, 1, 9};
@@ -96,9 +116,109 @@ TEST(ParallelMap, PreservesInputOrderAndRethrows) {
       std::logic_error);
 }
 
+TEST(ParallelMap, RethrowsFirstErrorInInputOrder) {
+  // Every task is awaited, then the first error in *input* order is
+  // rethrown — even when a later-input error completes earlier.
+  runtime::ThreadPool pool(2);
+  const std::vector<int> items = {0, 1, 2, 3};
+  try {
+    (void)runtime::parallel_map(pool, items, [&](const int& x, std::size_t) {
+      if (x == 1) {
+        // Give the later-input error every chance to finish first.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::logic_error("input-order-first");
+      }
+      if (x == 3) throw std::runtime_error("completion-order-first");
+      return x;
+    });
+    FAIL() << "parallel_map must rethrow";
+  } catch (const std::logic_error& error) {
+    EXPECT_STREQ(error.what(), "input-order-first");
+  }
+}
+
+TEST(ParallelMap, EmptyInputSubmitsNothing) {
+  const runtime::SchedulerCounters before = runtime::scheduler_totals();
+  {
+    runtime::ThreadPool pool(2);
+    const std::vector<int> none;
+    EXPECT_TRUE(runtime::parallel_map(pool, none, [](const int& x,
+                                                     std::size_t) {
+                  return x;
+                }).empty());
+  }
+  EXPECT_EQ(runtime::scheduler_totals().submitted, before.submitted);
+}
+
+TEST(ParallelMap, PassesEachItemItsInputIndex) {
+  runtime::ThreadPool pool(4);
+  std::vector<int> items(50);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    items[i] = static_cast<int>(3 * i + 1);
+  }
+  const auto pairs = runtime::parallel_map(
+      pool, items, [&items](const int& x, std::size_t index) {
+        // The index names the item's own slot, not a completion order.
+        EXPECT_EQ(&x, &items[index]);
+        return std::make_pair(x, index);
+      });
+  ASSERT_EQ(pairs.size(), items.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(pairs[i].first, items[i]);
+    EXPECT_EQ(pairs[i].second, i);
+  }
+}
+
+TEST(ParallelMap, AwaitsEveryTaskBeforeRethrowing) {
+  // The first item throws at once; the rest are slow and touch caller
+  // state.  All of them must have finished by the time the error surfaces.
+  runtime::ThreadPool pool(4);
+  const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      (void)runtime::parallel_map(pool, items,
+                                  [&finished](const int& x, std::size_t) {
+                                    if (x == 0) throw std::logic_error("0");
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(5));
+                                    ++finished;
+                                    return x;
+                                  }),
+      std::logic_error);
+  EXPECT_EQ(finished.load(), 7);
+}
+
+TEST(ParallelMap, MoveOnlyResultsArriveInInputOrder) {
+  runtime::ThreadPool pool(3);
+  const std::vector<int> items = {4, 0, 7, 2, 9, 1};
+  const std::vector<std::unique_ptr<int>> boxed = runtime::parallel_map(
+      pool, items,
+      [](const int& x, std::size_t) { return std::make_unique<int>(x); });
+  ASSERT_EQ(boxed.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_NE(boxed[i], nullptr);
+    EXPECT_EQ(*boxed[i], items[i]);
+  }
+}
+
+TEST(ParallelMap, SingleWorkerRunsItemsInInputOrder) {
+  // Off-pool submissions drain FIFO, so one worker visits the items in
+  // input order.
+  runtime::ThreadPool pool(1);
+  const std::vector<int> items = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
+  std::vector<int> visited;  // single worker: appends are serial
+  (void)runtime::parallel_map(pool, items,
+                              [&visited](const int& x, std::size_t) {
+                                visited.push_back(x);
+                                return x;
+                              });
+  EXPECT_EQ(visited, items);
+}
+
 // ---------------------------------------------------------------------------
-// Determinism: parallel results are bit-identical to sequential ones for all
-// thread counts and both profile backends.
+// Determinism: the batch path (CachingSolver::solve_many) is bit-identical
+// to serving each request alone, for all thread counts and both profile
+// backends.
 // ---------------------------------------------------------------------------
 
 std::vector<Instance> determinism_instances() {
@@ -117,41 +237,46 @@ std::vector<Instance> determinism_instances() {
 class RuntimeDeterminism
     : public ::testing::TestWithParam<std::tuple<std::size_t, ProfileBackendKind>> {};
 
-TEST_P(RuntimeDeterminism, ParallelPortfolioMatchesSequential) {
+TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
+  // Every batch answer is the sequential best_of_portfolio answer for its
+  // request's canonical form, mapped back to the requester's item order.
   const auto& [threads, backend] = GetParam();
-  for (const Instance& instance : determinism_instances()) {
-    std::string seq_winner;
-    const Packing sequential =
-        algo::best_of_portfolio(instance, &seq_winner, backend);
-    std::string par_winner;
-    runtime::ParallelOptions options;
-    options.threads = threads;
-    options.backend = backend;
-    std::atomic<Height> live_peak{runtime::kPeakUnknown};
-    options.live_peak = &live_peak;
-    const Packing parallel =
-        runtime::parallel_best_of_portfolio(instance, &par_winner, options);
-    EXPECT_EQ(parallel, sequential) << instance.summary();
-    EXPECT_EQ(par_winner, seq_winner) << instance.summary();
-    // The atomic early-report ends at exactly the winning peak.
-    EXPECT_EQ(live_peak.load(), peak_height(instance, sequential));
+  const std::vector<Instance> batch = determinism_instances();
+  service::ServeParams params;
+  params.threads = threads;
+  params.backend = backend;
+  service::CachingSolver solver(params);
+  const std::vector<service::SolveResponse> responses =
+      solver.solve_many(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const service::CanonicalForm form = service::canonicalize(batch[i]);
+    std::string winner;
+    const Packing canonical =
+        algo::best_of_portfolio(form.instance, &winner, backend);
+    EXPECT_EQ(responses[i].packing,
+              service::restore_item_order(form, canonical))
+        << batch[i].summary();
+    EXPECT_EQ(responses[i].winner, winner) << batch[i].summary();
+    EXPECT_EQ(responses[i].peak, peak_height(form.instance, canonical))
+        << batch[i].summary();
   }
 }
 
 TEST_P(RuntimeDeterminism, SolveManyMatchesSequentialLoop) {
   const auto& [threads, backend] = GetParam();
   const std::vector<Instance> batch = determinism_instances();
-  std::vector<runtime::BatchResult> sequential;
+  service::ServeParams params;
+  params.backend = backend;
+  params.bypass_cache = true;  // every request computed, none served cached
+  service::CachingSolver sequential_solver(params);
+  std::vector<service::SolveResponse> sequential;
   for (const Instance& instance : batch) {
-    runtime::BatchResult result;
-    result.packing = algo::best_of_portfolio(instance, &result.winner, backend);
-    result.peak = peak_height(instance, result.packing);
-    sequential.push_back(std::move(result));
+    sequential.push_back(sequential_solver.solve(instance));
   }
-  runtime::ParallelOptions options;
-  options.threads = threads;
-  options.backend = backend;
-  EXPECT_EQ(runtime::solve_many(batch, options), sequential);
+  params.threads = threads;
+  service::CachingSolver batch_solver(params);
+  EXPECT_EQ(batch_solver.solve_many(batch), sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -165,15 +290,101 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(to_string(std::get<1>(info.param)));
     });
 
-TEST(SolveMany, EmptyBatchAndSharedPool) {
-  EXPECT_TRUE(runtime::solve_many({}).empty());
-  runtime::ThreadPool pool(2);
-  Rng rng(7);
-  const std::vector<Instance> batch = {gen::random_uniform(10, 20, 10, 5, rng)};
-  const auto via_shared = runtime::solve_many(pool, batch);
-  ASSERT_EQ(via_shared.size(), 1u);
-  EXPECT_EQ(via_shared[0].packing, algo::best_of_portfolio(batch[0]));
+// ---------------------------------------------------------------------------
+// The batch path through the cache and on the solve54 engine, for every
+// thread count x backend.
+// ---------------------------------------------------------------------------
+
+class BatchPath
+    : public ::testing::TestWithParam<std::tuple<std::size_t, ProfileBackendKind>> {};
+
+TEST_P(BatchPath, Solve54BatchMatchesSequentialLoop) {
+  const auto& [threads, backend] = GetParam();
+  std::vector<Instance> batch;
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    batch.push_back(golden.instance);
+  }
+  service::ServeParams params;
+  params.engine = service::ServeEngine::kSolve54;
+  params.backend = backend;
+  params.bypass_cache = true;
+  service::CachingSolver sequential_solver(params);
+  std::vector<service::SolveResponse> sequential;
+  for (const Instance& instance : batch) {
+    sequential.push_back(sequential_solver.solve(instance));
+  }
+  params.threads = threads;
+  service::CachingSolver batch_solver(params);
+  EXPECT_EQ(batch_solver.solve_many(batch), sequential);
 }
+
+TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
+  // Each request appears twice: as drawn and with its items reversed.  The
+  // reversed copy is the same canonical key, so the cache computes every
+  // key once, and each answer (hit, join or miss) equals serving that
+  // request alone with the cache bypassed.
+  const auto& [threads, backend] = GetParam();
+  std::vector<Instance> batch = determinism_instances();
+  const std::size_t distinct = batch.size();
+  for (std::size_t i = 0; i < distinct; ++i) {
+    std::vector<Item> reversed(batch[i].items().rbegin(),
+                               batch[i].items().rend());
+    batch.emplace_back(batch[i].strip_width(), reversed);
+  }
+  service::ServeParams params;
+  params.backend = backend;
+  params.threads = threads;
+  service::CachingSolver cached(params);
+  const std::vector<service::SolveResponse> responses =
+      cached.solve_many(batch);
+  params.bypass_cache = true;
+  service::CachingSolver alone(params);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const service::SolveResponse expected = alone.solve(batch[i]);
+    EXPECT_EQ(responses[i].packing, expected.packing) << "request " << i;
+    EXPECT_EQ(responses[i].peak, expected.peak) << "request " << i;
+    EXPECT_EQ(responses[i].winner, expected.winner) << "request " << i;
+    EXPECT_NO_THROW(validate_packing(batch[i], responses[i].packing));
+  }
+  const service::CacheStats stats = cached.stats();
+  EXPECT_EQ(stats.misses, distinct);
+  EXPECT_EQ(stats.hits + stats.inflight_joins, distinct);
+}
+
+TEST_P(BatchPath, RepeatedBatchIsServedFromTheCache) {
+  const auto& [threads, backend] = GetParam();
+  const std::vector<Instance> batch = determinism_instances();
+  service::ServeParams params;
+  params.backend = backend;
+  params.threads = threads;
+  service::CachingSolver solver(params);
+  const std::vector<service::SolveResponse> first = solver.solve_many(batch);
+  const service::CacheStats cold = solver.stats();
+  EXPECT_EQ(cold.misses, batch.size());
+  std::vector<service::SolveResponse> second = solver.solve_many(batch);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].outcome, service::CacheOutcome::kMiss) << i;
+    EXPECT_EQ(second[i].outcome, service::CacheOutcome::kHit) << i;
+    second[i].outcome = service::CacheOutcome::kMiss;
+  }
+  EXPECT_EQ(second, first);
+  const service::CacheStats warm = solver.stats();
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.hits - cold.hits, batch.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndBackends, BatchPath,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{8}),
+                       ::testing::Values(ProfileBackendKind::kDense,
+                                         ProfileBackendKind::kSparse)),
+    [](const auto& info) {
+      return "t" + std::to_string(std::get<0>(info.param)) + "_" +
+             std::string(to_string(std::get<1>(info.param)));
+    });
 
 // ---------------------------------------------------------------------------
 // Per-task seeding.

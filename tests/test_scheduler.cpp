@@ -1,8 +1,7 @@
-// The work-stealing scheduler (DESIGN.md, "The work-stealing scheduler"):
-// deque protocol order, forced steals vs. the static-sharding baseline,
-// pool-sizing fallbacks, determinism of skewed batches across thread
-// counts x stealing modes x backends, the process-wide counter plumbing
-// the serving layer reports, and solve54 staying off every pool.
+// The work-stealing scheduler (DESIGN.md, "The parallel runtime"): deque
+// protocol order, forced steals, pool-sizing fallbacks, determinism of
+// skewed batches across thread counts x backends, the process-wide counter
+// plumbing the serving layer reports, and solve54 staying off every pool.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "util/prng.hpp"
@@ -59,7 +58,7 @@ TEST(ResolveWorkerCount, HardwareThreadsIsNeverZero) {
 
 TEST(SchedulerProtocol, ExternalTasksDrainInSubmissionOrder) {
   // One worker, gated so all three tasks are queued before any runs.
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{1, true});
+  runtime::ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   std::vector<std::string> order;  // single worker: appends are serial
@@ -78,7 +77,7 @@ TEST(SchedulerProtocol, ExternalTasksDrainInSubmissionOrder) {
 TEST(SchedulerProtocol, OwnerSpawnsDrainNewestFirst) {
   // A task spawned by a pool worker goes to the owner (LIFO, cache-warm)
   // end of its own deque: the spawner's most recent child runs first.
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{1, true});
+  runtime::ThreadPool pool(1);
   std::vector<std::string> order;
   std::future<void> s1, s2;
   pool.submit([&]() {
@@ -93,13 +92,13 @@ TEST(SchedulerProtocol, OwnerSpawnsDrainNewestFirst) {
 }
 
 // ---------------------------------------------------------------------------
-// Stealing vs. the static baseline.
+// Stealing and the scheduler counters.
 // ---------------------------------------------------------------------------
 
 TEST(SchedulerStealing, IdleWorkerStealsFromBlockedVictim) {
   // Worker 0 is parked on a gate; its queued tasks must migrate to worker
   // 1, so they complete while the victim is still blocked.
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, true});
+  runtime::ThreadPool pool(2);
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   // Round-robin placement: first external lands on worker 0.
@@ -118,52 +117,25 @@ TEST(SchedulerStealing, IdleWorkerStealsFromBlockedVictim) {
   blocker.get();
 }
 
-TEST(SchedulerStealing, StaticModeNeverSteals) {
-  const runtime::SchedulerCounters before = runtime::scheduler_totals();
-  {
-    runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, false});
-    EXPECT_FALSE(pool.stealing());
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    auto blocker = pool.submit([open]() { open.wait(); });
-    std::vector<std::future<int>> work;
-    for (int i = 0; i < 8; ++i) {
-      work.push_back(pool.submit([i]() { return i; }));
-    }
-    // Worker 1's share completes; worker 0's waits for the gate — pinned.
-    gate.set_value();
-    blocker.get();
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(work[static_cast<std::size_t>(i)].get(), i);
-    }
-  }
-  // A task's future is ready before its worker counts it executed, so the
-  // counts are read only once the pool is destroyed and folded them into
-  // the process totals.
-  const runtime::SchedulerCounters after = runtime::scheduler_totals();
-  EXPECT_EQ(after.steals - before.steals, 0u);
-  EXPECT_EQ(after.steal_fails - before.steal_fails, 0u);
-  EXPECT_EQ(after.submitted - before.submitted, 9u);
-  EXPECT_EQ(after.executed - before.executed, 9u);
-}
-
 TEST(SchedulerStealing, CountersAccumulateIntoProcessTotals) {
   const runtime::SchedulerCounters before = runtime::scheduler_totals();
   {
-    runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, true});
+    runtime::ThreadPool pool(2);
     std::vector<std::future<int>> work;
     for (int i = 0; i < 16; ++i) {
       work.push_back(pool.submit([i]() { return i * i; }));
     }
     for (auto& future : work) (void)future.get();
   }  // destruction folds this pool's counters into the totals
+  // A task's future is ready before its worker counts it executed, so the
+  // counts are exact only once the pool is destroyed.
   const runtime::SchedulerCounters after = runtime::scheduler_totals();
-  EXPECT_GE(after.submitted - before.submitted, 16u);
-  EXPECT_GE(after.executed - before.executed, 16u);
+  EXPECT_EQ(after.submitted - before.submitted, 16u);
+  EXPECT_EQ(after.executed - before.executed, 16u);
 }
 
 TEST(SchedulerStealing, OccupancyGaugeTracksRunningTasks) {
-  runtime::ThreadPool pool(runtime::ThreadPoolOptions{2, true});
+  runtime::ThreadPool pool(2);
   EXPECT_EQ(pool.occupancy(), 0u);
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
@@ -186,15 +158,15 @@ TEST(SchedulerStealing, OccupancyGaugeTracksRunningTasks) {
 
 // ---------------------------------------------------------------------------
 // Determinism under skew: one 10-100x heavier instance amid cheap ones,
-// bit-identical across thread counts x stealing modes x backends.
+// bit-identical across thread counts x backends.
 // ---------------------------------------------------------------------------
 
 std::vector<Instance> skewed_batch(std::uint64_t seed, std::size_t heavy_n,
                                    std::size_t light_n, std::size_t count) {
   std::vector<Instance> batch;
   Rng rng(seed);
-  // The heavy instance leads, so static round-robin pins it plus a light
-  // tail on worker 0 — the worst case stealing must not change results on.
+  // The heavy instance leads, so round-robin placement puts it plus a
+  // light tail on worker 0 — the skew stealing exists to absorb.
   batch.push_back(gen::random_uniform(heavy_n, 120, 60, 24, rng));
   for (std::size_t b = 1; b < count; ++b) {
     Rng shard = rng.spawn(b);
@@ -205,32 +177,85 @@ std::vector<Instance> skewed_batch(std::uint64_t seed, std::size_t heavy_n,
 
 TEST(SchedulerDeterminism, SkewedBatchesBitIdenticalAcrossSchedules) {
   for (const std::uint64_t seed : {11u, 12u}) {
-    // heavy_n/light_n = 40: well inside the issue's 10-100x cost band.
+    // heavy_n/light_n = 40: well inside the 10-100x cost band.
     const std::vector<Instance> batch = skewed_batch(seed, 160, 4, 10);
     for (const ProfileBackendKind backend :
          {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      // Reference: 1 worker, no stealing — equivalent to the sequential
-      // loop by the parallel_map input-order reduction.
-      std::vector<runtime::BatchResult> reference;
-      {
-        runtime::ThreadPool pool(runtime::ThreadPoolOptions{1, false});
-        reference = runtime::solve_many(pool, batch, backend);
+      service::ServeParams params;
+      params.backend = backend;
+      params.bypass_cache = true;
+      // Reference: each request served alone on the calling thread.
+      service::CachingSolver sequential_solver(params);
+      std::vector<service::SolveResponse> reference;
+      for (const Instance& instance : batch) {
+        reference.push_back(sequential_solver.solve(instance));
       }
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                         std::size_t{8}}) {
-        for (const bool stealing : {false, true}) {
-          runtime::ThreadPool pool(
-              runtime::ThreadPoolOptions{threads, stealing});
-          EXPECT_EQ(runtime::solve_many(pool, batch, backend), reference)
-              << "seed " << seed << " threads " << threads << " stealing "
-              << stealing << " backend " << static_cast<int>(backend);
-        }
+        params.threads = threads;
+        service::CachingSolver solver(params);
+        EXPECT_EQ(solver.solve_many(batch), reference)
+            << "seed " << seed << " threads " << threads << " backend "
+            << static_cast<int>(backend);
       }
     }
   }
 }
 
-TEST(SchedulerDeterminism, ParallelMapIdenticalWithAndWithoutStealing) {
+/// bench_parallel_scaling's hash step, folded over the peak and every
+/// start of each answer in request order.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+std::uint64_t fold_answer(std::uint64_t checksum, Height peak,
+                          const Packing& packing) {
+  checksum = mix(checksum, static_cast<std::uint64_t>(peak));
+  for (const Length start : packing.start) {
+    checksum = mix(checksum, static_cast<std::uint64_t>(start));
+  }
+  return checksum;
+}
+
+TEST(SchedulerDeterminism, SolveSkewChecksumIsPinned) {
+  // The solve_skew batch of bench_parallel_scaling: one n=192 instance
+  // amid 63 n=48 ones, each light instance drawn from its own spawned
+  // stream.  Two pins: the sequential portfolio over the raw instances,
+  // and the served answers (the portfolio over each canonical form,
+  // mapped back), which the batch path must reproduce at every thread
+  // count.
+  constexpr std::uint64_t kPortfolioPin = 15969027589129456493ull;
+  constexpr std::uint64_t kServedPin = 674198318919656810ull;
+  Rng rng(20240613 + 9);
+  std::vector<Instance> batch;
+  batch.push_back(gen::random_uniform(192, 120, 60, 24, rng));
+  for (std::size_t b = 1; b < 64; ++b) {
+    Rng shard = rng.spawn(b);
+    batch.push_back(gen::random_uniform(48, 120, 60, 24, shard));
+  }
+  std::uint64_t portfolio = 0;
+  for (const Instance& instance : batch) {
+    const Packing packing = algo::best_of_portfolio(instance);
+    portfolio =
+        fold_answer(portfolio, peak_height(instance, packing), packing);
+  }
+  EXPECT_EQ(portfolio, kPortfolioPin);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    service::ServeParams params;
+    params.threads = threads;
+    params.bypass_cache = true;
+    service::CachingSolver solver(params);
+    std::uint64_t served = 0;
+    for (const service::SolveResponse& response : solver.solve_many(batch)) {
+      served = fold_answer(served, response.peak, response.packing);
+    }
+    EXPECT_EQ(served, kServedPin) << "threads " << threads;
+  }
+}
+
+TEST(SchedulerDeterminism, ParallelMapIdenticalAcrossThreadCounts) {
   std::vector<int> items(64);
   for (std::size_t i = 0; i < items.size(); ++i) {
     items[i] = static_cast<int>(i);
@@ -244,15 +269,13 @@ TEST(SchedulerDeterminism, ParallelMapIdenticalWithAndWithoutStealing) {
   };
   std::vector<std::uint64_t> reference;
   {
-    runtime::ThreadPool pool(runtime::ThreadPoolOptions{1, false});
+    runtime::ThreadPool pool(1);
     reference = runtime::parallel_map(pool, items, heavy_square);
   }
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    for (const bool stealing : {false, true}) {
-      runtime::ThreadPool pool(runtime::ThreadPoolOptions{threads, stealing});
-      EXPECT_EQ(runtime::parallel_map(pool, items, heavy_square), reference)
-          << "threads " << threads << " stealing " << stealing;
-    }
+    runtime::ThreadPool pool(threads);
+    EXPECT_EQ(runtime::parallel_map(pool, items, heavy_square), reference)
+        << "threads " << threads;
   }
 }
 
@@ -296,7 +319,7 @@ TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving layer: counters and the batch-pool stealing knob.
+// Serving layer: counters.
 // ---------------------------------------------------------------------------
 
 TEST(ServingScheduler, CachingSolverExposesCounters) {
@@ -322,21 +345,28 @@ TEST(ServingScheduler, CachingSolverExposesCounters) {
   EXPECT_EQ(snap.sample_value("scheduler.submitted"), batched.submitted);
 }
 
-TEST(ServingScheduler, StealingKnobKeepsBatchAnswersIdentical) {
-  std::vector<Instance> batch = skewed_batch(914, 96, 16, 6);
-  service::ServeParams on;
-  on.threads = 4;
-  service::ServeParams off = on;
-  off.stealing = false;
-  service::CachingSolver steal_solver(on, service::CacheOptions{1 << 20, 1});
-  service::CachingSolver static_solver(off, service::CacheOptions{1 << 20, 1});
-  const std::vector<service::SolveResponse> a = steal_solver.solve_many(batch);
-  const std::vector<service::SolveResponse> b = static_solver.solve_many(batch);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].peak, b[i].peak) << i;
-    EXPECT_EQ(a[i].packing.start, b[i].packing.start) << i;
-    EXPECT_EQ(a[i].winner, b[i].winner) << i;
+TEST(ServingScheduler, SolveManySubmitsOneTaskPerRequest) {
+  // The batch pool is joined before solve_many returns: every request was
+  // one task, all of them ran, and no worker is left running.  More
+  // threads than requests changes nothing in the counts.
+  Rng rng(917);
+  std::vector<Instance> batch;
+  for (int i = 0; i < 3; ++i) {
+    batch.push_back(gen::random_uniform(12, 48, 16, 8, rng));
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    service::ServeParams params;
+    params.threads = threads;
+    params.bypass_cache = true;
+    service::CachingSolver solver(params);
+    const runtime::SchedulerCounters before = runtime::scheduler_totals();
+    EXPECT_EQ(solver.solve_many(batch).size(), batch.size());
+    const runtime::SchedulerCounters after = runtime::scheduler_totals();
+    EXPECT_EQ(after.submitted - before.submitted, batch.size())
+        << "threads " << threads;
+    EXPECT_EQ(after.executed - before.executed, batch.size())
+        << "threads " << threads;
+    EXPECT_EQ(runtime::process_active_workers(), 0u) << "threads " << threads;
   }
 }
 

@@ -9,14 +9,12 @@
 #include <atomic>
 #include <future>
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <thread>
 #include <vector>
 
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
-#include "runtime/channel.hpp"
 #include "service/cache.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -381,8 +379,7 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
 }
 
 TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
-  // Thread counts, backend and batch-pool stealing are proven
-  // result-invariant; changing them must keep the fingerprint (so a warm
+  // Thread counts and backend are proven result-invariant; changing them must keep the fingerprint (so a warm
   // cache keeps serving).
   ServeParams base;
   base.engine = ServeEngine::kSolve54;
@@ -395,9 +392,6 @@ TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
   EXPECT_EQ(params_fingerprint(v), reference);
   v = base;
   v.bypass_cache = true;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.stealing = false;
   EXPECT_EQ(params_fingerprint(v), reference);
 }
 
@@ -558,40 +552,25 @@ TEST(CachingSolverTest, Solve54EngineServesAndDedupes) {
   EXPECT_EQ(solver.stats().misses, 2u);
 }
 
-TEST(CachingSolverTest, SolveManyStreamDeliversEveryEventAndCloses) {
-  ServeParams params;
-  params.threads = 4;
-  CachingSolver solver(params);
-  const std::vector<Instance> batch = smart_grid_batch(3, 2);
-  runtime::Channel<ServeEvent> sink;
-  auto streamed = std::async(std::launch::async, [&]() {
-    return solver.solve_many_stream(batch, sink);
-  });
-  std::vector<bool> seen(batch.size(), false);
-  std::size_t events = 0;
-  while (const std::optional<ServeEvent> event = sink.pop()) {
-    ++events;
-    ASSERT_LT(event->index, batch.size());
-    EXPECT_FALSE(seen[event->index]) << "duplicate event";
-    seen[event->index] = true;
-  }
-  EXPECT_EQ(events, batch.size());
-  const std::vector<SolveResponse> responses = streamed.get();
-  ASSERT_EQ(responses.size(), batch.size());
-  // The stream is a projection of the returned vector; order aside, every
-  // response validates against its own request.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_NO_THROW(validate_packing(batch[i], responses[i].packing));
-  }
-  EXPECT_TRUE(sink.closed());
-}
-
-TEST(CachingSolverTest, EmptyBatchReturnsEmptyAndClosesTheSink) {
+TEST(CachingSolverTest, EmptyBatchReturnsEmpty) {
   CachingSolver solver;
   EXPECT_TRUE(solver.solve_many({}).empty());
-  runtime::Channel<ServeEvent> sink;
-  EXPECT_TRUE(solver.solve_many_stream({}, sink).empty());
-  EXPECT_TRUE(sink.closed());
+}
+
+TEST(CachingSolverTest, ThrowingRequestRethrowsFromSolveMany) {
+  // Index 1 is an empty instance, which every engine refuses; the batch
+  // still awaits the good requests, then rethrows.
+  Rng rng(5);
+  std::vector<Instance> batch;
+  batch.push_back(gen::random_uniform(8, 16, 8, 4, rng));
+  batch.push_back(Instance(16, {}));
+  batch.push_back(gen::random_uniform(8, 16, 8, 4, rng));
+  ServeParams params;
+  params.threads = 2;
+  CachingSolver solver(params);
+  EXPECT_THROW((void)solver.solve_many(batch), InvalidInput);
+  EXPECT_EQ(solver.stats().misses, 3u);
+  EXPECT_EQ(solver.stats().entries, 2u) << "a failed solve is never cached";
 }
 
 TEST(CachingSolverTest, EightThreadHammerComputesEachDistinctKeyOnce) {
