@@ -1,9 +1,9 @@
 // Hot-path kernel trajectory (experiment E15): times the rebuilt dense
-// scans — SIMD occupancy kernels, sliding-window maxima, segment-tree
-// descent, knapsack-pricing DP — on pinned-seed inputs, once per compiled
-// backend (scalar pinned / AVX2 when available), and emits one JSON row per
-// (kernel, W, backend) with an iteration-independent checksum of the kernel
-// outputs.
+// scans — SIMD occupancy kernels, sliding-window maxima — plus the sparse
+// run-length profile's searches and the knapsack-pricing DP on pinned-seed
+// inputs, once per compiled backend (scalar pinned / AVX2 when available),
+// and emits one JSON row per (kernel, W, backend) with an
+// iteration-independent checksum of the kernel outputs.
 //
 // The checksum is a pure function of the pinned inputs, so it is identical
 // across machines, build types, repeat counts and backends — any scalar/SIMD
@@ -33,7 +33,7 @@
 #include "approx/pricing.hpp"
 #include "bench_common.hpp"
 #include "core/occupancy.hpp"
-#include "core/segment_tree.hpp"
+#include "core/profile.hpp"
 #include "core/simd.hpp"
 #include "core/window_maxima.hpp"
 
@@ -149,16 +149,17 @@ std::vector<Row> run_suite(bool smoke) {
       }
     }));
 
-    // Segment-tree placement descent (the sparse backend's hot path).
-    rows.push_back(time_kernel("segment_tree_descent", w, 64, repeats,
+    // Sparse-profile placement searches (the sparse backend's hot path).
+    rows.push_back(time_kernel("sparse_profile_search", w, 64, repeats,
                                [&](std::uint64_t& fold) {
-      SegmentTree tree(w);
+      const auto profile = make_profile_backend(ProfileBackendKind::kSparse, w);
       for (std::size_t q = 0; q < 64; ++q) {
         const auto at = static_cast<Length>((q * 131) % (w / 2));
-        tree.range_add(at, at + w / 8, static_cast<Height>(1 + q % 7));
-        const auto fit = tree.first_fit(w / 16, 5, 200 + static_cast<Height>(q));
+        profile->add(at, w / 8, static_cast<Height>(1 + q % 7));
+        const auto fit =
+            profile->first_fit(w / 16, 5, 200 + static_cast<Height>(q));
         fold = mix(fold, fit ? static_cast<std::uint64_t>(*fit) + 1 : 0);
-        const BestPosition best = tree.min_peak_position(w / 16);
+        const BestPosition best = profile->min_peak_position(w / 16);
         fold = mix(fold, static_cast<std::uint64_t>(best.start));
         fold = mix(fold, static_cast<std::uint64_t>(best.window_max));
       }

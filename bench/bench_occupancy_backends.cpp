@@ -1,10 +1,11 @@
 // Occupancy-backend micro-benchmark: the dense StripOccupancy sweeps vs. the
-// sparse SegmentTree searches behind the ProfileBackend interface, across
+// sparse run-length profile behind the ProfileBackend interface, across
 // strip widths.  The placement-heavy baselines (greedy smoothing and the
 // Ranjan-style first-fit search) run the same item set on both backends; the
-// dense passes are Θ(W) per placement while the tree stays polylogarithmic,
-// so the crossover appears once the strip outgrows the item count — the
-// sparse/wide regime that resolve_backend(kAuto) routes to the tree.
+// dense passes are Θ(W) per placement while the run-length profile is
+// O(runs) = O(n) whatever W is, so the crossover appears once the strip
+// outgrows the item count — the sparse/wide regime that
+// resolve_backend(kAuto) routes to the run-length profile.
 //
 // Emits the human table plus one JSON row per measurement (bench_common.hpp
 // JsonRow format) for downstream scraping.
@@ -47,7 +48,8 @@ Instance sparse_instance(std::size_t n, Length strip_width, Rng& rng) {
 }  // namespace
 
 int main() {
-  std::cout << "occupancy backends: dense O(W) sweeps vs sparse segment tree\n\n";
+  std::cout << "occupancy backends: dense O(W) sweeps vs sparse O(runs) "
+               "run-length profile\n\n";
   const std::vector<Workload> workloads = {
       {"greedy-h", run_greedy},
       {"first-fit", run_first_fit},
@@ -92,7 +94,7 @@ int main() {
   }
   std::cout << "\n";
   table.print(std::cout);
-  std::cout << "\nsparse wins once W outgrows the item set; "
-               "resolve_backend(kAuto) switches on the same boundary.\n";
+  std::cout << "\nsparse costs O(runs) per placement and O(n) memory, dense "
+               "O(W); resolve_backend(kAuto) picks sparse iff W > 16 n.\n";
   return 0;
 }

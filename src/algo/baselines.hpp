@@ -23,7 +23,7 @@ enum class ItemOrder {
 /// (leftmost) position minimizing the resulting local peak.  This is the
 /// representative of the smoothing heuristics of Tang et al. [29].
 /// All profile-driven baselines take the backend to run on (dense O(W)
-/// sweeps or the sparse segment tree); both produce identical packings.
+/// sweeps or the sparse run-length profile); both produce identical packings.
 [[nodiscard]] Packing greedy_lowest_peak(
     const Instance& instance, ItemOrder order = ItemOrder::kDecreasingHeight,
     ProfileBackendKind backend = ProfileBackendKind::kDense);

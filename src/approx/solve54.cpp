@@ -52,7 +52,7 @@ std::vector<GapBox> gap_boxes_of_profile(const ProfileBackend& occupancy,
   std::vector<GapBox> boxes;
   const Length w = occupancy.strip_width();
   // Maximal runs of equal load, enumerated through the backend so the
-  // sparse profile pays O(runs * log W) rather than O(W) probes.
+  // sparse profile pays O(runs * log runs) rather than O(W) probes.
   Length run_start = 0;
   while (run_start < w) {
     const Length run_end = occupancy.next_change(run_start);

@@ -11,7 +11,7 @@
 namespace dsp {
 
 /// Cache-line / vector-register alignment used by the flat hot-path buffers
-/// (StripOccupancy's load array, the segment tree's node array, the arena's
+/// (StripOccupancy's load array, the window-maxima scratch, the arena's
 /// chunks).  64 covers one cache line and any AVX2 access.
 inline constexpr std::size_t kHotPathAlignment = 64;
 
@@ -40,7 +40,7 @@ struct AlignedAllocator {
   /// aligned operator new (memalign) requests size + alignment + a header
   /// and trims the block back to `size`, so a freed block cannot serve the
   /// next aligned request of the same size unless a neighbour is free too:
-  /// solves that build megabyte segment trees between long-lived small
+  /// solves that build megabyte profiles between long-lived small
   /// allocations grew the heap by gigabytes.  A plain block is reused.
   [[nodiscard]] T* allocate(std::size_t n) {
     if (n > (std::numeric_limits<std::size_t>::max() - Alignment) / sizeof(T)) {

@@ -27,7 +27,7 @@ struct Item {
 };
 
 /// Result of a peak-minimizing placement search over a demand profile
-/// (StripOccupancy, SegmentTree, or the ProfileBackend interface): the
+/// (StripOccupancy or the ProfileBackend interface): the
 /// leftmost start minimizing the load under an item of a given width,
 /// together with that load.
 struct BestPosition {

@@ -13,11 +13,11 @@ namespace dsp {
 ///
 /// The paper's pseudo-polynomial setting (days divided into minutes, §1)
 /// makes the dense O(W) passes of StripOccupancy the intended regime; the
-/// sparse SegmentTree backend wins on wide strips that few items cover
-/// (n polylog W vs. n·W), the workload of bench_occupancy_backends.
+/// sparse run-length backend wins on wide strips that few items cover
+/// (O(n) runs vs. W columns), the workload of bench_occupancy_backends.
 enum class ProfileBackendKind {
   kDense,   ///< StripOccupancy: O(W) sweeps per operation.
-  kSparse,  ///< SegmentTree: polylogarithmic range ops and searches.
+  kSparse,  ///< Run-length profile: O(runs) ops and searches, O(runs) memory.
   kAuto,    ///< Per instance: sparse iff the strip is wide relative to n.
 };
 

@@ -11,7 +11,7 @@ namespace dsp::sp {
 /// integrality-gap experiments (E1) and a second SP-as-DSP baseline.
 ///
 /// The skyline is stored in a demand-profile backend: dense columns by
-/// default, or the segment tree for wide sparse strips.  Both produce the
+/// default, or constant runs for wide sparse strips.  Both produce the
 /// identical packing.
 [[nodiscard]] SpPacking bottom_left(const Instance& instance);
 [[nodiscard]] SpPacking bottom_left(const Instance& instance,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -8,6 +11,7 @@
 #include "core/profile.hpp"
 #include "gen/families.hpp"
 #include "sp/bottom_left.hpp"
+#include "util/check.hpp"
 #include "util/prng.hpp"
 
 namespace dsp {
@@ -48,7 +52,85 @@ TEST(ProfileBackend, AutoResolvesByShape) {
             ProfileBackendKind::kDense);
   EXPECT_EQ(resolve_backend(ProfileBackendKind::kSparse, 8, 10),
             ProfileBackendKind::kSparse);
+  // An unknown item count resolves dense, however wide the strip.
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100000, 0),
+            ProfileBackendKind::kDense);
+  EXPECT_EQ(make_profile_backend(ProfileBackendKind::kAuto, 100000)->name(),
+            "dense");
 }
+
+// --- unit cases, run on both kinds ----------------------------------------
+
+class ProfileBackendOps : public ::testing::TestWithParam<ProfileBackendKind> {
+ protected:
+  [[nodiscard]] std::unique_ptr<ProfileBackend> make(Length w) const {
+    return make_profile_backend(GetParam(), w);
+  }
+};
+
+TEST_P(ProfileBackendOps, EmptyStripHasZeroPeak) {
+  const auto p = make(10);
+  EXPECT_EQ(p->peak(), 0);
+  EXPECT_EQ(p->window_max(0, 10), 0);
+  EXPECT_EQ(p->next_change(0), 10);
+}
+
+TEST_P(ProfileBackendOps, SingleAdd) {
+  const auto p = make(10);
+  p->add(2, 5, 5);
+  EXPECT_EQ(p->peak(), 5);
+  EXPECT_EQ(p->window_max(0, 2), 0);
+  EXPECT_EQ(p->window_max(2, 5), 5);
+  EXPECT_EQ(p->window_max(6, 4), 5);
+  EXPECT_EQ(p->window_max(7, 3), 0);
+  EXPECT_EQ(p->next_change(0), 2);
+  EXPECT_EQ(p->next_change(3), 7);
+}
+
+TEST_P(ProfileBackendOps, StackedAdds) {
+  const auto p = make(8);
+  p->add(0, 8, 1);
+  p->add(2, 4, 2);
+  p->add(4, 1, 3);
+  EXPECT_EQ(p->window_max(0, 2), 1);
+  EXPECT_EQ(p->window_max(2, 2), 3);
+  EXPECT_EQ(p->window_max(4, 1), 6);
+  EXPECT_EQ(p->peak(), 6);
+}
+
+TEST_P(ProfileBackendOps, RemovalRestoresState) {
+  const auto p = make(8);
+  p->add(1, 4, 4);
+  p->remove(1, 4, 4);
+  EXPECT_EQ(p->peak(), 0);
+  EXPECT_EQ(p->next_change(0), 8);
+}
+
+TEST_P(ProfileBackendOps, RejectsBadRanges) {
+  const auto p = make(8);
+  EXPECT_THROW(p->add(-1, 4, 1), InvalidInput);
+  EXPECT_THROW(p->add(3, 0, 1), InvalidInput);
+  EXPECT_THROW(p->raise_to(6, 3, 1), InvalidInput);
+  EXPECT_THROW(static_cast<void>(p->window_max(0, 9)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(p->first_fit(9, 1, 5)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(make(0)), InvalidInput);
+}
+
+TEST_P(ProfileBackendOps, NonPowerOfTwoWidths) {
+  for (const Length w : {1, 3, 7, 13, 100}) {
+    const auto p = make(w);
+    p->add(0, w, 2);
+    EXPECT_EQ(p->peak(), 2) << "w=" << w;
+    EXPECT_EQ(p->min_peak_position(w).window_max, 2) << "w=" << w;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ProfileBackendOps,
+                         ::testing::Values(ProfileBackendKind::kDense,
+                                           ProfileBackendKind::kSparse),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 TEST(SparseProfileBackend, FirstFitMatchesContract) {
   const auto p = make_profile_backend(ProfileBackendKind::kSparse, 10);
@@ -93,10 +175,14 @@ class BackendEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 6007 + 17);
-  // Alternate between narrow strips (dense regime) and wide ones that
-  // exercise deep tree descents.
-  const Length w = GetParam() % 2 == 0 ? rng.uniform(2, 60)
-                                       : rng.uniform(500, 4000);
+  // Params below 24 alternate between narrow strips (dense regime) and
+  // medium ones; the rest are wide strips, W in [2^16, 2^20], with few
+  // items and a mix of narrow and strip-wide windows.
+  const bool wide = GetParam() >= 24;
+  const Length w = wide                    ? rng.uniform(1 << 16, 1 << 20)
+                   : GetParam() % 2 == 0 ? rng.uniform(2, 60)
+                                         : rng.uniform(500, 4000);
+  const int ops = wide ? 48 : 160;
   const auto dense = make_profile_backend(ProfileBackendKind::kDense, w);
   const auto sparse = make_profile_backend(ProfileBackendKind::kSparse, w);
   struct Placed {
@@ -105,10 +191,12 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
     Height height;
   };
   std::vector<Placed> placed;
-  for (int op = 0; op < 160; ++op) {
-    const Length width = rng.uniform(1, w);
+  for (int op = 0; op < ops; ++op) {
+    const Length width = wide && rng.chance(0.5)
+                             ? rng.uniform(1, std::min<Length>(w, 512))
+                             : rng.uniform(1, w);
     const Length start = rng.uniform(0, w - width);
-    switch (rng.uniform(0, 5)) {
+    switch (rng.uniform(0, 6)) {
       case 0:
       case 1: {  // add
         const Height h = rng.uniform(1, 12);
@@ -149,18 +237,26 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
         EXPECT_EQ(a.window_max, b.window_max);
         break;
       }
+      case 6: {  // reset to the empty profile
+        dense->reset();
+        sparse->reset();
+        placed.clear();
+        break;
+      }
     }
     EXPECT_EQ(dense->window_max(start, width),
               sparse->window_max(start, width));
     EXPECT_EQ(dense->next_change(start), sparse->next_change(start));
   }
   EXPECT_EQ(dense->peak(), sparse->peak());
-  for (Length x = 0; x < std::min<Length>(w, 64); ++x) {
-    EXPECT_EQ(dense->load_at(x), sparse->load_at(x)) << "x=" << x;
+  // The whole profile, run by run.
+  for (Length x = 0; x < w; x = dense->next_change(x)) {
+    ASSERT_EQ(dense->load_at(x), sparse->load_at(x)) << "x=" << x;
+    ASSERT_EQ(dense->next_change(x), sparse->next_change(x)) << "x=" << x;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, BackendEquivalence, ::testing::Range(0, 24));
+INSTANTIATE_TEST_SUITE_P(Random, BackendEquivalence, ::testing::Range(0, 40));
 
 // --- algorithm-level equivalence: same packings on either backend ---------
 
