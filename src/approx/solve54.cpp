@@ -16,6 +16,10 @@ namespace dsp::approx {
 
 namespace {
 
+/// Cap on the number of gap boxes handed to the Lemma-10 LP (rows stay
+/// small; DESIGN.md substitution 4).
+constexpr std::size_t kMaxGapBoxes = 48;
+
 struct AttemptOutcome {
   Packing packing;
   Height peak = 0;
@@ -102,8 +106,7 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
                        const Approx54Params& params, ProfileBackend& occupancy,
                        VerticalFillScratch& fill_scratch) {
   AttemptOutcome outcome;
-  outcome.cls =
-      select_parameters(instance, h_guess, params.epsilon, params.ladder_length);
+  outcome.cls = select_parameters(instance, h_guess, params.epsilon);
   const Classification& cls = outcome.cls;
   const RoundedHeights rounding = round_heights(instance, cls);
   const Height budget =
@@ -146,11 +149,8 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
       min_vertical = std::min(min_vertical, instance.item(i).height);
     }
     const std::vector<GapBox> gaps = gap_boxes_of_profile(
-        occupancy, budget, min_vertical, params.max_gap_boxes);
+        occupancy, budget, min_vertical, kMaxGapBoxes);
     VerticalFillParams fill_params;
-    fill_params.engine = params.lp_engine;
-    fill_params.max_configs = params.max_configs;
-    fill_params.max_pricing_rounds = params.max_pricing_rounds;
     fill_params.scratch = &fill_scratch;
     const VerticalFillResult fill =
         fill_vertical_items(instance, vertical, rounding, gaps, fill_params);
@@ -216,7 +216,6 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
               "epsilon must be in (0, 1/2]");
   Approx54Result result;
   Approx54Report& report = result.report;
-  report.lp_engine = params.lp_engine;
 
   // Step 1: bounds.  The witness doubles as the fallback packing.
   report.lower_bound = combined_lower_bound(instance);

@@ -3,31 +3,18 @@
 #include <string>
 
 #include "approx/classify.hpp"
-#include "approx/config_lp.hpp"
 #include "core/packing.hpp"
 #include "core/profile.hpp"
 
 namespace dsp::approx {
 
-/// Parameters of the (5/4+eps) algorithm (Theorem 5).
+/// Parameters of the (5/4+eps) algorithm (Theorem 5).  The stand-ins for
+/// the paper's astronomically large constants (Lemma-2 ladder length, LP
+/// valves, gap-box cap) are fixed in solve54.cpp; DESIGN.md substitutions
+/// 3-4 name them.
 struct Approx54Params {
   /// The accuracy parameter; budget per guess is (5/4 + eps) * H'.
   Fraction epsilon = Fraction(1, 4);
-  /// Lemma-2 ladder length (see classify.hpp).
-  int ladder_length = 6;
-  /// Engine behind the Lemma-10 configuration LP.  Column generation is
-  /// exact (no enumeration cliff) and is the default; dense enumeration is
-  /// the reference oracle.
-  ConfigLpEngine lp_engine = ConfigLpEngine::kColumnGeneration;
-  /// Dense: enumeration cap.  Column generation: master-column safety valve
-  /// (hitting it sets the `lp_capped` diagnostic instead of silently
-  /// dropping configurations).
-  std::size_t max_configs = 4096;
-  /// Column generation: safety valve on generate -> re-solve rounds (the
-  /// paired valve to max_configs; also sets `lp_capped` when hit).
-  std::size_t max_pricing_rounds = 64;
-  /// Cap on the number of gap boxes handed to the LP (rows stay small).
-  std::size_t max_gap_boxes = 48;
   /// Demand-profile implementation every placement step (and the witness
   /// portfolio) runs on; kAuto picks sparse on wide, lightly covered strips.
   ProfileBackendKind backend = ProfileBackendKind::kAuto;
@@ -45,11 +32,9 @@ struct Approx54Report {
   std::size_t count_per_category[7] = {0, 0, 0, 0, 0, 0, 0};
   std::int64_t medium_area = 0;  ///< area of M u Mv at the best guess
   bool lp_used = false;          ///< Lemma-10 LP solved at the best guess
-  /// Engine the Lemma-10 stage ran with (echoes Approx54Params::lp_engine).
-  ConfigLpEngine lp_engine = ConfigLpEngine::kColumnGeneration;
   std::size_t lp_configurations = 0;  ///< columns generated at the best guess
-  std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds (0 for dense)
-  bool lp_capped = false;        ///< enumeration cap / safety valve was hit
+  std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds
+  bool lp_capped = false;        ///< an LP safety valve was hit
   std::size_t lp_overflow = 0;   ///< items through the extra-box path
   std::size_t attempts = 0;      ///< binary-search probes (all rounds)
   std::size_t rounds = 0;        ///< binary-search rounds (== attempts)

@@ -36,7 +36,6 @@ class BinaryWriter {
     }
   }
   void i64(std::int64_t value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void boolean(bool value) { u8(value ? 1 : 0); }
   void str(const std::string& value) {
     DSP_REQUIRE(value.size() <= std::numeric_limits<std::uint32_t>::max(),
                 "wire string too long: " << value.size() << " bytes");
@@ -96,11 +95,6 @@ class BinaryReader {
     return value;
   }
   std::int64_t i64() { return std::bit_cast<std::int64_t>(u64()); }
-  bool boolean() {
-    const std::uint8_t value = u8();
-    if (value > 1) fail("boolean byte must be 0 or 1", offset_ - 1);
-    return value == 1;
-  }
   std::string str() {
     const std::uint32_t length = u32();
     need(length, "string body");

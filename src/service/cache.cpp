@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "algo/portfolio.hpp"
+#include "approx/solve54.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/sync.hpp"
@@ -48,23 +49,14 @@ std::string_view to_string(ServeEngine engine) {
 std::uint64_t params_fingerprint(const ServeParams& params) {
   ContentHasher hasher;
   // Domain salt + fingerprint version: bump if the absorbed field set ever
-  // changes, so stale persisted keys (a future follow-up) cannot alias.
-  hasher.absorb(0x6473702d73727632ull);  // "dsp-srv2"
+  // changes, so keys in a persisted store (service/persist.hpp) written
+  // under the old set cannot alias.
+  hasher.absorb(0x6473702d73727633ull);  // "dsp-srv3"
+  // The engine is the only result-affecting parameter: solve54 always runs
+  // with its default epsilon.  Excluded on purpose — proved result-invariant
+  // by the backend and runtime determinism suites — are ServeParams::backend
+  // and ::threads (see DESIGN.md, "The parallel runtime").
   hasher.absorb(static_cast<std::uint64_t>(params.engine));
-  if (params.engine == ServeEngine::kSolve54) {
-    // Result-affecting solve54 knobs only.  Excluded on purpose — proved
-    // result-invariant by the backend and runtime determinism suites — are
-    // ServeParams::backend and ::threads (see DESIGN.md, "The parallel
-    // runtime").
-    const approx::Approx54Params& approx = params.approx;
-    hasher.absorb_signed(approx.epsilon.num());
-    hasher.absorb_signed(approx.epsilon.den());
-    hasher.absorb_signed(approx.ladder_length);
-    hasher.absorb(static_cast<std::uint64_t>(approx.lp_engine));
-    hasher.absorb(approx.max_configs);
-    hasher.absorb(approx.max_pricing_rounds);
-    hasher.absorb(approx.max_gap_boxes);
-  }
   return hasher.digest64();
 }
 
@@ -336,9 +328,8 @@ CachedSolve CachingSolver::compute_canonical(const Instance& canonical) {
         algo::best_of_portfolio(canonical, &solve.winner, params_.backend);
     solve.peak = peak_height(canonical, solve.packing);
   } else {
-    approx::Approx54Params approx = params_.approx;
-    approx.backend = params_.backend;  // ServeParams::backend is THE backend
-    approx::Approx54Result result = approx::solve54(canonical, approx);
+    approx::Approx54Result result =
+        approx::solve54(canonical, {.backend = params_.backend});
     solve.packing = std::move(result.packing);
     solve.peak = result.peak;
     solve.winner = "solve54";

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "approx/solve54.hpp"
 #include "core/instance.hpp"
 #include "core/packing.hpp"
 #include "core/profile.hpp"
@@ -65,10 +64,6 @@ struct ServeParams {
   ProfileBackendKind backend = ProfileBackendKind::kAuto;
   /// Execution knob: pool size for solve_many fan-out; 0 = hardware.
   std::size_t threads = 0;
-  /// Result-affecting solve54 parameters (engine == kSolve54 only):
-  /// epsilon, ladder, LP engine and caps are fingerprinted; the backend
-  /// inside is overridden by `backend` above.
-  approx::Approx54Params approx;
   /// Debug escape hatch: compute every request (no lookups, no inserts).
   /// Responses must stay bit-identical — the bypass only skips the cache.
   bool bypass_cache = false;

@@ -22,6 +22,11 @@ std::optional<long long> parse_integer(std::string_view text) {
   return value;
 }
 
+std::optional<std::size_t> cache_mb_to_bytes(std::size_t cache_mb) {
+  if (cache_mb == 0 || cache_mb > kMaxCacheMb) return std::nullopt;
+  return cache_mb << 20;
+}
+
 std::vector<std::string> expand_instance_paths(
     const std::vector<std::string>& paths) {
   std::vector<std::string> files;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,6 +24,14 @@ namespace dsp::service {
 /// trailing garbage is a parse failure — "--threads 4x" must be rejected,
 /// not silently served as 4.
 [[nodiscard]] std::optional<long long> parse_integer(std::string_view text);
+
+/// Largest `--cache-mb` value: its byte count (M << 20) must fit in size_t.
+inline constexpr std::size_t kMaxCacheMb =
+    std::numeric_limits<std::size_t>::max() >> 20;
+
+/// The solve-cache byte budget for `--cache-mb M`, or nullopt when M is 0 (a
+/// cache that can hold nothing) or above kMaxCacheMb (M << 20 would wrap).
+[[nodiscard]] std::optional<std::size_t> cache_mb_to_bytes(std::size_t cache_mb);
 
 /// Expands files and directories into the served file list.  Directories
 /// contribute their *.json / *.dspi entries in sorted order, so runs are

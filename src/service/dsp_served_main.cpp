@@ -155,9 +155,11 @@ void print_usage(std::ostream& os) {
         usage_error("unknown backend " + value);
       }
     } else if (arg == "--cache-mb") {
-      options.cache_mb = parse_count(arg, next_value(i, arg));
-      if (options.cache_mb == 0) {
-        usage_error("--cache-mb 0 would be a cache that can hold nothing");
+      const std::string value = next_value(i, arg);
+      options.cache_mb = parse_count(arg, value);
+      if (!service::cache_mb_to_bytes(options.cache_mb)) {
+        usage_error("bad value for --cache-mb: " + value + " (expected 1.." +
+                    std::to_string(service::kMaxCacheMb) + ")");
       }
     } else if (arg == "--max-concurrent") {
       options.daemon.max_concurrent = parse_count(arg, next_value(i, arg));
@@ -195,7 +197,8 @@ void print_usage(std::ostream& os) {
       options.paths.push_back(arg);
     }
   }
-  options.daemon.cache.capacity_bytes = options.cache_mb << 20;
+  options.daemon.cache.capacity_bytes =
+      *service::cache_mb_to_bytes(options.cache_mb);
   return options;
 }
 

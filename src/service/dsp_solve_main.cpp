@@ -123,11 +123,12 @@ void print_usage(std::ostream& os) {
     } else if (arg == "--threads") {
       options.serve.threads = parse_count(arg, next_value(i, arg));
     } else if (arg == "--cache-mb") {
-      options.cache_mb = parse_count(arg, next_value(i, arg));
-      if (options.cache_mb == 0) {
-        usage_error(
-            "--cache-mb 0 would be a cache that can hold nothing; use "
-            "--no-cache to bypass caching");
+      const std::string value = next_value(i, arg);
+      options.cache_mb = parse_count(arg, value);
+      if (!service::cache_mb_to_bytes(options.cache_mb)) {
+        usage_error("bad value for --cache-mb: " + value + " (expected 1.." +
+                    std::to_string(service::kMaxCacheMb) +
+                    "; use --no-cache to bypass caching)");
       }
     } else if (arg == "--repeat") {
       options.repeat =
@@ -215,7 +216,8 @@ int main(int argc, char** argv) {
     }
     service::CachingSolver solver(
         options.serve,
-        service::CacheOptions{options.cache_mb << 20, /*shards=*/8});
+        service::CacheOptions{*service::cache_mb_to_bytes(options.cache_mb),
+                              /*shards=*/8});
 
     // One solve_many per pass (not one flat repeat x files batch): the
     // per-pass phase-histogram deltas are what turns --repeat into a

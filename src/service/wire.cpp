@@ -21,26 +21,12 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'D', 'S', 'P', 'W'};
 
+/// Record tags 2 and 3 (the packing and Approx54Report records) are retired
+/// and never reused: a peer still sending one gets a tag error instead of a
+/// misread.
 enum class RecordTag : std::uint8_t {
   kInstance = 1,
-  kPacking = 2,
-  kReport = 3,
 };
-
-[[nodiscard]] std::string_view record_name(RecordTag tag) {
-  switch (tag) {
-    case RecordTag::kInstance: return "instance";
-    case RecordTag::kPacking: return "packing";
-    case RecordTag::kReport: return "approx54_report";
-  }
-  return "?";
-}
-
-[[nodiscard]] std::string_view engine_name(approx::ConfigLpEngine engine) {
-  return engine == approx::ConfigLpEngine::kDenseEnumeration
-             ? "dense_enumeration"
-             : "column_generation";
-}
 
 // ---------------------------------------------------------------------------
 // Binary encoding: the shared DSPW primitives (binary_codec.hpp) plus the
@@ -50,10 +36,10 @@ enum class RecordTag : std::uint8_t {
 
 class BinaryWriter : public detail::BinaryWriter {
  public:
-  void header(RecordTag tag) {
+  void header() {
     raw(std::string_view(kMagic.data(), kMagic.size()));
     u8(kWireVersion);
-    u8(static_cast<std::uint8_t>(tag));
+    u8(static_cast<std::uint8_t>(RecordTag::kInstance));
   }
 };
 
@@ -61,7 +47,7 @@ class BinaryReader : public detail::BinaryReader {
  public:
   using detail::BinaryReader::BinaryReader;
 
-  void header(RecordTag want) {
+  void header() {
     const std::string_view magic = raw(kMagic.size(), "magic");
     if (std::memcmp(magic.data(), kMagic.data(), kMagic.size()) != 0) {
       fail("bad magic (not a DSPW binary record)", 0);
@@ -74,9 +60,8 @@ class BinaryReader : public detail::BinaryReader {
            offset() - 1);
     }
     const std::uint8_t tag = u8();
-    if (tag != static_cast<std::uint8_t>(want)) {
-      fail("record tag " + std::to_string(tag) + " is not a " +
-               std::string(record_name(want)) + " record",
+    if (tag != static_cast<std::uint8_t>(RecordTag::kInstance)) {
+      fail("record tag " + std::to_string(tag) + " is not an instance record",
            offset() - 1);
     }
   }
@@ -86,7 +71,7 @@ class BinaryReader : public detail::BinaryReader {
 // JSON encoding.  The writer emits a compact object (instances put one item
 // per line so corpus diffs stay reviewable); the parser is a minimal
 // recursive-descent reader for exactly the grammar the writer uses —
-// objects, arrays, strings, 64-bit integers, true/false — tracking byte
+// objects, arrays, strings and 64-bit integers — tracking byte
 // offsets for error messages.
 // ---------------------------------------------------------------------------
 
@@ -229,19 +214,6 @@ class JsonParser {
     return static_cast<std::int64_t>(magnitude);
   }
 
-  [[nodiscard]] bool parse_bool() {
-    skip_ws();
-    if (text_.compare(offset_, 4, "true") == 0) {
-      offset_ += 4;
-      return true;
-    }
-    if (text_.compare(offset_, 5, "false") == 0) {
-      offset_ += 5;
-      return false;
-    }
-    fail("expected true or false");
-  }
-
   void done() {
     skip_ws();
     if (offset_ != text_.size()) fail("trailing content after the record");
@@ -292,15 +264,14 @@ class JsonParser {
   std::size_t offset_ = 0;
 };
 
-/// Reads the `"dsp"` / `"version"` envelope values every JSON record
-/// carries; call once per record with the values collected by the key loop.
-void check_json_envelope(const JsonParser& parser, RecordTag want,
+/// Checks the `"dsp"` / `"version"` envelope values every JSON record
+/// carries, as collected by the key loop.
+void check_json_envelope(const JsonParser& parser,
                          const std::string& record_type, bool saw_type,
                          std::int64_t version, bool saw_version) {
   if (!saw_type) parser.fail("missing \"dsp\" record-type key", 0);
-  if (record_type != record_name(want)) {
-    parser.fail("record type \"" + record_type + "\" is not a " +
-                    std::string(record_name(want)) + " record",
+  if (record_type != "instance") {
+    parser.fail("record type \"" + record_type + "\" is not an instance record",
                 0);
   }
   if (!saw_version) parser.fail("missing \"version\" key", 0);
@@ -377,7 +348,7 @@ void validate_wire_instance(const WireInstance& instance,
 
 void save_instance_binary(std::ostream& os, const WireInstance& instance) {
   BinaryWriter writer;
-  writer.header(RecordTag::kInstance);
+  writer.header();
   writer.str(instance.name);
   writer.i64(instance.strip_width);
   writer.u64(instance.items.size());
@@ -411,7 +382,7 @@ void save_instance_json(std::ostream& os, const WireInstance& instance) {
 [[nodiscard]] WireInstance load_instance_binary(std::string bytes,
                                                 const std::string& source) {
   BinaryReader reader(std::move(bytes), source);
-  reader.header(RecordTag::kInstance);
+  reader.header();
   WireInstance instance;
   instance.name = reader.str();
   instance.strip_width = reader.i64();
@@ -489,250 +460,11 @@ void save_instance_json(std::ostream& os, const WireInstance& instance) {
     }
   });
   parser.done();
-  check_json_envelope(parser, RecordTag::kInstance, record_type, saw_type,
-                      version, saw_version);
+  check_json_envelope(parser, record_type, saw_type, version, saw_version);
   if (!saw_width) parser.fail("missing \"strip_width\" key", 0);
   if (!saw_items) parser.fail("missing \"items\" key", 0);
   validate_wire_instance(instance, item_offsets, source);
   return instance;
-}
-
-// ---------------------------------------------------------------------------
-// Packing codec.
-// ---------------------------------------------------------------------------
-
-void save_packing_binary(std::ostream& os, const Packing& packing) {
-  BinaryWriter writer;
-  writer.header(RecordTag::kPacking);
-  writer.u64(packing.start.size());
-  for (const Length start : packing.start) writer.i64(start);
-  os << writer.bytes();
-}
-
-void save_packing_json(std::ostream& os, const Packing& packing) {
-  os << "{\"dsp\":\"packing\",\"version\":" << int{kWireVersion}
-     << ",\"start\":[";
-  for (std::size_t i = 0; i < packing.start.size(); ++i) {
-    if (i > 0) os << ',';
-    os << packing.start[i];
-  }
-  os << "]}\n";
-}
-
-[[nodiscard]] Packing load_packing_binary(std::string bytes,
-                                          const std::string& source) {
-  BinaryReader reader(std::move(bytes), source);
-  reader.header(RecordTag::kPacking);
-  const std::size_t count = reader.count(8);
-  Packing packing;
-  packing.start.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) packing.start.push_back(reader.i64());
-  reader.done();
-  return packing;
-}
-
-[[nodiscard]] Packing load_packing_json(std::string text,
-                                        const std::string& source) {
-  JsonParser parser(std::move(text), source);
-  Packing packing;
-  std::string record_type;
-  std::int64_t version = -1;
-  bool saw_type = false, saw_version = false, saw_start = false;
-  parser.parse_object([&](const std::string& key, std::size_t key_offset) {
-    if (key == "dsp") {
-      record_type = parser.parse_string();
-      saw_type = true;
-    } else if (key == "version") {
-      version = parser.parse_int();
-      saw_version = true;
-    } else if (key == "start") {
-      saw_start = true;
-      parser.parse_array([&](std::size_t, std::size_t) {
-        packing.start.push_back(parser.parse_int());
-      });
-    } else {
-      parser.fail("unknown packing key \"" + key + "\"", key_offset);
-    }
-  });
-  parser.done();
-  check_json_envelope(parser, RecordTag::kPacking, record_type, saw_type,
-                      version, saw_version);
-  if (!saw_start) parser.fail("missing \"start\" key", 0);
-  return packing;
-}
-
-// ---------------------------------------------------------------------------
-// Approx54Report codec.  Field order is the struct's declaration order; the
-// JSON reader accepts keys in any order but requires every key (the writer
-// always emits all of them).
-// ---------------------------------------------------------------------------
-
-void save_report_binary(std::ostream& os, const approx::Approx54Report& r) {
-  BinaryWriter writer;
-  writer.header(RecordTag::kReport);
-  writer.i64(r.lower_bound);
-  writer.i64(r.upper_bound);
-  writer.i64(r.best_guess);
-  writer.i64(r.pipeline_peak);
-  writer.i64(r.final_peak);
-  writer.i64(r.delta.num());
-  writer.i64(r.delta.den());
-  writer.i64(r.mu.num());
-  writer.i64(r.mu.den());
-  for (const std::size_t count : r.count_per_category) writer.u64(count);
-  writer.i64(r.medium_area);
-  writer.boolean(r.lp_used);
-  writer.u8(static_cast<std::uint8_t>(r.lp_engine));
-  writer.u64(r.lp_configurations);
-  writer.u64(r.lp_pricing_rounds);
-  writer.boolean(r.lp_capped);
-  writer.u64(r.lp_overflow);
-  writer.u64(r.attempts);
-  writer.u64(r.rounds);
-  os << writer.bytes();
-}
-
-void save_report_json(std::ostream& os, const approx::Approx54Report& r) {
-  os << "{\"dsp\":\"approx54_report\",\"version\":" << int{kWireVersion}
-     << ",\"lower_bound\":" << r.lower_bound
-     << ",\"upper_bound\":" << r.upper_bound
-     << ",\"best_guess\":" << r.best_guess
-     << ",\"pipeline_peak\":" << r.pipeline_peak
-     << ",\"final_peak\":" << r.final_peak << ",\"delta\":[" << r.delta.num()
-     << ',' << r.delta.den() << "],\"mu\":[" << r.mu.num() << ','
-     << r.mu.den() << "],\"count_per_category\":[";
-  for (std::size_t i = 0; i < 7; ++i) {
-    if (i > 0) os << ',';
-    os << r.count_per_category[i];
-  }
-  os << "],\"medium_area\":" << r.medium_area << ",\"lp_used\":"
-     << (r.lp_used ? "true" : "false") << ",\"lp_engine\":\""
-     << engine_name(r.lp_engine)
-     << "\",\"lp_configurations\":" << r.lp_configurations
-     << ",\"lp_pricing_rounds\":" << r.lp_pricing_rounds << ",\"lp_capped\":"
-     << (r.lp_capped ? "true" : "false") << ",\"lp_overflow\":" << r.lp_overflow
-     << ",\"attempts\":" << r.attempts << ",\"rounds\":" << r.rounds
-     << "}\n";
-}
-
-[[nodiscard]] approx::Approx54Report load_report_binary(
-    std::string bytes, const std::string& source) {
-  BinaryReader reader(std::move(bytes), source);
-  reader.header(RecordTag::kReport);
-  approx::Approx54Report r;
-  r.lower_bound = reader.i64();
-  r.upper_bound = reader.i64();
-  r.best_guess = reader.i64();
-  r.pipeline_peak = reader.i64();
-  r.final_peak = reader.i64();
-  const std::int64_t delta_num = reader.i64();
-  const std::int64_t delta_den = reader.i64();
-  r.delta = Fraction(delta_num, delta_den);
-  const std::int64_t mu_num = reader.i64();
-  const std::int64_t mu_den = reader.i64();
-  r.mu = Fraction(mu_num, mu_den);
-  for (std::size_t& count : r.count_per_category) {
-    count = static_cast<std::size_t>(reader.u64());
-  }
-  r.medium_area = reader.i64();
-  r.lp_used = reader.boolean();
-  const std::uint8_t engine = reader.u8();
-  if (engine > 1) reader.fail("unknown lp_engine tag");
-  r.lp_engine = static_cast<approx::ConfigLpEngine>(engine);
-  r.lp_configurations = static_cast<std::size_t>(reader.u64());
-  r.lp_pricing_rounds = static_cast<std::size_t>(reader.u64());
-  r.lp_capped = reader.boolean();
-  r.lp_overflow = static_cast<std::size_t>(reader.u64());
-  r.attempts = static_cast<std::size_t>(reader.u64());
-  r.rounds = static_cast<std::size_t>(reader.u64());
-  reader.done();
-  return r;
-}
-
-[[nodiscard]] approx::Approx54Report load_report_json(
-    std::string text, const std::string& source) {
-  JsonParser parser(std::move(text), source);
-  approx::Approx54Report r;
-  std::string record_type;
-  std::int64_t version = -1;
-  bool saw_type = false, saw_version = false;
-  std::unordered_map<std::string, bool> seen;
-  std::size_t categories_seen = 0;
-  const auto parse_fraction = [&parser]() {
-    std::int64_t num = 0, den = 1;
-    std::size_t seen = 0;
-    parser.parse_array([&](std::size_t index, std::size_t element_offset) {
-      if (index == 0) num = parser.parse_int();
-      else if (index == 1) den = parser.parse_int();
-      else parser.fail("fraction takes [num, den]", element_offset);
-      ++seen;
-    });
-    if (seen != 2) parser.fail("fraction takes [num, den]");
-    return Fraction(num, den);
-  };
-  parser.parse_object([&](const std::string& key, std::size_t key_offset) {
-    seen[key] = true;
-    if (key == "dsp") { record_type = parser.parse_string(); saw_type = true; }
-    else if (key == "version") { version = parser.parse_int(); saw_version = true; }
-    else if (key == "lower_bound") r.lower_bound = parser.parse_int();
-    else if (key == "upper_bound") r.upper_bound = parser.parse_int();
-    else if (key == "best_guess") r.best_guess = parser.parse_int();
-    else if (key == "pipeline_peak") r.pipeline_peak = parser.parse_int();
-    else if (key == "final_peak") r.final_peak = parser.parse_int();
-    else if (key == "delta") r.delta = parse_fraction();
-    else if (key == "mu") r.mu = parse_fraction();
-    else if (key == "count_per_category") {
-      parser.parse_array([&](std::size_t index, std::size_t element_offset) {
-        if (index >= 7) parser.fail("count_per_category has 7 slots", element_offset);
-        r.count_per_category[index] =
-            static_cast<std::size_t>(parser.parse_int());
-        ++categories_seen;
-      });
-    } else if (key == "medium_area") r.medium_area = parser.parse_int();
-    else if (key == "lp_used") r.lp_used = parser.parse_bool();
-    else if (key == "lp_engine") {
-      const std::string name = parser.parse_string();
-      if (name == "dense_enumeration") {
-        r.lp_engine = approx::ConfigLpEngine::kDenseEnumeration;
-      } else if (name == "column_generation") {
-        r.lp_engine = approx::ConfigLpEngine::kColumnGeneration;
-      } else {
-        parser.fail("unknown lp_engine \"" + name + "\"", key_offset);
-      }
-    } else if (key == "lp_configurations") {
-      r.lp_configurations = static_cast<std::size_t>(parser.parse_int());
-    } else if (key == "lp_pricing_rounds") {
-      r.lp_pricing_rounds = static_cast<std::size_t>(parser.parse_int());
-    } else if (key == "lp_capped") r.lp_capped = parser.parse_bool();
-    else if (key == "lp_overflow") {
-      r.lp_overflow = static_cast<std::size_t>(parser.parse_int());
-    } else if (key == "attempts") {
-      r.attempts = static_cast<std::size_t>(parser.parse_int());
-    } else if (key == "rounds") {
-      r.rounds = static_cast<std::size_t>(parser.parse_int());
-    } else parser.fail("unknown report key \"" + key + "\"", key_offset);
-  });
-  parser.done();
-  check_json_envelope(parser, RecordTag::kReport, record_type, saw_type,
-                      version, saw_version);
-  // Strict ingest, like the instance loader: a report with missing keys is
-  // a broken record, not a report of zeros.
-  static constexpr const char* kRequiredKeys[] = {
-      "lower_bound", "upper_bound", "best_guess", "pipeline_peak",
-      "final_peak", "delta", "mu", "count_per_category", "medium_area",
-      "lp_used", "lp_engine", "lp_configurations", "lp_pricing_rounds",
-      "lp_capped", "lp_overflow", "attempts", "rounds"};
-  for (const char* required : kRequiredKeys) {
-    if (!seen.contains(required)) {
-      parser.fail("missing report key \"" + std::string(required) + "\"", 0);
-    }
-  }
-  if (categories_seen != 7) {
-    parser.fail("count_per_category has " + std::to_string(categories_seen) +
-                    " of 7 slots",
-                0);
-  }
-  return r;
 }
 
 }  // namespace
@@ -789,30 +521,6 @@ WireInstance load_instance_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DSP_REQUIRE(is.good(), path << ": cannot open for reading");
   return load_instance(is, path);
-}
-
-void save_packing(std::ostream& os, const Packing& packing, WireFormat format) {
-  if (format == WireFormat::kBinary) save_packing_binary(os, packing);
-  else save_packing_json(os, packing);
-}
-
-Packing load_packing(std::istream& is, const std::string& source) {
-  std::string bytes = slurp(is, source);
-  return looks_binary(bytes) ? load_packing_binary(std::move(bytes), source)
-                             : load_packing_json(std::move(bytes), source);
-}
-
-void save_report(std::ostream& os, const approx::Approx54Report& report,
-                 WireFormat format) {
-  if (format == WireFormat::kBinary) save_report_binary(os, report);
-  else save_report_json(os, report);
-}
-
-approx::Approx54Report load_report(std::istream& is,
-                                   const std::string& source) {
-  std::string bytes = slurp(is, source);
-  return looks_binary(bytes) ? load_report_binary(std::move(bytes), source)
-                             : load_report_json(std::move(bytes), source);
 }
 
 }  // namespace dsp::service

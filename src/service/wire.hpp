@@ -2,7 +2,7 @@
 
 // The serving layer's instance wire format (DESIGN.md, "The serving layer").
 //
-// Two encodings of the same records, both versioned and round-trip exact
+// Two encodings of the instance record, both versioned and round-trip exact
 // (`load(save(x)) == x`, bit-identical fields):
 //
 //  * binary — magic "DSPW", a version byte, a record tag, then fixed-width
@@ -22,9 +22,7 @@
 #include <string_view>
 #include <vector>
 
-#include "approx/solve54.hpp"
 #include "core/instance.hpp"
-#include "core/packing.hpp"
 
 namespace dsp::service {
 
@@ -95,23 +93,5 @@ void save_instance(std::ostream& os, const WireInstance& instance,
 void save_instance_file(const std::string& path, const WireInstance& instance,
                         WireFormat format);
 [[nodiscard]] WireInstance load_instance_file(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Packing records.
-// ---------------------------------------------------------------------------
-
-void save_packing(std::ostream& os, const Packing& packing, WireFormat format);
-[[nodiscard]] Packing load_packing(std::istream& is,
-                                   const std::string& source = "<stream>");
-
-// ---------------------------------------------------------------------------
-// Approx54Report records (the diagnostics a serving node returns alongside
-// a solve54 answer).
-// ---------------------------------------------------------------------------
-
-void save_report(std::ostream& os, const approx::Approx54Report& report,
-                 WireFormat format);
-[[nodiscard]] approx::Approx54Report load_report(
-    std::istream& is, const std::string& source = "<stream>");
 
 }  // namespace dsp::service

@@ -207,27 +207,22 @@ TEST(ConfigLpEngines, SafetyValveSetsCappedInsteadOfLooping) {
 }
 
 TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
+  // solve54 runs the column-generation engine; the dense-enumeration
+  // reference is cross-checked against it per scenario (ConfigLpEngines.*).
   Rng rng(505);
   // Narrow items on a wide strip: the regime where the V category (and
   // hence the Lemma-10 LP) is actually populated.
   bool any_lp_used = false;
   for (int round = 0; round < 4; ++round) {
     const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
-    for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
-                                        ConfigLpEngine::kColumnGeneration}) {
-      Approx54Params params;
-      params.lp_engine = engine;
-      const Approx54Result result = solve54(inst, params);
-      ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
-      EXPECT_EQ(result.report.lp_engine, engine);
-      EXPECT_LE(result.peak, result.report.upper_bound);
-      if (engine == ConfigLpEngine::kColumnGeneration &&
-          result.report.lp_used) {
-        any_lp_used = true;
-        // The new diagnostics must actually be plumbed through the report.
-        EXPECT_GE(result.report.lp_pricing_rounds, 1u);
-        EXPECT_GE(result.report.lp_configurations, 1u);
-      }
+    const Approx54Result result = solve54(inst);
+    ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
+    EXPECT_LE(result.peak, result.report.upper_bound);
+    if (result.report.lp_used) {
+      any_lp_used = true;
+      // The new diagnostics must actually be plumbed through the report.
+      EXPECT_GE(result.report.lp_pricing_rounds, 1u);
+      EXPECT_GE(result.report.lp_configurations, 1u);
     }
   }
   EXPECT_TRUE(any_lp_used) << "no round exercised the configuration LP; "
@@ -241,12 +236,10 @@ TEST(Solve54Engines, BitIdenticalAcrossBackends) {
       gen::smart_grid(40, 96, rng),
   };
   for (const Instance& inst : instances) {
-    Approx54Params baseline_params;
-    baseline_params.lp_engine = ConfigLpEngine::kColumnGeneration;
-    const Approx54Result baseline = solve54(inst, baseline_params);
+    const Approx54Result baseline = solve54(inst);
     for (const ProfileBackendKind backend :
          {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      Approx54Params params = baseline_params;
+      Approx54Params params;
       params.backend = backend;
       const Approx54Result result = solve54(inst, params);
       EXPECT_EQ(result.packing.start, baseline.packing.start)
@@ -267,27 +260,20 @@ TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
   // calls share no mutable state (this is the place TSan sees it).
   Rng rng(808);
   const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
-  for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
-                                      ConfigLpEngine::kColumnGeneration}) {
-    Approx54Params params;
-    params.lp_engine = engine;
-    const Approx54Result reference = solve54(inst, params);
-    std::vector<Approx54Result> results(4);
-    std::vector<std::thread> callers;
-    for (Approx54Result& slot : results) {
-      callers.emplace_back(
-          [&inst, &params, &slot] { slot = solve54(inst, params); });
-    }
-    for (std::thread& caller : callers) caller.join();
-    for (const Approx54Result& result : results) {
-      EXPECT_EQ(result.packing.start, reference.packing.start)
-          << "engine " << static_cast<int>(engine);
-      EXPECT_EQ(result.peak, reference.peak);
-      EXPECT_EQ(result.report.best_guess, reference.report.best_guess);
-      EXPECT_EQ(result.report.attempts, reference.report.attempts);
-      EXPECT_EQ(result.report.lp_configurations,
-                reference.report.lp_configurations);
-    }
+  const Approx54Result reference = solve54(inst);
+  std::vector<Approx54Result> results(4);
+  std::vector<std::thread> callers;
+  for (Approx54Result& slot : results) {
+    callers.emplace_back([&inst, &slot] { slot = solve54(inst); });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const Approx54Result& result : results) {
+    EXPECT_EQ(result.packing.start, reference.packing.start);
+    EXPECT_EQ(result.peak, reference.peak);
+    EXPECT_EQ(result.report.best_guess, reference.report.best_guess);
+    EXPECT_EQ(result.report.attempts, reference.report.attempts);
+    EXPECT_EQ(result.report.lp_configurations,
+              reference.report.lp_configurations);
   }
 }
 

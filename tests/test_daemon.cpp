@@ -16,6 +16,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -173,6 +174,20 @@ TEST(CliHelpersTest, ParseIntegerRejectsTrailingGarbage) {
   EXPECT_FALSE(parse_integer("-").has_value());
   EXPECT_FALSE(parse_integer("4.5").has_value());
   EXPECT_FALSE(parse_integer("99999999999999999999").has_value());  // overflow
+}
+
+TEST(CliHelpersTest, CacheMbRejectsZeroAndOverflow) {
+  // Regression: both front doors computed `cache_mb << 20` unchecked, so
+  // 2^44 wrapped to a zero-byte cache and 2^44 + 1 to a silent 1 MiB one.
+  EXPECT_EQ(cache_mb_to_bytes(1), std::size_t{1} << 20);
+  EXPECT_EQ(cache_mb_to_bytes(64), std::size_t{64} << 20);
+  EXPECT_EQ(cache_mb_to_bytes(kMaxCacheMb), kMaxCacheMb << 20);
+  EXPECT_EQ(kMaxCacheMb, std::numeric_limits<std::size_t>::max() >> 20);
+  EXPECT_FALSE(cache_mb_to_bytes(0).has_value());
+  EXPECT_FALSE(cache_mb_to_bytes(kMaxCacheMb + 1).has_value());  // 2^44
+  EXPECT_FALSE(cache_mb_to_bytes(kMaxCacheMb + 2).has_value());  // 2^44 + 1
+  EXPECT_FALSE(cache_mb_to_bytes(std::numeric_limits<std::size_t>::max())
+                   .has_value());
 }
 
 TEST(CliHelpersTest, ExpandPathsDiagnosesMissingAndEmptyPaths) {

@@ -296,25 +296,19 @@ TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
 }
 
 TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
-  // Narrow items on a wide strip populate the Lemma-10 LP, the stage that
-  // used to fan its pricing out to a pool.
+  // Narrow items on a wide strip populate the Lemma-10 LP (column
+  // generation), the stage that used to fan its pricing out to a pool.
   Rng rng(909);
   const Instance inst = gen::random_uniform(48, 240, 4, 24, rng);
-  for (const approx::ConfigLpEngine engine :
-       {approx::ConfigLpEngine::kDenseEnumeration,
-        approx::ConfigLpEngine::kColumnGeneration}) {
-    for (const ProfileBackendKind backend :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      approx::Approx54Params params;
-      params.lp_engine = engine;
-      params.backend = backend;
-      const runtime::SchedulerCounters before = runtime::scheduler_totals();
-      (void)approx::solve54(inst, params);
-      const runtime::SchedulerCounters after = runtime::scheduler_totals();
-      EXPECT_EQ(after.submitted, before.submitted)
-          << "engine " << static_cast<int>(engine) << " backend "
-          << static_cast<int>(backend);
-    }
+  for (const ProfileBackendKind backend :
+       {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
+    approx::Approx54Params params;
+    params.backend = backend;
+    const runtime::SchedulerCounters before = runtime::scheduler_totals();
+    (void)approx::solve54(inst, params);
+    const runtime::SchedulerCounters after = runtime::scheduler_totals();
+    EXPECT_EQ(after.submitted, before.submitted)
+        << "backend " << static_cast<int>(backend);
   }
 }
 
