@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -140,6 +142,64 @@ TEST(WireInstanceTest, LoadAutoDetectsFormat) {
     std::istringstream in(out.str());
     EXPECT_EQ(load_instance(in), wire) << to_string(format);
   }
+}
+
+TEST(WireInstanceTest, SavedGoldenCorpusMatchesCheckedInFiles) {
+  // examples/instances/ is the golden corpus as `dsp_solve --emit-corpus`
+  // writes it; the JSON encoding must reproduce those files byte for byte.
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    const std::string path = std::string(DSP_SOURCE_DIR) +
+                             "/examples/instances/" + golden.name + ".json";
+    std::ifstream file(path, std::ios::binary);
+    ASSERT_TRUE(file) << "cannot open " << path;
+    std::ostringstream checked_in;
+    checked_in << file.rdbuf();
+    std::ostringstream saved;
+    save_instance(saved,
+                  WireInstance::from_instance(golden.instance, golden.name),
+                  WireFormat::kJson);
+    EXPECT_EQ(saved.str(), checked_in.str()) << golden.name;
+  }
+}
+
+TEST(WireInstanceTest, BinaryLayoutIsPinned) {
+  // magic, version, tag, then u32-length-prefixed strings and fixed-width
+  // little-endian integers (two's complement for negative ids).
+  const WireInstance wire{"ab", 8, {{-1, 3, 2, "x"}, {258, 5, 7, ""}}};
+  std::ostringstream out;
+  save_instance(out, wire, WireFormat::kBinary);
+  std::string expected = "DSPW";
+  expected += '\x01';                                   // version
+  expected += '\x01';                                   // instance tag
+  expected += std::string("\x02\0\0\0ab", 6);          // name
+  expected += std::string("\x08\0\0\0\0\0\0\0", 8);  // strip width
+  expected += std::string("\x02\0\0\0\0\0\0\0", 8);  // item count
+  expected += std::string(8, '\xff');                   // id -1
+  expected += std::string("\x03\0\0\0\0\0\0\0", 8);  // width
+  expected += std::string("\x02\0\0\0\0\0\0\0", 8);  // height
+  expected += std::string("\x01\0\0\0x", 5);           // label
+  expected += std::string("\x02\x01\0\0\0\0\0\0", 8);  // id 258
+  expected += std::string("\x05\0\0\0\0\0\0\0", 8);
+  expected += std::string("\x07\0\0\0\0\0\0\0", 8);
+  expected += std::string("\0\0\0\0", 4);              // empty label
+  EXPECT_EQ(out.str(), expected);
+  std::istringstream in(expected);
+  EXPECT_EQ(load_instance(in), wire);
+}
+
+TEST(WireInstanceTest, FilesRoundTripBothFormats) {
+  const WireInstance wire =
+      decorated(Instance(16, {Item{4, 3}, Item{16, 1}, Item{1, 9}}), "file");
+  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
+    const std::string path = ::testing::TempDir() + "dsp_wire_file_" +
+                             std::string(to_string(format));
+    save_instance_file(path, wire, format);
+    EXPECT_EQ(load_instance_file(path), wire) << to_string(format);
+    std::remove(path.c_str());
+  }
+  EXPECT_THROW((void)load_instance_file(::testing::TempDir() +
+                                        "dsp_wire_file_missing"),
+               InvalidInput);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,6 +391,78 @@ TEST(WireValidationTest, RejectsWrongRecordType) {
     bytes[5] = retired_tag;
     std::istringstream in(bytes);
     expect_throw_contains(in, "is not an instance record");
+  }
+}
+
+TEST(WireValidationTest, RejectsUnknownInstanceKey) {
+  // Solver settings are not part of the record; a request carrying one is
+  // refused rather than silently served under the defaults.
+  std::istringstream in(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,"
+      "\"epsilon\":1,\"items\":[{\"id\":0,\"width\":2,\"height\":2}]}");
+  expect_throw_contains(in, "unknown instance key \"epsilon\"");
+}
+
+TEST(WireValidationTest, RejectsUnknownItemKey) {
+  std::istringstream in(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,\"items\":["
+      "{\"id\":0,\"width\":2,\"height\":2,\"start\":0}]}");
+  expect_throw_contains(in, "unknown item key \"start\"");
+}
+
+TEST(WireValidationTest, RejectsBooleanValues) {
+  // The JSON reader knows strings, integers, objects and arrays only.
+  std::istringstream as_width(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":true,"
+      "\"items\":[{\"id\":0,\"width\":2,\"height\":2}]}");
+  expect_throw_contains(as_width, "expected an integer");
+  std::istringstream as_height(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,"
+      "\"items\":[{\"id\":0,\"width\":2,\"height\":false}]}");
+  expect_throw_contains(as_height, "expected an integer");
+  std::istringstream as_label(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,"
+      "\"items\":[{\"id\":0,\"width\":2,\"height\":2,\"label\":true}]}");
+  EXPECT_THROW((void)load_instance(as_label, "bool.json"), InvalidInput);
+}
+
+TEST(WireValidationTest, RejectsMissingRequiredKeys) {
+  const std::string items = "\"items\":[{\"id\":0,\"width\":2,\"height\":2}]";
+  std::istringstream no_type("{\"version\":1,\"strip_width\":8," + items +
+                             "}");
+  expect_throw_contains(no_type, "missing \"dsp\" record-type key");
+  std::istringstream no_version("{\"dsp\":\"instance\",\"strip_width\":8," +
+                                items + "}");
+  expect_throw_contains(no_version, "missing \"version\" key");
+  std::istringstream no_width("{\"dsp\":\"instance\",\"version\":1," +
+                              items + "}");
+  expect_throw_contains(no_width, "missing \"strip_width\" key");
+  std::istringstream no_items(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8}");
+  expect_throw_contains(no_items, "missing \"items\" key");
+  std::istringstream no_height(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,"
+      "\"items\":[{\"id\":0,\"width\":2}]}");
+  expect_throw_contains(no_height, "item needs id, width and height");
+}
+
+TEST(WireValidationTest, JsonIntegersAreExactlySixtyFourBit) {
+  // Both int64 extremes load as ids; one past either end is refused.
+  std::istringstream extremes(
+      "{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,\"items\":["
+      "{\"id\":9223372036854775807,\"width\":2,\"height\":2},"
+      "{\"id\":-9223372036854775808,\"width\":2,\"height\":2}]}");
+  const WireInstance loaded = load_instance(extremes, "extremes.json");
+  ASSERT_EQ(loaded.items.size(), 2u);
+  EXPECT_EQ(loaded.items[0].id, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(loaded.items[1].id, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(save_load(loaded, WireFormat::kJson), loaded);
+  for (const char* id : {"9223372036854775808", "-9223372036854775809"}) {
+    std::istringstream in(
+        std::string("{\"dsp\":\"instance\",\"version\":1,\"strip_width\":8,"
+                    "\"items\":[{\"id\":") +
+        id + ",\"width\":2,\"height\":2}]}");
+    expect_throw_contains(in, "integer does not fit in 64 bits");
   }
 }
 
