@@ -1,27 +1,30 @@
-// Hot-path kernel trajectory (experiment E15): times the rebuilt dense
-// scans — SIMD occupancy kernels, sliding-window maxima — plus the sparse
-// run-length profile's searches and the knapsack-pricing DP on pinned-seed
-// inputs, once per compiled backend (scalar pinned / AVX2 when available),
-// and emits one JSON row per (kernel, W, backend) with an
-// iteration-independent checksum of the kernel outputs.
+// Hot-path kernel trajectory (experiment E15): times the dense profile's
+// scans (StripOccupancy reductions and range updates, sliding-window maxima
+// with the first-fit threshold search), the sparse run-length profile's
+// searches and the knapsack-pricing DP on pinned-seed inputs, and emits one
+// JSON row per (kernel, W) with an iteration-independent checksum of the
+// kernel outputs.
 //
 // The checksum is a pure function of the pinned inputs, so it is identical
-// across machines, build types, repeat counts and backends — any scalar/SIMD
-// divergence or cross-PR behaviour change shows up as a checksum mismatch,
-// which this binary turns into a non-zero exit:
+// across machines, build types and repeat counts — any cross-PR behaviour
+// change shows up as a checksum mismatch, which this binary turns into a
+// non-zero exit:
 //
 //   bench_hot_paths [--smoke] [--out FILE] [--check BENCH_PR6.json]
 //
 //   --smoke   one timing repeat (CI-friendly); checksums are unaffected
 //   --out     also write the rows to FILE (stdout always gets them)
-//   --check   compare checksums against a checked-in trajectory; timing
-//             ratios are compared too, but only warn on stderr (CI machines
-//             are noisy) — checksum differences fail hard
+//   --check   compare checksums per kernel/w against a checked-in
+//             trajectory; timing ratios are compared too, but only warn on
+//             stderr (machines are noisy).  A checksum difference, a
+//             baseline that compares nothing, a baseline key with no row in
+//             this run and two baseline rows for one key that disagree all
+//             fail hard.
 //
-// The scalar/SIMD checksum cross-check runs unconditionally; the checked-in
-// trajectory lives at BENCH_PR6.json (see DESIGN.md "Hot-path layout and
-// SIMD").
+// The checked-in trajectory lives at BENCH_PR6.json (see DESIGN.md
+// "Hot-path layout"); ctest runs the check against it.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -34,7 +37,6 @@
 #include "bench_common.hpp"
 #include "core/occupancy.hpp"
 #include "core/profile.hpp"
-#include "core/simd.hpp"
 #include "core/window_maxima.hpp"
 
 namespace dsp::bench {
@@ -49,15 +51,14 @@ struct Row {
   std::string kernel;
   Length w = 0;
   std::size_t n = 0;       ///< operations per repeat (queries, cells, ...)
-  std::string simd;        ///< backend the row ran on
   double nanos_per_op = 0.0;
   std::uint64_t checksum = 0;
 };
 
 /// Pinned-seed load profile: deterministic, spiky enough that searches do
 /// real work (plateaus, one global max, varied run lengths).
-AlignedVec<Height> make_load(Length w, std::uint64_t seed) {
-  AlignedVec<Height> load(static_cast<std::size_t>(w));
+std::vector<Height> make_load(Length w, std::uint64_t seed) {
+  std::vector<Height> load(static_cast<std::size_t>(w));
   Rng rng(seed);
   Height level = 100;
   for (std::size_t x = 0; x < load.size();) {
@@ -68,6 +69,15 @@ AlignedVec<Height> make_load(Length w, std::uint64_t seed) {
     }
   }
   return load;
+}
+
+/// A dense profile holding exactly `load`.
+StripOccupancy occupancy_of(const std::vector<Height>& load) {
+  StripOccupancy occupancy(static_cast<Length>(load.size()));
+  for (std::size_t x = 0; x < load.size(); ++x) {
+    occupancy.add(static_cast<Length>(x), 1, load[x]);
+  }
+  return occupancy;
 }
 
 /// One timed kernel: `op(checksum_accumulator)` runs the workload once and
@@ -81,7 +91,6 @@ Row time_kernel(const std::string& kernel, Length w, std::size_t ops,
   row.kernel = kernel;
   row.w = w;
   row.n = ops;
-  row.simd = std::string(simd::active_name());
   std::uint64_t checksum = 0;
   Stopwatch timer;
   for (int r = 0; r < repeats; ++r) {
@@ -96,41 +105,45 @@ Row time_kernel(const std::string& kernel, Length w, std::size_t ops,
   return row;
 }
 
-/// The suite, run on whichever backend is currently active.
+/// The whole suite, one row per (kernel, W).
 std::vector<Row> run_suite(bool smoke) {
   std::vector<Row> rows;
   const int repeats = smoke ? 1 : 21;
   const std::vector<Length> widths = {1024, 8192, 65536};
 
   for (const Length w : widths) {
-    const AlignedVec<Height> load = make_load(w, 0xD5Aull + static_cast<std::uint64_t>(w));
+    const std::vector<Height> load =
+        make_load(w, 0xD5Aull + static_cast<std::uint64_t>(w));
+    const StripOccupancy occupancy = occupancy_of(load);
     const auto n = load.size();
 
-    // Dense occupancy reduction scan: the peak() / window_max() kernel.
+    // Dense reduction scans: window_max() plus the min over the same range.
     rows.push_back(time_kernel("occupancy_reduce", w, 64, repeats,
                                [&](std::uint64_t& fold) {
       for (std::size_t q = 0; q < 64; ++q) {
         const std::size_t off = (q * 37) % (n / 2);
         const std::size_t len = n - 2 * off;
+        const std::span<const Height> range =
+            occupancy.loads().subspan(off, len);
+        fold = mix(fold, static_cast<std::uint64_t>(occupancy.window_max(
+                             static_cast<Length>(off), static_cast<Length>(len))));
         fold = mix(fold, static_cast<std::uint64_t>(
-                             simd::reduce_max(load.data() + off, len)));
-        fold = mix(fold, static_cast<std::uint64_t>(
-                             simd::reduce_min(load.data() + off, len)));
+                             *std::min_element(range.begin(), range.end())));
       }
     }));
 
     // Mutating scans: add() and raise_to() over the whole strip.
     rows.push_back(time_kernel("occupancy_raise", w, 64, repeats,
                                [&](std::uint64_t& fold) {
-      AlignedVec<Height> buf = load;
+      StripOccupancy profile = occupancy;
       for (std::size_t q = 0; q < 32; ++q) {
-        simd::add_delta(buf.data(), n, static_cast<Height>(q % 5) - 2);
-        simd::raise_floor(buf.data(), n, static_cast<Height>(60 + q));
+        profile.add(0, w, static_cast<Height>(q % 5) - 2);
+        profile.raise_to(0, w, static_cast<Height>(60 + q));
       }
-      for (std::size_t x = 0; x < n; x += 97) {
-        fold = mix(fold, static_cast<std::uint64_t>(buf[x]));
+      for (Length x = 0; x < w; x += 97) {
+        fold = mix(fold, static_cast<std::uint64_t>(profile.load_at(x)));
       }
-      fold = mix(fold, static_cast<std::uint64_t>(simd::reduce_max(buf.data(), n)));
+      fold = mix(fold, static_cast<std::uint64_t>(profile.peak()));
     }));
 
     // Sliding-window maxima + the first-fit threshold search over it.
@@ -141,10 +154,12 @@ std::vector<Row> run_suite(bool smoke) {
         const std::span<const Height> maxima =
             sliding_window_maxima(load, std::max<Length>(1, width), scratch);
         fold = mix(fold, static_cast<std::uint64_t>(
-                             simd::reduce_min(maxima.data(), maxima.size())));
+                             *std::min_element(maxima.begin(), maxima.end())));
         for (const Height budget : {90, 110, 130}) {
-          fold = mix(fold, simd::first_leq(maxima.data(), maxima.size(),
-                                           budget));
+          const auto fit =
+              std::find_if(maxima.begin(), maxima.end(),
+                           [budget](Height m) { return m <= budget; });
+          fold = mix(fold, static_cast<std::uint64_t>(fit - maxima.begin()));
         }
       }
     }));
@@ -198,7 +213,6 @@ std::string row_json(const Row& row) {
                      .field("kernel", row.kernel)
                      .field("w", static_cast<std::int64_t>(row.w))
                      .field("n", row.n)
-                     .field("simd", row.simd)
                      .field("nanos_per_op", row.nanos_per_op)
                      .field("checksum", row.checksum))
       .print(oss);
@@ -222,51 +236,72 @@ std::string scrape(const std::string& line, const std::string& key) {
   return line.substr(begin, end - begin);
 }
 
-struct CheckOutcome {
-  int mismatches = 0;
-  int compared = 0;
+struct Baseline {
+  std::uint64_t checksum = 0;
+  double nanos_per_op = 0.0;
 };
 
-/// Compares checksums (hard) and timing ratios (warn-only) against a
-/// checked-in trajectory file.
-CheckOutcome check_against(const std::string& path,
-                           const std::vector<Row>& rows) {
-  CheckOutcome outcome;
+/// Compares this run's checksums (hard) and timing ratios (warn-only)
+/// against a checked-in trajectory file, keyed by kernel/w.  Returns the
+/// number of failures: checksum mismatches, baseline keys with no row in
+/// this run, baseline rows for one key that disagree, and a baseline that
+/// compares no row at all.  Rows the baseline does not know yet pass.
+int check_against(const std::string& path, const std::vector<Row>& rows) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "bench_hot_paths: cannot open " << path << "\n";
-    outcome.mismatches = 1;
-    return outcome;
+    return 1;
   }
-  std::map<std::string, std::pair<std::uint64_t, double>> expected;
+  int failures = 0;
+  std::map<std::string, Baseline> expected;
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("\"kernel\"") == std::string::npos) continue;
-    const std::string key = scrape(line, "kernel") + "/w" + scrape(line, "w") +
-                            "/" + scrape(line, "simd");
-    expected[key] = {std::stoull(scrape(line, "checksum")),
-                     std::stod(scrape(line, "nanos_per_op"))};
+    const std::string key = scrape(line, "kernel") + "/w" + scrape(line, "w");
+    const Baseline baseline{std::stoull(scrape(line, "checksum")),
+                            std::stod(scrape(line, "nanos_per_op"))};
+    const auto [it, inserted] = expected.emplace(key, baseline);
+    if (!inserted && it->second.checksum != baseline.checksum) {
+      std::cerr << "bench_hot_paths: baseline rows for " << key
+                << " disagree: " << it->second.checksum << " vs "
+                << baseline.checksum << "\n";
+      ++failures;
+    }
   }
+  int compared = 0;
+  int mismatches = 0;
   for (const Row& row : rows) {
-    const std::string key =
-        row.kernel + "/w" + std::to_string(row.w) + "/" + row.simd;
+    const std::string key = row.kernel + "/w" + std::to_string(row.w);
     const auto it = expected.find(key);
-    if (it == expected.end()) continue;  // new kernel/backend: not a failure
-    ++outcome.compared;
-    if (it->second.first != row.checksum) {
+    if (it == expected.end()) continue;
+    ++compared;
+    if (it->second.checksum != row.checksum) {
       std::cerr << "bench_hot_paths: CHECKSUM MISMATCH " << key << ": expected "
-                << it->second.first << ", got " << row.checksum << "\n";
-      ++outcome.mismatches;
+                << it->second.checksum << ", got " << row.checksum << "\n";
+      ++mismatches;
     }
     // Timing drift: warn when this run is notably slower than the recorded
     // trajectory.  Machines differ, so this never fails the run.
-    if (it->second.second > 0 && row.nanos_per_op > 3.0 * it->second.second) {
+    if (it->second.nanos_per_op > 0 &&
+        row.nanos_per_op > 3.0 * it->second.nanos_per_op) {
       std::cerr << "bench_hot_paths: warning: " << key << " at "
                 << row.nanos_per_op << " ns/op vs recorded "
-                << it->second.second << " (3x regression threshold)\n";
+                << it->second.nanos_per_op << " (3x regression threshold)\n";
     }
+    expected.erase(it);
   }
-  return outcome;
+  for (const auto& [key, baseline] : expected) {
+    std::cerr << "bench_hot_paths: baseline row " << key
+              << " has no row in this run\n";
+    ++failures;
+  }
+  if (compared == 0) {
+    std::cerr << "bench_hot_paths: " << path << " compares no row\n";
+    ++failures;
+  }
+  std::cerr << "bench_hot_paths: checked " << compared << " rows against "
+            << path << ", " << mismatches << " mismatches\n";
+  return failures + mismatches;
 }
 
 int main_impl(int argc, char** argv) {
@@ -288,20 +323,7 @@ int main_impl(int argc, char** argv) {
     }
   }
 
-  // Scalar backend always runs; the AVX2 backend runs when compiled in and
-  // supported by this CPU.  Scalar first, so the cross-check below reads
-  // naturally in the emitted order.
-  std::vector<Row> rows;
-  simd::force_scalar(true);
-  const std::vector<Row> scalar_rows = run_suite(smoke);
-  simd::force_scalar(false);
-  rows.insert(rows.end(), scalar_rows.begin(), scalar_rows.end());
-  const bool dual = simd::avx2_active();
-  if (dual) {
-    const std::vector<Row> avx2_rows = run_suite(smoke);
-    rows.insert(rows.end(), avx2_rows.begin(), avx2_rows.end());
-  }
-
+  const std::vector<Row> rows = run_suite(smoke);
   std::ostringstream body;
   for (const Row& row : rows) body << row_json(row);
   std::cout << body.str();
@@ -310,35 +332,7 @@ int main_impl(int argc, char** argv) {
     out << body.str();
   }
 
-  int failures = 0;
-  // Hard gate 1: the scalar and AVX2 backends must be bit-identical.
-  if (dual) {
-    for (std::size_t i = 0; i < scalar_rows.size(); ++i) {
-      const Row& s = scalar_rows[i];
-      const Row& v = rows[scalar_rows.size() + i];
-      if (s.checksum != v.checksum) {
-        std::cerr << "bench_hot_paths: scalar/avx2 DIVERGENCE on " << s.kernel
-                  << " w=" << s.w << ": " << s.checksum << " vs " << v.checksum
-                  << "\n";
-        ++failures;
-      } else if (!smoke && v.nanos_per_op > 0) {
-        std::cerr << "bench_hot_paths: " << s.kernel << " w=" << s.w
-                  << " speedup " << s.nanos_per_op / v.nanos_per_op << "x\n";
-      }
-    }
-  } else {
-    std::cerr << "bench_hot_paths: AVX2 backend inactive ("
-              << (simd::avx2_compiled() ? "CPU unsupported" : "not compiled")
-              << "); scalar-only run\n";
-  }
-  // Hard gate 2: checksums must match the checked-in trajectory.
-  if (!check_path.empty()) {
-    const CheckOutcome outcome = check_against(check_path, rows);
-    std::cerr << "bench_hot_paths: checked " << outcome.compared
-              << " rows against " << check_path << ", " << outcome.mismatches
-              << " mismatches\n";
-    failures += outcome.mismatches;
-  }
+  const int failures = check_path.empty() ? 0 : check_against(check_path, rows);
   return failures == 0 ? 0 : 1;
 }
 

@@ -9,28 +9,28 @@ PricedConfig price_knapsack(std::span<const Height> heights,
                             PricingScratch& scratch) {
   PricedConfig best;
   best.config.assign(heights.size(), 0);
-  scratch.arena.reset();
 
   // Batch the contributing classes into flat SoA arrays: weight (height /
   // gcd), value and class index, in ascending class order (the
   // determinism-bearing scan order of the DP below).
-  const std::size_t nh = heights.size();
-  auto* entry_class = scratch.arena.alloc<std::size_t>(nh);
-  auto* entry_weight = scratch.arena.alloc<std::size_t>(nh);
-  auto* entry_value = scratch.arena.alloc<double>(nh);
-  std::size_t entries = 0;
+  std::vector<std::size_t>& entry_class = scratch.entry_class;
+  std::vector<std::size_t>& entry_weight = scratch.entry_weight;
+  std::vector<double>& entry_value = scratch.entry_value;
+  entry_class.clear();
+  entry_weight.clear();
+  entry_value.clear();
   Height g = 0;
-  for (std::size_t c = 0; c < nh; ++c) {
+  for (std::size_t c = 0; c < heights.size(); ++c) {
     if (values[c] > 1e-9 && heights[c] > 0 && heights[c] <= capacity) {
       g = std::gcd(g, heights[c]);
-      entry_class[entries] = c;
-      entry_value[entries] = values[c];
-      ++entries;
+      entry_class.push_back(c);
+      entry_value.push_back(values[c]);
     }
   }
+  const std::size_t entries = entry_class.size();
   if (entries == 0) return best;  // only the empty configuration
-  for (std::size_t e = 0; e < entries; ++e) {
-    entry_weight[e] = static_cast<std::size_t>(heights[entry_class[e]] / g);
+  for (const std::size_t c : entry_class) {
+    entry_weight.push_back(static_cast<std::size_t>(heights[c] / g));
   }
   auto cells = static_cast<std::size_t>(capacity / g);
   if (cells > kPricingDpCellLimit) {
@@ -38,9 +38,10 @@ PricedConfig price_knapsack(std::span<const Height> heights,
     best.exact = false;
   }
 
-  double* dp = scratch.arena.alloc<double>(cells + 1);
-  int* choice = scratch.arena.alloc<int>(cells + 1);
-  for (std::size_t w = 0; w <= cells; ++w) choice[w] = -1;  // inherit w - 1
+  std::vector<double>& dp = scratch.dp;
+  std::vector<int>& choice = scratch.choice;
+  dp.assign(cells + 1, 0.0);
+  choice.assign(cells + 1, -1);  // -1: inherit w - 1
   for (std::size_t w = 1; w <= cells; ++w) {
     double best_w = dp[w - 1];
     int best_choice = -1;

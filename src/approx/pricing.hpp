@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/instance.hpp"
 
 namespace dsp::approx {
@@ -28,12 +28,16 @@ struct PricedConfig {
 /// the clamp is never hit (it guards degenerate huge-capacity inputs).
 inline constexpr std::size_t kPricingDpCellLimit = std::size_t{1} << 18;
 
-/// Reusable pricing buffers: the DP rows and the batched entry arrays live
-/// in one arena that is recycled per call, so a column-generation loop
+/// Reusable pricing buffers: the batched entry arrays and the DP rows are
+/// resized per call and keep their capacity, so a column-generation loop
 /// pricing dozens of rounds (x capacities x bisection attempts) stops
 /// allocating after warm-up.  One scratch per concurrent pricing task.
 struct PricingScratch {
-  Arena arena;
+  std::vector<std::size_t> entry_class;   ///< contributing class index
+  std::vector<std::size_t> entry_weight;  ///< its height / gcd
+  std::vector<double> entry_value;        ///< its dual value
+  std::vector<double> dp;                 ///< best value per capacity cell
+  std::vector<int> choice;  ///< entry chosen at each cell, -1 = inherit
 };
 
 /// Exact pricing oracle: bounded knapsack over the rounded height classes

@@ -2,8 +2,8 @@
 
 #include <optional>
 #include <span>
+#include <vector>
 
-#include "core/arena.hpp"
 #include "core/instance.hpp"
 #include "core/window_maxima.hpp"
 
@@ -21,24 +21,23 @@ namespace dsp {
 /// W is pseudo-polynomially small in this problem family (days divided into
 /// minutes — paper §1), so dense O(W) passes are the intended regime.
 ///
-/// Layout: one flat, 64-byte-aligned load array plus reusable
-/// sliding-window scratch.  Every scan runs through the core/simd.hpp
-/// kernels (AVX2 with a bit-identical scalar fallback, dispatched at
-/// runtime), and no query allocates after the first — the scratch is a
-/// member, which also means a StripOccupancy must not be shared across
-/// threads without external synchronization (its mutating API already
-/// imposed that contract).
+/// Layout: one flat load array plus reusable sliding-window scratch.  Every
+/// scan is a plain loop or <algorithm> call over it, and no query allocates
+/// after the first — the scratch is a member, which also means a
+/// StripOccupancy must not be shared across threads without external
+/// synchronization (its mutating API already imposed that contract).
 class StripOccupancy {
  public:
   explicit StripOccupancy(Length strip_width);
 
   [[nodiscard]] Length strip_width() const { return static_cast<Length>(load_.size()); }
   [[nodiscard]] Height peak() const;
-  [[nodiscard]] Height load_at(Length x) const { return load_.at(static_cast<std::size_t>(x)); }
+  /// Load of column x; InvalidInput outside [0, W), like the sparse backend.
+  [[nodiscard]] Height load_at(Length x) const;
   [[nodiscard]] std::span<const Height> loads() const { return load_; }
 
-  /// Restores the all-zero profile, retaining the buffers (the arena-style
-  /// reuse path of repeated solve54 bisection attempts).
+  /// Restores the all-zero profile, retaining the buffers (the reuse path of
+  /// repeated solve54 bisection attempts).
   void reset();
 
   /// Adds an item of the given width/height starting at `start`.
@@ -72,7 +71,7 @@ class StripOccupancy {
   /// x, as a span into the reusable scratch (core/window_maxima.hpp).
   [[nodiscard]] std::span<const Height> window_maxima(Length width) const;
 
-  AlignedVec<Height> load_;
+  std::vector<Height> load_;
   /// Query scratch; mutable so the const searches stay allocation-free.
   mutable WindowMaximaScratch scratch_;
 };

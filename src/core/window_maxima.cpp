@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
 #include "util/check.hpp"
 
 namespace dsp {
@@ -42,7 +41,8 @@ std::span<const Height> sliding_window_maxima(std::span<const Height> load,
   // M[x] = max(suffix[x], prefix[x + k - 1]): the window [x, x+k) is the
   // union of x's block tail and the next block's head (or exactly one block
   // when x is block-aligned, where both terms are that block's max).
-  simd::max_combine(suf, pre + (k - 1), scratch.out.data(), m);
+  Height* out = scratch.out.data();
+  for (std::size_t x = 0; x < m; ++x) out[x] = std::max(suf[x], pre[x + k - 1]);
   return {scratch.out.data(), m};
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
-#include "core/arena.hpp"
 #include "core/instance.hpp"
 
 namespace dsp {
@@ -11,9 +11,9 @@ namespace dsp {
 /// (StripOccupancy, the bottom-left skyline) amortizes the three W-sized
 /// buffers across every call instead of allocating per query.
 struct WindowMaximaScratch {
-  AlignedVec<Height> prefix;  ///< per-block running max, left to right
-  AlignedVec<Height> suffix;  ///< per-block running max, right to left
-  AlignedVec<Height> out;     ///< the maxima, returned as a span
+  std::vector<Height> prefix;  ///< per-block running max, left to right
+  std::vector<Height> suffix;  ///< per-block running max, right to left
+  std::vector<Height> out;     ///< the maxima, returned as a span
 };
 
 /// Sliding-window maxima over a dense load array: out[x] = max load over
@@ -26,8 +26,8 @@ struct WindowMaximaScratch {
 /// instead of carrying per-caller loops.  The algorithm is the two-scan
 /// block decomposition (blocks of `width`; prefix max within each block,
 /// suffix max within each block, M[x] = max(suffix[x], prefix[x+width-1])):
-/// flat sequential scans plus one SIMD max-combine, replacing the
-/// pointer-chasing monotone deque the dense backend used to run.
+/// three flat sequential scans, replacing the pointer-chasing monotone
+/// deque the dense backend used to run.
 [[nodiscard]] std::span<const Height> sliding_window_maxima(
     std::span<const Height> load, Length width, WindowMaximaScratch& scratch);
 

@@ -40,7 +40,7 @@ ColumnLp::ColumnLp(std::vector<double> rhs, LpOptions options)
 }
 
 void ColumnLp::grow(std::size_t stride) {
-  AlignedVec<double> next((rows_ + 1) * stride, 0.0);
+  std::vector<double> next((rows_ + 1) * stride, 0.0);
   for (std::size_t i = 0; i <= rows_; ++i) {
     std::copy_n(t_.data() + i * stride_, width_, next.data() + i * stride);
   }

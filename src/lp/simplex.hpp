@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/arena.hpp"
-
 namespace dsp::lp {
 
 /// Primal simplex solvers for the configuration LPs of Lemmas 10 and 11:
@@ -122,7 +120,7 @@ class ColumnLp {
   /// last entry of each row is the right-hand side.  Row rows_ is the
   /// objective row in reduced form (rhs cell = -objective).
   ///
-  /// Storage is one flat aligned buffer: row i starts at t_[i * stride_]
+  /// Storage is one flat buffer: row i starts at t_[i * stride_]
   /// and holds width_ = rows_ + n + 1 live cells.  stride_ >= width_ is the
   /// allocated pitch; add_column writes into the headroom (shifting only
   /// the rhs cell) and grow() re-pitches when the headroom runs out, so a
@@ -148,7 +146,7 @@ class ColumnLp {
   LpOptions options_;
   std::vector<double> sign_;        ///< per-row +-1 (rhs normalization)
   std::vector<double> costs_;       ///< per real column
-  AlignedVec<double> t_;            ///< flat tableau incl. objective row
+  std::vector<double> t_;           ///< flat tableau incl. objective row
   std::size_t width_ = 0;           ///< live cells per row (incl. rhs)
   std::size_t stride_ = 0;          ///< allocated row pitch (>= width_)
   std::vector<std::size_t> basis_;  ///< internal column index per row

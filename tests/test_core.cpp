@@ -1,10 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <limits>
-#include <new>
-
-#include "core/arena.hpp"
 #include "core/bounds.hpp"
 #include "core/instance.hpp"
 #include "core/occupancy.hpp"
@@ -219,30 +214,6 @@ TEST(Render, SlicedGridShowsItems) {
   const std::string art = render_sliced(inst, sliced);
   EXPECT_NE(art.find('a'), std::string::npos);
   EXPECT_NE(art.find('c'), std::string::npos);
-}
-
-TEST(AlignedAllocator, EveryBufferIsAlignedAndWholeAcrossSizes) {
-  const auto aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % kHotPathAlignment == 0;
-  };
-  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 63u, 64u, 65u, 1000u,
-                              131072u}) {
-    AlignedVec<Height> heights(n, 7);
-    AlignedVec<char> bytes(n, 'x');
-    ASSERT_TRUE(aligned(heights.data())) << n;
-    ASSERT_TRUE(aligned(bytes.data())) << n;
-    heights.back() = -1;  // the last element is writable (ASan checks)
-    bytes.back() = 'y';
-    heights.resize(2 * n + 1, 3);  // regrowth goes through the allocator
-    EXPECT_TRUE(aligned(heights.data())) << n;
-    EXPECT_EQ(heights.front(), n == 1 ? -1 : 7);  // contents survive
-    EXPECT_EQ(heights[n - 1], -1);
-    EXPECT_EQ(heights.back(), 3);
-  }
-  AlignedAllocator<Height> allocator;
-  const std::size_t too_many =
-      std::numeric_limits<std::size_t>::max() / sizeof(Height);
-  EXPECT_THROW((void)allocator.allocate(too_many), std::bad_array_new_length);
 }
 
 }  // namespace

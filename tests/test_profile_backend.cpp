@@ -85,6 +85,15 @@ TEST_P(ProfileBackendOps, SingleAdd) {
   EXPECT_EQ(p->window_max(7, 3), 0);
   EXPECT_EQ(p->next_change(0), 2);
   EXPECT_EQ(p->next_change(3), 7);
+  // The tail [7, 10) is constant: the next change is the strip's end.
+  EXPECT_EQ(p->next_change(7), 10);
+  EXPECT_EQ(p->next_change(9), 10);
+  // Every 4-wide window meets the item, so nothing fits under budget 5.
+  EXPECT_EQ(p->first_fit(4, 1, 5), std::nullopt);
+  EXPECT_EQ(p->first_fit(4, 1, 6), std::optional<Length>(0));
+  // A full-width item has one position.
+  EXPECT_EQ(p->min_peak_position(10).start, 0);
+  EXPECT_EQ(p->min_peak_position(10).window_max, 5);
 }
 
 TEST_P(ProfileBackendOps, StackedAdds) {
@@ -122,7 +131,19 @@ TEST_P(ProfileBackendOps, NonPowerOfTwoWidths) {
     p->add(0, w, 2);
     EXPECT_EQ(p->peak(), 2) << "w=" << w;
     EXPECT_EQ(p->min_peak_position(w).window_max, 2) << "w=" << w;
+    EXPECT_EQ(p->min_peak_position(w).start, 0) << "w=" << w;
+    EXPECT_EQ(p->next_change(0), w) << "w=" << w;
+    EXPECT_EQ(p->first_fit(1, 1, 2), std::nullopt) << "w=" << w;
   }
+}
+
+TEST_P(ProfileBackendOps, LoadAtOutsideTheStripThrowsInvalidInput) {
+  const auto p = make(8);
+  p->add(0, 8, 3);
+  EXPECT_EQ(p->load_at(0), 3);
+  EXPECT_EQ(p->load_at(7), 3);
+  EXPECT_THROW(static_cast<void>(p->load_at(-1)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(p->load_at(8)), InvalidInput);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ProfileBackendOps,
