@@ -9,14 +9,13 @@
 //
 //   "solve_many"  — a 16-instance batch of n=48 per bench_common family.
 //   "solve_skew"  — one n=192 instance amid 63 n=48 ones (roughly 10x
-//                   heavier), the skew work stealing absorbs.  Its rows
-//                   carry the machine-independent checksum of the served
-//                   answers, pinned by the SolveSkewChecksumIsPinned test.
+//                   heavier), the skew parallel_map's shared cursor
+//                   absorbs.  Its rows carry the machine-independent
+//                   checksum of the served answers, pinned by the
+//                   SolveSkewChecksumIsPinned test.
 //
-// Every JSON row carries machine parallelism metadata: the raw
-// hardware_concurrency() report (0 = unknown), the pool size (0: the pools
-// are transient, built and retired inside each timed call), and the
-// steal / steal_fail counts those pools accumulated.
+// Every JSON row carries the raw hardware_concurrency() report (0 =
+// unknown) and the number of items the timed calls ran.
 //
 //   bench_parallel_scaling [--smoke] [--out FILE]
 //
@@ -56,8 +55,8 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// Raw std::thread::hardware_concurrency() — deliberately *not* the
-/// resolved ThreadPool::hardware_threads(), so rows record what the
-/// machine reported (0 = unknown) next to what the pool actually used.
+/// resolved runtime::hardware_threads(), so rows record what the machine
+/// reported (0 = unknown) next to what the runtime actually used.
 std::size_t raw_hardware() { return std::thread::hardware_concurrency(); }
 
 /// Machine-independent fold of a batch answer set: peaks and every start
@@ -81,10 +80,10 @@ std::uint64_t batch_checksum(const std::vector<service::SolveResponse>& batch) {
 }
 
 /// One timed scenario row: mean millis of `repeats` solve_many calls plus
-/// the scheduler counters those calls' pools folded into the totals.
+/// the items those calls ran.
 struct Timed {
   double millis = 0;
-  runtime::SchedulerCounters counters;
+  std::uint64_t executed = 0;
 };
 
 Timed time_batch(service::CachingSolver& solver,
@@ -95,16 +94,13 @@ Timed time_batch(service::CachingSolver& solver,
   Timed timed;
   timed.millis = watch.millis() / repeats;
   const runtime::SchedulerCounters after = runtime::scheduler_totals();
-  timed.counters.steals = after.steals - before.steals;
-  timed.counters.steal_fails = after.steal_fails - before.steal_fails;
+  timed.executed = after.executed - before.executed;
   return timed;
 }
 
-JsonRow sched_fields(JsonRow row, const runtime::SchedulerCounters& counters) {
+JsonRow sched_fields(JsonRow row, const Timed& timed) {
   return std::move(row.field("hardware_concurrency", raw_hardware())
-                       .field("pool_size", std::size_t{0})
-                       .field("steals", counters.steals)
-                       .field("steal_fails", counters.steal_fails));
+                       .field("executed", timed.executed));
 }
 
 /// Prints the row to stdout and appends it to the --out body.
@@ -146,7 +142,7 @@ int main_impl(int argc, char** argv) {
   }
   const int repeats = smoke ? 1 : kRepeats;
 
-  const std::size_t hardware = runtime::ThreadPool::hardware_threads();
+  const std::size_t hardware = runtime::hardware_threads();
   std::cout << "# bench_parallel_scaling: n=" << kBatchN
             << " batches, hardware_threads=" << hardware
             << " (speedups are bounded by the physical core count)\n";
@@ -196,7 +192,7 @@ int main_impl(int argc, char** argv) {
                                   .field("millis", timed.millis)
                                   .field("seq_millis", seq_millis)
                                   .field("speedup", speedup),
-                              timed.counters));
+                              timed));
     }
   }
 
@@ -245,7 +241,7 @@ int main_impl(int argc, char** argv) {
                                   .field("seq_millis", seq_millis)
                                   .field("speedup", speedup)
                                   .field("checksum", checksum),
-                              timed.counters));
+                              timed));
     }
   }
 

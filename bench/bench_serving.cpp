@@ -19,8 +19,7 @@
 //              queueing without bound, and the shed count is reported.
 //   sched    — Zipf traffic over a skewed instance set (one ~10x instance
 //              amid cheap ones) against the solve54 engine; the row carries
-//              the latencies and the process scheduler counters (the values
-//              the daemon exports as scheduler.* samples).
+//              the latencies and the process scheduler.executed total.
 //
 // One JSON row per phase, the same flat shape every bench prints.
 
@@ -405,11 +404,7 @@ int main() {
         .field("zipf_s", kZipfS)
         .field("p50_ms", percentile(result.latencies_ms, 0.50))
         .field("p99_ms", percentile(result.latencies_ms, 0.99))
-        .field("sched_submitted", sched.submitted)
         .field("sched_executed", sched.executed)
-        .field("steals", sched.steals)
-        .field("steal_fails", sched.steal_fails)
-        .field("occupancy", runtime::process_active_workers())
         .field("wall_s", wall_seconds)
         .print(std::cout);
     daemon.stop();

@@ -68,9 +68,9 @@ int main() {
   // Batch capacity planning: a fleet of clusters, each with its own job mix
   // and a shared deadline T.  Theorem 1 maps "finish by T" onto a strip of
   // width T, and the DSP peak of the packing is the machine count that
-  // cluster needs.  CachingSolver::solve_many shards the fleet across a
-  // work-stealing pool and returns, per cluster, exactly the answer of
-  // serving that cluster alone (runtime determinism contract, DESIGN.md).
+  // cluster needs.  CachingSolver::solve_many fans the fleet out over
+  // worker threads and returns, per cluster, exactly the answer of serving
+  // that cluster alone (runtime determinism contract, DESIGN.md).
   constexpr Length kDeadline = 24;
   constexpr std::size_t kFleet = 8;
   std::vector<pts::PtsInstance> fleet;

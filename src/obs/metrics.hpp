@@ -64,7 +64,7 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 // ---------------------------------------------------------------------------
 
 /// Monotonic counter, striped across cache lines so concurrent increments
-/// from pool workers do not serialize on one atomic.
+/// from worker threads do not serialize on one atomic.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {

@@ -18,7 +18,6 @@ namespace {
 
 std::atomic<bool> g_metrics_enabled{true};
 std::atomic<bool> g_tracing_enabled{false};
-#ifndef DSP_OBS_NOOP  // span types are compiled away entirely under NOOP
 std::atomic<std::uint64_t> g_next_request_id{0};
 thread_local std::uint64_t t_request_id = 0;
 
@@ -28,7 +27,6 @@ thread_local std::uint64_t t_request_id = 0;
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-#endif  // DSP_OBS_NOOP
 
 constexpr std::array<std::string_view,
                      static_cast<std::size_t>(Phase::kCount)>
@@ -227,8 +225,6 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
 // ScopedSpan / RequestScope.
 // ---------------------------------------------------------------------------
 
-#ifndef DSP_OBS_NOOP
-
 ScopedSpan::ScopedSpan(Phase phase) : ScopedSpan(phase, nullptr) {}
 
 ScopedSpan::ScopedSpan(Phase phase, std::uint64_t* accumulate_nanos)
@@ -264,7 +260,5 @@ RequestScope::~RequestScope() {
 }
 
 std::uint64_t current_request_id() noexcept { return t_request_id; }
-
-#endif  // DSP_OBS_NOOP
 
 }  // namespace dsp::obs

@@ -29,9 +29,7 @@
 //    recording never allocates after that, and overflow overwrites the
 //    oldest spans (counted as dropped) instead of growing.
 //
-// With both off a ScopedSpan never reads a clock.  Compiling with
-// -DDSP_OBS_NOOP additionally turns the span types into empty inline
-// definitions, for measuring the (already sub-noise) disabled overhead.
+// With both off a ScopedSpan never reads a clock.
 //
 // Determinism: a span observes time, it never acts on it — no control flow
 // anywhere reads a span, a histogram, or the tracer.  The determinism lint
@@ -82,7 +80,7 @@ void set_tracing_enabled(bool enabled) noexcept;
 
 /// The process-wide span sink: one fixed-capacity ring buffer per thread
 /// that ever recorded a traced span (buffers outlive their threads, so a
-/// retired pool worker's spans still reach the flush).
+/// finished batch worker's spans still reach the flush).
 class Tracer {
  public:
   /// Spans a thread's ring holds before it wraps (overwriting oldest).
@@ -129,8 +127,6 @@ class Tracer {
   std::uint64_t tracer_id_ = 0;
 };
 
-#ifndef DSP_OBS_NOOP
-
 /// RAII phase timer: construction stamps the start, destruction records
 /// the duration into the phase histogram (metrics on), the thread's ring
 /// (tracing on), and `*accumulate_nanos` (when given and a switch is on).
@@ -172,31 +168,9 @@ class RequestScope {
   bool opened_ = false;
 };
 
-/// The id bound by the innermost RequestScope on this thread (0 = none;
-/// pool workers executing spawned subtasks run unbound).
+/// The id bound by the innermost RequestScope on this thread (0 = none).
+/// Batch worker threads start unbound; each item's CachingSolver::solve
+/// opens its own scope, so its spans still carry a request id.
 [[nodiscard]] std::uint64_t current_request_id() noexcept;
-
-#else  // DSP_OBS_NOOP: empty inline span types, zero code at call sites.
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(Phase, std::uint64_t* = nullptr) noexcept {}
-  ~ScopedSpan() {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-class RequestScope {
- public:
-  RequestScope() noexcept {}
-  ~RequestScope() {}
-  RequestScope(const RequestScope&) = delete;
-  RequestScope& operator=(const RequestScope&) = delete;
-  [[nodiscard]] std::uint64_t id() const noexcept { return 0; }
-};
-
-inline std::uint64_t current_request_id() noexcept { return 0; }
-
-#endif  // DSP_OBS_NOOP
 
 }  // namespace dsp::obs

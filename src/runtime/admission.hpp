@@ -1,7 +1,7 @@
 #pragma once
 
 // Admission control for serving front ends (DESIGN.md, "The serving
-// daemon").  A saturated solver pool must not take unbounded work: the
+// daemon").  A saturated solver must not take unbounded work: the
 // gate caps concurrent admissions at `capacity`, queues up to `max_queue`
 // callers (blocking them — backpressure propagates to the client's socket
 // instead of ballooning memory), and sheds everything beyond that with an

@@ -188,7 +188,7 @@ SolveCache::Lookup SolveCache::get_or_compute(
   }
 
   // The single flight: exactly one thread per key reaches this point.
-  // `compute` runs outside every lock so it can fan out on its own pool.
+  // `compute` runs outside every lock so it can fan out on its own threads.
   std::shared_ptr<const CachedSolve> value;
   try {
     value = std::make_shared<const CachedSolve>(compute());
@@ -314,10 +314,7 @@ CachingSolver::CachingSolver(const ServeParams& params,
         out.push_back({"cache.entries", cache.entries, true});
         out.push_back({"cache.bytes", cache.bytes, true});
         const runtime::SchedulerCounters sched = runtime::scheduler_totals();
-        out.push_back({"scheduler.submitted", sched.submitted, false});
         out.push_back({"scheduler.executed", sched.executed, false});
-        out.push_back({"scheduler.steals", sched.steals, false});
-        out.push_back({"scheduler.steal_fails", sched.steal_fails, false});
       });
 }
 
@@ -364,14 +361,8 @@ SolveResponse CachingSolver::solve(const Instance& instance) {
 
 std::vector<SolveResponse> CachingSolver::solve_many(
     const std::vector<Instance>& instances) {
-  if (instances.empty()) return {};
-  // Never more workers than requests: an idle worker only costs startup.
-  const std::size_t requested = params_.threads > 0
-                                    ? params_.threads
-                                    : runtime::ThreadPool::hardware_threads();
-  runtime::ThreadPool pool(std::min(requested, instances.size()));
   return runtime::parallel_map(
-      pool, instances,
+      params_.threads, instances,
       [this](const Instance& instance, std::size_t) { return solve(instance); });
 }
 

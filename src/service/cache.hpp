@@ -35,7 +35,6 @@
 #include "core/packing.hpp"
 #include "core/profile.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/canonical.hpp"
 
 namespace dsp::service {
@@ -62,7 +61,7 @@ struct ServeParams {
   /// profile-backend equivalence suite), so the backend is NOT part of the
   /// cache key — a dense miss serves later sparse requests.
   ProfileBackendKind backend = ProfileBackendKind::kAuto;
-  /// Execution knob: pool size for solve_many fan-out; 0 = hardware.
+  /// Execution knob: worker threads for solve_many fan-out; 0 = hardware.
   std::size_t threads = 0;
   /// Debug escape hatch: compute every request (no lookups, no inserts).
   /// Responses must stay bit-identical — the bypass only skips the cache.
@@ -156,7 +155,7 @@ class SolveCache {
   /// The single-flight lookup: returns the cached value, or joins the
   /// in-flight computation for `key`, or runs `compute` exactly once and
   /// caches its result.  `compute` runs outside every cache lock, so it may
-  /// itself solve on a thread pool.  If `compute` throws, the error
+  /// itself fan out over threads.  If `compute` throws, the error
   /// propagates to the computing caller and to every joiner; nothing is
   /// cached (the next request recomputes).
   [[nodiscard]] Lookup get_or_compute(
@@ -233,12 +232,12 @@ class CachingSolver {
   /// Serves one request on the calling thread.
   [[nodiscard]] SolveResponse solve(const Instance& instance);
 
-  /// Serves a batch on a work-stealing pool (params().threads workers, 0 =
-  /// hardware, capped at the batch size) — the one batch path.  Responses
-  /// are in request order, and every payload (packing, peak, winner) is
-  /// bit-identical to serving that request alone; duplicate requests inside
-  /// the batch collapse onto one computation via single-flight, which is
-  /// visible only in the `outcome` fields.
+  /// Serves a batch through runtime::parallel_map (params().threads
+  /// workers, 0 = hardware, capped at the batch size) — the one batch
+  /// path.  Responses are in request order, and every payload (packing,
+  /// peak, winner) is bit-identical to serving that request alone;
+  /// duplicate requests inside the batch collapse onto one computation via
+  /// single-flight, which is visible only in the `outcome` fields.
   [[nodiscard]] std::vector<SolveResponse> solve_many(
       const std::vector<Instance>& instances);
 
@@ -256,8 +255,8 @@ class CachingSolver {
   std::uint64_t fingerprint_;
   SolveCache cache_;
   /// Registry pull-source exporting serve.engine and the cache.* /
-  /// scheduler.* samples (the scheduler ones are process-wide totals:
-  /// batch pools are per-call, so they have always retired by read time).
+  /// scheduler.executed samples (the latter a process-wide total: every
+  /// solve_many has joined its threads before it returns).
   /// Declared last: it captures `this`, so it must unregister (its
   /// destructor) before any member it reads is torn down.
   obs::Registry::Source obs_source_;

@@ -74,7 +74,7 @@ Daemon::Daemon(const DaemonOptions& options)
       solver_(options.serve, options.cache),
       gate_(options.max_concurrent != 0
                 ? options.max_concurrent
-                : runtime::ThreadPool::hardware_threads(),
+                : runtime::hardware_threads(),
             options.max_queue) {
   if (!options_.persist_dir.empty()) {
     store_.emplace(options_.persist_dir, options_.snapshot_every);
@@ -89,30 +89,38 @@ Daemon::Daemon(const DaemonOptions& options)
         });
   }
 
-  DSP_REQUIRE(::pipe(stop_pipe_) == 0,
-              "dsp_served: cannot create stop pipe: " << std::strerror(errno));
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  DSP_REQUIRE(listen_fd_ >= 0,
-              "dsp_served: cannot create socket: " << std::strerror(errno));
-  const int reuse = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
-                     sizeof(reuse));
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(options_.port);
-  DSP_REQUIRE(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-                     sizeof(address)) == 0,
-              "dsp_served: cannot bind 127.0.0.1:" << options_.port << ": "
-                                                   << std::strerror(errno));
-  DSP_REQUIRE(::listen(listen_fd_, 64) == 0,
-              "dsp_served: cannot listen: " << std::strerror(errno));
-  sockaddr_in bound{};
-  socklen_t bound_size = sizeof(bound);
-  DSP_REQUIRE(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                            &bound_size) == 0,
-              "dsp_served: getsockname failed: " << std::strerror(errno));
-  port_ = ntohs(bound.sin_port);
+  // A throwing constructor never reaches ~Daemon, so a failed setup closes
+  // whatever it opened before rethrowing.
+  try {
+    DSP_REQUIRE(::pipe(stop_pipe_) == 0, "dsp_served: cannot create stop pipe: "
+                                             << std::strerror(errno));
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    DSP_REQUIRE(listen_fd_ >= 0,
+                "dsp_served: cannot create socket: " << std::strerror(errno));
+    const int reuse = 1;
+    (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse,
+                       sizeof(reuse));
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    address.sin_port = htons(options_.port);
+    DSP_REQUIRE(
+        ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
+               sizeof(address)) == 0,
+        "dsp_served: cannot bind 127.0.0.1:" << options_.port << ": "
+                                             << std::strerror(errno));
+    DSP_REQUIRE(::listen(listen_fd_, 64) == 0,
+                "dsp_served: cannot listen: " << std::strerror(errno));
+    sockaddr_in bound{};
+    socklen_t bound_size = sizeof(bound);
+    DSP_REQUIRE(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                              &bound_size) == 0,
+                "dsp_served: getsockname failed: " << std::strerror(errno));
+    port_ = ntohs(bound.sin_port);
+  } catch (...) {
+    close_fds();
+    throw;
+  }
 
   // Registered after every member above is live; the source only reads
   // atomics, the gate's own lock, the store's counters and process-wide
@@ -139,8 +147,6 @@ Daemon::Daemon(const DaemonOptions& options)
           out.push_back({"persist.appends", store_->appends(), false});
           out.push_back({"persist.compactions", store_->compactions(), false});
         }
-        out.push_back({"scheduler.occupancy",
-                       runtime::process_active_workers(), true});
         const obs::Tracer& tracer = obs::Tracer::global();
         out.push_back({"trace.spans_recorded", tracer.spans_recorded(), false});
         out.push_back({"trace.spans_dropped", tracer.spans_dropped(), false});
@@ -150,9 +156,15 @@ Daemon::Daemon(const DaemonOptions& options)
 
 Daemon::~Daemon() {
   stop();
+  close_fds();
+}
+
+void Daemon::close_fds() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (const int fd : stop_pipe_) {
+  listen_fd_ = -1;
+  for (int& fd : stop_pipe_) {
     if (fd >= 0) ::close(fd);
+    fd = -1;
   }
 }
 

@@ -110,6 +110,8 @@ class Daemon {
   /// close (protocol violation or write failure).
   [[nodiscard]] bool handle_frame(int fd, std::uint8_t type,
                                   std::string payload);
+  /// Closes the listen socket and the stop pipe (idempotent).
+  void close_fds();
 
   DaemonOptions options_;
   CachingSolver solver_;
@@ -134,7 +136,7 @@ class Daemon {
   std::atomic<std::uint64_t> errors_{0};
   std::uint64_t warm_loaded_ = 0;
   /// Registry pull-source exporting daemon.* / admission.* / persist.*
-  /// samples plus the process-wide scheduler.occupancy and trace.* ones.
+  /// samples plus the process-wide trace.* ones.
   /// Declared last: it captures `this` and reads the members above, so it
   /// must unregister before any of them is torn down.
   obs::Registry::Source obs_source_;

@@ -15,7 +15,7 @@
 //              [--metrics-out FILE] [--trace-out FILE]
 //
 // Each admitted request is served on its connection's thread, so
-// --max-concurrent is the daemon's concurrency; there is no batch pool.
+// --max-concurrent is the daemon's concurrency; there is no batch fan-out.
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase
@@ -57,7 +57,6 @@
 #include "core/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/cli.hpp"
 #include "service/daemon.hpp"
 #include "service/wire.hpp"
@@ -264,9 +263,6 @@ int run_daemon(const CliOptions& options) {
   }
   daemon.stop();
   const service::DaemonStats stats = daemon.stats();
-  // Lifetime scheduler counters ride along: by drain time every transient
-  // pool has retired, so the process-wide totals are complete.
-  const runtime::SchedulerCounters sched = runtime::scheduler_totals();
   const obs::HistogramSnapshot request =
       obs::phase_histogram(obs::Phase::kRequest).snapshot();
   JsonRow()
@@ -276,8 +272,6 @@ int run_daemon(const CliOptions& options) {
       .field("served", stats.served)
       .field("shed", stats.shed)
       .field("errors", stats.errors)
-      .field("steals", sched.steals)
-      .field("steal_fails", sched.steal_fails)
       .field("request_p50_nanos", request.quantile(50, 100))
       .field("request_p95_nanos", request.quantile(95, 100))
       .field("request_p99_nanos", request.quantile(99, 100))

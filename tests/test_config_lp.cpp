@@ -255,9 +255,10 @@ TEST(Solve54Engines, BitIdenticalAcrossBackends) {
 }
 
 TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
-  // Batch pools and daemon connections call solve54 from many threads at
-  // once; each call owns its profile backend and LP scratch, so concurrent
-  // calls share no mutable state (this is the place TSan sees it).
+  // Batch worker threads and daemon connections call solve54 from many
+  // threads at once; each call owns its profile backend and LP scratch, so
+  // concurrent calls share no mutable state (this is the place TSan sees
+  // it).
   Rng rng(808);
   const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
   const Approx54Result reference = solve54(inst);

@@ -507,6 +507,28 @@ TEST(DaemonTest, DrainClosesConnectionsAndRefusesNewOnes) {
   EXPECT_THROW(DaemonClient(daemon.port(), "127.0.0.1", 100), InvalidInput);
 }
 
+std::size_t open_fd_count() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(DaemonTest, FailedConstructionClosesItsDescriptors) {
+  // Binding a port another daemon listens on throws from the constructor,
+  // after the stop pipe and the socket are open; neither may leak.
+  Daemon holder(test_options());
+  DaemonOptions options = test_options();
+  options.port = holder.port();
+  const std::size_t before = open_fd_count();
+  for (int attempt = 0; attempt < 10; ++attempt) {
+    EXPECT_THROW(Daemon{options}, InvalidInput);
+  }
+  EXPECT_EQ(open_fd_count(), before);
+}
+
 TEST(DaemonTest, TinyGateShedsInsteadOfQueueingUnbounded) {
   DaemonOptions options = test_options();
   options.max_concurrent = 1;

@@ -460,7 +460,6 @@ TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
   (void)solver.solve(gen::random_uniform(16, 32, 12, 8, rng));
   const MetricsSnapshot snap = Registry::global().snapshot();
   const runtime::SchedulerCounters totals = runtime::scheduler_totals();
-  EXPECT_EQ(snap.sample_value("scheduler.submitted"), totals.submitted);
   EXPECT_EQ(snap.sample_value("scheduler.executed"), totals.executed);
   EXPECT_EQ(snap.sample_value("cache.misses"), 1u);
   for (const Sample& sample : snap.samples) {
@@ -581,11 +580,7 @@ TEST(ExpositionReaderTest, LiveDaemonExportsEveryRetiredStatsField) {
       {"daemon.draining", "daemon.draining"},
       {"persisted_appends", "persist.appends"},
       {"compactions", "persist.compactions"},
-      {"scheduler.submitted", "scheduler.submitted"},
       {"scheduler.executed", "scheduler.executed"},
-      {"scheduler.steals", "scheduler.steals"},
-      {"scheduler.steal_fails", "scheduler.steal_fails"},
-      {"scheduler.occupancy", "scheduler.occupancy"},
       {"obs.request_count", "phase.request_nanos_count"},
       {"obs.spans_recorded", "trace.spans_recorded"},
       {"obs.spans_dropped", "trace.spans_dropped"},

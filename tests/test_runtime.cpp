@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -22,93 +22,16 @@ namespace dsp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool unit tests.
+// parallel_map: the one fan-out loop.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, SubmitAndWait) {
-  runtime::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i]() { return i * i; }));
-  }
-  int sum = 0;
-  for (auto& future : futures) sum += future.get();
-  int expected = 0;
-  for (int i = 0; i < 100; ++i) expected += i * i;
-  EXPECT_EQ(sum, expected);
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  runtime::ThreadPool pool(2);
-  auto ok = pool.submit([]() { return 7; });
-  auto boom = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(boom.get(), std::runtime_error);
-  // The worker survives a throwing task.
-  auto after = pool.submit([]() { return 11; });
-  EXPECT_EQ(after.get(), 11);
-}
-
-TEST(ThreadPool, ZeroTasksDestructsCleanly) {
-  runtime::ThreadPool pool(3);
-  // No submissions: the destructor must not hang on idle workers.
-}
-
-TEST(ThreadPool, SingleThreadRunsEverything) {
-  runtime::ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&counter]() { ++counter; }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, DefaultSizeIsHardware) {
-  runtime::ThreadPool pool;
-  EXPECT_EQ(pool.size(), runtime::ThreadPool::hardware_threads());
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, PendingTasksStillCompleteAtDestruction) {
-  std::atomic<int> done{0};
-  {
-    runtime::ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      auto future = pool.submit([&done]() { ++done; });
-      (void)future;  // futures dropped: destructor must still drain the queue
-    }
-  }
-  EXPECT_EQ(done.load(), 200);
-}
-
-TEST(ThreadPoolStop, SubmitStillWorksUpToDestruction) {
-  // The throw-on-stopping guard must not affect a live pool: heavy
-  // submit/drain churn right up to the destructor stays clean.
-  for (int round = 0; round < 20; ++round) {
-    runtime::ThreadPool pool(2);
-    std::vector<std::future<int>> futures;
-    futures.reserve(32);
-    for (int i = 0; i < 32; ++i) {
-      futures.push_back(pool.submit([i]() { return i; }));
-    }
-    int sum = 0;
-    for (auto& future : futures) sum += future.get();
-    EXPECT_EQ(sum, 31 * 32 / 2);
-  }
-}
-
 TEST(ParallelMap, PreservesInputOrderAndRethrows) {
-  runtime::ThreadPool pool(4);
   const std::vector<int> items = {5, 3, 8, 1, 9};
   const auto doubled = runtime::parallel_map(
-      pool, items, [](const int& x, std::size_t) { return 2 * x; });
+      4, items, [](const int& x, std::size_t) { return 2 * x; });
   EXPECT_EQ(doubled, (std::vector<int>{10, 6, 16, 2, 18}));
   EXPECT_THROW(
-      (void)runtime::parallel_map(pool, items,
+      (void)runtime::parallel_map(4, items,
                                   [](const int& x, std::size_t) -> int {
                                     if (x == 8) throw std::logic_error("8");
                                     return x;
@@ -117,12 +40,11 @@ TEST(ParallelMap, PreservesInputOrderAndRethrows) {
 }
 
 TEST(ParallelMap, RethrowsFirstErrorInInputOrder) {
-  // Every task is awaited, then the first error in *input* order is
-  // rethrown — even when a later-input error completes earlier.
-  runtime::ThreadPool pool(2);
+  // Every item runs, then the first error in *input* order is rethrown —
+  // even when a later-input error completes earlier.
   const std::vector<int> items = {0, 1, 2, 3};
   try {
-    (void)runtime::parallel_map(pool, items, [&](const int& x, std::size_t) {
+    (void)runtime::parallel_map(2, items, [&](const int& x, std::size_t) {
       if (x == 1) {
         // Give the later-input error every chance to finish first.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -139,25 +61,20 @@ TEST(ParallelMap, RethrowsFirstErrorInInputOrder) {
 
 TEST(ParallelMap, EmptyInputSubmitsNothing) {
   const runtime::SchedulerCounters before = runtime::scheduler_totals();
-  {
-    runtime::ThreadPool pool(2);
-    const std::vector<int> none;
-    EXPECT_TRUE(runtime::parallel_map(pool, none, [](const int& x,
-                                                     std::size_t) {
-                  return x;
-                }).empty());
-  }
-  EXPECT_EQ(runtime::scheduler_totals().submitted, before.submitted);
+  const std::vector<int> none;
+  EXPECT_TRUE(runtime::parallel_map(2, none, [](const int& x, std::size_t) {
+                return x;
+              }).empty());
+  EXPECT_EQ(runtime::scheduler_totals().executed, before.executed);
 }
 
 TEST(ParallelMap, PassesEachItemItsInputIndex) {
-  runtime::ThreadPool pool(4);
   std::vector<int> items(50);
   for (std::size_t i = 0; i < items.size(); ++i) {
     items[i] = static_cast<int>(3 * i + 1);
   }
   const auto pairs = runtime::parallel_map(
-      pool, items, [&items](const int& x, std::size_t index) {
+      4, items, [&items](const int& x, std::size_t index) {
         // The index names the item's own slot, not a completion order.
         EXPECT_EQ(&x, &items[index]);
         return std::make_pair(x, index);
@@ -172,11 +89,10 @@ TEST(ParallelMap, PassesEachItemItsInputIndex) {
 TEST(ParallelMap, AwaitsEveryTaskBeforeRethrowing) {
   // The first item throws at once; the rest are slow and touch caller
   // state.  All of them must have finished by the time the error surfaces.
-  runtime::ThreadPool pool(4);
   const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
   std::atomic<int> finished{0};
   EXPECT_THROW(
-      (void)runtime::parallel_map(pool, items,
+      (void)runtime::parallel_map(4, items,
                                   [&finished](const int& x, std::size_t) {
                                     if (x == 0) throw std::logic_error("0");
                                     std::this_thread::sleep_for(
@@ -189,10 +105,9 @@ TEST(ParallelMap, AwaitsEveryTaskBeforeRethrowing) {
 }
 
 TEST(ParallelMap, MoveOnlyResultsArriveInInputOrder) {
-  runtime::ThreadPool pool(3);
   const std::vector<int> items = {4, 0, 7, 2, 9, 1};
   const std::vector<std::unique_ptr<int>> boxed = runtime::parallel_map(
-      pool, items,
+      3, items,
       [](const int& x, std::size_t) { return std::make_unique<int>(x); });
   ASSERT_EQ(boxed.size(), items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
@@ -202,18 +117,118 @@ TEST(ParallelMap, MoveOnlyResultsArriveInInputOrder) {
 }
 
 TEST(ParallelMap, SingleWorkerRunsItemsInInputOrder) {
-  // Off-pool submissions drain FIFO, so one worker visits the items in
-  // input order.
-  runtime::ThreadPool pool(1);
+  // The shared cursor hands out indices in increasing order, so one worker
+  // visits the items in input order.
   const std::vector<int> items = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
   std::vector<int> visited;  // single worker: appends are serial
-  (void)runtime::parallel_map(pool, items,
-                              [&visited](const int& x, std::size_t) {
-                                visited.push_back(x);
-                                return x;
-                              });
+  (void)runtime::parallel_map(1, items, [&visited](const int& x, std::size_t) {
+    visited.push_back(x);
+    return x;
+  });
   EXPECT_EQ(visited, items);
 }
+
+TEST(ParallelMap, BlockedItemDoesNotStallTheRest) {
+  // Item 0 blocks until every other item has run.  Any static split of the
+  // items over 2 workers queues some of them behind item 0 and hangs until
+  // the deadline; the shared cursor lets the other worker take them all.
+  const std::vector<int> items(8, 0);
+  std::atomic<std::size_t> done{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  const std::vector<bool> unblocked = runtime::parallel_map(
+      2, items, [&](const int&, std::size_t index) {
+        if (index != 0) {
+          ++done;
+          return true;
+        }
+        while (done.load() < items.size() - 1) {
+          if (std::chrono::steady_clock::now() > deadline) return false;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return true;
+      });
+  EXPECT_TRUE(unblocked[0]);
+  EXPECT_EQ(done.load(), items.size() - 1);
+}
+
+TEST(ParallelMap, ZeroWorkersMeansHardwareThreads) {
+  // workers = 0 starts hardware_threads() threads: as many items as that
+  // all meet at a barrier, so each ran on a thread of its own ...
+  const std::size_t hardware = runtime::hardware_threads();
+  std::atomic<std::size_t> arrived{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  const auto meet = [&](const int&, std::size_t) {
+    ++arrived;
+    while (arrived.load() < hardware &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return std::this_thread::get_id();
+  };
+  const std::vector<std::thread::id> met =
+      runtime::parallel_map(0, std::vector<int>(hardware, 0), meet);
+  EXPECT_EQ(std::set<std::thread::id>(met.begin(), met.end()).size(),
+            hardware);
+  // ... and more items than that never run on more threads.
+  const std::vector<std::thread::id> ran = runtime::parallel_map(
+      0, std::vector<int>(4 * hardware, 0),
+      [](const int&, std::size_t) { return std::this_thread::get_id(); });
+  EXPECT_LE(std::set<std::thread::id>(ran.begin(), ran.end()).size(),
+            hardware);
+}
+
+// The cursor contract at every worker count, including 0 (hardware) and
+// more workers than items.
+class ParallelMapWorkers : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ParallelMapWorkers, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t size : {std::size_t{1}, std::size_t{7},
+                                 std::size_t{257}}) {
+    const std::vector<int> items(size, 0);
+    std::vector<std::atomic<int>> visits(size);
+    const runtime::SchedulerCounters before = runtime::scheduler_totals();
+    const std::vector<std::size_t> indices = runtime::parallel_map(
+        GetParam(), items, [&visits](const int&, std::size_t index) {
+          ++visits[index];
+          return index;
+        });
+    EXPECT_EQ(runtime::scheduler_totals().executed - before.executed, size);
+    ASSERT_EQ(indices.size(), size);
+    for (std::size_t i = 0; i < size; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "size " << size << " index " << i;
+      EXPECT_EQ(indices[i], i);
+    }
+  }
+}
+
+TEST_P(ParallelMapWorkers, ErrorsNeitherStopTheLoopNorReorder) {
+  // Every third item throws its own index; all items still run, and the
+  // rethrown error is item 0's.
+  const std::vector<int> items(40, 0);
+  std::atomic<std::size_t> ran{0};
+  try {
+    (void)runtime::parallel_map(
+        GetParam(), items, [&ran](const int&, std::size_t index) {
+          ++ran;
+          if (index % 3 == 0) throw std::out_of_range(std::to_string(index));
+          return index;
+        });
+    FAIL() << "parallel_map must rethrow";
+  } catch (const std::out_of_range& error) {
+    EXPECT_STREQ(error.what(), "0");
+  }
+  EXPECT_EQ(ran.load(), items.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelMapWorkers,
+                         ::testing::Values(std::size_t{0}, std::size_t{1},
+                                           std::size_t{2}, std::size_t{3},
+                                           std::size_t{64}),
+                         [](const auto& info) {
+                           return "w" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Determinism: the batch path (CachingSolver::solve_many) is bit-identical

@@ -1,15 +1,10 @@
-// The work-stealing scheduler (DESIGN.md, "The parallel runtime"): deque
-// protocol order, forced steals, pool-sizing fallbacks, determinism of
-// skewed batches across thread counts x backends, the process-wide counter
-// plumbing the serving layer reports, and solve54 staying off every pool.
+// The batch fan-out (DESIGN.md, "The parallel runtime"): worker-count
+// fallbacks, determinism of skewed batches across thread counts x
+// backends, the process-wide counter plumbing the serving layer reports,
+// and solve54 staying on its caller's thread.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <future>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "algo/portfolio.hpp"
@@ -25,7 +20,7 @@ namespace dsp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Pool sizing (satellite: hardware_concurrency() == 0 and 1-core hosts).
+// Worker counts (hardware_concurrency() == 0 and 1-core hosts).
 // ---------------------------------------------------------------------------
 
 TEST(ResolveWorkerCount, ExplicitRequestAlwaysWins) {
@@ -49,111 +44,22 @@ TEST(ResolveWorkerCount, OneCoreContainerGetsOneWorker) {
 }
 
 TEST(ResolveWorkerCount, HardwareThreadsIsNeverZero) {
-  EXPECT_GE(runtime::ThreadPool::hardware_threads(), 1u);
+  EXPECT_GE(runtime::hardware_threads(), 1u);
 }
 
 // ---------------------------------------------------------------------------
-// Deque protocol: externals drain FIFO, own spawns drain LIFO.
+// The scheduler counters.
 // ---------------------------------------------------------------------------
 
-TEST(SchedulerProtocol, ExternalTasksDrainInSubmissionOrder) {
-  // One worker, gated so all three tasks are queued before any runs.
-  runtime::ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  std::vector<std::string> order;  // single worker: appends are serial
-  auto blocker = pool.submit([open]() { open.wait(); });
-  auto a = pool.submit([&order]() { order.push_back("a"); });
-  auto b = pool.submit([&order]() { order.push_back("b"); });
-  auto c = pool.submit([&order]() { order.push_back("c"); });
-  gate.set_value();
-  blocker.get();
-  a.get();
-  b.get();
-  c.get();
-  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SchedulerProtocol, OwnerSpawnsDrainNewestFirst) {
-  // A task spawned by a pool worker goes to the owner (LIFO, cache-warm)
-  // end of its own deque: the spawner's most recent child runs first.
-  runtime::ThreadPool pool(1);
-  std::vector<std::string> order;
-  std::future<void> s1, s2;
-  pool.submit([&]() {
-        s1 = pool.submit([&order]() { order.push_back("s1"); });
-        s2 = pool.submit([&order]() { order.push_back("s2"); });
-        order.push_back("parent");
-      })
-      .get();
-  s1.get();
-  s2.get();
-  EXPECT_EQ(order, (std::vector<std::string>{"parent", "s2", "s1"}));
-}
-
-// ---------------------------------------------------------------------------
-// Stealing and the scheduler counters.
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerStealing, IdleWorkerStealsFromBlockedVictim) {
-  // Worker 0 is parked on a gate; its queued tasks must migrate to worker
-  // 1, so they complete while the victim is still blocked.
-  runtime::ThreadPool pool(2);
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  // Round-robin placement: first external lands on worker 0.
-  auto blocker = pool.submit([open]() { open.wait(); });
-  std::vector<std::future<int>> work;
-  for (int i = 0; i < 8; ++i) {
-    work.push_back(pool.submit([i]() { return i; }));
-  }
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(work[static_cast<std::size_t>(i)].get(), i);
-  }
-  // Half the tasks were placed on the blocked worker 0: finishing them all
-  // before the gate opens is only possible by stealing.
-  EXPECT_GE(pool.counters().steals, 1u);
-  gate.set_value();
-  blocker.get();
-}
-
-TEST(SchedulerStealing, CountersAccumulateIntoProcessTotals) {
+TEST(ParallelMap, ExecutedCountsEveryItem) {
+  const std::vector<int> items(16, 3);
   const runtime::SchedulerCounters before = runtime::scheduler_totals();
-  {
-    runtime::ThreadPool pool(2);
-    std::vector<std::future<int>> work;
-    for (int i = 0; i < 16; ++i) {
-      work.push_back(pool.submit([i]() { return i * i; }));
-    }
-    for (auto& future : work) (void)future.get();
-  }  // destruction folds this pool's counters into the totals
-  // A task's future is ready before its worker counts it executed, so the
-  // counts are exact only once the pool is destroyed.
+  (void)runtime::parallel_map(2, items,
+                              [](const int& x, std::size_t) { return x * x; });
+  // parallel_map joins its threads before returning, so the total is exact.
   const runtime::SchedulerCounters after = runtime::scheduler_totals();
-  EXPECT_EQ(after.submitted - before.submitted, 16u);
-  EXPECT_EQ(after.executed - before.executed, 16u);
-}
-
-TEST(SchedulerStealing, OccupancyGaugeTracksRunningTasks) {
-  runtime::ThreadPool pool(2);
-  EXPECT_EQ(pool.occupancy(), 0u);
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  auto a = pool.submit([open]() { open.wait(); });
-  auto b = pool.submit([open]() { open.wait(); });
-  // Both workers should pick up a gated task; poll briefly (the gauge is
-  // monotone here until the gate opens).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pool.occupancy() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(pool.occupancy(), 2u);
-  EXPECT_GE(runtime::process_active_workers(), 2u);
-  gate.set_value();
-  a.get();
-  b.get();
+  EXPECT_EQ(after.executed - before.executed, items.size());
+  EXPECT_EQ(after.steals, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +71,8 @@ std::vector<Instance> skewed_batch(std::uint64_t seed, std::size_t heavy_n,
                                    std::size_t light_n, std::size_t count) {
   std::vector<Instance> batch;
   Rng rng(seed);
-  // The heavy instance leads, so round-robin placement puts it plus a
-  // light tail on worker 0 — the skew stealing exists to absorb.
+  // The heavy instance leads: whichever worker claims it, the others
+  // must pick up the light tail.
   batch.push_back(gen::random_uniform(heavy_n, 120, 60, 24, rng));
   for (std::size_t b = 1; b < count; ++b) {
     Rng shard = rng.spawn(b);
@@ -267,14 +173,10 @@ TEST(SchedulerDeterminism, ParallelMapIdenticalAcrossThreadCounts) {
     for (int s = 0; s < spins; ++s) acc = acc * 6364136223846793005ull + 13u;
     return acc;
   };
-  std::vector<std::uint64_t> reference;
-  {
-    runtime::ThreadPool pool(1);
-    reference = runtime::parallel_map(pool, items, heavy_square);
-  }
+  const std::vector<std::uint64_t> reference =
+      runtime::parallel_map(1, items, heavy_square);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    runtime::ThreadPool pool(threads);
-    EXPECT_EQ(runtime::parallel_map(pool, items, heavy_square), reference)
+    EXPECT_EQ(runtime::parallel_map(threads, items, heavy_square), reference)
         << "threads " << threads;
   }
 }
@@ -284,13 +186,12 @@ TEST(SchedulerDeterminism, ParallelMapIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 
 TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
-  // Pools fold their counters into the process totals when destroyed, so
-  // any pool a solve54 call spawned (and joined) would show up here.
+  // Every parallel_map item counts into the process totals, so any fan-out
+  // a solve54 call ran would show up here.
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
     const runtime::SchedulerCounters before = runtime::scheduler_totals();
     (void)approx::solve54(golden.instance);
     const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.submitted, before.submitted) << golden.name;
     EXPECT_EQ(after.executed, before.executed) << golden.name;
   }
 }
@@ -307,7 +208,7 @@ TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
     const runtime::SchedulerCounters before = runtime::scheduler_totals();
     (void)approx::solve54(inst, params);
     const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.submitted, before.submitted)
+    EXPECT_EQ(after.executed, before.executed)
         << "backend " << static_cast<int>(backend);
   }
 }
@@ -327,22 +228,21 @@ TEST(ServingScheduler, CachingSolverExposesCounters) {
   (void)solver.solve(inst);
   const runtime::SchedulerCounters after = runtime::scheduler_totals();
   // A single request is served on the calling thread end to end.
-  EXPECT_EQ(after.submitted, before.submitted);
-  // A batch fans out over a pool whose counters fold into the totals.
-  (void)solver.solve_many(skewed_batch(915, 8, 16, 6));
+  EXPECT_EQ(after.executed, before.executed);
+  // A batch fans out; each of its requests counts as one item run.
+  const std::vector<Instance> batch = skewed_batch(915, 8, 16, 6);
+  (void)solver.solve_many(batch);
   const runtime::SchedulerCounters batched = runtime::scheduler_totals();
-  EXPECT_GT(batched.submitted, after.submitted);
-  EXPECT_EQ(batched.executed - after.executed,
-            batched.submitted - after.submitted);
-  // The solver's registry source exports those same process totals.
+  EXPECT_EQ(batched.executed - after.executed, batch.size());
+  // The solver's registry source exports that same process total.
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
-  EXPECT_EQ(snap.sample_value("scheduler.submitted"), batched.submitted);
+  EXPECT_EQ(snap.sample_value("scheduler.executed"), batched.executed);
 }
 
 TEST(ServingScheduler, SolveManySubmitsOneTaskPerRequest) {
-  // The batch pool is joined before solve_many returns: every request was
-  // one task, all of them ran, and no worker is left running.  More
-  // threads than requests changes nothing in the counts.
+  // The batch threads are joined before solve_many returns: every request
+  // was one item and all of them ran.  More threads than requests changes
+  // nothing in the count.
   Rng rng(917);
   std::vector<Instance> batch;
   for (int i = 0; i < 3; ++i) {
@@ -356,11 +256,8 @@ TEST(ServingScheduler, SolveManySubmitsOneTaskPerRequest) {
     const runtime::SchedulerCounters before = runtime::scheduler_totals();
     EXPECT_EQ(solver.solve_many(batch).size(), batch.size());
     const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.submitted - before.submitted, batch.size())
-        << "threads " << threads;
     EXPECT_EQ(after.executed - before.executed, batch.size())
         << "threads " << threads;
-    EXPECT_EQ(runtime::process_active_workers(), 0u) << "threads " << threads;
   }
 }
 
