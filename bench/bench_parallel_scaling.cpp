@@ -1,6 +1,6 @@
 // Parallel-runtime scaling: batch fan-out speedups across thread counts
-// through the one batch path, CachingSolver::solve_many (cache bypassed,
-// so every timed call computes every request).  Emits one JSON line per
+// through the one batch path, CachingSolver::solve_many (the cache is
+// cleared before every timed call, so each computes every request).  Emits one JSON line per
 // (mode, family, threads) with millis and speedup over the 1-thread run of
 // the same code path; "seq_millis" is the plain loop of single-request
 // serves for reference.  Every batch answer is asserted bit-identical to
@@ -75,12 +75,11 @@ std::uint64_t batch_checksum(const std::vector<service::SolveResponse>& batch) {
 [[nodiscard]] service::CachingSolver make_solver(std::size_t threads) {
   service::ServeParams params;
   params.threads = threads;
-  params.bypass_cache = true;
   return service::CachingSolver(params);
 }
 
-/// One timed scenario row: mean millis of `repeats` solve_many calls plus
-/// the items those calls ran.
+/// One timed scenario row: mean millis of `repeats` solve_many calls, each
+/// on an emptied cache, plus the items those calls ran.
 struct Timed {
   double millis = 0;
   std::uint64_t executed = 0;
@@ -90,7 +89,10 @@ Timed time_batch(service::CachingSolver& solver,
                  const std::vector<Instance>& batch, int repeats) {
   const runtime::SchedulerCounters before = runtime::scheduler_totals();
   Stopwatch watch;
-  for (int r = 0; r < repeats; ++r) (void)solver.solve_many(batch);
+  for (int r = 0; r < repeats; ++r) {
+    solver.cache().clear();
+    (void)solver.solve_many(batch);
+  }
   Timed timed;
   timed.millis = watch.millis() / repeats;
   const runtime::SchedulerCounters after = runtime::scheduler_totals();

@@ -4,10 +4,11 @@
 //
 // For each workload and thread count the same request batch — `distinct`
 // unique requests, each repeated `repeats` times, round-robin — is served
-// twice: once with the cache bypassed (every request computed) and once
-// through the cache.  Responses must be bit-identical between the two runs
-// (the serving determinism contract); any mismatch exits 1, making this a
-// functional check as well as a measurement.  JSON rows carry hit/miss/join
+// twice: once uncached (each request on a fresh solver, fanned out like
+// solve_many) and once through one shared cache.  Responses must be
+// bit-identical between the two runs (the serving determinism contract);
+// any mismatch exits 1, making this a functional check as well as a
+// measurement.  JSON rows carry hit/miss/join
 // counters, wall-clock times and the speedup.
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "pts/pts.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "transform/transform.hpp"
 
@@ -83,16 +85,15 @@ int run() {
   for (const Workload& workload : workloads) {
     const std::vector<Instance> batch = workload.make(kDistinct, kRepeats);
     for (const std::size_t threads : thread_counts) {
-      service::ServeParams bypass_params;
-      bypass_params.threads = threads;
-      bypass_params.bypass_cache = true;
       service::ServeParams cached_params;
       cached_params.threads = threads;
 
-      service::CachingSolver bypass(bypass_params);
       Stopwatch uncached_watch;
       const std::vector<service::SolveResponse> uncached =
-          bypass.solve_many(batch);
+          runtime::parallel_map(
+              threads, batch, [](const Instance& instance, std::size_t) {
+                return service::CachingSolver().solve(instance);
+              });
       const double uncached_ms = uncached_watch.millis();
 
       service::CachingSolver solver(cached_params);

@@ -37,12 +37,6 @@ std::vector<NamedAlgorithm> baseline_portfolio(ProfileBackendKind backend) {
   };
 }
 
-const std::vector<NamedAlgorithm>& baseline_portfolio() {
-  static const std::vector<NamedAlgorithm> portfolio =
-      baseline_portfolio(ProfileBackendKind::kDense);
-  return portfolio;
-}
-
 Packing best_of_portfolio(const Instance& instance, std::string* winner,
                           ProfileBackendKind backend) {
   DSP_REQUIRE(instance.size() > 0, "best_of_portfolio on empty instance");

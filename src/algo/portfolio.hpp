@@ -24,15 +24,12 @@ struct NamedAlgorithm {
 };
 
 /// All general-purpose baselines (the equal-width folding is excluded: it
-/// only accepts uniform widths and is benchmarked separately), running on
-/// the dense profile backend.
-[[nodiscard]] const std::vector<NamedAlgorithm>& baseline_portfolio();
-
-/// The same portfolio with the profile-driven members bound to the given
-/// backend (nfdh/ffdh/sleator keep their shelf bookkeeping; greedy,
-/// first-fit and bottom-left switch their placement profile).
+/// only accepts uniform widths and is benchmarked separately), with the
+/// profile-driven members bound to the given backend (nfdh/ffdh/sleator
+/// keep their shelf bookkeeping; greedy, first-fit and bottom-left switch
+/// their placement profile).  kAuto resolves it per instance.
 [[nodiscard]] std::vector<NamedAlgorithm> baseline_portfolio(
-    ProfileBackendKind backend);
+    ProfileBackendKind backend = ProfileBackendKind::kAuto);
 
 /// Runs the portfolio in order and returns the packing with the lowest peak
 /// (the earliest member on ties).  Stops once the best peak reaches

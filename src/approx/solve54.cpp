@@ -222,7 +222,7 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Packing witness;
   {
     const obs::ScopedSpan span(obs::Phase::kWitness);
-    witness = algo::best_of_portfolio(instance, nullptr, params.backend);
+    witness = algo::best_of_portfolio(instance);
   }
   const Height witness_peak = peak_height(instance, witness);
   report.upper_bound = witness_peak;
@@ -234,8 +234,9 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   // One profile and one fill scratch serve every attempt.  kAuto resolves
   // from (width, n) only, so the reused backend is the one a fresh
   // construction per attempt would pick.
-  const std::unique_ptr<ProfileBackend> occupancy = make_profile_backend(
-      params.backend, instance.strip_width(), instance.size());
+  const std::unique_ptr<ProfileBackend> occupancy =
+      make_profile_backend(ProfileBackendKind::kAuto, instance.strip_width(),
+                           instance.size());
   VerticalFillScratch fill_scratch;
 
   // Step 2: binary search over H'.  Round 1 is the floor probe

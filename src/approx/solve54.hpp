@@ -4,7 +4,6 @@
 
 #include "approx/classify.hpp"
 #include "core/packing.hpp"
-#include "core/profile.hpp"
 
 namespace dsp::approx {
 
@@ -15,9 +14,6 @@ namespace dsp::approx {
 struct Approx54Params {
   /// The accuracy parameter; budget per guess is (5/4 + eps) * H'.
   Fraction epsilon = Fraction(1, 4);
-  /// Demand-profile implementation every placement step (and the witness
-  /// portfolio) runs on; kAuto picks sparse on wide, lightly covered strips.
-  ProfileBackendKind backend = ProfileBackendKind::kAuto;
 };
 
 /// Diagnostics of one run — the quantities experiments E7/E9/E11 report.
@@ -72,7 +68,10 @@ struct Approx54Result {
 ///   step 7  the best packing over all guesses (never worse than the
 ///           witness) is returned
 ///
-/// Runs entirely on the calling thread.  The returned packing is always
+/// Runs entirely on the calling thread.  Every placement step and the
+/// witness portfolio run on the profile backend resolve_backend(kAuto, W, n)
+/// picks: sparse on wide, lightly covered strips, dense otherwise (both
+/// give identical packings).  The returned packing is always
 /// feasible; peak quality is certified per run against the lower bound
 /// (experiment E7 measures the ratio).
 [[nodiscard]] Approx54Result solve54(const Instance& instance,

@@ -25,8 +25,7 @@ struct MakespanSolution {
 };
 
 MakespanSolution makespan_via_duality(const std::vector<Item>& items, Height m,
-                                      Length width_cap,
-                                      ProfileBackendKind backend) {
+                                      Length width_cap) {
   // Feasible fallback: all jobs in sequence (width = sum of widths).
   Length lo = 1;
   Length hi = 0;
@@ -40,7 +39,7 @@ MakespanSolution makespan_via_duality(const std::vector<Item>& items, Height m,
   while (lo <= hi) {
     const Length mid = lo + (hi - lo) / 2;
     const Instance inst(mid, items);
-    const Packing packing = algo::best_of_portfolio(inst, nullptr, backend);
+    const Packing packing = algo::best_of_portfolio(inst);
     if (peak_height(inst, packing) <= m) {
       best.packing = packing;
       best.width = mid;
@@ -64,8 +63,7 @@ MakespanSolution makespan_via_duality(const std::vector<Item>& items, Height m,
 }  // namespace
 
 DspWidthAugmentation augment_dsp_width(const Instance& instance,
-                                       const Fraction& epsilon,
-                                       ProfileBackendKind backend) {
+                                       const Fraction& epsilon) {
   DSP_REQUIRE(epsilon > Fraction(0), "epsilon must be positive");
   DSP_REQUIRE(instance.size() > 0, "empty instance");
   const Length width_budget =
@@ -76,7 +74,7 @@ DspWidthAugmentation augment_dsp_width(const Instance& instance,
   result.height_floor = combined_lower_bound(instance);
   // Upper seed: the witness height at the original width is always accepted
   // (its width is W <= budget).
-  const Packing witness = algo::best_of_portfolio(instance, nullptr, backend);
+  const Packing witness = algo::best_of_portfolio(instance);
   Height hi = peak_height(instance, witness);
   Height lo = instance.max_height();
   result.packing = witness;
@@ -86,7 +84,7 @@ DspWidthAugmentation augment_dsp_width(const Instance& instance,
     const Height mid = lo + (hi - lo) / 2;
     ++result.probes;
     const MakespanSolution sol =
-        makespan_via_duality(items, mid, width_budget, backend);
+        makespan_via_duality(items, mid, width_budget);
     if (sol.width <= width_budget) {
       result.packing = sol.packing;
       result.height = mid;
@@ -148,28 +146,23 @@ PtsMachineAugmentation augment_pts_machines(
 }  // namespace
 
 PtsMachineAugmentation augment_pts_machines_53(const pts::PtsInstance& instance,
-                                               const Fraction& epsilon,
-                                               ProfileBackendKind backend) {
+                                               const Fraction& epsilon) {
   return augment_pts_machines(
       instance, Fraction(5, 3) + epsilon,
-      [backend](const Instance& inst) -> std::pair<Height, Packing> {
-        Packing packing = algo::best_of_portfolio(inst, nullptr, backend);
+      [](const Instance& inst) -> std::pair<Height, Packing> {
+        Packing packing = algo::best_of_portfolio(inst);
         const Height peak = peak_height(inst, packing);
         return {peak, std::move(packing)};
       });
 }
 
 PtsMachineAugmentation augment_pts_machines_54(const pts::PtsInstance& instance,
-                                               const Fraction& epsilon,
-                                               ProfileBackendKind backend) {
-  const Fraction eps = epsilon;
+                                               const Fraction& epsilon) {
   return augment_pts_machines(
       instance, Fraction(5, 4) + epsilon,
-      [eps, backend](const Instance& inst) -> std::pair<Height, Packing> {
-        approx::Approx54Params params;
-        params.epsilon = eps;
-        params.backend = backend;
-        approx::Approx54Result result = approx::solve54(inst, params);
+      [&epsilon](const Instance& inst) -> std::pair<Height, Packing> {
+        approx::Approx54Result result =
+            approx::solve54(inst, {.epsilon = epsilon});
         return {result.peak, std::move(result.packing)};
       });
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "core/packing.hpp"
-#include "core/profile.hpp"
 #include "pts/pts.hpp"
 #include "util/fraction.hpp"
 
@@ -33,8 +32,7 @@ struct DspWidthAugmentation {
 /// accepted guess — at most OPT(W) whenever the black box meets the
 /// (3/2+eps) ratio of [16] on the instance (measured in experiment E5).
 [[nodiscard]] DspWidthAugmentation augment_dsp_width(
-    const Instance& instance, const Fraction& epsilon,
-    ProfileBackendKind backend = ProfileBackendKind::kDense);
+    const Instance& instance, const Fraction& epsilon);
 
 /// Result of the Corollary-3/4 frameworks: a schedule of *optimal-or-better
 /// makespan* using an augmented number of machines.
@@ -49,14 +47,12 @@ struct PtsMachineAugmentation {
 /// Corollary 3: machine augmentation by (5/3 + eps) with the baseline
 /// portfolio as the DSP black box (stand-in for [3, 6]).
 [[nodiscard]] PtsMachineAugmentation augment_pts_machines_53(
-    const pts::PtsInstance& instance, const Fraction& epsilon,
-    ProfileBackendKind backend = ProfileBackendKind::kDense);
+    const pts::PtsInstance& instance, const Fraction& epsilon);
 
 /// Corollary 4: machine augmentation by (5/4 + eps) with the Theorem-5
 /// pipeline as the DSP black box (the parameterized pseudo-polynomial
 /// setting).
 [[nodiscard]] PtsMachineAugmentation augment_pts_machines_54(
-    const pts::PtsInstance& instance, const Fraction& epsilon,
-    ProfileBackendKind backend = ProfileBackendKind::kDense);
+    const pts::PtsInstance& instance, const Fraction& epsilon);
 
 }  // namespace dsp::augment

@@ -54,8 +54,8 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
   hasher.absorb(0x6473702d73727633ull);  // "dsp-srv3"
   // The engine is the only result-affecting parameter: solve54 always runs
   // with its default epsilon.  Excluded on purpose — proved result-invariant
-  // by the backend and runtime determinism suites — are ServeParams::backend
-  // and ::threads (see DESIGN.md, "The parallel runtime").
+  // by the runtime determinism suites — is ServeParams::threads (see
+  // DESIGN.md, "The parallel runtime").
   hasher.absorb(static_cast<std::uint64_t>(params.engine));
   return hasher.digest64();
 }
@@ -129,9 +129,8 @@ constexpr std::size_t kMinShardBytes = 4096;
 SolveCache::SolveCache(const CacheOptions& options)
     : capacity_bytes_(options.capacity_bytes) {
   DSP_REQUIRE(capacity_bytes_ > 0,
-              "SolveCache: capacity_bytes must be positive; to serve without "
-              "caching use ServeParams::bypass_cache (--no-cache), not a "
-              "zero-byte cache");
+              "SolveCache: capacity_bytes must be positive (a zero-byte "
+              "cache would reject every insert)");
   std::size_t shard_count = std::max<std::size_t>(1, options.shards);
   shard_count = std::min(
       shard_count, std::max<std::size_t>(1, capacity_bytes_ / kMinShardBytes));
@@ -318,40 +317,27 @@ CachingSolver::CachingSolver(const ServeParams& params,
       });
 }
 
-CachedSolve CachingSolver::compute_canonical(const Instance& canonical) {
-  CachedSolve solve;
-  if (params_.engine == ServeEngine::kPortfolio) {
-    solve.packing =
-        algo::best_of_portfolio(canonical, &solve.winner, params_.backend);
-    solve.peak = peak_height(canonical, solve.packing);
-  } else {
-    approx::Approx54Result result =
-        approx::solve54(canonical, {.backend = params_.backend});
-    solve.packing = std::move(result.packing);
-    solve.peak = result.peak;
-    solve.winner = "solve54";
-  }
-  return solve;
-}
-
 SolveResponse CachingSolver::solve(const Instance& instance) {
   // Adopt the caller's request id (the daemon opens one per frame) or mint
   // a fresh one for direct callers; the whole serve is one kSolve span.
   const obs::RequestScope request_scope;
   const obs::ScopedSpan solve_span(obs::Phase::kSolve);
   const CanonicalForm form = canonicalize(instance);
-  SolveResponse response;
-  if (params_.bypass_cache) {
-    CachedSolve computed = compute_canonical(form.instance);
-    response.packing = restore_item_order(form, computed.packing);
-    response.peak = computed.peak;
-    response.winner = std::move(computed.winner);
-    response.outcome = CacheOutcome::kMiss;
-    return response;
-  }
   const CacheKey key{canonical_hash(form.instance), fingerprint_};
-  const SolveCache::Lookup lookup = cache_.get_or_compute(
-      key, [this, &form]() { return compute_canonical(form.instance); });
+  const SolveCache::Lookup lookup = cache_.get_or_compute(key, [&]() {
+    CachedSolve solve;
+    if (params_.engine == ServeEngine::kPortfolio) {
+      solve.packing = algo::best_of_portfolio(form.instance, &solve.winner);
+      solve.peak = peak_height(form.instance, solve.packing);
+    } else {
+      approx::Approx54Result result = approx::solve54(form.instance);
+      solve.packing = std::move(result.packing);
+      solve.peak = result.peak;
+      solve.winner = "solve54";
+    }
+    return solve;
+  });
+  SolveResponse response;
   response.packing = restore_item_order(form, lookup.value->packing);
   response.peak = lookup.value->peak;
   response.winner = lookup.value->winner;

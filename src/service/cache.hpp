@@ -22,8 +22,7 @@
 // starts back through the request's permutation, so its answer is a pure
 // function of (canonical instance, result-affecting params) — identical
 // whether it came from a cold solve, a cache hit, or an in-flight join, for
-// any thread count and either profile backend (the argument lives in
-// DESIGN.md).
+// any thread count (the argument lives in DESIGN.md).
 
 #include <cstdint>
 #include <functional>
@@ -33,7 +32,6 @@
 
 #include "core/instance.hpp"
 #include "core/packing.hpp"
-#include "core/profile.hpp"
 #include "obs/metrics.hpp"
 #include "service/canonical.hpp"
 
@@ -54,18 +52,13 @@ enum class ServeEngine {
 /// Everything that shapes a served solve.  Split into result-affecting
 /// parameters (fingerprinted into the cache key) and execution knobs
 /// (excluded, because the runtime's determinism contracts prove the result
-/// does not depend on them — see params_fingerprint).
+/// does not depend on them — see params_fingerprint).  The profile backend
+/// is no parameter: every solve resolves it from the instance shape
+/// (resolve_backend(kAuto, W, n)).
 struct ServeParams {
   ServeEngine engine = ServeEngine::kPortfolio;
-  /// Execution knob: dense and sparse produce identical packings (the
-  /// profile-backend equivalence suite), so the backend is NOT part of the
-  /// cache key — a dense miss serves later sparse requests.
-  ProfileBackendKind backend = ProfileBackendKind::kAuto;
   /// Execution knob: worker threads for solve_many fan-out; 0 = hardware.
   std::size_t threads = 0;
-  /// Debug escape hatch: compute every request (no lookups, no inserts).
-  /// Responses must stay bit-identical — the bypass only skips the cache.
-  bool bypass_cache = false;
 };
 
 /// 64-bit fingerprint of the result-affecting parameters.  Distinct
@@ -95,10 +88,9 @@ struct CachedSolve {
 struct CacheOptions {
   /// Total value-byte budget across all shards (the sum of per-entry packing
   /// and winner payloads).  Must be positive: a zero-byte cache would
-  /// silently reject every insert, so the constructor throws InvalidInput
-  /// and points at ServeParams::bypass_cache instead.  An entry larger than
-  /// its shard's share is never inserted (counted as CacheStats::oversized);
-  /// resident entries are untouched by such a request.
+  /// silently reject every insert, so the constructor throws InvalidInput.
+  /// An entry larger than its shard's share is never inserted (counted as
+  /// CacheStats::oversized) and leaves resident entries untouched.
   std::size_t capacity_bytes = 64ull << 20;
   /// Lock shards; clamped to >= 1, and clamped *down* when the budget is
   /// too small to give every shard a useful share (see kMinShardBytes) —
@@ -249,8 +241,6 @@ class CachingSolver {
   [[nodiscard]] SolveCache& cache() { return cache_; }
 
  private:
-  [[nodiscard]] CachedSolve compute_canonical(const Instance& canonical);
-
   ServeParams params_;
   std::uint64_t fingerprint_;
   SolveCache cache_;

@@ -22,6 +22,14 @@ std::optional<long long> parse_integer(std::string_view text) {
   return value;
 }
 
+std::optional<ServeEngine> parse_engine(std::string_view name) {
+  for (const ServeEngine engine :
+       {ServeEngine::kPortfolio, ServeEngine::kSolve54}) {
+    if (name == to_string(engine)) return engine;
+  }
+  return std::nullopt;
+}
+
 std::optional<std::size_t> cache_mb_to_bytes(std::size_t cache_mb) {
   if (cache_mb == 0 || cache_mb > kMaxCacheMb) return std::nullopt;
   return cache_mb << 20;

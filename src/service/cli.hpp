@@ -1,10 +1,10 @@
 #pragma once
 
 // Helpers shared by the serving executables (dsp_solve, dsp_served): strict
-// flag-value parsing, instance-path expansion with load-time diagnostics,
-// and the JSON-lines row format both front doors print — dsp_served's
-// client mode must stay byte-identical to dsp_solve so the golden corpus
-// (examples/dsp_solve_expected.jsonl) guards both.
+// flag-value parsing (integers, engine names), instance-path expansion with
+// load-time diagnostics, and the JSON-lines row format both front doors
+// print — dsp_served's client mode must stay byte-identical to dsp_solve so
+// the golden corpus (examples/dsp_solve_expected.jsonl) guards both.
 
 #include <cstdint>
 #include <iosfwd>
@@ -24,6 +24,11 @@ namespace dsp::service {
 /// trailing garbage is a parse failure — "--threads 4x" must be rejected,
 /// not silently served as 4.
 [[nodiscard]] std::optional<long long> parse_integer(std::string_view text);
+
+/// The `--engine` flag value: "portfolio" or "solve54" exactly (the
+/// to_string spellings), or nullopt for anything else, including the empty
+/// string and other letter cases.
+[[nodiscard]] std::optional<ServeEngine> parse_engine(std::string_view name);
 
 /// Largest `--cache-mb` value: its byte count (M << 20) must fit in size_t.
 inline constexpr std::size_t kMaxCacheMb =

@@ -9,13 +9,14 @@
 // gracefully, and prints a "drained" row with its lifetime counters.
 //
 //   dsp_served [--port P] [--engine portfolio|solve54]
-//              [--backend auto|dense|sparse]
 //              [--cache-mb M] [--max-concurrent N] [--max-queue N]
 //              [--persist DIR] [--snapshot-every N]
 //              [--metrics-out FILE] [--trace-out FILE]
 //
 // Each admitted request is served on its connection's thread, so
 // --max-concurrent is the daemon's concurrency; there is no batch fan-out.
+// Every request goes through the cache, and every solve runs on the
+// profile backend the instance shape picks (resolve_backend(kAuto, W, n)).
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase
@@ -35,6 +36,8 @@
 // budget, summary counters — from the daemon's metrics exposition (one
 // metrics frame before the first solve, one after the last); --metrics-out
 // writes that second exposition to FILE (stdout rows stay byte-identical).
+// A flag only the other mode reads (kDaemonOnlyFlags, kClientOnlyFlags) is
+// a usage error.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on load/solve/connect
 // failures.
@@ -43,6 +46,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -83,7 +87,6 @@ struct CliOptions {
 
 void print_usage(std::ostream& os) {
   os << "usage: dsp_served [--port P] [--engine portfolio|solve54]\n"
-        "                  [--backend auto|dense|sparse]\n"
         "                  [--cache-mb M] [--max-concurrent N] [--max-queue N]\n"
         "                  [--persist DIR] [--snapshot-every N]\n"
         "                  [--metrics-out FILE] [--trace-out FILE]\n"
@@ -120,14 +123,26 @@ void print_usage(std::ostream& os) {
   return static_cast<std::uint16_t>(port);
 }
 
+/// Flags only one mode reads.  Passing one in the other mode is a usage
+/// error, not a silently ignored setting.
+constexpr std::array<std::string_view, 8> kDaemonOnlyFlags = {
+    "--port",      "--engine",  "--cache-mb",       "--max-concurrent",
+    "--max-queue", "--persist", "--snapshot-every", "--trace-out"};
+constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
+    "--host", "--repeat", "--format"};
+
 [[nodiscard]] CliOptions parse_args(int argc, char** argv) {
   CliOptions options;
   const auto next_value = [&](int& i, const std::string& flag) {
     if (i + 1 >= argc) usage_error(flag + " needs a value");
     return std::string(argv[++i]);
   };
+  std::string daemon_flag;  // a daemon-only flag given, if any
+  std::string client_flag;  // a client-only flag given, if any
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (std::ranges::count(kDaemonOnlyFlags, arg) > 0) daemon_flag = arg;
+    if (std::ranges::count(kClientOnlyFlags, arg) > 0) client_flag = arg;
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       std::exit(0);
@@ -135,24 +150,9 @@ void print_usage(std::ostream& os) {
       options.daemon.port = parse_port(arg, next_value(i, arg));
     } else if (arg == "--engine") {
       const std::string value = next_value(i, arg);
-      if (value == "portfolio") {
-        options.daemon.serve.engine = service::ServeEngine::kPortfolio;
-      } else if (value == "solve54") {
-        options.daemon.serve.engine = service::ServeEngine::kSolve54;
-      } else {
-        usage_error("unknown engine " + value);
-      }
-    } else if (arg == "--backend") {
-      const std::string value = next_value(i, arg);
-      if (value == "auto") {
-        options.daemon.serve.backend = ProfileBackendKind::kAuto;
-      } else if (value == "dense") {
-        options.daemon.serve.backend = ProfileBackendKind::kDense;
-      } else if (value == "sparse") {
-        options.daemon.serve.backend = ProfileBackendKind::kSparse;
-      } else {
-        usage_error("unknown backend " + value);
-      }
+      const auto engine = service::parse_engine(value);
+      if (!engine) usage_error("unknown engine " + value);
+      options.daemon.serve.engine = *engine;
     } else if (arg == "--cache-mb") {
       const std::string value = next_value(i, arg);
       options.cache_mb = parse_count(arg, value);
@@ -195,6 +195,14 @@ void print_usage(std::ostream& os) {
     } else {
       options.paths.push_back(arg);
     }
+  }
+  if (options.connect && !daemon_flag.empty()) {
+    usage_error(daemon_flag +
+                " is a daemon flag; client mode (--connect) serves with the "
+                "daemon's settings");
+  }
+  if (!options.connect && !client_flag.empty()) {
+    usage_error(client_flag + " is only valid in client mode (--connect)");
   }
   options.daemon.cache.capacity_bytes =
       *service::cache_mb_to_bytes(options.cache_mb);

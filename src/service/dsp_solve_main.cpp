@@ -11,17 +11,18 @@
 //
 //   dsp_solve [flags] <file-or-directory>...
 //     --engine portfolio|solve54   pipeline to serve with (default portfolio)
-//     --backend auto|dense|sparse  profile backend (default auto)
 //     --threads N                  batch fan-out workers (default hardware)
 //     --cache-mb M                 solve-cache budget in MiB (default 64)
 //     --repeat R                   serve the request list R times (default 1;
 //                                  repeats after the first hit the cache)
-//     --no-cache                   bypass the cache (responses identical)
 //     --metrics-out FILE           write the Prometheus-style metrics
 //                                  exposition to FILE at exit
 //     --trace-out FILE             enable phase tracing; write the Chrome
 //                                  trace-event JSON to FILE at exit
 //     --emit-corpus DIR            write the golden gen corpus to DIR and exit
+//
+// Every request goes through the cache, and every solve runs on the
+// profile backend the instance shape picks (resolve_backend(kAuto, W, n)).
 //
 // With --repeat > 1 the passes run as separate batches and a per-pass
 // latency breakdown goes to *stderr* (stdout rows stay byte-identical to
@@ -63,10 +64,9 @@ struct CliOptions {
 };
 
 void print_usage(std::ostream& os) {
-  os << "usage: dsp_solve [--engine portfolio|solve54] [--backend "
-        "auto|dense|sparse]\n"
-        "                 [--threads N] [--cache-mb M] [--repeat R]\n"
-        "                 [--no-cache] [--metrics-out FILE] [--trace-out FILE]\n"
+  os << "usage: dsp_solve [--engine portfolio|solve54] [--threads N]\n"
+        "                 [--cache-mb M] [--repeat R]\n"
+        "                 [--metrics-out FILE] [--trace-out FILE]\n"
         "                 [--emit-corpus DIR] <file-or-directory>...\n";
 }
 
@@ -102,24 +102,9 @@ void print_usage(std::ostream& os) {
       std::exit(0);
     } else if (arg == "--engine") {
       const std::string value = next_value(i, arg);
-      if (value == "portfolio") {
-        options.serve.engine = service::ServeEngine::kPortfolio;
-      } else if (value == "solve54") {
-        options.serve.engine = service::ServeEngine::kSolve54;
-      } else {
-        usage_error("unknown engine " + value);
-      }
-    } else if (arg == "--backend") {
-      const std::string value = next_value(i, arg);
-      if (value == "auto") {
-        options.serve.backend = ProfileBackendKind::kAuto;
-      } else if (value == "dense") {
-        options.serve.backend = ProfileBackendKind::kDense;
-      } else if (value == "sparse") {
-        options.serve.backend = ProfileBackendKind::kSparse;
-      } else {
-        usage_error("unknown backend " + value);
-      }
+      const auto engine = service::parse_engine(value);
+      if (!engine) usage_error("unknown engine " + value);
+      options.serve.engine = *engine;
     } else if (arg == "--threads") {
       options.serve.threads = parse_count(arg, next_value(i, arg));
     } else if (arg == "--cache-mb") {
@@ -127,14 +112,11 @@ void print_usage(std::ostream& os) {
       options.cache_mb = parse_count(arg, value);
       if (!service::cache_mb_to_bytes(options.cache_mb)) {
         usage_error("bad value for --cache-mb: " + value + " (expected 1.." +
-                    std::to_string(service::kMaxCacheMb) +
-                    "; use --no-cache to bypass caching)");
+                    std::to_string(service::kMaxCacheMb) + ")");
       }
     } else if (arg == "--repeat") {
       options.repeat =
           std::max<std::size_t>(1, parse_count(arg, next_value(i, arg)));
-    } else if (arg == "--no-cache") {
-      options.serve.bypass_cache = true;
     } else if (arg == "--metrics-out") {
       options.metrics_out = next_value(i, arg);
     } else if (arg == "--trace-out") {

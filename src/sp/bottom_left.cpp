@@ -62,7 +62,7 @@ struct Skyline {
 }  // namespace
 
 SpPacking bottom_left(const Instance& instance) {
-  return bottom_left(instance, ProfileBackendKind::kDense);
+  return bottom_left(instance, ProfileBackendKind::kAuto);
 }
 
 SpPacking bottom_left(const Instance& instance, ProfileBackendKind backend) {

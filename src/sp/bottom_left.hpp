@@ -10,9 +10,9 @@ namespace dsp::sp {
 /// bounded-ratio algorithm, but the strongest practical SP comparator in the
 /// integrality-gap experiments (E1) and a second SP-as-DSP baseline.
 ///
-/// The skyline is stored in a demand-profile backend: dense columns by
-/// default, or constant runs for wide sparse strips.  Both produce the
-/// identical packing.
+/// The skyline is stored in a demand-profile backend: dense columns, or
+/// constant runs for wide sparse strips (the one-argument overload lets
+/// kAuto pick from the instance shape).  Both produce the identical packing.
 [[nodiscard]] SpPacking bottom_left(const Instance& instance);
 [[nodiscard]] SpPacking bottom_left(const Instance& instance,
                                     ProfileBackendKind backend);

@@ -9,6 +9,7 @@
 #include "approx/config_lp.hpp"
 #include "approx/solve54.hpp"
 #include "core/bounds.hpp"
+#include "core/profile.hpp"
 #include "exact/dsp_exact.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
@@ -177,9 +178,10 @@ std::uint64_t fingerprint_of(const Packing& packing) {
 }
 
 TEST(Solve54, GoldenPackingsMatchRecordedFingerprints) {
-  // Recorded default-parameter answers on the golden corpus: a change to
-  // the search, the attempt or the witness that moves a single start, on
-  // either backend, fails here.  Re-record only for a deliberate change.
+  // Recorded default-parameter answers on the golden corpus, where every
+  // instance resolves the dense profile: a change to the search, the
+  // attempt or the witness that moves a single start fails here.
+  // Re-record only for a deliberate change.
   struct Expected {
     const char* name;
     Height peak;
@@ -200,16 +202,54 @@ TEST(Solve54, GoldenPackingsMatchRecordedFingerprints) {
   ASSERT_EQ(corpus.size(), std::size(kExpected));
   for (std::size_t f = 0; f < corpus.size(); ++f) {
     ASSERT_EQ(corpus[f].name, kExpected[f].name);
-    for (const ProfileBackendKind backend :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      Approx54Params params;
-      params.backend = backend;
-      const Approx54Result result = solve54(corpus[f].instance, params);
-      EXPECT_EQ(result.peak, kExpected[f].peak) << corpus[f].name;
-      EXPECT_EQ(fingerprint_of(result.packing), kExpected[f].fingerprint)
-          << corpus[f].name << " backend "
-          << (backend == ProfileBackendKind::kDense ? "dense" : "sparse");
-    }
+    const Approx54Result result = solve54(corpus[f].instance);
+    EXPECT_EQ(result.peak, kExpected[f].peak) << corpus[f].name;
+    EXPECT_EQ(fingerprint_of(result.packing), kExpected[f].fingerprint)
+        << corpus[f].name;
+  }
+}
+
+TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
+  // The solve-wide shapes, where kAuto resolves the sparse profile: a week
+  // at minute resolution (appliance durations x15, W = 10080) and a
+  // 2^16-column uniform strip.  Recorded with the sparse profile forced;
+  // pipeline_peak pins the attempts even where the witness wins.
+  std::vector<gen::Appliance> minutes = gen::default_catalog();
+  for (gen::Appliance& appliance : minutes) {
+    appliance.min_slots *= 15;
+    appliance.max_slots *= 15;
+  }
+  struct Expected {
+    bool smart_grid;  ///< else uniform
+    std::size_t n;
+    std::uint64_t seed;
+    Height peak;
+    Height pipeline_peak;
+    std::uint64_t fingerprint;
+  };
+  static constexpr Expected kExpected[] = {
+      {true, 50, 1007, 98, 147, 0xae6a35a472092a67ull},
+      {true, 100, 1008, 110, 165, 0x5b2fa5d44a54bb79ull},
+      {true, 150, 1011, 110, 165, 0xd999f41caa8d2ba6ull},
+      {false, 30, 1009, 239, 314, 0xfcefa710dff15db4ull},
+      {false, 60, 1010, 367, 525, 0x15f24b10870480e5ull},
+  };
+  for (const Expected& expected : kExpected) {
+    Rng rng(expected.seed);
+    const Instance instance =
+        expected.smart_grid
+            ? gen::smart_grid(expected.n, 10080, rng, minutes)
+            : gen::random_uniform(expected.n, 65536, 65536 / 4, 100, rng);
+    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto,
+                              instance.strip_width(), instance.size()),
+              ProfileBackendKind::kSparse);
+    const Approx54Result result = solve54(instance);
+    validate_packing(instance, result.packing);
+    EXPECT_EQ(result.peak, expected.peak) << instance.summary();
+    EXPECT_EQ(result.report.pipeline_peak, expected.pipeline_peak)
+        << instance.summary();
+    EXPECT_EQ(fingerprint_of(result.packing), expected.fingerprint)
+        << instance.summary();
   }
 }
 

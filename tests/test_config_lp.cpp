@@ -229,31 +229,6 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
                               "the generator no longer produces V items";
 }
 
-TEST(Solve54Engines, BitIdenticalAcrossBackends) {
-  Rng rng(606);
-  const std::vector<Instance> instances = {
-      gen::random_uniform(50, 160, 6, 24, rng),
-      gen::smart_grid(40, 96, rng),
-  };
-  for (const Instance& inst : instances) {
-    const Approx54Result baseline = solve54(inst);
-    for (const ProfileBackendKind backend :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      Approx54Params params;
-      params.backend = backend;
-      const Approx54Result result = solve54(inst, params);
-      EXPECT_EQ(result.packing.start, baseline.packing.start)
-          << "backend " << static_cast<int>(backend);
-      EXPECT_EQ(result.peak, baseline.peak);
-      EXPECT_EQ(result.report.best_guess, baseline.report.best_guess);
-      EXPECT_EQ(result.report.lp_configurations,
-                baseline.report.lp_configurations);
-      EXPECT_EQ(result.report.lp_pricing_rounds,
-                baseline.report.lp_pricing_rounds);
-    }
-  }
-}
-
 TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
   // Batch worker threads and daemon connections call solve54 from many
   // threads at once; each call owns its profile backend and LP scratch, so

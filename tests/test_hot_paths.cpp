@@ -4,11 +4,9 @@
 #include <vector>
 
 #include "approx/pricing.hpp"
-#include "approx/solve54.hpp"
 #include "core/occupancy.hpp"
 #include "core/profile.hpp"
 #include "core/window_maxima.hpp"
-#include "gen/corpus.hpp"
 #include "util/prng.hpp"
 
 namespace dsp {
@@ -129,29 +127,6 @@ TEST(Pricing, ScratchReuseIsEquivalent) {
       used += a.config[c] * heights[c];
     }
     EXPECT_LE(used, capacity) << "round " << round;
-  }
-}
-
-/// Packings stay bit-identical across both profile backends, on all nine
-/// golden generator families.
-TEST(Solve54, GoldenPackingsBitIdenticalAcrossBackends) {
-  const std::vector<gen::GoldenInstance> corpus = gen::golden_corpus();
-  ASSERT_EQ(corpus.size(), 9u);
-  for (const gen::GoldenInstance& golden : corpus) {
-    std::vector<Length> reference;
-    for (const ProfileBackendKind backend :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-      approx::Approx54Params params;
-      params.backend = backend;
-      const approx::Approx54Result result =
-          approx::solve54(golden.instance, params);
-      if (reference.empty()) {
-        reference = result.packing.start;
-      } else {
-        EXPECT_EQ(result.packing.start, reference)
-            << golden.name << " backend=" << to_string(backend);
-      }
-    }
   }
 }
 

@@ -2,10 +2,10 @@
 // cases and exact concurrent merges, registry snapshot/exposition and
 // pull-source semantics, reading the exposition back (and what a live
 // daemon's exposition carries), the tracer's ring buffer and Chrome trace
-// JSON,
-// and — the contract everything else rides on — packings bit-identical
-// with tracing on vs. off across {1,2,8} threads and both profile
-// backends, with the obs switches provably outside the cache fingerprint.
+// JSON, and — the contract everything else rides on — packings
+// bit-identical with tracing on vs. off across {1,2,8} threads and both
+// strip shapes (narrow: dense profile, wide: sparse profile), with the obs
+// switches provably outside the cache fingerprint.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,8 @@
 #include "service/frame_codec.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
+
+#include "strip_shapes.hpp"
 
 namespace dsp::obs {
 namespace {
@@ -644,28 +646,25 @@ TEST(FrameCodecObsTest, MetricsRoundTripAndVersionGate) {
 // ---------------------------------------------------------------------------
 
 class TracingBitIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, ProfileBackendKind>> {};
+    : public ::testing::TestWithParam<testing_shapes::ThreadsAndShape> {};
 
 TEST_P(TracingBitIdentity, PackingsIdenticalTracingOnAndOff) {
   const SwitchGuard guard;
-  const auto& [threads, backend] = GetParam();
+  const auto& [threads, shape] = GetParam();
 
   Rng rng(20260808);
-  std::vector<Instance> batch;
-  batch.push_back(gen::random_uniform(40, 64, 32, 12, rng));
-  batch.push_back(gen::tall_items(30, 48, 20, rng));
-  batch.push_back(gen::smart_grid(24, 96, rng));
-  // Wide, lightly covered: kAuto resolves to sparse; forced dense/sparse
-  // below must agree anyway.
-  batch.push_back(gen::random_uniform(24, 4096, 6, 10, rng));
+  std::vector<Instance> narrow;
+  narrow.push_back(gen::random_uniform(40, 64, 32, 12, rng));
+  narrow.push_back(gen::tall_items(30, 48, 20, rng));
+  narrow.push_back(gen::smart_grid(24, 96, rng));
+  const std::vector<Instance> batch =
+      testing_shapes::shaped_batch(shape, narrow);
 
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  params.backend = backend;
   params.threads = threads;
-  params.bypass_cache = true;  // force a real solve on every pass
 
+  // A fresh solver per pass: every request is a real solve.
   const auto solve_all = [&]() {
     service::CachingSolver solver(params);
     return solver.solve_many(batch);
@@ -691,16 +690,9 @@ TEST_P(TracingBitIdentity, PackingsIdenticalTracingOnAndOff) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndBackends, TracingBitIdentity,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{8}),
-                       ::testing::Values(ProfileBackendKind::kDense,
-                                         ProfileBackendKind::kSparse)),
-    [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(to_string(std::get<1>(info.param)));
-    });
+INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, TracingBitIdentity,
+                         testing_shapes::threads_and_shapes(),
+                         testing_shapes::threads_and_shape_name);
 
 TEST(ObsOutsideFingerprint, TogglesDoNotChangeTheCacheKey) {
   const SwitchGuard guard;

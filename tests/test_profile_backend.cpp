@@ -7,8 +7,9 @@
 #include <vector>
 
 #include "algo/baselines.hpp"
-#include "approx/solve54.hpp"
+#include "algo/portfolio.hpp"
 #include "core/profile.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "sp/bottom_left.hpp"
 #include "util/check.hpp"
@@ -280,15 +281,32 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
 INSTANTIATE_TEST_SUITE_P(Random, BackendEquivalence, ::testing::Range(0, 40));
 
 // --- algorithm-level equivalence: same packings on either backend ---------
+//
+// Random instances, then the nine golden-corpus instances.  kAuto resolves
+// dense on every golden instance, so this is where the golden corpus is
+// packed on the sparse profile: the portfolio must give the same packing
+// and winner on kDense, kSparse and kAuto.
+
+constexpr int kRandomEquivalenceCases = 12;
+
+/// Parameters below kRandomEquivalenceCases seed a random instance; the
+/// rest index the golden corpus.
+Instance equivalence_instance(int param) {
+  if (param >= kRandomEquivalenceCases) {
+    return gen::golden_corpus()
+        .at(static_cast<std::size_t>(param - kRandomEquivalenceCases))
+        .instance;
+  }
+  Rng rng(static_cast<std::uint64_t>(param) * 7121 + 3);
+  const Length w = rng.uniform(8, 200);
+  return gen::random_uniform(static_cast<std::size_t>(rng.uniform(4, 30)), w,
+                             std::min<Length>(w, 40), 15, rng);
+}
 
 class AlgorithmBackendEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(AlgorithmBackendEquivalence, PlacementAlgorithmsAgree) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7121 + 3);
-  const Length w = rng.uniform(8, 200);
-  const Instance inst = gen::random_uniform(
-      static_cast<std::size_t>(rng.uniform(4, 30)), w, std::min<Length>(w, 40),
-      15, rng);
+  const Instance inst = equivalence_instance(GetParam());
 
   EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight,
                                      ProfileBackendKind::kDense),
@@ -298,27 +316,23 @@ TEST_P(AlgorithmBackendEquivalence, PlacementAlgorithmsAgree) {
             algo::first_fit_search(inst, ProfileBackendKind::kSparse));
   EXPECT_EQ(sp::bottom_left(inst, ProfileBackendKind::kDense).position,
             sp::bottom_left(inst, ProfileBackendKind::kSparse).position);
+  std::string dense_winner;
+  const Packing dense =
+      algo::best_of_portfolio(inst, &dense_winner, ProfileBackendKind::kDense);
+  for (const ProfileBackendKind kind :
+       {ProfileBackendKind::kSparse, ProfileBackendKind::kAuto}) {
+    std::string winner;
+    EXPECT_EQ(algo::best_of_portfolio(inst, &winner, kind), dense)
+        << to_string(kind);
+    EXPECT_EQ(winner, dense_winner) << to_string(kind);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, AlgorithmBackendEquivalence,
-                         ::testing::Range(0, 12));
-
-TEST(AlgorithmBackendEquivalence, Solve54AgreesAcrossBackends) {
-  Rng rng(99);
-  for (int round = 0; round < 4; ++round) {
-    const Instance inst = gen::random_uniform(
-        static_cast<std::size_t>(rng.uniform(6, 16)), 40, 12, 8, rng);
-    approx::Approx54Params dense_params;
-    dense_params.backend = ProfileBackendKind::kDense;
-    approx::Approx54Params sparse_params;
-    sparse_params.backend = ProfileBackendKind::kSparse;
-    const auto a = approx::solve54(inst, dense_params);
-    const auto b = approx::solve54(inst, sparse_params);
-    EXPECT_EQ(a.packing, b.packing) << inst.summary();
-    EXPECT_EQ(a.peak, b.peak);
-    EXPECT_EQ(a.report.best_guess, b.report.best_guess);
-  }
-}
+                         ::testing::Range(0, kRandomEquivalenceCases));
+INSTANTIATE_TEST_SUITE_P(Golden, AlgorithmBackendEquivalence,
+                         ::testing::Range(kRandomEquivalenceCases,
+                                          kRandomEquivalenceCases + 9));
 
 }  // namespace
 }  // namespace dsp

@@ -18,6 +18,8 @@
 #include "service/canonical.hpp"
 #include "util/prng.hpp"
 
+#include "strip_shapes.hpp"
+
 namespace dsp {
 namespace {
 
@@ -232,11 +234,15 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelMapWorkers,
 
 // ---------------------------------------------------------------------------
 // Determinism: the batch path (CachingSolver::solve_many) is bit-identical
-// to serving each request alone, for all thread counts and both profile
-// backends.
+// to serving each request alone, for all thread counts and both strip
+// shapes (narrow strips resolve the dense profile, widened ones the sparse
+// profile; tests/strip_shapes.hpp).
 // ---------------------------------------------------------------------------
 
-std::vector<Instance> determinism_instances() {
+using testing_shapes::ThreadsAndShape;
+
+/// The determinism batch in the given strip shape (narrow as drawn).
+std::vector<Instance> determinism_batch(testing_shapes::StripShape shape) {
   std::vector<Instance> instances;
   Rng rng(424242);
   instances.push_back(gen::random_uniform(40, 64, 32, 12, rng));
@@ -244,22 +250,18 @@ std::vector<Instance> determinism_instances() {
   instances.push_back(gen::wide_items(24, 48, 8, rng));
   instances.push_back(gen::correlated(32, 64, 32, 12, rng));
   instances.push_back(gen::perfect_packing(25, 40, 20, rng));
-  // A wide, lightly covered strip so kAuto resolves to the sparse backend.
-  instances.push_back(gen::random_uniform(24, 4096, 6, 10, rng));
-  return instances;
+  return testing_shapes::shaped_batch(shape, instances);
 }
 
-class RuntimeDeterminism
-    : public ::testing::TestWithParam<std::tuple<std::size_t, ProfileBackendKind>> {};
+class RuntimeDeterminism : public ::testing::TestWithParam<ThreadsAndShape> {};
 
 TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
   // Every batch answer is the sequential best_of_portfolio answer for its
   // request's canonical form, mapped back to the requester's item order.
-  const auto& [threads, backend] = GetParam();
-  const std::vector<Instance> batch = determinism_instances();
+  const auto& [threads, shape] = GetParam();
+  const std::vector<Instance> batch = determinism_batch(shape);
   service::ServeParams params;
   params.threads = threads;
-  params.backend = backend;
   service::CachingSolver solver(params);
   const std::vector<service::SolveResponse> responses =
       solver.solve_many(batch);
@@ -267,8 +269,7 @@ TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const service::CanonicalForm form = service::canonicalize(batch[i]);
     std::string winner;
-    const Packing canonical =
-        algo::best_of_portfolio(form.instance, &winner, backend);
+    const Packing canonical = algo::best_of_portfolio(form.instance, &winner);
     EXPECT_EQ(responses[i].packing,
               service::restore_item_order(form, canonical))
         << batch[i].summary();
@@ -279,50 +280,41 @@ TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
 }
 
 TEST_P(RuntimeDeterminism, SolveManyMatchesSequentialLoop) {
-  const auto& [threads, backend] = GetParam();
-  const std::vector<Instance> batch = determinism_instances();
-  service::ServeParams params;
-  params.backend = backend;
-  params.bypass_cache = true;  // every request computed, none served cached
-  service::CachingSolver sequential_solver(params);
+  const auto& [threads, shape] = GetParam();
+  const std::vector<Instance> batch = determinism_batch(shape);
+  // The requests are distinct, so a fresh solver computes every one.
+  service::CachingSolver sequential_solver;
   std::vector<service::SolveResponse> sequential;
   for (const Instance& instance : batch) {
     sequential.push_back(sequential_solver.solve(instance));
   }
+  service::ServeParams params;
   params.threads = threads;
   service::CachingSolver batch_solver(params);
   EXPECT_EQ(batch_solver.solve_many(batch), sequential);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndBackends, RuntimeDeterminism,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{8}),
-                       ::testing::Values(ProfileBackendKind::kDense,
-                                         ProfileBackendKind::kSparse)),
-    [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(to_string(std::get<1>(info.param)));
-    });
+INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, RuntimeDeterminism,
+                         testing_shapes::threads_and_shapes(),
+                         testing_shapes::threads_and_shape_name);
 
 // ---------------------------------------------------------------------------
 // The batch path through the cache and on the solve54 engine, for every
-// thread count x backend.
+// thread count x strip shape.
 // ---------------------------------------------------------------------------
 
-class BatchPath
-    : public ::testing::TestWithParam<std::tuple<std::size_t, ProfileBackendKind>> {};
+class BatchPath : public ::testing::TestWithParam<ThreadsAndShape> {};
 
 TEST_P(BatchPath, Solve54BatchMatchesSequentialLoop) {
-  const auto& [threads, backend] = GetParam();
-  std::vector<Instance> batch;
-  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
-    batch.push_back(golden.instance);
+  const auto& [threads, shape] = GetParam();
+  std::vector<Instance> golden;
+  for (const gen::GoldenInstance& instance : gen::golden_corpus()) {
+    golden.push_back(instance.instance);
   }
+  const std::vector<Instance> batch =
+      testing_shapes::shaped_batch(shape, golden);
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  params.backend = backend;
-  params.bypass_cache = true;
   service::CachingSolver sequential_solver(params);
   std::vector<service::SolveResponse> sequential;
   for (const Instance& instance : batch) {
@@ -337,9 +329,9 @@ TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
   // Each request appears twice: as drawn and with its items reversed.  The
   // reversed copy is the same canonical key, so the cache computes every
   // key once, and each answer (hit, join or miss) equals serving that
-  // request alone with the cache bypassed.
-  const auto& [threads, backend] = GetParam();
-  std::vector<Instance> batch = determinism_instances();
+  // request alone on a fresh solver.
+  const auto& [threads, shape] = GetParam();
+  std::vector<Instance> batch = determinism_batch(shape);
   const std::size_t distinct = batch.size();
   for (std::size_t i = 0; i < distinct; ++i) {
     std::vector<Item> reversed(batch[i].items().rbegin(),
@@ -347,15 +339,13 @@ TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
     batch.emplace_back(batch[i].strip_width(), reversed);
   }
   service::ServeParams params;
-  params.backend = backend;
   params.threads = threads;
   service::CachingSolver cached(params);
   const std::vector<service::SolveResponse> responses =
       cached.solve_many(batch);
-  params.bypass_cache = true;
-  service::CachingSolver alone(params);
   ASSERT_EQ(responses.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    service::CachingSolver alone;
     const service::SolveResponse expected = alone.solve(batch[i]);
     EXPECT_EQ(responses[i].packing, expected.packing) << "request " << i;
     EXPECT_EQ(responses[i].peak, expected.peak) << "request " << i;
@@ -368,10 +358,9 @@ TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
 }
 
 TEST_P(BatchPath, RepeatedBatchIsServedFromTheCache) {
-  const auto& [threads, backend] = GetParam();
-  const std::vector<Instance> batch = determinism_instances();
+  const auto& [threads, shape] = GetParam();
+  const std::vector<Instance> batch = determinism_batch(shape);
   service::ServeParams params;
-  params.backend = backend;
   params.threads = threads;
   service::CachingSolver solver(params);
   const std::vector<service::SolveResponse> first = solver.solve_many(batch);
@@ -390,16 +379,9 @@ TEST_P(BatchPath, RepeatedBatchIsServedFromTheCache) {
   EXPECT_EQ(warm.hits - cold.hits, batch.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndBackends, BatchPath,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{8}),
-                       ::testing::Values(ProfileBackendKind::kDense,
-                                         ProfileBackendKind::kSparse)),
-    [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(to_string(std::get<1>(info.param)));
-    });
+INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, BatchPath,
+                         testing_shapes::threads_and_shapes(),
+                         testing_shapes::threads_and_shape_name);
 
 // ---------------------------------------------------------------------------
 // Per-task seeding.

@@ -1,7 +1,7 @@
 // The batch fan-out (DESIGN.md, "The parallel runtime"): worker-count
-// fallbacks, determinism of skewed batches across thread counts x
-// backends, the process-wide counter plumbing the serving layer reports,
-// and solve54 staying on its caller's thread.
+// fallbacks, determinism of skewed batches across thread counts, the
+// process-wide counter plumbing the serving layer reports, and solve54
+// staying on its caller's thread.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
+#include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "obs/metrics.hpp"
@@ -64,7 +65,7 @@ TEST(ParallelMap, ExecutedCountsEveryItem) {
 
 // ---------------------------------------------------------------------------
 // Determinism under skew: one 10-100x heavier instance amid cheap ones,
-// bit-identical across thread counts x backends.
+// bit-identical across thread counts.
 // ---------------------------------------------------------------------------
 
 std::vector<Instance> skewed_batch(std::uint64_t seed, std::size_t heavy_n,
@@ -85,25 +86,25 @@ TEST(SchedulerDeterminism, SkewedBatchesBitIdenticalAcrossSchedules) {
   for (const std::uint64_t seed : {11u, 12u}) {
     // heavy_n/light_n = 40: well inside the 10-100x cost band.
     const std::vector<Instance> batch = skewed_batch(seed, 160, 4, 10);
-    for (const ProfileBackendKind backend :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
+    // On the 120-wide strip kAuto runs the heavy instance dense and the
+    // light ones sparse, so one batch exercises both backends.
+    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 120, 160),
+              ProfileBackendKind::kDense);
+    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 120, 4),
+              ProfileBackendKind::kSparse);
+    // Reference: each request served alone on the calling thread.
+    service::CachingSolver sequential_solver;
+    std::vector<service::SolveResponse> reference;
+    for (const Instance& instance : batch) {
+      reference.push_back(sequential_solver.solve(instance));
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}}) {
       service::ServeParams params;
-      params.backend = backend;
-      params.bypass_cache = true;
-      // Reference: each request served alone on the calling thread.
-      service::CachingSolver sequential_solver(params);
-      std::vector<service::SolveResponse> reference;
-      for (const Instance& instance : batch) {
-        reference.push_back(sequential_solver.solve(instance));
-      }
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{8}}) {
-        params.threads = threads;
-        service::CachingSolver solver(params);
-        EXPECT_EQ(solver.solve_many(batch), reference)
-            << "seed " << seed << " threads " << threads << " backend "
-            << static_cast<int>(backend);
-      }
+      params.threads = threads;
+      service::CachingSolver solver(params);
+      EXPECT_EQ(solver.solve_many(batch), reference)
+          << "seed " << seed << " threads " << threads;
     }
   }
 }
@@ -151,7 +152,6 @@ TEST(SchedulerDeterminism, SolveSkewChecksumIsPinned) {
                                     std::size_t{8}}) {
     service::ServeParams params;
     params.threads = threads;
-    params.bypass_cache = true;
     service::CachingSolver solver(params);
     std::uint64_t served = 0;
     for (const service::SolveResponse& response : solver.solve_many(batch)) {
@@ -199,17 +199,21 @@ TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
 TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
   // Narrow items on a wide strip populate the Lemma-10 LP (column
   // generation), the stage that used to fan its pricing out to a pool.
+  // The 240-wide strip resolves dense at n = 48 and sparse at n = 12.
   Rng rng(909);
-  const Instance inst = gen::random_uniform(48, 240, 4, 24, rng);
-  for (const ProfileBackendKind backend :
-       {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-    approx::Approx54Params params;
-    params.backend = backend;
+  const std::vector<Instance> instances = {
+      gen::random_uniform(48, 240, 4, 24, rng),
+      gen::random_uniform(12, 240, 4, 24, rng),
+  };
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 240, 48),
+            ProfileBackendKind::kDense);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 240, 12),
+            ProfileBackendKind::kSparse);
+  for (const Instance& inst : instances) {
     const runtime::SchedulerCounters before = runtime::scheduler_totals();
-    (void)approx::solve54(inst, params);
+    (void)approx::solve54(inst);
     const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.executed, before.executed)
-        << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(after.executed, before.executed) << inst.summary();
   }
 }
 
@@ -251,7 +255,6 @@ TEST(ServingScheduler, SolveManySubmitsOneTaskPerRequest) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     service::ServeParams params;
     params.threads = threads;
-    params.bypass_cache = true;
     service::CachingSolver solver(params);
     const runtime::SchedulerCounters before = runtime::scheduler_totals();
     EXPECT_EQ(solver.solve_many(batch).size(), batch.size());

@@ -1,7 +1,7 @@
 // The serving layer's wire format and canonicalization: round-trip
 // guarantees across every generator family, ingest validation with
-// index/offset diagnostics, and the canonical-hash invariants the solve
-// cache's dedup correctness rests on.
+// index/offset diagnostics, the canonical-hash invariants the solve
+// cache's dedup correctness rests on, and the --engine flag parser.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "gen/hardness.hpp"
 #include "gen/smart_grid.hpp"
 #include "service/canonical.hpp"
+#include "service/cli.hpp"
 #include "service/wire.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -574,6 +576,20 @@ TEST(CanonicalTest, RestoreItemOrderChecksSizes) {
   Packing wrong;
   wrong.start = {0, 0};
   EXPECT_THROW((void)restore_item_order(form, wrong), InvalidInput);
+}
+
+// ---------------------------------------------------------------------------
+// The --engine flag value (both front doors parse it through parse_engine).
+// ---------------------------------------------------------------------------
+
+TEST(CliTest, ParseEngineAcceptsExactlyTheEngineNames) {
+  EXPECT_EQ(parse_engine("portfolio"), ServeEngine::kPortfolio);
+  EXPECT_EQ(parse_engine("solve54"), ServeEngine::kSolve54);
+  for (const std::string_view bad :
+       {"", "auto", "solve", "solve54 ", " portfolio", "Portfolio",
+        "SOLVE54", "Solve54"}) {
+    EXPECT_FALSE(parse_engine(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The sharded single-flight solve cache and the CachingSolver: exactly-once
 // computation under concurrent identical requests, bit-identical hits, LRU
-// eviction at capacity, fingerprint separation, and the cached == uncached
-// determinism contract across thread counts and profile backends.
+// eviction at capacity, fingerprint separation, and the cached ==
+// engine-direct determinism contract across thread counts and strip shapes
+// (narrow strips resolve the dense profile, wide ones the sparse profile).
 
 #include <gtest/gtest.h>
 
@@ -9,15 +10,20 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <thread>
 #include <vector>
 
+#include "algo/portfolio.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
 #include "service/cache.hpp"
+#include "service/canonical.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
+
+#include "strip_shapes.hpp"
 
 namespace dsp::service {
 namespace {
@@ -342,19 +348,13 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
 }
 
 TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
-  // Thread counts and backend are proven result-invariant; changing them must keep the fingerprint (so a warm
-  // cache keeps serving).
+  // Thread counts are proven result-invariant; changing them must keep the
+  // fingerprint (so a warm cache keeps serving).
   ServeParams base;
   base.engine = ServeEngine::kSolve54;
   const std::uint64_t reference = params_fingerprint(base);
   ServeParams v = base;
   v.threads = 8;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.backend = ProfileBackendKind::kSparse;
-  EXPECT_EQ(params_fingerprint(v), reference);
-  v = base;
-  v.bypass_cache = true;
   EXPECT_EQ(params_fingerprint(v), reference);
 }
 
@@ -457,45 +457,40 @@ TEST(CachingSolverTest, PermutedRequestWithDuplicateItemsStaysValid) {
 }
 
 class CachingSolverContract
-    : public ::testing::TestWithParam<std::tuple<std::size_t, ProfileBackendKind>> {};
+    : public ::testing::TestWithParam<testing_shapes::ThreadsAndShape> {};
 
-TEST_P(CachingSolverContract, CachedAndUncachedAreBitIdentical) {
-  const auto& [threads, backend] = GetParam();
-  ServeParams cached_params;
-  cached_params.threads = threads;
-  cached_params.backend = backend;
-  ServeParams bypass_params = cached_params;
-  bypass_params.bypass_cache = true;
+TEST_P(CachingSolverContract, CachedAndEngineDirectAreBitIdentical) {
+  // Each cached answer equals the engine run directly on the request's
+  // canonical form, mapped back.
+  const auto& [threads, shape] = GetParam();
+  ServeParams params;
+  params.threads = threads;
 
-  const std::vector<Instance> batch = smart_grid_batch(4, 3);
-  CachingSolver cached(cached_params);
-  CachingSolver bypass(bypass_params);
+  const std::vector<Instance> batch =
+      testing_shapes::shaped_batch(shape, smart_grid_batch(4, 3));
+  CachingSolver cached(params);
   const std::vector<SolveResponse> warm = cached.solve_many(batch);
-  const std::vector<SolveResponse> cold = bypass.solve_many(batch);
-  ASSERT_EQ(warm.size(), cold.size());
+  ASSERT_EQ(warm.size(), batch.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_EQ(warm[i].packing, cold[i].packing) << "request " << i;
-    EXPECT_EQ(warm[i].peak, cold[i].peak) << "request " << i;
-    EXPECT_EQ(warm[i].winner, cold[i].winner) << "request " << i;
+    const CanonicalForm form = canonicalize(batch[i]);
+    std::string winner;
+    const Packing direct = algo::best_of_portfolio(form.instance, &winner);
+    EXPECT_EQ(warm[i].packing, restore_item_order(form, direct))
+        << "request " << i;
+    EXPECT_EQ(warm[i].peak, peak_height(form.instance, direct))
+        << "request " << i;
+    EXPECT_EQ(warm[i].winner, winner) << "request " << i;
     ASSERT_NO_THROW(validate_packing(batch[i], warm[i].packing));
   }
   // 4 distinct requests, 12 total: the cache computed each key once.
   const CacheStats stats = cached.stats();
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.hits + stats.inflight_joins, 8u);
-  EXPECT_EQ(bypass.stats().misses, 0u) << "bypass must not touch the cache";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndBackends, CachingSolverContract,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{8}),
-                       ::testing::Values(ProfileBackendKind::kDense,
-                                         ProfileBackendKind::kSparse)),
-    [](const auto& info) {
-      return "t" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(to_string(std::get<1>(info.param)));
-    });
+INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, CachingSolverContract,
+                         testing_shapes::threads_and_shapes(),
+                         testing_shapes::threads_and_shape_name);
 
 TEST(CachingSolverTest, Solve54EngineServesAndDedupes) {
   ServeParams params;
