@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
+#include "core/profile.hpp"
 #include "util/check.hpp"
 
 namespace dsp {
@@ -57,7 +59,29 @@ void validate_packing(const Instance& instance, const Packing& packing) {
 }
 
 Height peak_height(const Instance& instance, const Packing& packing) {
-  return LoadProfile(instance, packing).peak();
+  if (resolve_backend(ProfileBackendKind::kAuto, instance.strip_width(),
+                      instance.size()) == ProfileBackendKind::kDense) {
+    return LoadProfile(instance, packing).peak();
+  }
+  // Wide, lightly covered strip: sweep the 2n item edges in O(n log n)
+  // instead of materialising W columns.  At one x, ends (-h) sort before
+  // starts (+h), matching the half-open [start, start + width) coverage.
+  validate_packing(instance, packing);
+  std::vector<std::pair<Length, Height>> edges;
+  edges.reserve(2 * instance.size());
+  for (std::size_t i = 0; i < instance.size(); ++i) {
+    const Item& it = instance.item(i);
+    edges.emplace_back(packing.start[i], it.height);
+    edges.emplace_back(packing.start[i] + it.width, -it.height);
+  }
+  std::sort(edges.begin(), edges.end());
+  Height running = 0;
+  Height peak = 0;
+  for (const auto& [x, delta] : edges) {
+    running += delta;
+    peak = std::max(peak, running);
+  }
+  return peak;
 }
 
 }  // namespace dsp

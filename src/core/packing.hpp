@@ -45,6 +45,8 @@ class LoadProfile {
 void validate_packing(const Instance& instance, const Packing& packing);
 
 /// Peak height of a packing (paper's objective H).  Throws on invalid input.
+/// Allocates no W-sized profile where resolve_backend(kAuto, W, n) picks
+/// the sparse backend.
 [[nodiscard]] Height peak_height(const Instance& instance, const Packing& packing);
 
 }  // namespace dsp

@@ -53,6 +53,29 @@ TEST(LoadProfile, RejectsOutOfStripPackings) {
   EXPECT_THROW(LoadProfile(inst, Packing{{-1, 0, 0, 0}}), InvalidInput);
 }
 
+TEST(PeakHeight, EdgeSweepMatchesColumnProfileOnWideStrips) {
+  // W > 16 n: peak_height sweeps item edges instead of building columns.
+  // Items ending where others start must not stack.
+  const Instance touching(1000, {{10, 5}, {10, 7}, {10, 2}});
+  EXPECT_EQ(peak_height(touching, Packing{{0, 10, 20}}), 7);
+  EXPECT_EQ(peak_height(touching, Packing{{0, 9, 19}}), 12);
+  EXPECT_THROW((void)peak_height(touching, Packing{{0, 995, 0}}), InvalidInput);
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    const Length w = rng.uniform(400, 5000);
+    std::vector<Item> items;
+    Packing packing;
+    for (int i = 0; i < 20; ++i) {
+      const Length width = rng.uniform(1, w / 3);
+      items.push_back({width, rng.uniform(1, 30)});
+      // Coarse starts make coinciding edges common.
+      packing.start.push_back(rng.uniform(0, 8) * ((w - width) / 8));
+    }
+    const Instance inst(w, items);
+    EXPECT_EQ(peak_height(inst, packing), LoadProfile(inst, packing).peak());
+  }
+}
+
 TEST(FeasibilityError, ExplainsViolation) {
   const Instance inst = small_instance();
   const auto err = feasibility_error(inst, Packing{{4, 0, 0, 0}});
