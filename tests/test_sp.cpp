@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "core/bounds.hpp"
+#include "core/profile.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "sp/bottom_left.hpp"
 #include "sp/shelf.hpp"
@@ -60,6 +66,77 @@ TEST(BottomLeft, FillsValleys) {
   const sp::SpPacking packing = sp::bottom_left(inst);
   EXPECT_EQ(sp::validate(inst, packing), std::nullopt);
   EXPECT_LE(sp::packing_height(inst, packing), 4);
+}
+
+/// Bottom-left by definition, on a plain column array: items by height
+/// descending, then width descending, then index; each goes to the lowest,
+/// then leftmost, skyline breakpoint (start 0 and every x with
+/// roof[x-1] != roof[x]) at the column-wise roof over its span, and the roof
+/// under it is lifted to its top.
+sp::SpPacking reference_bottom_left(const Instance& inst) {
+  const Length strip = inst.strip_width();
+  std::vector<std::size_t> order(inst.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Item& ia = inst.item(a);
+    const Item& ib = inst.item(b);
+    if (ia.height != ib.height) return ia.height > ib.height;
+    if (ia.width != ib.width) return ia.width > ib.width;
+    return a < b;
+  });
+  std::vector<Height> roof(static_cast<std::size_t>(strip), 0);
+  const auto column = [&](Length x) { return roof.begin() + x; };
+  sp::SpPacking packing;
+  packing.position.resize(inst.size());
+  for (const std::size_t i : order) {
+    const Item& it = inst.item(i);
+    sp::SpPlacement best{0, *std::max_element(column(0), column(it.width))};
+    for (Length x = 1; x + it.width <= strip; ++x) {
+      if (*column(x - 1) == *column(x)) continue;
+      const Height y = *std::max_element(column(x), column(x + it.width));
+      if (y < best.y) best = {x, y};
+    }
+    packing.position[i] = best;
+    std::fill(column(best.x), column(best.x + it.width), best.y + it.height);
+  }
+  return packing;
+}
+
+TEST(BottomLeft, MatchesBruteForceReference) {
+  std::vector<Instance> instances;
+  Rng rng(20261018);
+  for (int round = 0; round < 30; ++round) {
+    // Narrow strips (W <= 64), then wide ones (W > 16 n, the sparse regime).
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 40));
+    const Length narrow = rng.uniform(4, 64);
+    const Length wide = rng.uniform(16 * static_cast<Length>(n) + 1, 1 << 16);
+    for (const Length w : {narrow, wide}) {
+      switch (round % 3) {
+        case 0:
+          instances.push_back(gen::random_uniform(
+              n, w, rng.uniform(1, std::min<Length>(w, 4096)), 20, rng));
+          break;
+        case 1:
+          instances.push_back(gen::tall_items(n, w, 20, rng));
+          break;
+        default:
+          instances.push_back(gen::perfect_packing(n, w, 12, rng));
+          break;
+      }
+    }
+  }
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    instances.push_back(golden.instance);
+  }
+  for (const Instance& inst : instances) {
+    const sp::SpPacking expected = reference_bottom_left(inst);
+    for (const ProfileBackendKind kind :
+         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse,
+          ProfileBackendKind::kAuto}) {
+      EXPECT_EQ(sp::bottom_left(inst, kind).position, expected.position)
+          << to_string(kind) << " " << inst.summary();
+    }
+  }
 }
 
 struct SpAlgoCase {
