@@ -1,14 +1,15 @@
 // Occupancy-backend micro-benchmark: the dense StripOccupancy sweeps vs. the
 // sparse run-length profile behind the ProfileBackend interface, across
-// strip widths.  The placement-heavy baselines (greedy smoothing and the
-// Ranjan-style first-fit search) run the same item set on both backends; the
-// dense passes are Θ(W) per placement while the run-length profile is
-// O(runs) = O(n) whatever W is, so the crossover appears once the strip
-// outgrows the item count — the sparse/wide regime that
-// resolve_backend(kAuto) routes to the run-length profile.
+// strip widths.  The placement-heavy baselines (greedy smoothing, the
+// Ranjan-style first-fit search and the bottom-left skyline) run the same
+// item set on both backends; the dense passes are Θ(W) per placement while
+// the run-length profile is O(runs) = O(n) whatever W is, so the crossover
+// appears once the strip outgrows the item count — the sparse/wide regime
+// that resolve_backend(kAuto) routes to the run-length profile.
 //
-// Emits the human table plus one JSON row per measurement (bench_common.hpp
-// JsonRow format) for downstream scraping.
+// Exits 1 if the two backends return different packings.  Emits the human
+// table plus one JSON row per measurement (bench_common.hpp JsonRow format)
+// for downstream scraping.
 
 #include <iostream>
 
@@ -53,6 +54,7 @@ int main() {
   const std::vector<Workload> workloads = {
       {"greedy-h", run_greedy},
       {"first-fit", run_first_fit},
+      {"bottom-left", algo::bottom_left_dsp},
   };
   const std::size_t n = 96;
   Table table({"algorithm", "W", "dense ms", "sparse ms", "speedup", "auto"});
@@ -67,8 +69,9 @@ int main() {
       watch.reset();
       const Packing sparse = workload.run(inst, ProfileBackendKind::kSparse);
       const double sparse_ms = watch.millis();
-      if (peak_height(inst, dense) != peak_height(inst, sparse)) {
-        std::cout << "BACKEND MISMATCH on W=" << w << "\n";
+      if (dense != sparse) {
+        std::cout << "BACKEND MISMATCH: " << workload.name << " on W=" << w
+                  << "\n";
         return 1;
       }
       const auto resolved = resolve_backend(ProfileBackendKind::kAuto, w, n);

@@ -26,10 +26,9 @@ struct Item {
   [[nodiscard]] bool operator==(const Item&) const = default;
 };
 
-/// Result of a peak-minimizing placement search over a demand profile
-/// (StripOccupancy or the ProfileBackend interface): the
-/// leftmost start minimizing the load under an item of a given width,
-/// together with that load.
+/// Result of ProfileBackend::min_peak_position: the leftmost start
+/// minimizing the max load under an item of a given width, together with
+/// that load.  Bottom-left reads it as the item's (x, y) on the skyline.
 struct BestPosition {
   Length start;
   Height window_max;  ///< max load under the item before adding it

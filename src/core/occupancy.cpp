@@ -33,10 +33,6 @@ void StripOccupancy::add(Length start, Length width, Height height) {
   }
 }
 
-void StripOccupancy::remove(Length start, Length width, Height height) {
-  add(start, width, -height);
-}
-
 void StripOccupancy::raise_to(Length start, Length width, Height target) {
   DSP_REQUIRE(start >= 0 && width >= 1 && start + width <= strip_width(),
               "raise_to outside strip: start=" << start << " width=" << width);
@@ -50,7 +46,6 @@ Height StripOccupancy::window_max(Length start, Length width) const {
   DSP_REQUIRE(start >= 0 && width >= 1 && start + width <= strip_width(),
               "window outside strip");
   const auto first = load_.begin() + start;
-  // Like peak(): clamped at 0 (the scan historically started from m = 0).
   return std::max<Height>(0, *std::max_element(first, first + width));
 }
 

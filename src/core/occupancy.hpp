@@ -4,67 +4,46 @@
 #include <span>
 #include <vector>
 
-#include "core/instance.hpp"
+#include "core/profile.hpp"
 #include "core/window_maxima.hpp"
 
 namespace dsp {
 
-/// Mutable demand profile supporting the placement queries every constructive
-/// DSP algorithm needs:
-///
-///  * add / remove an item at a position (O(width of item)),
-///  * max load over a window (O(window)),
-///  * leftmost position where an item fits under a peak budget
-///    (one O(W) sliding-window-maximum pass),
-///  * position minimizing the resulting peak (same pass, min of window max).
+/// The dense ProfileBackend (kDense): one flat per-column load array, so
+/// add / raise_to cost O(item width) and the searches one O(W)
+/// sliding-window-maximum pass (core/window_maxima.hpp).
 ///
 /// W is pseudo-polynomially small in this problem family (days divided into
 /// minutes — paper §1), so dense O(W) passes are the intended regime.
 ///
-/// Layout: one flat load array plus reusable sliding-window scratch.  Every
-/// scan is a plain loop or <algorithm> call over it, and no query allocates
-/// after the first — the scratch is a member, which also means a
-/// StripOccupancy must not be shared across threads without external
-/// synchronization (its mutating API already imposed that contract).
-class StripOccupancy {
+/// Beyond the interface it offers window_max and the raw loads(), which the
+/// exact branch-and-bound (exact/dsp_exact.cpp) and the E15 kernels read
+/// directly.  No query allocates after the first — the window-maxima scratch
+/// is a member, which also means a StripOccupancy must not be shared across
+/// threads without external synchronization (its mutating API already
+/// imposed that contract).
+class StripOccupancy final : public ProfileBackend {
  public:
   explicit StripOccupancy(Length strip_width);
 
-  [[nodiscard]] Length strip_width() const { return static_cast<Length>(load_.size()); }
-  [[nodiscard]] Height peak() const;
-  /// Load of column x; InvalidInput outside [0, W), like the sparse backend.
-  [[nodiscard]] Height load_at(Length x) const;
+  [[nodiscard]] Length strip_width() const override {
+    return static_cast<Length>(load_.size());
+  }
+  [[nodiscard]] Height peak() const override;
+  [[nodiscard]] Height load_at(Length x) const override;
   [[nodiscard]] std::span<const Height> loads() const { return load_; }
 
-  /// Restores the all-zero profile, retaining the buffers (the reuse path of
-  /// repeated solve54 bisection attempts).
-  void reset();
+  void reset() override;
+  void add(Length start, Length width, Height height) override;
+  void raise_to(Length start, Length width, Height target) override;
 
-  /// Adds an item of the given width/height starting at `start`.
-  void add(Length start, Length width, Height height);
-  /// Removes a previously added item (no bookkeeping: caller's contract).
-  void remove(Length start, Length width, Height height);
-
-  /// Raises every column in [start, start+width) to at least `target`
-  /// (skyline-style placement: lift the covered region to the item's top).
-  void raise_to(Length start, Length width, Height target);
-
-  /// Max load over [start, start+width).
+  /// Max load over [start, start+width), clamped at 0 like peak().
   [[nodiscard]] Height window_max(Length start, Length width) const;
 
-  /// Smallest x' > x where the load differs from load_at(x), or W when the
-  /// run extends to the strip's end.
-  [[nodiscard]] Length next_change(Length x) const;
-
-  /// Leftmost start x in [0, W-width] such that window_max(x, width) + height
-  /// <= budget, or nullopt if none exists.
+  [[nodiscard]] Length next_change(Length x) const override;
   [[nodiscard]] std::optional<Length> first_fit(Length width, Height height,
-                                                Height budget) const;
-
-  /// A start position minimizing the peak after adding an item of the given
-  /// width (leftmost among minimizers), together with that resulting local
-  /// max.  Never fails for width <= W.
-  [[nodiscard]] BestPosition min_peak_position(Length width) const;
+                                                Height budget) const override;
+  [[nodiscard]] BestPosition min_peak_position(Length width) const override;
 
  private:
   /// Sliding-window maxima M[x] = max load over [x, x+width) for all valid

@@ -10,48 +10,6 @@ namespace dsp {
 
 namespace {
 
-class DenseProfileBackend final : public ProfileBackend {
- public:
-  explicit DenseProfileBackend(Length strip_width) : occupancy_(strip_width) {}
-
-  [[nodiscard]] std::string_view name() const override { return "dense"; }
-  [[nodiscard]] Length strip_width() const override {
-    return occupancy_.strip_width();
-  }
-  [[nodiscard]] Height peak() const override { return occupancy_.peak(); }
-  [[nodiscard]] Height load_at(Length x) const override {
-    return occupancy_.load_at(x);
-  }
-  [[nodiscard]] std::span<const Height> dense_loads() const override {
-    return occupancy_.loads();
-  }
-
-  void reset() override { occupancy_.reset(); }
-  void add(Length start, Length width, Height height) override {
-    occupancy_.add(start, width, height);
-  }
-  void raise_to(Length start, Length width, Height target) override {
-    occupancy_.raise_to(start, width, target);
-  }
-
-  [[nodiscard]] Height window_max(Length start, Length width) const override {
-    return occupancy_.window_max(start, width);
-  }
-  [[nodiscard]] Length next_change(Length x) const override {
-    return occupancy_.next_change(x);
-  }
-  [[nodiscard]] std::optional<Length> first_fit(Length width, Height height,
-                                                Height budget) const override {
-    return occupancy_.first_fit(width, height, budget);
-  }
-  [[nodiscard]] BestPosition min_peak_position(Length width) const override {
-    return occupancy_.min_peak_position(width);
-  }
-
- private:
-  StripOccupancy occupancy_;
-};
-
 /// Run-length profile: the load is heights_[i] on [starts_[i], starts_[i+1])
 /// (the last run ends at W), starts_[0] == 0 and adjacent runs always differ
 /// in height.  n placements leave at most 2n + 1 runs, so every operation is
@@ -63,7 +21,6 @@ class SparseProfileBackend final : public ProfileBackend {
     reset();
   }
 
-  [[nodiscard]] std::string_view name() const override { return "sparse"; }
   [[nodiscard]] Length strip_width() const override { return width_; }
   [[nodiscard]] Height peak() const override {
     return std::max<Height>(
@@ -85,14 +42,6 @@ class SparseProfileBackend final : public ProfileBackend {
     update(start, width, [target](Height v) { return std::max(v, target); });
   }
 
-  [[nodiscard]] Height window_max(Length start, Length width) const override {
-    DSP_REQUIRE(start >= 0 && width >= 1 && start + width <= width_,
-                "window outside strip");
-    const auto first = static_cast<std::ptrdiff_t>(run_of(start));
-    const auto last = static_cast<std::ptrdiff_t>(run_of(start + width - 1));
-    return std::max<Height>(0, *std::max_element(heights_.begin() + first,
-                                                 heights_.begin() + last + 1));
-  }
   [[nodiscard]] Length next_change(Length x) const override {
     DSP_REQUIRE(0 <= x && x < width_, "next_change outside the strip");
     return run_end(run_of(x));
@@ -211,8 +160,6 @@ std::string_view to_string(ProfileBackendKind kind) {
 ProfileBackendKind resolve_backend(ProfileBackendKind kind, Length strip_width,
                                    std::size_t expected_items) {
   if (kind != ProfileBackendKind::kAuto) return kind;
-  // An unknown item count keeps the paper's dense regime.
-  if (expected_items == 0) return ProfileBackendKind::kDense;
   // Dense sweeps cost Θ(W) per placement, the run-length profile O(runs):
   // prefer runs once the items are too few to densely cover the strip.
   // The factor 16 is measured end to end (DESIGN.md §profile backends): at
@@ -229,7 +176,7 @@ std::unique_ptr<ProfileBackend> make_profile_backend(ProfileBackendKind kind,
     case ProfileBackendKind::kSparse:
       return std::make_unique<SparseProfileBackend>(strip_width);
     case ProfileBackendKind::kDense:
-      return std::make_unique<DenseProfileBackend>(strip_width);
+      return std::make_unique<StripOccupancy>(strip_width);
     case ProfileBackendKind::kAuto:
       break;
   }

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 
 #include "core/instance.hpp"
@@ -23,7 +22,9 @@ enum class ProfileBackendKind {
 
 [[nodiscard]] std::string_view to_string(ProfileBackendKind kind);
 
-/// Resolves kAuto against the instance shape (identity on kDense/kSparse).
+/// Resolves kAuto against the instance shape (identity on kDense/kSparse):
+/// sparse iff W > 16 n.  An empty instance (n = 0) therefore resolves sparse,
+/// which allocates nothing W-sized and reports the same zero peak.
 [[nodiscard]] ProfileBackendKind resolve_backend(ProfileBackendKind kind,
                                                  Length strip_width,
                                                  std::size_t expected_items);
@@ -33,18 +34,17 @@ enum class ProfileBackendKind {
 ///
 ///  * add / remove an item at a position,
 ///  * raise a window to a target height (skyline-style placement),
-///  * max load over a window,
 ///  * leftmost position where an item fits under a peak budget,
 ///  * position minimizing the resulting peak (leftmost among minimizers).
 ///
-/// Both implementations are observationally identical — the randomized
+/// Both implementations — StripOccupancy (core/occupancy.hpp) and the
+/// run-length profile — are observationally identical: the randomized
 /// equivalence suite in tests/test_profile_backend.cpp cross-checks every
-/// operation — so algorithms may be switched between them freely.
+/// operation, so algorithms may be switched between them freely.
 class ProfileBackend {
  public:
   virtual ~ProfileBackend() = default;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual Length strip_width() const = 0;
   [[nodiscard]] virtual Height peak() const = 0;
   [[nodiscard]] virtual Height load_at(Length x) const = 0;
@@ -53,14 +53,6 @@ class ProfileBackend {
   /// a backend can be recycled across solve54 bisection attempts instead of
   /// being reconstructed (and re-allocated) per probe.
   virtual void reset() = 0;
-
-  /// The flat per-column load array when this backend keeps one (the dense
-  /// backend), empty otherwise.  Lets bulk consumers (the shared
-  /// sliding-window-maxima pass) run directly over the contiguous storage
-  /// instead of issuing per-window virtual queries.
-  [[nodiscard]] virtual std::span<const Height> dense_loads() const {
-    return {};
-  }
 
   /// Adds an item of the given width/height starting at `start`.
   virtual void add(Length start, Length width, Height height) = 0;
@@ -71,29 +63,27 @@ class ProfileBackend {
   /// Raises every column in [start, start+width) to at least `target`.
   virtual void raise_to(Length start, Length width, Height target) = 0;
 
-  /// Max load over [start, start+width).
-  [[nodiscard]] virtual Height window_max(Length start, Length width) const = 0;
-
   /// Smallest x' > x where the load differs from load_at(x), or W when the
   /// run extends to the strip's end — lets callers enumerate the profile's
   /// constant runs in O(runs) backend operations instead of O(W) probes.
   [[nodiscard]] virtual Length next_change(Length x) const = 0;
 
-  /// Leftmost start x in [0, W-width] such that window_max(x, width) + height
-  /// <= budget, or nullopt if none exists.
+  /// Leftmost start x in [0, W-width] such that the max load over
+  /// [x, x+width) plus `height` is <= budget, or nullopt if none exists.
   [[nodiscard]] virtual std::optional<Length> first_fit(
       Length width, Height height, Height budget) const = 0;
 
   /// A start position minimizing the peak after adding an item of the given
   /// width (leftmost among minimizers), together with that resulting local
-  /// max.  Never fails for width <= W.
+  /// max.  Never fails for width <= W.  The leftmost minimizer is always a
+  /// run start (0 or an x with load_at(x-1) != load_at(x)): sliding a start
+  /// right inside a constant run never lowers the window max.
   [[nodiscard]] virtual BestPosition min_peak_position(Length width) const = 0;
 };
 
-/// Builds a profile over `strip_width` columns.  `expected_items` feeds the
-/// kAuto dense/sparse decision (0 = unknown, resolves dense).
+/// Builds a profile over `strip_width` columns; kAuto resolves against
+/// `expected_items`, the number of items the caller will place.
 [[nodiscard]] std::unique_ptr<ProfileBackend> make_profile_backend(
-    ProfileBackendKind kind, Length strip_width,
-    std::size_t expected_items = 0);
+    ProfileBackendKind kind, Length strip_width, std::size_t expected_items);
 
 }  // namespace dsp

@@ -7,9 +7,9 @@
 
 namespace dsp {
 
-/// Reusable buffers for sliding_window_maxima.  One scratch per consumer
-/// (StripOccupancy, the bottom-left skyline) amortizes the three W-sized
-/// buffers across every call instead of allocating per query.
+/// Reusable buffers for sliding_window_maxima.  StripOccupancy keeps one as
+/// a member, amortizing the three W-sized buffers across every query instead
+/// of allocating per call.
 struct WindowMaximaScratch {
   std::vector<Height> prefix;  ///< per-block running max, left to right
   std::vector<Height> suffix;  ///< per-block running max, right to left
@@ -21,13 +21,11 @@ struct WindowMaximaScratch {
 /// span into `scratch` (valid until its next use).  Requires
 /// 1 <= width <= |load|.
 ///
-/// This is THE shared implementation of the M[x] pass — StripOccupancy's
-/// first_fit / min_peak_position and the bottom-left skyline all consume it
-/// instead of carrying per-caller loops.  The algorithm is the two-scan
-/// block decomposition (blocks of `width`; prefix max within each block,
-/// suffix max within each block, M[x] = max(suffix[x], prefix[x+width-1])):
-/// three flat sequential scans, replacing the pointer-chasing monotone
-/// deque the dense backend used to run.
+/// This is the M[x] pass behind StripOccupancy's first_fit and
+/// min_peak_position (the sparse backend sweeps its constant runs instead).
+/// The algorithm is the two-scan block decomposition (blocks of `width`;
+/// prefix max within each block, suffix max within each block,
+/// M[x] = max(suffix[x], prefix[x+width-1])): three flat sequential scans.
 [[nodiscard]] std::span<const Height> sliding_window_maxima(
     std::span<const Height> load, Length width, WindowMaximaScratch& scratch);
 

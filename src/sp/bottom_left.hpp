@@ -10,11 +10,12 @@ namespace dsp::sp {
 /// bounded-ratio algorithm, but the strongest practical SP comparator in the
 /// integrality-gap experiments (E1) and a second SP-as-DSP baseline.
 ///
-/// The skyline is stored in a demand-profile backend: dense columns, or
-/// constant runs for wide sparse strips (the one-argument overload lets
-/// kAuto pick from the instance shape).  Both produce the identical packing.
-[[nodiscard]] SpPacking bottom_left(const Instance& instance);
-[[nodiscard]] SpPacking bottom_left(const Instance& instance,
-                                    ProfileBackendKind backend);
+/// The skyline is a demand profile lifted with raise_to, and each item goes
+/// to its min_peak_position: the leftmost lowest roof is a run start, i.e. a
+/// skyline breakpoint.  Dense columns or constant runs (kAuto picks from the
+/// instance shape) produce the identical packing.
+[[nodiscard]] SpPacking bottom_left(
+    const Instance& instance,
+    ProfileBackendKind backend = ProfileBackendKind::kAuto);
 
 }  // namespace dsp::sp

@@ -8,6 +8,7 @@
 
 #include "algo/baselines.hpp"
 #include "algo/portfolio.hpp"
+#include "core/occupancy.hpp"
 #include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
@@ -18,11 +19,25 @@
 namespace dsp {
 namespace {
 
+/// Whether `kind` builds StripOccupancy, the dense backend.
+bool builds_dense(ProfileBackendKind kind, Length w, std::size_t n) {
+  const auto profile = make_profile_backend(kind, w, n);
+  return dynamic_cast<const StripOccupancy*>(profile.get()) != nullptr;
+}
+
+/// Max load over [start, start+width), read run by run through load_at
+/// (0 on an empty window, like a fresh profile's peak).
+Height window_max(const ProfileBackend& p, Length start, Length width) {
+  Height m = 0;
+  for (Length x = start; x < start + width; x = p.next_change(x)) {
+    m = std::max(m, p.load_at(x));
+  }
+  return m;
+}
+
 TEST(ProfileBackend, FactoryProducesRequestedKind) {
-  EXPECT_EQ(make_profile_backend(ProfileBackendKind::kDense, 10)->name(),
-            "dense");
-  EXPECT_EQ(make_profile_backend(ProfileBackendKind::kSparse, 10)->name(),
-            "sparse");
+  EXPECT_TRUE(builds_dense(ProfileBackendKind::kDense, 10, 0));
+  EXPECT_FALSE(builds_dense(ProfileBackendKind::kSparse, 10, 0));
 }
 
 TEST(ProfileBackend, AutoResolvesByShape) {
@@ -53,26 +68,32 @@ TEST(ProfileBackend, AutoResolvesByShape) {
             ProfileBackendKind::kDense);
   EXPECT_EQ(resolve_backend(ProfileBackendKind::kSparse, 8, 10),
             ProfileBackendKind::kSparse);
-  // An unknown item count resolves dense, however wide the strip.
+  // No items: W > 16 * 0 on every strip, so even a narrow one is sparse
+  // and nothing W-sized is allocated.
   EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100000, 0),
-            ProfileBackendKind::kDense);
-  EXPECT_EQ(make_profile_backend(ProfileBackendKind::kAuto, 100000)->name(),
-            "dense");
+            ProfileBackendKind::kSparse);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1, 0),
+            ProfileBackendKind::kSparse);
+  EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, 100000, 0));
+  // The factory follows the resolution on both sides of the crossover.
+  EXPECT_TRUE(builds_dense(ProfileBackendKind::kAuto, 1600, 100));
+  EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, 1601, 100));
 }
 
 // --- unit cases, run on both kinds ----------------------------------------
 
 class ProfileBackendOps : public ::testing::TestWithParam<ProfileBackendKind> {
  protected:
+  // A concrete kind ignores the item count.
   [[nodiscard]] std::unique_ptr<ProfileBackend> make(Length w) const {
-    return make_profile_backend(GetParam(), w);
+    return make_profile_backend(GetParam(), w, 0);
   }
 };
 
 TEST_P(ProfileBackendOps, EmptyStripHasZeroPeak) {
   const auto p = make(10);
   EXPECT_EQ(p->peak(), 0);
-  EXPECT_EQ(p->window_max(0, 10), 0);
+  EXPECT_EQ(window_max(*p, 0, 10), 0);
   EXPECT_EQ(p->next_change(0), 10);
 }
 
@@ -80,10 +101,10 @@ TEST_P(ProfileBackendOps, SingleAdd) {
   const auto p = make(10);
   p->add(2, 5, 5);
   EXPECT_EQ(p->peak(), 5);
-  EXPECT_EQ(p->window_max(0, 2), 0);
-  EXPECT_EQ(p->window_max(2, 5), 5);
-  EXPECT_EQ(p->window_max(6, 4), 5);
-  EXPECT_EQ(p->window_max(7, 3), 0);
+  EXPECT_EQ(window_max(*p, 0, 2), 0);
+  EXPECT_EQ(window_max(*p, 2, 5), 5);
+  EXPECT_EQ(window_max(*p, 6, 4), 5);
+  EXPECT_EQ(window_max(*p, 7, 3), 0);
   EXPECT_EQ(p->next_change(0), 2);
   EXPECT_EQ(p->next_change(3), 7);
   // The tail [7, 10) is constant: the next change is the strip's end.
@@ -102,9 +123,9 @@ TEST_P(ProfileBackendOps, StackedAdds) {
   p->add(0, 8, 1);
   p->add(2, 4, 2);
   p->add(4, 1, 3);
-  EXPECT_EQ(p->window_max(0, 2), 1);
-  EXPECT_EQ(p->window_max(2, 2), 3);
-  EXPECT_EQ(p->window_max(4, 1), 6);
+  EXPECT_EQ(window_max(*p, 0, 2), 1);
+  EXPECT_EQ(window_max(*p, 2, 2), 3);
+  EXPECT_EQ(window_max(*p, 4, 1), 6);
   EXPECT_EQ(p->peak(), 6);
 }
 
@@ -121,7 +142,7 @@ TEST_P(ProfileBackendOps, RejectsBadRanges) {
   EXPECT_THROW(p->add(-1, 4, 1), InvalidInput);
   EXPECT_THROW(p->add(3, 0, 1), InvalidInput);
   EXPECT_THROW(p->raise_to(6, 3, 1), InvalidInput);
-  EXPECT_THROW(static_cast<void>(p->window_max(0, 9)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(window_max(*p, 0, 9)), InvalidInput);
   EXPECT_THROW(static_cast<void>(p->first_fit(9, 1, 5)), InvalidInput);
   EXPECT_THROW(static_cast<void>(make(0)), InvalidInput);
 }
@@ -155,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ProfileBackendOps,
                          });
 
 TEST(SparseProfileBackend, FirstFitMatchesContract) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 10);
+  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 10, 0);
   // Profile: [0,4) at 5, [4,7) empty, [7,10) at 2.
   p->add(0, 4, 5);
   p->add(7, 3, 2);
@@ -168,7 +189,7 @@ TEST(SparseProfileBackend, FirstFitMatchesContract) {
 }
 
 TEST(SparseProfileBackend, MinPeakPositionPrefersValleys) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 9);
+  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 9, 0);
   p->add(0, 3, 4);
   p->add(6, 3, 2);
   const auto best = p->min_peak_position(3);
@@ -181,7 +202,7 @@ TEST(SparseProfileBackend, MinPeakPositionPrefersValleys) {
 }
 
 TEST(SparseProfileBackend, RaiseToLiftsWindow) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 8);
+  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 8, 0);
   p->add(2, 2, 5);
   p->raise_to(0, 6, 3);
   EXPECT_EQ(p->load_at(0), 3);
@@ -205,8 +226,8 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
                    : GetParam() % 2 == 0 ? rng.uniform(2, 60)
                                          : rng.uniform(500, 4000);
   const int ops = wide ? 48 : 160;
-  const auto dense = make_profile_backend(ProfileBackendKind::kDense, w);
-  const auto sparse = make_profile_backend(ProfileBackendKind::kSparse, w);
+  const auto dense = make_profile_backend(ProfileBackendKind::kDense, w, 0);
+  const auto sparse = make_profile_backend(ProfileBackendKind::kSparse, w, 0);
   struct Placed {
     Length start;
     Length width;
@@ -266,8 +287,8 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
         break;
       }
     }
-    EXPECT_EQ(dense->window_max(start, width),
-              sparse->window_max(start, width));
+    EXPECT_EQ(window_max(*dense, start, width),
+              window_max(*sparse, start, width));
     EXPECT_EQ(dense->next_change(start), sparse->next_change(start));
   }
   EXPECT_EQ(dense->peak(), sparse->peak());

@@ -174,7 +174,10 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(SpAlgoCase{"nfdh", sp::nfdh},
                           SpAlgoCase{"ffdh", sp::ffdh},
                           SpAlgoCase{"sleator", sp::sleator},
-                          SpAlgoCase{"bottom_left", sp::bottom_left}),
+                          SpAlgoCase{"bottom_left",
+                                     [](const Instance& inst) {
+                                       return sp::bottom_left(inst);
+                                     }}),
         ::testing::Range(0, 25)));
 
 // FFDH never does worse than NFDH (it only reuses shelf space).
