@@ -24,7 +24,7 @@ enum class ItemOrder {
 /// representative of the smoothing heuristics of Tang et al. [29].
 /// All profile-driven baselines take the backend to run on (dense O(W)
 /// sweeps or the sparse run-length profile); both produce identical packings.
-/// The default kAuto resolves it from the instance shape.
+/// The default kAuto resolves it to the run-length profile.
 [[nodiscard]] Packing greedy_lowest_peak(
     const Instance& instance, ItemOrder order = ItemOrder::kDecreasingHeight,
     ProfileBackendKind backend = ProfileBackendKind::kAuto);

@@ -27,7 +27,7 @@ struct NamedAlgorithm {
 /// only accepts uniform widths and is benchmarked separately), with the
 /// profile-driven members bound to the given backend (nfdh/ffdh/sleator
 /// keep their shelf bookkeeping; greedy, first-fit and bottom-left switch
-/// their placement profile).  kAuto resolves it per instance.
+/// their placement profile).  kAuto resolves it to the run-length profile.
 [[nodiscard]] std::vector<NamedAlgorithm> baseline_portfolio(
     ProfileBackendKind backend = ProfileBackendKind::kAuto);
 
@@ -37,9 +37,9 @@ struct NamedAlgorithm {
 /// strictly lower peak replaces the best, so the skipped members cannot
 /// change the answer.  Seeded members get their seed member's packing.
 /// If `winner` is non-null it receives the winning algorithm's name.
-/// The default kAuto backend resolves per instance, so large-W instances
-/// pick the sparse profile without caller opt-in; dense and sparse produce
-/// identical packings (the equivalence suite), only the cost differs.
+/// The default kAuto backend is the run-length profile; dense and sparse
+/// produce identical packings (the equivalence suite), only the cost
+/// differs.
 [[nodiscard]] Packing best_of_portfolio(
     const Instance& instance, std::string* winner = nullptr,
     ProfileBackendKind backend = ProfileBackendKind::kAuto);

@@ -231,9 +231,9 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Height best_peak = witness_peak;
   Height best_pipeline_peak = std::numeric_limits<Height>::max();
 
-  // One profile and one fill scratch serve every attempt.  kAuto resolves
-  // from (width, n) only, so the reused backend is the one a fresh
-  // construction per attempt would pick.
+  // One profile and one fill scratch serve every attempt; kAuto resolves
+  // to the run-length profile, the one a fresh construction per attempt
+  // would pick.
   const std::unique_ptr<ProfileBackend> occupancy =
       make_profile_backend(ProfileBackendKind::kAuto, instance.strip_width(),
                            instance.size());

@@ -70,8 +70,8 @@ struct Approx54Result {
 ///
 /// Runs entirely on the calling thread.  Every placement step and the
 /// witness portfolio run on the profile backend resolve_backend(kAuto, W, n)
-/// picks: sparse on wide, lightly covered strips, dense otherwise (both
-/// give identical packings).  The returned packing is always
+/// picks: the run-length profile on every strip (the dense one gives
+/// identical packings).  The returned packing is always
 /// feasible; peak quality is certified per run against the lower bound
 /// (experiment E7 measures the ratio).
 [[nodiscard]] Approx54Result solve54(const Instance& instance,

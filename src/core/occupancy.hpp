@@ -13,8 +13,9 @@ namespace dsp {
 /// add / raise_to cost O(item width) and the searches one O(W)
 /// sliding-window-maximum pass (core/window_maxima.hpp).
 ///
-/// W is pseudo-polynomially small in this problem family (days divided into
-/// minutes — paper §1), so dense O(W) passes are the intended regime.
+/// kAuto never picks it: n placements leave at most 2n + 1 runs, so the
+/// run-length profile is the cheaper one on every strip the request path
+/// serves.  It is built only where a caller names kDense.
 ///
 /// Beyond the interface it offers window_max and the raw loads(), which the
 /// exact branch-and-bound (exact/dsp_exact.cpp) and the E15 kernels read

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/profile.hpp"
 #include "util/check.hpp"
 
 namespace dsp {
@@ -59,8 +58,11 @@ void validate_packing(const Instance& instance, const Packing& packing) {
 }
 
 Height peak_height(const Instance& instance, const Packing& packing) {
-  if (resolve_backend(ProfileBackendKind::kAuto, instance.strip_width(),
-                      instance.size()) == ProfileBackendKind::kDense) {
+  // Where the items cover the strip densely (W <= 16 n) the O(n + W)
+  // column profile is the cheaper scan: at n = 400 and W <= 2048 it takes
+  // 2-5 us per call against ~17 us for sorting the edges, and the two
+  // meet near W = 16 n.
+  if (instance.strip_width() <= 16 * static_cast<Length>(instance.size())) {
     return LoadProfile(instance, packing).peak();
   }
   // Wide, lightly covered strip: sweep the 2n item edges in O(n log n)

@@ -45,8 +45,9 @@ class LoadProfile {
 void validate_packing(const Instance& instance, const Packing& packing);
 
 /// Peak height of a packing (paper's objective H).  Throws on invalid input.
-/// Allocates no W-sized profile where resolve_backend(kAuto, W, n) picks
-/// the sparse backend.
+/// Builds the W-column LoadProfile only where W <= 16 n; wider, lightly
+/// covered strips are scored by sweeping the 2n item edges, so nothing
+/// W-sized is allocated there.
 [[nodiscard]] Height peak_height(const Instance& instance, const Packing& packing);
 
 }  // namespace dsp

@@ -157,16 +157,16 @@ std::string_view to_string(ProfileBackendKind kind) {
   return "unknown";
 }
 
-ProfileBackendKind resolve_backend(ProfileBackendKind kind, Length strip_width,
-                                   std::size_t expected_items) {
-  if (kind != ProfileBackendKind::kAuto) return kind;
-  // Dense sweeps cost Θ(W) per placement, the run-length profile O(runs):
-  // prefer runs once the items are too few to densely cover the strip.
-  // The factor 16 is measured end to end (DESIGN.md §profile backends): at
-  // W = 2048, n = 100 the sparse backend already wins.
-  const bool sparse =
-      strip_width > 16 * static_cast<Length>(expected_items);
-  return sparse ? ProfileBackendKind::kSparse : ProfileBackendKind::kDense;
+ProfileBackendKind resolve_backend(ProfileBackendKind kind,
+                                   Length /*strip_width*/,
+                                   std::size_t /*expected_items*/) {
+  // The run-length profile costs O(runs) per operation, at most 2n + 1
+  // runs, against O(W) columns for the dense one.  Measured, it serves
+  // every e2ebench solve-cold cell (W <= 2048, n in {100, 400}) faster;
+  // dense is ahead only on strips of a few dozen columns, by at most
+  // ~1.4x and well under 2 ms (DESIGN.md, the profile-backend layer).
+  return kind == ProfileBackendKind::kAuto ? ProfileBackendKind::kSparse
+                                           : kind;
 }
 
 std::unique_ptr<ProfileBackend> make_profile_backend(ProfileBackendKind kind,

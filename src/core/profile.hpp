@@ -10,21 +10,24 @@ namespace dsp {
 
 /// Which demand-profile implementation a placement algorithm runs on.
 ///
-/// The paper's pseudo-polynomial setting (days divided into minutes, §1)
-/// makes the dense O(W) passes of StripOccupancy the intended regime; the
-/// sparse run-length backend wins on wide strips that few items cover
-/// (O(n) runs vs. W columns), the workload of bench_occupancy_backends.
+/// n placements leave at most 2n + 1 constant runs, so the run-length
+/// profile is never longer than the W columns of StripOccupancy in the
+/// paper's pseudo-polynomial setting either (days divided into minutes,
+/// §1): kAuto serves every strip on it.  The dense backend stays for
+/// callers that ask for it by name (the exact branch-and-bound, the E15
+/// kernels and the equivalence suites).
 enum class ProfileBackendKind {
   kDense,   ///< StripOccupancy: O(W) sweeps per operation.
   kSparse,  ///< Run-length profile: O(runs) ops and searches, O(runs) memory.
-  kAuto,    ///< Per instance: sparse iff the strip is wide relative to n.
+  kAuto,    ///< The request-path default: resolves to kSparse.
 };
 
 [[nodiscard]] std::string_view to_string(ProfileBackendKind kind);
 
-/// Resolves kAuto against the instance shape (identity on kDense/kSparse):
-/// sparse iff W > 16 n.  An empty instance (n = 0) therefore resolves sparse,
-/// which allocates nothing W-sized and reports the same zero peak.
+/// Resolves kAuto to kSparse for every strip width and item count (identity
+/// on kDense/kSparse), so no request-path profile allocates anything
+/// W-sized.  The shape arguments are kept for the callers that report
+/// which backend an instance runs on.
 [[nodiscard]] ProfileBackendKind resolve_backend(ProfileBackendKind kind,
                                                  Length strip_width,
                                                  std::size_t expected_items);
@@ -81,8 +84,8 @@ class ProfileBackend {
   [[nodiscard]] virtual BestPosition min_peak_position(Length width) const = 0;
 };
 
-/// Builds a profile over `strip_width` columns; kAuto resolves against
-/// `expected_items`, the number of items the caller will place.
+/// Builds a profile over `strip_width` columns; `expected_items` is the
+/// number of items the caller will place (resolve_backend's shape).
 [[nodiscard]] std::unique_ptr<ProfileBackend> make_profile_backend(
     ProfileBackendKind kind, Length strip_width, std::size_t expected_items);
 

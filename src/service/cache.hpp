@@ -53,8 +53,8 @@ enum class ServeEngine {
 /// parameters (fingerprinted into the cache key) and execution knobs
 /// (excluded, because the runtime's determinism contracts prove the result
 /// does not depend on them — see params_fingerprint).  The profile backend
-/// is no parameter: every solve resolves it from the instance shape
-/// (resolve_backend(kAuto, W, n)).
+/// is no parameter: every solve runs on the run-length profile
+/// (resolve_backend(kAuto, W, n) is kSparse).
 struct ServeParams {
   ServeEngine engine = ServeEngine::kPortfolio;
   /// Execution knob: worker threads for solve_many fan-out; 0 = hardware.

@@ -16,7 +16,7 @@
 // Each admitted request is served on its connection's thread, so
 // --max-concurrent is the daemon's concurrency; there is no batch fan-out.
 // Every request goes through the cache, and every solve runs on the
-// profile backend the instance shape picks (resolve_backend(kAuto, W, n)).
+// run-length profile (resolve_backend(kAuto, W, n) is kSparse).
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase

@@ -22,7 +22,7 @@
 //     --emit-corpus DIR            write the golden gen corpus to DIR and exit
 //
 // Every request goes through the cache, and every solve runs on the
-// profile backend the instance shape picks (resolve_backend(kAuto, W, n)).
+// run-length profile (resolve_backend(kAuto, W, n) is kSparse).
 //
 // With --repeat > 1 the passes run as separate batches and a per-pass
 // latency breakdown goes to *stderr* (stdout rows stay byte-identical to

@@ -12,8 +12,8 @@ namespace dsp::sp {
 ///
 /// The skyline is a demand profile lifted with raise_to, and each item goes
 /// to its min_peak_position: the leftmost lowest roof is a run start, i.e. a
-/// skyline breakpoint.  Dense columns or constant runs (kAuto picks from the
-/// instance shape) produce the identical packing.
+/// skyline breakpoint.  Dense columns or constant runs (kAuto picks the
+/// runs) produce the identical packing.
 [[nodiscard]] SpPacking bottom_left(
     const Instance& instance,
     ProfileBackendKind backend = ProfileBackendKind::kAuto);

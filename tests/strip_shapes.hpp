@@ -1,10 +1,13 @@
 #pragma once
 
 // The strip-shape axis of the served-path suites.  Serving has no backend
-// knob: every solve runs on the profile backend resolve_backend(kAuto, W, n)
-// picks.  So a suite covers both backends by serving a narrow batch (every
-// instance resolves dense) and the same batch widened until W > 16 n (every
-// instance resolves sparse), and checks that each batch resolves that way.
+// knob: every solve runs on the run-length profile resolve_backend(kAuto,
+// W, n) picks for every shape.  The axis is input diversity: a suite serves
+// a narrow batch (items cover the strip densely, W <= 16 n for the golden
+// sizes) and the same batch widened until W > 16 n (few items on a wide
+// strip, long flat runs), and checks that both batches resolve sparse.
+// The dense profile is cross-checked against the sparse one in
+// tests/test_profile_backend.cpp, not here.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +24,9 @@ enum class StripShape { kNarrow, kWide };
 
 /// `narrow` itself, or each instance with its strip and item widths scaled
 /// by the smallest power of two that makes W > 16 n.  Expects every
-/// returned instance to resolve dense (narrow) or sparse (wide).
+/// returned instance, of either shape, to resolve sparse.
 [[nodiscard]] inline std::vector<Instance> shaped_batch(
     StripShape shape, const std::vector<Instance>& narrow) {
-  const ProfileBackendKind expected = shape == StripShape::kNarrow
-                                          ? ProfileBackendKind::kDense
-                                          : ProfileBackendKind::kSparse;
   std::vector<Instance> batch;
   for (const Instance& instance : narrow) {
     Length factor = 1;
@@ -41,7 +41,7 @@ enum class StripShape { kNarrow, kWide };
         batch.emplace_back(instance.strip_width() * factor, std::move(items));
     EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, shaped.strip_width(),
                               shaped.size()),
-              expected)
+              ProfileBackendKind::kSparse)
         << shaped.summary();
   }
   return batch;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/bounds.hpp"
 #include "core/instance.hpp"
 #include "core/occupancy.hpp"
@@ -55,6 +58,7 @@ TEST(LoadProfile, RejectsOutOfStripPackings) {
 
 TEST(PeakHeight, EdgeSweepMatchesColumnProfileOnWideStrips) {
   // W > 16 n: peak_height sweeps item edges instead of building columns.
+  // Wide strips first, then narrow ones (W <= 16 n, column profile).
   // Items ending where others start must not stack.
   const Instance touching(1000, {{10, 5}, {10, 7}, {10, 2}});
   EXPECT_EQ(peak_height(touching, Packing{{0, 10, 20}}), 7);
@@ -73,6 +77,43 @@ TEST(PeakHeight, EdgeSweepMatchesColumnProfileOnWideStrips) {
     }
     const Instance inst(w, items);
     EXPECT_EQ(peak_height(inst, packing), LoadProfile(inst, packing).peak());
+  }
+  // Narrow strips (W <= 64, n in [4, 400], so W <= 16 n): peak_height scores
+  // on the column profile.  Both branches must match a column-by-column
+  // reference: the packing as given, and the same packing stretched by the
+  // smallest power of two that makes W > 16 n (a horizontal stretch keeps
+  // the peak), which peak_height scores by sweeping edges.
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform(4, 400));
+    const Length w = rng.uniform(1, 64);
+    std::vector<Item> items;
+    Packing packing;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Length width = rng.uniform(1, w);
+      items.push_back({width, rng.uniform(1, 30)});
+      packing.start.push_back(rng.uniform(0, w - width));
+    }
+    Height reference = 0;
+    for (Length x = 0; x < w; ++x) {
+      Height load = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Length s = packing.start[i];
+        if (s <= x && x < s + items[i].width) load += items[i].height;
+      }
+      reference = std::max(reference, load);
+    }
+    EXPECT_EQ(peak_height(Instance(w, items), packing), reference)
+        << "W=" << w << " n=" << n;
+
+    Length factor = 1;
+    while (w * factor <= 16 * static_cast<Length>(n)) factor *= 2;
+    std::vector<Item> stretched = items;
+    Packing stretched_packing = packing;
+    for (Item& item : stretched) item.width *= factor;
+    for (Length& s : stretched_packing.start) s *= factor;
+    EXPECT_EQ(peak_height(Instance(w * factor, stretched), stretched_packing),
+              reference)
+        << "W=" << w * factor << " n=" << n;
   }
 }
 

@@ -4,7 +4,7 @@
 // daemon's exposition carries), the tracer's ring buffer and Chrome trace
 // JSON, and — the contract everything else rides on — packings
 // bit-identical with tracing on vs. off across {1,2,8} threads and both
-// strip shapes (narrow: dense profile, wide: sparse profile), with the obs
+// strip shapes (narrow and wide, tests/strip_shapes.hpp), with the obs
 // switches provably outside the cache fingerprint.
 
 #include <gtest/gtest.h>

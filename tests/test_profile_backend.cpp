@@ -12,6 +12,7 @@
 #include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
+#include "gen/smart_grid.hpp"
 #include "sp/bottom_left.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -40,44 +41,33 @@ TEST(ProfileBackend, FactoryProducesRequestedKind) {
   EXPECT_FALSE(builds_dense(ProfileBackendKind::kSparse, 10, 0));
 }
 
-TEST(ProfileBackend, AutoResolvesByShape) {
-  // The crossover is W > 16 n, on both sides of the boundary.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1600, 100),
-            ProfileBackendKind::kDense);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1601, 100),
-            ProfileBackendKind::kSparse);
-  // The solve-cold cells it moves: W = 2048 with n = 100 is sparse, while
-  // W = 1024 with n = 100 and W = 2048 with n = 400 stay dense.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 2048, 100),
-            ProfileBackendKind::kSparse);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1024, 100),
-            ProfileBackendKind::kDense);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 2048, 400),
-            ProfileBackendKind::kDense);
-  // Narrow golden-size strips stay dense.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 96, 24),
-            ProfileBackendKind::kDense);
-  // Wide, lightly covered strip: sparse.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100000, 10),
-            ProfileBackendKind::kSparse);
-  // Wide but densely covered: dense.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100000, 50000),
-            ProfileBackendKind::kDense);
+TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
+  // Every (W, n) the old W > 16 n rule sent to the dense backend -- the
+  // solve-cold cells (1600, 100), (1024, 100) and (2048, 400), a golden-size
+  // strip and a wide, densely covered one -- plus a one-column strip under
+  // 10^5 items and the empty instance: kAuto builds the run-length profile.
+  struct Shape {
+    Length w;
+    std::size_t n;
+  };
+  for (const Shape shape : {Shape{1600, 100}, Shape{1601, 100},
+                            Shape{1024, 100}, Shape{2048, 400},
+                            Shape{96, 24}, Shape{100000, 50000},
+                            Shape{100000, 10}, Shape{1, 100000},
+                            Shape{100000, 0}, Shape{1, 0}}) {
+    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, shape.w, shape.n),
+              ProfileBackendKind::kSparse)
+        << "W=" << shape.w << " n=" << shape.n;
+    EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, shape.w, shape.n))
+        << "W=" << shape.w << " n=" << shape.n;
+  }
   // Concrete kinds resolve to themselves.
   EXPECT_EQ(resolve_backend(ProfileBackendKind::kDense, 100000, 10),
             ProfileBackendKind::kDense);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kDense, 96, 24),
+            ProfileBackendKind::kDense);
   EXPECT_EQ(resolve_backend(ProfileBackendKind::kSparse, 8, 10),
             ProfileBackendKind::kSparse);
-  // No items: W > 16 * 0 on every strip, so even a narrow one is sparse
-  // and nothing W-sized is allocated.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 100000, 0),
-            ProfileBackendKind::kSparse);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 1, 0),
-            ProfileBackendKind::kSparse);
-  EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, 100000, 0));
-  // The factory follows the resolution on both sides of the crossover.
-  EXPECT_TRUE(builds_dense(ProfileBackendKind::kAuto, 1600, 100));
-  EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, 1601, 100));
 }
 
 // --- unit cases, run on both kinds ----------------------------------------
@@ -218,7 +208,7 @@ class BackendEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 6007 + 17);
-  // Params below 24 alternate between narrow strips (dense regime) and
+  // Params below 24 alternate between narrow strips (W <= 60) and
   // medium ones; the rest are wide strips, W in [2^16, 2^20], with few
   // items and a mix of narrow and strip-wide windows.
   const bool wide = GetParam() >= 24;
@@ -304,9 +294,9 @@ INSTANTIATE_TEST_SUITE_P(Random, BackendEquivalence, ::testing::Range(0, 40));
 // --- algorithm-level equivalence: same packings on either backend ---------
 //
 // Random instances, then the nine golden-corpus instances.  kAuto resolves
-// dense on every golden instance, so this is where the golden corpus is
-// packed on the sparse profile: the portfolio must give the same packing
-// and winner on kDense, kSparse and kAuto.
+// sparse on every one, so this is where the golden corpus is packed on the
+// dense profile: the portfolio must give the same packing and winner on
+// kDense, kSparse and kAuto.
 
 constexpr int kRandomEquivalenceCases = 12;
 
@@ -354,6 +344,74 @@ INSTANTIATE_TEST_SUITE_P(Random, AlgorithmBackendEquivalence,
 INSTANTIATE_TEST_SUITE_P(Golden, AlgorithmBackendEquivalence,
                          ::testing::Range(kRandomEquivalenceCases,
                                           kRandomEquivalenceCases + 9));
+
+
+// --- the solve-cold cells: narrow strips that kAuto used to run dense ------
+//
+// 6 families x n {100, 400} x W {256, 1024, 2048}, the grid of e2ebench's
+// solve-cold workload, one seed per cell.  Every cell but W = 2048 with
+// n = 100 has W <= 16 n and so ran on the dense profile before kAuto
+// resolved sparse everywhere; the witness portfolio must give the same
+// packing and winner on all three kinds.
+
+struct SolveColdCell {
+  const char* family;
+  std::size_t n;
+  Length w;
+};
+
+std::vector<SolveColdCell> solve_cold_cells() {
+  std::vector<SolveColdCell> cells;
+  for (const char* family :
+       {"uniform", "tall", "wide", "perfect", "correlated", "smart_grid"}) {
+    for (const std::size_t n : {100, 400}) {
+      for (const Length w : {256, 1024, 2048}) cells.push_back({family, n, w});
+    }
+  }
+  return cells;
+}
+
+Instance solve_cold_instance(const SolveColdCell& cell, Rng& rng) {
+  const std::string family = cell.family;
+  const Length w = cell.w;
+  if (family == "uniform") return gen::random_uniform(cell.n, w, w / 4, 100, rng);
+  if (family == "tall") return gen::tall_items(cell.n, w, 100, rng);
+  if (family == "wide") return gen::wide_items(cell.n, w, 20, rng);
+  if (family == "perfect") return gen::perfect_packing(cell.n, w, 200, rng);
+  if (family == "correlated") return gen::correlated(cell.n, w, w / 4, 100, rng);
+  return gen::smart_grid(cell.n, w, rng);
+}
+
+class SolveColdCellEquivalence
+    : public ::testing::TestWithParam<SolveColdCell> {};
+
+TEST_P(SolveColdCellEquivalence, PortfolioAgreesOnEveryBackend) {
+  const SolveColdCell& cell = GetParam();
+  Rng rng(static_cast<std::uint64_t>(cell.w) * 1009 + cell.n);
+  const Instance inst = solve_cold_instance(cell, rng);
+  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, inst.strip_width(),
+                            inst.size()),
+            ProfileBackendKind::kSparse);
+
+  std::string dense_winner;
+  const Packing dense =
+      algo::best_of_portfolio(inst, &dense_winner, ProfileBackendKind::kDense);
+  for (const ProfileBackendKind kind :
+       {ProfileBackendKind::kSparse, ProfileBackendKind::kAuto}) {
+    std::string winner;
+    EXPECT_EQ(algo::best_of_portfolio(inst, &winner, kind), dense)
+        << to_string(kind);
+    EXPECT_EQ(winner, dense_winner) << to_string(kind);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SolveColdCellEquivalence, ::testing::ValuesIn(solve_cold_cells()),
+    [](const ::testing::TestParamInfo<SolveColdCell>& info) {
+      return std::string(info.param.family) + "_n" +
+             std::to_string(info.param.n) + "_W" +
+             std::to_string(info.param.w);
+    });
 
 }  // namespace
 }  // namespace dsp

@@ -235,8 +235,8 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelMapWorkers,
 // ---------------------------------------------------------------------------
 // Determinism: the batch path (CachingSolver::solve_many) is bit-identical
 // to serving each request alone, for all thread counts and both strip
-// shapes (narrow strips resolve the dense profile, widened ones the sparse
-// profile; tests/strip_shapes.hpp).
+// shapes (narrow strips and widened ones, both on the run-length profile;
+// tests/strip_shapes.hpp).
 // ---------------------------------------------------------------------------
 
 using testing_shapes::ThreadsAndShape;

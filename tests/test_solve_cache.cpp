@@ -2,7 +2,7 @@
 // computation under concurrent identical requests, bit-identical hits, LRU
 // eviction at capacity, fingerprint separation, and the cached ==
 // engine-direct determinism contract across thread counts and strip shapes
-// (narrow strips resolve the dense profile, wide ones the sparse profile).
+// (narrow and wide strips, tests/strip_shapes.hpp).
 
 #include <gtest/gtest.h>
 

@@ -106,7 +106,7 @@ TEST(BottomLeft, MatchesBruteForceReference) {
   std::vector<Instance> instances;
   Rng rng(20261018);
   for (int round = 0; round < 30; ++round) {
-    // Narrow strips (W <= 64), then wide ones (W > 16 n, the sparse regime).
+    // Narrow strips (W <= 64), then wide ones (W > 16 n, long flat runs).
     const auto n = static_cast<std::size_t>(rng.uniform(1, 40));
     const Length narrow = rng.uniform(4, 64);
     const Length wide = rng.uniform(16 * static_cast<Length>(n) + 1, 1 << 16);
