@@ -167,8 +167,7 @@ std::vector<Row> run_suite(bool smoke) {
     // Sparse-profile placement searches (the sparse backend's hot path).
     rows.push_back(time_kernel("sparse_profile_search", w, 64, repeats,
                                [&](std::uint64_t& fold) {
-      const auto profile =
-          make_profile_backend(ProfileBackendKind::kSparse, w, 64);
+      const auto profile = make_profile_backend(ProfileBackendKind::kSparse, w);
       for (std::size_t q = 0; q < 64; ++q) {
         const auto at = static_cast<Length>((q * 131) % (w / 2));
         profile->add(at, w / 8, static_cast<Height>(1 + q % 7));

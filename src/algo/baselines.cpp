@@ -42,8 +42,7 @@ std::vector<std::size_t> ordered_indices(const Instance& instance, ItemOrder ord
 
 Packing greedy_lowest_peak(const Instance& instance, ItemOrder order,
                            ProfileBackendKind backend) {
-  const auto occ =
-      make_profile_backend(backend, instance.strip_width(), instance.size());
+  const auto occ = make_profile_backend(backend, instance.strip_width());
   Packing packing;
   packing.start.resize(instance.size());
   for (const std::size_t i : ordered_indices(instance, order)) {
@@ -58,8 +57,7 @@ Packing greedy_lowest_peak(const Instance& instance, ItemOrder order,
 std::optional<Packing> first_fit_with_budget(const Instance& instance,
                                              Height budget,
                                              ProfileBackendKind backend) {
-  const auto occ =
-      make_profile_backend(backend, instance.strip_width(), instance.size());
+  const auto occ = make_profile_backend(backend, instance.strip_width());
   Packing packing;
   packing.start.resize(instance.size());
   for (const std::size_t i :

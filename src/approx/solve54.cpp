@@ -235,8 +235,7 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   // to the run-length profile, the one a fresh construction per attempt
   // would pick.
   const std::unique_ptr<ProfileBackend> occupancy =
-      make_profile_backend(ProfileBackendKind::kAuto, instance.strip_width(),
-                           instance.size());
+      make_profile_backend(ProfileBackendKind::kAuto, instance.strip_width());
   VerticalFillScratch fill_scratch;
 
   // Step 2: binary search over H'.  Round 1 is the floor probe

@@ -1,6 +1,7 @@
 #include "core/profile.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/occupancy.hpp"
@@ -63,27 +64,39 @@ class SparseProfileBackend final : public ProfileBackend {
   [[nodiscard]] BestPosition min_peak_position(Length width) const override {
     DSP_REQUIRE(width >= 1 && width <= width_, "item wider than strip");
     // The window max only grows as a start slides right inside a run, so
-    // the leftmost minimizer is a run start.  One sliding-window maximum
-    // over the runs: `window[head..]` holds the runs under the current
-    // window with strictly decreasing heights.
+    // the leftmost minimizer is a run start.  A sliding-window maximum over
+    // the runs that skips every start which cannot strictly beat `best`:
+    // `window[head..]` holds the runs under the current window with
+    // strictly decreasing heights, all below best.window_max.
+    //  * A run at or above best.window_max is a barrier: every start whose
+    //    window covers it loses, so the scan resumes at the run after it.
+    //  * Every evaluated start therefore improves best, and every start up
+    //    to the window's max run covers that run: resume after it.
+    // Each run enters the window at most once and each evaluation pops
+    // one, so a call is O(runs) in the worst case.
     std::vector<std::size_t> window;
     window.reserve(starts_.size());
     std::size_t head = 0;
+    std::size_t i = 0;
     std::size_t next = 0;
-    BestPosition best{0, 0};
-    for (std::size_t i = 0; i < starts_.size() && starts_[i] + width <= width_;
-         ++i) {
-      for (; next < starts_.size() && starts_[next] < starts_[i] + width;
-           ++next) {
+    BestPosition best{0, std::numeric_limits<Height>::max()};
+    while (i < starts_.size() && starts_[i] + width <= width_) {
+      if (next < starts_.size() && starts_[next] < starts_[i] + width) {
+        if (heights_[next] >= best.window_max) {
+          window.clear();
+          head = 0;
+          i = ++next;
+          continue;
+        }
         while (window.size() > head &&
                heights_[window.back()] <= heights_[next]) {
           window.pop_back();
         }
-        window.push_back(next);
+        window.push_back(next++);
+        continue;
       }
-      if (window[head] < i) ++head;
-      const Height m = heights_[window[head]];
-      if (i == 0 || m < best.window_max) best = {starts_[i], m};
+      best = {starts_[i], heights_[window[head]]};
+      i = window[head++] + 1;
     }
     return best;
   }
@@ -170,18 +183,12 @@ ProfileBackendKind resolve_backend(ProfileBackendKind kind,
 }
 
 std::unique_ptr<ProfileBackend> make_profile_backend(ProfileBackendKind kind,
-                                                     Length strip_width,
-                                                     std::size_t expected_items) {
-  switch (resolve_backend(kind, strip_width, expected_items)) {
-    case ProfileBackendKind::kSparse:
-      return std::make_unique<SparseProfileBackend>(strip_width);
-    case ProfileBackendKind::kDense:
-      return std::make_unique<StripOccupancy>(strip_width);
-    case ProfileBackendKind::kAuto:
-      break;
+                                                     Length strip_width) {
+  // kAuto resolves to kSparse (resolve_backend): only kDense builds columns.
+  if (kind == ProfileBackendKind::kDense) {
+    return std::make_unique<StripOccupancy>(strip_width);
   }
-  DSP_REQUIRE(false, "unreachable: unresolved profile backend kind");
-  return nullptr;
+  return std::make_unique<SparseProfileBackend>(strip_width);
 }
 
 }  // namespace dsp

@@ -80,13 +80,15 @@ class ProfileBackend {
   /// width (leftmost among minimizers), together with that resulting local
   /// max.  Never fails for width <= W.  The leftmost minimizer is always a
   /// run start (0 or an x with load_at(x-1) != load_at(x)): sliding a start
-  /// right inside a constant run never lowers the window max.
+  /// right inside a constant run never lowers the window max.  The run
+  /// profile scans left to right and skips every start that cannot strictly
+  /// beat the best so far (its window covers a run at least that high), so
+  /// it touches each run at most twice: O(runs) in the worst case.
   [[nodiscard]] virtual BestPosition min_peak_position(Length width) const = 0;
 };
 
-/// Builds a profile over `strip_width` columns; `expected_items` is the
-/// number of items the caller will place (resolve_backend's shape).
+/// Builds a profile of `kind` (kAuto resolved) over `strip_width` columns.
 [[nodiscard]] std::unique_ptr<ProfileBackend> make_profile_backend(
-    ProfileBackendKind kind, Length strip_width, std::size_t expected_items);
+    ProfileBackendKind kind, Length strip_width);
 
 }  // namespace dsp

@@ -23,8 +23,7 @@ SpPacking bottom_left(const Instance& instance, ProfileBackendKind backend) {
   // placed item to its top.  min_peak_position returns the lowest, then
   // leftmost, roof over the item's span, always at a run start — exactly
   // the bottom-left candidate set of skyline breakpoints.
-  const auto skyline = make_profile_backend(backend, instance.strip_width(),
-                                            instance.size());
+  const auto skyline = make_profile_backend(backend, instance.strip_width());
   for (const std::size_t i : order) {
     const Item& it = instance.item(i);
     const BestPosition best = skyline->min_peak_position(it.width);

@@ -84,11 +84,11 @@ TEST(StripOccupancy, ResetMatchesFreshInstance) {
 TEST(ProfileBackends, ResetMatchesFreshInstance) {
   for (const ProfileBackendKind kind :
        {ProfileBackendKind::kDense, ProfileBackendKind::kSparse}) {
-    const auto used = make_profile_backend(kind, 48, 0);
+    const auto used = make_profile_backend(kind, 48);
     used->add(1, 9, 4);
     used->raise_to(30, 10, 9);
     used->reset();
-    const auto fresh = make_profile_backend(kind, 48, 0);
+    const auto fresh = make_profile_backend(kind, 48);
     EXPECT_EQ(used->peak(), fresh->peak());
     for (Length x = 0; x < 48; ++x) {
       ASSERT_EQ(used->load_at(x), fresh->load_at(x))

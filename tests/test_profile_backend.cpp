@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,8 +22,8 @@ namespace dsp {
 namespace {
 
 /// Whether `kind` builds StripOccupancy, the dense backend.
-bool builds_dense(ProfileBackendKind kind, Length w, std::size_t n) {
-  const auto profile = make_profile_backend(kind, w, n);
+bool builds_dense(ProfileBackendKind kind, Length w) {
+  const auto profile = make_profile_backend(kind, w);
   return dynamic_cast<const StripOccupancy*>(profile.get()) != nullptr;
 }
 
@@ -37,8 +38,8 @@ Height window_max(const ProfileBackend& p, Length start, Length width) {
 }
 
 TEST(ProfileBackend, FactoryProducesRequestedKind) {
-  EXPECT_TRUE(builds_dense(ProfileBackendKind::kDense, 10, 0));
-  EXPECT_FALSE(builds_dense(ProfileBackendKind::kSparse, 10, 0));
+  EXPECT_TRUE(builds_dense(ProfileBackendKind::kDense, 10));
+  EXPECT_FALSE(builds_dense(ProfileBackendKind::kSparse, 10));
 }
 
 TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
@@ -58,7 +59,7 @@ TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
     EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, shape.w, shape.n),
               ProfileBackendKind::kSparse)
         << "W=" << shape.w << " n=" << shape.n;
-    EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, shape.w, shape.n))
+    EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, shape.w))
         << "W=" << shape.w << " n=" << shape.n;
   }
   // Concrete kinds resolve to themselves.
@@ -74,9 +75,8 @@ TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
 
 class ProfileBackendOps : public ::testing::TestWithParam<ProfileBackendKind> {
  protected:
-  // A concrete kind ignores the item count.
   [[nodiscard]] std::unique_ptr<ProfileBackend> make(Length w) const {
-    return make_profile_backend(GetParam(), w, 0);
+    return make_profile_backend(GetParam(), w);
   }
 };
 
@@ -166,7 +166,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ProfileBackendOps,
                          });
 
 TEST(SparseProfileBackend, FirstFitMatchesContract) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 10, 0);
+  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 10);
   // Profile: [0,4) at 5, [4,7) empty, [7,10) at 2.
   p->add(0, 4, 5);
   p->add(7, 3, 2);
@@ -179,7 +179,7 @@ TEST(SparseProfileBackend, FirstFitMatchesContract) {
 }
 
 TEST(SparseProfileBackend, MinPeakPositionPrefersValleys) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 9, 0);
+  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 9);
   p->add(0, 3, 4);
   p->add(6, 3, 2);
   const auto best = p->min_peak_position(3);
@@ -192,7 +192,7 @@ TEST(SparseProfileBackend, MinPeakPositionPrefersValleys) {
 }
 
 TEST(SparseProfileBackend, RaiseToLiftsWindow) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 8, 0);
+  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 8);
   p->add(2, 2, 5);
   p->raise_to(0, 6, 3);
   EXPECT_EQ(p->load_at(0), 3);
@@ -200,6 +200,259 @@ TEST(SparseProfileBackend, RaiseToLiftsWindow) {
   EXPECT_EQ(p->load_at(5), 3);
   EXPECT_EQ(p->load_at(6), 0);
   EXPECT_EQ(p->peak(), 5);
+}
+
+// --- min_peak_position against a plain W-array reference -----------------
+//
+// The reference keeps one load per column and answers min_peak_position by
+// brute force: the window max of every start, leftmost minimizer (and
+// first_fit: the first start whose window fits under the budget).  The
+// shapes below stress the run profile's barrier jumps (a run at or above the
+// best so far skips every start that covers it; an improvement skips to the
+// run after the window max).
+
+/// Column-by-column profile, the specification the backends must meet.
+class ArrayProfile {
+ public:
+  explicit ArrayProfile(Length w) : load_(static_cast<std::size_t>(w), 0) {}
+
+  void add(Length start, Length width, Height height) {
+    for (Length x = start; x < start + width; ++x) at(x) += height;
+  }
+  void raise_to(Length start, Length width, Height target) {
+    for (Length x = start; x < start + width; ++x) {
+      at(x) = std::max(at(x), target);
+    }
+  }
+  void reset() { std::fill(load_.begin(), load_.end(), 0); }
+
+  [[nodiscard]] BestPosition min_peak_position(Length width) const {
+    std::optional<BestPosition> best;
+    for (Length x = 0; x + width <= strip_width(); ++x) {
+      const auto first = load_.begin() + x;
+      const Height m = *std::max_element(first, first + width);
+      if (!best || m < best->window_max) best = BestPosition{x, m};
+    }
+    return *best;
+  }
+
+  [[nodiscard]] std::optional<Length> first_fit(Length width, Height height,
+                                                Height budget) const {
+    for (Length x = 0; x + width <= strip_width(); ++x) {
+      const auto first = load_.begin() + x;
+      if (*std::max_element(first, first + width) + height <= budget) return x;
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] Length strip_width() const {
+    return static_cast<Length>(load_.size());
+  }
+  [[nodiscard]] Height load_at(Length x) const {
+    return load_[static_cast<std::size_t>(x)];
+  }
+
+ private:
+  Height& at(Length x) { return load_[static_cast<std::size_t>(x)]; }
+
+  std::vector<Height> load_;
+};
+
+/// One profile of each backend kind next to the reference, fed the same
+/// operations.
+struct ReferencedProfiles {
+  explicit ReferencedProfiles(Length w)
+      : reference(w),
+        profiles{make_profile_backend(ProfileBackendKind::kDense, w),
+                 make_profile_backend(ProfileBackendKind::kSparse, w)} {}
+
+  /// Builds the profile whose column x carries columns[x].
+  explicit ReferencedProfiles(const std::vector<Height>& columns)
+      : ReferencedProfiles(static_cast<Length>(columns.size())) {
+    for (std::size_t x = 0; x < columns.size(); ++x) {
+      add(static_cast<Length>(x), 1, columns[x]);
+    }
+  }
+
+  void add(Length start, Length width, Height height) {
+    reference.add(start, width, height);
+    for (const auto& p : profiles) p->add(start, width, height);
+  }
+  void remove(Length start, Length width, Height height) {
+    reference.add(start, width, -height);
+    for (const auto& p : profiles) p->remove(start, width, height);
+  }
+  void raise_to(Length start, Length width, Height target) {
+    reference.raise_to(start, width, target);
+    for (const auto& p : profiles) p->raise_to(start, width, target);
+  }
+  void reset() {
+    reference.reset();
+    for (const auto& p : profiles) p->reset();
+  }
+
+  /// Every backend's min_peak_position for `width` equals the reference's.
+  void expect_matches(Length width, const std::string& label) const {
+    const BestPosition want = reference.min_peak_position(width);
+    for (const auto& p : profiles) {
+      const BestPosition got = p->min_peak_position(width);
+      EXPECT_EQ(got.start, want.start)
+          << label << " width=" << width << " on " << kind_of(*p);
+      EXPECT_EQ(got.window_max, want.window_max)
+          << label << " width=" << width << " on " << kind_of(*p);
+    }
+  }
+  /// Every backend's first_fit equals the reference's.
+  void expect_first_fit_matches(Length width, Height height, Height budget,
+                                const std::string& label) const {
+    const std::optional<Length> want =
+        reference.first_fit(width, height, budget);
+    for (const auto& p : profiles) {
+      EXPECT_EQ(p->first_fit(width, height, budget), want)
+          << label << " width=" << width << " height=" << height
+          << " budget=" << budget << " on " << kind_of(*p);
+    }
+  }
+  /// expect_matches for every width 1..W, plus the loads column by column.
+  void expect_matches_all_widths(const std::string& label) const {
+    for (Length width = 1; width <= reference.strip_width(); ++width) {
+      expect_matches(width, label);
+    }
+    for (const auto& p : profiles) {
+      for (Length x = 0; x < reference.strip_width(); ++x) {
+        ASSERT_EQ(p->load_at(x), reference.load_at(x))
+            << label << " x=" << x << " on " << kind_of(*p);
+      }
+    }
+  }
+
+  static std::string kind_of(const ProfileBackend& p) {
+    return dynamic_cast<const StripOccupancy*>(&p) != nullptr ? "dense"
+                                                              : "sparse";
+  }
+
+  ArrayProfile reference;
+  std::array<std::unique_ptr<ProfileBackend>, 2> profiles;
+};
+
+/// Columns of `runs` steps of `step` columns each; step k has height
+/// first + k * delta.
+std::vector<Height> staircase(int runs, Length step, Height first,
+                              Height delta) {
+  std::vector<Height> columns;
+  for (int k = 0; k < runs; ++k) {
+    columns.insert(columns.end(), static_cast<std::size_t>(step),
+                   first + k * delta);
+  }
+  return columns;
+}
+
+TEST(MinPeakPositionReference, DescendingAndAscendingStaircases) {
+  for (const Length step : {1, 2, 5}) {
+    ReferencedProfiles(staircase(40, step, 40, -1))
+        .expect_matches_all_widths("descending step=" + std::to_string(step));
+    ReferencedProfiles(staircase(40, step, 1, 1))
+        .expect_matches_all_widths("ascending step=" + std::to_string(step));
+  }
+  // A staircase that descends, then climbs again: the best start keeps
+  // moving right until the valley, then stays.
+  std::vector<Height> valley = staircase(20, 2, 21, -1);
+  const std::vector<Height> climb = staircase(20, 3, 2, 1);
+  valley.insert(valley.end(), climb.begin(), climb.end());
+  ReferencedProfiles(valley).expect_matches_all_widths("valley");
+}
+
+TEST(MinPeakPositionReference, Sawtooth) {
+  for (const int period : {2, 3, 7}) {
+    std::vector<Height> rising;
+    std::vector<Height> falling;
+    for (int x = 0; x < 60; ++x) {
+      rising.push_back(1 + x % period);
+      falling.push_back(period - x % period);
+    }
+    ReferencedProfiles(rising).expect_matches_all_widths(
+        "rising sawtooth period=" + std::to_string(period));
+    ReferencedProfiles(falling).expect_matches_all_widths(
+        "falling sawtooth period=" + std::to_string(period));
+  }
+  // Teeth that shrink to the right: every new window max is a strict
+  // improvement reached only after a barrier.
+  std::vector<Height> shrinking;
+  for (Height tooth = 12; tooth >= 1; --tooth) {
+    shrinking.insert(shrinking.end(), {tooth, 0, 0, tooth});
+  }
+  ReferencedProfiles(shrinking).expect_matches_all_widths("shrinking teeth");
+}
+
+TEST(MinPeakPositionReference, EqualHeightPlateausKeepTheLeftmostMinimizer) {
+  // Equal minima at several places: the leftmost must win, and a run equal
+  // to the best so far is a barrier, not a tie to move to.
+  for (const std::vector<Height>& columns :
+       {std::vector<Height>{3, 1, 1, 3, 1, 1, 3, 1, 1, 3},
+        std::vector<Height>{2, 2, 5, 2, 2, 2, 5, 2, 2, 5, 2},
+        std::vector<Height>{4, 4, 4, 4, 4, 4, 4, 4},
+        std::vector<Height>{1, 3, 1, 3, 1, 3, 1, 3, 1},
+        std::vector<Height>{5, 2, 2, 5, 5, 2, 2, 2, 5, 2, 2, 5},
+        std::vector<Height>{0, 6, 6, 0, 0, 6, 0, 6, 6, 6, 0, 0, 0}}) {
+    ReferencedProfiles(columns).expect_matches_all_widths("plateau");
+  }
+}
+
+TEST(MinPeakPositionReference, WindowEqualToTheStrip) {
+  for (const Length w : {1, 2, 9, 64}) {
+    ReferencedProfiles profiles(staircase(static_cast<int>(w), 1, w, -1));
+    profiles.expect_matches(w, "full width W=" + std::to_string(w));
+    profiles.add(0, w, 3);
+    profiles.expect_matches(w, "full width after add W=" + std::to_string(w));
+  }
+}
+
+TEST(MinPeakPositionReference, NegativeLoadsLeftByRemove) {
+  // remove() of an item that was never added leaves loads below zero; the
+  // search must not assume a zero floor.
+  ReferencedProfiles profiles(30);
+  profiles.add(0, 30, 2);
+  profiles.remove(3, 4, 5);
+  profiles.remove(12, 2, 7);
+  profiles.remove(20, 6, 3);
+  profiles.expect_matches_all_widths("negative valleys");
+  profiles.reset();
+  profiles.remove(0, 30, 4);
+  profiles.add(10, 5, 1);
+  profiles.expect_matches_all_widths("negative floor");
+}
+
+TEST(MinPeakPositionReference, RandomOperationSequences) {
+  for (int seq = 0; seq < 200; ++seq) {
+    Rng rng(static_cast<std::uint64_t>(seq) * 7919 + 5);
+    const Length w = rng.uniform(1, 48);
+    ReferencedProfiles profiles(w);
+    const std::string label = "seq=" + std::to_string(seq);
+    for (int op = 0; op < 24; ++op) {
+      const Length width = rng.uniform(1, w);
+      const Length start = rng.uniform(0, w - width);
+      switch (rng.uniform(0, 4)) {
+        case 0:
+        case 1:
+          profiles.add(start, width, rng.uniform(1, 6));
+          break;
+        case 2:  // not necessarily a placed item: loads may go negative
+          profiles.remove(start, width, rng.uniform(1, 6));
+          break;
+        case 3:
+          profiles.raise_to(start, width, rng.uniform(-3, 12));
+          break;
+        case 4:
+          if (rng.chance(0.2)) profiles.reset();
+          break;
+      }
+      profiles.expect_matches(rng.uniform(1, w), label);
+      profiles.expect_matches(w, label);
+      profiles.expect_first_fit_matches(rng.uniform(1, w), rng.uniform(1, 6),
+                                        rng.uniform(-2, 20), label);
+    }
+    profiles.expect_matches_all_widths(label);
+  }
 }
 
 // --- randomized operation-level equivalence -------------------------------
@@ -216,8 +469,8 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
                    : GetParam() % 2 == 0 ? rng.uniform(2, 60)
                                          : rng.uniform(500, 4000);
   const int ops = wide ? 48 : 160;
-  const auto dense = make_profile_backend(ProfileBackendKind::kDense, w, 0);
-  const auto sparse = make_profile_backend(ProfileBackendKind::kSparse, w, 0);
+  const auto dense = make_profile_backend(ProfileBackendKind::kDense, w);
+  const auto sparse = make_profile_backend(ProfileBackendKind::kSparse, w);
   struct Placed {
     Length start;
     Length width;
