@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 #include "algo/baselines.hpp"
 #include "algo/portfolio.hpp"
 #include "core/occupancy.hpp"
+#include "core/packing.hpp"
 #include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
@@ -656,6 +658,36 @@ TEST_P(SolveColdCellEquivalence, PortfolioAgreesOnEveryBackend) {
         << to_string(kind);
     EXPECT_EQ(winner, dense_winner) << to_string(kind);
   }
+}
+
+/// bench_parallel_scaling's hash step.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+TEST(SolveColdCells, PortfolioChecksumIsPinned) {
+  // The 36 solve-cold cells above: every cell's witness peak, winner name
+  // and start positions, folded in grid order.  Recorded while the dense
+  // and run-length profiles still both existed and agreed on every cell;
+  // a change that moves one start or swaps one winner fails here.
+  constexpr std::uint64_t kPin = 11078234835343177838ull;
+  std::uint64_t checksum = 0;
+  for (const SolveColdCell& cell : solve_cold_cells()) {
+    Rng rng(static_cast<std::uint64_t>(cell.w) * 1009 + cell.n);
+    const Instance inst = solve_cold_instance(cell, rng);
+    std::string winner;
+    const Packing packing = algo::best_of_portfolio(inst, &winner);
+    checksum = mix(checksum, static_cast<std::uint64_t>(
+                                 peak_height(inst, packing)));
+    for (const char c : winner) {
+      checksum = mix(checksum, static_cast<unsigned char>(c));
+    }
+    for (const Length start : packing.start) {
+      checksum = mix(checksum, static_cast<std::uint64_t>(start));
+    }
+  }
+  EXPECT_EQ(checksum, kPin);
 }
 
 INSTANTIATE_TEST_SUITE_P(
