@@ -123,13 +123,13 @@ bool n_scaling_probe(bool smoke) {
 bool staircase_probe(bool smoke) {
   constexpr Length kRuns = 12800;
   constexpr Length kWindow = kRuns / 2;
-  const auto profile = make_profile_backend(ProfileBackendKind::kSparse, kRuns);
-  for (Length x = 0; x < kRuns; ++x) profile->raise_to(x, 1, kRuns - x);
+  Profile profile(kRuns);
+  for (Length x = 0; x < kRuns; ++x) profile.raise_to(x, 1, kRuns - x);
   const int calls = smoke ? 5 : 200;
   BestPosition best{};
   Stopwatch watch;
   for (int call = 0; call < calls; ++call) {
-    best = profile->min_peak_position(kWindow);
+    best = profile.min_peak_position(kWindow);
   }
   const double us = 1000.0 * watch.millis() / calls;
   if (best.start != kRuns - kWindow || best.window_max != kWindow) {

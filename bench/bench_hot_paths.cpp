@@ -1,9 +1,7 @@
-// Hot-path kernel trajectory (experiment E15): times the dense profile's
-// scans (StripOccupancy reductions and range updates, sliding-window maxima
-// with the first-fit threshold search), the sparse run-length profile's
-// searches and the knapsack-pricing DP on pinned-seed inputs, and emits one
-// JSON row per (kernel, W) with an iteration-independent checksum of the
-// kernel outputs.
+// Hot-path kernel trajectory (experiment E15): times the run-length
+// Profile's range reductions, range updates and placement searches and the
+// knapsack-pricing DP on pinned-seed inputs, and emits one JSON row per
+// (kernel, W) with an iteration-independent checksum of the kernel outputs.
 //
 // The checksum is a pure function of the pinned inputs, so it is identical
 // across machines, build types and repeat counts — any cross-PR behaviour
@@ -28,16 +26,16 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "approx/pricing.hpp"
 #include "bench_common.hpp"
-#include "core/occupancy.hpp"
 #include "core/profile.hpp"
-#include "core/window_maxima.hpp"
 
 namespace dsp::bench {
 namespace {
@@ -71,13 +69,13 @@ std::vector<Height> make_load(Length w, std::uint64_t seed) {
   return load;
 }
 
-/// A dense profile holding exactly `load`.
-StripOccupancy occupancy_of(const std::vector<Height>& load) {
-  StripOccupancy occupancy(static_cast<Length>(load.size()));
+/// A profile holding exactly `load`.
+Profile profile_of(const std::vector<Height>& load) {
+  Profile profile(static_cast<Length>(load.size()));
   for (std::size_t x = 0; x < load.size(); ++x) {
-    occupancy.add(static_cast<Length>(x), 1, load[x]);
+    profile.add(static_cast<Length>(x), 1, load[x]);
   }
-  return occupancy;
+  return profile;
 }
 
 /// One timed kernel: `op(checksum_accumulator)` runs the workload once and
@@ -114,67 +112,74 @@ std::vector<Row> run_suite(bool smoke) {
   for (const Length w : widths) {
     const std::vector<Height> load =
         make_load(w, 0xD5Aull + static_cast<std::uint64_t>(w));
-    const StripOccupancy occupancy = occupancy_of(load);
+    const Profile profile = profile_of(load);
     const auto n = load.size();
 
-    // Dense reduction scans: window_max() plus the min over the same range.
+    // The first three kernel keys are historical: they timed the dense
+    // per-column profile and its sliding-window maxima, which are gone.
+    // The same outputs now come from the run-length Profile, so every
+    // recorded checksum still holds.
+
+    // Range reductions: the max (clamped at 0) and the min over a range,
+    // walked run by run with next_change.
     rows.push_back(time_kernel("occupancy_reduce", w, 64, repeats,
                                [&](std::uint64_t& fold) {
       for (std::size_t q = 0; q < 64; ++q) {
-        const std::size_t off = (q * 37) % (n / 2);
-        const std::size_t len = n - 2 * off;
-        const std::span<const Height> range =
-            occupancy.loads().subspan(off, len);
-        fold = mix(fold, static_cast<std::uint64_t>(occupancy.window_max(
-                             static_cast<Length>(off), static_cast<Length>(len))));
-        fold = mix(fold, static_cast<std::uint64_t>(
-                             *std::min_element(range.begin(), range.end())));
+        const auto off = static_cast<Length>((q * 37) % (n / 2));
+        const auto end = static_cast<Length>(n) - off;
+        Height max = 0;
+        Height min = std::numeric_limits<Height>::max();
+        for (Length x = off; x < end; x = profile.next_change(x)) {
+          const Height load = profile.load_at(x);
+          max = std::max(max, load);
+          min = std::min(min, load);
+        }
+        fold = mix(fold, static_cast<std::uint64_t>(max));
+        fold = mix(fold, static_cast<std::uint64_t>(min));
       }
     }));
 
     // Mutating scans: add() and raise_to() over the whole strip.
     rows.push_back(time_kernel("occupancy_raise", w, 64, repeats,
                                [&](std::uint64_t& fold) {
-      StripOccupancy profile = occupancy;
+      Profile raised = profile;
       for (std::size_t q = 0; q < 32; ++q) {
-        profile.add(0, w, static_cast<Height>(q % 5) - 2);
-        profile.raise_to(0, w, static_cast<Height>(60 + q));
+        raised.add(0, w, static_cast<Height>(q % 5) - 2);
+        raised.raise_to(0, w, static_cast<Height>(60 + q));
       }
       for (Length x = 0; x < w; x += 97) {
-        fold = mix(fold, static_cast<std::uint64_t>(profile.load_at(x)));
+        fold = mix(fold, static_cast<std::uint64_t>(raised.load_at(x)));
       }
-      fold = mix(fold, static_cast<std::uint64_t>(profile.peak()));
+      fold = mix(fold, static_cast<std::uint64_t>(raised.peak()));
     }));
 
-    // Sliding-window maxima + the first-fit threshold search over it.
+    // The lowest window max and the leftmost start under three budgets
+    // (W - width + 1 when none fits).
     rows.push_back(time_kernel("window_maxima_first_fit", w, 16, repeats,
                                [&](std::uint64_t& fold) {
-      WindowMaximaScratch scratch;
-      for (const Length width : {w / 64, w / 16, w / 4}) {
-        const std::span<const Height> maxima =
-            sliding_window_maxima(load, std::max<Length>(1, width), scratch);
+      for (const Length quarter : {w / 64, w / 16, w / 4}) {
+        const Length width = std::max<Length>(1, quarter);
         fold = mix(fold, static_cast<std::uint64_t>(
-                             *std::min_element(maxima.begin(), maxima.end())));
+                             profile.min_peak_position(width).window_max));
         for (const Height budget : {90, 110, 130}) {
-          const auto fit =
-              std::find_if(maxima.begin(), maxima.end(),
-                           [budget](Height m) { return m <= budget; });
-          fold = mix(fold, static_cast<std::uint64_t>(fit - maxima.begin()));
+          const std::optional<Length> fit = profile.first_fit(width, 0, budget);
+          fold = mix(fold, static_cast<std::uint64_t>(
+                               fit.value_or(w - width + 1)));
         }
       }
     }));
 
-    // Sparse-profile placement searches (the sparse backend's hot path).
+    // Placement searches on a profile built item by item.
     rows.push_back(time_kernel("sparse_profile_search", w, 64, repeats,
                                [&](std::uint64_t& fold) {
-      const auto profile = make_profile_backend(ProfileBackendKind::kSparse, w);
+      Profile placed(w);
       for (std::size_t q = 0; q < 64; ++q) {
         const auto at = static_cast<Length>((q * 131) % (w / 2));
-        profile->add(at, w / 8, static_cast<Height>(1 + q % 7));
+        placed.add(at, w / 8, static_cast<Height>(1 + q % 7));
         const auto fit =
-            profile->first_fit(w / 16, 5, 200 + static_cast<Height>(q));
+            placed.first_fit(w / 16, 5, 200 + static_cast<Height>(q));
         fold = mix(fold, fit ? static_cast<std::uint64_t>(*fit) + 1 : 0);
-        const BestPosition best = profile->min_peak_position(w / 16);
+        const BestPosition best = placed.min_peak_position(w / 16);
         fold = mix(fold, static_cast<std::uint64_t>(best.start));
         fold = mix(fold, static_cast<std::uint64_t>(best.window_max));
       }

@@ -14,13 +14,15 @@ namespace dsp::algo {
 
 namespace {
 
-std::vector<std::size_t> ordered_indices(const Instance& instance, ItemOrder order) {
+std::vector<std::size_t> ordered_indices(const Instance& instance,
+                                         ItemOrder order) {
   std::vector<std::size_t> idx(instance.size());
   std::iota(idx.begin(), idx.end(), 0);
   const auto by = [&](auto key) {
-    std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return key(instance.item(a)) > key(instance.item(b));
-    });
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return key(instance.item(a)) > key(instance.item(b));
+                     });
   };
   switch (order) {
     case ItemOrder::kInput:
@@ -40,46 +42,43 @@ std::vector<std::size_t> ordered_indices(const Instance& instance, ItemOrder ord
 
 }  // namespace
 
-Packing greedy_lowest_peak(const Instance& instance, ItemOrder order,
-                           ProfileBackendKind backend) {
-  const auto occ = make_profile_backend(backend, instance.strip_width());
+Packing greedy_lowest_peak(const Instance& instance, ItemOrder order) {
+  Profile profile(instance.strip_width());
   Packing packing;
   packing.start.resize(instance.size());
   for (const std::size_t i : ordered_indices(instance, order)) {
     const Item& it = instance.item(i);
-    const auto best = occ->min_peak_position(it.width);
+    const auto best = profile.min_peak_position(it.width);
     packing.start[i] = best.start;
-    occ->add(best.start, it.width, it.height);
+    profile.add(best.start, it.width, it.height);
   }
   return packing;
 }
 
 std::optional<Packing> first_fit_with_budget(const Instance& instance,
-                                             Height budget,
-                                             ProfileBackendKind backend) {
-  const auto occ = make_profile_backend(backend, instance.strip_width());
+                                             Height budget) {
+  Profile profile(instance.strip_width());
   Packing packing;
   packing.start.resize(instance.size());
   for (const std::size_t i :
        ordered_indices(instance, ItemOrder::kDecreasingHeight)) {
     const Item& it = instance.item(i);
-    const auto pos = occ->first_fit(it.width, it.height, budget);
+    const auto pos = profile.first_fit(it.width, it.height, budget);
     if (!pos.has_value()) return std::nullopt;
     packing.start[i] = *pos;
-    occ->add(*pos, it.width, it.height);
+    profile.add(*pos, it.width, it.height);
   }
   return packing;
 }
 
-Packing first_fit_search(const Instance& instance, ProfileBackendKind backend) {
+Packing first_fit_search(const Instance& instance) {
   return first_fit_search(
       instance, combined_lower_bound(instance),
-      greedy_lowest_peak(instance, ItemOrder::kDecreasingHeight, backend),
-      backend);
+      greedy_lowest_peak(instance, ItemOrder::kDecreasingHeight));
 }
 
 Packing first_fit_search(const Instance& instance, Height lower_bound,
-                         const Packing& greedy, ProfileBackendKind backend) {
+                         const Packing& greedy) {
   Height lo = lower_bound;
   Height hi = peak_height(instance, greedy);
   // Invariant: a feasible packing is known for budget hi (the greedy one).
@@ -87,7 +86,7 @@ Packing first_fit_search(const Instance& instance, Height lower_bound,
   std::optional<Packing> best;
   while (lo < hi) {
     const Height mid = lo + (hi - lo) / 2;
-    if (auto packing = first_fit_with_budget(instance, mid, backend)) {
+    if (auto packing = first_fit_with_budget(instance, mid)) {
       best = std::move(packing);
       hi = mid;
     } else {
@@ -120,16 +119,20 @@ Packing equal_width_folding(const Instance& instance) {
   return packing;
 }
 
-Packing nfdh_dsp(const Instance& instance) { return sp::as_dsp(sp::nfdh(instance)); }
+Packing nfdh_dsp(const Instance& instance) {
+  return sp::as_dsp(sp::nfdh(instance));
+}
 
-Packing ffdh_dsp(const Instance& instance) { return sp::as_dsp(sp::ffdh(instance)); }
+Packing ffdh_dsp(const Instance& instance) {
+  return sp::as_dsp(sp::ffdh(instance));
+}
 
 Packing sleator_dsp(const Instance& instance) {
   return sp::as_dsp(sp::sleator(instance));
 }
 
-Packing bottom_left_dsp(const Instance& instance, ProfileBackendKind backend) {
-  return sp::as_dsp(sp::bottom_left(instance, backend));
+Packing bottom_left_dsp(const Instance& instance) {
+  return sp::as_dsp(sp::bottom_left(instance));
 }
 
 }  // namespace dsp::algo

@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "core/packing.hpp"
-#include "core/profile.hpp"
 
 namespace dsp::algo {
 
@@ -22,34 +21,28 @@ enum class ItemOrder {
 /// Greedy peak smoothing: items in the given order, each placed at the
 /// (leftmost) position minimizing the resulting local peak.  This is the
 /// representative of the smoothing heuristics of Tang et al. [29].
-/// All profile-driven baselines take the backend to run on (dense O(W)
-/// sweeps or the sparse run-length profile); both produce identical packings.
-/// The default kAuto resolves it to the run-length profile.
+/// Every profile-driven baseline places on its own run-length Profile.
 [[nodiscard]] Packing greedy_lowest_peak(
-    const Instance& instance, ItemOrder order = ItemOrder::kDecreasingHeight,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+    const Instance& instance, ItemOrder order = ItemOrder::kDecreasingHeight);
 
 /// First-fit under a peak budget: items by decreasing height, each at the
 /// leftmost position keeping load + h <= budget.  Returns nullopt if some
 /// item does not fit — the inner loop of Ranjan et al.'s first-fit [23].
 [[nodiscard]] std::optional<Packing> first_fit_with_budget(
-    const Instance& instance, Height budget,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+    const Instance& instance, Height budget);
 
 /// Ranjan-style first fit: binary search for the smallest feasible budget of
 /// first_fit_with_budget between the combined lower bound and the greedy
 /// upper bound; returns the packing for that budget.
-[[nodiscard]] Packing first_fit_search(
-    const Instance& instance,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+[[nodiscard]] Packing first_fit_search(const Instance& instance);
 
 /// The same search from bounds the caller already holds: `lower_bound` must
 /// be combined_lower_bound(instance) and `greedy` the packing of
-/// greedy_lowest_peak(instance, kDecreasingHeight) (on any backend: they
-/// agree).  Returns exactly what the overload above returns.
-[[nodiscard]] Packing first_fit_search(
-    const Instance& instance, Height lower_bound, const Packing& greedy,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+/// greedy_lowest_peak(instance, kDecreasingHeight).  Returns exactly what
+/// the overload above returns.
+[[nodiscard]] Packing first_fit_search(const Instance& instance,
+                                       Height lower_bound,
+                                       const Packing& greedy);
 
 /// Yaw et al. [31] consider the equal-width special case.  With k = floor(W/w)
 /// columns, items sorted by decreasing height are assigned LPT-style to the
@@ -61,8 +54,6 @@ enum class ItemOrder {
 [[nodiscard]] Packing nfdh_dsp(const Instance& instance);
 [[nodiscard]] Packing ffdh_dsp(const Instance& instance);
 [[nodiscard]] Packing sleator_dsp(const Instance& instance);
-[[nodiscard]] Packing bottom_left_dsp(
-    const Instance& instance,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+[[nodiscard]] Packing bottom_left_dsp(const Instance& instance);
 
 }  // namespace dsp::algo

@@ -6,42 +6,39 @@
 
 namespace dsp::algo {
 
-std::vector<NamedAlgorithm> baseline_portfolio(ProfileBackendKind backend) {
+std::vector<NamedAlgorithm> baseline_portfolio(ProfileBackendKind) {
   // first-fit's budget search starts from the greedy-h packing.
   constexpr std::size_t kGreedyH = 0;
   return {
       {"greedy-h",
-       [backend](const Instance& in) {
-         return greedy_lowest_peak(in, ItemOrder::kDecreasingHeight, backend);
+       [](const Instance& in) {
+         return greedy_lowest_peak(in, ItemOrder::kDecreasingHeight);
        }},
       {"greedy-area",
-       [backend](const Instance& in) {
-         return greedy_lowest_peak(in, ItemOrder::kDecreasingArea, backend);
+       [](const Instance& in) {
+         return greedy_lowest_peak(in, ItemOrder::kDecreasingArea);
        }},
       {"greedy-w",
-       [backend](const Instance& in) {
-         return greedy_lowest_peak(in, ItemOrder::kDecreasingWidth, backend);
+       [](const Instance& in) {
+         return greedy_lowest_peak(in, ItemOrder::kDecreasingWidth);
        }},
-      {"first-fit",
-       [backend](const Instance& in) { return first_fit_search(in, backend); },
-       [backend](const Instance& in, Height lower_bound,
-                 const Packing& greedy) {
-         return first_fit_search(in, lower_bound, greedy, backend);
+      {"first-fit", [](const Instance& in) { return first_fit_search(in); },
+       [](const Instance& in, Height lower_bound, const Packing& greedy) {
+         return first_fit_search(in, lower_bound, greedy);
        },
        kGreedyH},
       {"nfdh", [](const Instance& in) { return nfdh_dsp(in); }},
       {"ffdh", [](const Instance& in) { return ffdh_dsp(in); }},
       {"sleator", [](const Instance& in) { return sleator_dsp(in); }},
-      {"bottom-left",
-       [backend](const Instance& in) { return bottom_left_dsp(in, backend); }},
+      {"bottom-left", [](const Instance& in) { return bottom_left_dsp(in); }},
   };
 }
 
 Packing best_of_portfolio(const Instance& instance, std::string* winner,
-                          ProfileBackendKind backend) {
+                          ProfileBackendKind) {
   DSP_REQUIRE(instance.size() > 0, "best_of_portfolio on empty instance");
   const Height lower_bound = combined_lower_bound(instance);
-  const std::vector<NamedAlgorithm> members = baseline_portfolio(backend);
+  const std::vector<NamedAlgorithm> members = baseline_portfolio();
   std::vector<Packing> packings(members.size());
   std::size_t best = 0;
   Height best_peak = 0;

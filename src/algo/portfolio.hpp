@@ -24,12 +24,13 @@ struct NamedAlgorithm {
 };
 
 /// All general-purpose baselines (the equal-width folding is excluded: it
-/// only accepts uniform widths and is benchmarked separately), with the
-/// profile-driven members bound to the given backend (nfdh/ffdh/sleator
-/// keep their shelf bookkeeping; greedy, first-fit and bottom-left switch
-/// their placement profile).  kAuto resolves it to the run-length profile.
+/// only accepts uniform widths and is benchmarked separately).  greedy,
+/// first-fit and bottom-left place on the run-length Profile; nfdh, ffdh
+/// and sleator keep their shelf bookkeeping.  The ProfileBackendKind
+/// parameter is ignored — no library code passes it; it is kept only for
+/// e2ebench/src/layers.cpp until e2ebench v2.
 [[nodiscard]] std::vector<NamedAlgorithm> baseline_portfolio(
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+    ProfileBackendKind = ProfileBackendKind::kAuto);
 
 /// Runs the portfolio in order and returns the packing with the lowest peak
 /// (the earliest member on ties).  Stops once the best peak reaches
@@ -37,11 +38,10 @@ struct NamedAlgorithm {
 /// strictly lower peak replaces the best, so the skipped members cannot
 /// change the answer.  Seeded members get their seed member's packing.
 /// If `winner` is non-null it receives the winning algorithm's name.
-/// The default kAuto backend is the run-length profile; dense and sparse
-/// produce identical packings (the equivalence suite), only the cost
-/// differs.
+/// The ProfileBackendKind parameter is ignored — no library code passes
+/// it; it is kept only for e2ebench/src/layers.cpp until e2ebench v2.
 [[nodiscard]] Packing best_of_portfolio(
     const Instance& instance, std::string* winner = nullptr,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+    ProfileBackendKind = ProfileBackendKind::kAuto);
 
 }  // namespace dsp::algo

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <optional>
 
 #include "algo/portfolio.hpp"
@@ -41,8 +40,9 @@ template <typename Key>
 std::vector<std::size_t> sorted_desc(const std::vector<std::size_t>& indices,
                                      Key key) {
   std::vector<std::size_t> order = indices;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return key(a) > key(b); });
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&](std::size_t a, std::size_t b) { return key(a) > key(b); });
   return order;
 }
 
@@ -50,13 +50,13 @@ std::vector<std::size_t> sorted_desc(const std::vector<std::size_t>& indices,
 /// free capacity (Lemma 5's strips between box borders).  Merged down to
 /// `max_boxes` by dropping the narrowest runs into their neighbours with the
 /// smaller capacity kept (a conservative under-approximation of the space).
-std::vector<GapBox> gap_boxes_of_profile(const ProfileBackend& occupancy,
+std::vector<GapBox> gap_boxes_of_profile(const Profile& occupancy,
                                          Height ceiling, Height min_height,
                                          std::size_t max_boxes) {
   std::vector<GapBox> boxes;
   const Length w = occupancy.strip_width();
-  // Maximal runs of equal load, enumerated through the backend so the
-  // sparse profile pays O(runs * log runs) rather than O(W) probes.
+  // Maximal runs of equal load, enumerated run by run: O(runs * log runs)
+  // rather than O(W) probes.
   Length run_start = 0;
   while (run_start < w) {
     const Length run_end = occupancy.next_change(run_start);
@@ -103,7 +103,7 @@ std::vector<GapBox> gap_boxes_of_profile(const ProfileBackend& occupancy,
 /// all-zero profile and the fill scratch is fully re-derived per call, so
 /// reuse changes no result; both tested).
 AttemptOutcome attempt(const Instance& instance, Height h_guess,
-                       const Approx54Params& params, ProfileBackend& occupancy,
+                       const Approx54Params& params, Profile& occupancy,
                        VerticalFillScratch& fill_scratch) {
   AttemptOutcome outcome;
   outcome.cls = select_parameters(instance, h_guess, params.epsilon);
@@ -231,11 +231,8 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Height best_peak = witness_peak;
   Height best_pipeline_peak = std::numeric_limits<Height>::max();
 
-  // One profile and one fill scratch serve every attempt; kAuto resolves
-  // to the run-length profile, the one a fresh construction per attempt
-  // would pick.
-  const std::unique_ptr<ProfileBackend> occupancy =
-      make_profile_backend(ProfileBackendKind::kAuto, instance.strip_width());
+  // One profile and one fill scratch serve every attempt.
+  Profile occupancy(instance.strip_width());
   VerticalFillScratch fill_scratch;
 
   // Step 2: binary search over H'.  Round 1 is the floor probe
@@ -246,13 +243,13 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Height hi = witness_peak;
   std::optional<AttemptOutcome> best_outcome;
   const auto probe = [&](Height guess) {
-    if (report.attempts > 0) occupancy->reset();
+    if (report.attempts > 0) occupancy.reset();
     ++report.rounds;
     ++report.attempts;
     AttemptOutcome outcome;
     {
       const obs::ScopedSpan span(obs::Phase::kAttempt, &outcome.attempt_nanos);
-      outcome = attempt(instance, guess, params, *occupancy, fill_scratch);
+      outcome = attempt(instance, guess, params, occupancy, fill_scratch);
     }
     report.attempt_nanos += outcome.attempt_nanos;
     report.pricing_nanos += outcome.pricing_nanos;

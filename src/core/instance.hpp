@@ -26,7 +26,7 @@ struct Item {
   [[nodiscard]] bool operator==(const Item&) const = default;
 };
 
-/// Result of ProfileBackend::min_peak_position: the leftmost start
+/// Result of Profile::min_peak_position: the leftmost start
 /// minimizing the max load under an item of a given width, together with
 /// that load.  Bottom-left reads it as the item's (x, y) on the skyline.
 struct BestPosition {
@@ -44,7 +44,9 @@ class Instance {
 
   [[nodiscard]] Length strip_width() const { return strip_width_; }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] const Item& item(std::size_t index) const { return items_[index]; }
+  [[nodiscard]] const Item& item(std::size_t index) const {
+    return items_[index];
+  }
   [[nodiscard]] std::span<const Item> items() const { return items_; }
 
   /// Sum of item areas.

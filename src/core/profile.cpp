@@ -1,194 +1,152 @@
 #include "core/profile.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
-#include <vector>
 
-#include "core/occupancy.hpp"
 #include "util/check.hpp"
 
 namespace dsp {
 
-namespace {
+Profile::Profile(Length strip_width) : width_(strip_width) {
+  DSP_REQUIRE(strip_width >= 1, "strip width must be >= 1");
+  reset();
+}
 
-/// Run-length profile: the load is heights_[i] on [starts_[i], starts_[i+1])
-/// (the last run ends at W), starts_[0] == 0 and adjacent runs always differ
-/// in height.  n placements leave at most 2n + 1 runs, so every operation is
-/// O(runs) whatever W is, and the state never grows with the strip.
-class SparseProfileBackend final : public ProfileBackend {
- public:
-  explicit SparseProfileBackend(Length strip_width) : width_(strip_width) {
-    DSP_REQUIRE(strip_width >= 1, "strip width must be >= 1");
-    reset();
-  }
+std::size_t Profile::run_of(Length x) const {
+  return static_cast<std::size_t>(
+             std::upper_bound(starts_.begin(), starts_.end(), x) -
+             starts_.begin()) -
+         1;
+}
 
-  [[nodiscard]] Length strip_width() const override { return width_; }
-  [[nodiscard]] Height peak() const override {
-    return std::max<Height>(
-        0, *std::max_element(heights_.begin(), heights_.end()));
-  }
-  [[nodiscard]] Height load_at(Length x) const override {
-    DSP_REQUIRE(0 <= x && x < width_, "load_at outside the strip");
-    return heights_[run_of(x)];
-  }
+std::size_t Profile::split(Length x) {
+  if (x == width_) return starts_.size();
+  const std::size_t i = run_of(x);
+  if (starts_[i] == x) return i;
+  const Height height = heights_[i];
+  const auto at = static_cast<std::ptrdiff_t>(i) + 1;
+  starts_.insert(starts_.begin() + at, x);
+  heights_.insert(heights_.begin() + at, height);
+  return i + 1;
+}
 
-  void reset() override {
-    starts_.assign(1, 0);
-    heights_.assign(1, 0);
+/// Splits at both ends, maps the runs in between, then merges equal
+/// neighbours around the range.
+template <typename F>
+void Profile::update(Length start, Length width, F f) {
+  DSP_REQUIRE(start >= 0 && width >= 1 && start + width <= width_,
+              "update outside strip: start=" << start << " width=" << width);
+  const std::size_t first = split(start);
+  const std::size_t last = split(start + width);
+  for (std::size_t i = first; i < last; ++i) heights_[i] = f(heights_[i]);
+  // Runs [lo, hi] may now equal a neighbour: compact them in place.
+  const std::size_t lo = first == 0 ? 0 : first - 1;
+  const std::size_t hi = std::min(last, starts_.size() - 1);
+  std::size_t out = lo;
+  for (std::size_t i = lo + 1; i <= hi; ++i) {
+    if (heights_[i] == heights_[out]) continue;
+    ++out;
+    starts_[out] = starts_[i];
+    heights_[out] = heights_[i];
   }
-  void add(Length start, Length width, Height height) override {
-    update(start, width, [height](Height v) { return v + height; });
-  }
-  void raise_to(Length start, Length width, Height target) override {
-    update(start, width, [target](Height v) { return std::max(v, target); });
-  }
+  const auto from = static_cast<std::ptrdiff_t>(out) + 1;
+  const auto to = static_cast<std::ptrdiff_t>(hi) + 1;
+  starts_.erase(starts_.begin() + from, starts_.begin() + to);
+  heights_.erase(heights_.begin() + from, heights_.begin() + to);
+}
 
-  [[nodiscard]] Length next_change(Length x) const override {
-    DSP_REQUIRE(0 <= x && x < width_, "next_change outside the strip");
-    return run_end(run_of(x));
-  }
+Height Profile::peak() const {
+  return std::max<Height>(0,
+                          *std::max_element(heights_.begin(), heights_.end()));
+}
 
-  [[nodiscard]] std::optional<Length> first_fit(Length width, Height height,
-                                                Height budget) const override {
-    DSP_REQUIRE(width >= 1 && width <= width_, "item wider than strip");
-    const Height threshold = budget - height;
-    Length x = 0;
-    for (std::size_t i = 0; i < starts_.size() && starts_[i] < x + width; ++i) {
-      // A run above the threshold blocks every start that would cover it.
-      if (heights_[i] > threshold) x = run_end(i);
-    }
-    if (x + width > width_) return std::nullopt;
-    return x;
-  }
+Height Profile::load_at(Length x) const {
+  DSP_REQUIRE(0 <= x && x < width_, "load_at outside the strip");
+  return heights_[run_of(x)];
+}
 
-  [[nodiscard]] BestPosition min_peak_position(Length width) const override {
-    DSP_REQUIRE(width >= 1 && width <= width_, "item wider than strip");
-    // The window max only grows as a start slides right inside a run, so
-    // the leftmost minimizer is a run start.  A sliding-window maximum over
-    // the runs that skips every start which cannot strictly beat `best`:
-    // `window[head..]` holds the runs under the current window with
-    // strictly decreasing heights, all below best.window_max.
-    //  * A run at or above best.window_max is a barrier: every start whose
-    //    window covers it loses, so the scan resumes at the run after it.
-    //  * Every evaluated start therefore improves best, and every start up
-    //    to the window's max run covers that run: resume after it.
-    // Each run enters the window at most once and each evaluation pops
-    // one, so a call is O(runs) in the worst case.
-    std::vector<std::size_t> window;
-    window.reserve(starts_.size());
-    std::size_t head = 0;
-    std::size_t i = 0;
-    std::size_t next = 0;
-    BestPosition best{0, std::numeric_limits<Height>::max()};
-    while (i < starts_.size() && starts_[i] + width <= width_) {
-      if (next < starts_.size() && starts_[next] < starts_[i] + width) {
-        if (heights_[next] >= best.window_max) {
-          window.clear();
-          head = 0;
-          i = ++next;
-          continue;
-        }
-        while (window.size() > head &&
-               heights_[window.back()] <= heights_[next]) {
-          window.pop_back();
-        }
-        window.push_back(next++);
+void Profile::reset() {
+  starts_.assign(1, 0);
+  heights_.assign(1, 0);
+}
+
+void Profile::add(Length start, Length width, Height height) {
+  update(start, width, [height](Height v) { return v + height; });
+}
+
+void Profile::raise_to(Length start, Length width, Height target) {
+  update(start, width, [target](Height v) { return std::max(v, target); });
+}
+
+Length Profile::next_change(Length x) const {
+  DSP_REQUIRE(0 <= x && x < width_, "next_change outside the strip");
+  return run_end(run_of(x));
+}
+
+std::optional<Length> Profile::first_fit(Length width, Height height,
+                                         Height budget) const {
+  DSP_REQUIRE(width >= 1 && width <= width_, "item wider than strip");
+  const Height threshold = budget - height;
+  Length x = 0;
+  for (std::size_t i = 0; i < starts_.size() && starts_[i] < x + width; ++i) {
+    // A run above the threshold blocks every start that would cover it.
+    if (heights_[i] > threshold) x = run_end(i);
+  }
+  if (x + width > width_) return std::nullopt;
+  return x;
+}
+
+BestPosition Profile::min_peak_position(Length width) const {
+  DSP_REQUIRE(width >= 1 && width <= width_, "item wider than strip");
+  // The window max only grows as a start slides right inside a run, so
+  // the leftmost minimizer is a run start.  A sliding-window maximum over
+  // the runs that skips every start which cannot strictly beat `best`:
+  // `window[head..]` holds the runs under the current window with
+  // strictly decreasing heights, all below best.window_max.
+  //  * A run at or above best.window_max is a barrier: every start whose
+  //    window covers it loses, so the scan resumes at the run after it.
+  //  * Every evaluated start therefore improves best, and every start up
+  //    to the window's max run covers that run: resume after it.
+  // Each run enters the window at most once and each evaluation pops
+  // one, so a call is O(runs) in the worst case.
+  std::vector<std::size_t> window;
+  window.reserve(starts_.size());
+  std::size_t head = 0;
+  std::size_t i = 0;
+  std::size_t next = 0;
+  BestPosition best{0, std::numeric_limits<Height>::max()};
+  while (i < starts_.size() && starts_[i] + width <= width_) {
+    if (next < starts_.size() && starts_[next] < starts_[i] + width) {
+      if (heights_[next] >= best.window_max) {
+        window.clear();
+        head = 0;
+        i = ++next;
         continue;
       }
-      best = {starts_[i], heights_[window[head]]};
-      i = window[head++] + 1;
+      while (window.size() > head &&
+             heights_[window.back()] <= heights_[next]) {
+        window.pop_back();
+      }
+      window.push_back(next++);
+      continue;
     }
-    return best;
+    best = {starts_[i], heights_[window[head]]};
+    i = window[head++] + 1;
   }
-
- private:
-  /// Index of the run holding column x.
-  [[nodiscard]] std::size_t run_of(Length x) const {
-    return static_cast<std::size_t>(
-               std::upper_bound(starts_.begin(), starts_.end(), x) -
-               starts_.begin()) -
-           1;
-  }
-  [[nodiscard]] Length run_end(std::size_t i) const {
-    return i + 1 < starts_.size() ? starts_[i + 1] : width_;
-  }
-
-  /// Makes x a run start (x < W) and returns its run's index; W maps to the
-  /// run count.
-  std::size_t split(Length x) {
-    if (x == width_) return starts_.size();
-    const std::size_t i = run_of(x);
-    if (starts_[i] == x) return i;
-    const Height height = heights_[i];
-    const auto at = static_cast<std::ptrdiff_t>(i) + 1;
-    starts_.insert(starts_.begin() + at, x);
-    heights_.insert(heights_.begin() + at, height);
-    return i + 1;
-  }
-
-  /// Applies `f` to the load over [start, start+width): split at both ends,
-  /// map the runs in between, then merge equal neighbours around the range.
-  template <typename F>
-  void update(Length start, Length width, F f) {
-    DSP_REQUIRE(start >= 0 && width >= 1 && start + width <= width_,
-                "update outside strip: start=" << start << " width=" << width);
-    const std::size_t first = split(start);
-    const std::size_t last = split(start + width);
-    for (std::size_t i = first; i < last; ++i) heights_[i] = f(heights_[i]);
-    // Runs [lo, hi] may now equal a neighbour: compact them in place.
-    const std::size_t lo = first == 0 ? 0 : first - 1;
-    const std::size_t hi = std::min(last, starts_.size() - 1);
-    std::size_t out = lo;
-    for (std::size_t i = lo + 1; i <= hi; ++i) {
-      if (heights_[i] == heights_[out]) continue;
-      ++out;
-      starts_[out] = starts_[i];
-      heights_[out] = heights_[i];
-    }
-    const auto from = static_cast<std::ptrdiff_t>(out) + 1;
-    const auto to = static_cast<std::ptrdiff_t>(hi) + 1;
-    starts_.erase(starts_.begin() + from, starts_.begin() + to);
-    heights_.erase(heights_.begin() + from, heights_.begin() + to);
-  }
-
-  Length width_;
-  std::vector<Length> starts_;
-  std::vector<Height> heights_;
-};
-
-}  // namespace
+  return best;
+}
 
 std::string_view to_string(ProfileBackendKind kind) {
-  switch (kind) {
-    case ProfileBackendKind::kDense:
-      return "dense";
-    case ProfileBackendKind::kSparse:
-      return "sparse";
-    case ProfileBackendKind::kAuto:
-      return "auto";
-  }
-  return "unknown";
+  constexpr std::array<std::string_view, 3> kNames = {"dense", "sparse",
+                                                      "auto"};
+  return kNames.at(static_cast<std::size_t>(kind));
 }
 
-ProfileBackendKind resolve_backend(ProfileBackendKind kind,
+ProfileBackendKind resolve_backend(ProfileBackendKind /*kind*/,
                                    Length /*strip_width*/,
                                    std::size_t /*expected_items*/) {
-  // The run-length profile costs O(runs) per operation, at most 2n + 1
-  // runs, against O(W) columns for the dense one.  Measured, it serves
-  // every e2ebench solve-cold cell (W <= 2048, n in {100, 400}) faster;
-  // dense is ahead only on strips of a few dozen columns, by at most
-  // ~1.4x and well under 2 ms (DESIGN.md, the profile-backend layer).
-  return kind == ProfileBackendKind::kAuto ? ProfileBackendKind::kSparse
-                                           : kind;
-}
-
-std::unique_ptr<ProfileBackend> make_profile_backend(ProfileBackendKind kind,
-                                                     Length strip_width) {
-  // kAuto resolves to kSparse (resolve_backend): only kDense builds columns.
-  if (kind == ProfileBackendKind::kDense) {
-    return std::make_unique<StripOccupancy>(strip_width);
-  }
-  return std::make_unique<SparseProfileBackend>(strip_width);
+  return ProfileBackendKind::kSparse;
 }
 
 }  // namespace dsp

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <vector>
 
 #include "algo/baselines.hpp"
 #include "core/bounds.hpp"
-#include "core/occupancy.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
@@ -15,11 +15,12 @@ namespace {
 
 class PeakDecisionSearch {
  public:
-  PeakDecisionSearch(const Instance& instance, Height budget, const Limits& limits)
+  PeakDecisionSearch(const Instance& instance, Height budget,
+                     const Limits& limits)
       : instance_(instance),
         budget_(budget),
         limits_(limits),
-        occupancy_(instance.strip_width()) {
+        load_(static_cast<std::size_t>(instance.strip_width()), 0) {
     order_.resize(instance.size());
     std::iota(order_.begin(), order_.end(), 0);
     // Tallest (then widest) first: the most constrained items branch first.
@@ -81,20 +82,33 @@ class PeakDecisionSearch {
       }
     }
     for (Length x = min_start; x <= max_start; ++x) {
-      if (occupancy_.window_max(x, it.width) + it.height > budget_) continue;
-      occupancy_.add(x, it.width, it.height);
+      const auto first = load_.begin() + x;
+      if (*std::max_element(first, first + it.width) + it.height > budget_) {
+        continue;
+      }
+      add(x, it.width, it.height);
       starts_[item_index] = x;
       if (place(depth + 1)) return true;
-      occupancy_.remove(x, it.width, it.height);
+      add(x, it.width, -it.height);
       if (aborted_) return false;
     }
     return false;
   }
 
+  /// Adds `height` to every column in [start, start+width).
+  void add(Length start, Length width, Height height) {
+    const auto first = load_.begin() + start;
+    for (auto column = first; column != first + width; ++column) {
+      *column += height;
+    }
+  }
+
   const Instance& instance_;
   Height budget_;
   Limits limits_;
-  StripOccupancy occupancy_;
+  /// Per-column load of the partial packing (the strips are small: exact
+  /// search is for tiny instances).
+  std::vector<Height> load_;
   std::vector<std::size_t> order_;
   std::vector<Length> starts_;
   std::uint64_t nodes_ = 0;

@@ -38,8 +38,7 @@
 // name a clock, and the result-affecting roots stay clock-free entirely,
 // so instrumented code *cannot* branch on timing.  The bit-identity test
 // (tests/test_obs.cpp) checks the end result: packings identical with
-// tracing on vs. off across {1,2,8} threads, on narrow and wide strips
-// (hence both profile backends).
+// tracing on vs. off across {1,2,8} threads, on narrow and wide strips.
 
 #include <cstdint>
 #include <iosfwd>

@@ -52,9 +52,8 @@ enum class ServeEngine {
 /// Everything that shapes a served solve.  Split into result-affecting
 /// parameters (fingerprinted into the cache key) and execution knobs
 /// (excluded, because the runtime's determinism contracts prove the result
-/// does not depend on them — see params_fingerprint).  The profile backend
-/// is no parameter: every solve runs on the run-length profile
-/// (resolve_backend(kAuto, W, n) is kSparse).
+/// does not depend on them — see params_fingerprint).  There is no profile
+/// knob: every solve places on the one run-length Profile.
 struct ServeParams {
   ServeEngine engine = ServeEngine::kPortfolio;
   /// Execution knob: worker threads for solve_many fan-out; 0 = hardware.
@@ -129,8 +128,8 @@ class SolveCache {
   /// Called after every get_or_compute insert, outside the shard lock —
   /// the persistence layer's append hook.  Warm-load inserts (insert())
   /// are deliberately NOT observed, or log replay would re-append itself.
-  using InsertObserver =
-      std::function<void(const CacheKey&, const std::shared_ptr<const CachedSolve>&)>;
+  using InsertObserver = std::function<void(
+      const CacheKey&, const std::shared_ptr<const CachedSolve>&)>;
 
   /// Throws InvalidInput on a zero-byte capacity budget.
   explicit SolveCache(const CacheOptions& options = {});

@@ -15,8 +15,8 @@
 //
 // Each admitted request is served on its connection's thread, so
 // --max-concurrent is the daemon's concurrency; there is no batch fan-out.
-// Every request goes through the cache, and every solve runs on the
-// run-length profile (resolve_backend(kAuto, W, n) is kSparse).
+// Every request goes through the cache, and every solve places on the
+// run-length Profile (core/profile.hpp), the only profile there is.
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
 // Prometheus-style exposition at drain; --trace-out switches the phase
@@ -87,7 +87,8 @@ struct CliOptions {
 
 void print_usage(std::ostream& os) {
   os << "usage: dsp_served [--port P] [--engine portfolio|solve54]\n"
-        "                  [--cache-mb M] [--max-concurrent N] [--max-queue N]\n"
+        "                  [--cache-mb M] [--max-concurrent N]"
+        " [--max-queue N]\n"
         "                  [--persist DIR] [--snapshot-every N]\n"
         "                  [--metrics-out FILE] [--trace-out FILE]\n"
         "       dsp_served --connect P [--host ADDR] [--repeat R]\n"

@@ -21,8 +21,8 @@
 //                                  trace-event JSON to FILE at exit
 //     --emit-corpus DIR            write the golden gen corpus to DIR and exit
 //
-// Every request goes through the cache, and every solve runs on the
-// run-length profile (resolve_backend(kAuto, W, n) is kSparse).
+// Every request goes through the cache, and every solve places on the
+// run-length Profile (core/profile.hpp), the only profile there is.
 //
 // With --repeat > 1 the passes run as separate batches and a per-pass
 // latency breakdown goes to *stderr* (stdout rows stay byte-identical to

@@ -4,9 +4,11 @@
 #include <numeric>
 #include <vector>
 
+#include "core/profile.hpp"
+
 namespace dsp::sp {
 
-SpPacking bottom_left(const Instance& instance, ProfileBackendKind backend) {
+SpPacking bottom_left(const Instance& instance) {
   std::vector<std::size_t> order(instance.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -23,12 +25,12 @@ SpPacking bottom_left(const Instance& instance, ProfileBackendKind backend) {
   // placed item to its top.  min_peak_position returns the lowest, then
   // leftmost, roof over the item's span, always at a run start — exactly
   // the bottom-left candidate set of skyline breakpoints.
-  const auto skyline = make_profile_backend(backend, instance.strip_width());
+  Profile skyline(instance.strip_width());
   for (const std::size_t i : order) {
     const Item& it = instance.item(i);
-    const BestPosition best = skyline->min_peak_position(it.width);
+    const BestPosition best = skyline.min_peak_position(it.width);
     packing.position[i] = SpPlacement{best.start, best.window_max};
-    skyline->raise_to(best.start, it.width, best.window_max + it.height);
+    skyline.raise_to(best.start, it.width, best.window_max + it.height);
   }
   return packing;
 }

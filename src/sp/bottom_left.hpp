@@ -1,6 +1,5 @@
 #pragma once
 
-#include "core/profile.hpp"
 #include "sp/sp.hpp"
 
 namespace dsp::sp {
@@ -12,10 +11,8 @@ namespace dsp::sp {
 ///
 /// The skyline is a demand profile lifted with raise_to, and each item goes
 /// to its min_peak_position: the leftmost lowest roof is a run start, i.e. a
-/// skyline breakpoint.  Dense columns or constant runs (kAuto picks the
-/// runs) produce the identical packing.
-[[nodiscard]] SpPacking bottom_left(
-    const Instance& instance,
-    ProfileBackendKind backend = ProfileBackendKind::kAuto);
+/// skyline breakpoint.  The skyline is a run-length Profile, so a
+/// placement costs O(runs), not O(W).
+[[nodiscard]] SpPacking bottom_left(const Instance& instance);
 
 }  // namespace dsp::sp

@@ -1,12 +1,11 @@
 #pragma once
 
-// The strip-shape axis of the served-path suites.  Serving has no backend
-// knob: every solve runs on the run-length profile resolve_backend(kAuto,
-// W, n) picks for every shape.  The axis is input diversity: a suite serves
-// a narrow batch (items cover the strip densely, W <= 16 n for the golden
-// sizes) and the same batch widened until W > 16 n (few items on a wide
-// strip, long flat runs), and checks that both batches resolve sparse.
-// The dense profile is cross-checked against the sparse one in
+// The strip-shape axis of the served-path suites.  Serving has no profile
+// knob: every solve places on the one run-length Profile.  The axis is
+// input diversity: a suite serves a narrow batch (items cover the strip
+// densely, W <= 16 n for the golden sizes) and the same batch widened
+// until W > 16 n (few items on a wide strip, long flat runs).  Profile is
+// checked against a column-by-column reference in
 // tests/test_profile_backend.cpp, not here.
 
 #include <gtest/gtest.h>
@@ -16,15 +15,13 @@
 #include <vector>
 
 #include "core/instance.hpp"
-#include "core/profile.hpp"
 
 namespace dsp::testing_shapes {
 
 enum class StripShape { kNarrow, kWide };
 
 /// `narrow` itself, or each instance with its strip and item widths scaled
-/// by the smallest power of two that makes W > 16 n.  Expects every
-/// returned instance, of either shape, to resolve sparse.
+/// by the smallest power of two that makes W > 16 n.
 [[nodiscard]] inline std::vector<Instance> shaped_batch(
     StripShape shape, const std::vector<Instance>& narrow) {
   std::vector<Instance> batch;
@@ -37,12 +34,7 @@ enum class StripShape { kNarrow, kWide };
     }
     std::vector<Item> items(instance.items().begin(), instance.items().end());
     for (Item& item : items) item.width *= factor;
-    const Instance& shaped =
-        batch.emplace_back(instance.strip_width() * factor, std::move(items));
-    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, shaped.strip_width(),
-                              shaped.size()),
-              ProfileBackendKind::kSparse)
-        << shaped.summary();
+    batch.emplace_back(instance.strip_width() * factor, std::move(items));
   }
   return batch;
 }

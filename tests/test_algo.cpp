@@ -135,9 +135,6 @@ TEST(Portfolio, NearOptimalOnPerfectFamily) {
 }
 
 
-constexpr ProfileBackendKind kBothBackends[] = {ProfileBackendKind::kDense,
-                                                ProfileBackendKind::kSparse};
-
 /// Small draws of every family the portfolio serves, golden corpus included.
 std::vector<Instance> family_draws() {
   std::vector<Instance> instances;
@@ -170,34 +167,32 @@ TEST(Portfolio, EarlyExitMatchesRunningEveryMember) {
   bool seeded_wins = false;    // the seeded member decides the answer
   for (const Instance& inst : family_draws()) {
     const Height lb = combined_lower_bound(inst);
-    for (const ProfileBackendKind backend : kBothBackends) {
-      const std::vector<algo::NamedAlgorithm> members =
-          algo::baseline_portfolio(backend);
-      Packing expected;
-      Height expected_peak = 0;
-      std::string expected_winner;
-      std::size_t first_at_lb = members.size();
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        Packing packing = members[m].run(inst);
-        const Height peak = peak_height(inst, packing);
-        if (m == 0 || peak < expected_peak) {
-          closes_gap_one |= m > 0 && expected_peak == lb + 1 && peak <= lb;
-          expected = std::move(packing);
-          expected_peak = peak;
-          expected_winner = members[m].name;
-        }
-        if (expected_peak <= lb && first_at_lb == members.size()) {
-          first_at_lb = m;
-        }
+    const std::vector<algo::NamedAlgorithm> members =
+        algo::baseline_portfolio();
+    Packing expected;
+    Height expected_peak = 0;
+    std::string expected_winner;
+    std::size_t first_at_lb = members.size();
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      Packing packing = members[m].run(inst);
+      const Height peak = peak_height(inst, packing);
+      if (m == 0 || peak < expected_peak) {
+        closes_gap_one |= m > 0 && expected_peak == lb + 1 && peak <= lb;
+        expected = std::move(packing);
+        expected_peak = peak;
+        expected_winner = members[m].name;
       }
-      exits_early |= first_at_lb + 1 < members.size();
-      misses_bound |= expected_peak > lb;
-      seeded_wins |= expected_winner == "first-fit";
-      std::string winner;
-      EXPECT_EQ(algo::best_of_portfolio(inst, &winner, backend), expected)
-          << inst.summary();
-      EXPECT_EQ(winner, expected_winner) << inst.summary();
+      if (expected_peak <= lb && first_at_lb == members.size()) {
+        first_at_lb = m;
+      }
     }
+    exits_early |= first_at_lb + 1 < members.size();
+    misses_bound |= expected_peak > lb;
+    seeded_wins |= expected_winner == "first-fit";
+    std::string winner;
+    EXPECT_EQ(algo::best_of_portfolio(inst, &winner), expected)
+        << inst.summary();
+    EXPECT_EQ(winner, expected_winner) << inst.summary();
   }
   // Every branch of the early exit and of the hand-off is exercised.
   EXPECT_TRUE(exits_early);
@@ -211,23 +206,20 @@ TEST(Portfolio, SeededMembersReuseAnEarlierMember) {
   // greedy-h, which runs before it.
   Rng rng(31);
   const Instance inst = gen::random_uniform(40, 64, 24, 12, rng);
-  for (const ProfileBackendKind backend : kBothBackends) {
-    const std::vector<algo::NamedAlgorithm> members =
-        algo::baseline_portfolio(backend);
-    std::vector<std::string> seeded;
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      if (!members[m].run_seeded) continue;
-      seeded.push_back(members[m].name);
-      const std::size_t seed = members[m].seed_member;
-      ASSERT_LT(seed, m) << members[m].name;
-      EXPECT_EQ(members[m].name, "first-fit");
-      EXPECT_EQ(members[seed].name, "greedy-h");
-      EXPECT_EQ(members[m].run_seeded(inst, combined_lower_bound(inst),
-                                      members[seed].run(inst)),
-                members[m].run(inst));
-    }
-    EXPECT_EQ(seeded, std::vector<std::string>{"first-fit"});
+  const std::vector<algo::NamedAlgorithm> members = algo::baseline_portfolio();
+  std::vector<std::string> seeded;
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    if (!members[m].run_seeded) continue;
+    seeded.push_back(members[m].name);
+    const std::size_t seed = members[m].seed_member;
+    ASSERT_LT(seed, m) << members[m].name;
+    EXPECT_EQ(members[m].name, "first-fit");
+    EXPECT_EQ(members[seed].name, "greedy-h");
+    EXPECT_EQ(members[m].run_seeded(inst, combined_lower_bound(inst),
+                                    members[seed].run(inst)),
+              members[m].run(inst));
   }
+  EXPECT_EQ(seeded, std::vector<std::string>{"first-fit"});
 }
 
 TEST(FirstFitSearch, SeededOverloadMatchesStandalone) {
@@ -237,17 +229,11 @@ TEST(FirstFitSearch, SeededOverloadMatchesStandalone) {
         round % 2 == 0 ? gen::random_uniform(30, 256, 64, 40, rng)
                        : gen::correlated(30, 256, 64, 40, rng);
     const Height lb = combined_lower_bound(inst);
-    for (const ProfileBackendKind backend : kBothBackends) {
-      const Packing standalone = algo::first_fit_search(inst, backend);
-      // The greedy seed agrees across backends, so either one may seed.
-      for (const ProfileBackendKind seed_backend : kBothBackends) {
-        const Packing greedy = algo::greedy_lowest_peak(
-            inst, algo::ItemOrder::kDecreasingHeight, seed_backend);
-        EXPECT_EQ(algo::first_fit_search(inst, lb, greedy, backend),
-                  standalone)
-            << inst.summary();
-      }
-    }
+    const Packing greedy =
+        algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight);
+    EXPECT_EQ(algo::first_fit_search(inst, lb, greedy),
+              algo::first_fit_search(inst))
+        << inst.summary();
   }
 }
 
@@ -312,8 +298,8 @@ std::vector<ScaleCase> benchmark_scale_cases() {
 
 TEST(Portfolio, PackingsMatchRecordedFingerprints) {
   // Answers recorded before the early exit and the seeded first-fit: a
-  // change that moves a single start, the peak or the winner, on either
-  // backend, fails here.  Re-record only for a deliberate change.
+  // change that moves a single start, the peak or the winner fails here.
+  // Re-record only for a deliberate change.
   struct Expected {
     const char* label;
     Height peak;
@@ -352,18 +338,13 @@ TEST(Portfolio, PackingsMatchRecordedFingerprints) {
   ASSERT_EQ(cases.size(), std::size(kExpected));
   for (std::size_t c = 0; c < cases.size(); ++c) {
     ASSERT_EQ(cases[c].label, kExpected[c].label);
-    for (const ProfileBackendKind backend :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse,
-          ProfileBackendKind::kAuto}) {
-      std::string winner;
-      const Packing packing =
-          algo::best_of_portfolio(cases[c].instance, &winner, backend);
-      EXPECT_EQ(peak_height(cases[c].instance, packing), kExpected[c].peak)
-          << cases[c].label;
-      EXPECT_EQ(winner, kExpected[c].winner) << cases[c].label;
-      EXPECT_EQ(fingerprint_of(packing), kExpected[c].fingerprint)
-          << cases[c].label << " backend " << to_string(backend);
-    }
+    std::string winner;
+    const Packing packing = algo::best_of_portfolio(cases[c].instance, &winner);
+    EXPECT_EQ(peak_height(cases[c].instance, packing), kExpected[c].peak)
+        << cases[c].label;
+    EXPECT_EQ(winner, kExpected[c].winner) << cases[c].label;
+    EXPECT_EQ(fingerprint_of(packing), kExpected[c].fingerprint)
+        << cases[c].label;
   }
 }
 

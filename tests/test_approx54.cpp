@@ -9,7 +9,6 @@
 #include "approx/config_lp.hpp"
 #include "approx/solve54.hpp"
 #include "core/bounds.hpp"
-#include "core/profile.hpp"
 #include "exact/dsp_exact.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
@@ -178,9 +177,9 @@ std::uint64_t fingerprint_of(const Packing& packing) {
 }
 
 TEST(Solve54, GoldenPackingsMatchRecordedFingerprints) {
-  // Recorded default-parameter answers on the golden corpus, where every
-  // instance resolves the dense profile: a change to the search, the
-  // attempt or the witness that moves a single start fails here.
+  // Recorded default-parameter answers on the golden corpus: a change to
+  // the search, the attempt or the witness that moves a single start fails
+  // here.
   // Re-record only for a deliberate change.
   struct Expected {
     const char* name;
@@ -210,10 +209,10 @@ TEST(Solve54, GoldenPackingsMatchRecordedFingerprints) {
 }
 
 TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
-  // The solve-wide shapes, where kAuto resolves the sparse profile: a week
-  // at minute resolution (appliance durations x15, W = 10080) and a
-  // 2^16-column uniform strip.  Recorded with the sparse profile forced;
-  // pipeline_peak pins the attempts even where the witness wins.
+  // The solve-wide shapes: a week at minute resolution (appliance
+  // durations x15, W = 10080) and a 2^16-column uniform strip.  Recorded
+  // on the run-length profile; pipeline_peak pins the attempts even where
+  // the witness wins.
   std::vector<gen::Appliance> minutes = gen::default_catalog();
   for (gen::Appliance& appliance : minutes) {
     appliance.min_slots *= 15;
@@ -240,9 +239,6 @@ TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
         expected.smart_grid
             ? gen::smart_grid(expected.n, 10080, rng, minutes)
             : gen::random_uniform(expected.n, 65536, 65536 / 4, 100, rng);
-    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto,
-                              instance.strip_width(), instance.size()),
-              ProfileBackendKind::kSparse);
     const Approx54Result result = solve54(instance);
     validate_packing(instance, result.packing);
     EXPECT_EQ(result.peak, expected.peak) << instance.summary();

@@ -5,8 +5,8 @@
 
 #include "core/bounds.hpp"
 #include "core/instance.hpp"
-#include "core/occupancy.hpp"
 #include "core/packing.hpp"
+#include "core/profile.hpp"
 #include "core/render.hpp"
 #include "core/sliced.hpp"
 #include "util/check.hpp"
@@ -124,56 +124,64 @@ TEST(FeasibilityError, ExplainsViolation) {
   EXPECT_NE(err->find("item 0"), std::string::npos);
 }
 
-TEST(StripOccupancy, AddRemoveRoundTrip) {
-  StripOccupancy occ(10);
-  occ.add(2, 5, 3);
-  EXPECT_EQ(occ.peak(), 3);
-  EXPECT_EQ(occ.load_at(1), 0);
-  EXPECT_EQ(occ.load_at(2), 3);
-  EXPECT_EQ(occ.load_at(6), 3);
-  EXPECT_EQ(occ.load_at(7), 0);
-  occ.remove(2, 5, 3);
-  EXPECT_EQ(occ.peak(), 0);
+TEST(Profile, AddRemoveRoundTrip) {
+  Profile profile(10);
+  profile.add(2, 5, 3);
+  EXPECT_EQ(profile.peak(), 3);
+  EXPECT_EQ(profile.load_at(1), 0);
+  EXPECT_EQ(profile.load_at(2), 3);
+  EXPECT_EQ(profile.load_at(6), 3);
+  EXPECT_EQ(profile.load_at(7), 0);
+  profile.remove(2, 5, 3);
+  EXPECT_EQ(profile.peak(), 0);
 }
 
-TEST(StripOccupancy, WindowMax) {
-  StripOccupancy occ(8);
-  occ.add(0, 2, 5);
-  occ.add(4, 2, 2);
-  EXPECT_EQ(occ.window_max(0, 8), 5);
-  EXPECT_EQ(occ.window_max(2, 2), 0);
-  EXPECT_EQ(occ.window_max(3, 3), 2);
+TEST(Profile, WindowMaxByRuns) {
+  Profile profile(8);
+  profile.add(0, 2, 5);
+  profile.add(4, 2, 2);
+  // The max over [start, start+width), walked run by run.
+  const auto window_max = [&](Length start, Length width) {
+    Height max = 0;
+    for (Length x = start; x < start + width; x = profile.next_change(x)) {
+      max = std::max(max, profile.load_at(x));
+    }
+    return max;
+  };
+  EXPECT_EQ(window_max(0, 8), 5);
+  EXPECT_EQ(window_max(2, 2), 0);
+  EXPECT_EQ(window_max(3, 3), 2);
 }
 
-TEST(StripOccupancy, FirstFitFindsLeftmost) {
-  StripOccupancy occ(10);
-  occ.add(0, 4, 4);  // [0,4) at 4
-  occ.add(6, 4, 3);  // [6,10) at 3
+TEST(Profile, FirstFitFindsLeftmost) {
+  Profile profile(10);
+  profile.add(0, 4, 4);  // [0,4) at 4
+  profile.add(6, 4, 3);  // [6,10) at 3
   // Budget 5, item h=2: cannot sit on [0,4) (4+2>5); fits at 4.
-  const auto pos = occ.first_fit(2, 2, 5);
+  const auto pos = profile.first_fit(2, 2, 5);
   ASSERT_TRUE(pos.has_value());
   EXPECT_EQ(*pos, 4);
   // Width 3 forces overlap with one of the blocks: [4,7) hits 3+2=5, ok.
-  const auto pos3 = occ.first_fit(3, 2, 5);
+  const auto pos3 = profile.first_fit(3, 2, 5);
   ASSERT_TRUE(pos3.has_value());
   EXPECT_EQ(*pos3, 4);
   // Impossible budget.
-  EXPECT_FALSE(occ.first_fit(10, 2, 5).has_value());
+  EXPECT_FALSE(profile.first_fit(10, 2, 5).has_value());
 }
 
-TEST(StripOccupancy, MinPeakPositionPrefersValleys) {
-  StripOccupancy occ(9);
-  occ.add(0, 3, 7);
-  occ.add(6, 3, 5);
-  const auto best = occ.min_peak_position(3);
+TEST(Profile, MinPeakPositionPrefersValleys) {
+  Profile profile(9);
+  profile.add(0, 3, 7);
+  profile.add(6, 3, 5);
+  const auto best = profile.min_peak_position(3);
   EXPECT_EQ(best.start, 3);
   EXPECT_EQ(best.window_max, 0);
 }
 
-TEST(StripOccupancy, MinPeakPositionFullWidth) {
-  StripOccupancy occ(5);
-  occ.add(0, 5, 2);
-  const auto best = occ.min_peak_position(5);
+TEST(Profile, MinPeakPositionFullWidth) {
+  Profile profile(5);
+  profile.add(0, 5, 2);
+  const auto best = profile.min_peak_position(5);
   EXPECT_EQ(best.start, 0);
   EXPECT_EQ(best.window_max, 2);
 }

@@ -1,37 +1,37 @@
+// The run-length Profile (core/profile.hpp) against ArrayProfile, a plain
+// column-by-column reference: unit cases, adversarial shapes for the
+// barrier-pruned min_peak_position, random operation sequences up to
+// W = 2^20, and the placement algorithms of algo/baselines.hpp against
+// reference placers written over ArrayProfile.
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <deque>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "algo/baselines.hpp"
 #include "algo/portfolio.hpp"
-#include "core/occupancy.hpp"
+#include "core/bounds.hpp"
 #include "core/packing.hpp"
 #include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
-#include "sp/bottom_left.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
 namespace dsp {
 namespace {
 
-/// Whether `kind` builds StripOccupancy, the dense backend.
-bool builds_dense(ProfileBackendKind kind, Length w) {
-  const auto profile = make_profile_backend(kind, w);
-  return dynamic_cast<const StripOccupancy*>(profile.get()) != nullptr;
-}
-
 /// Max load over [start, start+width), read run by run through load_at
 /// (0 on an empty window, like a fresh profile's peak).
-Height window_max(const ProfileBackend& p, Length start, Length width) {
+Height window_max(const Profile& p, Length start, Length width) {
   Height m = 0;
   for (Length x = start; x < start + width; x = p.next_change(x)) {
     m = std::max(m, p.load_at(x));
@@ -39,187 +39,220 @@ Height window_max(const ProfileBackend& p, Length start, Length width) {
   return m;
 }
 
-TEST(ProfileBackend, FactoryProducesRequestedKind) {
-  EXPECT_TRUE(builds_dense(ProfileBackendKind::kDense, 10));
-  EXPECT_FALSE(builds_dense(ProfileBackendKind::kSparse, 10));
-}
-
 TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
-  // Every (W, n) the old W > 16 n rule sent to the dense backend -- the
-  // solve-cold cells (1600, 100), (1024, 100) and (2048, 400), a golden-size
-  // strip and a wide, densely covered one -- plus a one-column strip under
-  // 10^5 items and the empty instance: kAuto builds the run-length profile.
+  // The e2ebench shim: every kind and every (W, n) -- the solve-cold cells
+  // (1600, 100), (1024, 100) and (2048, 400), a golden-size strip, wide
+  // and densely covered strips, a one-column strip under 10^5 items and
+  // the empty instance -- resolves to the one run-length profile.
   struct Shape {
     Length w;
     std::size_t n;
   };
-  for (const Shape shape : {Shape{1600, 100}, Shape{1601, 100},
-                            Shape{1024, 100}, Shape{2048, 400},
-                            Shape{96, 24}, Shape{100000, 50000},
-                            Shape{100000, 10}, Shape{1, 100000},
-                            Shape{100000, 0}, Shape{1, 0}}) {
-    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, shape.w, shape.n),
-              ProfileBackendKind::kSparse)
-        << "W=" << shape.w << " n=" << shape.n;
-    EXPECT_FALSE(builds_dense(ProfileBackendKind::kAuto, shape.w))
-        << "W=" << shape.w << " n=" << shape.n;
+  for (const ProfileBackendKind kind :
+       {ProfileBackendKind::kAuto, ProfileBackendKind::kDense,
+        ProfileBackendKind::kSparse}) {
+    for (const Shape shape : {Shape{1600, 100}, Shape{1601, 100},
+                              Shape{1024, 100}, Shape{2048, 400},
+                              Shape{96, 24}, Shape{100000, 50000},
+                              Shape{100000, 10}, Shape{1, 100000},
+                              Shape{100000, 0}, Shape{1, 0}}) {
+      EXPECT_EQ(resolve_backend(kind, shape.w, shape.n),
+                ProfileBackendKind::kSparse)
+          << to_string(kind) << " W=" << shape.w << " n=" << shape.n;
+    }
   }
-  // Concrete kinds resolve to themselves.
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kDense, 100000, 10),
-            ProfileBackendKind::kDense);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kDense, 96, 24),
-            ProfileBackendKind::kDense);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kSparse, 8, 10),
-            ProfileBackendKind::kSparse);
+  EXPECT_EQ(to_string(ProfileBackendKind::kDense), "dense");
+  EXPECT_EQ(to_string(ProfileBackendKind::kSparse), "sparse");
+  EXPECT_EQ(to_string(ProfileBackendKind::kAuto), "auto");
 }
 
-// --- unit cases, run on both kinds ----------------------------------------
+// --- unit cases -------------------------------------------------------------
 
-class ProfileBackendOps : public ::testing::TestWithParam<ProfileBackendKind> {
- protected:
-  [[nodiscard]] std::unique_ptr<ProfileBackend> make(Length w) const {
-    return make_profile_backend(GetParam(), w);
-  }
-};
-
-TEST_P(ProfileBackendOps, EmptyStripHasZeroPeak) {
-  const auto p = make(10);
-  EXPECT_EQ(p->peak(), 0);
-  EXPECT_EQ(window_max(*p, 0, 10), 0);
-  EXPECT_EQ(p->next_change(0), 10);
+TEST(ProfileOps, EmptyStripHasZeroPeak) {
+  const Profile p(10);
+  EXPECT_EQ(p.peak(), 0);
+  EXPECT_EQ(window_max(p, 0, 10), 0);
+  EXPECT_EQ(p.next_change(0), 10);
 }
 
-TEST_P(ProfileBackendOps, SingleAdd) {
-  const auto p = make(10);
-  p->add(2, 5, 5);
-  EXPECT_EQ(p->peak(), 5);
-  EXPECT_EQ(window_max(*p, 0, 2), 0);
-  EXPECT_EQ(window_max(*p, 2, 5), 5);
-  EXPECT_EQ(window_max(*p, 6, 4), 5);
-  EXPECT_EQ(window_max(*p, 7, 3), 0);
-  EXPECT_EQ(p->next_change(0), 2);
-  EXPECT_EQ(p->next_change(3), 7);
+TEST(ProfileOps, SingleAdd) {
+  Profile p(10);
+  p.add(2, 5, 5);
+  EXPECT_EQ(p.peak(), 5);
+  EXPECT_EQ(window_max(p, 0, 2), 0);
+  EXPECT_EQ(window_max(p, 2, 5), 5);
+  EXPECT_EQ(window_max(p, 6, 4), 5);
+  EXPECT_EQ(window_max(p, 7, 3), 0);
+  EXPECT_EQ(p.next_change(0), 2);
+  EXPECT_EQ(p.next_change(3), 7);
   // The tail [7, 10) is constant: the next change is the strip's end.
-  EXPECT_EQ(p->next_change(7), 10);
-  EXPECT_EQ(p->next_change(9), 10);
+  EXPECT_EQ(p.next_change(7), 10);
+  EXPECT_EQ(p.next_change(9), 10);
   // Every 4-wide window meets the item, so nothing fits under budget 5.
-  EXPECT_EQ(p->first_fit(4, 1, 5), std::nullopt);
-  EXPECT_EQ(p->first_fit(4, 1, 6), std::optional<Length>(0));
+  EXPECT_EQ(p.first_fit(4, 1, 5), std::nullopt);
+  EXPECT_EQ(p.first_fit(4, 1, 6), std::optional<Length>(0));
   // A full-width item has one position.
-  EXPECT_EQ(p->min_peak_position(10).start, 0);
-  EXPECT_EQ(p->min_peak_position(10).window_max, 5);
+  EXPECT_EQ(p.min_peak_position(10).start, 0);
+  EXPECT_EQ(p.min_peak_position(10).window_max, 5);
 }
 
-TEST_P(ProfileBackendOps, StackedAdds) {
-  const auto p = make(8);
-  p->add(0, 8, 1);
-  p->add(2, 4, 2);
-  p->add(4, 1, 3);
-  EXPECT_EQ(window_max(*p, 0, 2), 1);
-  EXPECT_EQ(window_max(*p, 2, 2), 3);
-  EXPECT_EQ(window_max(*p, 4, 1), 6);
-  EXPECT_EQ(p->peak(), 6);
+TEST(ProfileOps, StackedAdds) {
+  Profile p(8);
+  p.add(0, 8, 1);
+  p.add(2, 4, 2);
+  p.add(4, 1, 3);
+  EXPECT_EQ(window_max(p, 0, 2), 1);
+  EXPECT_EQ(window_max(p, 2, 2), 3);
+  EXPECT_EQ(window_max(p, 4, 1), 6);
+  EXPECT_EQ(p.peak(), 6);
 }
 
-TEST_P(ProfileBackendOps, RemovalRestoresState) {
-  const auto p = make(8);
-  p->add(1, 4, 4);
-  p->remove(1, 4, 4);
-  EXPECT_EQ(p->peak(), 0);
-  EXPECT_EQ(p->next_change(0), 8);
+TEST(ProfileOps, RemovalRestoresState) {
+  Profile p(8);
+  p.add(1, 4, 4);
+  p.remove(1, 4, 4);
+  EXPECT_EQ(p.peak(), 0);
+  EXPECT_EQ(p.next_change(0), 8);
 }
 
-TEST_P(ProfileBackendOps, RejectsBadRanges) {
-  const auto p = make(8);
-  EXPECT_THROW(p->add(-1, 4, 1), InvalidInput);
-  EXPECT_THROW(p->add(3, 0, 1), InvalidInput);
-  EXPECT_THROW(p->raise_to(6, 3, 1), InvalidInput);
-  EXPECT_THROW(static_cast<void>(window_max(*p, 0, 9)), InvalidInput);
-  EXPECT_THROW(static_cast<void>(p->first_fit(9, 1, 5)), InvalidInput);
-  EXPECT_THROW(static_cast<void>(make(0)), InvalidInput);
+TEST(ProfileOps, RejectsBadRanges) {
+  Profile p(8);
+  EXPECT_THROW(p.add(-1, 4, 1), InvalidInput);
+  EXPECT_THROW(p.add(3, 0, 1), InvalidInput);
+  EXPECT_THROW(p.raise_to(6, 3, 1), InvalidInput);
+  EXPECT_THROW(static_cast<void>(p.first_fit(9, 1, 5)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(p.min_peak_position(9)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(Profile(0)), InvalidInput);
 }
 
-TEST_P(ProfileBackendOps, NonPowerOfTwoWidths) {
+TEST(ProfileOps, NonPowerOfTwoWidths) {
   for (const Length w : {1, 3, 7, 13, 100}) {
-    const auto p = make(w);
-    p->add(0, w, 2);
-    EXPECT_EQ(p->peak(), 2) << "w=" << w;
-    EXPECT_EQ(p->min_peak_position(w).window_max, 2) << "w=" << w;
-    EXPECT_EQ(p->min_peak_position(w).start, 0) << "w=" << w;
-    EXPECT_EQ(p->next_change(0), w) << "w=" << w;
-    EXPECT_EQ(p->first_fit(1, 1, 2), std::nullopt) << "w=" << w;
+    Profile p(w);
+    p.add(0, w, 2);
+    EXPECT_EQ(p.peak(), 2) << "w=" << w;
+    EXPECT_EQ(p.min_peak_position(w).window_max, 2) << "w=" << w;
+    EXPECT_EQ(p.min_peak_position(w).start, 0) << "w=" << w;
+    EXPECT_EQ(p.next_change(0), w) << "w=" << w;
+    EXPECT_EQ(p.first_fit(1, 1, 2), std::nullopt) << "w=" << w;
   }
 }
 
-TEST_P(ProfileBackendOps, LoadAtOutsideTheStripThrowsInvalidInput) {
-  const auto p = make(8);
-  p->add(0, 8, 3);
-  EXPECT_EQ(p->load_at(0), 3);
-  EXPECT_EQ(p->load_at(7), 3);
-  EXPECT_THROW(static_cast<void>(p->load_at(-1)), InvalidInput);
-  EXPECT_THROW(static_cast<void>(p->load_at(8)), InvalidInput);
+TEST(ProfileOps, LoadAtOutsideTheStripThrowsInvalidInput) {
+  Profile p(8);
+  p.add(0, 8, 3);
+  EXPECT_EQ(p.load_at(0), 3);
+  EXPECT_EQ(p.load_at(7), 3);
+  EXPECT_THROW(static_cast<void>(p.load_at(-1)), InvalidInput);
+  EXPECT_THROW(static_cast<void>(p.load_at(8)), InvalidInput);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, ProfileBackendOps,
-                         ::testing::Values(ProfileBackendKind::kDense,
-                                           ProfileBackendKind::kSparse),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST(SparseProfileBackend, FirstFitMatchesContract) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 10);
+TEST(ProfileOps, FirstFitMatchesContract) {
+  Profile p(10);
   // Profile: [0,4) at 5, [4,7) empty, [7,10) at 2.
-  p->add(0, 4, 5);
-  p->add(7, 3, 2);
-  EXPECT_EQ(p->first_fit(3, 1, 1), std::optional<Length>(4));
-  EXPECT_EQ(p->first_fit(3, 3, 5), std::optional<Length>(4));
-  EXPECT_EQ(p->first_fit(3, 3, 8), std::optional<Length>(0));
-  EXPECT_EQ(p->first_fit(4, 1, 2), std::nullopt);   // no 4-wide gap under 2
-  EXPECT_EQ(p->first_fit(10, 1, 6), std::optional<Length>(0));
-  EXPECT_EQ(p->first_fit(10, 2, 6), std::nullopt);  // full width, over budget
+  p.add(0, 4, 5);
+  p.add(7, 3, 2);
+  EXPECT_EQ(p.first_fit(3, 1, 1), std::optional<Length>(4));
+  EXPECT_EQ(p.first_fit(3, 3, 5), std::optional<Length>(4));
+  EXPECT_EQ(p.first_fit(3, 3, 8), std::optional<Length>(0));
+  EXPECT_EQ(p.first_fit(4, 1, 2), std::nullopt);   // no 4-wide gap under 2
+  EXPECT_EQ(p.first_fit(10, 1, 6), std::optional<Length>(0));
+  EXPECT_EQ(p.first_fit(10, 2, 6), std::nullopt);  // full width, over budget
 }
 
-TEST(SparseProfileBackend, MinPeakPositionPrefersValleys) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 9);
-  p->add(0, 3, 4);
-  p->add(6, 3, 2);
-  const auto best = p->min_peak_position(3);
+TEST(ProfileOps, MinPeakPositionPrefersValleys) {
+  Profile p(9);
+  p.add(0, 3, 4);
+  p.add(6, 3, 2);
+  const auto best = p.min_peak_position(3);
   EXPECT_EQ(best.start, 3);
   EXPECT_EQ(best.window_max, 0);
-  p->add(3, 3, 7);
-  const auto next = p->min_peak_position(2);
+  p.add(3, 3, 7);
+  const auto next = p.min_peak_position(2);
   EXPECT_EQ(next.start, 6);
   EXPECT_EQ(next.window_max, 2);
 }
 
-TEST(SparseProfileBackend, RaiseToLiftsWindow) {
-  const auto p = make_profile_backend(ProfileBackendKind::kSparse, 8);
-  p->add(2, 2, 5);
-  p->raise_to(0, 6, 3);
-  EXPECT_EQ(p->load_at(0), 3);
-  EXPECT_EQ(p->load_at(2), 5);  // already above the target
-  EXPECT_EQ(p->load_at(5), 3);
-  EXPECT_EQ(p->load_at(6), 0);
-  EXPECT_EQ(p->peak(), 5);
+TEST(ProfileOps, RaiseToLiftsWindow) {
+  Profile p(8);
+  p.add(2, 2, 5);
+  p.raise_to(0, 6, 3);
+  EXPECT_EQ(p.load_at(0), 3);
+  EXPECT_EQ(p.load_at(2), 5);  // already above the target
+  EXPECT_EQ(p.load_at(5), 3);
+  EXPECT_EQ(p.load_at(6), 0);
+  EXPECT_EQ(p.peak(), 5);
 }
 
-// --- min_peak_position against a plain W-array reference -----------------
-//
-// The reference keeps one load per column and answers min_peak_position by
-// brute force: the window max of every start, leftmost minimizer (and
-// first_fit: the first start whose window fits under the budget).  The
-// shapes below stress the run profile's barrier jumps (a run at or above the
-// best so far skips every start that covers it; an improvement skips to the
-// run after the window max).
+TEST(ProfileOps, CopiesAreIndependent) {
+  Profile original(12);
+  original.add(2, 6, 4);
+  Profile copy = original;
+  copy.raise_to(0, 12, 9);
+  EXPECT_EQ(original.load_at(0), 0);
+  EXPECT_EQ(original.peak(), 4);
+  EXPECT_EQ(copy.load_at(0), 9);
+  EXPECT_EQ(copy.next_change(0), 12);
+}
 
-/// Column-by-column profile, the specification the backends must meet.
+// --- the column-by-column reference ----------------------------------------
+//
+// ArrayProfile keeps one load per column.  Its searches run on the window
+// maxima M[x] = max load over [x, x+width), computed by the classical
+// monotone deque in O(W), so the reference stays usable at W = 2^20; the
+// deque itself is checked against brute force below.  The shapes after it
+// stress the run profile's barrier jumps (a run at or above the best so far
+// skips every start that covers it; an improvement skips to the run after
+// the window max).
+
+/// Sliding-window maxima by the monotone deque: out[x] = max of
+/// load[x, x + width) for every start x in [0, |load| - width].
+std::vector<Height> deque_window_maxima(std::span<const Height> load,
+                                        Length width) {
+  std::vector<Height> out;
+  std::deque<std::size_t> dq;
+  const auto w = static_cast<std::size_t>(width);
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    while (!dq.empty() && load[dq.back()] <= load[i]) dq.pop_back();
+    dq.push_back(i);
+    if (i + 1 >= w) {
+      if (dq.front() + w <= i) dq.pop_front();
+      out.push_back(load[dq.front()]);
+    }
+  }
+  return out;
+}
+
+TEST(ArrayProfile, DequeWindowMaximaMatchBruteForce) {
+  // Tiny arrays, primes and non-powers of two, with negative loads (remove
+  // and budget-shifted values), every window width.
+  Rng rng(20260807);
+  for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64,
+                              101}) {
+    std::vector<Height> load(n);
+    for (Height& h : load) h = static_cast<Height>(rng.uniform(0, 2000)) - 1000;
+    for (Length width = 1; width <= static_cast<Length>(n); ++width) {
+      const std::vector<Height> got = deque_window_maxima(load, width);
+      ASSERT_EQ(got.size(), n - static_cast<std::size_t>(width) + 1)
+          << "n=" << n << " w=" << width;
+      for (std::size_t x = 0; x < got.size(); ++x) {
+        const auto first = load.begin() + static_cast<std::ptrdiff_t>(x);
+        ASSERT_EQ(got[x], *std::max_element(first, first + width))
+            << "n=" << n << " w=" << width << " x=" << x;
+      }
+    }
+  }
+}
+
+/// Column-by-column profile, the specification Profile must meet.
 class ArrayProfile {
  public:
   explicit ArrayProfile(Length w) : load_(static_cast<std::size_t>(w), 0) {}
 
   void add(Length start, Length width, Height height) {
     for (Length x = start; x < start + width; ++x) at(x) += height;
+  }
+  void remove(Length start, Length width, Height height) {
+    add(start, width, -height);
   }
   void raise_to(Length start, Length width, Height target) {
     for (Length x = start; x < start + width; ++x) {
@@ -228,23 +261,22 @@ class ArrayProfile {
   }
   void reset() { std::fill(load_.begin(), load_.end(), 0); }
 
+  /// The leftmost minimizer of the window maxima.
   [[nodiscard]] BestPosition min_peak_position(Length width) const {
-    std::optional<BestPosition> best;
-    for (Length x = 0; x + width <= strip_width(); ++x) {
-      const auto first = load_.begin() + x;
-      const Height m = *std::max_element(first, first + width);
-      if (!best || m < best->window_max) best = BestPosition{x, m};
-    }
-    return *best;
+    const std::vector<Height> maxima = deque_window_maxima(load_, width);
+    const auto best = std::min_element(maxima.begin(), maxima.end());
+    return {static_cast<Length>(best - maxima.begin()), *best};
   }
 
+  /// The first start whose window max plus `height` fits under `budget`.
   [[nodiscard]] std::optional<Length> first_fit(Length width, Height height,
                                                 Height budget) const {
-    for (Length x = 0; x + width <= strip_width(); ++x) {
-      const auto first = load_.begin() + x;
-      if (*std::max_element(first, first + width) + height <= budget) return x;
-    }
-    return std::nullopt;
+    const std::vector<Height> maxima = deque_window_maxima(load_, width);
+    const auto fit =
+        std::find_if(maxima.begin(), maxima.end(),
+                     [&](Height m) { return m + height <= budget; });
+    if (fit == maxima.end()) return std::nullopt;
+    return static_cast<Length>(fit - maxima.begin());
   }
 
   [[nodiscard]] Length strip_width() const {
@@ -253,6 +285,21 @@ class ArrayProfile {
   [[nodiscard]] Height load_at(Length x) const {
     return load_[static_cast<std::size_t>(x)];
   }
+  /// The highest load, clamped at 0.
+  [[nodiscard]] Height peak() const {
+    return std::max<Height>(0, *std::max_element(load_.begin(), load_.end()));
+  }
+  /// The first column after x with a different load, or W.
+  [[nodiscard]] Length next_change(Length x) const {
+    Length next = x + 1;
+    while (next < strip_width() && load_at(next) == load_at(x)) ++next;
+    return next;
+  }
+  /// Max load over [start, start+width), clamped at 0.
+  [[nodiscard]] Height window_max(Length start, Length width) const {
+    const auto first = load_.begin() + start;
+    return std::max<Height>(0, *std::max_element(first, first + width));
+  }
 
  private:
   Height& at(Length x) { return load_[static_cast<std::size_t>(x)]; }
@@ -260,13 +307,9 @@ class ArrayProfile {
   std::vector<Height> load_;
 };
 
-/// One profile of each backend kind next to the reference, fed the same
-/// operations.
+/// A Profile next to the reference, fed the same operations.
 struct ReferencedProfiles {
-  explicit ReferencedProfiles(Length w)
-      : reference(w),
-        profiles{make_profile_backend(ProfileBackendKind::kDense, w),
-                 make_profile_backend(ProfileBackendKind::kSparse, w)} {}
+  explicit ReferencedProfiles(Length w) : reference(w), profile(w) {}
 
   /// Builds the profile whose column x carries columns[x].
   explicit ReferencedProfiles(const std::vector<Height>& columns)
@@ -278,63 +321,49 @@ struct ReferencedProfiles {
 
   void add(Length start, Length width, Height height) {
     reference.add(start, width, height);
-    for (const auto& p : profiles) p->add(start, width, height);
+    profile.add(start, width, height);
   }
   void remove(Length start, Length width, Height height) {
-    reference.add(start, width, -height);
-    for (const auto& p : profiles) p->remove(start, width, height);
+    reference.remove(start, width, height);
+    profile.remove(start, width, height);
   }
   void raise_to(Length start, Length width, Height target) {
     reference.raise_to(start, width, target);
-    for (const auto& p : profiles) p->raise_to(start, width, target);
+    profile.raise_to(start, width, target);
   }
   void reset() {
     reference.reset();
-    for (const auto& p : profiles) p->reset();
+    profile.reset();
   }
 
-  /// Every backend's min_peak_position for `width` equals the reference's.
+  /// min_peak_position for `width` equals the reference's.
   void expect_matches(Length width, const std::string& label) const {
     const BestPosition want = reference.min_peak_position(width);
-    for (const auto& p : profiles) {
-      const BestPosition got = p->min_peak_position(width);
-      EXPECT_EQ(got.start, want.start)
-          << label << " width=" << width << " on " << kind_of(*p);
-      EXPECT_EQ(got.window_max, want.window_max)
-          << label << " width=" << width << " on " << kind_of(*p);
-    }
+    const BestPosition got = profile.min_peak_position(width);
+    EXPECT_EQ(got.start, want.start) << label << " width=" << width;
+    EXPECT_EQ(got.window_max, want.window_max) << label << " width=" << width;
   }
-  /// Every backend's first_fit equals the reference's.
+  /// first_fit equals the reference's.
   void expect_first_fit_matches(Length width, Height height, Height budget,
                                 const std::string& label) const {
-    const std::optional<Length> want =
-        reference.first_fit(width, height, budget);
-    for (const auto& p : profiles) {
-      EXPECT_EQ(p->first_fit(width, height, budget), want)
-          << label << " width=" << width << " height=" << height
-          << " budget=" << budget << " on " << kind_of(*p);
-    }
+    EXPECT_EQ(profile.first_fit(width, height, budget),
+              reference.first_fit(width, height, budget))
+        << label << " width=" << width << " height=" << height
+        << " budget=" << budget;
   }
   /// expect_matches for every width 1..W, plus the loads column by column.
   void expect_matches_all_widths(const std::string& label) const {
     for (Length width = 1; width <= reference.strip_width(); ++width) {
       expect_matches(width, label);
     }
-    for (const auto& p : profiles) {
-      for (Length x = 0; x < reference.strip_width(); ++x) {
-        ASSERT_EQ(p->load_at(x), reference.load_at(x))
-            << label << " x=" << x << " on " << kind_of(*p);
-      }
+    for (Length x = 0; x < reference.strip_width(); ++x) {
+      ASSERT_EQ(profile.load_at(x), reference.load_at(x))
+          << label << " x=" << x;
     }
   }
 
-  static std::string kind_of(const ProfileBackend& p) {
-    return dynamic_cast<const StripOccupancy*>(&p) != nullptr ? "dense"
-                                                              : "sparse";
-  }
-
   ArrayProfile reference;
-  std::array<std::unique_ptr<ProfileBackend>, 2> profiles;
+  Profile profile;
 };
 
 /// Columns of `runs` steps of `step` columns each; step k has height
@@ -457,11 +486,11 @@ TEST(MinPeakPositionReference, RandomOperationSequences) {
   }
 }
 
-// --- randomized operation-level equivalence -------------------------------
+// --- random operation sequences, narrow to W = 2^20 -------------------------
 
-class BackendEquivalence : public ::testing::TestWithParam<int> {};
+class ReferenceEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
+TEST_P(ReferenceEquivalence, AgreeOnRandomOperations) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 6007 + 17);
   // Params below 24 alternate between narrow strips (W <= 60) and
   // medium ones; the rest are wide strips, W in [2^16, 2^20], with few
@@ -471,8 +500,8 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
                    : GetParam() % 2 == 0 ? rng.uniform(2, 60)
                                          : rng.uniform(500, 4000);
   const int ops = wide ? 48 : 160;
-  const auto dense = make_profile_backend(ProfileBackendKind::kDense, w);
-  const auto sparse = make_profile_backend(ProfileBackendKind::kSparse, w);
+  ArrayProfile reference(w);
+  Profile profile(w);
   struct Placed {
     Length start;
     Length width;
@@ -488,8 +517,8 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
       case 0:
       case 1: {  // add
         const Height h = rng.uniform(1, 12);
-        dense->add(start, width, h);
-        sparse->add(start, width, h);
+        reference.add(start, width, h);
+        profile.add(start, width, h);
         placed.push_back({start, width, h});
         break;
       }
@@ -497,70 +526,164 @@ TEST_P(BackendEquivalence, AgreeOnRandomOperations) {
         if (placed.empty()) break;
         const auto k = static_cast<std::size_t>(
             rng.uniform(0, static_cast<std::int64_t>(placed.size()) - 1));
-        dense->remove(placed[k].start, placed[k].width, placed[k].height);
-        sparse->remove(placed[k].start, placed[k].width, placed[k].height);
+        reference.remove(placed[k].start, placed[k].width, placed[k].height);
+        profile.remove(placed[k].start, placed[k].width, placed[k].height);
         placed.erase(placed.begin() + static_cast<std::ptrdiff_t>(k));
         break;
       }
       case 3: {  // raise_to (skyline lift)
         const Height target = rng.uniform(0, 20);
-        dense->raise_to(start, width, target);
-        sparse->raise_to(start, width, target);
+        reference.raise_to(start, width, target);
+        profile.raise_to(start, width, target);
         placed.clear();  // removes are no longer meaningful
         break;
       }
       case 4: {  // first_fit
         const Height h = rng.uniform(1, 12);
         const Height budget = rng.uniform(0, 30);
-        EXPECT_EQ(dense->first_fit(width, h, budget),
-                  sparse->first_fit(width, h, budget))
+        EXPECT_EQ(profile.first_fit(width, h, budget),
+                  reference.first_fit(width, h, budget))
             << "w=" << w << " width=" << width << " h=" << h
             << " budget=" << budget;
         break;
       }
       case 5: {  // min_peak_position
-        const auto a = dense->min_peak_position(width);
-        const auto b = sparse->min_peak_position(width);
-        EXPECT_EQ(a.start, b.start) << "w=" << w << " width=" << width;
-        EXPECT_EQ(a.window_max, b.window_max);
+        const auto got = profile.min_peak_position(width);
+        const auto want = reference.min_peak_position(width);
+        EXPECT_EQ(got.start, want.start) << "w=" << w << " width=" << width;
+        EXPECT_EQ(got.window_max, want.window_max);
         break;
       }
       case 6: {  // reset to the empty profile
-        dense->reset();
-        sparse->reset();
+        reference.reset();
+        profile.reset();
         placed.clear();
         break;
       }
     }
-    EXPECT_EQ(window_max(*dense, start, width),
-              window_max(*sparse, start, width));
-    EXPECT_EQ(dense->next_change(start), sparse->next_change(start));
+    EXPECT_EQ(window_max(profile, start, width),
+              reference.window_max(start, width));
+    EXPECT_EQ(profile.next_change(start), reference.next_change(start));
   }
-  EXPECT_EQ(dense->peak(), sparse->peak());
+  EXPECT_EQ(profile.peak(), reference.peak());
   // The whole profile, run by run.
-  for (Length x = 0; x < w; x = dense->next_change(x)) {
-    ASSERT_EQ(dense->load_at(x), sparse->load_at(x)) << "x=" << x;
-    ASSERT_EQ(dense->next_change(x), sparse->next_change(x)) << "x=" << x;
+  for (Length x = 0; x < w; x = reference.next_change(x)) {
+    ASSERT_EQ(profile.load_at(x), reference.load_at(x)) << "x=" << x;
+    ASSERT_EQ(profile.next_change(x), reference.next_change(x)) << "x=" << x;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, BackendEquivalence, ::testing::Range(0, 40));
+INSTANTIATE_TEST_SUITE_P(Random, ReferenceEquivalence, ::testing::Range(0, 40));
 
-// --- algorithm-level equivalence: same packings on either backend ---------
+// --- the placement algorithms against reference placers ---------------------
 //
-// Random instances, then the nine golden-corpus instances.  kAuto resolves
-// sparse on every one, so this is where the golden corpus is packed on the
-// dense profile: the portfolio must give the same packing and winner on
-// kDense, kSparse and kAuto.
+// Greedy lowest-peak and budgeted first fit written over ArrayProfile, from
+// their definitions: items in the order's stable sort (decreasing key, ties
+// by index), each at the leftmost start minimizing the window max, or at the
+// leftmost start that fits under the budget.  algo::greedy_lowest_peak (all
+// three orders), first_fit_with_budget and both first_fit_search overloads
+// must give exactly their packings.
 
-constexpr int kRandomEquivalenceCases = 12;
+/// Indices in stable decreasing `key` order.
+template <typename Key>
+std::vector<std::size_t> reference_order(const Instance& inst, Key key) {
+  std::vector<std::size_t> order(inst.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return key(inst.item(a)) > key(inst.item(b));
+                   });
+  return order;
+}
 
-/// Parameters below kRandomEquivalenceCases seed a random instance; the
-/// rest index the golden corpus.
-Instance equivalence_instance(int param) {
-  if (param >= kRandomEquivalenceCases) {
+std::vector<std::size_t> by_height(const Instance& inst) {
+  return reference_order(inst, [](const Item& it) { return it.height; });
+}
+
+template <typename Key>
+Packing reference_greedy(const Instance& inst, Key key) {
+  ArrayProfile profile(inst.strip_width());
+  Packing packing;
+  packing.start.resize(inst.size());
+  for (const std::size_t i : reference_order(inst, key)) {
+    const Item& it = inst.item(i);
+    packing.start[i] = profile.min_peak_position(it.width).start;
+    profile.add(packing.start[i], it.width, it.height);
+  }
+  return packing;
+}
+
+std::optional<Packing> reference_first_fit(const Instance& inst,
+                                           Height budget) {
+  ArrayProfile profile(inst.strip_width());
+  Packing packing;
+  packing.start.resize(inst.size());
+  for (const std::size_t i : by_height(inst)) {
+    const Item& it = inst.item(i);
+    const std::optional<Length> x =
+        profile.first_fit(it.width, it.height, budget);
+    if (!x) return std::nullopt;
+    packing.start[i] = *x;
+    profile.add(*x, it.width, it.height);
+  }
+  return packing;
+}
+
+/// The smallest budget in [lower bound, greedy-h peak] first fit meets, by
+/// bisection; the greedy-h packing when none below its peak does.
+Packing reference_first_fit_search(const Instance& inst) {
+  const Packing greedy =
+      reference_greedy(inst, [](const Item& it) { return it.height; });
+  Height lo = combined_lower_bound(inst);
+  Height hi = peak_height(inst, greedy);
+  std::optional<Packing> best;
+  while (lo < hi) {
+    const Height mid = lo + (hi - lo) / 2;
+    if (auto packing = reference_first_fit(inst, mid)) {
+      best = std::move(packing);
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return best ? *best : greedy;
+}
+
+void expect_placements_match_reference(const Instance& inst) {
+  const Packing greedy_h =
+      reference_greedy(inst, [](const Item& it) { return it.height; });
+  EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight),
+            greedy_h)
+      << inst.summary();
+  EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingArea),
+            reference_greedy(inst, [](const Item& it) { return it.area(); }))
+      << inst.summary();
+  EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingWidth),
+            reference_greedy(inst, [](const Item& it) { return it.width; }))
+      << inst.summary();
+  // Budgets below, at and above the interesting range.
+  const Height lb = combined_lower_bound(inst);
+  const Height greedy_peak = peak_height(inst, greedy_h);
+  for (const Height budget :
+       {lb - 1, lb, lb + (greedy_peak - lb) / 2, greedy_peak}) {
+    EXPECT_EQ(algo::first_fit_with_budget(inst, budget),
+              reference_first_fit(inst, budget))
+        << "budget " << budget << " " << inst.summary();
+  }
+  const Packing search = reference_first_fit_search(inst);
+  EXPECT_EQ(algo::first_fit_search(inst), search) << inst.summary();
+  EXPECT_EQ(algo::first_fit_search(inst, lb, greedy_h), search)
+      << inst.summary();
+}
+
+constexpr int kRandomPlacementCases = 12;
+
+/// Parameters below kRandomPlacementCases seed a random instance; the rest
+/// index the golden corpus.
+Instance placement_instance(int param) {
+  if (param >= kRandomPlacementCases) {
     return gen::golden_corpus()
-        .at(static_cast<std::size_t>(param - kRandomEquivalenceCases))
+        .at(static_cast<std::size_t>(param - kRandomPlacementCases))
         .instance;
   }
   Rng rng(static_cast<std::uint64_t>(param) * 7121 + 3);
@@ -569,45 +692,24 @@ Instance equivalence_instance(int param) {
                              std::min<Length>(w, 40), 15, rng);
 }
 
-class AlgorithmBackendEquivalence : public ::testing::TestWithParam<int> {};
+class PlacementReference : public ::testing::TestWithParam<int> {};
 
-TEST_P(AlgorithmBackendEquivalence, PlacementAlgorithmsAgree) {
-  const Instance inst = equivalence_instance(GetParam());
-
-  EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight,
-                                     ProfileBackendKind::kDense),
-            algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight,
-                                     ProfileBackendKind::kSparse));
-  EXPECT_EQ(algo::first_fit_search(inst, ProfileBackendKind::kDense),
-            algo::first_fit_search(inst, ProfileBackendKind::kSparse));
-  EXPECT_EQ(sp::bottom_left(inst, ProfileBackendKind::kDense).position,
-            sp::bottom_left(inst, ProfileBackendKind::kSparse).position);
-  std::string dense_winner;
-  const Packing dense =
-      algo::best_of_portfolio(inst, &dense_winner, ProfileBackendKind::kDense);
-  for (const ProfileBackendKind kind :
-       {ProfileBackendKind::kSparse, ProfileBackendKind::kAuto}) {
-    std::string winner;
-    EXPECT_EQ(algo::best_of_portfolio(inst, &winner, kind), dense)
-        << to_string(kind);
-    EXPECT_EQ(winner, dense_winner) << to_string(kind);
-  }
+TEST_P(PlacementReference, PlacementAlgorithmsMatchReference) {
+  expect_placements_match_reference(placement_instance(GetParam()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, AlgorithmBackendEquivalence,
-                         ::testing::Range(0, kRandomEquivalenceCases));
-INSTANTIATE_TEST_SUITE_P(Golden, AlgorithmBackendEquivalence,
-                         ::testing::Range(kRandomEquivalenceCases,
-                                          kRandomEquivalenceCases + 9));
+INSTANTIATE_TEST_SUITE_P(Random, PlacementReference,
+                         ::testing::Range(0, kRandomPlacementCases));
+INSTANTIATE_TEST_SUITE_P(Golden, PlacementReference,
+                         ::testing::Range(kRandomPlacementCases,
+                                          kRandomPlacementCases + 9));
 
-
-// --- the solve-cold cells: narrow strips that kAuto used to run dense ------
+// --- the solve-cold cells ---------------------------------------------------
 //
 // 6 families x n {100, 400} x W {256, 1024, 2048}, the grid of e2ebench's
-// solve-cold workload, one seed per cell.  Every cell but W = 2048 with
-// n = 100 has W <= 16 n and so ran on the dense profile before kAuto
-// resolved sparse everywhere; the witness portfolio must give the same
-// packing and winner on all three kinds.
+// solve-cold workload, one seed per cell: the placement algorithms match
+// the reference placers on every cell, and the witness portfolio's answers
+// are pinned.
 
 struct SolveColdCell {
   const char* family;
@@ -626,39 +728,36 @@ std::vector<SolveColdCell> solve_cold_cells() {
   return cells;
 }
 
-Instance solve_cold_instance(const SolveColdCell& cell, Rng& rng) {
+Instance solve_cold_instance(const SolveColdCell& cell) {
+  Rng rng(static_cast<std::uint64_t>(cell.w) * 1009 + cell.n);
   const std::string family = cell.family;
   const Length w = cell.w;
-  if (family == "uniform") return gen::random_uniform(cell.n, w, w / 4, 100, rng);
+  if (family == "uniform") {
+    return gen::random_uniform(cell.n, w, w / 4, 100, rng);
+  }
   if (family == "tall") return gen::tall_items(cell.n, w, 100, rng);
   if (family == "wide") return gen::wide_items(cell.n, w, 20, rng);
   if (family == "perfect") return gen::perfect_packing(cell.n, w, 200, rng);
-  if (family == "correlated") return gen::correlated(cell.n, w, w / 4, 100, rng);
+  if (family == "correlated") {
+    return gen::correlated(cell.n, w, w / 4, 100, rng);
+  }
   return gen::smart_grid(cell.n, w, rng);
 }
 
-class SolveColdCellEquivalence
+class SolveColdCellReference
     : public ::testing::TestWithParam<SolveColdCell> {};
 
-TEST_P(SolveColdCellEquivalence, PortfolioAgreesOnEveryBackend) {
-  const SolveColdCell& cell = GetParam();
-  Rng rng(static_cast<std::uint64_t>(cell.w) * 1009 + cell.n);
-  const Instance inst = solve_cold_instance(cell, rng);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, inst.strip_width(),
-                            inst.size()),
-            ProfileBackendKind::kSparse);
-
-  std::string dense_winner;
-  const Packing dense =
-      algo::best_of_portfolio(inst, &dense_winner, ProfileBackendKind::kDense);
-  for (const ProfileBackendKind kind :
-       {ProfileBackendKind::kSparse, ProfileBackendKind::kAuto}) {
-    std::string winner;
-    EXPECT_EQ(algo::best_of_portfolio(inst, &winner, kind), dense)
-        << to_string(kind);
-    EXPECT_EQ(winner, dense_winner) << to_string(kind);
-  }
+TEST_P(SolveColdCellReference, PlacementAlgorithmsMatchReference) {
+  expect_placements_match_reference(solve_cold_instance(GetParam()));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SolveColdCellReference, ::testing::ValuesIn(solve_cold_cells()),
+    [](const ::testing::TestParamInfo<SolveColdCell>& info) {
+      return std::string(info.param.family) + "_n" +
+             std::to_string(info.param.n) + "_W" +
+             std::to_string(info.param.w);
+    });
 
 /// bench_parallel_scaling's hash step.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -667,15 +766,14 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }
 
 TEST(SolveColdCells, PortfolioChecksumIsPinned) {
-  // The 36 solve-cold cells above: every cell's witness peak, winner name
-  // and start positions, folded in grid order.  Recorded while the dense
-  // and run-length profiles still both existed and agreed on every cell;
-  // a change that moves one start or swaps one winner fails here.
+  // Every cell's witness peak, winner name and start positions, folded in
+  // grid order.  Recorded while a dense per-column profile still packed
+  // these cells too and agreed with the run-length one on every cell; a
+  // change that moves one start or swaps one winner fails here.
   constexpr std::uint64_t kPin = 11078234835343177838ull;
   std::uint64_t checksum = 0;
   for (const SolveColdCell& cell : solve_cold_cells()) {
-    Rng rng(static_cast<std::uint64_t>(cell.w) * 1009 + cell.n);
-    const Instance inst = solve_cold_instance(cell, rng);
+    const Instance inst = solve_cold_instance(cell);
     std::string winner;
     const Packing packing = algo::best_of_portfolio(inst, &winner);
     checksum = mix(checksum, static_cast<std::uint64_t>(
@@ -689,14 +787,6 @@ TEST(SolveColdCells, PortfolioChecksumIsPinned) {
   }
   EXPECT_EQ(checksum, kPin);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, SolveColdCellEquivalence, ::testing::ValuesIn(solve_cold_cells()),
-    [](const ::testing::TestParamInfo<SolveColdCell>& info) {
-      return std::string(info.param.family) + "_n" +
-             std::to_string(info.param.n) + "_W" +
-             std::to_string(info.param.w);
-    });
 
 }  // namespace
 }  // namespace dsp

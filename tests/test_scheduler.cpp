@@ -9,7 +9,6 @@
 
 #include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
-#include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "obs/metrics.hpp"
@@ -86,12 +85,6 @@ TEST(SchedulerDeterminism, SkewedBatchesBitIdenticalAcrossSchedules) {
   for (const std::uint64_t seed : {11u, 12u}) {
     // heavy_n/light_n = 40: well inside the 10-100x cost band.
     const std::vector<Instance> batch = skewed_batch(seed, 160, 4, 10);
-    // kAuto runs the heavy instance (160 items densely covering the
-    // 120-wide strip) and the light ones on the run-length profile alike.
-    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 120, 160),
-              ProfileBackendKind::kSparse);
-    EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 120, 4),
-              ProfileBackendKind::kSparse);
     // Reference: each request served alone on the calling thread.
     service::CachingSolver sequential_solver;
     std::vector<service::SolveResponse> reference;
@@ -199,16 +192,11 @@ TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
 TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
   // Narrow items on a wide strip populate the Lemma-10 LP (column
   // generation), the stage that used to fan its pricing out to a pool.
-  // The 240-wide strip resolves sparse at both n = 48 and n = 12.
   Rng rng(909);
   const std::vector<Instance> instances = {
       gen::random_uniform(48, 240, 4, 24, rng),
       gen::random_uniform(12, 240, 4, 24, rng),
   };
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 240, 48),
-            ProfileBackendKind::kSparse);
-  EXPECT_EQ(resolve_backend(ProfileBackendKind::kAuto, 240, 12),
-            ProfileBackendKind::kSparse);
   for (const Instance& inst : instances) {
     const runtime::SchedulerCounters before = runtime::scheduler_totals();
     (void)approx::solve54(inst);

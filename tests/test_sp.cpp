@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/bounds.hpp"
-#include "core/profile.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "sp/bottom_left.hpp"
@@ -130,12 +129,8 @@ TEST(BottomLeft, MatchesBruteForceReference) {
   }
   for (const Instance& inst : instances) {
     const sp::SpPacking expected = reference_bottom_left(inst);
-    for (const ProfileBackendKind kind :
-         {ProfileBackendKind::kDense, ProfileBackendKind::kSparse,
-          ProfileBackendKind::kAuto}) {
-      EXPECT_EQ(sp::bottom_left(inst, kind).position, expected.position)
-          << to_string(kind) << " " << inst.summary();
-    }
+    EXPECT_EQ(sp::bottom_left(inst).position, expected.position)
+        << inst.summary();
   }
 }
 
