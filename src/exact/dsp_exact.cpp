@@ -89,7 +89,7 @@ class PeakDecisionSearch {
       add(x, it.width, it.height);
       starts_[item_index] = x;
       if (place(depth + 1)) return true;
-      add(x, it.width, -it.height);
+      add(x, it.width, -it.height);  // take it out again
       if (aborted_) return false;
     }
     return false;
@@ -97,9 +97,8 @@ class PeakDecisionSearch {
 
   /// Adds `height` to every column in [start, start+width).
   void add(Length start, Length width, Height height) {
-    const auto first = load_.begin() + start;
-    for (auto column = first; column != first + width; ++column) {
-      *column += height;
+    for (Length x = start; x < start + width; ++x) {
+      load_[static_cast<std::size_t>(x)] += height;
     }
   }
 

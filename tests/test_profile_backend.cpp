@@ -206,8 +206,8 @@ TEST(ProfileOps, CopiesAreIndependent) {
 
 /// Sliding-window maxima by the monotone deque: out[x] = max of
 /// load[x, x + width) for every start x in [0, |load| - width].
-std::vector<Height> deque_window_maxima(std::span<const Height> load,
-                                        Length width) {
+std::vector<Height> deque_sliding_maxima(std::span<const Height> load,
+                                         Length width) {
   std::vector<Height> out;
   std::deque<std::size_t> dq;
   const auto w = static_cast<std::size_t>(width);
@@ -231,7 +231,7 @@ TEST(ArrayProfile, DequeWindowMaximaMatchBruteForce) {
     std::vector<Height> load(n);
     for (Height& h : load) h = static_cast<Height>(rng.uniform(0, 2000)) - 1000;
     for (Length width = 1; width <= static_cast<Length>(n); ++width) {
-      const std::vector<Height> got = deque_window_maxima(load, width);
+      const std::vector<Height> got = deque_sliding_maxima(load, width);
       ASSERT_EQ(got.size(), n - static_cast<std::size_t>(width) + 1)
           << "n=" << n << " w=" << width;
       for (std::size_t x = 0; x < got.size(); ++x) {
@@ -263,7 +263,7 @@ class ArrayProfile {
 
   /// The leftmost minimizer of the window maxima.
   [[nodiscard]] BestPosition min_peak_position(Length width) const {
-    const std::vector<Height> maxima = deque_window_maxima(load_, width);
+    const std::vector<Height> maxima = deque_sliding_maxima(load_, width);
     const auto best = std::min_element(maxima.begin(), maxima.end());
     return {static_cast<Length>(best - maxima.begin()), *best};
   }
@@ -271,7 +271,7 @@ class ArrayProfile {
   /// The first start whose window max plus `height` fits under `budget`.
   [[nodiscard]] std::optional<Length> first_fit(Length width, Height height,
                                                 Height budget) const {
-    const std::vector<Height> maxima = deque_window_maxima(load_, width);
+    const std::vector<Height> maxima = deque_sliding_maxima(load_, width);
     const auto fit =
         std::find_if(maxima.begin(), maxima.end(),
                      [&](Height m) { return m + height <= budget; });
@@ -596,9 +596,7 @@ std::vector<std::size_t> reference_order(const Instance& inst, Key key) {
   return order;
 }
 
-std::vector<std::size_t> by_height(const Instance& inst) {
-  return reference_order(inst, [](const Item& it) { return it.height; });
-}
+constexpr auto kByHeight = [](const Item& it) { return it.height; };
 
 template <typename Key>
 Packing reference_greedy(const Instance& inst, Key key) {
@@ -618,7 +616,7 @@ std::optional<Packing> reference_first_fit(const Instance& inst,
   ArrayProfile profile(inst.strip_width());
   Packing packing;
   packing.start.resize(inst.size());
-  for (const std::size_t i : by_height(inst)) {
+  for (const std::size_t i : reference_order(inst, kByHeight)) {
     const Item& it = inst.item(i);
     const std::optional<Length> x =
         profile.first_fit(it.width, it.height, budget);
@@ -632,8 +630,7 @@ std::optional<Packing> reference_first_fit(const Instance& inst,
 /// The smallest budget in [lower bound, greedy-h peak] first fit meets, by
 /// bisection; the greedy-h packing when none below its peak does.
 Packing reference_first_fit_search(const Instance& inst) {
-  const Packing greedy =
-      reference_greedy(inst, [](const Item& it) { return it.height; });
+  const Packing greedy = reference_greedy(inst, kByHeight);
   Height lo = combined_lower_bound(inst);
   Height hi = peak_height(inst, greedy);
   std::optional<Packing> best;
@@ -650,8 +647,7 @@ Packing reference_first_fit_search(const Instance& inst) {
 }
 
 void expect_placements_match_reference(const Instance& inst) {
-  const Packing greedy_h =
-      reference_greedy(inst, [](const Item& it) { return it.height; });
+  const Packing greedy_h = reference_greedy(inst, kByHeight);
   EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight),
             greedy_h)
       << inst.summary();
@@ -661,7 +657,8 @@ void expect_placements_match_reference(const Instance& inst) {
   EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingWidth),
             reference_greedy(inst, [](const Item& it) { return it.width; }))
       << inst.summary();
-  // Budgets below, at and above the interesting range.
+  // Budgets just below the lower bound, at it, halfway to the greedy-h
+  // peak and at that peak.
   const Height lb = combined_lower_bound(inst);
   const Height greedy_peak = peak_height(inst, greedy_h);
   for (const Height budget :
