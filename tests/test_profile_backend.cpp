@@ -67,16 +67,63 @@ TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
 }
 
 // --- unit cases -------------------------------------------------------------
+//
+// Every unit case runs on an all-zero profile obtained three ways, one per
+// way a placement comes by its profile: freshly constructed, reused through
+// reset() after heavy use (solve54's one profile across the bisection), and
+// copy-assigned over a used profile of another width (Profile is a value
+// type).  Each must behave exactly like the fresh one.
 
-TEST(ProfileOps, EmptyStripHasZeroPeak) {
-  const Profile p(10);
+enum class Provenance { kFresh, kReset, kCopyAssigned };
+
+/// Leaves a mix of positive, negative and raised runs over the strip.
+void dirty(Profile& p) {
+  const Length w = p.strip_width();
+  p.add(0, w, 3);
+  p.add(w / 2, w - w / 2, 5);
+  p.add(0, 1, -7);
+  p.raise_to(w - 1, 1, 11);
+}
+
+/// An all-zero profile of width `w`, obtained the given way.
+Profile make_profile(Provenance how, Length w) {
+  switch (how) {
+    case Provenance::kFresh:
+      return Profile(w);
+    case Provenance::kReset: {
+      Profile p(w);
+      dirty(p);
+      p.reset();
+      return p;
+    }
+    case Provenance::kCopyAssigned: {
+      Profile p(w + 5);
+      dirty(p);
+      const Profile fresh(w);
+      p = fresh;
+      return p;
+    }
+  }
+  return Profile(w);
+}
+
+class ProfileOps : public ::testing::TestWithParam<Provenance> {
+ protected:
+  [[nodiscard]] Profile make(Length w) const {
+    return make_profile(GetParam(), w);
+  }
+};
+
+TEST_P(ProfileOps, EmptyStripHasZeroPeak) {
+  const Profile p = make(10);
+  EXPECT_EQ(p.strip_width(), 10);
   EXPECT_EQ(p.peak(), 0);
   EXPECT_EQ(window_max(p, 0, 10), 0);
   EXPECT_EQ(p.next_change(0), 10);
 }
 
-TEST(ProfileOps, SingleAdd) {
-  Profile p(10);
+TEST_P(ProfileOps, SingleAdd) {
+  Profile p = make(10);
   p.add(2, 5, 5);
   EXPECT_EQ(p.peak(), 5);
   EXPECT_EQ(window_max(p, 0, 2), 0);
@@ -96,8 +143,8 @@ TEST(ProfileOps, SingleAdd) {
   EXPECT_EQ(p.min_peak_position(10).window_max, 5);
 }
 
-TEST(ProfileOps, StackedAdds) {
-  Profile p(8);
+TEST_P(ProfileOps, StackedAdds) {
+  Profile p = make(8);
   p.add(0, 8, 1);
   p.add(2, 4, 2);
   p.add(4, 1, 3);
@@ -107,16 +154,16 @@ TEST(ProfileOps, StackedAdds) {
   EXPECT_EQ(p.peak(), 6);
 }
 
-TEST(ProfileOps, RemovalRestoresState) {
-  Profile p(8);
+TEST_P(ProfileOps, RemovalRestoresState) {
+  Profile p = make(8);
   p.add(1, 4, 4);
   p.remove(1, 4, 4);
   EXPECT_EQ(p.peak(), 0);
   EXPECT_EQ(p.next_change(0), 8);
 }
 
-TEST(ProfileOps, RejectsBadRanges) {
-  Profile p(8);
+TEST_P(ProfileOps, RejectsBadRanges) {
+  Profile p = make(8);
   EXPECT_THROW(p.add(-1, 4, 1), InvalidInput);
   EXPECT_THROW(p.add(3, 0, 1), InvalidInput);
   EXPECT_THROW(p.raise_to(6, 3, 1), InvalidInput);
@@ -125,9 +172,9 @@ TEST(ProfileOps, RejectsBadRanges) {
   EXPECT_THROW(static_cast<void>(Profile(0)), InvalidInput);
 }
 
-TEST(ProfileOps, NonPowerOfTwoWidths) {
+TEST_P(ProfileOps, NonPowerOfTwoWidths) {
   for (const Length w : {1, 3, 7, 13, 100}) {
-    Profile p(w);
+    Profile p = make(w);
     p.add(0, w, 2);
     EXPECT_EQ(p.peak(), 2) << "w=" << w;
     EXPECT_EQ(p.min_peak_position(w).window_max, 2) << "w=" << w;
@@ -137,8 +184,8 @@ TEST(ProfileOps, NonPowerOfTwoWidths) {
   }
 }
 
-TEST(ProfileOps, LoadAtOutsideTheStripThrowsInvalidInput) {
-  Profile p(8);
+TEST_P(ProfileOps, LoadAtOutsideTheStripThrowsInvalidInput) {
+  Profile p = make(8);
   p.add(0, 8, 3);
   EXPECT_EQ(p.load_at(0), 3);
   EXPECT_EQ(p.load_at(7), 3);
@@ -146,8 +193,8 @@ TEST(ProfileOps, LoadAtOutsideTheStripThrowsInvalidInput) {
   EXPECT_THROW(static_cast<void>(p.load_at(8)), InvalidInput);
 }
 
-TEST(ProfileOps, FirstFitMatchesContract) {
-  Profile p(10);
+TEST_P(ProfileOps, FirstFitMatchesContract) {
+  Profile p = make(10);
   // Profile: [0,4) at 5, [4,7) empty, [7,10) at 2.
   p.add(0, 4, 5);
   p.add(7, 3, 2);
@@ -159,8 +206,8 @@ TEST(ProfileOps, FirstFitMatchesContract) {
   EXPECT_EQ(p.first_fit(10, 2, 6), std::nullopt);  // full width, over budget
 }
 
-TEST(ProfileOps, MinPeakPositionPrefersValleys) {
-  Profile p(9);
+TEST_P(ProfileOps, MinPeakPositionPrefersValleys) {
+  Profile p = make(9);
   p.add(0, 3, 4);
   p.add(6, 3, 2);
   const auto best = p.min_peak_position(3);
@@ -172,8 +219,8 @@ TEST(ProfileOps, MinPeakPositionPrefersValleys) {
   EXPECT_EQ(next.window_max, 2);
 }
 
-TEST(ProfileOps, RaiseToLiftsWindow) {
-  Profile p(8);
+TEST_P(ProfileOps, RaiseToLiftsWindow) {
+  Profile p = make(8);
   p.add(2, 2, 5);
   p.raise_to(0, 6, 3);
   EXPECT_EQ(p.load_at(0), 3);
@@ -183,8 +230,8 @@ TEST(ProfileOps, RaiseToLiftsWindow) {
   EXPECT_EQ(p.peak(), 5);
 }
 
-TEST(ProfileOps, CopiesAreIndependent) {
-  Profile original(12);
+TEST_P(ProfileOps, CopiesAreIndependent) {
+  Profile original = make(12);
   original.add(2, 6, 4);
   Profile copy = original;
   copy.raise_to(0, 12, 9);
@@ -193,6 +240,22 @@ TEST(ProfileOps, CopiesAreIndependent) {
   EXPECT_EQ(copy.load_at(0), 9);
   EXPECT_EQ(copy.next_change(0), 12);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Provenance, ProfileOps,
+    ::testing::Values(Provenance::kFresh, Provenance::kReset,
+                      Provenance::kCopyAssigned),
+    [](const ::testing::TestParamInfo<Provenance>& info) -> std::string {
+      switch (info.param) {
+        case Provenance::kFresh:
+          return "fresh";
+        case Provenance::kReset:
+          return "reset";
+        case Provenance::kCopyAssigned:
+          return "copy_assigned";
+      }
+      return "unknown";
+    });
 
 // --- the column-by-column reference ----------------------------------------
 //
