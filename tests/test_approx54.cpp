@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <iterator>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "approx/config_lp.hpp"
@@ -248,6 +250,108 @@ TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
         << instance.summary();
   }
 }
+
+/// Folds one value into a running checksum (bench_parallel_scaling's mix).
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+struct Solve54PinFamily {
+  const char* name;
+  std::uint64_t seed;
+  int instances;  ///< each solved at three epsilons
+  std::size_t min_lp_used;        ///< solves whose best guess used the LP
+  std::size_t min_multi_attempt;  ///< solves that made a second attempt
+  std::uint64_t pin;
+};
+
+void PrintTo(const Solve54PinFamily& family, std::ostream* os) {
+  *os << family.name;
+}
+
+/// n in [10, 120] on W in [32, 512], or the exact-solver scale n = 6,
+/// W = 12 for the small families (where the floor probe fails often enough
+/// to reach a second attempt).
+Instance solve54_pin_instance(const std::string& family, Rng& rng) {
+  if (family == "small_uniform") return gen::random_uniform(6, 12, 6, 10, rng);
+  if (family == "small_tall") return gen::tall_items(6, 12, 10, rng);
+  const auto n = static_cast<std::size_t>(rng.uniform(10, 120));
+  const Length w = rng.uniform(32, 512);
+  if (family == "uniform") return gen::random_uniform(n, w, w / 4, 100, rng);
+  if (family == "tall") return gen::tall_items(n, w, 100, rng);
+  if (family == "wide") return gen::wide_items(n, w, 20, rng);
+  if (family == "correlated") return gen::correlated(n, w, w / 4, 100, rng);
+  if (family == "perfect") return gen::perfect_packing(n, w, 200, rng);
+  return gen::smart_grid(n, w, rng);
+}
+
+class Solve54Pin : public ::testing::TestWithParam<Solve54PinFamily> {};
+
+TEST_P(Solve54Pin, ChecksumIsPinned) {
+  // Every start, pipeline_peak, attempts and lp_* report field of each
+  // solve at eps in {1/4, 1/8, 1/20}, folded in order.  The floor counts
+  // keep the pin covering the Lemma-10 LP (tall) and the bisection's later
+  // attempts (small): a generator change that stops reaching them fails
+  // here instead of silently shrinking the pin.  Re-record only for a
+  // deliberate change to the algorithm.
+  const Solve54PinFamily& family = GetParam();
+  Rng rng(family.seed);
+  std::uint64_t checksum = 0;
+  std::size_t lp_used = 0;
+  std::size_t multi_attempt = 0;
+  for (int round = 0; round < family.instances; ++round) {
+    const Instance inst = solve54_pin_instance(family.name, rng);
+    for (const Fraction eps :
+         {Fraction(1, 4), Fraction(1, 8), Fraction(1, 20)}) {
+      Approx54Params params;
+      params.epsilon = eps;
+      const Approx54Result result = solve54(inst, params);
+      const Approx54Report& report = result.report;
+      for (const Length start : result.packing.start) {
+        checksum = mix(checksum, static_cast<std::uint64_t>(start));
+      }
+      checksum = mix(checksum, static_cast<std::uint64_t>(result.peak));
+      checksum =
+          mix(checksum, static_cast<std::uint64_t>(report.pipeline_peak));
+      checksum = mix(checksum, report.attempts);
+      checksum = mix(checksum, report.lp_used ? 1 : 0);
+      checksum = mix(checksum, report.lp_configurations);
+      checksum = mix(checksum, report.lp_pricing_rounds);
+      checksum = mix(checksum, report.lp_capped ? 1 : 0);
+      checksum = mix(checksum, report.lp_overflow);
+      lp_used += report.lp_used ? 1 : 0;
+      multi_attempt += report.attempts > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GE(lp_used, family.min_lp_used);
+  EXPECT_GE(multi_attempt, family.min_multi_attempt);
+  EXPECT_EQ(checksum, family.pin)
+      << "lp_used " << lp_used << " multi_attempt " << multi_attempt;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, Solve54Pin,
+    ::testing::Values(
+        Solve54PinFamily{"uniform", 29001, 200, 0, 0,
+                         2415448745097680294ull},
+        Solve54PinFamily{"tall", 29002, 1200, 20, 0,
+                         11539846382973702211ull},
+        Solve54PinFamily{"wide", 29003, 200, 0, 0,
+                         6321870101629574891ull},
+        Solve54PinFamily{"correlated", 29004, 200, 0, 0,
+                         17039095874240454806ull},
+        Solve54PinFamily{"perfect", 29005, 200, 0, 10,
+                         14698781499667605960ull},
+        Solve54PinFamily{"smart_grid", 29006, 200, 0, 0,
+                         15556848410267577370ull},
+        Solve54PinFamily{"small_uniform", 29007, 1500, 0, 10,
+                         12136880371280126981ull},
+        Solve54PinFamily{"small_tall", 29008, 1500, 0, 10,
+                         11084143156406489610ull}),
+    [](const ::testing::TestParamInfo<Solve54PinFamily>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Solve54, SoundOnRandomInstances) {
   Rng rng(1234);

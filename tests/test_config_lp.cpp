@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,6 +125,95 @@ TEST(ConfigLpEngines, ReusedScratchMatchesFreshScratch) {
     }
   }
 }
+
+/// Folds one value into a running checksum (bench_parallel_scaling's mix).
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+/// Every observable field of one fill, folded in a fixed order.
+std::uint64_t fold_fill(std::uint64_t h, const VerticalFillResult& fill) {
+  for (const Length start : fill.start) {
+    h = mix(h, static_cast<std::uint64_t>(start));
+  }
+  h = mix(h, fill.overflow.size());
+  for (const std::size_t k : fill.overflow) h = mix(h, k);
+  h = mix(h, fill.configurations);
+  h = mix(h, fill.nonzero_configs);
+  h = mix(h, fill.pricing_rounds);
+  h = mix(h, fill.lp_pivots);
+  h = mix(h, fill.capped ? 1 : 0);
+  h = mix(h, fill.lp_solved ? 1 : 0);
+  return mix(h, std::bit_cast<std::uint64_t>(fill.lp_objective));
+}
+
+struct FillPinCase {
+  const char* name;
+  ConfigLpEngine engine;
+  std::size_t max_configs;
+  int width_scale;  ///< gen::ConfigLpScenarioParams::width_scale
+  std::uint64_t pin;
+};
+
+void PrintTo(const FillPinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+class FillVerticalItemsPin : public ::testing::TestWithParam<FillPinCase> {};
+
+TEST_P(FillVerticalItemsPin, ChecksumIsPinned) {
+  // 400 random scenarios per engine x column cap x box-width regime: every
+  // start, overflow index, count, valve flag and the LP objective's bits.
+  // A cap of 12 trims dense enumeration and stops column generation early,
+  // so the capped paths are pinned too.  Re-record only for a deliberate
+  // change to the Lemma-10 LP.
+  const FillPinCase& pin_case = GetParam();
+  Rng rng(2029);
+  std::uint64_t checksum = 0;
+  std::size_t solved = 0;
+  std::size_t capped = 0;
+  for (int round = 0; round < 400; ++round) {
+    gen::ConfigLpScenarioParams scenario_params;
+    scenario_params.classes = static_cast<int>(rng.uniform(2, 6));
+    scenario_params.width_scale = pin_case.width_scale;
+    const Scenario scenario = gen::config_lp_scenario(scenario_params, rng);
+    const VerticalFillResult fill =
+        run_engine(scenario, pin_case.engine, pin_case.max_configs);
+    checksum = fold_fill(checksum, fill);
+    solved += fill.lp_solved ? 1 : 0;
+    capped += fill.capped ? 1 : 0;
+  }
+  EXPECT_GT(solved, 0u);
+  if (pin_case.max_configs < 4096) {
+    EXPECT_GT(capped, 0u);
+  }
+  EXPECT_EQ(checksum, pin_case.pin) << "solved " << solved << " capped "
+                                    << capped;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, FillVerticalItemsPin,
+    ::testing::Values(
+        FillPinCase{"dense_cap4096_w1", ConfigLpEngine::kDenseEnumeration,
+                    4096, 1, 12725415962357379161ull},
+        FillPinCase{"dense_cap4096_w4", ConfigLpEngine::kDenseEnumeration,
+                    4096, 4, 1640898142207535969ull},
+        FillPinCase{"dense_cap12_w1", ConfigLpEngine::kDenseEnumeration, 12,
+                    1, 6587468475451223552ull},
+        FillPinCase{"dense_cap12_w4", ConfigLpEngine::kDenseEnumeration, 12,
+                    4, 17735594167278076000ull},
+        FillPinCase{"cg_cap4096_w1", ConfigLpEngine::kColumnGeneration, 4096,
+                    1, 16469854302796261745ull},
+        FillPinCase{"cg_cap4096_w4", ConfigLpEngine::kColumnGeneration, 4096,
+                    4, 16708398000006034277ull},
+        FillPinCase{"cg_cap12_w1", ConfigLpEngine::kColumnGeneration, 12, 1,
+                    14987168527299361630ull},
+        FillPinCase{"cg_cap12_w4", ConfigLpEngine::kColumnGeneration, 12, 4,
+                    4361269976311552050ull}),
+    [](const ::testing::TestParamInfo<FillPinCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ConfigLpEngines, ColumnGenerationSurvivesTheDenseCapCliff) {
   // Eight height classes, one unit-width item each, one box: the only
