@@ -196,11 +196,10 @@ std::vector<Row> run_suite(bool smoke) {
     }
     rows.push_back(time_kernel("pricing_dp", 0, 32, smoke ? 1 : 21,
                                [&](std::uint64_t& fold) {
-      approx::PricingScratch scratch;
       for (std::size_t q = 0; q < 32; ++q) {
         const auto capacity = static_cast<Height>(500 + 250 * q);
         const approx::PricedConfig priced =
-            approx::price_knapsack(heights, values, capacity, scratch);
+            approx::price_knapsack(heights, values, capacity);
         for (const int c : priced.config) {
           fold = mix(fold, static_cast<std::uint64_t>(c));
         }

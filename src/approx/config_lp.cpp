@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
-#include <span>
+#include <set>
 #include <utility>
 
 #include "lp/simplex.hpp"
@@ -14,82 +13,10 @@ namespace dsp::approx {
 
 namespace {
 
-/// One master-LP column: configuration `config` (an id into the flat
-/// ConfigPool) run in box `box`.  No per-column Config copy is ever made.
+/// One master-LP column: configuration `config` run in box `box`.
 struct MasterColumn {
   std::size_t box;
-  std::size_t config;
-};
-
-/// Flat SoA store of configurations: `classes` ints per row, all rows
-/// contiguous in one buffer (VerticalFillScratch::config_storage), plus a
-/// hash-indexed exact dedup of (box, config) pairs.  Replaces the node-based
-/// std::set<std::pair<box, Config>> store: appending is a bump into the flat
-/// buffer and dedup probes never chase per-node allocations.
-class ConfigPool {
- public:
-  ConfigPool(VerticalFillScratch& scratch, std::size_t classes)
-      : scratch_(scratch), classes_(classes) {
-    scratch_.config_storage.clear();
-    scratch_.dedup.clear();
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    return classes_ == 0 ? 0 : scratch_.config_storage.size() / classes_;
-  }
-
-  [[nodiscard]] std::span<const int> row(std::size_t id) const {
-    return {scratch_.config_storage.data() + id * classes_, classes_};
-  }
-
-  /// Appends `config` for `box` unless that exact (box, config) pair exists;
-  /// returns the config id and whether it was newly inserted for the box.
-  std::pair<std::size_t, bool> intern(std::size_t box, const Config& config) {
-    const std::uint64_t h = hash(box, config);
-    auto& bucket = scratch_.dedup[h];
-    for (const auto& [seen_box, id] : bucket) {
-      if (seen_box == box && std::equal(config.begin(), config.end(),
-                                        row(id).begin(), row(id).end())) {
-        return {id, false};
-      }
-    }
-    // Content may already be stored for another box; reuse that row.
-    std::size_t id = size();
-    for (const auto& [seen_box, seen_id] : bucket) {
-      if (std::equal(config.begin(), config.end(), row(seen_id).begin(),
-                     row(seen_id).end())) {
-        id = seen_id;
-        break;
-      }
-    }
-    if (id == size()) {
-      scratch_.config_storage.insert(scratch_.config_storage.end(),
-                                     config.begin(), config.end());
-    }
-    bucket.emplace_back(box, id);
-    return {id, true};
-  }
-
- private:
-  /// SplitMix64-style content hash over (box, counts).  Collisions are
-  /// resolved exactly above, so the hash only affects bucket shape.
-  [[nodiscard]] static std::uint64_t hash(std::size_t box,
-                                          const Config& config) {
-    auto mix = [](std::uint64_t x) {
-      x += 0x9e3779b97f4a7c15ull;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-      return x ^ (x >> 31);
-    };
-    std::uint64_t h = mix(box + 1);
-    for (const int c : config) {
-      h = mix(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(c)));
-    }
-    return h;
-  }
-
-  VerticalFillScratch& scratch_;
-  std::size_t classes_;
+  Config config;
 };
 
 /// Enumerates multisets of heights with total <= capacity (including the
@@ -170,7 +97,7 @@ void realize_solution(const Instance& instance,
                       const std::vector<std::size_t>& items,
                       const ClassSetup& setup, const std::vector<GapBox>& boxes,
                       const std::vector<MasterColumn>& columns,
-                      const ConfigPool& pool, const std::vector<double>& x,
+                      const std::vector<double>& x,
                       VerticalFillResult* result) {
   std::vector<std::vector<std::size_t>> queue(setup.heights.size());
   for (std::size_t k = 0; k < items.size(); ++k) {
@@ -190,7 +117,7 @@ void realize_solution(const Instance& instance,
     ++result->nonzero_configs;
     const MasterColumn& col = columns[j];
     const GapBox& box = boxes[col.box];
-    const std::span<const int> config = pool.row(col.config);
+    const Config& config = col.config;
     // Floor, with an epsilon so a basic value of 1 - 1e-15 still yields its
     // full lane (genuinely fractional mass stays in the overflow path).
     const auto seg_width = static_cast<Length>(x[j] + 1e-6);
@@ -238,32 +165,22 @@ std::vector<double> master_rhs(const std::vector<GapBox>& boxes,
 /// Reference oracle: enumerate-then-solve over the full (capped) column set.
 void run_dense(const Instance& instance, const std::vector<std::size_t>& items,
                const ClassSetup& setup, const std::vector<GapBox>& boxes,
-               const VerticalFillParams& params, VerticalFillScratch& scratch,
-               VerticalFillResult* result) {
-  ConfigPool pool(scratch, setup.heights.size());
-  // Configuration ids per distinct capacity.
-  std::map<Height, std::vector<std::size_t>> configs_by_capacity;
+               const VerticalFillParams& params, VerticalFillResult* result) {
+  std::map<Height, std::vector<Config>> configs_by_capacity;
   const std::size_t per_capacity = std::max<std::size_t>(
       16, params.max_configs / std::max<std::size_t>(1, boxes.size()));
   for (const GapBox& box : boxes) {
     if (!configs_by_capacity.contains(box.capacity)) {
-      std::vector<std::size_t>& ids = configs_by_capacity[box.capacity];
-      for (const Config& c : enumerate_configs(setup.heights, box.capacity,
-                                               per_capacity,
-                                               &result->capped)) {
-        // Interned under a per-capacity pseudo-box so identical content
-        // shared across capacities stores once.
-        ids.push_back(
-            pool.intern(boxes.size() + configs_by_capacity.size(), c).first);
-      }
+      configs_by_capacity[box.capacity] = enumerate_configs(
+          setup.heights, box.capacity, per_capacity, &result->capped);
     }
   }
 
   // Build the LP: one column per (box, config) pair.
   std::vector<MasterColumn> columns;
   for (std::size_t b = 0; b < boxes.size(); ++b) {
-    for (const std::size_t id : configs_by_capacity[boxes[b].capacity]) {
-      columns.push_back(MasterColumn{b, id});
+    for (const Config& config : configs_by_capacity[boxes[b].capacity]) {
+      columns.push_back(MasterColumn{b, config});
     }
   }
   result->configurations = columns.size();
@@ -275,12 +192,11 @@ void run_dense(const Instance& instance, const std::vector<std::size_t>& items,
   problem.c.assign(columns.size(), 0.0);
   for (std::size_t j = 0; j < columns.size(); ++j) {
     const MasterColumn& col = columns[j];
-    const std::span<const int> config = pool.row(col.config);
     problem.a[col.box][j] = 1.0;
     Height used = 0;
     for (std::size_t h = 0; h < setup.heights.size(); ++h) {
-      problem.a[boxes.size() + h][j] = static_cast<double>(config[h]);
-      used += static_cast<Height>(config[h]) * setup.heights[h];
+      problem.a[boxes.size() + h][j] = static_cast<double>(col.config[h]);
+      used += static_cast<Height>(col.config[h]) * setup.heights[h];
     }
     // Objective: prefer tight configurations (minimize wasted capacity).
     problem.c[j] = static_cast<double>(boxes[col.box].capacity - used);
@@ -295,8 +211,7 @@ void run_dense(const Instance& instance, const std::vector<std::size_t>& items,
   if (solution.status != lp::LpStatus::kOptimal) return;
   result->lp_solved = true;
   result->lp_objective = solution.objective;
-  realize_solution(instance, items, setup, boxes, columns, pool, solution.x,
-                   result);
+  realize_solution(instance, items, setup, boxes, columns, solution.x, result);
 }
 
 /// Column generation: seed with the empty configurations, then iterate
@@ -310,20 +225,17 @@ void run_column_generation(const Instance& instance,
                            const ClassSetup& setup,
                            const std::vector<GapBox>& boxes,
                            const VerticalFillParams& params,
-                           VerticalFillScratch& scratch,
                            VerticalFillResult* result) {
   const std::size_t nb = boxes.size();
   const std::size_t nh = setup.heights.size();
   lp::ColumnLp master(master_rhs(boxes, setup));
 
-  ConfigPool pool(scratch, nh);
+  // Every (box, config) pair enters the master at most once.
+  std::set<std::pair<std::size_t, Config>> seen;
   std::vector<MasterColumn> columns;
-  std::vector<double>& entries = scratch.entries;
-  entries.assign(nb + nh, 0.0);
   const auto add_column = [&](std::size_t b, const Config& config) {
-    const auto [id, inserted] = pool.intern(b, config);
-    if (!inserted) return false;
-    std::fill(entries.begin(), entries.end(), 0.0);
+    if (!seen.emplace(b, config).second) return false;
+    std::vector<double> entries(nb + nh, 0.0);
     entries[b] = 1.0;
     Height used = 0;
     for (std::size_t h = 0; h < nh; ++h) {
@@ -332,7 +244,7 @@ void run_column_generation(const Instance& instance,
     }
     master.add_column(entries,
                       static_cast<double>(boxes[b].capacity - used));
-    columns.push_back(MasterColumn{b, id});
+    columns.push_back(MasterColumn{b, config});
     return true;
   };
   const Config empty_config(nh, 0);
@@ -346,7 +258,6 @@ void run_column_generation(const Instance& instance,
     boxes_by_capacity[boxes[b].capacity].push_back(b);
   }
 
-  std::vector<double>& values = scratch.values;
   for (;;) {
     // One span per CG round (resolve + price + add), with the LP resolve
     // nested inside — the trace shows exactly where a round's time went.
@@ -369,15 +280,14 @@ void run_column_generation(const Instance& instance,
       break;
     }
     const std::vector<double>& y = feasible ? sol.duals : master.farkas();
-    values.assign(nh, 0.0);
+    std::vector<double> values(nh);
     for (std::size_t h = 0; h < nh; ++h) {
       values[h] = feasible ? static_cast<double>(setup.heights[h]) + y[nb + h]
                            : y[nb + h];
     }
     bool added = false;
     for (const auto& [capacity, box_list] : boxes_by_capacity) {
-      const PricedConfig price =
-          price_knapsack(setup.heights, values, capacity, scratch.pricing);
+      const PricedConfig price = price_knapsack(setup.heights, values, capacity);
       if (!price.exact) result->capped = true;
       for (const std::size_t b : box_list) {
         const bool improving =
@@ -401,8 +311,8 @@ void run_column_generation(const Instance& instance,
   if (final_solution.status != lp::LpStatus::kOptimal) return;
   result->lp_solved = true;
   result->lp_objective = final_solution.objective;
-  realize_solution(instance, items, setup, boxes, columns, pool,
-                   final_solution.x, result);
+  realize_solution(instance, items, setup, boxes, columns, final_solution.x,
+                   result);
 }
 
 }  // namespace
@@ -424,15 +334,11 @@ VerticalFillResult fill_vertical_items(const Instance& instance,
     return result;
   }
 
-  VerticalFillScratch local_scratch;
-  VerticalFillScratch& scratch =
-      params.scratch != nullptr ? *params.scratch : local_scratch;
   const ClassSetup setup = build_classes(instance, items, rounding);
   if (params.engine == ConfigLpEngine::kDenseEnumeration) {
-    run_dense(instance, items, setup, boxes, params, scratch, &result);
+    run_dense(instance, items, setup, boxes, params, &result);
   } else {
-    run_column_generation(instance, items, setup, boxes, params, scratch,
-                          &result);
+    run_column_generation(instance, items, setup, boxes, params, &result);
   }
   if (!result.lp_solved) {
     result.start.assign(items.size(), -1);

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "approx/pricing.hpp"
@@ -34,25 +33,6 @@ enum class ConfigLpEngine {
   kColumnGeneration,
 };
 
-/// Reusable buffers of fill_vertical_items: the flat configuration store,
-/// its dedup index, the pricing scratch and the hoisted per-round vectors.
-/// A solve54 bisection passes one scratch to every attempt so repeated
-/// attempts stop re-allocating; every call fully re-derives the contents,
-/// so reuse never changes a result (tested).
-struct VerticalFillScratch {
-  /// Flat SoA configuration store: one row of `classes` ints per
-  /// configuration, all rows in one contiguous buffer.
-  std::vector<int> config_storage;
-  /// Content hash -> candidate (box, config id) pairs, verified exactly.
-  // det-lint: allow(unordered-container): probed by key only (dedup[h] in
-  // intern_config); never iterated, so its order cannot reach a result.
-  std::unordered_map<std::uint64_t, std::vector<std::pair<std::size_t, std::size_t>>>
-      dedup;
-  PricingScratch pricing;                ///< the knapsack DP buffers
-  std::vector<double> values;           ///< per-class pricing values
-  std::vector<double> entries;          ///< master-column build buffer
-};
-
 /// Parameters of fill_vertical_items.
 struct VerticalFillParams {
   ConfigLpEngine engine = ConfigLpEngine::kColumnGeneration;
@@ -63,9 +43,6 @@ struct VerticalFillParams {
   std::size_t max_configs = 4096;
   /// Column generation: safety valve on generate -> re-solve rounds.
   std::size_t max_pricing_rounds = 64;
-  /// Optional reusable buffers (see VerticalFillScratch).  nullptr uses a
-  /// call-local scratch — same results, more allocator traffic.
-  VerticalFillScratch* scratch = nullptr;
 };
 
 /// Result of the Lemma-10 configuration-LP placement of vertical items.

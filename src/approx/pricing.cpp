@@ -5,20 +5,16 @@
 namespace dsp::approx {
 
 PricedConfig price_knapsack(std::span<const Height> heights,
-                            std::span<const double> values, Height capacity,
-                            PricingScratch& scratch) {
+                            std::span<const double> values, Height capacity) {
   PricedConfig best;
   best.config.assign(heights.size(), 0);
 
   // Batch the contributing classes into flat SoA arrays: weight (height /
   // gcd), value and class index, in ascending class order (the
   // determinism-bearing scan order of the DP below).
-  std::vector<std::size_t>& entry_class = scratch.entry_class;
-  std::vector<std::size_t>& entry_weight = scratch.entry_weight;
-  std::vector<double>& entry_value = scratch.entry_value;
-  entry_class.clear();
-  entry_weight.clear();
-  entry_value.clear();
+  std::vector<std::size_t> entry_class;
+  std::vector<std::size_t> entry_weight;
+  std::vector<double> entry_value;
   Height g = 0;
   for (std::size_t c = 0; c < heights.size(); ++c) {
     if (values[c] > 1e-9 && heights[c] > 0 && heights[c] <= capacity) {
@@ -38,10 +34,8 @@ PricedConfig price_knapsack(std::span<const Height> heights,
     best.exact = false;
   }
 
-  std::vector<double>& dp = scratch.dp;
-  std::vector<int>& choice = scratch.choice;
-  dp.assign(cells + 1, 0.0);
-  choice.assign(cells + 1, -1);  // -1: inherit w - 1
+  std::vector<double> dp(cells + 1, 0.0);
+  std::vector<int> choice(cells + 1, -1);  // -1: inherit w - 1
   for (std::size_t w = 1; w <= cells; ++w) {
     double best_w = dp[w - 1];
     int best_choice = -1;

@@ -28,18 +28,6 @@ struct PricedConfig {
 /// the clamp is never hit (it guards degenerate huge-capacity inputs).
 inline constexpr std::size_t kPricingDpCellLimit = std::size_t{1} << 18;
 
-/// Reusable pricing buffers: the batched entry arrays and the DP rows are
-/// resized per call and keep their capacity, so a column-generation loop
-/// pricing dozens of rounds (x capacities x bisection attempts) stops
-/// allocating after warm-up.  One scratch per concurrent pricing task.
-struct PricingScratch {
-  std::vector<std::size_t> entry_class;   ///< contributing class index
-  std::vector<std::size_t> entry_weight;  ///< its height / gcd
-  std::vector<double> entry_value;        ///< its dual value
-  std::vector<double> dp;                 ///< best value per capacity cell
-  std::vector<int> choice;  ///< entry chosen at each cell, -1 = inherit
-};
-
 /// Exact pricing oracle: bounded knapsack over the rounded height classes
 /// (counts limited only by capacity, as in the configuration definition).
 /// Deterministic: classes are scanned in ascending index order and only a
@@ -54,7 +42,6 @@ struct PricingScratch {
 /// arithmetic.
 [[nodiscard]] PricedConfig price_knapsack(std::span<const Height> heights,
                                           std::span<const double> values,
-                                          Height capacity,
-                                          PricingScratch& scratch);
+                                          Height capacity);
 
 }  // namespace dsp::approx

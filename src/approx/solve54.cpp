@@ -97,14 +97,10 @@ std::vector<GapBox> gap_boxes_of_profile(const Profile& occupancy,
   return boxes;
 }
 
-/// One attempt at the height guess h_guess (steps 3-6 of the algorithm).
-/// `occupancy` must hold the all-zero profile on entry; it and
-/// `fill_scratch` are reused across the bisection (reset() restores the
-/// all-zero profile and the fill scratch is fully re-derived per call, so
-/// reuse changes no result; both tested).
+/// One attempt at the height guess h_guess (steps 3-6 of the algorithm),
+/// packing onto its own empty profile.
 AttemptOutcome attempt(const Instance& instance, Height h_guess,
-                       const Approx54Params& params, Profile& occupancy,
-                       VerticalFillScratch& fill_scratch) {
+                       const Approx54Params& params) {
   AttemptOutcome outcome;
   outcome.cls = select_parameters(instance, h_guess, params.epsilon);
   const Classification& cls = outcome.cls;
@@ -112,6 +108,7 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
   const Height budget =
       ceil_mul(h_guess, Fraction(5, 4) + params.epsilon);
 
+  Profile occupancy(instance.strip_width());
   Packing packing;
   packing.start.assign(instance.size(), -1);
   const auto place = [&](std::size_t i, Length x) {
@@ -150,10 +147,8 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
     }
     const std::vector<GapBox> gaps = gap_boxes_of_profile(
         occupancy, budget, min_vertical, kMaxGapBoxes);
-    VerticalFillParams fill_params;
-    fill_params.scratch = &fill_scratch;
     const VerticalFillResult fill =
-        fill_vertical_items(instance, vertical, rounding, gaps, fill_params);
+        fill_vertical_items(instance, vertical, rounding, gaps);
     outcome.lp_used = fill.lp_solved;
     outcome.lp_configurations = fill.configurations;
     outcome.lp_pricing_rounds = fill.pricing_rounds;
@@ -231,10 +226,6 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Height best_peak = witness_peak;
   Height best_pipeline_peak = std::numeric_limits<Height>::max();
 
-  // One profile and one fill scratch serve every attempt.
-  Profile occupancy(instance.strip_width());
-  VerticalFillScratch fill_scratch;
-
   // Step 2: binary search over H'.  Round 1 is the floor probe
   // H' = lower bound (lower bound <= witness peak always): success ends the
   // search there, failure raises the floor past it.  Later rounds probe the
@@ -243,13 +234,12 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   Height hi = witness_peak;
   std::optional<AttemptOutcome> best_outcome;
   const auto probe = [&](Height guess) {
-    if (report.attempts > 0) occupancy.reset();
     ++report.rounds;
     ++report.attempts;
     AttemptOutcome outcome;
     {
       const obs::ScopedSpan span(obs::Phase::kAttempt, &outcome.attempt_nanos);
-      outcome = attempt(instance, guess, params, occupancy, fill_scratch);
+      outcome = attempt(instance, guess, params);
     }
     report.attempt_nanos += outcome.attempt_nanos;
     report.pricing_nanos += outcome.pricing_nanos;

@@ -8,9 +8,9 @@
 
 namespace dsp {
 
-Profile::Profile(Length strip_width) : width_(strip_width) {
+Profile::Profile(Length strip_width)
+    : width_(strip_width), starts_{0}, heights_{0} {
   DSP_REQUIRE(strip_width >= 1, "strip width must be >= 1");
-  reset();
 }
 
 std::size_t Profile::run_of(Length x) const {
@@ -64,11 +64,6 @@ Height Profile::peak() const {
 Height Profile::load_at(Length x) const {
   DSP_REQUIRE(0 <= x && x < width_, "load_at outside the strip");
   return heights_[run_of(x)];
-}
-
-void Profile::reset() {
-  starts_.assign(1, 0);
-  heights_.assign(1, 0);
 }
 
 void Profile::add(Length start, Length width, Height height) {

@@ -33,10 +33,6 @@ class Profile {
   [[nodiscard]] Height peak() const;
   [[nodiscard]] Height load_at(Length x) const;
 
-  /// Restores the all-zero profile while retaining the run buffers, so one
-  /// profile serves every solve54 bisection attempt.
-  void reset();
-
   /// Adds an item of the given width/height starting at `start`.
   void add(Length start, Length width, Height height);
   /// Removes a previously added item (no bookkeeping: caller's contract).

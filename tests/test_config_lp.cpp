@@ -99,33 +99,6 @@ TEST(ConfigLpEngines, ColumnGenerationMatchesDenseOnRandomScenarios) {
   }
 }
 
-TEST(ConfigLpEngines, ReusedScratchMatchesFreshScratch) {
-  // solve54 threads one VerticalFillScratch through every attempt of its
-  // bisection; a scratch left dirty by earlier (larger or smaller)
-  // scenarios must not move a single start.
-  Rng rng(203);
-  VerticalFillScratch shared;
-  for (int round = 0; round < 12; ++round) {
-    const Scenario scenario = random_scenario(rng, 2 + round % 5);
-    for (const ConfigLpEngine engine : {ConfigLpEngine::kDenseEnumeration,
-                                        ConfigLpEngine::kColumnGeneration}) {
-      const VerticalFillResult fresh = run_engine(scenario, engine);
-      VerticalFillParams params;
-      params.engine = engine;
-      params.scratch = &shared;
-      const VerticalFillResult reused =
-          fill_vertical_items(scenario.instance, scenario.indices,
-                              scenario.rounding, scenario.boxes, params);
-      EXPECT_EQ(reused.start, fresh.start) << "round " << round;
-      EXPECT_EQ(reused.overflow, fresh.overflow);
-      EXPECT_EQ(reused.configurations, fresh.configurations);
-      EXPECT_EQ(reused.pricing_rounds, fresh.pricing_rounds);
-      EXPECT_EQ(reused.lp_solved, fresh.lp_solved);
-      EXPECT_EQ(reused.lp_objective, fresh.lp_objective);
-    }
-  }
-}
-
 /// Folds one value into a running checksum (bench_parallel_scaling's mix).
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);

@@ -68,13 +68,11 @@ TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
 
 // --- unit cases -------------------------------------------------------------
 //
-// Every unit case runs on an all-zero profile obtained three ways, one per
-// way a placement comes by its profile: freshly constructed, reused through
-// reset() after heavy use (solve54's one profile across the bisection), and
-// copy-assigned over a used profile of another width (Profile is a value
-// type).  Each must behave exactly like the fresh one.
+// Every unit case runs on an all-zero profile obtained two ways: freshly
+// constructed, and copy-assigned over a used profile of another width
+// (Profile is a value type).  Each must behave exactly like the fresh one.
 
-enum class Provenance { kFresh, kReset, kCopyAssigned };
+enum class Provenance { kFresh, kCopyAssigned };
 
 /// Leaves a mix of positive, negative and raised runs over the strip.
 void dirty(Profile& p) {
@@ -90,12 +88,6 @@ Profile make_profile(Provenance how, Length w) {
   switch (how) {
     case Provenance::kFresh:
       return Profile(w);
-    case Provenance::kReset: {
-      Profile p(w);
-      dirty(p);
-      p.reset();
-      return p;
-    }
     case Provenance::kCopyAssigned: {
       Profile p(w + 5);
       dirty(p);
@@ -243,14 +235,11 @@ TEST_P(ProfileOps, CopiesAreIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Provenance, ProfileOps,
-    ::testing::Values(Provenance::kFresh, Provenance::kReset,
-                      Provenance::kCopyAssigned),
+    ::testing::Values(Provenance::kFresh, Provenance::kCopyAssigned),
     [](const ::testing::TestParamInfo<Provenance>& info) -> std::string {
       switch (info.param) {
         case Provenance::kFresh:
           return "fresh";
-        case Provenance::kReset:
-          return "reset";
         case Provenance::kCopyAssigned:
           return "copy_assigned";
       }
@@ -322,7 +311,6 @@ class ArrayProfile {
       at(x) = std::max(at(x), target);
     }
   }
-  void reset() { std::fill(load_.begin(), load_.end(), 0); }
 
   /// The leftmost minimizer of the window maxima.
   [[nodiscard]] BestPosition min_peak_position(Length width) const {
@@ -394,9 +382,10 @@ struct ReferencedProfiles {
     reference.raise_to(start, width, target);
     profile.raise_to(start, width, target);
   }
-  void reset() {
-    reference.reset();
-    profile.reset();
+  /// Back to the all-zero profile: both are constructed afresh.
+  void clear() {
+    reference = ArrayProfile(reference.strip_width());
+    profile = Profile(profile.strip_width());
   }
 
   /// min_peak_position for `width` equals the reference's.
@@ -510,7 +499,7 @@ TEST(MinPeakPositionReference, NegativeLoadsLeftByRemove) {
   profiles.remove(12, 2, 7);
   profiles.remove(20, 6, 3);
   profiles.expect_matches_all_widths("negative valleys");
-  profiles.reset();
+  profiles.clear();
   profiles.remove(0, 30, 4);
   profiles.add(10, 5, 1);
   profiles.expect_matches_all_widths("negative floor");
@@ -537,7 +526,7 @@ TEST(MinPeakPositionReference, RandomOperationSequences) {
           profiles.raise_to(start, width, rng.uniform(-3, 12));
           break;
         case 4:
-          if (rng.chance(0.2)) profiles.reset();
+          if (rng.chance(0.2)) profiles.clear();
           break;
       }
       profiles.expect_matches(rng.uniform(1, w), label);
@@ -617,9 +606,9 @@ TEST_P(ReferenceEquivalence, AgreeOnRandomOperations) {
         EXPECT_EQ(got.window_max, want.window_max);
         break;
       }
-      case 6: {  // reset to the empty profile
-        reference.reset();
-        profile.reset();
+      case 6: {  // back to the empty profile
+        reference = ArrayProfile(w);
+        profile = Profile(w);
         placed.clear();
         break;
       }
