@@ -287,7 +287,8 @@ void run_column_generation(const Instance& instance,
     }
     bool added = false;
     for (const auto& [capacity, box_list] : boxes_by_capacity) {
-      const PricedConfig price = price_knapsack(setup.heights, values, capacity);
+      const PricedConfig price =
+          price_knapsack(setup.heights, values, capacity);
       if (!price.exact) result->capped = true;
       for (const std::size_t b : box_list) {
         const bool improving =

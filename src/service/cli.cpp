@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 #include <filesystem>
-#include <ostream>
+#include <fstream>
+#include <iostream>
 
 #include "util/check.hpp"
 #include "util/json_row.hpp"
@@ -20,6 +22,17 @@ std::optional<long long> parse_integer(std::string_view text) {
   // garbage ("4x"), a lone '-', or an out-of-range magnitude.
   if (result.ec != std::errc() || result.ptr != last) return std::nullopt;
   return value;
+}
+
+std::size_t parse_count(const std::string& flag, const std::string& value,
+                        UsageError usage_error) {
+  const std::optional<long long> parsed = parse_integer(value);
+  if (!parsed || *parsed < 0) {
+    usage_error("bad value for " + flag + ": " + value +
+                " (expected a nonnegative integer)");
+    std::exit(1);  // usage_error exits; never reached
+  }
+  return static_cast<std::size_t>(*parsed);
 }
 
 std::optional<ServeEngine> parse_engine(std::string_view name) {
@@ -60,6 +73,18 @@ std::vector<std::string> expand_instance_paths(
     }
   }
   return files;
+}
+
+void write_output_file(std::string_view program, const std::string& path,
+                       std::string_view what,
+                       const std::function<void(std::ostream&)>& body) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (os) body(os);
+  os.flush();
+  if (!os) {
+    std::cerr << program << ": warning: cannot write " << what << " to "
+              << path << "\n";
+  }
 }
 
 std::string_view outcome_name(CacheOutcome outcome) {

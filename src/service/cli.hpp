@@ -1,12 +1,14 @@
 #pragma once
 
 // Helpers shared by the serving executables (dsp_solve, dsp_served): strict
-// flag-value parsing (integers, engine names), instance-path expansion with
-// load-time diagnostics, and the JSON-lines row format both front doors
-// print — dsp_served's client mode must stay byte-identical to dsp_solve so
-// the golden corpus (examples/dsp_solve_expected.jsonl) guards both.
+// flag-value parsing (integers, counts, engine names), instance-path
+// expansion with load-time diagnostics, the --metrics-out / --trace-out
+// file writer, and the JSON-lines row format both front doors print —
+// dsp_served's client mode must stay byte-identical to dsp_solve so the
+// golden corpus (examples/dsp_solve_expected.jsonl) guards both.
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <optional>
@@ -24,6 +26,18 @@ namespace dsp::service {
 /// trailing garbage is a parse failure — "--threads 4x" must be rejected,
 /// not silently served as 4.
 [[nodiscard]] std::optional<long long> parse_integer(std::string_view text);
+
+/// A front door's usage-error handler: prints the message and the usage
+/// text to stderr, then exits with status 1.  Never returns.
+using UsageError = void (*)(const std::string& message);
+
+/// Parses a nonnegative integer flag value with the strict full-string rule
+/// (parse_integer): "--threads 4x" is rejected, not served as 4.  Garbage
+/// goes to `usage_error` as "bad value for FLAG: VALUE (expected a
+/// nonnegative integer)".
+[[nodiscard]] std::size_t parse_count(const std::string& flag,
+                                      const std::string& value,
+                                      UsageError usage_error);
 
 /// The `--engine` flag value: "portfolio" or "solve54" exactly (the
 /// to_string spellings), or nullopt for anything else, including the empty
@@ -46,6 +60,13 @@ inline constexpr std::size_t kMaxCacheMb =
 /// expansion time, not a load failure halfway through serving.
 [[nodiscard]] std::vector<std::string> expand_instance_paths(
     const std::vector<std::string>& paths);
+
+/// Writes `body(os)` to `path` (binary, truncating).  An I/O error is a
+/// warning on stderr, "PROGRAM: warning: cannot write WHAT to PATH", not a
+/// failure: a full disk must not turn a finished run into a nonzero exit.
+void write_output_file(std::string_view program, const std::string& path,
+                       std::string_view what,
+                       const std::function<void(std::ostream&)>& body);
 
 /// The flag-value spelling of a cache outcome ("miss" / "hit" / "join").
 [[nodiscard]] std::string_view outcome_name(CacheOutcome outcome);

@@ -56,8 +56,6 @@
 #include <string_view>
 #include <vector>
 
-#include <fstream>
-
 #include "core/bounds.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -102,21 +100,9 @@ void print_usage(std::ostream& os) {
   std::exit(1);
 }
 
-/// Parses a nonnegative integer flag value with the strict full-string
-/// rule (service::parse_integer); exits with usage status on garbage.
-[[nodiscard]] std::size_t parse_count(const std::string& flag,
-                                      const std::string& value) {
-  const std::optional<long long> parsed = service::parse_integer(value);
-  if (!parsed || *parsed < 0) {
-    usage_error("bad value for " + flag + ": " + value +
-                " (expected a nonnegative integer)");
-  }
-  return static_cast<std::size_t>(*parsed);
-}
-
 [[nodiscard]] std::uint16_t parse_port(const std::string& flag,
                                        const std::string& value) {
-  const std::size_t port = parse_count(flag, value);
+  const std::size_t port = service::parse_count(flag, value, usage_error);
   if (port > 65535) {
     usage_error("bad value for " + flag + ": " + value +
                 " (ports are 0..65535)");
@@ -156,15 +142,17 @@ constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
       options.daemon.serve.engine = *engine;
     } else if (arg == "--cache-mb") {
       const std::string value = next_value(i, arg);
-      options.cache_mb = parse_count(arg, value);
+      options.cache_mb = service::parse_count(arg, value, usage_error);
       if (!service::cache_mb_to_bytes(options.cache_mb)) {
         usage_error("bad value for --cache-mb: " + value + " (expected 1.." +
                     std::to_string(service::kMaxCacheMb) + ")");
       }
     } else if (arg == "--max-concurrent") {
-      options.daemon.max_concurrent = parse_count(arg, next_value(i, arg));
+      options.daemon.max_concurrent =
+          service::parse_count(arg, next_value(i, arg), usage_error);
     } else if (arg == "--max-queue") {
-      options.daemon.max_queue = parse_count(arg, next_value(i, arg));
+      options.daemon.max_queue =
+          service::parse_count(arg, next_value(i, arg), usage_error);
     } else if (arg == "--persist") {
       options.daemon.persist_dir = next_value(i, arg);
     } else if (arg == "--metrics-out") {
@@ -172,16 +160,16 @@ constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
     } else if (arg == "--trace-out") {
       options.trace_out = next_value(i, arg);
     } else if (arg == "--snapshot-every") {
-      options.daemon.snapshot_every =
-          std::max<std::size_t>(1, parse_count(arg, next_value(i, arg)));
+      options.daemon.snapshot_every = std::max<std::size_t>(
+          1, service::parse_count(arg, next_value(i, arg), usage_error));
     } else if (arg == "--connect") {
       options.connect = true;
       options.connect_port = parse_port(arg, next_value(i, arg));
     } else if (arg == "--host") {
       options.host = next_value(i, arg);
     } else if (arg == "--repeat") {
-      options.repeat =
-          std::max<std::size_t>(1, parse_count(arg, next_value(i, arg)));
+      options.repeat = std::max<std::size_t>(
+          1, service::parse_count(arg, next_value(i, arg), usage_error));
     } else if (arg == "--format") {
       const std::string value = next_value(i, arg);
       if (value == "binary") {
@@ -233,20 +221,6 @@ void install_signal_handlers() {
   action.sa_flags = SA_RESTART;
   sigaction(SIGTERM, &action, nullptr);
   sigaction(SIGINT, &action, nullptr);
-}
-
-/// Writes `body(os)` to `path`, warning (not failing) on I/O errors — a
-/// full disk must not turn a clean drain into a nonzero exit.
-template <typename Body>
-void write_observability_file(const std::string& path, const char* what,
-                              Body&& body) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (os) body(os);
-  os.flush();
-  if (!os) {
-    std::cerr << "dsp_served: warning: cannot write " << what << " to "
-              << path << "\n";
-  }
 }
 
 int run_daemon(const CliOptions& options) {
@@ -304,14 +278,15 @@ int run_daemon(const CliOptions& options) {
         .print(std::cout);
   }
   if (!options.metrics_out.empty()) {
-    write_observability_file(
-        options.metrics_out, "metrics exposition", [](std::ostream& os) {
+    service::write_output_file(
+        "dsp_served", options.metrics_out, "metrics exposition",
+        [](std::ostream& os) {
           os << obs::Registry::global().prometheus_text();
         });
   }
   if (!options.trace_out.empty()) {
-    write_observability_file(
-        options.trace_out, "trace", [](std::ostream& os) {
+    service::write_output_file(
+        "dsp_served", options.trace_out, "trace", [](std::ostream& os) {
           obs::Tracer::global().write_chrome_trace(os);
         });
   }
@@ -383,8 +358,9 @@ int run_client(const CliOptions& options,
                           static_cast<std::size_t>(capacity_bytes >> 20)});
   if (!options.metrics_out.empty()) {
     // The daemon's exposition (this client records no metrics of note).
-    write_observability_file(options.metrics_out, "metrics exposition",
-                             [&](std::ostream& os) { os << after; });
+    service::write_output_file("dsp_served", options.metrics_out,
+                               "metrics exposition",
+                               [&](std::ostream& os) { os << after; });
   }
   return 0;
 }

@@ -34,7 +34,6 @@
 // 2 on load/solve failures.
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -76,19 +75,6 @@ void print_usage(std::ostream& os) {
   std::exit(1);
 }
 
-/// Parses a nonnegative integer flag value with the strict full-string rule
-/// (service::parse_integer): "--threads 4x" is rejected, not served as 4.
-/// Exits with usage status on garbage.
-[[nodiscard]] std::size_t parse_count(const std::string& flag,
-                                      const std::string& value) {
-  const std::optional<long long> parsed = service::parse_integer(value);
-  if (!parsed || *parsed < 0) {
-    usage_error("bad value for " + flag + ": " + value +
-                " (expected a nonnegative integer)");
-  }
-  return static_cast<std::size_t>(*parsed);
-}
-
 [[nodiscard]] CliOptions parse_args(int argc, char** argv) {
   CliOptions options;
   const auto next_value = [&](int& i, const std::string& flag) {
@@ -106,17 +92,18 @@ void print_usage(std::ostream& os) {
       if (!engine) usage_error("unknown engine " + value);
       options.serve.engine = *engine;
     } else if (arg == "--threads") {
-      options.serve.threads = parse_count(arg, next_value(i, arg));
+      options.serve.threads =
+          service::parse_count(arg, next_value(i, arg), usage_error);
     } else if (arg == "--cache-mb") {
       const std::string value = next_value(i, arg);
-      options.cache_mb = parse_count(arg, value);
+      options.cache_mb = service::parse_count(arg, value, usage_error);
       if (!service::cache_mb_to_bytes(options.cache_mb)) {
         usage_error("bad value for --cache-mb: " + value + " (expected 1.." +
                     std::to_string(service::kMaxCacheMb) + ")");
       }
     } else if (arg == "--repeat") {
-      options.repeat =
-          std::max<std::size_t>(1, parse_count(arg, next_value(i, arg)));
+      options.repeat = std::max<std::size_t>(
+          1, service::parse_count(arg, next_value(i, arg), usage_error));
     } else if (arg == "--metrics-out") {
       options.metrics_out = next_value(i, arg);
     } else if (arg == "--trace-out") {
@@ -250,23 +237,17 @@ int main(int argc, char** argv) {
       print_latency_row("overall", final_snap.since(before));
     }
     if (!options.metrics_out.empty()) {
-      std::ofstream os(options.metrics_out,
-                       std::ios::binary | std::ios::trunc);
-      if (os) os << obs::Registry::global().prometheus_text();
-      os.flush();
-      if (!os) {
-        std::cerr << "dsp_solve: warning: cannot write metrics exposition to "
-                  << options.metrics_out << "\n";
-      }
+      service::write_output_file(
+          "dsp_solve", options.metrics_out, "metrics exposition",
+          [](std::ostream& os) {
+            os << obs::Registry::global().prometheus_text();
+          });
     }
     if (!options.trace_out.empty()) {
-      std::ofstream os(options.trace_out, std::ios::binary | std::ios::trunc);
-      if (os) obs::Tracer::global().write_chrome_trace(os);
-      os.flush();
-      if (!os) {
-        std::cerr << "dsp_solve: warning: cannot write trace to "
-                  << options.trace_out << "\n";
-      }
+      service::write_output_file(
+          "dsp_solve", options.trace_out, "trace", [](std::ostream& os) {
+            obs::Tracer::global().write_chrome_trace(os);
+          });
     }
   } catch (const dsp::InvalidInput& error) {
     std::cerr << "dsp_solve: " << error.what() << "\n";

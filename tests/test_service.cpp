@@ -10,7 +10,9 @@
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -590,6 +592,51 @@ TEST(CliTest, ParseEngineAcceptsExactlyTheEngineNames) {
         "SOLVE54", "Solve54"}) {
     EXPECT_FALSE(parse_engine(bad).has_value()) << "'" << bad << "'";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Count flags and the --metrics-out / --trace-out writer (both front doors).
+// ---------------------------------------------------------------------------
+
+/// A usage-error handler that throws instead of exiting, so the test
+/// process survives and can read the message.
+void throwing_usage_error(const std::string& message) {
+  throw std::runtime_error(message);
+}
+
+TEST(CliTest, ParseCountAcceptsOnlyNonnegativeIntegers) {
+  EXPECT_EQ(parse_count("--threads", "0", throwing_usage_error), 0u);
+  EXPECT_EQ(parse_count("--threads", "12", throwing_usage_error), 12u);
+  for (const std::string bad : {"", "4x", "-1", " 4", "+", "1e3"}) {
+    try {
+      (void)parse_count("--threads", bad, throwing_usage_error);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "bad value for --threads: " + bad +
+                    " (expected a nonnegative integer)");
+    }
+  }
+}
+
+TEST(CliTest, WriteOutputFileWritesTheBodyOrWarns) {
+  const std::string path =
+      ::testing::TempDir() + "cli_write_output_file.txt";
+  write_output_file("dsp_solve", path, "trace",
+                    [](std::ostream& os) { os << "body\n"; });
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), "body\n");
+  std::remove(path.c_str());
+
+  const std::string missing = ::testing::TempDir() + "no/such/dir/m.prom";
+  ::testing::internal::CaptureStderr();
+  write_output_file("dsp_served", missing, "metrics exposition",
+                    [](std::ostream& os) { os << "body\n"; });
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "dsp_served: warning: cannot write metrics exposition to " +
+                missing + "\n");
 }
 
 }  // namespace
