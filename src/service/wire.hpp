@@ -38,10 +38,11 @@ enum class WireFormat {
 [[nodiscard]] std::string_view to_string(WireFormat format);
 
 /// Largest strip width an instance record may declare (2^20).  Served
-/// solves profile on O(n) runs, but a loaded record may still reach a
-/// caller that names the O(W) dense profile (the exact solver, the
-/// benchmarks); 2^20 holds a week at one-second resolution and bounds a
-/// dense profile plus its window-maxima scratch to ~32 MiB.
+/// solves place on O(n) runs, but a loaded record may still reach code
+/// that allocates per column: `LoadProfile` (core/packing.hpp; scoring,
+/// validation and rendering) and the exact solver's column loads.  2^20
+/// holds a week at one-second resolution and bounds one such array of
+/// 64-bit loads to 8 MiB.
 inline constexpr Length kMaxStripWidth = Length{1} << 20;
 
 /// One item as it travels on the wire: the geometric payload plus the

@@ -297,7 +297,7 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
 
 TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
   // Batch worker threads and daemon connections call solve54 from many
-  // threads at once; each call owns its profile backend and LP scratch, so
+  // threads at once; each call owns its profiles and LP state, so
   // concurrent calls share no mutable state (this is the place TSan sees
   // it).
   Rng rng(808);
