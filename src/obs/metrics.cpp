@@ -79,25 +79,6 @@ Registry& Registry::global() {
   return registry;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  const runtime::MutexLock lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  const runtime::MutexLock lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::histogram(std::string_view name) {
   const runtime::MutexLock lock(mutex_);
   auto it = histograms_.find(name);
@@ -132,18 +113,9 @@ MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   {
     const runtime::MutexLock lock(mutex_);
-    for (const auto& [name, counter] : counters_) {
-      snap.samples.push_back(Sample{name, counter->value(), false});
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      snap.samples.push_back(Sample{
-          name, static_cast<std::uint64_t>(gauge->value()), true});
-    }
     // Sources run in registration order; a later source's duplicate name
     // replaces an earlier one's below.
-    std::vector<Sample> pulled;
-    for (const SourceEntry& source : sources_) source.fn(pulled);
-    snap.samples.insert(snap.samples.end(), pulled.begin(), pulled.end());
+    for (const SourceEntry& source : sources_) source.fn(snap.samples);
     for (const auto& [name, histogram] : histograms_) {
       snap.histograms.emplace_back(name, histogram->snapshot());
     }

@@ -1,21 +1,20 @@
 #pragma once
 
-// The metrics registry (DESIGN.md, "Observability"): named counters,
-// gauges, and fixed-bucket log2 latency histograms behind one process-wide
-// export surface.
+// The metrics registry (DESIGN.md, "Observability"): fixed-bucket log2
+// latency histograms and pull sources behind one process-wide export
+// surface.
 //
 // The exposition is the process's single stats surface: the daemon serves
 // it over the wire (its `metrics` frame) and every stats reader, in process
 // or remote, reads the same samples.  The registry holds two kinds:
 //
-//  * owned instruments — Counter (sharded-atomic, monotonic), Gauge
-//    (last-value), Histogram (64 log2 buckets, sharded-atomic, exact
-//    integer quantiles) — are created-or-found by name and live for the
-//    process.
+//  * histograms — 64 log2 buckets, thread-striped atomics, exact integer
+//    quantiles — are created-or-found by name and live for the process.
 //  * sources — pull callbacks that sample an existing stats struct at
-//    snapshot time (the Prometheus "collector" idiom).  The legacy structs
-//    keep their storage and their per-instance semantics; the registry is
-//    how they all reach one exposition.
+//    snapshot time (the Prometheus "collector" idiom).  Every exported
+//    counter and gauge comes from one: the stats structs keep their
+//    storage and their per-instance semantics, and the registry is how
+//    they all reach one exposition.
 //
 // Naming scheme: dot-separated `<subsystem>.<metric>[_<unit>]`, e.g.
 // `cache.hits`, `phase.solve_nanos`.  The Prometheus text exposition
@@ -25,7 +24,7 @@
 //
 // Determinism: nothing here reads a clock (that is obs/trace.cpp's job,
 // and the determinism lint pins it there) and nothing here feeds values
-// back into solving — instruments are write-only from the solver's point
+// back into solving — histograms are write-only from the solver's point
 // of view.  Counts themselves are exact: increments are atomic adds, and
 // quantiles are derived with integer arithmetic from the merged buckets,
 // so the same samples always produce the same snapshot.
@@ -46,7 +45,7 @@
 
 namespace dsp::obs {
 
-/// Stripes per instrument: enough to keep 8-wide increment storms off one
+/// Stripes per histogram: enough to keep 8-wide record storms off one
 /// cache line without bloating every histogram.  Must be a power of two.
 inline constexpr std::size_t kStripes = 8;
 
@@ -60,44 +59,8 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 [[nodiscard]] std::size_t stripe_index() noexcept;
 
 // ---------------------------------------------------------------------------
-// Instruments.
+// Histograms.
 // ---------------------------------------------------------------------------
-
-/// Monotonic counter, striped across cache lines so concurrent increments
-/// from worker threads do not serialize on one atomic.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) noexcept {
-    stripes_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const Stripe& stripe : stripes_) {
-      total += stripe.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Stripe {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Stripe, kStripes> stripes_{};
-};
-
-/// Last-value instrument for levels (resident entries, queue depth).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Frozen bucket counts of one histogram; all derived statistics (count,
 /// sum, quantiles) come from here so they agree with each other.
@@ -148,7 +111,7 @@ class Histogram {
 // The registry.
 // ---------------------------------------------------------------------------
 
-/// One exported scalar sample (from an owned instrument or a source).
+/// One exported scalar sample (from a source).
 struct Sample {
   std::string name;
   std::uint64_t value = 0;
@@ -168,7 +131,7 @@ struct MetricsSnapshot {
 
 class Registry {
  public:
-  /// The process-wide registry (instruments are process-scoped, exactly
+  /// The process-wide registry (histograms are process-scoped, exactly
   /// like a Prometheus exposition).
   [[nodiscard]] static Registry& global();
 
@@ -176,11 +139,9 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Create-or-find by name.  References stay valid for the registry's
-  /// lifetime (node-stable storage), so hot paths resolve once and then
-  /// touch only atomics.
-  [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] Gauge& gauge(std::string_view name);
+  /// Create-or-find by name.  The reference stays valid for the
+  /// registry's lifetime (node-stable storage), so hot paths resolve once
+  /// and then touch only atomics.
   [[nodiscard]] Histogram& histogram(std::string_view name);
 
   /// RAII registration of a pull source; unregisters on destruction.
@@ -223,8 +184,8 @@ class Registry {
   /// drained one's).
   [[nodiscard]] Source register_source(SourceFn fn);
 
-  /// Owned instruments plus every source's samples, names sorted; for
-  /// duplicate names the latest registration wins.
+  /// Every source's samples plus every histogram, names sorted; for
+  /// duplicate sample names the latest registration wins.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Prometheus-style text exposition of snapshot(): `dsp_`-prefixed
@@ -242,10 +203,6 @@ class Registry {
   };
 
   mutable runtime::Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
-      DSP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      DSP_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       DSP_GUARDED_BY(mutex_);
   std::vector<SourceEntry> sources_ DSP_GUARDED_BY(mutex_);

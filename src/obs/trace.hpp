@@ -9,7 +9,7 @@
 //   request        daemon: frame received -> response written
 //   admission_wait blocked in AdmissionGate::enter
 //   solve          CachingSolver::solve (canonicalize -> cache -> restore)
-//   cache_lookup   SolveCache shard probe (the locked part)
+//   cache_lookup   SolveCache probe (the locked part)
 //   inflight_join  blocked on another thread's in-flight computation
 //   lower_bound    core combined_lower_bound
 //   bisection_rnd  one solve54 bisection round after the floor probe

@@ -1,9 +1,5 @@
 #include "service/cache.hpp"
 
-#include <algorithm>
-#include <future>
-#include <list>
-#include <unordered_map>
 #include <utility>
 
 #include "algo/portfolio.hpp"
@@ -17,19 +13,6 @@
 namespace dsp::service {
 
 namespace {
-
-[[nodiscard]] std::uint64_t key_hash64(const CacheKey& key) {
-  return Rng::mix_seed(
-      key.instance_hash.hi ^
-      Rng::mix_seed(key.instance_hash.lo ^
-                    Rng::mix_seed(key.params_fingerprint)));
-}
-
-struct KeyHash {
-  std::size_t operator()(const CacheKey& key) const {
-    return static_cast<std::size_t>(key_hash64(key));
-  }
-};
 
 /// Fixed per-entry overhead charged on top of the variable payload: the
 /// node, map slot and control block are real memory even for a tiny packing.
@@ -64,121 +47,79 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
 // SolveCache.
 // ---------------------------------------------------------------------------
 
-struct SolveCache::Shard {
-  struct Entry {
-    CacheKey key;
-    std::shared_ptr<const CachedSolve> value;
-    std::size_t bytes = 0;
-  };
-
-  runtime::Mutex mutex;
-  /// This shard's slice of the total budget (the capacity_bytes %
-  /// shard_count remainder is spread one byte per leading shard).
-  /// Immutable after construction, hence unguarded.
-  std::size_t capacity = 0;
-  /// Front = most recently used; eviction pops the back.
-  std::list<Entry> lru DSP_GUARDED_BY(mutex);
-  std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> resident
-      DSP_GUARDED_BY(mutex);
-  /// Keys currently being computed; joiners wait on the shared future.
-  std::unordered_map<CacheKey,
-                     std::shared_future<std::shared_ptr<const CachedSolve>>,
-                     KeyHash>
-      inflight DSP_GUARDED_BY(mutex);
-  std::uint64_t hits DSP_GUARDED_BY(mutex) = 0;
-  std::uint64_t misses DSP_GUARDED_BY(mutex) = 0;
-  std::uint64_t inflight_joins DSP_GUARDED_BY(mutex) = 0;
-  std::uint64_t evictions DSP_GUARDED_BY(mutex) = 0;
-  std::uint64_t oversized DSP_GUARDED_BY(mutex) = 0;
-  std::size_t bytes DSP_GUARDED_BY(mutex) = 0;
-
-  /// Makes `key` the shard's most-recent entry with `value`, charging
-  /// `value_bytes` and evicting cold entries past the budget.  Requires
-  /// the shard mutex (compiler-enforced) and value_bytes <= capacity.
-  void insert_locked(const CacheKey& key,
-                     std::shared_ptr<const CachedSolve> value,
-                     std::size_t value_bytes) DSP_REQUIRES(mutex) {
-    if (const auto it = resident.find(key); it != resident.end()) {
-      // Replace in place (warm-load replay over a snapshot entry).
-      bytes -= it->second->bytes;
-      lru.splice(lru.begin(), lru, it->second);
-      lru.front().value = std::move(value);
-      lru.front().bytes = value_bytes;
-    } else {
-      lru.push_front(Entry{key, std::move(value), value_bytes});
-      resident.emplace(key, lru.begin());
-    }
-    bytes += value_bytes;
-    // Evict cold entries past the budget.  The new entry is at the front
-    // and fits on its own, so it is never its own victim.
-    while (bytes > capacity && lru.size() > 1) {
-      const Entry& victim = lru.back();
-      bytes -= victim.bytes;
-      resident.erase(victim.key);
-      lru.pop_back();
-      ++evictions;
-    }
-  }
-};
-
-/// A shard narrower than this is useless (a single small entry charges
-/// kEntryOverhead alone), so tiny budgets collapse to fewer shards instead
-/// of rounding every shard's share toward zero.
-constexpr std::size_t kMinShardBytes = 4096;
+std::size_t SolveCache::KeyHash::operator()(const CacheKey& key) const {
+  return static_cast<std::size_t>(Rng::mix_seed(
+      key.instance_hash.hi ^
+      Rng::mix_seed(key.instance_hash.lo ^
+                    Rng::mix_seed(key.params_fingerprint))));
+}
 
 SolveCache::SolveCache(const CacheOptions& options)
     : capacity_bytes_(options.capacity_bytes) {
   DSP_REQUIRE(capacity_bytes_ > 0,
               "SolveCache: capacity_bytes must be positive (a zero-byte "
               "cache would reject every insert)");
-  std::size_t shard_count = std::max<std::size_t>(1, options.shards);
-  shard_count = std::min(
-      shard_count, std::max<std::size_t>(1, capacity_bytes_ / kMinShardBytes));
-  const std::size_t base = capacity_bytes_ / shard_count;
-  const std::size_t remainder = capacity_bytes_ % shard_count;
-  shards_.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->capacity = base + (i < remainder ? 1 : 0);
-  }
 }
 
-SolveCache::~SolveCache() = default;
-
-SolveCache::Shard& SolveCache::shard_for(const CacheKey& key) const {
-  return *shards_[key_hash64(key) % shards_.size()];
+bool SolveCache::insert_locked(const CacheKey& key,
+                               std::shared_ptr<const CachedSolve> value) {
+  // A value bigger than the whole budget is uncacheable: it is checked
+  // before anything moves, so it never evicts resident entries.
+  const std::size_t value_bytes = entry_bytes(*value);
+  if (value_bytes > capacity_bytes_) {
+    ++stats_.oversized;
+    return false;
+  }
+  if (const auto it = resident_.find(key); it != resident_.end()) {
+    // Replace in place (warm-load replay over a snapshot entry).
+    stats_.bytes -= it->second->bytes;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    lru_.front().value = std::move(value);
+    lru_.front().bytes = value_bytes;
+  } else {
+    lru_.push_front(Entry{key, std::move(value), value_bytes});
+    resident_.emplace(key, lru_.begin());
+  }
+  stats_.bytes += value_bytes;
+  // Evict cold entries past the budget.  The new entry is at the front
+  // and fits on its own, so it is never its own victim.
+  while (stats_.bytes > capacity_bytes_ && lru_.size() > 1) {
+    const Entry& victim = lru_.back();
+    stats_.bytes -= victim.bytes;
+    resident_.erase(victim.key);
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
+  return true;
 }
 
 SolveCache::Lookup SolveCache::get_or_compute(
     const CacheKey& key, const std::function<CachedSolve()>& compute) {
-  Shard& shard = shard_for(key);
   std::promise<std::shared_ptr<const CachedSolve>> promise;
-  std::shared_future<std::shared_ptr<const CachedSolve>> pending;
+  Future pending;
   bool join = false;
   {
     // The locked probe is its own phase; the single-flight wait below gets
-    // a separate span so a trace distinguishes shard contention from
+    // a separate span so a trace distinguishes lock contention from
     // riding on another thread's solve.
     const obs::ScopedSpan lookup_span(obs::Phase::kCacheLookup);
-    runtime::MutexLock lock(shard.mutex);
-    if (const auto it = shard.resident.find(key);
-        it != shard.resident.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++shard.hits;
+    runtime::MutexLock lock(mutex_);
+    if (const auto it = resident_.find(key); it != resident_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++stats_.hits;
       return Lookup{it->second->value, CacheOutcome::kHit};
     }
-    if (const auto it = shard.inflight.find(key);
-        it != shard.inflight.end()) {
-      ++shard.inflight_joins;
+    if (const auto it = inflight_.find(key); it != inflight_.end()) {
+      ++stats_.inflight_joins;
       // Copy the shared future, then wait outside the lock: the computing
-      // thread needs the lock to publish, and other keys in this shard must
-      // not stall behind our wait.
+      // thread needs the lock to publish, and other keys must not stall
+      // behind our wait.
       pending = it->second;
       join = true;
       lock.unlock();
     } else {
-      ++shard.misses;
-      shard.inflight.emplace(key, promise.get_future().share());
+      ++stats_.misses;
+      inflight_.emplace(key, promise.get_future().share());
     }
   }
   if (join) {
@@ -193,8 +134,8 @@ SolveCache::Lookup SolveCache::get_or_compute(
     value = std::make_shared<const CachedSolve>(compute());
   } catch (...) {
     {
-      const runtime::MutexLock lock(shard.mutex);
-      shard.inflight.erase(key);
+      const runtime::MutexLock lock(mutex_);
+      inflight_.erase(key);
     }
     // Joiners that already hold the future get the same exception; the next
     // fresh request recomputes (errors are never cached).
@@ -204,19 +145,9 @@ SolveCache::Lookup SolveCache::get_or_compute(
 
   bool inserted = false;
   {
-    const runtime::MutexLock lock(shard.mutex);
-    shard.inflight.erase(key);
-    // A value bigger than the shard's whole budget is uncacheable: it is
-    // never inserted, and — crucially — never evicts resident entries.
-    // (The old insert-then-shrink order flushed every warm entry before
-    // finally evicting the oversized newcomer itself.)
-    const std::size_t bytes = entry_bytes(*value);
-    if (bytes > shard.capacity) {
-      ++shard.oversized;
-    } else {
-      shard.insert_locked(key, value, bytes);
-      inserted = true;
-    }
+    const runtime::MutexLock lock(mutex_);
+    inflight_.erase(key);
+    inserted = insert_locked(key, value);
   }
   promise.set_value(value);
   if (inserted && insert_observer_) insert_observer_(key, value);
@@ -225,25 +156,18 @@ SolveCache::Lookup SolveCache::get_or_compute(
 
 void SolveCache::insert(const CacheKey& key, CachedSolve value) {
   auto shared = std::make_shared<const CachedSolve>(std::move(value));
-  const std::size_t bytes = entry_bytes(*shared);
-  Shard& shard = shard_for(key);
-  const runtime::MutexLock lock(shard.mutex);
-  if (bytes > shard.capacity) {
-    ++shard.oversized;
-    return;
-  }
-  shard.insert_locked(key, std::move(shared), bytes);
+  const runtime::MutexLock lock(mutex_);
+  (void)insert_locked(key, std::move(shared));
 }
 
 std::vector<CacheEntryView> SolveCache::export_entries() const {
   std::vector<CacheEntryView> entries;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const runtime::MutexLock lock(shard->mutex);
-    // Cold to warm: replaying the export through insert() reproduces each
-    // shard's recency order.
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-      entries.push_back(CacheEntryView{it->key, it->value});
-    }
+  const runtime::MutexLock lock(mutex_);
+  entries.reserve(lru_.size());
+  // Cold to warm: replaying the export through insert() reproduces the
+  // recency order.
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    entries.push_back(CacheEntryView{it->key, it->value});
   }
   return entries;
 }
@@ -252,37 +176,18 @@ void SolveCache::set_insert_observer(InsertObserver observer) {
   insert_observer_ = std::move(observer);
 }
 
-std::vector<std::size_t> SolveCache::shard_capacities() const {
-  std::vector<std::size_t> capacities;
-  capacities.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    capacities.push_back(shard->capacity);
-  }
-  return capacities;
-}
-
 CacheStats SolveCache::stats() const {
-  CacheStats total;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const runtime::MutexLock lock(shard->mutex);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.inflight_joins += shard->inflight_joins;
-    total.evictions += shard->evictions;
-    total.oversized += shard->oversized;
-    total.entries += shard->resident.size();
-    total.bytes += shard->bytes;
-  }
-  return total;
+  const runtime::MutexLock lock(mutex_);
+  CacheStats stats = stats_;
+  stats.entries = resident_.size();
+  return stats;
 }
 
 void SolveCache::clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const runtime::MutexLock lock(shard->mutex);
-    shard->lru.clear();
-    shard->resident.clear();
-    shard->bytes = 0;
-  }
+  const runtime::MutexLock lock(mutex_);
+  lru_.clear();
+  resident_.clear();
+  stats_.bytes = 0;
 }
 
 // ---------------------------------------------------------------------------

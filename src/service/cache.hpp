@@ -1,6 +1,6 @@
 #pragma once
 
-// The sharded single-flight solve cache and the CachingSolver front door
+// The single-flight LRU solve cache and the CachingSolver front door
 // (DESIGN.md, "The serving layer").
 //
 // Serving workloads are dominated by repeats and near-repeats of the same
@@ -9,14 +9,14 @@
 // semantically identical requests — any item order, any ids/labels — hit
 // the same entry:
 //
-//  * sharded — N independently mutex-guarded LRU maps; a key's shard is a
-//    hash of the key, so concurrent lookups for different keys almost never
-//    contend on a lock.
+//  * one LRU behind one mutex — the lock covers a map probe and a list
+//    splice, a sliver of a request that canonicalizes and copies a
+//    packing, so two serving threads rarely meet on it.
 //  * single-flight — concurrent misses for the same key block on the one
 //    in-flight computation instead of duplicating it; joiners see the same
 //    shared result (or the same exception) the computing thread produced.
 //  * LRU by bytes — entries are charged by packing size and evicted from
-//    the cold end once the shard's share of `capacity_bytes` overflows.
+//    the cold end once `capacity_bytes` overflows.
 //
 // Determinism: CachingSolver always solves the *canonical form* and maps
 // starts back through the request's permutation, so its answer is a pure
@@ -26,13 +26,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <list>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/instance.hpp"
 #include "core/packing.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/sync.hpp"
 #include "service/canonical.hpp"
 
 namespace dsp::service {
@@ -73,7 +77,7 @@ struct CacheKey {
 };
 
 // ---------------------------------------------------------------------------
-// The sharded single-flight LRU.
+// The single-flight LRU.
 // ---------------------------------------------------------------------------
 
 /// A cached answer, always in canonical item order (the cache never sees a
@@ -85,16 +89,13 @@ struct CachedSolve {
 };
 
 struct CacheOptions {
-  /// Total value-byte budget across all shards (the sum of per-entry packing
-  /// and winner payloads).  Must be positive: a zero-byte cache would
-  /// silently reject every insert, so the constructor throws InvalidInput.
-  /// An entry larger than its shard's share is never inserted (counted as
-  /// CacheStats::oversized) and leaves resident entries untouched.
+  /// Value-byte budget (the sum of per-entry packing and winner payloads
+  /// plus a fixed per-entry overhead).  Must be positive: a zero-byte cache
+  /// would silently reject every insert, so the constructor throws
+  /// InvalidInput.  An entry larger than the whole budget is never inserted
+  /// (counted as CacheStats::oversized) and leaves resident entries
+  /// untouched.
   std::size_t capacity_bytes = 64ull << 20;
-  /// Lock shards; clamped to >= 1, and clamped *down* when the budget is
-  /// too small to give every shard a useful share (see kMinShardBytes) —
-  /// a tiny budget degrades to fewer shards, never to zero-byte shards.
-  std::size_t shards = 8;
 };
 
 /// How a lookup was satisfied.
@@ -109,7 +110,7 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t inflight_joins = 0;
   std::uint64_t evictions = 0;
-  /// Values larger than their shard's whole budget: never inserted (and
+  /// Values larger than the whole budget: never inserted (and
   /// never allowed to evict resident entries on the way out).
   std::uint64_t oversized = 0;
   std::uint64_t entries = 0;  ///< currently resident
@@ -125,7 +126,7 @@ struct CacheEntryView {
 
 class SolveCache {
  public:
-  /// Called after every get_or_compute insert, outside the shard lock —
+  /// Called after every get_or_compute insert, outside the cache lock —
   /// the persistence layer's append hook.  Warm-load inserts (insert())
   /// are deliberately NOT observed, or log replay would re-append itself.
   using InsertObserver = std::function<void(
@@ -133,7 +134,6 @@ class SolveCache {
 
   /// Throws InvalidInput on a zero-byte capacity budget.
   explicit SolveCache(const CacheOptions& options = {});
-  ~SolveCache();
 
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
@@ -159,9 +159,9 @@ class SolveCache {
   /// not inserted, exactly like the get_or_compute path.
   void insert(const CacheKey& key, CachedSolve value);
 
-  /// Every resident entry, shard by shard, cold-to-warm inside each shard —
-  /// re-`insert`ing the result in order reproduces each shard's recency
-  /// order.  A consistent snapshot only when no writer is concurrent.
+  /// Every resident entry, cold to warm — re-`insert`ing the result in
+  /// order reproduces the recency order.  Taken under the cache lock, so
+  /// it is one consistent snapshot.
   [[nodiscard]] std::vector<CacheEntryView> export_entries() const;
 
   /// Installs the persistence append hook.  Must be installed before the
@@ -169,26 +169,42 @@ class SolveCache {
   /// serving): the observer slot itself is unsynchronized.
   void set_insert_observer(InsertObserver observer);
 
-  /// Aggregated over shards (each shard's counters are read under its own
-  /// lock; the sum is a consistent snapshot only when idle).
+  /// Counters and residency, read under the cache lock.
   [[nodiscard]] CacheStats stats() const;
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_bytes_; }
-  /// Actual shard count: the requested one, clamped so every shard's share
-  /// of the budget stays useful (small budgets collapse to fewer shards).
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Per-shard byte budgets.  Invariant: they sum to capacity_bytes() —
-  /// the capacity_bytes % shard_count remainder is distributed, not dropped.
-  [[nodiscard]] std::vector<std::size_t> shard_capacities() const;
   /// Drops every resident entry (in-flight computations are unaffected).
   void clear();
 
  private:
-  struct Shard;
+  struct Entry {
+    CacheKey key;
+    std::shared_ptr<const CachedSolve> value;
+    std::size_t bytes = 0;
+  };
+  struct KeyHash {
+    std::size_t operator()(const CacheKey& key) const;
+  };
+  using Future = std::shared_future<std::shared_ptr<const CachedSolve>>;
 
-  [[nodiscard]] Shard& shard_for(const CacheKey& key) const;
+  /// Makes `key` the most-recent entry with `value` and evicts cold entries
+  /// past the budget.  A value larger than the whole budget is counted as
+  /// oversized and not inserted.  Returns whether the value is resident.
+  bool insert_locked(const CacheKey& key,
+                     std::shared_ptr<const CachedSolve> value)
+      DSP_REQUIRES(mutex_);
 
-  std::size_t capacity_bytes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Immutable after construction, hence unguarded.
+  const std::size_t capacity_bytes_;
+  mutable runtime::Mutex mutex_;
+  /// Front = most recently used; eviction pops the back.
+  std::list<Entry> lru_ DSP_GUARDED_BY(mutex_);
+  std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> resident_
+      DSP_GUARDED_BY(mutex_);
+  /// Keys currently being computed; joiners wait on the shared future.
+  std::unordered_map<CacheKey, Future, KeyHash> inflight_
+      DSP_GUARDED_BY(mutex_);
+  /// Counters and charged bytes; `entries` is read off resident_ instead.
+  CacheStats stats_ DSP_GUARDED_BY(mutex_);
   InsertObserver insert_observer_;
 };
 

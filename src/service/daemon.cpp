@@ -80,7 +80,7 @@ Daemon::Daemon(const DaemonOptions& options)
     store_.emplace(options_.persist_dir, options_.snapshot_every);
     warm_loaded_ = store_->warm_load(solver_.cache());
     // Wired before any serving thread exists (set_insert_observer's
-    // contract); the observer runs outside the shard locks, so the store's
+    // contract); the observer runs outside the cache lock, so the store's
     // own compaction may re-enter export_entries() safely.
     solver_.cache().set_insert_observer(
         [this](const CacheKey& key,

@@ -185,8 +185,7 @@ int main(int argc, char** argv) {
     }
     service::CachingSolver solver(
         options.serve,
-        service::CacheOptions{*service::cache_mb_to_bytes(options.cache_mb),
-                              /*shards=*/8});
+        service::CacheOptions{*service::cache_mb_to_bytes(options.cache_mb)});
 
     // One solve_many per pass (not one flat repeat x files batch): the
     // per-pass phase-histogram deltas are what turns --repeat into a

@@ -328,6 +328,21 @@ void validate_wire_instance(const WireInstance& instance,
                     std::to_string(it->second) + ")");
     }
   }
+  // W·Σh <= kMaxStripArea, checked as Σh <= kMaxStripArea / W so nothing
+  // overflows: the running sum stops at the first item past the cap, and
+  // one height (< 2^63) on top of a sum <= 2^62 still fits in a uint64.
+  const auto height_cap =
+      static_cast<std::uint64_t>(kMaxStripArea / instance.strip_width);
+  std::uint64_t total_height = 0;
+  for (const WireItem& item : instance.items) {
+    total_height += static_cast<std::uint64_t>(item.height);
+    if (total_height > height_cap) break;
+  }
+  DSP_REQUIRE(total_height <= height_cap,
+              source << ": total item height reaches " << total_height
+                     << ", so strip width " << instance.strip_width
+                     << " x total height exceeds the cap " << kMaxStripArea
+                     << " (loads must fit in 64 bits)");
 }
 
 [[nodiscard]] std::string slurp(std::istream& is, const std::string& source) {

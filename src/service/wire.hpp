@@ -45,6 +45,12 @@ enum class WireFormat {
 /// 64-bit loads to 8 MiB.
 inline constexpr Length kMaxStripWidth = Length{1} << 20;
 
+/// Largest W·Σh (strip width times total item height) an instance record
+/// may declare (2^62).  Every load, area, lower bound and the solvers'
+/// 3/2·H' budget is at most 3/2·W·Σh, so the cap keeps all of them inside
+/// int64; past it a peak could wrap below its own lower bound.
+inline constexpr Height kMaxStripArea = Height{1} << 62;
+
 /// One item as it travels on the wire: the geometric payload plus the
 /// caller-facing identity (`id`, unique per instance) and a free-form
 /// `label`.  Ids and labels survive save/load but are deliberately NOT part
@@ -86,8 +92,9 @@ void save_instance(std::ostream& os, const WireInstance& instance,
 
 /// Parses (auto-detecting the encoding) and validates: rejects a missing or
 /// unknown version, W > kMaxStripWidth, nonpositive width/height, width > W,
-/// duplicate ids, and the empty instance.  Every error message names `source`, the offending
-/// item index, and the byte offset of the offending record.
+/// W·Σh > kMaxStripArea, duplicate ids, and the empty instance.  Every
+/// error message names `source`, and a per-item error also the offending
+/// item index and the byte offset of the offending record.
 [[nodiscard]] WireInstance load_instance(std::istream& is,
                                          const std::string& source = "<stream>");
 

@@ -22,8 +22,8 @@ class Rng {
   }
 
   /// Deterministic per-task child generator: stream `s` of this Rng's seed.
-  /// Independent of how many draws this Rng has made, so parallel shards can
-  /// seed their own Rng from (seed, shard index) and reproduce the exact
+  /// Independent of how many draws this Rng has made, so parallel tasks can
+  /// seed their own Rng from (seed, task index) and reproduce the exact
   /// sequential run regardless of worker scheduling.
   [[nodiscard]] Rng spawn(std::uint64_t stream) const {
     return Rng(mix_seed(seed_ ^ mix_seed(stream)));

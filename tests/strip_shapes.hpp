@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -19,6 +20,10 @@
 namespace dsp::testing_shapes {
 
 enum class StripShape { kNarrow, kWide };
+
+inline void PrintTo(StripShape shape, std::ostream* os) {
+  *os << (shape == StripShape::kNarrow ? "narrow" : "wide");
+}
 
 /// `narrow` itself, or each instance with its strip and item widths scaled
 /// by the smallest power of two that makes W > 16 n.

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,8 @@ struct FamilyCase {
   const char* name;
   Instance (*make)(Rng&);
 };
+
+void PrintTo(const FamilyCase& family, std::ostream* os) { *os << family.name; }
 
 Instance make_uniform(Rng& rng) {
   return gen::random_uniform(static_cast<std::size_t>(rng.uniform(1, 40)), 24,

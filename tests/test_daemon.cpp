@@ -215,7 +215,7 @@ TEST(CliHelpersTest, ExpandPathsDiagnosesMissingAndEmptyPaths) {
 // ---------------------------------------------------------------------------
 
 TEST(PersistTest, SaveLoadRoundTripsEntriesBitExactly) {
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   (void)cache.get_or_compute(key_of(1), []() { return solve_of(7, "steinberg"); });
   (void)cache.get_or_compute(key_of(2), []() { return solve_of(9, "nfdh"); });
 
@@ -236,7 +236,7 @@ TEST(PersistTest, SaveLoadRoundTripsEntriesBitExactly) {
 }
 
 TEST(PersistTest, KindAndVersionAreValidated) {
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   (void)cache.get_or_compute(key_of(1), []() { return solve_of(7); });
   std::stringstream stream;
   save_entries(stream, PersistKind::kLog, cache.export_entries());
@@ -249,7 +249,7 @@ TEST(PersistTest, KindAndVersionAreValidated) {
 }
 
 TEST(PersistTest, TornLogTailIsRecoveredTornSnapshotThrows) {
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   (void)cache.get_or_compute(key_of(1), []() { return solve_of(7); });
   (void)cache.get_or_compute(key_of(2), []() { return solve_of(9); });
   std::stringstream stream;
@@ -272,7 +272,7 @@ TEST(PersistTest, TornLogTailIsRecoveredTornSnapshotThrows) {
 
 TEST(PersistTest, StoreWarmLoadEqualsLiveCacheAcrossRestart) {
   StateDir dir("store");
-  const CacheOptions cache_options{1 << 20, 2};
+  const CacheOptions cache_options{1 << 20};
   {
     SolveCache cache(cache_options);
     PersistentStore store(dir.path(), /*snapshot_every=*/3);
@@ -312,7 +312,7 @@ TEST(PersistTest, StoreWarmLoadEqualsLiveCacheAcrossRestart) {
 TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
   StateDir dir("torn");
   {
-    SolveCache cache(CacheOptions{1 << 20, 1});
+    SolveCache cache(CacheOptions{1 << 20});
     PersistentStore store(dir.path(), /*snapshot_every=*/100);
     (void)store.warm_load(cache);
     cache.set_insert_observer(
@@ -329,13 +329,13 @@ TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
   const auto size = std::filesystem::file_size(log_path);
   std::filesystem::resize_file(log_path, size - 3);
 
-  SolveCache cache(CacheOptions{1 << 20, 1});
+  SolveCache cache(CacheOptions{1 << 20});
   PersistentStore store(dir.path(), 100);
   EXPECT_EQ(store.warm_load(cache), 1u);  // the complete entry survives
   EXPECT_TRUE(store.recovered_truncated_log());
   EXPECT_EQ(cache.stats().entries, 1u);
   // Recovery re-compacted: the next warm load is clean.
-  SolveCache again(CacheOptions{1 << 20, 1});
+  SolveCache again(CacheOptions{1 << 20});
   PersistentStore clean(dir.path(), 100);
   EXPECT_EQ(clean.warm_load(again), 1u);
   EXPECT_FALSE(clean.recovered_truncated_log());

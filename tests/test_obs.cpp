@@ -171,34 +171,9 @@ TEST(HistogramTest, SinceComputesBucketwiseDelta) {
   EXPECT_EQ(delta.counts[Histogram::bucket_index(100)], 0u);
 }
 
-TEST(CounterTest, ConcurrentIncrementsAreExact) {
-  Counter counter;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 50000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter]() {
-      for (int i = 0; i < kPerThread; ++i) counter.inc();
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(counter.value(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
 // ---------------------------------------------------------------------------
-// Registry: instruments, sources, exposition.
+// Registry: histograms, sources, exposition.
 // ---------------------------------------------------------------------------
-
-TEST(RegistryTest, CounterCreateOrFindReturnsStableInstrument) {
-  Registry registry;
-  Counter& a = registry.counter("test.requests");
-  Counter& b = registry.counter("test.requests");
-  EXPECT_EQ(&a, &b);
-  a.inc(3);
-  EXPECT_EQ(registry.snapshot().sample_value("test.requests"), 3u);
-}
 
 TEST(RegistryTest, SourceSamplesAppearAndVanishWithRegistration) {
   Registry registry;
@@ -235,8 +210,11 @@ TEST(RegistryTest, LaterSourceWinsDuplicateNames) {
 
 TEST(RegistryTest, PrometheusTextCarriesEveryInstrument) {
   Registry registry;
-  registry.counter("cache.hits.test").inc(42);
-  registry.gauge("cache.entries.test").set(9);
+  const Registry::Source source =
+      registry.register_source([](std::vector<Sample>& out) {
+        out.push_back({"cache.hits.test", 42, false});
+        out.push_back({"cache.entries.test", 9, true});
+      });
   registry.histogram("phase.solve_nanos.test").record(1000);
   const std::string text = registry.prometheus_text();
   EXPECT_NE(text.find("# TYPE dsp_cache_hits_test counter"),
@@ -480,12 +458,12 @@ constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 TEST(ExpositionReaderTest, RoundTripsEveryScalarSample) {
   Registry registry;
-  registry.counter("reader.requests").inc(29);
-  (void)registry.counter("reader.untouched");  // exported as 0
-  registry.gauge("reader.level").set(7);
   registry.histogram("reader.latency_nanos").record(1000);
   const Registry::Source source =
       registry.register_source([](std::vector<Sample>& out) {
+        out.push_back({"reader.requests", 29, false});
+        out.push_back({"reader.untouched", 0, false});  // exported as 0
+        out.push_back({"reader.level", 7, true});
         out.push_back({"reader.max", kMaxU64, false});
         out.push_back({"reader-dash.level", 3, true});  // '-' maps to '_'
       });

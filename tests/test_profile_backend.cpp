@@ -11,6 +11,7 @@
 #include <deque>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,6 +74,10 @@ TEST(ProfileBackend, AutoResolvesSparseForEveryShape) {
 // (Profile is a value type).  Each must behave exactly like the fresh one.
 
 enum class Provenance { kFresh, kCopyAssigned };
+
+void PrintTo(Provenance provenance, std::ostream* os) {
+  *os << (provenance == Provenance::kFresh ? "fresh" : "copy_assigned");
+}
 
 /// Leaves a mix of positive, negative and raised runs over the strip.
 void dirty(Profile& p) {
@@ -236,15 +241,7 @@ TEST_P(ProfileOps, CopiesAreIndependent) {
 INSTANTIATE_TEST_SUITE_P(
     Provenance, ProfileOps,
     ::testing::Values(Provenance::kFresh, Provenance::kCopyAssigned),
-    [](const ::testing::TestParamInfo<Provenance>& info) -> std::string {
-      switch (info.param) {
-        case Provenance::kFresh:
-          return "fresh";
-        case Provenance::kCopyAssigned:
-          return "copy_assigned";
-      }
-      return "unknown";
-    });
+    ::testing::PrintToStringParamName());
 
 // --- the column-by-column reference ----------------------------------------
 //
@@ -766,6 +763,10 @@ struct SolveColdCell {
   Length w;
 };
 
+void PrintTo(const SolveColdCell& cell, std::ostream* os) {
+  *os << cell.family << "_n" << cell.n << "_W" << cell.w;
+}
+
 std::vector<SolveColdCell> solve_cold_cells() {
   std::vector<SolveColdCell> cells;
   for (const char* family :
@@ -802,11 +803,7 @@ TEST_P(SolveColdCellReference, PlacementAlgorithmsMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SolveColdCellReference, ::testing::ValuesIn(solve_cold_cells()),
-    [](const ::testing::TestParamInfo<SolveColdCell>& info) {
-      return std::string(info.param.family) + "_n" +
-             std::to_string(info.param.n) + "_W" +
-             std::to_string(info.param.w);
-    });
+    ::testing::PrintToStringParamName());
 
 /// bench_parallel_scaling's hash step.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -26,6 +27,8 @@ struct GenFamily {
   const char* name;
   Instance (*make)(Rng& rng);
 };
+
+void PrintTo(const GenFamily& family, std::ostream* os) { *os << family.name; }
 
 Instance make_uniform(Rng& rng) { return gen::random_uniform(20, 32, 16, 8, rng); }
 Instance make_tall(Rng& rng) { return gen::tall_items(16, 32, 12, rng); }

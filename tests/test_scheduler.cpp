@@ -213,7 +213,7 @@ TEST(ServingScheduler, CachingSolverExposesCounters) {
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
   params.threads = 2;
-  service::CachingSolver solver(params, service::CacheOptions{1 << 20, 1});
+  service::CachingSolver solver(params, service::CacheOptions{1 << 20});
   Rng rng(913);
   const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
   const runtime::SchedulerCounters before = runtime::scheduler_totals();

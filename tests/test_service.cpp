@@ -41,6 +41,8 @@ struct GenFamily {
   Instance (*make)(Rng& rng);
 };
 
+void PrintTo(const GenFamily& family, std::ostream* os) { *os << family.name; }
+
 Instance make_uniform(Rng& rng) { return gen::random_uniform(20, 32, 16, 8, rng); }
 Instance make_tall(Rng& rng) { return gen::tall_items(16, 32, 12, rng); }
 Instance make_wide(Rng& rng) { return gen::wide_items(14, 32, 6, rng); }
@@ -298,6 +300,45 @@ TEST(WireValidationTest, HugeWidthCorpusEntryIsRejected) {
   EXPECT_LT(bytes.str().size(), 200u);
   std::istringstream in(bytes.str());
   expect_throw_contains(in, "exceeds the cap");
+}
+
+TEST(WireValidationTest, RejectsStripAreaBeyondTheCap) {
+  // Two full-width items of height 2^62 on W = 4: the true peak 2^63 does
+  // not fit in int64, so the instance is refused before any solver sums
+  // its heights.
+  const Height cap = Height{1} << 62;  // 2^62, the W·Σh cap
+  const WireInstance wire{"", 4, {{0, 4, cap, ""}, {1, 4, cap, ""}}};
+  expect_rejected(wire, {"total item height reaches " + std::to_string(cap),
+                         "cap " + std::to_string(cap)});
+  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
+    std::ostringstream out;
+    save_instance(out, wire, format);
+    std::istringstream in(out.str());
+    expect_throw_contains(in, "exceeds the cap");
+  }
+  // W·Σh == 2^62 is servable; one more unit of height is not.
+  const Height at_cap = cap / 4;
+  WireInstance edge{"", 4, {{0, 4, at_cap - 1, ""}, {1, 1, 1, ""}}};
+  std::ostringstream out;
+  save_instance(out, edge, WireFormat::kBinary);
+  std::istringstream in(out.str());
+  EXPECT_EQ(load_instance(in), edge);
+  edge.items[1].height = 2;
+  expect_rejected(edge, {"total item height reaches " +
+                         std::to_string(at_cap + 1)});
+}
+
+TEST(WireValidationTest, AreaOverflowCorpusEntryIsRejected) {
+  // The checked-in fuzz seed used to be served with a peak (0) below its
+  // own lower bound; it must fail at ingest, naming the cap.
+  const std::string path = std::string(DSP_SOURCE_DIR) +
+                           "/fuzz/corpus/load_instance/area_overflow.json";
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file) << "cannot open " << path;
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  std::istringstream in(bytes.str());
+  expect_throw_contains(in, "exceeds the cap 4611686018427387904");
 }
 
 TEST(WireValidationTest, RejectsDuplicateIds) {

@@ -1,6 +1,7 @@
-// The sharded single-flight solve cache and the CachingSolver: exactly-once
+// The single-flight LRU solve cache and the CachingSolver: exactly-once
 // computation under concurrent identical requests, bit-identical hits, LRU
-// eviction at capacity, fingerprint separation, and the cached ==
+// eviction at capacity (the whole budget is one LRU, so an entry is only
+// oversized against all of it), fingerprint separation, and the cached ==
 // engine-direct determinism contract across thread counts and strip shapes
 // (narrow and wide strips, tests/strip_shapes.hpp).
 
@@ -164,9 +165,9 @@ TEST(SolveCacheTest, ComputeErrorsPropagateToJoinersAndAreNotCached) {
 }
 
 TEST(SolveCacheTest, LruEvictsColdEntriesAtCapacity) {
-  // One shard, tiny byte budget: each entry charges 128 overhead plus
-  // payload, so the budget below holds ~4 entries.
-  SolveCache cache(CacheOptions{4 * 200, 1});
+  // Tiny byte budget: each entry charges 128 overhead plus payload, so the
+  // budget below holds ~4 entries.
+  SolveCache cache(CacheOptions{4 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -184,8 +185,8 @@ TEST(SolveCacheTest, LruEvictsColdEntriesAtCapacity) {
 }
 
 TEST(SolveCacheTest, LruRecencyIsUpdatedByHits) {
-  // Budget for ~2 entries, one shard.
-  SolveCache cache(CacheOptions{2 * 200, 1});
+  // Budget for ~2 entries.
+  SolveCache cache(CacheOptions{2 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -213,10 +214,10 @@ TEST(SolveCacheTest, ClearDropsEntriesButKeepsCounters) {
 }
 
 TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
-  // Regression: an entry larger than the whole shard budget used to evict
+  // Regression: an entry larger than the whole budget used to evict
   // every resident entry before discovering it could not fit itself —
   // one pathological request flushed the warm cache.
-  SolveCache cache(CacheOptions{4 * 200, 1});
+  SolveCache cache(CacheOptions{4 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -230,7 +231,7 @@ TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
   CachedSolve big;
   big.packing.start = {0};
   big.peak = 99;
-  big.winner = std::string(2000, 'w');  // > the 800-byte shard budget
+  big.winner = std::string(2000, 'w');  // > the 800-byte budget
   const auto lookup = cache.get_or_compute(key_of(99), [&big]() { return big; });
   // The answer is still served (and counted as a miss)...
   EXPECT_EQ(lookup.outcome, CacheOutcome::kMiss);
@@ -253,41 +254,61 @@ TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
 }
 
 TEST(SolveCacheTest, ZeroCapacityBudgetIsRejectedLoudly) {
-  // Regression: capacity 0 (or a tiny budget integer-divided across many
-  // shards) used to build zero-byte shards that silently dropped every
-  // insert — a 0% hit rate with no diagnostic.
-  const CacheOptions zero_budget{0, 8};
+  // Regression: capacity 0 used to build a zero-byte cache that silently
+  // dropped every insert — a 0% hit rate with no diagnostic.
+  const CacheOptions zero_budget{0};
   EXPECT_THROW(SolveCache cache(zero_budget), InvalidInput);
   EXPECT_THROW(CachingSolver solver(ServeParams{}, zero_budget), InvalidInput);
 }
 
-TEST(SolveCacheTest, TinyBudgetCollapsesShardsAndStillCaches) {
-  // 1 KiB over 8 requested shards used to mean 8 shards of 128 B — none
-  // able to hold a real entry.  The shard count now collapses instead.
-  SolveCache cache(CacheOptions{1024, 8});
-  EXPECT_EQ(cache.shard_count(), 1u);
-  (void)cache.get_or_compute(key_of(1), []() { return small_solve(1); });
-  EXPECT_EQ(
-      cache.get_or_compute(key_of(1), []() { return small_solve(1); }).outcome,
-      CacheOutcome::kHit);
-  EXPECT_EQ(cache.stats().entries, 1u);
+/// A value charged exactly `bytes` (at least the fixed entry overhead plus
+/// the three-start packing): the winner string pads it.
+CachedSolve padded_solve(std::size_t bytes) {
+  CachedSolve solve = small_solve(1);
+  const std::size_t unpadded =
+      128 + solve.packing.start.size() * sizeof(Length);
+  solve.winner = std::string(bytes - unpadded, 'w');
+  return solve;
 }
 
-TEST(SolveCacheTest, ShardCapacitiesSumToTheBudget) {
-  // The capacity % shards remainder is distributed, not dropped.
-  const std::size_t budget = (32 << 10) + 5;
-  SolveCache cache(CacheOptions{budget, 3});
-  const std::vector<std::size_t> capacities = cache.shard_capacities();
-  ASSERT_EQ(capacities.size(), 3u);
-  std::size_t sum = 0;
-  for (const std::size_t capacity : capacities) sum += capacity;
-  EXPECT_EQ(sum, budget);
-  const auto [lo, hi] = std::minmax_element(capacities.begin(), capacities.end());
-  EXPECT_LE(*hi - *lo, 1u);
+TEST(SolveCacheTest, EntryIsOversizedOnlyAgainstTheWholeBudget) {
+  // A ~6 KB entry in a 32 KiB cache fits: the oversized rule measures the
+  // whole budget, not a slice of it.
+  SolveCache cache(CacheOptions{32 << 10});
+  const auto lookup = [&cache]() {
+    return cache.get_or_compute(key_of(1), []() { return padded_solve(6000); });
+  };
+  EXPECT_EQ(lookup().outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(lookup().outcome, CacheOutcome::kHit);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.oversized, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, 6000u);
+}
+
+TEST(SolveCacheTest, BudgetHoldsAsManyEntriesAsItsBytesAllow) {
+  // 32 entries of 1 KiB fill a 32 KiB budget exactly: every one stays
+  // resident, whatever its key hashes to.
+  SolveCache cache(CacheOptions{32 << 10});
+  for (std::uint64_t k = 0; k < 32; ++k) {
+    (void)cache.get_or_compute(key_of(k), []() { return padded_solve(1024); });
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 32u);
+  EXPECT_EQ(stats.bytes, 32u << 10);
+  EXPECT_EQ(stats.evictions, 0u);
+  for (std::uint64_t k = 0; k < 32; ++k) {
+    EXPECT_EQ(cache
+                  .get_or_compute(key_of(k),
+                                  []() { return padded_solve(1024); })
+                  .outcome,
+              CacheOutcome::kHit)
+        << "key " << k;
+  }
 }
 
 TEST(SolveCacheTest, WarmInsertSkipsCountersAndObserver) {
-  SolveCache cache(CacheOptions{64 << 10, 2});
+  SolveCache cache(CacheOptions{64 << 10});
   int notified = 0;
   cache.set_insert_observer(
       [&notified](const CacheKey&, const std::shared_ptr<const CachedSolve>&) {
@@ -308,7 +329,7 @@ TEST(SolveCacheTest, WarmInsertSkipsCountersAndObserver) {
 }
 
 TEST(SolveCacheTest, ExportEntriesRoundTripsRecencyThroughInsert) {
-  SolveCache cache(CacheOptions{4 * 200, 1});
+  SolveCache cache(CacheOptions{4 * 200});
   const auto fill = [&cache](std::uint64_t k) {
     return cache.get_or_compute(key_of(k), [k]() {
       return small_solve(static_cast<Height>(k));
@@ -321,7 +342,7 @@ TEST(SolveCacheTest, ExportEntriesRoundTripsRecencyThroughInsert) {
 
   // Re-inserting the export in order reproduces the recency order in a
   // fresh cache: under pressure the same keys survive.
-  SolveCache copy(CacheOptions{4 * 200, 1});
+  SolveCache copy(CacheOptions{4 * 200});
   for (const CacheEntryView& entry : cache.export_entries()) {
     copy.insert(entry.key, *entry.value);
   }
@@ -333,6 +354,29 @@ TEST(SolveCacheTest, ExportEntriesRoundTripsRecencyThroughInsert) {
   (void)fill_copy(4);
   (void)fill_copy(5);  // evicts the cold end: 2, then 3 — never 1
   EXPECT_EQ(fill_copy(1).outcome, CacheOutcome::kHit);
+}
+
+TEST(SolveCacheTest, ExportIsOneColdToWarmOrderOverEveryKey) {
+  // The export lists every resident key in global recency order, coldest
+  // first, whatever the keys hash to.
+  SolveCache cache(CacheOptions{1 << 20});
+  for (std::uint64_t k = 0; k < 24; ++k) {
+    (void)cache.get_or_compute(key_of(k), [k]() {
+      return small_solve(static_cast<Height>(k));
+    });
+  }
+  // Touch the even keys again, oldest first: they become the warm half.
+  for (std::uint64_t k = 0; k < 24; k += 2) {
+    (void)cache.get_or_compute(key_of(k), []() { return small_solve(0); });
+  }
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t k = 1; k < 24; k += 2) expected.push_back(k);
+  for (std::uint64_t k = 0; k < 24; k += 2) expected.push_back(k);
+  std::vector<std::uint64_t> exported;
+  for (const CacheEntryView& entry : cache.export_entries()) {
+    exported.push_back(entry.key.instance_hash.hi);
+  }
+  EXPECT_EQ(exported, expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "core/bounds.hpp"
@@ -138,6 +139,10 @@ struct SpAlgoCase {
   const char* name;
   sp::SpPacking (*run)(const Instance&);
 };
+
+void PrintTo(const SpAlgoCase& algo_case, std::ostream* os) {
+  *os << algo_case.name;
+}
 
 class SpAlgorithms
     : public ::testing::TestWithParam<std::tuple<SpAlgoCase, int>> {};
