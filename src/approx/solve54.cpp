@@ -19,22 +19,6 @@ namespace {
 /// small; DESIGN.md substitution 4).
 constexpr std::size_t kMaxGapBoxes = 48;
 
-struct AttemptOutcome {
-  Packing packing;
-  Height peak = 0;
-  bool within_budget = false;
-  Classification cls;
-  bool lp_used = false;
-  std::size_t lp_configurations = 0;
-  std::size_t lp_pricing_rounds = 0;
-  bool lp_capped = false;
-  std::size_t lp_overflow = 0;
-  /// Phase-latency observations for this attempt (zero with obs off).
-  std::uint64_t attempt_nanos = 0;
-  std::uint64_t pricing_nanos = 0;
-  std::uint64_t lp_resolve_nanos = 0;
-};
-
 /// Sorts indices by non-increasing key.
 template <typename Key>
 std::vector<std::size_t> sorted_desc(const std::vector<std::size_t>& indices,
@@ -97,19 +81,21 @@ std::vector<GapBox> gap_boxes_of_profile(const Profile& occupancy,
   return boxes;
 }
 
-/// One attempt at the height guess h_guess (steps 3-6 of the algorithm),
-/// packing onto its own empty profile.
-AttemptOutcome attempt(const Instance& instance, Height h_guess,
-                       const Approx54Params& params) {
-  AttemptOutcome outcome;
-  outcome.cls = select_parameters(instance, h_guess, params.epsilon);
+}  // namespace
+
+Attempt attempt(const Instance& instance, Height h_guess,
+                const Fraction& epsilon) {
+  DSP_REQUIRE(h_guess >= 1, "attempt needs a height guess >= 1");
+  DSP_REQUIRE(epsilon > Fraction(0) && epsilon <= Fraction(1, 2),
+              "epsilon must be in (0, 1/2]");
+  Attempt outcome;
+  outcome.cls = select_parameters(instance, h_guess, epsilon);
   const Classification& cls = outcome.cls;
   const RoundedHeights rounding = round_heights(instance, cls);
-  const Height budget =
-      ceil_mul(h_guess, Fraction(5, 4) + params.epsilon);
+  const Height budget = ceil_mul(h_guess, Fraction(5, 4) + epsilon);
 
   Profile occupancy(instance.strip_width());
-  Packing packing;
+  Packing& packing = outcome.packing;
   packing.start.assign(instance.size(), -1);
   const auto place = [&](std::size_t i, Length x) {
     packing.start[i] = x;
@@ -147,15 +133,8 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
     }
     const std::vector<GapBox> gaps = gap_boxes_of_profile(
         occupancy, budget, min_vertical, kMaxGapBoxes);
-    const VerticalFillResult fill =
-        fill_vertical_items(instance, vertical, rounding, gaps);
-    outcome.lp_used = fill.lp_solved;
-    outcome.lp_configurations = fill.configurations;
-    outcome.lp_pricing_rounds = fill.pricing_rounds;
-    outcome.lp_capped = fill.capped;
-    outcome.lp_overflow = fill.overflow.size();
-    outcome.pricing_nanos = fill.pricing_nanos;
-    outcome.lp_resolve_nanos = fill.lp_resolve_nanos;
+    outcome.fill = fill_vertical_items(instance, vertical, rounding, gaps);
+    const VerticalFillResult& fill = outcome.fill;
     for (std::size_t k = 0; k < vertical.size(); ++k) {
       if (fill.start[k] >= 0) place(vertical[k], fill.start[k]);
     }
@@ -196,14 +175,13 @@ AttemptOutcome attempt(const Instance& instance, Height h_guess,
 
   outcome.peak = occupancy.peak();
   // Success criterion: everything within (5/4 + eps) H' plus the medium
-  // allowance of Lemmas 13/14 (O(eps) H').
-  const Height allowance = ceil_mul(h_guess, params.epsilon * 2);
-  outcome.within_budget = outcome.peak <= budget + allowance;
-  outcome.packing = std::move(packing);
+  // allowance of Lemmas 13/14 (O(eps) H').  Written as a difference: the
+  // ingest cap admits H' up to 2^62 (W = 1), where budget + allowance
+  // (up to 11/4 H') would pass INT64_MAX.
+  const Height allowance = ceil_mul(h_guess, epsilon * 2);
+  outcome.within_budget = outcome.peak - budget <= allowance;
   return outcome;
 }
-
-}  // namespace
 
 Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   DSP_REQUIRE(instance.size() > 0, "solve54 on empty instance");
@@ -232,27 +210,26 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   // midpoint; a success becomes the new ceiling, a failure the new floor.
   Height lo = report.lower_bound;
   Height hi = witness_peak;
-  std::optional<AttemptOutcome> best_outcome;
+  std::optional<Attempt> accepted;  // the success at the smallest H'
   const auto probe = [&](Height guess) {
     ++report.rounds;
     ++report.attempts;
-    AttemptOutcome outcome;
+    Attempt tried;
     {
-      const obs::ScopedSpan span(obs::Phase::kAttempt, &outcome.attempt_nanos);
-      outcome = attempt(instance, guess, params);
+      const obs::ScopedSpan span(obs::Phase::kAttempt, &report.attempt_nanos);
+      tried = attempt(instance, guess, params.epsilon);
     }
-    report.attempt_nanos += outcome.attempt_nanos;
-    report.pricing_nanos += outcome.pricing_nanos;
-    report.lp_resolve_nanos += outcome.lp_resolve_nanos;
-    best_pipeline_peak = std::min(best_pipeline_peak, outcome.peak);
-    if (outcome.peak < best_peak) {
-      best_peak = outcome.peak;
-      best_packing = outcome.packing;
+    report.pricing_nanos += tried.fill.pricing_nanos;
+    report.lp_resolve_nanos += tried.fill.lp_resolve_nanos;
+    best_pipeline_peak = std::min(best_pipeline_peak, tried.peak);
+    if (tried.peak < best_peak) {
+      best_peak = tried.peak;
+      best_packing = tried.packing;
     }
-    if (outcome.within_budget) {
+    if (tried.within_budget) {
       report.best_guess = guess;
       hi = guess - 1;
-      best_outcome = std::move(outcome);
+      accepted = std::move(tried);
     } else {
       lo = guess + 1;
     }
@@ -262,26 +239,21 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
     const obs::ScopedSpan round_span(obs::Phase::kBisectionRound);
     probe(lo + (hi - lo) / 2);
   }
-  if (best_outcome) {
-    const Classification& cls = best_outcome->cls;
-    report.delta = cls.delta;
-    report.mu = cls.mu;
-    for (const Category c :
-         {Category::kLarge, Category::kTall, Category::kVertical,
-          Category::kMediumVertical, Category::kHorizontal, Category::kSmall,
-          Category::kMedium}) {
-      report.count_per_category[static_cast<int>(c)] = cls.of(c).size();
+  if (accepted) {
+    const Classification& cls = accepted->cls;
+    for (const Category c : cls.category) {
+      ++report.count_per_category[static_cast<int>(c)];
     }
     report.medium_area = cls.area_of(Category::kMedium, instance) +
                          cls.area_of(Category::kMediumVertical, instance);
-    report.lp_used = best_outcome->lp_used;
-    report.lp_configurations = best_outcome->lp_configurations;
-    report.lp_pricing_rounds = best_outcome->lp_pricing_rounds;
-    report.lp_capped = best_outcome->lp_capped;
-    report.lp_overflow = best_outcome->lp_overflow;
+    const VerticalFillResult& fill = accepted->fill;
+    report.lp_used = fill.lp_solved;
+    report.lp_configurations = fill.configurations;
+    report.lp_pricing_rounds = fill.pricing_rounds;
+    report.lp_capped = fill.capped;
+    report.lp_overflow = fill.overflow.size();
   }
   report.pipeline_peak = best_pipeline_peak;
-  report.final_peak = best_peak;
   result.packing = std::move(best_packing);
   result.peak = best_peak;
   return result;

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "approx/classify.hpp"
+#include "approx/config_lp.hpp"
 #include "core/packing.hpp"
 
 namespace dsp::approx {
@@ -22,9 +23,6 @@ struct Approx54Report {
   Height upper_bound = 0;       ///< witness peak (binary-search ceiling)
   Height best_guess = 0;        ///< smallest H' whose attempt succeeded
   Height pipeline_peak = 0;     ///< best peak achieved by the pipeline itself
-  Height final_peak = 0;        ///< returned packing's peak (incl. witness)
-  Fraction delta;               ///< Lemma-2 choice at the best guess
-  Fraction mu;
   std::size_t count_per_category[7] = {0, 0, 0, 0, 0, 0, 0};
   std::int64_t medium_area = 0;  ///< area of M u Mv at the best guess
   bool lp_used = false;          ///< Lemma-10 LP solved at the best guess
@@ -46,16 +44,32 @@ struct Approx54Report {
 
 struct Approx54Result {
   Packing packing;
-  Height peak = 0;
+  Height peak = 0;  ///< the returned packing's peak (witness included)
   Approx54Report report;
 };
+
+/// One attempt at the height guess H' (steps 3-6 below), packed onto its
+/// own empty profile.  `solve54` is a bisection over H' around this call.
+struct Attempt {
+  Packing packing;             ///< always feasible
+  Height peak = 0;             ///< peak of `packing`
+  bool within_budget = false;  ///< peak <= (5/4 + eps) H' + 2 eps H'
+  Classification cls;          ///< step 3's classification at H'
+  /// Step 5a's Lemma-10 LP; left default (`lp_solved == false`) when H'
+  /// classifies no item as vertical.
+  VerticalFillResult fill;
+};
+
+/// Runs steps 3-6 at the guess `h_guess` >= 1 with eps in (0, 1/2].
+[[nodiscard]] Attempt attempt(const Instance& instance, Height h_guess,
+                              const Fraction& epsilon);
 
 /// The (5/4+eps)-approximation for DSP (Theorem 5), in the constructive
 /// realization documented in DESIGN.md (substitution 4):
 ///
 ///   step 1  lower/upper bounds (combined LB; baseline-portfolio witness)
 ///   step 2  binary search over the height guess H', starting with the
-///           floor probe H' = lower bound
+///           floor probe H' = lower bound; each probe is one `attempt`
 ///   step 3  Lemma-2 parameter selection + Fig.-5 classification +
 ///           Lemma-3 height rounding
 ///   step 4  skeleton: large and tall items, tallest first, first-fit under
@@ -72,7 +86,9 @@ struct Approx54Result {
 /// witness portfolio run on the run-length Profile (core/profile.hpp): a
 /// placement costs O(runs), not O(W).  The returned packing is always
 /// feasible; peak quality is certified per run against the lower bound
-/// (experiment E7 measures the ratio).
+/// (experiment E7 measures the ratio).  The (5/4 + eps) OPT bound is
+/// checked on the returned peak, while `report.pipeline_peak` exceeds it
+/// on a counted share of the exact corpus (tests/theorem5_corpus.hpp).
 [[nodiscard]] Approx54Result solve54(const Instance& instance,
                                      const Approx54Params& params = {});
 

@@ -46,9 +46,10 @@ enum class WireFormat {
 inline constexpr Length kMaxStripWidth = Length{1} << 20;
 
 /// Largest W·Σh (strip width times total item height) an instance record
-/// may declare (2^62).  Every load, area, lower bound and the solvers'
-/// 3/2·H' budget is at most 3/2·W·Σh, so the cap keeps all of them inside
-/// int64; past it a peak could wrap below its own lower bound.
+/// may declare (2^62).  Every load, area and lower bound is at most W·Σh,
+/// and solve54's budget (5/4 + eps)·H' at most 7/4·W·Σh (eps <= 1/2), so
+/// the cap keeps all of them inside int64; no sum past the budget is
+/// formed.  Past the cap a peak could wrap below its own lower bound.
 inline constexpr Height kMaxStripArea = Height{1} << 62;
 
 /// One item as it travels on the wire: the geometric payload plus the
@@ -95,8 +96,8 @@ void save_instance(std::ostream& os, const WireInstance& instance,
 /// W·Σh > kMaxStripArea, duplicate ids, and the empty instance.  Every
 /// error message names `source`, and a per-item error also the offending
 /// item index and the byte offset of the offending record.
-[[nodiscard]] WireInstance load_instance(std::istream& is,
-                                         const std::string& source = "<stream>");
+[[nodiscard]] WireInstance load_instance(
+    std::istream& is, const std::string& source = "<stream>");
 
 void save_instance_file(const std::string& path, const WireInstance& instance,
                         WireFormat format);

@@ -33,6 +33,8 @@
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
+#include "cache_outcome_print.hpp"
+
 namespace dsp::service {
 namespace {
 
@@ -216,7 +218,8 @@ TEST(CliHelpersTest, ExpandPathsDiagnosesMissingAndEmptyPaths) {
 
 TEST(PersistTest, SaveLoadRoundTripsEntriesBitExactly) {
   SolveCache cache(CacheOptions{1 << 20});
-  (void)cache.get_or_compute(key_of(1), []() { return solve_of(7, "steinberg"); });
+  (void)cache.get_or_compute(key_of(1),
+                             []() { return solve_of(7, "steinberg"); });
   (void)cache.get_or_compute(key_of(2), []() { return solve_of(9, "nfdh"); });
 
   std::stringstream stream;
@@ -284,7 +287,8 @@ TEST(PersistTest, StoreWarmLoadEqualsLiveCacheAcrossRestart) {
         });
     for (std::uint64_t k = 1; k <= 7; ++k) {
       (void)cache.get_or_compute(key_of(k), [k]() {
-        return solve_of(static_cast<Height>(k), std::string("w").append(std::to_string(k)));
+        return solve_of(static_cast<Height>(k),
+                        std::string("w").append(std::to_string(k)));
       });
     }
     // 7 appends at snapshot_every=3: two automatic compactions happened and

@@ -35,6 +35,7 @@
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
+#include "cache_outcome_print.hpp"
 #include "strip_shapes.hpp"
 
 namespace dsp::obs {

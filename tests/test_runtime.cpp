@@ -18,6 +18,7 @@
 #include "service/canonical.hpp"
 #include "util/prng.hpp"
 
+#include "cache_outcome_print.hpp"
 #include "strip_shapes.hpp"
 
 namespace dsp {

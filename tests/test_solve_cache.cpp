@@ -24,6 +24,7 @@
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
+#include "cache_outcome_print.hpp"
 #include "strip_shapes.hpp"
 
 namespace dsp::service {
@@ -232,7 +233,8 @@ TEST(SolveCacheTest, OversizedEntryDoesNotFlushWarmEntries) {
   big.packing.start = {0};
   big.peak = 99;
   big.winner = std::string(2000, 'w');  // > the 800-byte budget
-  const auto lookup = cache.get_or_compute(key_of(99), [&big]() { return big; });
+  const auto lookup =
+      cache.get_or_compute(key_of(99), [&big]() { return big; });
   // The answer is still served (and counted as a miss)...
   EXPECT_EQ(lookup.outcome, CacheOutcome::kMiss);
   EXPECT_EQ(lookup.value->winner, big.winner);
