@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "algo/portfolio.hpp"
 #include "approx/config_lp.hpp"
@@ -183,53 +182,33 @@ Attempt attempt(const Instance& instance, Height h_guess,
   return outcome;
 }
 
-Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
-  DSP_REQUIRE(instance.size() > 0, "solve54 on empty instance");
-  DSP_REQUIRE(params.epsilon > Fraction(0) && params.epsilon <= Fraction(1, 2),
-              "epsilon must be in (0, 1/2]");
-  Approx54Result result;
-  Approx54Report& report = result.report;
-
-  // Step 1: bounds.  The witness doubles as the fallback packing.
-  report.lower_bound = combined_lower_bound(instance);
-  Packing witness;
-  {
-    const obs::ScopedSpan span(obs::Phase::kWitness);
-    witness = algo::best_of_portfolio(instance);
-  }
-  const Height witness_peak = peak_height(instance, witness);
-  report.upper_bound = witness_peak;
-
-  Packing best_packing = std::move(witness);
-  Height best_peak = witness_peak;
-  Height best_pipeline_peak = std::numeric_limits<Height>::max();
-
-  // Step 2: binary search over H'.  Round 1 is the floor probe
-  // H' = lower bound (lower bound <= witness peak always): success ends the
-  // search there, failure raises the floor past it.  Later rounds probe the
-  // midpoint; a success becomes the new ceiling, a failure the new floor.
-  Height lo = report.lower_bound;
-  Height hi = witness_peak;
-  std::optional<Attempt> accepted;  // the success at the smallest H'
+Bisection bisect(const Instance& instance, Height lower, Height upper,
+                 const Fraction& epsilon) {
+  DSP_REQUIRE(lower <= upper, "bisect needs lower <= upper");
+  Bisection search;
+  search.peak = std::numeric_limits<Height>::max();
+  // Round 1 is the floor probe H' = lower: success ends the search there,
+  // failure raises the floor past it.  Later rounds probe the midpoint; a
+  // success becomes the new ceiling, a failure the new floor.
+  Height lo = lower;
+  Height hi = upper;
   const auto probe = [&](Height guess) {
-    ++report.rounds;
-    ++report.attempts;
+    ++search.attempts;
     Attempt tried;
     {
-      const obs::ScopedSpan span(obs::Phase::kAttempt, &report.attempt_nanos);
-      tried = attempt(instance, guess, params.epsilon);
+      const obs::ScopedSpan span(obs::Phase::kAttempt, &search.attempt_nanos);
+      tried = attempt(instance, guess, epsilon);
     }
-    report.pricing_nanos += tried.fill.pricing_nanos;
-    report.lp_resolve_nanos += tried.fill.lp_resolve_nanos;
-    best_pipeline_peak = std::min(best_pipeline_peak, tried.peak);
-    if (tried.peak < best_peak) {
-      best_peak = tried.peak;
-      best_packing = tried.packing;
+    search.pricing_nanos += tried.fill.pricing_nanos;
+    search.lp_resolve_nanos += tried.fill.lp_resolve_nanos;
+    if (tried.peak < search.peak) {
+      search.peak = tried.peak;
+      search.packing = tried.packing;
     }
     if (tried.within_budget) {
-      report.best_guess = guess;
+      search.best_guess = guess;
       hi = guess - 1;
-      accepted = std::move(tried);
+      search.accepted = std::move(tried);
     } else {
       lo = guess + 1;
     }
@@ -239,23 +218,57 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
     const obs::ScopedSpan round_span(obs::Phase::kBisectionRound);
     probe(lo + (hi - lo) / 2);
   }
-  if (accepted) {
-    const Classification& cls = accepted->cls;
+  return search;
+}
+
+Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
+  DSP_REQUIRE(instance.size() > 0, "solve54 on empty instance");
+  DSP_REQUIRE(params.epsilon > Fraction(0) && params.epsilon <= Fraction(1, 2),
+              "epsilon must be in (0, 1/2]");
+  Approx54Result result;
+  Approx54Report& report = result.report;
+
+  // Step 1: bounds.  The witness doubles as the fallback packing.
+  report.lower_bound = combined_lower_bound(instance);
+  {
+    const obs::ScopedSpan span(obs::Phase::kWitness);
+    result.packing = algo::best_of_portfolio(instance);
+  }
+  result.peak = peak_height(instance, result.packing);
+  report.upper_bound = result.peak;
+  report.pipeline_peak = result.peak;
+
+  // Step 2 only when it can change the answer: no packing peaks below the
+  // lower bound, and only a strictly lower peak replaces the witness, so a
+  // witness at the lower bound is returned without an attempt.
+  if (report.upper_bound == report.lower_bound) return result;
+  Bisection search =
+      bisect(instance, report.lower_bound, report.upper_bound, params.epsilon);
+  report.best_guess = search.best_guess;
+  report.pipeline_peak = search.peak;
+  report.attempts = search.attempts;
+  report.rounds = search.attempts;
+  report.attempt_nanos = search.attempt_nanos;
+  report.pricing_nanos = search.pricing_nanos;
+  report.lp_resolve_nanos = search.lp_resolve_nanos;
+  if (search.accepted) {
+    const Classification& cls = search.accepted->cls;
     for (const Category c : cls.category) {
       ++report.count_per_category[static_cast<int>(c)];
     }
     report.medium_area = cls.area_of(Category::kMedium, instance) +
                          cls.area_of(Category::kMediumVertical, instance);
-    const VerticalFillResult& fill = accepted->fill;
+    const VerticalFillResult& fill = search.accepted->fill;
     report.lp_used = fill.lp_solved;
     report.lp_configurations = fill.configurations;
     report.lp_pricing_rounds = fill.pricing_rounds;
     report.lp_capped = fill.capped;
     report.lp_overflow = fill.overflow.size();
   }
-  report.pipeline_peak = best_pipeline_peak;
-  result.packing = std::move(best_packing);
-  result.peak = best_peak;
+  if (search.peak < result.peak) {
+    result.packing = std::move(search.packing);
+    result.peak = search.peak;
+  }
   return result;
 }
 

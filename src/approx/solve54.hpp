@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "approx/classify.hpp"
@@ -18,11 +19,17 @@ struct Approx54Params {
 };
 
 /// Diagnostics of one run — the quantities experiments E7/E9/E11 report.
+/// When the witness meets the lower bound, step 2 is skipped: `attempts`,
+/// `rounds` and `best_guess` are 0, `pipeline_peak == upper_bound`, and
+/// every field below `pipeline_peak` keeps its default.  `attempts == 0`
+/// marks that step-1 answer; `bisect` measures the pipeline on it.
 struct Approx54Report {
   Height lower_bound = 0;       ///< combined lower bound (binary-search floor)
   Height upper_bound = 0;       ///< witness peak (binary-search ceiling)
   Height best_guess = 0;        ///< smallest H' whose attempt succeeded
-  Height pipeline_peak = 0;     ///< best peak achieved by the pipeline itself
+  /// Best peak of the pipeline's own attempts; `upper_bound` when no
+  /// attempt ran.
+  Height pipeline_peak = 0;
   std::size_t count_per_category[7] = {0, 0, 0, 0, 0, 0, 0};
   std::int64_t medium_area = 0;  ///< area of M u Mv at the best guess
   bool lp_used = false;          ///< Lemma-10 LP solved at the best guess
@@ -30,13 +37,13 @@ struct Approx54Report {
   std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds
   bool lp_capped = false;        ///< an LP safety valve was hit
   std::size_t lp_overflow = 0;   ///< items through the extra-box path
-  std::size_t attempts = 0;      ///< binary-search probes (all rounds)
+  std::size_t attempts = 0;      ///< binary-search probes (0: step-1 answer)
   std::size_t rounds = 0;        ///< binary-search rounds (== attempts)
   /// Phase-level latency breakdown (obs/trace.hpp scoped spans), summed
   /// over every attempt of the bisection: total attempt wall nanos, the
   /// slice spent in CG pricing rounds, and the slice inside LP (re)solves.
   /// Observed, never branched on; all zero when the obs metrics switch is
-  /// off.
+  /// off or no attempt ran.
   std::uint64_t attempt_nanos = 0;
   std::uint64_t pricing_nanos = 0;
   std::uint64_t lp_resolve_nanos = 0;
@@ -49,7 +56,7 @@ struct Approx54Result {
 };
 
 /// One attempt at the height guess H' (steps 3-6 below), packed onto its
-/// own empty profile.  `solve54` is a bisection over H' around this call.
+/// own empty profile.  `bisect` is a bisection over H' around this call.
 struct Attempt {
   Packing packing;             ///< always feasible
   Height peak = 0;             ///< peak of `packing`
@@ -64,12 +71,38 @@ struct Attempt {
 [[nodiscard]] Attempt attempt(const Instance& instance, Height h_guess,
                               const Fraction& epsilon);
 
+/// Step 2: the bisection over H' in [lower, upper], one `attempt` per
+/// probe.  Round 1 is the floor probe H' = lower; later rounds probe the
+/// midpoint, a success lowering the ceiling and a failure raising the
+/// floor.  At most 1 + bit_width(upper - lower) probes.
+struct Bisection {
+  /// The success at the smallest H'; empty when every probe failed.
+  std::optional<Attempt> accepted;
+  Height best_guess = 0;     ///< H' of `accepted`; 0 when empty
+  Packing packing;           ///< the lowest-peak probe's packing (first wins)
+  Height peak = 0;           ///< peak of `packing`
+  std::size_t attempts = 0;  ///< probes made (>= 1)
+  /// Summed over the probes, as in `Approx54Report`.
+  std::uint64_t attempt_nanos = 0;
+  std::uint64_t pricing_nanos = 0;
+  std::uint64_t lp_resolve_nanos = 0;
+};
+
+/// Runs step 2 with lower <= upper and eps in (0, 1/2].  `solve54`
+/// calls it with the step-1 bounds only when they differ; the Theorem-5
+/// ratchet, the pins and E7 call it on every instance to measure the
+/// pipeline whether or not `solve54` needed it.
+[[nodiscard]] Bisection bisect(const Instance& instance, Height lower,
+                               Height upper, const Fraction& epsilon);
+
 /// The (5/4+eps)-approximation for DSP (Theorem 5), in the constructive
 /// realization documented in DESIGN.md (substitution 4):
 ///
-///   step 1  lower/upper bounds (combined LB; baseline-portfolio witness)
-///   step 2  binary search over the height guess H', starting with the
-///           floor probe H' = lower bound; each probe is one `attempt`
+///   step 1  lower/upper bounds (combined LB; baseline-portfolio witness);
+///           a witness at the lower bound is optimal and is returned
+///   step 2  otherwise `bisect` over the height guess H' in [LB, witness
+///           peak], starting with the floor probe H' = lower bound; each
+///           probe is one `attempt`
 ///   step 3  Lemma-2 parameter selection + Fig.-5 classification +
 ///           Lemma-3 height rounding
 ///   step 4  skeleton: large and tall items, tallest first, first-fit under
@@ -80,15 +113,16 @@ struct Attempt {
 ///           items first-fit into the remaining gaps (Lemma 13)
 ///   step 6  discarded medium items on top (Lemma 14, NFDH order)
 ///   step 7  the best packing over all guesses (never worse than the
-///           witness) is returned
+///           witness; the witness wins ties) is returned
 ///
 /// Runs entirely on the calling thread.  Every placement step and the
 /// witness portfolio run on the run-length Profile (core/profile.hpp): a
 /// placement costs O(runs), not O(W).  The returned packing is always
 /// feasible; peak quality is certified per run against the lower bound
 /// (experiment E7 measures the ratio).  The (5/4 + eps) OPT bound is
-/// checked on the returned peak, while `report.pipeline_peak` exceeds it
-/// on a counted share of the exact corpus (tests/theorem5_corpus.hpp).
+/// checked on the returned peak, while the pipeline alone (`bisect`'s
+/// peak) exceeds it on a counted share of the exact corpus
+/// (tests/theorem5_corpus.hpp).
 [[nodiscard]] Approx54Result solve54(const Instance& instance,
                                      const Approx54Params& params = {});
 

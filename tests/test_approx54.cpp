@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/portfolio.hpp"
 #include "approx/config_lp.hpp"
 #include "approx/solve54.hpp"
 #include "core/bounds.hpp"
@@ -17,6 +18,7 @@
 #include "gen/smart_grid.hpp"
 #include "util/prng.hpp"
 
+#include "solve_cold_cells.hpp"
 #include "theorem5_corpus.hpp"
 
 namespace dsp::approx {
@@ -101,6 +103,7 @@ TEST(Solve54, ReportIsConsistent) {
   const Instance inst = gen::random_uniform(60, 128, 64, 24, rng);
   const Approx54Result result = solve54(inst);
   const Approx54Report& report = result.report;
+  ASSERT_GT(report.upper_bound, report.lower_bound);  // the search runs
   EXPECT_GE(result.peak, report.lower_bound);
   EXPECT_LE(result.peak, report.upper_bound);
   EXPECT_GE(report.pipeline_peak, report.lower_bound);
@@ -113,10 +116,17 @@ TEST(Solve54, ReportIsConsistent) {
   }
 }
 
+/// The pipeline alone on a solve54 result's bounds: `bisect` over
+/// [LB, UB], whether or not solve54 needed the search.
+Bisection pipeline_of(const Instance& inst, const Approx54Result& result) {
+  return bisect(inst, result.report.lower_bound, result.report.upper_bound,
+                Approx54Params{}.epsilon);
+}
+
 TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
-  // E7 reports pipeline_peak next to the returned peak: the pipeline's own
-  // best may exceed the returned peak (the witness can win), never the
-  // other way round.
+  // E7 reports the pipeline's peak (from bisect) next to the returned
+  // peak: the pipeline's own best may exceed the returned peak (the
+  // witness can win), never the other way round.
   std::vector<Instance> instances;
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
     instances.push_back(golden.instance);
@@ -127,20 +137,139 @@ TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
   }
   for (const Instance& inst : instances) {
     const Approx54Result result = solve54(inst);
-    const Approx54Report& report = result.report;
-    ASSERT_GE(report.attempts, 1u) << inst.summary();
-    EXPECT_EQ(result.peak, std::min(report.upper_bound, report.pipeline_peak))
+    const Bisection search = pipeline_of(inst, result);
+    ASSERT_GE(search.attempts, 1u) << inst.summary();
+    EXPECT_EQ(result.peak, std::min(result.report.upper_bound, search.peak))
         << inst.summary();
   }
 }
 
-/// One item of height h on W = 1: the witness is optimal, so the floor
-/// probe H' = h is the only attempt and it must succeed.
+/// Solves `inst` at `eps` and checks solve54 against its definition: the
+/// witness unless `bisect` over [LB, witness peak] reaches a strictly
+/// lower peak, and then that probe's packing; the report's search fields
+/// are bisect's whenever solve54 searched.  Returns both.
+struct Solved {
+  Approx54Result result;
+  Bisection pipeline;
+};
+
+Solved solve_and_check(const Instance& inst, const Fraction& eps) {
+  Solved solved{solve54(inst, {.epsilon = eps}), {}};
+  const Approx54Result& result = solved.result;
+  const Packing witness = algo::best_of_portfolio(inst);
+  const Height witness_peak = peak_height(inst, witness);
+  const Height lower = combined_lower_bound(inst);
+  solved.pipeline = bisect(inst, lower, witness_peak, eps);
+  const Bisection& search = solved.pipeline;
+  const Packing& expected =
+      search.peak < witness_peak ? search.packing : witness;
+  EXPECT_EQ(result.packing.start, expected.start) << inst.summary();
+  EXPECT_EQ(result.peak, std::min(witness_peak, search.peak))
+      << inst.summary();
+  EXPECT_EQ(result.report.lower_bound, lower);
+  EXPECT_EQ(result.report.upper_bound, witness_peak);
+  if (witness_peak == lower) {
+    EXPECT_EQ(result.report.attempts, 0u) << inst.summary();
+    EXPECT_EQ(result.report.pipeline_peak, witness_peak) << inst.summary();
+  } else {
+    EXPECT_EQ(result.report.attempts, search.attempts) << inst.summary();
+    EXPECT_EQ(result.report.best_guess, search.best_guess) << inst.summary();
+    EXPECT_EQ(result.report.pipeline_peak, search.peak) << inst.summary();
+  }
+  return solved;
+}
+
+/// The minute-resolution appliance catalog of the solve-wide week cells.
+std::vector<gen::Appliance> minute_catalog() {
+  std::vector<gen::Appliance> minutes = gen::default_catalog();
+  for (gen::Appliance& appliance : minutes) {
+    appliance.min_slots *= 15;
+    appliance.max_slots *= 15;
+  }
+  return minutes;
+}
+
+TEST(Solve54, IsTheBetterOfWitnessAndBisection) {
+  // The golden corpus, the 36 solve-cold cells and the 5 solve-wide cell
+  // shapes (fresh draws; WideStripPackingsMatchRecordedFingerprints and
+  // the Solve54Pin families run the same check on their own solves).
+  std::vector<Instance> instances;
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    instances.push_back(golden.instance);
+  }
+  for (const testing_cells::SolveColdCell& cell :
+       testing_cells::solve_cold_cells()) {
+    instances.push_back(testing_cells::solve_cold_instance(cell));
+  }
+  const std::vector<gen::Appliance> minutes = minute_catalog();
+  for (const std::size_t n : {50, 100, 150}) {
+    Rng rng(n);
+    instances.push_back(gen::smart_grid(n, 10080, rng, minutes));
+  }
+  for (const std::size_t n : {30, 60}) {
+    Rng rng(n);
+    instances.push_back(gen::random_uniform(n, 65536, 65536 / 4, 100, rng));
+  }
+  std::size_t step1_answers = 0;
+  for (const Instance& inst : instances) {
+    const Solved solved = solve_and_check(inst, Approx54Params{}.epsilon);
+    step1_answers += solved.result.report.attempts == 0 ? 1 : 0;
+  }
+  // Both paths are exercised.
+  EXPECT_GT(step1_answers, 0u);
+  EXPECT_LT(step1_answers, instances.size());
+}
+
+TEST(Solve54, SkipsTheSearchWhenTheWitnessMeetsTheLowerBound) {
+  // The witness meets the lower bound on these (equal-width 16 = 16,
+  // hardness 4 = 4, one item on W = 1): it is optimal, so it is returned
+  // without an attempt and the report says so.
+  std::vector<Instance> instances;
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    if (golden.name == "equal-width" || golden.name == "hardness") {
+      instances.push_back(golden.instance);
+    }
+  }
+  instances.push_back(Instance(1, {Item{1, 7}}));
+  ASSERT_EQ(instances.size(), 3u);
+  for (const Instance& inst : instances) {
+    const Approx54Result result = solve54(inst);
+    const Approx54Report& report = result.report;
+    ASSERT_EQ(report.upper_bound, report.lower_bound) << inst.summary();
+    EXPECT_EQ(result.packing.start, algo::best_of_portfolio(inst).start);
+    EXPECT_EQ(result.peak, report.upper_bound);
+    EXPECT_EQ(report.pipeline_peak, report.upper_bound);
+    EXPECT_EQ(report.attempts, 0u);
+    EXPECT_EQ(report.rounds, 0u);
+    EXPECT_EQ(report.best_guess, 0);
+    for (const std::size_t c : report.count_per_category) EXPECT_EQ(c, 0u);
+    EXPECT_EQ(report.medium_area, 0);
+    EXPECT_FALSE(report.lp_used);
+    EXPECT_EQ(report.lp_configurations, 0u);
+    EXPECT_EQ(report.lp_pricing_rounds, 0u);
+    EXPECT_FALSE(report.lp_capped);
+    EXPECT_EQ(report.lp_overflow, 0u);
+    EXPECT_EQ(report.attempt_nanos, 0u);
+    EXPECT_EQ(report.pricing_nanos, 0u);
+    EXPECT_EQ(report.lp_resolve_nanos, 0u);
+  }
+}
+
+/// One item of height h on W = 1: the witness is optimal, so solve54
+/// answers at step 1, while the floor probe H' = h (alone, and as the one
+/// probe of `bisect`) must pass the acceptance test, whose sum form
+/// budget + allowance passes INT64_MAX here.
 void expect_single_item_floor_probe_succeeds(Height h, Fraction eps) {
-  const Approx54Result result =
-      solve54(Instance(1, {Item{1, h}}), {.epsilon = eps});
-  EXPECT_EQ(result.report.best_guess, h);
-  EXPECT_EQ(result.report.attempts, 1u);
+  const Instance inst(1, {Item{1, h}});
+  const Attempt at_floor = attempt(inst, h, eps);
+  EXPECT_TRUE(at_floor.within_budget);
+  EXPECT_EQ(at_floor.peak, h);
+  const Bisection search = bisect(inst, h, h, eps);
+  EXPECT_EQ(search.best_guess, h);
+  EXPECT_EQ(search.attempts, 1u);
+  EXPECT_EQ(search.peak, h);
+  const Approx54Result result = solve54(inst, {.epsilon = eps});
+  EXPECT_EQ(result.report.attempts, 0u);
   EXPECT_EQ(result.peak, h);
 }
 
@@ -185,6 +314,7 @@ TEST(Solve54, RoundOneIsTheFloorProbe) {
   Rng rng(405);
   const Instance inst = gen::random_uniform(30, 48, 20, 10, rng);
   const Approx54Result result = solve54(inst);
+  ASSERT_GT(result.report.upper_bound, result.report.lower_bound);
   // If the optimistic floor probe succeeds, the search ends in one round
   // with best_guess == lower_bound; otherwise the bisection continues and
   // best_guess (if any) lies strictly above the floor.
@@ -241,13 +371,9 @@ TEST(Solve54, GoldenPackingsMatchRecordedFingerprints) {
 TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
   // The solve-wide shapes: a week at minute resolution (appliance
   // durations x15, W = 10080) and a 2^16-column uniform strip.  Recorded
-  // on the run-length profile; pipeline_peak pins the attempts even where
-  // the witness wins.
-  std::vector<gen::Appliance> minutes = gen::default_catalog();
-  for (gen::Appliance& appliance : minutes) {
-    appliance.min_slots *= 15;
-    appliance.max_slots *= 15;
-  }
+  // on the run-length profile; the pipeline peak (bisect over [LB, UB])
+  // pins the attempts even where the witness wins or solve54 skips them.
+  const std::vector<gen::Appliance> minutes = minute_catalog();
   struct Expected {
     bool smart_grid;  ///< else uniform
     std::size_t n;
@@ -269,10 +395,11 @@ TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
         expected.smart_grid
             ? gen::smart_grid(expected.n, 10080, rng, minutes)
             : gen::random_uniform(expected.n, 65536, 65536 / 4, 100, rng);
-    const Approx54Result result = solve54(instance);
+    const Solved solved = solve_and_check(instance, Approx54Params{}.epsilon);
+    const Approx54Result& result = solved.result;
     validate_packing(instance, result.packing);
     EXPECT_EQ(result.peak, expected.peak) << instance.summary();
-    EXPECT_EQ(result.report.pipeline_peak, expected.pipeline_peak)
+    EXPECT_EQ(solved.pipeline.peak, expected.pipeline_peak)
         << instance.summary();
     EXPECT_EQ(fingerprint_of(result.packing), expected.fingerprint)
         << instance.summary();
@@ -317,12 +444,13 @@ Instance solve54_pin_instance(const std::string& family, Rng& rng) {
 class Solve54Pin : public ::testing::TestWithParam<Solve54PinFamily> {};
 
 TEST_P(Solve54Pin, ChecksumIsPinned) {
-  // Every start, pipeline_peak, attempts and lp_* report field of each
-  // solve at eps in {1/4, 1/8, 1/20}, folded in order.  The floor counts
-  // keep the pin covering the Lemma-10 LP (tall) and the bisection's later
-  // attempts (small): a generator change that stops reaching them fails
-  // here instead of silently shrinking the pin.  Re-record only for a
-  // deliberate change to the algorithm.
+  // Every start and peak of each solve at eps in {1/4, 1/8, 1/20}, with
+  // the pipeline's peak, attempts and accepted lp_* counters from bisect
+  // over [LB, UB], folded in order; solve_and_check ties each answer to
+  // them.  The floor counts keep the pin covering the Lemma-10 LP (tall)
+  // and the bisection's later attempts (small): a generator change that
+  // stops reaching them fails here instead of silently shrinking the pin.
+  // Re-record only for a deliberate change to the algorithm.
   const Solve54PinFamily& family = GetParam();
   Rng rng(family.seed);
   std::uint64_t checksum = 0;
@@ -332,24 +460,24 @@ TEST_P(Solve54Pin, ChecksumIsPinned) {
     const Instance inst = solve54_pin_instance(family.name, rng);
     for (const Fraction eps :
          {Fraction(1, 4), Fraction(1, 8), Fraction(1, 20)}) {
-      Approx54Params params;
-      params.epsilon = eps;
-      const Approx54Result result = solve54(inst, params);
-      const Approx54Report& report = result.report;
+      const Solved solved = solve_and_check(inst, eps);
+      const Approx54Result& result = solved.result;
+      const Bisection& search = solved.pipeline;
+      const VerticalFillResult fill =
+          search.accepted ? search.accepted->fill : VerticalFillResult{};
       for (const Length start : result.packing.start) {
         checksum = mix(checksum, static_cast<std::uint64_t>(start));
       }
       checksum = mix(checksum, static_cast<std::uint64_t>(result.peak));
-      checksum =
-          mix(checksum, static_cast<std::uint64_t>(report.pipeline_peak));
-      checksum = mix(checksum, report.attempts);
-      checksum = mix(checksum, report.lp_used ? 1 : 0);
-      checksum = mix(checksum, report.lp_configurations);
-      checksum = mix(checksum, report.lp_pricing_rounds);
-      checksum = mix(checksum, report.lp_capped ? 1 : 0);
-      checksum = mix(checksum, report.lp_overflow);
-      lp_used += report.lp_used ? 1 : 0;
-      multi_attempt += report.attempts > 1 ? 1 : 0;
+      checksum = mix(checksum, static_cast<std::uint64_t>(search.peak));
+      checksum = mix(checksum, search.attempts);
+      checksum = mix(checksum, fill.lp_solved ? 1 : 0);
+      checksum = mix(checksum, fill.configurations);
+      checksum = mix(checksum, fill.pricing_rounds);
+      checksum = mix(checksum, fill.capped ? 1 : 0);
+      checksum = mix(checksum, fill.overflow.size());
+      lp_used += fill.lp_solved ? 1 : 0;
+      multi_attempt += search.attempts > 1 ? 1 : 0;
     }
   }
   EXPECT_GE(lp_used, family.min_lp_used);
@@ -399,8 +527,10 @@ TEST(Solve54, SoundOnRandomInstances) {
 }
 
 TEST(Solve54, AttemptsStayWithinThePlainBisectionDepth) {
-  // The floor probe, then bisection over the remaining (LB, UB]: at most
-  // 1 + bit_width(UB - LB) attempts, one per round.
+  // No attempt when the witness meets the lower bound; otherwise the
+  // floor probe, then bisection over the remaining (LB, UB]: at most
+  // 1 + bit_width(UB - LB) attempts, one per round.  bisect itself keeps
+  // the same depth on every instance.
   std::vector<Instance> instances;
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
     instances.push_back(golden.instance);
@@ -410,13 +540,20 @@ TEST(Solve54, AttemptsStayWithinThePlainBisectionDepth) {
     instances.push_back(gen::random_uniform(40, 96, 32, 16, rng));
   }
   for (const Instance& inst : instances) {
-    const Approx54Report report = solve54(inst).report;
+    const Approx54Result result = solve54(inst);
+    const Approx54Report& report = result.report;
     ASSERT_GE(report.upper_bound, report.lower_bound) << inst.summary();
     const auto gap =
         static_cast<std::uint64_t>(report.upper_bound - report.lower_bound);
-    EXPECT_GE(report.attempts, 1u);
-    EXPECT_LE(report.attempts, 1u + std::bit_width(gap)) << inst.summary();
+    EXPECT_EQ(report.attempts == 0, gap == 0) << inst.summary();
+    if (gap > 0) {
+      EXPECT_GE(report.attempts, 1u);
+      EXPECT_LE(report.attempts, 1u + std::bit_width(gap)) << inst.summary();
+    }
     EXPECT_EQ(report.rounds, report.attempts);
+    const Bisection search = pipeline_of(inst, result);
+    EXPECT_GE(search.attempts, 1u);
+    EXPECT_LE(search.attempts, 1u + std::bit_width(gap)) << inst.summary();
   }
 }
 

@@ -284,11 +284,23 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
     const Approx54Result result = solve54(inst);
     ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
     EXPECT_LE(result.peak, result.report.upper_bound);
-    if (result.report.lp_used) {
+    // The pipeline's search, whether or not solve54 needed it; the report
+    // carries its accepted LP counters whenever solve54 searched.
+    const Bisection search =
+        bisect(inst, result.report.lower_bound, result.report.upper_bound,
+               Approx54Params{}.epsilon);
+    const VerticalFillResult fill =
+        search.accepted ? search.accepted->fill : VerticalFillResult{};
+    if (result.report.attempts > 0) {
+      EXPECT_EQ(result.report.lp_used, fill.lp_solved);
+      EXPECT_EQ(result.report.lp_pricing_rounds, fill.pricing_rounds);
+      EXPECT_EQ(result.report.lp_configurations, fill.configurations);
+    }
+    if (fill.lp_solved) {
       any_lp_used = true;
-      // The new diagnostics must actually be plumbed through the report.
-      EXPECT_GE(result.report.lp_pricing_rounds, 1u);
-      EXPECT_GE(result.report.lp_configurations, 1u);
+      // The new diagnostics must actually be plumbed through the fill.
+      EXPECT_GE(fill.pricing_rounds, 1u);
+      EXPECT_GE(fill.configurations, 1u);
     }
   }
   EXPECT_TRUE(any_lp_used) << "no round exercised the configuration LP; "

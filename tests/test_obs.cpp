@@ -720,12 +720,32 @@ TEST(PhaseBreakdown, ReportCarriesAttemptNanosWhenMetricsOn) {
   const Instance instance = gen::random_uniform(60, 64, 32, 12, rng);
   approx::Approx54Params params;
   const approx::Approx54Result result = approx::solve54(instance, params);
+  ASSERT_GT(result.report.upper_bound, result.report.lower_bound);
   EXPECT_GT(result.report.attempts, 0u);
   EXPECT_GT(result.report.attempt_nanos, 0u);
   // Pricing and LP-resolve time are slices of attempt time (summed over
   // the same attempts).
   EXPECT_GE(result.report.attempt_nanos, result.report.pricing_nanos);
   EXPECT_GE(result.report.pricing_nanos, result.report.lp_resolve_nanos);
+}
+
+TEST(PhaseBreakdown, StepOneAnswerCarriesNoAttemptNanos) {
+  // One item on W = 1: the witness meets the lower bound, so solve54 makes
+  // no attempt and the attempt nanos stay zero with metrics on; bisect on
+  // the same bounds still times its one probe.
+  const SwitchGuard guard;
+  set_metrics_enabled(true);
+  const Instance instance(1, {Item{1, 9}});
+  const approx::Approx54Result result = approx::solve54(instance);
+  EXPECT_EQ(result.report.attempts, 0u);
+  EXPECT_EQ(result.report.attempt_nanos, 0u);
+  EXPECT_EQ(result.report.pricing_nanos, 0u);
+  EXPECT_EQ(result.report.lp_resolve_nanos, 0u);
+  const approx::Bisection search = approx::bisect(
+      instance, result.report.lower_bound, result.report.upper_bound,
+      approx::Approx54Params{}.epsilon);
+  EXPECT_EQ(search.attempts, 1u);
+  EXPECT_GT(search.attempt_nanos, 0u);
 }
 
 TEST(PhaseBreakdown, ReportNanosAreZeroWhenObsOff) {
