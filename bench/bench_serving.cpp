@@ -2,7 +2,7 @@
 // traffic (DESIGN.md, "The serving daemon").
 //
 // A live in-process daemon is driven over real loopback TCP through
-// DaemonClient, in four phases:
+// DaemonClient, in five phases:
 //
 //   cold     — a Zipf trace against an empty cache: per-request round-trip
 //              latency (p50/p99) and the hit rate the skew buys.
@@ -17,9 +17,9 @@
 //   overload — a deliberately tiny admission gate (1 slot, no queue) under
 //              concurrent clients; requests shed with `busy` instead of
 //              queueing without bound, and the shed count is reported.
-//   sched    — Zipf traffic over a skewed instance set (one ~10x instance
-//              amid cheap ones) against the solve54 engine; the row carries
-//              the latencies and the process scheduler.executed total.
+//   obs      — warm hits with the observability switches off, metrics on,
+//              and tracing on; payloads must stay bit-identical, and the
+//              row reports the overhead ratios.
 //
 // One JSON row per phase, the same flat shape every bench prints.
 
@@ -36,7 +36,6 @@
 
 #include "bench_common.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/daemon.hpp"
 
 namespace {
@@ -363,50 +362,6 @@ int main() {
                 << overhead_tracing << ")\n";
       identical = false;
     }
-    daemon.stop();
-  }
-
-  // --- scheduler counters under skewed solve54 traffic --------------------
-  {
-    service::DaemonOptions skew = options;
-    skew.persist_dir.clear();  // scheduler phase: no store churn
-    skew.serve.engine = service::ServeEngine::kSolve54;
-
-    // One ~10x instance amid cheap ones; the Zipf head lands on the heavy
-    // one, the classic worst case for static sharding.
-    std::vector<service::WireInstance> skew_wires;
-    {
-      Rng heavy_rng(9300);
-      skew_wires.push_back(service::WireInstance::from_instance(
-          gen::smart_grid(120, 96, heavy_rng), "heavy"));
-    }
-    for (std::size_t d = 1; d < 8; ++d) {
-      Rng rng(9300 + d);
-      skew_wires.push_back(service::WireInstance::from_instance(
-          gen::smart_grid(16, 96, rng), "light-" + std::to_string(d)));
-    }
-    Rng skew_rng(515151);
-    const std::vector<std::size_t> skew_trace =
-        zipf_trace(skew_wires.size(), 40, kZipfS, skew_rng);
-
-    service::Daemon daemon(skew);
-    daemon.start();
-    Stopwatch wall;
-    const PhaseResult result = play_trace(daemon.port(), skew_wires,
-                                          skew_trace);
-    const double wall_seconds = wall.seconds();
-    const runtime::SchedulerCounters sched = runtime::scheduler_totals();
-    JsonRow()
-        .field("bench", "serving")
-        .field("phase", "sched")
-        .field("requests", result.responses.size())
-        .field("distinct", skew_wires.size())
-        .field("zipf_s", kZipfS)
-        .field("p50_ms", percentile(result.latencies_ms, 0.50))
-        .field("p99_ms", percentile(result.latencies_ms, 0.99))
-        .field("sched_executed", sched.executed)
-        .field("wall_s", wall_seconds)
-        .print(std::cout);
     daemon.stop();
   }
 

@@ -214,10 +214,7 @@ Bisection bisect(const Instance& instance, Height lower, Height upper,
     }
   };
   probe(std::max<Height>(1, lo));
-  while (lo <= hi) {
-    const obs::ScopedSpan round_span(obs::Phase::kBisectionRound);
-    probe(lo + (hi - lo) / 2);
-  }
+  while (lo <= hi) probe(lo + (hi - lo) / 2);
   return search;
 }
 

@@ -10,13 +10,6 @@
 
 namespace dsp::obs {
 
-std::size_t stripe_index() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) & (kStripes - 1);
-  return slot;
-}
-
 // ---------------------------------------------------------------------------
 // Histogram.
 // ---------------------------------------------------------------------------
@@ -34,14 +27,11 @@ std::uint64_t Histogram::bucket_upper(std::size_t index) noexcept {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  for (const Stripe& stripe : stripes_) {
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      const std::uint64_t n = stripe.counts[b].load(std::memory_order_relaxed);
-      snap.counts[b] += n;
-      snap.total += n;
-    }
-    snap.sum += stripe.sum.load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    snap.counts[b] = counts_[b].load(std::memory_order_relaxed);
+    snap.total += snap.counts[b];
   }
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -8,7 +8,7 @@
 // it over the wire (its `metrics` frame) and every stats reader, in process
 // or remote, reads the same samples.  The registry holds two kinds:
 //
-//  * histograms — 64 log2 buckets, thread-striped atomics, exact integer
+//  * histograms — 64 log2 bucket atomics plus a sum, exact integer
 //    quantiles — are created-or-found by name and live for the process.
 //  * sources — pull callbacks that sample an existing stats struct at
 //    snapshot time (the Prometheus "collector" idiom).  Every exported
@@ -45,18 +45,10 @@
 
 namespace dsp::obs {
 
-/// Stripes per histogram: enough to keep 8-wide record storms off one
-/// cache line without bloating every histogram.  Must be a power of two.
-inline constexpr std::size_t kStripes = 8;
-
 /// Histogram buckets.  Bucket 0 holds the value 0; bucket i >= 1 holds
 /// [2^(i-1), 2^i - 1]; the last bucket is open-ended.  64 buckets cover
 /// every uint64 nanosecond value.
 inline constexpr std::size_t kHistogramBuckets = 64;
-
-/// This thread's stripe, assigned round-robin at first use (stable for the
-/// thread's lifetime, so a thread always hits the same cache line).
-[[nodiscard]] std::size_t stripe_index() noexcept;
 
 // ---------------------------------------------------------------------------
 // Histograms.
@@ -82,8 +74,8 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket log2 histogram of uint64 samples (latencies in nanos).
-/// record() is two relaxed atomic adds on a thread-striped cache line —
-/// no locks, no allocation — and snapshots merge the stripes exactly.
+/// record() is two relaxed atomic adds — no locks, no allocation — and
+/// snapshot() reads the buckets and the sum directly.
 class Histogram {
  public:
   /// Bucket for a value: 0 -> 0, otherwise 1 + floor(log2(v)), clamped.
@@ -92,19 +84,15 @@ class Histogram {
   [[nodiscard]] static std::uint64_t bucket_upper(std::size_t index) noexcept;
 
   void record(std::uint64_t value) noexcept {
-    Stripe& stripe = stripes_[stripe_index()];
-    stripe.counts[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-    stripe.sum.fetch_add(value, std::memory_order_relaxed);
+    counts_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
   }
 
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
  private:
-  struct alignas(64) Stripe {
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> counts{};
-    std::atomic<std::uint64_t> sum{0};
-  };
-  std::array<Stripe, kStripes> stripes_{};
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> counts_{};
+  std::atomic<std::uint64_t> sum_{0};
 };
 
 // ---------------------------------------------------------------------------

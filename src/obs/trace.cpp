@@ -31,10 +31,9 @@ thread_local std::uint64_t t_request_id = 0;
 constexpr std::array<std::string_view,
                      static_cast<std::size_t>(Phase::kCount)>
     kPhaseNames = {
-        "request",        "admission_wait", "solve",   "cache_lookup",
-        "inflight_join",  "lower_bound",    "bisection_round",
-        "attempt",        "witness",        "pricing_round",
-        "lp_resolve",
+        "request",       "admission_wait", "solve",         "cache_lookup",
+        "inflight_join", "lower_bound",    "attempt",       "witness",
+        "pricing_round", "lp_resolve",
 };
 
 }  // namespace

@@ -12,7 +12,6 @@
 //   cache_lookup   SolveCache probe (the locked part)
 //   inflight_join  blocked on another thread's in-flight computation
 //   lower_bound    core combined_lower_bound
-//   bisection_rnd  one solve54 bisection round after the floor probe
 //   attempt        one solve54 attempt (steps 3-6) at one guess
 //   witness        the portfolio witness solve
 //   pricing_round  one config-LP column-generation round
@@ -55,7 +54,6 @@ enum class Phase : std::uint8_t {
   kCacheLookup,
   kInflightJoin,
   kLowerBound,
-  kBisectionRound,
   kAttempt,
   kWitness,
   kPricingRound,

@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -135,6 +137,11 @@ Daemon::Daemon(const DaemonOptions& options)
         out.push_back({"daemon.errors", daemon.errors, false});
         out.push_back({"daemon.warm_loaded", daemon.warm_loaded, false});
         out.push_back({"daemon.draining", daemon.draining, true});
+        {
+          const runtime::MutexLock lock(connections_mutex_);
+          out.push_back(
+              {"daemon.connection_threads", connections_.size(), true});
+        }
         const runtime::AdmissionGate::Counters gate = gate_.counters();
         out.push_back({"admission.admitted", gate.admitted, false});
         out.push_back({"admission.queued", gate.queued, false});
@@ -181,12 +188,12 @@ void Daemon::stop() {
   // readiness is level-triggered and permanent.
   [[maybe_unused]] const ssize_t wrote = ::write(stop_pipe_[1], "x", 1);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;
   {
     const runtime::MutexLock lock(connections_mutex_);
     connections.swap(connections_);
   }
-  for (std::thread& connection : connections) connection.join();
+  for (Connection& connection : connections) connection.thread.join();
   // Close the listener now (not in the destructor): a drained daemon must
   // refuse new connections, not park them in the kernel backlog.
   if (listen_fd_ >= 0) {
@@ -226,8 +233,29 @@ void Daemon::accept_loop() {
       return;
     }
     ++accepted_;
-    const runtime::MutexLock lock(connections_mutex_);
-    connections_.emplace_back([this, fd]() { serve_connection(fd); });
+    std::list<Connection> finished;
+    {
+      const runtime::MutexLock lock(connections_mutex_);
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        const auto next = std::next(it);
+        if (it->done.load(std::memory_order_acquire)) {
+          finished.splice(finished.end(), connections_, it);
+        }
+        it = next;
+      }
+      Connection& connection = connections_.emplace_back();
+      try {
+        connection.thread = std::thread([this, fd, &connection]() {
+          serve_connection(fd);
+          connection.done.store(true, std::memory_order_release);
+        });
+      } catch (const std::system_error&) {
+        // No thread to spare: refuse this connection, keep serving.
+        connections_.pop_back();
+        ::close(fd);
+      }
+    }
+    for (Connection& connection : finished) connection.thread.join();
   }
 }
 

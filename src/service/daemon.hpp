@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <optional>
 #include <string>
 #include <thread>
@@ -122,9 +123,18 @@ class Daemon {
   int stop_pipe_[2] = {-1, -1};
   std::uint16_t port_ = 0;
 
+  /// One connection thread; `done` is its last write, so a set flag means
+  /// join() returns at once.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   std::thread accept_thread_;
   runtime::Mutex connections_mutex_;
-  std::vector<std::thread> connections_ DSP_GUARDED_BY(connections_mutex_);
+  /// Unjoined connection threads (node-stable: each thread holds its own
+  /// entry's `done`).  accept_loop reaps the finished ones on every accept.
+  std::list<Connection> connections_ DSP_GUARDED_BY(connections_mutex_);
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};

@@ -380,9 +380,6 @@ int main(int argc, char** argv) {
     }
     try {
       return run_client(options, files);
-    } catch (const dsp::InvalidInput& error) {
-      std::cerr << "dsp_served: " << error.what() << "\n";
-      return 2;
     } catch (const std::exception& error) {
       std::cerr << "dsp_served: " << error.what() << "\n";
       return 2;
@@ -393,9 +390,6 @@ int main(int argc, char** argv) {
   }
   try {
     return run_daemon(options);
-  } catch (const dsp::InvalidInput& error) {
-    std::cerr << "dsp_served: " << error.what() << "\n";
-    return 2;
   } catch (const std::exception& error) {
     std::cerr << "dsp_served: " << error.what() << "\n";
     return 2;

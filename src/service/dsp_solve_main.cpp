@@ -248,9 +248,6 @@ int main(int argc, char** argv) {
             obs::Tracer::global().write_chrome_trace(os);
           });
     }
-  } catch (const dsp::InvalidInput& error) {
-    std::cerr << "dsp_solve: " << error.what() << "\n";
-    return 2;
   } catch (const std::exception& error) {
     std::cerr << "dsp_solve: " << error.what() << "\n";
     return 2;

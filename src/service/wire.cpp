@@ -402,7 +402,13 @@ void save_instance_json(std::ostream& os, const WireInstance& instance) {
   instance.name = reader.str();
   instance.strip_width = reader.i64();
   // An item is at least 3 x i64 + one empty string length.
+  const std::size_t count_offset = reader.offset();
   const std::size_t count = reader.count(3 * 8 + 4);
+  if (count > kMaxItems) {
+    reader.fail("item count " + std::to_string(count) + " exceeds the cap " +
+                    std::to_string(kMaxItems),
+                count_offset);
+  }
   std::vector<std::size_t> item_offsets;
   item_offsets.reserve(count);
   instance.items.reserve(count);
@@ -443,7 +449,12 @@ void save_instance_json(std::ostream& os, const WireInstance& instance) {
       saw_width = true;
     } else if (key == "items") {
       saw_items = true;
-      parser.parse_array([&](std::size_t, std::size_t element_offset) {
+      parser.parse_array([&](std::size_t index, std::size_t element_offset) {
+        if (index >= kMaxItems) {
+          parser.fail("item count reaches " + std::to_string(index + 1) +
+                          ", past the cap " + std::to_string(kMaxItems),
+                      element_offset);
+        }
         item_offsets.push_back(element_offset);
         WireItem item;
         bool saw_id = false, saw_w = false, saw_h = false;

@@ -45,6 +45,13 @@ enum class WireFormat {
 /// 64-bit loads to 8 MiB.
 inline constexpr Length kMaxStripWidth = Length{1} << 20;
 
+/// Most items an instance record may declare (2^14).  Placement is still
+/// quadratic in n, so the cap bounds a request's solve time (DESIGN.md,
+/// "The serving layer", states the measured bound).  The binary decoder
+/// refuses a larger declared count before reserving anything; the JSON
+/// parser stops at the first item past the cap.
+inline constexpr std::size_t kMaxItems = std::size_t{1} << 14;
+
 /// Largest W·Σh (strip width times total item height) an instance record
 /// may declare (2^62).  Every load, area and lower bound is at most W·Σh,
 /// and solve54's budget (5/4 + eps)·H' at most 7/4·W·Σh (eps <= 1/2), so
@@ -92,10 +99,11 @@ void save_instance(std::ostream& os, const WireInstance& instance,
                    WireFormat format);
 
 /// Parses (auto-detecting the encoding) and validates: rejects a missing or
-/// unknown version, W > kMaxStripWidth, nonpositive width/height, width > W,
-/// W·Σh > kMaxStripArea, duplicate ids, and the empty instance.  Every
-/// error message names `source`, and a per-item error also the offending
-/// item index and the byte offset of the offending record.
+/// unknown version, more than kMaxItems items, W > kMaxStripWidth,
+/// nonpositive width/height, width > W, W·Σh > kMaxStripArea, duplicate
+/// ids, and the empty instance.  Every error message names `source`, and a
+/// per-item error also the offending item index and the byte offset of the
+/// offending record.
 [[nodiscard]] WireInstance load_instance(
     std::istream& is, const std::string& source = "<stream>");
 

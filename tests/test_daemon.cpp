@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -560,6 +561,31 @@ TEST(DaemonTest, TinyGateShedsInsteadOfQueueingUnbounded) {
   EXPECT_EQ(ok.load() + busy.load(), kClients * 6);
   EXPECT_GT(ok.load(), 0u);
   EXPECT_EQ(daemon.stats().shed, busy.load());
+  daemon.stop();
+}
+
+TEST(DaemonTest, FinishedConnectionThreadsAreJoined) {
+  // Every closed connection's thread is joined on a later accept, so a
+  // long-running daemon holds only the threads of live connections.
+  Daemon daemon(test_options());
+  daemon.start();
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    DaemonClient client(daemon.port());
+    (void)client.metrics();
+  }
+  // The live one plus, at most, the previous one still winding down: its
+  // thread may not have seen the close yet.  A fresh connection per try
+  // reaps whatever finished since the last one.
+  std::uint64_t threads = 0;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    DaemonClient client(daemon.port());
+    threads = exposition_sample(client.metrics(), "daemon.connection_threads")
+                  .value_or(0);
+    if (threads <= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(threads, 1u);
+  EXPECT_LE(threads, 2u);
   daemon.stop();
 }
 

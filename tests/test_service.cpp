@@ -328,6 +328,32 @@ TEST(WireValidationTest, RejectsStripAreaBeyondTheCap) {
                          std::to_string(at_cap + 1)});
 }
 
+TEST(WireValidationTest, RejectsItemCountBeyondTheCap) {
+  // kMaxItems items are servable; one more is refused by either decoder,
+  // naming the count and the cap.
+  WireInstance wire{"", 4, {}};
+  for (std::size_t i = 0; i < kMaxItems; ++i) {
+    wire.items.push_back({static_cast<std::int64_t>(i), 1, 1, ""});
+  }
+  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kJson}) {
+    std::ostringstream out;
+    save_instance(out, wire, format);
+    std::istringstream in(out.str());
+    EXPECT_EQ(load_instance(in).items.size(), kMaxItems) << to_string(format);
+  }
+  wire.items.push_back({static_cast<std::int64_t>(kMaxItems), 1, 1, ""});
+  const std::string over = std::to_string(kMaxItems + 1);
+  const std::string cap = "cap " + std::to_string(kMaxItems);
+  expect_rejected(wire, {"item count", over, cap});
+  std::ostringstream out;
+  save_instance(out, wire, WireFormat::kBinary);
+  const std::string bytes = out.str();
+  for (const std::string& needle : {std::string("item count"), over, cap}) {
+    std::istringstream in(bytes);
+    expect_throw_contains(in, needle);
+  }
+}
+
 TEST(WireValidationTest, AreaOverflowCorpusEntryIsRejected) {
   // The checked-in fuzz seed used to be served with a peak (0) below its
   // own lower bound; it must fail at ingest, naming the cap.
