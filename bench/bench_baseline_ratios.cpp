@@ -71,8 +71,8 @@ int main() {
       };
       table.begin_row()
           .cell(family.name)
-          .cell(measure(algo::greedy_lowest_peak(inst)), 3)
-          .cell(measure(algo::first_fit_search(inst)), 3)
+          .cell(measure(algo::greedy_lowest_peak(inst).packing), 3)
+          .cell(measure(algo::first_fit_search(inst).packing), 3)
           .cell(measure(algo::nfdh_dsp(inst)), 3)
           .cell(measure(algo::ffdh_dsp(inst)), 3)
           .cell(measure(algo::sleator_dsp(inst)), 3)
@@ -95,9 +95,7 @@ int main() {
           .cell(bench::ratio(
                     peak_height(inst, algo::equal_width_folding(inst)), lb),
                 3)
-          .cell(bench::ratio(
-                    peak_height(inst, algo::greedy_lowest_peak(inst)), lb),
-                3)
+          .cell(bench::ratio(algo::greedy_lowest_peak(inst).peak, lb), 3)
           .cell(bench::ratio(approx::solve54(inst).peak, lb), 3)
           .cell(lb);
     }

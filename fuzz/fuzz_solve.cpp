@@ -8,8 +8,8 @@
 // accepted input (at most kMaxFuzzItems items, so one input cannot run for
 // minutes):
 //
-//   - the portfolio witness and solve54 each return a feasible packing
-//     whose peak is the reported one;
+//   - every portfolio member, the portfolio witness and solve54 each
+//     return a feasible packing whose peak is the reported one;
 //   - combined_lower_bound <= either peak, and solve54's peak <= its
 //     report's upper bound (the witness peak);
 //   - when that upper bound exceeds the lower bound, bisect(LB, UB, 1/4)
@@ -28,6 +28,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
@@ -88,14 +90,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const dsp::Instance& instance = *loaded;
 
   const dsp::Height lower = dsp::combined_lower_bound(instance);
-  const dsp::Packing witness = dsp::algo::best_of_portfolio(instance);
+  std::vector<dsp::algo::Scored> earlier;
+  for (const dsp::algo::NamedAlgorithm& member :
+       dsp::algo::baseline_portfolio()) {
+    dsp::algo::Scored result = member.run_scored(instance, lower, earlier);
+    check_packing(instance, result.packing, result.peak, member.name.c_str());
+    earlier.push_back(std::move(result));
+  }
+  const dsp::algo::Scored witness =
+      dsp::algo::best_of_portfolio(instance, lower);
+  check_packing(instance, witness.packing, witness.peak, "portfolio");
   const dsp::Fraction epsilon(1, 4);
   const dsp::approx::Approx54Result solved =
       dsp::approx::solve54(instance, {epsilon});
   // solve54's step 1 runs the same portfolio: its upper bound is the
   // witness's peak.
   const dsp::Height upper = solved.report.upper_bound;
-  check_packing(instance, witness, upper, "portfolio");
+  if (upper != witness.peak) {
+    finding(instance, "solve54 upper bound is not the witness peak");
+  }
   check_packing(instance, solved.packing, solved.peak, "solve54");
   if (solved.report.lower_bound != lower) {
     finding(instance, "solve54 lower bound differs");

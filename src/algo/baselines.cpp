@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "core/bounds.hpp"
 #include "core/profile.hpp"
@@ -42,7 +43,7 @@ std::vector<std::size_t> ordered_indices(const Instance& instance,
 
 }  // namespace
 
-Packing greedy_lowest_peak(const Instance& instance, ItemOrder order) {
+Scored greedy_lowest_peak(const Instance& instance, ItemOrder order) {
   Profile profile(instance.strip_width());
   Packing packing;
   packing.start.resize(instance.size());
@@ -52,11 +53,11 @@ Packing greedy_lowest_peak(const Instance& instance, ItemOrder order) {
     packing.start[i] = best.start;
     profile.add(best.start, it.width, it.height);
   }
-  return packing;
+  return {std::move(packing), profile.peak()};
 }
 
-std::optional<Packing> first_fit_with_budget(const Instance& instance,
-                                             Height budget) {
+std::optional<Scored> first_fit_with_budget(const Instance& instance,
+                                            Height budget) {
   Profile profile(instance.strip_width());
   Packing packing;
   packing.start.resize(instance.size());
@@ -68,22 +69,22 @@ std::optional<Packing> first_fit_with_budget(const Instance& instance,
     packing.start[i] = *pos;
     profile.add(*pos, it.width, it.height);
   }
-  return packing;
+  return Scored{std::move(packing), profile.peak()};
 }
 
-Packing first_fit_search(const Instance& instance) {
+Scored first_fit_search(const Instance& instance) {
   return first_fit_search(
       instance, combined_lower_bound(instance),
       greedy_lowest_peak(instance, ItemOrder::kDecreasingHeight));
 }
 
-Packing first_fit_search(const Instance& instance, Height lower_bound,
-                         const Packing& greedy) {
+Scored first_fit_search(const Instance& instance, Height lower_bound,
+                        const Scored& greedy) {
   Height lo = lower_bound;
-  Height hi = peak_height(instance, greedy);
+  Height hi = greedy.peak;
   // Invariant: a feasible packing is known for budget hi (the greedy one).
   // Every probe that succeeds peaks at <= its budget < the greedy peak.
-  std::optional<Packing> best;
+  std::optional<Scored> best;
   while (lo < hi) {
     const Height mid = lo + (hi - lo) / 2;
     if (auto packing = first_fit_with_budget(instance, mid)) {

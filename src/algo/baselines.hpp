@@ -18,31 +18,40 @@ enum class ItemOrder {
   kDecreasingWidth,  ///< widest first
 };
 
+/// A packing next to its peak, read off the Profile it was placed on (equal
+/// to peak_height(instance, packing), without scoring it a second time).
+struct Scored {
+  Packing packing;
+  Height peak = 0;
+
+  friend bool operator==(const Scored&, const Scored&) = default;
+};
+
 /// Greedy peak smoothing: items in the given order, each placed at the
 /// (leftmost) position minimizing the resulting local peak.  This is the
 /// representative of the smoothing heuristics of Tang et al. [29].
 /// Every profile-driven baseline places on its own run-length Profile.
-[[nodiscard]] Packing greedy_lowest_peak(
+[[nodiscard]] Scored greedy_lowest_peak(
     const Instance& instance, ItemOrder order = ItemOrder::kDecreasingHeight);
 
 /// First-fit under a peak budget: items by decreasing height, each at the
 /// leftmost position keeping load + h <= budget.  Returns nullopt if some
 /// item does not fit — the inner loop of Ranjan et al.'s first-fit [23].
-[[nodiscard]] std::optional<Packing> first_fit_with_budget(
+[[nodiscard]] std::optional<Scored> first_fit_with_budget(
     const Instance& instance, Height budget);
 
 /// Ranjan-style first fit: binary search for the smallest feasible budget of
 /// first_fit_with_budget between the combined lower bound and the greedy
 /// upper bound; returns the packing for that budget.
-[[nodiscard]] Packing first_fit_search(const Instance& instance);
+[[nodiscard]] Scored first_fit_search(const Instance& instance);
 
 /// The same search from bounds the caller already holds: `lower_bound` must
-/// be combined_lower_bound(instance) and `greedy` the packing of
+/// be combined_lower_bound(instance) and `greedy` the result of
 /// greedy_lowest_peak(instance, kDecreasingHeight).  Returns exactly what
 /// the overload above returns.
-[[nodiscard]] Packing first_fit_search(const Instance& instance,
-                                       Height lower_bound,
-                                       const Packing& greedy);
+[[nodiscard]] Scored first_fit_search(const Instance& instance,
+                                      Height lower_bound,
+                                      const Scored& greedy);
 
 /// Yaw et al. [31] consider the equal-width special case.  With k = floor(W/w)
 /// columns, items sorted by decreasing height are assigned LPT-style to the

@@ -1,67 +1,83 @@
 #include "algo/portfolio.hpp"
 
-#include "algo/baselines.hpp"
+#include <utility>
+
 #include "core/bounds.hpp"
 #include "util/check.hpp"
 
 namespace dsp::algo {
 
+namespace {
+
+using Earlier = std::span<const Scored>;
+
+/// A greedy member: places on a Profile and reports its peak.
+NamedAlgorithm greedy_member(std::string name, ItemOrder order) {
+  const auto run = [order](const Instance& in) {
+    return greedy_lowest_peak(in, order).packing;
+  };
+  const auto scored = [order](const Instance& in, Height, Earlier) {
+    return greedy_lowest_peak(in, order);
+  };
+  return {std::move(name), run, scored};
+}
+
+/// A member that does not place on a load Profile (bottom-left's skyline
+/// holds strip-packing heights): its packing is scored by peak_height.
+NamedAlgorithm rescored_member(std::string name,
+                               Packing (*place)(const Instance&)) {
+  const auto scored = [place](const Instance& in, Height, Earlier) {
+    Packing packing = place(in);
+    const Height peak = peak_height(in, packing);
+    return Scored{std::move(packing), peak};
+  };
+  return {std::move(name), place, scored};
+}
+
+}  // namespace
+
 std::vector<NamedAlgorithm> baseline_portfolio(ProfileBackendKind) {
-  // first-fit's budget search starts from the greedy-h packing.
+  // first-fit's budget search starts from the greedy-h result.
   constexpr std::size_t kGreedyH = 0;
   return {
-      {"greedy-h",
-       [](const Instance& in) {
-         return greedy_lowest_peak(in, ItemOrder::kDecreasingHeight);
+      greedy_member("greedy-h", ItemOrder::kDecreasingHeight),
+      greedy_member("greedy-area", ItemOrder::kDecreasingArea),
+      greedy_member("greedy-w", ItemOrder::kDecreasingWidth),
+      {"first-fit",
+       [](const Instance& in) { return first_fit_search(in).packing; },
+       [](const Instance& in, Height lower_bound, Earlier earlier) {
+         DSP_REQUIRE(earlier.size() > kGreedyH,
+                     "first-fit runs after greedy-h");
+         return first_fit_search(in, lower_bound, earlier[kGreedyH]);
        }},
-      {"greedy-area",
-       [](const Instance& in) {
-         return greedy_lowest_peak(in, ItemOrder::kDecreasingArea);
-       }},
-      {"greedy-w",
-       [](const Instance& in) {
-         return greedy_lowest_peak(in, ItemOrder::kDecreasingWidth);
-       }},
-      {"first-fit", [](const Instance& in) { return first_fit_search(in); },
-       [](const Instance& in, Height lower_bound, const Packing& greedy) {
-         return first_fit_search(in, lower_bound, greedy);
-       },
-       kGreedyH},
-      {"nfdh", [](const Instance& in) { return nfdh_dsp(in); }},
-      {"ffdh", [](const Instance& in) { return ffdh_dsp(in); }},
-      {"sleator", [](const Instance& in) { return sleator_dsp(in); }},
-      {"bottom-left", [](const Instance& in) { return bottom_left_dsp(in); }},
+      rescored_member("nfdh", nfdh_dsp),
+      rescored_member("ffdh", ffdh_dsp),
+      rescored_member("sleator", sleator_dsp),
+      rescored_member("bottom-left", bottom_left_dsp),
   };
 }
 
 Packing best_of_portfolio(const Instance& instance, std::string* winner,
                           ProfileBackendKind) {
+  return best_of_portfolio(instance, combined_lower_bound(instance), winner)
+      .packing;
+}
+
+Scored best_of_portfolio(const Instance& instance, Height lower_bound,
+                         std::string* winner) {
   DSP_REQUIRE(instance.size() > 0, "best_of_portfolio on empty instance");
-  const Height lower_bound = combined_lower_bound(instance);
   const std::vector<NamedAlgorithm> members = baseline_portfolio();
-  std::vector<Packing> packings(members.size());
+  std::vector<Scored> results;
+  results.reserve(members.size());
   std::size_t best = 0;
-  Height best_peak = 0;
   for (std::size_t m = 0; m < members.size(); ++m) {
-    const NamedAlgorithm& member = members[m];
-    if (member.run_seeded) {
-      DSP_REQUIRE(member.seed_member < m,
-                  "portfolio member " << member.name
-                                      << " is seeded by a later member");
-      packings[m] = member.run_seeded(instance, lower_bound,
-                                      packings[member.seed_member]);
-    } else {
-      packings[m] = member.run(instance);
-    }
-    const Height peak = peak_height(instance, packings[m]);
-    if (m == 0 || peak < best_peak) {
-      best = m;
-      best_peak = peak;
-    }
-    if (best_peak <= lower_bound) break;
+    Scored result = members[m].run_scored(instance, lower_bound, results);
+    results.push_back(std::move(result));
+    if (results[m].peak < results[best].peak) best = m;
+    if (results[best].peak <= lower_bound) break;
   }
   if (winner) *winner = members[best].name;
-  return std::move(packings[best]);
+  return std::move(results[best]);
 }
 
 }  // namespace dsp::algo

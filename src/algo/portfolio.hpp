@@ -1,9 +1,11 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "algo/baselines.hpp"
 #include "core/packing.hpp"
 #include "core/profile.hpp"
 
@@ -14,13 +16,14 @@ namespace dsp::algo {
 struct NamedAlgorithm {
   std::string name;
   std::function<Packing(const Instance&)> run;
-  /// Optional shortcut for best_of_portfolio: returns exactly what `run`
-  /// returns, given combined_lower_bound(instance) and the packing of the
-  /// earlier member `seed_member`.  Standalone callers use `run`.
-  std::function<Packing(const Instance&, Height lower_bound,
-                        const Packing& seed)>
-      run_seeded = nullptr;
-  std::size_t seed_member = 0;
+  /// best_of_portfolio's entry: exactly the packing `run` returns, next to
+  /// its peak.  It gets combined_lower_bound(instance) and the results of
+  /// the members before it (first-fit starts from greedy-h's).  Members that
+  /// place on a Profile report its peak; the others are scored by
+  /// peak_height.  Standalone callers use `run`.
+  std::function<Scored(const Instance&, Height lower_bound,
+                       std::span<const Scored> earlier)>
+      run_scored;
 };
 
 /// All general-purpose baselines (the equal-width folding is excluded: it
@@ -36,12 +39,19 @@ struct NamedAlgorithm {
 /// (the earliest member on ties).  Stops once the best peak reaches
 /// combined_lower_bound: no feasible packing peaks lower, and only a
 /// strictly lower peak replaces the best, so the skipped members cannot
-/// change the answer.  Seeded members get their seed member's packing.
-/// If `winner` is non-null it receives the winning algorithm's name.
-/// The ProfileBackendKind parameter is ignored — no library code passes
-/// it; it is kept only for e2ebench/src/layers.cpp until e2ebench v2.
+/// change the answer.  If `winner` is non-null it receives the winning
+/// algorithm's name.  The ProfileBackendKind parameter is ignored — no
+/// library code passes it; it is kept only for e2ebench/src/layers.cpp
+/// until e2ebench v2.
 [[nodiscard]] Packing best_of_portfolio(
     const Instance& instance, std::string* winner = nullptr,
     ProfileBackendKind = ProfileBackendKind::kAuto);
+
+/// The same run from the lower bound the caller already holds
+/// (`lower_bound` must be combined_lower_bound(instance)); returns the
+/// winning packing with its peak, as the winning member reported it.
+[[nodiscard]] Scored best_of_portfolio(const Instance& instance,
+                                       Height lower_bound,
+                                       std::string* winner = nullptr);
 
 }  // namespace dsp::algo

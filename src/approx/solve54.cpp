@@ -229,9 +229,11 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   report.lower_bound = combined_lower_bound(instance);
   {
     const obs::ScopedSpan span(obs::Phase::kWitness);
-    result.packing = algo::best_of_portfolio(instance);
+    algo::Scored witness =
+        algo::best_of_portfolio(instance, report.lower_bound);
+    result.packing = std::move(witness.packing);
+    result.peak = witness.peak;
   }
-  result.peak = peak_height(instance, result.packing);
   report.upper_bound = result.peak;
   report.pipeline_peak = result.peak;
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 #include <numeric>
+#include <utility>
 
 #include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
@@ -39,9 +40,10 @@ MakespanSolution makespan_via_duality(const std::vector<Item>& items, Height m,
   while (lo <= hi) {
     const Length mid = lo + (hi - lo) / 2;
     const Instance inst(mid, items);
-    const Packing packing = algo::best_of_portfolio(inst);
-    if (peak_height(inst, packing) <= m) {
-      best.packing = packing;
+    algo::Scored packed =
+        algo::best_of_portfolio(inst, combined_lower_bound(inst));
+    if (packed.peak <= m) {
+      best.packing = std::move(packed.packing);
       best.width = mid;
       hi = mid - 1;
     } else {
@@ -74,10 +76,11 @@ DspWidthAugmentation augment_dsp_width(const Instance& instance,
   result.height_floor = combined_lower_bound(instance);
   // Upper seed: the witness height at the original width is always accepted
   // (its width is W <= budget).
-  const Packing witness = algo::best_of_portfolio(instance);
-  Height hi = peak_height(instance, witness);
+  algo::Scored witness =
+      algo::best_of_portfolio(instance, result.height_floor);
+  Height hi = witness.peak;
   Height lo = instance.max_height();
-  result.packing = witness;
+  result.packing = std::move(witness.packing);
   result.height = hi;
   result.augmented_width = instance.strip_width();
   while (lo <= hi) {
@@ -101,8 +104,7 @@ namespace {
 
 PtsMachineAugmentation augment_pts_machines(
     const pts::PtsInstance& instance, const Fraction& factor,
-    const std::function<std::pair<Height, Packing>(const Instance&)>&
-        peak_solver) {
+    const std::function<algo::Scored(const Instance&)>& peak_solver) {
   DSP_REQUIRE(instance.size() > 0, "empty instance");
   const Height machine_budget =
       ceil_mul(instance.num_machines(), factor);
@@ -121,9 +123,9 @@ PtsMachineAugmentation augment_pts_machines(
     ++result.probes;
     const Instance dsp_instance =
         transform::pts_to_dsp_instance(instance, mid);
-    const auto [peak, packing] = peak_solver(dsp_instance);
-    if (peak <= machine_budget) {
-      accepted = {mid, packing};
+    algo::Scored solved = peak_solver(dsp_instance);
+    if (solved.peak <= machine_budget) {
+      accepted = {mid, std::move(solved.packing)};
       hi = mid - 1;
     } else {
       lo = mid + 1;
@@ -149,10 +151,8 @@ PtsMachineAugmentation augment_pts_machines_53(const pts::PtsInstance& instance,
                                                const Fraction& epsilon) {
   return augment_pts_machines(
       instance, Fraction(5, 3) + epsilon,
-      [](const Instance& inst) -> std::pair<Height, Packing> {
-        Packing packing = algo::best_of_portfolio(inst);
-        const Height peak = peak_height(inst, packing);
-        return {peak, std::move(packing)};
+      [](const Instance& inst) {
+        return algo::best_of_portfolio(inst, combined_lower_bound(inst));
       });
 }
 
@@ -160,10 +160,10 @@ PtsMachineAugmentation augment_pts_machines_54(const pts::PtsInstance& instance,
                                                const Fraction& epsilon) {
   return augment_pts_machines(
       instance, Fraction(5, 4) + epsilon,
-      [&epsilon](const Instance& inst) -> std::pair<Height, Packing> {
+      [&epsilon](const Instance& inst) {
         approx::Approx54Result result =
             approx::solve54(inst, {.epsilon = epsilon});
-        return {result.peak, std::move(result.packing)};
+        return algo::Scored{std::move(result.packing), result.peak};
       });
 }
 

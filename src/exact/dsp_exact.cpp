@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -136,8 +137,9 @@ OptResult min_peak(const Instance& instance, const Limits& limits) {
     return result;
   }
   Height lo = combined_lower_bound(instance);
-  Packing incumbent = algo::greedy_lowest_peak(instance);
-  Height hi = peak_height(instance, incumbent);
+  algo::Scored greedy = algo::greedy_lowest_peak(instance);
+  Packing incumbent = std::move(greedy.packing);
+  Height hi = greedy.peak;
   bool conclusive = true;
   while (lo < hi) {
     const Height mid = lo + (hi - lo) / 2;

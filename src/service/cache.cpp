@@ -4,6 +4,7 @@
 
 #include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
+#include "core/bounds.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/sync.hpp"
@@ -228,12 +229,14 @@ SolveResponse CachingSolver::solve(const Instance& instance) {
   const obs::RequestScope request_scope;
   const obs::ScopedSpan solve_span(obs::Phase::kSolve);
   const CanonicalForm form = canonicalize(instance);
-  const CacheKey key{canonical_hash(form.instance), fingerprint_};
+  const CacheKey key{canonical_hash(form), fingerprint_};
   const SolveCache::Lookup lookup = cache_.get_or_compute(key, [&]() {
     CachedSolve solve;
     if (params_.engine == ServeEngine::kPortfolio) {
-      solve.packing = algo::best_of_portfolio(form.instance, &solve.winner);
-      solve.peak = peak_height(form.instance, solve.packing);
+      algo::Scored best = algo::best_of_portfolio(
+          form.instance, combined_lower_bound(form.instance), &solve.winner);
+      solve.packing = std::move(best.packing);
+      solve.peak = best.peak;
     } else {
       approx::Approx54Result result = approx::solve54(form.instance);
       solve.packing = std::move(result.packing);

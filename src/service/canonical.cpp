@@ -39,6 +39,21 @@ namespace {
                        std::move(order)};
 }
 
+/// Digest of the strip width, the item count and the (width, height)
+/// stream of `instance.item(index(p))` for p = 0, 1, ...
+template <typename Index>
+[[nodiscard]] Hash128 hash_stream(const Instance& instance, Index index) {
+  ContentHasher hasher;
+  hasher.absorb_signed(instance.strip_width());
+  hasher.absorb(instance.size());
+  for (std::size_t p = 0; p < instance.size(); ++p) {
+    const Item& item = instance.item(index(p));
+    hasher.absorb_signed(item.width);
+    hasher.absorb_signed(item.height);
+  }
+  return hasher.digest();
+}
+
 }  // namespace
 
 std::string Hash128::hex() const {
@@ -85,15 +100,13 @@ CanonicalForm canonicalize(const WireInstance& instance) {
 Hash128 canonical_hash(const Instance& instance) {
   // Hash the sorted (width, height) stream directly — building the full
   // CanonicalForm (and a second Instance) is not needed for the digest.
-  std::vector<std::size_t> order = sorted_order(instance.items());
-  ContentHasher hasher;
-  hasher.absorb_signed(instance.strip_width());
-  hasher.absorb(instance.size());
-  for (const std::size_t index : order) {
-    hasher.absorb_signed(instance.item(index).width);
-    hasher.absorb_signed(instance.item(index).height);
-  }
-  return hasher.digest();
+  const std::vector<std::size_t> order = sorted_order(instance.items());
+  return hash_stream(instance, [&](std::size_t p) { return order[p]; });
+}
+
+Hash128 canonical_hash(const CanonicalForm& form) {
+  // The form is already in canonical order: hash it as it stands.
+  return hash_stream(form.instance, [](std::size_t p) { return p; });
 }
 
 Hash128 canonical_hash(const WireInstance& instance) {

@@ -72,6 +72,9 @@ struct CanonicalForm {
 /// height) multiplicity.
 [[nodiscard]] Hash128 canonical_hash(const Instance& instance);
 [[nodiscard]] Hash128 canonical_hash(const WireInstance& instance);
+/// canonical_hash(form.instance), without sorting the already-canonical
+/// items a second time.
+[[nodiscard]] Hash128 canonical_hash(const CanonicalForm& form);
 /// The lo lane, for callers that only want 64 bits.
 [[nodiscard]] std::uint64_t canonical_hash64(const Instance& instance);
 

@@ -1,7 +1,8 @@
 #pragma once
 
 // The solve-cold cells: 6 families x n {100, 400} x W {256, 1024, 2048},
-// the grid of e2ebench's solve-cold workload, one seed per cell.
+// the grid of e2ebench's solve-cold workload, one seed per cell; and the
+// five shapes of its solve-wide workload.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,6 +52,34 @@ inline void PrintTo(const SolveColdCell& cell, std::ostream* os) {
     return gen::correlated(cell.n, w, w / 4, 100, rng);
   }
   return gen::smart_grid(cell.n, w, rng);
+}
+
+/// The minute-resolution appliance catalog of the solve-wide week cells:
+/// every duration of the default catalog x15.
+[[nodiscard]] inline std::vector<gen::Appliance> minute_catalog() {
+  std::vector<gen::Appliance> minutes = gen::default_catalog();
+  for (gen::Appliance& appliance : minutes) {
+    appliance.min_slots *= 15;
+    appliance.max_slots *= 15;
+  }
+  return minutes;
+}
+
+/// One draw of each solve-wide shape, seeded by n: a week at minute
+/// resolution (W = 10080, n in {50, 100, 150}) and a 2^16-column uniform
+/// strip (n in {30, 60}).
+[[nodiscard]] inline std::vector<Instance> solve_wide_instances() {
+  std::vector<Instance> instances;
+  const std::vector<gen::Appliance> minutes = minute_catalog();
+  for (const std::size_t n : {50, 100, 150}) {
+    Rng rng(n);
+    instances.push_back(gen::smart_grid(n, 10080, rng, minutes));
+  }
+  for (const std::size_t n : {30, 60}) {
+    Rng rng(n);
+    instances.push_back(gen::random_uniform(n, 65536, 65536 / 4, 100, rng));
+  }
+  return instances;
 }
 
 }  // namespace dsp::testing_cells

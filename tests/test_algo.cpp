@@ -4,6 +4,7 @@
 #include <iterator>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -17,35 +18,41 @@
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
+#include "solve_cold_cells.hpp"
+
 namespace dsp {
 namespace {
 
 TEST(GreedyLowestPeak, SpreadsLoad) {
   // Three 1x1 items on a width-3 strip: peak must be 1.
   const Instance inst(3, {{1, 1}, {1, 1}, {1, 1}});
-  const Packing packing = algo::greedy_lowest_peak(inst);
-  EXPECT_EQ(peak_height(inst, packing), 1);
+  const algo::Scored greedy = algo::greedy_lowest_peak(inst);
+  EXPECT_EQ(peak_height(inst, greedy.packing), 1);
+  EXPECT_EQ(greedy.peak, 1);
 }
 
 TEST(GreedyLowestPeak, HandlesFullWidthItems) {
   const Instance inst(4, {{4, 2}, {4, 3}});
-  const Packing packing = algo::greedy_lowest_peak(inst);
-  EXPECT_EQ(peak_height(inst, packing), 5);
+  const algo::Scored greedy = algo::greedy_lowest_peak(inst);
+  EXPECT_EQ(peak_height(inst, greedy.packing), 5);
+  EXPECT_EQ(greedy.peak, 5);
 }
 
 TEST(FirstFitWithBudget, RespectsBudget) {
   const Instance inst(4, {{2, 2}, {2, 2}, {2, 2}});
   const auto ok = algo::first_fit_with_budget(inst, 4);
   ASSERT_TRUE(ok.has_value());
-  EXPECT_LE(peak_height(inst, *ok), 4);
+  EXPECT_LE(peak_height(inst, ok->packing), 4);
+  EXPECT_EQ(ok->peak, peak_height(inst, ok->packing));
   // Budget 2 fits only two of the three side by side.
   EXPECT_FALSE(algo::first_fit_with_budget(inst, 2).has_value());
 }
 
 TEST(FirstFitSearch, FindsMinimalFeasibleBudgetOnEasyCase) {
   const Instance inst(4, {{2, 2}, {2, 2}, {4, 1}});
-  const Packing packing = algo::first_fit_search(inst);
-  EXPECT_EQ(peak_height(inst, packing), 3);
+  const algo::Scored search = algo::first_fit_search(inst);
+  EXPECT_EQ(peak_height(inst, search.packing), 3);
+  EXPECT_EQ(search.peak, 3);
 }
 
 TEST(EqualWidthFolding, RequiresUniformWidths) {
@@ -205,24 +212,81 @@ TEST(Portfolio, EarlyExitMatchesRunningEveryMember) {
 }
 
 TEST(Portfolio, SeededMembersReuseAnEarlierMember) {
-  // The structural hand-off: first-fit is the seeded member and its seed is
-  // greedy-h, which runs before it.
+  // The structural hand-off: first-fit is the one member that reads an
+  // earlier result, and the result it reads is greedy-h's, which runs
+  // before it.  Every other member ignores what it is handed.
   Rng rng(31);
   const Instance inst = gen::random_uniform(40, 64, 24, 12, rng);
+  const Height lb = combined_lower_bound(inst);
   const std::vector<algo::NamedAlgorithm> members = algo::baseline_portfolio();
-  std::vector<std::string> seeded;
-  for (std::size_t m = 0; m < members.size(); ++m) {
-    if (!members[m].run_seeded) continue;
-    seeded.push_back(members[m].name);
-    const std::size_t seed = members[m].seed_member;
-    ASSERT_LT(seed, m) << members[m].name;
-    EXPECT_EQ(members[m].name, "first-fit");
-    EXPECT_EQ(members[seed].name, "greedy-h");
-    EXPECT_EQ(members[m].run_seeded(inst, combined_lower_bound(inst),
-                                    members[seed].run(inst)),
-              members[m].run(inst));
+  std::vector<algo::Scored> earlier;
+  for (const algo::NamedAlgorithm& member : members) {
+    earlier.push_back(member.run_scored(inst, lb, earlier));
   }
+  // A stand-in for greedy-h's result that claims the lower bound: a member
+  // seeded by it returns it unchanged, no budget search being left to run.
+  const algo::Scored stand_in{Packing{std::vector<Length>(inst.size(), 0)},
+                              lb};
+  ASSERT_NE(earlier[0], stand_in);
+  std::vector<std::string> seeded;
+  for (std::size_t m = 1; m < members.size(); ++m) {
+    std::vector<algo::Scored> handed(earlier.begin(), earlier.begin() + m);
+    handed[0] = stand_in;
+    const algo::Scored result = members[m].run_scored(inst, lb, handed);
+    if (result == earlier[m]) continue;
+    seeded.push_back(members[m].name);
+    EXPECT_EQ(result, stand_in) << members[m].name;
+    EXPECT_THROW((void)members[m].run_scored(inst, lb, {}), InvalidInput)
+        << members[m].name;
+  }
+  EXPECT_EQ(members[0].name, "greedy-h");
   EXPECT_EQ(seeded, std::vector<std::string>{"first-fit"});
+}
+
+TEST(Portfolio, ReportedPeaksAreTruePeaks) {
+  // Each member's reported peak, and the portfolio's, is peak_height of the
+  // packing it comes with.  The golden corpus, the solve-cold cells, the
+  // solve-wide shapes and strips of width 1 and 2^20: peak_height scores
+  // by columns where W <= 16 n and by an edge sweep on the wider strips.
+  std::vector<Instance> instances;
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    instances.push_back(golden.instance);
+  }
+  for (const testing_cells::SolveColdCell& cell :
+       testing_cells::solve_cold_cells()) {
+    instances.push_back(testing_cells::solve_cold_instance(cell));
+  }
+  for (Instance& inst : testing_cells::solve_wide_instances()) {
+    instances.push_back(std::move(inst));
+  }
+  instances.push_back(Instance(1, {{1, 3}, {1, 1}, {1, 4}}));
+  Rng rng(20);
+  instances.push_back(gen::random_uniform(40, Length{1} << 20,
+                                          Length{1} << 18, 100, rng));
+  const std::vector<algo::NamedAlgorithm> members = algo::baseline_portfolio();
+  bool by_columns = false;
+  bool by_edges = false;
+  for (const Instance& inst : instances) {
+    const Height lb = combined_lower_bound(inst);
+    std::vector<algo::Scored> earlier;
+    for (const algo::NamedAlgorithm& member : members) {
+      algo::Scored result = member.run_scored(inst, lb, earlier);
+      EXPECT_EQ(result.peak, peak_height(inst, result.packing))
+          << member.name << " " << inst.summary();
+      EXPECT_EQ(result.packing, member.run(inst))
+          << member.name << " " << inst.summary();
+      earlier.push_back(std::move(result));
+    }
+    const algo::Scored best = algo::best_of_portfolio(inst, lb);
+    EXPECT_EQ(best.peak, peak_height(inst, best.packing)) << inst.summary();
+    EXPECT_EQ(best.packing, algo::best_of_portfolio(inst)) << inst.summary();
+    const bool columns =
+        inst.strip_width() <= 16 * static_cast<Length>(inst.size());
+    by_columns |= columns;
+    by_edges |= !columns;
+  }
+  EXPECT_TRUE(by_columns);
+  EXPECT_TRUE(by_edges);
 }
 
 TEST(FirstFitSearch, SeededOverloadMatchesStandalone) {
@@ -232,7 +296,7 @@ TEST(FirstFitSearch, SeededOverloadMatchesStandalone) {
         round % 2 == 0 ? gen::random_uniform(30, 256, 64, 40, rng)
                        : gen::correlated(30, 256, 64, 40, rng);
     const Height lb = combined_lower_bound(inst);
-    const Packing greedy =
+    const algo::Scored greedy =
         algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight);
     EXPECT_EQ(algo::first_fit_search(inst, lb, greedy),
               algo::first_fit_search(inst))
@@ -284,15 +348,10 @@ std::vector<ScaleCase> benchmark_scale_cases() {
       }
     }
   }
-  // The smart-grid catalog at minute resolution: every duration x15.
-  std::vector<gen::Appliance> minutes = gen::default_catalog();
-  for (gen::Appliance& appliance : minutes) {
-    appliance.min_slots *= 15;
-    appliance.max_slots *= 15;
-  }
   Rng week_rng(seed++);
   cases.push_back({"smart-grid-week/100/10080",
-                   gen::smart_grid(100, 10080, week_rng, minutes)});
+                   gen::smart_grid(100, 10080, week_rng,
+                                   testing_cells::minute_catalog())});
   Rng wide_rng(seed++);
   cases.push_back({"uniform/60/65536",
                    gen::random_uniform(60, 65536, 16384, 100, wide_rng)});

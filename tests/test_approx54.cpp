@@ -6,6 +6,7 @@
 #include <iterator>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/portfolio.hpp"
@@ -179,16 +180,6 @@ Solved solve_and_check(const Instance& inst, const Fraction& eps) {
   return solved;
 }
 
-/// The minute-resolution appliance catalog of the solve-wide week cells.
-std::vector<gen::Appliance> minute_catalog() {
-  std::vector<gen::Appliance> minutes = gen::default_catalog();
-  for (gen::Appliance& appliance : minutes) {
-    appliance.min_slots *= 15;
-    appliance.max_slots *= 15;
-  }
-  return minutes;
-}
-
 TEST(Solve54, IsTheBetterOfWitnessAndBisection) {
   // The golden corpus, the 36 solve-cold cells and the 5 solve-wide cell
   // shapes (fresh draws; WideStripPackingsMatchRecordedFingerprints and
@@ -201,14 +192,8 @@ TEST(Solve54, IsTheBetterOfWitnessAndBisection) {
        testing_cells::solve_cold_cells()) {
     instances.push_back(testing_cells::solve_cold_instance(cell));
   }
-  const std::vector<gen::Appliance> minutes = minute_catalog();
-  for (const std::size_t n : {50, 100, 150}) {
-    Rng rng(n);
-    instances.push_back(gen::smart_grid(n, 10080, rng, minutes));
-  }
-  for (const std::size_t n : {30, 60}) {
-    Rng rng(n);
-    instances.push_back(gen::random_uniform(n, 65536, 65536 / 4, 100, rng));
+  for (Instance& inst : testing_cells::solve_wide_instances()) {
+    instances.push_back(std::move(inst));
   }
   std::size_t step1_answers = 0;
   for (const Instance& inst : instances) {
@@ -373,7 +358,7 @@ TEST(Solve54, WideStripPackingsMatchRecordedFingerprints) {
   // durations x15, W = 10080) and a 2^16-column uniform strip.  Recorded
   // on the run-length profile; the pipeline peak (bisect over [LB, UB])
   // pins the attempts even where the witness wins or solve54 skips them.
-  const std::vector<gen::Appliance> minutes = minute_catalog();
+  const std::vector<gen::Appliance> minutes = testing_cells::minute_catalog();
   struct Expected {
     bool smart_grid;  ///< else uniform
     std::size_t n;

@@ -14,6 +14,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/baselines.hpp"
@@ -697,28 +698,38 @@ Packing reference_first_fit_search(const Instance& inst) {
   return best ? *best : greedy;
 }
 
+/// The reference packing, with the peak peak_height gives it.
+algo::Scored scored(const Instance& inst, Packing packing) {
+  const Height peak = peak_height(inst, packing);
+  return {std::move(packing), peak};
+}
+
 void expect_placements_match_reference(const Instance& inst) {
-  const Packing greedy_h = reference_greedy(inst, kByHeight);
+  const algo::Scored greedy_h = scored(inst, reference_greedy(inst, kByHeight));
   EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight),
             greedy_h)
       << inst.summary();
   EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingArea),
-            reference_greedy(inst, [](const Item& it) { return it.area(); }))
+            scored(inst, reference_greedy(
+                             inst, [](const Item& it) { return it.area(); })))
       << inst.summary();
   EXPECT_EQ(algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingWidth),
-            reference_greedy(inst, [](const Item& it) { return it.width; }))
+            scored(inst, reference_greedy(
+                             inst, [](const Item& it) { return it.width; })))
       << inst.summary();
   // Budgets just below the lower bound, at it, halfway to the greedy-h
   // peak and at that peak.
   const Height lb = combined_lower_bound(inst);
-  const Height greedy_peak = peak_height(inst, greedy_h);
   for (const Height budget :
-       {lb - 1, lb, lb + (greedy_peak - lb) / 2, greedy_peak}) {
-    EXPECT_EQ(algo::first_fit_with_budget(inst, budget),
-              reference_first_fit(inst, budget))
+       {lb - 1, lb, lb + (greedy_h.peak - lb) / 2, greedy_h.peak}) {
+    std::optional<algo::Scored> expected;
+    if (auto reference = reference_first_fit(inst, budget)) {
+      expected = scored(inst, std::move(*reference));
+    }
+    EXPECT_EQ(algo::first_fit_with_budget(inst, budget), expected)
         << "budget " << budget << " " << inst.summary();
   }
-  const Packing search = reference_first_fit_search(inst);
+  const algo::Scored search = scored(inst, reference_first_fit_search(inst));
   EXPECT_EQ(algo::first_fit_search(inst), search) << inst.summary();
   EXPECT_EQ(algo::first_fit_search(inst, lb, greedy_h), search)
       << inst.summary();

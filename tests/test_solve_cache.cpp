@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "algo/portfolio.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
 #include "service/cache.hpp"
@@ -467,6 +468,26 @@ TEST(CachingSolverTest, PermutedRequestHitsAndIsRestoredToItsOwnOrder) {
   for (std::size_t i = 0; i < instance.size(); ++i) {
     EXPECT_EQ(warm.packing.start[i],
               cold.packing.start[instance.size() - 1 - i]);
+  }
+}
+
+TEST(CachingSolverTest, CacheKeyIsTheCanonicalHashOfTheRequest) {
+  // The solver hashes the canonical form in the order canonicalize leaves
+  // it.  The key must still be canonical_hash of the request as sent, or
+  // stores persisted by earlier builds would warm-load and never hit.
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    CachingSolver solver;
+    const std::vector<Item> reversed(golden.instance.items().rbegin(),
+                                     golden.instance.items().rend());
+    (void)solver.solve(Instance(golden.instance.strip_width(), reversed));
+    const std::vector<CacheEntryView> entries =
+        solver.cache().export_entries();
+    ASSERT_EQ(entries.size(), 1u) << golden.name;
+    EXPECT_EQ(entries[0].key.instance_hash, canonical_hash(golden.instance))
+        << golden.name;
+    EXPECT_EQ(entries[0].key.params_fingerprint,
+              params_fingerprint(ServeParams{}))
+        << golden.name;
   }
 }
 
