@@ -75,8 +75,8 @@ bool n_scaling_probe(bool smoke) {
       approx::Approx54Result result;
       const double ms =
           median_ms(reps, [&] { result = approx::solve54(inst); });
-      if (feasibility_error(inst, result.packing) ||
-          result.peak < combined_lower_bound(inst)) {
+      const Height lb = combined_lower_bound(inst);
+      if (feasibility_error(inst, result.packing) || result.peak < lb) {
         std::cout << "BAD PACKING: solve54 on n=" << n << " W=" << w << "\n";
         return false;
       }
@@ -92,9 +92,12 @@ bool n_scaling_probe(bool smoke) {
           .field("items", n)
           .field("strip_width", w)
           .field("solve54_ms", ms);
+      // Each member alone (first-fit runs its own greedy-h), from the
+      // lower bound computed above.
       for (const auto& member : members) {
-        const double member_ms =
-            median_ms(reps, [&] { static_cast<void>(member.run(inst)); });
+        const double member_ms = median_ms(reps, [&] {
+          static_cast<void>(member.run_scored(inst, lb, {}));
+        });
         table.cell(member_ms, 2);
         row.field("member_ms." + member.name, member_ms);
       }

@@ -72,7 +72,10 @@ int main() {
       table.begin_row()
           .cell(family.name)
           .cell(measure(algo::greedy_lowest_peak(inst).packing), 3)
-          .cell(measure(algo::first_fit_search(inst).packing), 3)
+          .cell(measure(algo::first_fit_search(
+                            inst, lb, algo::greedy_lowest_peak(inst))
+                            .packing),
+                3)
           .cell(measure(algo::nfdh_dsp(inst)), 3)
           .cell(measure(algo::ffdh_dsp(inst)), 3)
           .cell(measure(algo::sleator_dsp(inst)), 3)

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "core/bounds.hpp"
 #include "core/profile.hpp"
 #include "sp/bottom_left.hpp"
 #include "sp/shelf.hpp"
@@ -70,12 +69,6 @@ std::optional<Scored> first_fit_with_budget(const Instance& instance,
     profile.add(*pos, it.width, it.height);
   }
   return Scored{std::move(packing), profile.peak()};
-}
-
-Scored first_fit_search(const Instance& instance) {
-  return first_fit_search(
-      instance, combined_lower_bound(instance),
-      greedy_lowest_peak(instance, ItemOrder::kDecreasingHeight));
 }
 
 Scored first_fit_search(const Instance& instance, Height lower_bound,

@@ -41,14 +41,10 @@ struct Scored {
     const Instance& instance, Height budget);
 
 /// Ranjan-style first fit: binary search for the smallest feasible budget of
-/// first_fit_with_budget between the combined lower bound and the greedy
-/// upper bound; returns the packing for that budget.
-[[nodiscard]] Scored first_fit_search(const Instance& instance);
-
-/// The same search from bounds the caller already holds: `lower_bound` must
-/// be combined_lower_bound(instance) and `greedy` the result of
-/// greedy_lowest_peak(instance, kDecreasingHeight).  Returns exactly what
-/// the overload above returns.
+/// first_fit_with_budget between `lower_bound`, which must be
+/// combined_lower_bound(instance), and the peak of `greedy`, which must be
+/// greedy_lowest_peak(instance, kDecreasingHeight); returns the packing for
+/// that budget, or `greedy` when no smaller budget fits.
 [[nodiscard]] Scored first_fit_search(const Instance& instance,
                                       Height lower_bound,
                                       const Scored& greedy);

@@ -13,28 +13,27 @@ using Earlier = std::span<const Scored>;
 
 /// A greedy member: places on a Profile and reports its peak.
 NamedAlgorithm greedy_member(std::string name, ItemOrder order) {
-  const auto run = [order](const Instance& in) {
-    return greedy_lowest_peak(in, order).packing;
-  };
-  const auto scored = [order](const Instance& in, Height, Earlier) {
-    return greedy_lowest_peak(in, order);
-  };
-  return {std::move(name), run, scored};
+  return {std::move(name), [order](const Instance& in, Height, Earlier) {
+            return greedy_lowest_peak(in, order);
+          }};
 }
 
 /// A member that does not place on a load Profile (bottom-left's skyline
 /// holds strip-packing heights): its packing is scored by peak_height.
 NamedAlgorithm rescored_member(std::string name,
                                Packing (*place)(const Instance&)) {
-  const auto scored = [place](const Instance& in, Height, Earlier) {
-    Packing packing = place(in);
-    const Height peak = peak_height(in, packing);
-    return Scored{std::move(packing), peak};
-  };
-  return {std::move(name), place, scored};
+  return {std::move(name), [place](const Instance& in, Height, Earlier) {
+            Packing packing = place(in);
+            const Height peak = peak_height(in, packing);
+            return Scored{std::move(packing), peak};
+          }};
 }
 
 }  // namespace
+
+Packing NamedAlgorithm::run(const Instance& instance) const {
+  return run_scored(instance, combined_lower_bound(instance), {}).packing;
+}
 
 std::vector<NamedAlgorithm> baseline_portfolio(ProfileBackendKind) {
   // first-fit's budget search starts from the greedy-h result.
@@ -44,11 +43,13 @@ std::vector<NamedAlgorithm> baseline_portfolio(ProfileBackendKind) {
       greedy_member("greedy-area", ItemOrder::kDecreasingArea),
       greedy_member("greedy-w", ItemOrder::kDecreasingWidth),
       {"first-fit",
-       [](const Instance& in) { return first_fit_search(in).packing; },
        [](const Instance& in, Height lower_bound, Earlier earlier) {
-         DSP_REQUIRE(earlier.size() > kGreedyH,
-                     "first-fit runs after greedy-h");
-         return first_fit_search(in, lower_bound, earlier[kGreedyH]);
+         if (earlier.size() > kGreedyH) {
+           return first_fit_search(in, lower_bound, earlier[kGreedyH]);
+         }
+         return first_fit_search(
+             in, lower_bound,
+             greedy_lowest_peak(in, ItemOrder::kDecreasingHeight));
        }},
       rescored_member("nfdh", nfdh_dsp),
       rescored_member("ffdh", ffdh_dsp),

@@ -15,15 +15,19 @@ namespace dsp::algo {
 /// generation inside the (5/4+eps) pipeline (DESIGN.md substitution 4).
 struct NamedAlgorithm {
   std::string name;
-  std::function<Packing(const Instance&)> run;
-  /// best_of_portfolio's entry: exactly the packing `run` returns, next to
-  /// its peak.  It gets combined_lower_bound(instance) and the results of
-  /// the members before it (first-fit starts from greedy-h's).  Members that
-  /// place on a Profile report its peak; the others are scored by
-  /// peak_height.  Standalone callers use `run`.
+  /// The member's one entry: its packing next to its peak.  It gets
+  /// combined_lower_bound(instance) and the results of the members before
+  /// it, in portfolio order.  first-fit starts its budget search from
+  /// greedy-h's result when handed one and runs greedy-h itself when handed
+  /// none; every other member ignores `earlier`.  Members that place on a
+  /// Profile report its peak; the others are scored by peak_height.
   std::function<Scored(const Instance&, Height lower_bound,
                        std::span<const Scored> earlier)>
       run_scored;
+
+  /// The member on its own: run_scored from the instance's lower bound
+  /// with no earlier results.
+  [[nodiscard]] Packing run(const Instance& instance) const;
 };
 
 /// All general-purpose baselines (the equal-width folding is excluded: it

@@ -324,7 +324,6 @@ VerticalFillResult fill_vertical_items(const Instance& instance,
                                        const std::vector<GapBox>& boxes,
                                        const VerticalFillParams& params) {
   VerticalFillResult result;
-  result.engine = params.engine;
   result.start.assign(items.size(), -1);
   if (items.empty()) {
     result.lp_solved = true;

@@ -48,7 +48,6 @@ struct VerticalFillParams {
 /// Result of the Lemma-10 configuration-LP placement of vertical items.
 struct VerticalFillResult {
   bool lp_solved = false;           ///< the configuration LP had a solution
-  ConfigLpEngine engine = ConfigLpEngine::kColumnGeneration;  ///< engine run
   std::size_t configurations = 0;   ///< columns in the final LP
   std::size_t nonzero_configs = 0;  ///< support of the basic solution
   std::size_t pricing_rounds = 0;   ///< CG re-solve rounds (0 for dense)

@@ -206,7 +206,6 @@ Bisection bisect(const Instance& instance, Height lower, Height upper,
       search.packing = tried.packing;
     }
     if (tried.within_budget) {
-      search.best_guess = guess;
       hi = guess - 1;
       search.accepted = std::move(tried);
     } else {
@@ -243,7 +242,6 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   if (report.upper_bound == report.lower_bound) return result;
   Bisection search =
       bisect(instance, report.lower_bound, report.upper_bound, params.epsilon);
-  report.best_guess = search.best_guess;
   report.pipeline_peak = search.peak;
   report.attempts = search.attempts;
   report.rounds = search.attempts;
@@ -251,18 +249,8 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   report.pricing_nanos = search.pricing_nanos;
   report.lp_resolve_nanos = search.lp_resolve_nanos;
   if (search.accepted) {
-    const Classification& cls = search.accepted->cls;
-    for (const Category c : cls.category) {
-      ++report.count_per_category[static_cast<int>(c)];
-    }
-    report.medium_area = cls.area_of(Category::kMedium, instance) +
-                         cls.area_of(Category::kMediumVertical, instance);
-    const VerticalFillResult& fill = search.accepted->fill;
-    report.lp_used = fill.lp_solved;
-    report.lp_configurations = fill.configurations;
-    report.lp_pricing_rounds = fill.pricing_rounds;
-    report.lp_capped = fill.capped;
-    report.lp_overflow = fill.overflow.size();
+    report.lp_used = search.accepted->fill.lp_solved;
+    report.lp_pricing_rounds = search.accepted->fill.pricing_rounds;
   }
   if (search.peak < result.peak) {
     result.packing = std::move(search.packing);

@@ -19,24 +19,19 @@ struct Approx54Params {
 };
 
 /// Diagnostics of one run — the quantities experiments E7/E9/E11 report.
-/// When the witness meets the lower bound, step 2 is skipped: `attempts`,
-/// `rounds` and `best_guess` are 0, `pipeline_peak == upper_bound`, and
-/// every field below `pipeline_peak` keeps its default.  `attempts == 0`
-/// marks that step-1 answer; `bisect` measures the pipeline on it.
+/// When the witness meets the lower bound, step 2 is skipped: `attempts`
+/// and `rounds` are 0, `pipeline_peak == upper_bound`, and every field
+/// below `pipeline_peak` keeps its default.  `attempts == 0` marks that
+/// step-1 answer; `bisect` measures the pipeline on it, and its
+/// `accepted` attempt carries the classification and every LP counter.
 struct Approx54Report {
   Height lower_bound = 0;       ///< combined lower bound (binary-search floor)
   Height upper_bound = 0;       ///< witness peak (binary-search ceiling)
-  Height best_guess = 0;        ///< smallest H' whose attempt succeeded
   /// Best peak of the pipeline's own attempts; `upper_bound` when no
   /// attempt ran.
   Height pipeline_peak = 0;
-  std::size_t count_per_category[7] = {0, 0, 0, 0, 0, 0, 0};
-  std::int64_t medium_area = 0;  ///< area of M u Mv at the best guess
-  bool lp_used = false;          ///< Lemma-10 LP solved at the best guess
-  std::size_t lp_configurations = 0;  ///< columns generated at the best guess
-  std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds
-  bool lp_capped = false;        ///< an LP safety valve was hit
-  std::size_t lp_overflow = 0;   ///< items through the extra-box path
+  bool lp_used = false;          ///< Lemma-10 LP solved at the accepted guess
+  std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds there
   std::size_t attempts = 0;      ///< binary-search probes (0: step-1 answer)
   std::size_t rounds = 0;        ///< binary-search rounds (== attempts)
   /// Phase-level latency breakdown (obs/trace.hpp scoped spans), summed
@@ -76,9 +71,9 @@ struct Attempt {
 /// midpoint, a success lowering the ceiling and a failure raising the
 /// floor.  At most 1 + bit_width(upper - lower) probes.
 struct Bisection {
-  /// The success at the smallest H'; empty when every probe failed.
+  /// The success at the smallest H' (`accepted->cls.h_guess`); empty when
+  /// every probe failed.
   std::optional<Attempt> accepted;
-  Height best_guess = 0;     ///< H' of `accepted`; 0 when empty
   Packing packing;           ///< the lowest-peak probe's packing (first wins)
   Height peak = 0;           ///< peak of `packing`
   std::size_t attempts = 0;  ///< probes made (>= 1)
@@ -115,14 +110,15 @@ struct Bisection {
 ///   step 7  the best packing over all guesses (never worse than the
 ///           witness; the witness wins ties) is returned
 ///
-/// Runs entirely on the calling thread.  Every placement step and the
-/// witness portfolio run on the run-length Profile (core/profile.hpp): a
-/// placement costs O(runs), not O(W).  The returned packing is always
-/// feasible; peak quality is certified per run against the lower bound
-/// (experiment E7 measures the ratio).  The (5/4 + eps) OPT bound is
-/// checked on the returned peak, while the pipeline alone (`bisect`'s
-/// peak) exceeds it on a counted share of the exact corpus
-/// (tests/theorem5_corpus.hpp).
+/// Runs entirely on the calling thread.  Every placement step, and the
+/// greedy, first-fit and bottom-left witness members, run on the
+/// run-length Profile (core/profile.hpp): a placement costs O(runs), not
+/// O(W).  The nfdh, ffdh and sleator members place on shelves.  The
+/// returned packing is always feasible; peak quality is certified per run
+/// against the lower bound (experiment E7 measures the ratio).  The
+/// (5/4 + eps) OPT bound is checked on the returned peak, while the
+/// pipeline alone (`bisect`'s peak) exceeds it on a counted share of the
+/// exact corpus (tests/theorem5_corpus.hpp).
 [[nodiscard]] Approx54Result solve54(const Instance& instance,
                                      const Approx54Params& params = {});
 

@@ -50,9 +50,6 @@ class SlicedPacking {
   /// Returns an explanation of the first violation, or nullopt if feasible.
   [[nodiscard]] std::optional<std::string> validate(const Instance& instance) const;
 
-  /// Drops the slice geometry, keeping only the placement function.
-  [[nodiscard]] Packing to_packing() const { return Packing{starts_}; }
-
  private:
   std::vector<Length> starts_;
   std::vector<std::vector<Slice>> slices_;

@@ -43,9 +43,6 @@
 #define DSP_ACQUIRE(...) DSP_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 /// Function releases the capability (which must be held on entry).
 #define DSP_RELEASE(...) DSP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-/// Function tries to acquire; first argument is the success return value.
-#define DSP_TRY_ACQUIRE(...) \
-  DSP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 /// Caller must hold the capability for the duration of the call.
 #define DSP_REQUIRES(...) DSP_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 /// Caller must NOT hold the capability (deadlock guard for self-locking
@@ -71,9 +68,6 @@ class DSP_CAPABILITY("mutex") Mutex {
 
   void lock() DSP_ACQUIRE() { mutex_.lock(); }
   void unlock() DSP_RELEASE() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() DSP_TRY_ACQUIRE(true) {
-    return mutex_.try_lock();
-  }
 
  private:
   friend class MutexLock;
@@ -116,7 +110,6 @@ class CondVar {
 
   void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
   void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
 
  private:
   std::condition_variable cv_;

@@ -56,16 +56,6 @@ template <typename Index>
 
 }  // namespace
 
-std::string Hash128::hex() const {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(i)] = kDigits[(hi >> (60 - 4 * i)) & 0xf];
-    out[static_cast<std::size_t>(16 + i)] = kDigits[(lo >> (60 - 4 * i)) & 0xf];
-  }
-  return out;
-}
-
 void ContentHasher::absorb(std::uint64_t word) {
   // Each lane folds the word in under a different salt before the SplitMix64
   // finalizer; the lanes never see the same pre-mix value, so they stay
@@ -93,10 +83,6 @@ CanonicalForm canonicalize(const Instance& instance) {
   return canonicalize_items(instance.strip_width(), instance.items());
 }
 
-CanonicalForm canonicalize(const WireInstance& instance) {
-  return canonicalize(instance.to_instance());
-}
-
 Hash128 canonical_hash(const Instance& instance) {
   // Hash the sorted (width, height) stream directly — building the full
   // CanonicalForm (and a second Instance) is not needed for the digest.
@@ -107,14 +93,6 @@ Hash128 canonical_hash(const Instance& instance) {
 Hash128 canonical_hash(const CanonicalForm& form) {
   // The form is already in canonical order: hash it as it stands.
   return hash_stream(form.instance, [](std::size_t p) { return p; });
-}
-
-Hash128 canonical_hash(const WireInstance& instance) {
-  return canonical_hash(instance.to_instance());
-}
-
-std::uint64_t canonical_hash64(const Instance& instance) {
-  return canonical_hash(instance).lo;
 }
 
 Packing restore_item_order(const CanonicalForm& form,

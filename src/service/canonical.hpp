@@ -12,12 +12,10 @@
 // construction and the solve cache dedupes them (cache.hpp).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/instance.hpp"
 #include "core/packing.hpp"
-#include "service/wire.hpp"
 
 namespace dsp::service {
 
@@ -29,8 +27,6 @@ struct Hash128 {
   std::uint64_t lo = 0;
 
   [[nodiscard]] bool operator==(const Hash128&) const = default;
-  /// 32 lowercase hex digits, hi lane first.
-  [[nodiscard]] std::string hex() const;
 };
 
 /// Streaming word hasher behind Hash128 (and the 64-bit params
@@ -63,20 +59,14 @@ struct CanonicalForm {
 
 /// Sorts items by (width, height), stable in the original order.
 [[nodiscard]] CanonicalForm canonicalize(const Instance& instance);
-/// Wire requests canonicalize through their geometry; ids and labels are
-/// stripped (they never reach the canonical form or the hash).
-[[nodiscard]] CanonicalForm canonicalize(const WireInstance& instance);
 
 /// Content hash of the canonical form: invariant under item permutation and
 /// label/id renaming, sensitive to the strip width and every (width,
 /// height) multiplicity.
 [[nodiscard]] Hash128 canonical_hash(const Instance& instance);
-[[nodiscard]] Hash128 canonical_hash(const WireInstance& instance);
 /// canonical_hash(form.instance), without sorting the already-canonical
 /// items a second time.
 [[nodiscard]] Hash128 canonical_hash(const CanonicalForm& form);
-/// The lo lane, for callers that only want 64 bits.
-[[nodiscard]] std::uint64_t canonical_hash64(const Instance& instance);
 
 /// Maps a packing of the canonical instance back to the requester's item
 /// order: item `original_index[p]` starts where canonical item p starts.

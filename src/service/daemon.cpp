@@ -24,6 +24,9 @@ namespace dsp::service {
 
 namespace {
 
+/// Wait between accept retries while descriptors are exhausted.
+constexpr int kAcceptRetryMs = 50;
+
 [[nodiscard]] ssize_t recv_some(int fd, char* buffer, std::size_t count) {
   for (;;) {
     const ssize_t got = ::recv(fd, buffer, count, 0);
@@ -230,6 +233,14 @@ void Daemon::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Out of descriptors or kernel memory: the connection stays in the
+        // backlog.  Wait for a drain or the retry tick, then accept again.
+        pollfd stop = {stop_pipe_[0], POLLIN, 0};
+        if (::poll(&stop, 1, kAcceptRetryMs) > 0) return;  // draining
+        continue;
+      }
       return;
     }
     ++accepted_;

@@ -96,10 +96,6 @@ std::int64_t Fraction::ceil() const {
   return -((-num_) / den_);
 }
 
-double Fraction::to_double() const {
-  return static_cast<double>(num_) / static_cast<double>(den_);
-}
-
 std::string Fraction::to_string() const {
   std::ostringstream oss;
   oss << *this;

@@ -48,7 +48,6 @@ class Fraction {
   [[nodiscard]] std::int64_t floor() const;
   /// Smallest integer >= value.
   [[nodiscard]] std::int64_t ceil() const;
-  [[nodiscard]] double to_double() const;
   [[nodiscard]] std::string to_string() const;
 
  private:

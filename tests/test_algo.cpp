@@ -50,7 +50,8 @@ TEST(FirstFitWithBudget, RespectsBudget) {
 
 TEST(FirstFitSearch, FindsMinimalFeasibleBudgetOnEasyCase) {
   const Instance inst(4, {{2, 2}, {2, 2}, {4, 1}});
-  const algo::Scored search = algo::first_fit_search(inst);
+  const algo::Scored search = algo::first_fit_search(
+      inst, combined_lower_bound(inst), algo::greedy_lowest_peak(inst));
   EXPECT_EQ(peak_height(inst, search.packing), 3);
   EXPECT_EQ(search.peak, 3);
 }
@@ -236,8 +237,6 @@ TEST(Portfolio, SeededMembersReuseAnEarlierMember) {
     if (result == earlier[m]) continue;
     seeded.push_back(members[m].name);
     EXPECT_EQ(result, stand_in) << members[m].name;
-    EXPECT_THROW((void)members[m].run_scored(inst, lb, {}), InvalidInput)
-        << members[m].name;
   }
   EXPECT_EQ(members[0].name, "greedy-h");
   EXPECT_EQ(seeded, std::vector<std::string>{"first-fit"});
@@ -289,17 +288,22 @@ TEST(Portfolio, ReportedPeaksAreTruePeaks) {
   EXPECT_TRUE(by_edges);
 }
 
-TEST(FirstFitSearch, SeededOverloadMatchesStandalone) {
+TEST(Portfolio, FirstFitHandedNothingMatchesHandedGreedyH) {
+  // Standalone, first-fit runs greedy-h itself: handed no earlier results
+  // it returns exactly what it returns when handed greedy-h's.
+  const std::vector<algo::NamedAlgorithm> members = algo::baseline_portfolio();
+  ASSERT_EQ(members[0].name, "greedy-h");
+  ASSERT_EQ(members[3].name, "first-fit");
   Rng rng(77);
   for (int round = 0; round < 12; ++round) {
     const Instance inst =
         round % 2 == 0 ? gen::random_uniform(30, 256, 64, 40, rng)
                        : gen::correlated(30, 256, 64, 40, rng);
     const Height lb = combined_lower_bound(inst);
-    const algo::Scored greedy =
-        algo::greedy_lowest_peak(inst, algo::ItemOrder::kDecreasingHeight);
-    EXPECT_EQ(algo::first_fit_search(inst, lb, greedy),
-              algo::first_fit_search(inst))
+    const std::vector<algo::Scored> greedy_h{
+        members[0].run_scored(inst, lb, {})};
+    EXPECT_EQ(members[3].run_scored(inst, lb, {}),
+              members[3].run_scored(inst, lb, greedy_h))
         << inst.summary();
   }
 }

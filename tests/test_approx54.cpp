@@ -110,11 +110,17 @@ TEST(Solve54, ReportIsConsistent) {
   EXPECT_GE(report.pipeline_peak, report.lower_bound);
   EXPECT_GE(report.attempts, 1u);
   EXPECT_EQ(report.rounds, report.attempts);  // one probe per round
-  if (report.best_guess > 0) {
-    std::size_t total = 0;
-    for (const std::size_t c : report.count_per_category) total += c;
-    EXPECT_EQ(total, inst.size());
-  }
+  // The accepted attempt, read from bisect: its guess lies in [LB, UB], it
+  // classifies every item, and the report carries its LP use.
+  const Bisection search = bisect(inst, report.lower_bound,
+                                  report.upper_bound, Approx54Params{}.epsilon);
+  ASSERT_TRUE(search.accepted.has_value());
+  const Classification& cls = search.accepted->cls;
+  EXPECT_GE(cls.h_guess, report.lower_bound);
+  EXPECT_LE(cls.h_guess, report.upper_bound);
+  EXPECT_EQ(cls.category.size(), inst.size());
+  EXPECT_EQ(report.lp_used, search.accepted->fill.lp_solved);
+  EXPECT_EQ(report.lp_pricing_rounds, search.accepted->fill.pricing_rounds);
 }
 
 /// The pipeline alone on a solve54 result's bounds: `bisect` over
@@ -147,8 +153,9 @@ TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
 
 /// Solves `inst` at `eps` and checks solve54 against its definition: the
 /// witness unless `bisect` over [LB, witness peak] reaches a strictly
-/// lower peak, and then that probe's packing; the report's search fields
-/// are bisect's whenever solve54 searched.  Returns both.
+/// lower peak, and then that probe's packing; the report's search fields,
+/// and the LP fields of its accepted attempt, are bisect's whenever solve54
+/// searched.  Returns both.
 struct Solved {
   Approx54Result result;
   Bisection pipeline;
@@ -174,8 +181,14 @@ Solved solve_and_check(const Instance& inst, const Fraction& eps) {
     EXPECT_EQ(result.report.pipeline_peak, witness_peak) << inst.summary();
   } else {
     EXPECT_EQ(result.report.attempts, search.attempts) << inst.summary();
-    EXPECT_EQ(result.report.best_guess, search.best_guess) << inst.summary();
     EXPECT_EQ(result.report.pipeline_peak, search.peak) << inst.summary();
+    const VerticalFillResult* fill =
+        search.accepted ? &search.accepted->fill : nullptr;
+    EXPECT_EQ(result.report.lp_used, fill != nullptr && fill->lp_solved)
+        << inst.summary();
+    EXPECT_EQ(result.report.lp_pricing_rounds,
+              fill != nullptr ? fill->pricing_rounds : 0u)
+        << inst.summary();
   }
   return solved;
 }
@@ -226,14 +239,8 @@ TEST(Solve54, SkipsTheSearchWhenTheWitnessMeetsTheLowerBound) {
     EXPECT_EQ(report.pipeline_peak, report.upper_bound);
     EXPECT_EQ(report.attempts, 0u);
     EXPECT_EQ(report.rounds, 0u);
-    EXPECT_EQ(report.best_guess, 0);
-    for (const std::size_t c : report.count_per_category) EXPECT_EQ(c, 0u);
-    EXPECT_EQ(report.medium_area, 0);
     EXPECT_FALSE(report.lp_used);
-    EXPECT_EQ(report.lp_configurations, 0u);
     EXPECT_EQ(report.lp_pricing_rounds, 0u);
-    EXPECT_FALSE(report.lp_capped);
-    EXPECT_EQ(report.lp_overflow, 0u);
     EXPECT_EQ(report.attempt_nanos, 0u);
     EXPECT_EQ(report.pricing_nanos, 0u);
     EXPECT_EQ(report.lp_resolve_nanos, 0u);
@@ -250,7 +257,8 @@ void expect_single_item_floor_probe_succeeds(Height h, Fraction eps) {
   EXPECT_TRUE(at_floor.within_budget);
   EXPECT_EQ(at_floor.peak, h);
   const Bisection search = bisect(inst, h, h, eps);
-  EXPECT_EQ(search.best_guess, h);
+  ASSERT_TRUE(search.accepted.has_value());
+  EXPECT_EQ(search.accepted->cls.h_guess, h);
   EXPECT_EQ(search.attempts, 1u);
   EXPECT_EQ(search.peak, h);
   const Approx54Result result = solve54(inst, {.epsilon = eps});
@@ -301,14 +309,17 @@ TEST(Solve54, RoundOneIsTheFloorProbe) {
   const Approx54Result result = solve54(inst);
   ASSERT_GT(result.report.upper_bound, result.report.lower_bound);
   // If the optimistic floor probe succeeds, the search ends in one round
-  // with best_guess == lower_bound; otherwise the bisection continues and
-  // best_guess (if any) lies strictly above the floor.
-  if (result.report.rounds == 1) {
-    EXPECT_EQ(result.report.best_guess, result.report.lower_bound);
-  } else if (result.report.best_guess > 0) {
-    EXPECT_GT(result.report.best_guess, result.report.lower_bound);
+  // accepting H' = lower_bound; otherwise the bisection continues and the
+  // accepted guess (if any) lies strictly above the floor.
+  const Bisection search = pipeline_of(inst, result);
+  if (search.attempts == 1) {
+    ASSERT_TRUE(search.accepted.has_value());
+    EXPECT_EQ(search.accepted->cls.h_guess, result.report.lower_bound);
+  } else if (search.accepted) {
+    EXPECT_GT(search.accepted->cls.h_guess, result.report.lower_bound);
   }
-  EXPECT_GE(result.report.attempts, 1u);
+  EXPECT_EQ(result.report.attempts, search.attempts);
+  EXPECT_EQ(result.report.rounds, search.attempts);
 }
 
 /// FNV-1a over the start positions: a compact fingerprint of a packing.
@@ -504,9 +515,9 @@ TEST(Solve54, SoundOnRandomInstances) {
     // Never worse than the witness, never below the floor.
     EXPECT_LE(result.peak, result.report.upper_bound);
     EXPECT_GE(result.peak, result.report.lower_bound);
-    if (result.report.best_guess > 0) {
-      EXPECT_GE(result.report.best_guess, result.report.lower_bound);
-      EXPECT_LE(result.report.best_guess, result.report.upper_bound);
+    if (const Bisection search = pipeline_of(inst, result); search.accepted) {
+      EXPECT_GE(search.accepted->cls.h_guess, result.report.lower_bound);
+      EXPECT_LE(search.accepted->cls.h_guess, result.report.upper_bound);
     }
   }
 }

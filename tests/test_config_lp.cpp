@@ -69,8 +69,6 @@ TEST(ConfigLpEngines, ColumnGenerationMatchesDenseOnRandomScenarios) {
         run_engine(scenario, ConfigLpEngine::kDenseEnumeration);
     const VerticalFillResult cg =
         run_engine(scenario, ConfigLpEngine::kColumnGeneration);
-    EXPECT_EQ(dense.engine, ConfigLpEngine::kDenseEnumeration);
-    EXPECT_EQ(cg.engine, ConfigLpEngine::kColumnGeneration);
     // The acceptance contract: column generation never falls back where the
     // dense oracle succeeded, and reaches an objective no worse.
     if (dense.lp_solved) {
@@ -284,8 +282,9 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
     const Approx54Result result = solve54(inst);
     ASSERT_EQ(feasibility_error(inst, result.packing), std::nullopt);
     EXPECT_LE(result.peak, result.report.upper_bound);
-    // The pipeline's search, whether or not solve54 needed it; the report
-    // carries its accepted LP counters whenever solve54 searched.
+    // The pipeline's search, whether or not solve54 needed it: the LP
+    // counters are read from its accepted attempt.  The report mirrors
+    // lp_used and lp_pricing_rounds whenever solve54 searched.
     const Bisection search =
         bisect(inst, result.report.lower_bound, result.report.upper_bound,
                Approx54Params{}.epsilon);
@@ -294,7 +293,6 @@ TEST(Solve54Engines, BothEnginesProduceFeasiblePackings) {
     if (result.report.attempts > 0) {
       EXPECT_EQ(result.report.lp_used, fill.lp_solved);
       EXPECT_EQ(result.report.lp_pricing_rounds, fill.pricing_rounds);
-      EXPECT_EQ(result.report.lp_configurations, fill.configurations);
     }
     if (fill.lp_solved) {
       any_lp_used = true;
@@ -314,20 +312,36 @@ TEST(Solve54Engines, ConcurrentCallersAreBitIdentical) {
   // it).
   Rng rng(808);
   const Instance inst = gen::random_uniform(50, 240, 4, 24, rng);
-  const Approx54Result reference = solve54(inst);
-  std::vector<Approx54Result> results(4);
+  // Each caller solves, then runs the pipeline's search on its bounds; the
+  // accepted attempt is compared through bisect.
+  struct Call {
+    Approx54Result result;
+    Bisection search;
+  };
+  const auto call = [&inst] {
+    Call made{solve54(inst), {}};
+    made.search = bisect(inst, made.result.report.lower_bound,
+                         made.result.report.upper_bound,
+                         Approx54Params{}.epsilon);
+    return made;
+  };
+  const Call reference = call();
+  ASSERT_TRUE(reference.search.accepted.has_value());
+  const Attempt& accepted = *reference.search.accepted;
+  std::vector<Call> calls(4);
   std::vector<std::thread> callers;
-  for (Approx54Result& slot : results) {
-    callers.emplace_back([&inst, &slot] { slot = solve54(inst); });
+  for (Call& slot : calls) {
+    callers.emplace_back([&call, &slot] { slot = call(); });
   }
   for (std::thread& caller : callers) caller.join();
-  for (const Approx54Result& result : results) {
-    EXPECT_EQ(result.packing.start, reference.packing.start);
-    EXPECT_EQ(result.peak, reference.peak);
-    EXPECT_EQ(result.report.best_guess, reference.report.best_guess);
-    EXPECT_EQ(result.report.attempts, reference.report.attempts);
-    EXPECT_EQ(result.report.lp_configurations,
-              reference.report.lp_configurations);
+  for (const Call& made : calls) {
+    EXPECT_EQ(made.result.packing.start, reference.result.packing.start);
+    EXPECT_EQ(made.result.peak, reference.result.peak);
+    EXPECT_EQ(made.result.report.attempts, reference.result.report.attempts);
+    ASSERT_TRUE(made.search.accepted.has_value());
+    EXPECT_EQ(made.search.accepted->cls.h_guess, accepted.cls.h_guess);
+    EXPECT_EQ(made.search.accepted->fill.configurations,
+              accepted.fill.configurations);
   }
 }
 

@@ -3,17 +3,23 @@
 // round-trip, torn-tail crash recovery, warm restart), the strict CLI
 // helpers shared by the serving executables, and dsp_served end-to-end
 // over real loopback TCP — including the concurrent-client soak the
-// sanitizer jobs lean on, and a retired frame type answered as unknown.
+// sanitizer jobs lean on, a retired frame type answered as unknown, and
+// accept under descriptor exhaustion.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -587,6 +593,101 @@ TEST(DaemonTest, FinishedConnectionThreadsAreJoined) {
   EXPECT_GE(threads, 1u);
   EXPECT_LE(threads, 2u);
   daemon.stop();
+}
+
+// Descriptor exhaustion.  Each scenario runs in a forked child that lowers
+// its own RLIMIT_NOFILE, so the test process keeps its limit; the child
+// reports through its exit code, and an alarm kills a hung one.
+
+/// Lowers this process's descriptor limit to a few above its highest open
+/// descriptor, then opens /dev/null until open fails with EMFILE.  Returns
+/// the descriptors opened; empty if the limit could not be reached.
+std::vector<int> exhaust_descriptors() {
+  int highest = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return {};
+  limit.rlim_cur = static_cast<rlim_t>(highest) + 5;
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return {};
+  std::vector<int> opened;
+  for (int tries = 0; tries < 64; ++tries) {
+    const int fd = ::open("/dev/null", O_RDONLY);
+    if (fd >= 0) {
+      opened.push_back(fd);
+      continue;
+    }
+    if (errno == EMFILE) return opened;
+    break;
+  }
+  for (const int fd : opened) ::close(fd);
+  return {};
+}
+
+/// Runs `scenario` in a forked child; returns its exit code, or 128 plus
+/// the signal that ended it.
+int run_in_child(int (*scenario)()) {
+  const pid_t child = ::fork();
+  if (child == 0) {
+    ::alarm(10);  // a hung scenario is killed, not waited for
+    int code = 100;
+    try {
+      code = scenario();
+    } catch (const std::exception&) {
+      code = 101;
+    }
+    ::_exit(code);
+  }
+  if (child < 0) return -1;
+  int status = 0;
+  if (::waitpid(child, &status, 0) != child) return -1;
+  return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : WEXITSTATUS(status);
+}
+
+/// A client connects while every descriptor is taken, so the daemon's
+/// accept fails with EMFILE; once descriptors are freed, its request is
+/// served on that same connection.
+int serve_after_descriptor_exhaustion() {
+  Daemon daemon(test_options());
+  daemon.start();
+  std::vector<int> fillers = exhaust_descriptors();
+  if (fillers.empty()) return 2;
+  ::close(fillers.back());  // the client's socket takes the last slot
+  fillers.pop_back();
+  DaemonClient client(daemon.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  if (daemon.stats().accepted != 0) return 3;  // accept never failed
+  for (const int fd : fillers) ::close(fd);
+  const WireInstance wire = small_wire(1);
+  if (client.solve(wire).packing.start.size() != wire.items.size()) return 4;
+  daemon.stop();
+  return daemon.stats().accepted == 1 ? 0 : 5;
+}
+
+/// stop() drains promptly while accept keeps failing with EMFILE.
+int stop_while_descriptors_exhausted() {
+  Daemon daemon(test_options());
+  daemon.start();
+  std::vector<int> fillers = exhaust_descriptors();
+  if (fillers.empty()) return 2;
+  ::close(fillers.back());
+  fillers.pop_back();
+  DaemonClient client(daemon.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto begin = std::chrono::steady_clock::now();
+  daemon.stop();
+  const auto took = std::chrono::steady_clock::now() - begin;
+  return took < std::chrono::seconds(1) ? 0 : 3;
+}
+
+TEST(DaemonTest, AcceptRetriesAfterDescriptorExhaustion) {
+  EXPECT_EQ(run_in_child(serve_after_descriptor_exhaustion), 0);
+}
+
+TEST(DaemonTest, StopDrainsPromptlyWhileDescriptorsAreExhausted) {
+  EXPECT_EQ(run_in_child(stop_while_descriptors_exhausted), 0);
 }
 
 TEST(DaemonTest, ConcurrentClientsGetConsistentAnswers) {

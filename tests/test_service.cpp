@@ -574,7 +574,7 @@ TEST_P(CanonicalHashInvariance, PermutationAndRelabelingPreserveTheHash) {
     wire.items[i].id = static_cast<std::int64_t>(5000 - i);
     wire.items[i].label = "relabeled-" + std::to_string(i * 3);
   }
-  EXPECT_EQ(canonical_hash(wire), reference) << family.name;
+  EXPECT_EQ(canonical_hash(wire.to_instance()), reference) << family.name;
 
   // And the canonical instances themselves agree item by item.
   const CanonicalForm a = canonicalize(instance);
@@ -605,15 +605,7 @@ TEST(CanonicalTest, HashSeparatesDifferentInstances) {
   EXPECT_NE(canonical_hash(Instance(10, {Item{2, 3}, Item{2, 3}, Item{4, 5}})),
             reference);
   EXPECT_NE(canonical_hash(Instance(11, {Item{2, 3}, Item{4, 5}})), reference);
-  EXPECT_NE(canonical_hash64(base),
-            canonical_hash64(Instance(10, {Item{2, 3}})));
-}
-
-TEST(CanonicalTest, HashHexIs32Digits) {
-  const Hash128 hash = canonical_hash(Instance(10, {Item{2, 3}}));
-  EXPECT_EQ(hash.hex().size(), 32u);
-  EXPECT_EQ(hash.hex().find_first_not_of("0123456789abcdef"),
-            std::string::npos);
+  EXPECT_NE(canonical_hash(Instance(10, {Item{2, 3}})), reference);
 }
 
 TEST(CanonicalTest, RestoreItemOrderInvertsThePermutation) {
