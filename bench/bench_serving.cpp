@@ -148,7 +148,6 @@ int main() {
   std::filesystem::remove_all(state_dir);
 
   service::DaemonOptions options;
-  options.serve.threads = 2;
   options.cache.capacity_bytes = 8ull << 20;
   options.persist_dir = state_dir;
 

@@ -68,9 +68,7 @@ int main() {
   // Batch capacity planning: a fleet of clusters, each with its own job mix
   // and a shared deadline T.  Theorem 1 maps "finish by T" onto a strip of
   // width T, and the DSP peak of the packing is the machine count that
-  // cluster needs.  CachingSolver::solve_many fans the fleet out over
-  // worker threads and returns, per cluster, exactly the answer of serving
-  // that cluster alone (runtime determinism contract, DESIGN.md).
+  // cluster needs.  CachingSolver::solve plans each cluster in turn.
   constexpr Length kDeadline = 24;
   constexpr std::size_t kFleet = 8;
   std::vector<pts::PtsInstance> fleet;
@@ -87,9 +85,10 @@ int main() {
     strips.push_back(transform::pts_to_dsp_instance(fleet.back(), kDeadline));
   }
   service::CachingSolver planner;
-  const std::vector<service::SolveResponse> plans = planner.solve_many(strips);
-  std::cout << "\nFleet capacity plan (deadline T=" << kDeadline
-            << ", solve_many over " << kFleet << " clusters):\n";
+  std::vector<service::SolveResponse> plans;
+  for (const Instance& strip : strips) plans.push_back(planner.solve(strip));
+  std::cout << "\nFleet capacity plan (deadline T=" << kDeadline << ", "
+            << kFleet << " clusters):\n";
   Table plan_table({"cluster", "jobs", "work LB", "machines", "winner"});
   for (std::size_t c = 0; c < kFleet; ++c) {
     plan_table.begin_row()
@@ -108,15 +107,11 @@ int main() {
   // scenario once; every later wave is answered from the canonicalizing
   // single-flight cache — watch the hit/miss counters.
   constexpr std::size_t kWaves = 3;
-  std::vector<Instance> review_batch;
+  service::CachingSolver serving;
+  std::vector<service::SolveResponse> served;
   for (std::size_t wave = 0; wave < kWaves; ++wave) {
-    review_batch.insert(review_batch.end(), strips.begin(), strips.end());
+    for (const Instance& strip : strips) served.push_back(serving.solve(strip));
   }
-  service::ServeParams serve_params;
-  serve_params.threads = 4;
-  service::CachingSolver serving(serve_params);
-  const std::vector<service::SolveResponse> served =
-      serving.solve_many(review_batch);
   const service::CacheStats cache_stats = serving.stats();
   std::cout << "\nServing-layer re-planning (" << kWaves << " waves x "
             << kFleet << " scenarios through service::CachingSolver):\n";

@@ -25,8 +25,6 @@ std::vector<std::size_t> ordered_indices(const Instance& instance,
                      });
   };
   switch (order) {
-    case ItemOrder::kInput:
-      break;
     case ItemOrder::kDecreasingHeight:
       by([](const Item& it) { return it.height; });
       break;

@@ -12,7 +12,6 @@ namespace dsp::algo {
 
 /// Item orderings used by the greedy placers.
 enum class ItemOrder {
-  kInput,            ///< as given
   kDecreasingHeight, ///< tallest first (the usual smoothing order)
   kDecreasingArea,   ///< largest area first
   kDecreasingWidth,  ///< widest first

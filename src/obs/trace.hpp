@@ -149,8 +149,9 @@ class ScopedSpan {
 
 /// Binds a request id to the calling thread for the scope's lifetime, so
 /// every span recorded inside carries it.  A scope opened while an id is
-/// already bound keeps the outer id (the daemon binds one per frame;
-/// CachingSolver::solve opens one only for direct CLI callers).
+/// already bound keeps the outer id (the daemon binds one per frame on the
+/// connection's thread; CachingSolver::solve opens one for direct callers
+/// such as dsp_solve).
 class RequestScope {
  public:
   RequestScope();
@@ -167,8 +168,9 @@ class RequestScope {
 };
 
 /// The id bound by the innermost RequestScope on this thread (0 = none).
-/// Batch worker threads start unbound; each item's CachingSolver::solve
-/// opens its own scope, so its spans still carry a request id.
+/// Every thread starts unbound: a daemon connection thread binds one per
+/// frame, and any other caller of CachingSolver::solve gets one from the
+/// scope solve opens, so every served span carries a request id.
 [[nodiscard]] std::uint64_t current_request_id() noexcept;
 
 }  // namespace dsp::obs

@@ -75,11 +75,6 @@ class AdmissionGate {
     closed_ = true;
   }
 
-  [[nodiscard]] bool closed() const {
-    const MutexLock lock(mutex_);
-    return closed_;
-  }
-
   struct Counters {
     std::uint64_t admitted = 0;  ///< tickets handed out (straight or queued)
     std::uint64_t queued = 0;    ///< admissions that had to wait first
@@ -95,9 +90,6 @@ class AdmissionGate {
     return Counters{admitted_, queued_,  shed_,        closed_rejects_,
                     active_,   waiting_, peak_waiting_};
   }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t max_queue() const { return max_queue_; }
 
  private:
   const std::size_t capacity_;

@@ -6,7 +6,6 @@
 #include "approx/solve54.hpp"
 #include "core/bounds.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/sync.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -37,9 +36,7 @@ std::uint64_t params_fingerprint(const ServeParams& params) {
   // under the old set cannot alias.
   hasher.absorb(0x6473702d73727633ull);  // "dsp-srv3"
   // The engine is the only result-affecting parameter: solve54 always runs
-  // with its default epsilon.  Excluded on purpose — proved result-invariant
-  // by the runtime determinism suites — is ServeParams::threads (see
-  // DESIGN.md, "The parallel runtime").
+  // with its default epsilon.
   hasher.absorb(static_cast<std::uint64_t>(params.engine));
   return hasher.digest64();
 }
@@ -129,7 +126,7 @@ SolveCache::Lookup SolveCache::get_or_compute(
   }
 
   // The single flight: exactly one thread per key reaches this point.
-  // `compute` runs outside every lock so it can fan out on its own threads.
+  // `compute` runs outside every lock, so other keys stay servable.
   std::shared_ptr<const CachedSolve> value;
   try {
     value = std::make_shared<const CachedSolve>(compute());
@@ -218,8 +215,6 @@ CachingSolver::CachingSolver(const ServeParams& params,
         out.push_back({"cache.oversized", cache.oversized, false});
         out.push_back({"cache.entries", cache.entries, true});
         out.push_back({"cache.bytes", cache.bytes, true});
-        const runtime::SchedulerCounters sched = runtime::scheduler_totals();
-        out.push_back({"scheduler.executed", sched.executed, false});
       });
 }
 
@@ -251,13 +246,6 @@ SolveResponse CachingSolver::solve(const Instance& instance) {
   response.winner = lookup.value->winner;
   response.outcome = lookup.outcome;
   return response;
-}
-
-std::vector<SolveResponse> CachingSolver::solve_many(
-    const std::vector<Instance>& instances) {
-  return runtime::parallel_map(
-      params_.threads, instances,
-      [this](const Instance& instance, std::size_t) { return solve(instance); });
 }
 
 }  // namespace dsp::service

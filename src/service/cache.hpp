@@ -22,7 +22,7 @@
 // starts back through the request's permutation, so its answer is a pure
 // function of (canonical instance, result-affecting params) — identical
 // whether it came from a cold solve, a cache hit, or an in-flight join, for
-// any thread count (the argument lives in DESIGN.md).
+// any number of concurrent callers (the argument lives in DESIGN.md).
 
 #include <cstdint>
 #include <functional>
@@ -53,20 +53,17 @@ enum class ServeEngine {
 
 [[nodiscard]] std::string_view to_string(ServeEngine engine);
 
-/// Everything that shapes a served solve.  Split into result-affecting
-/// parameters (fingerprinted into the cache key) and execution knobs
-/// (excluded, because the runtime's determinism contracts prove the result
-/// does not depend on them — see params_fingerprint).  There is no profile
-/// knob: every solve places on the one run-length Profile.
+/// Everything that shapes a served solve, all of it result-affecting and
+/// fingerprinted into the cache key.  There is no profile knob: every
+/// solve places on the one run-length Profile.
 struct ServeParams {
   ServeEngine engine = ServeEngine::kPortfolio;
-  /// Execution knob: worker threads for solve_many fan-out; 0 = hardware.
-  std::size_t threads = 0;
 };
 
 /// 64-bit fingerprint of the result-affecting parameters.  Distinct
-/// parameter sets must never collide in practice; execution knobs are
-/// deliberately excluded so they never fragment the cache.
+/// parameter sets must never collide in practice; execution settings that
+/// live elsewhere (the cache budget, the obs switches) are never absorbed,
+/// so they never fragment the cache.
 [[nodiscard]] std::uint64_t params_fingerprint(const ServeParams& params);
 
 struct CacheKey {
@@ -145,8 +142,8 @@ class SolveCache {
 
   /// The single-flight lookup: returns the cached value, or joins the
   /// in-flight computation for `key`, or runs `compute` exactly once and
-  /// caches its result.  `compute` runs outside every cache lock, so it may
-  /// itself fan out over threads.  If `compute` throws, the error
+  /// caches its result.  `compute` runs outside every cache lock, so a
+  /// solve never blocks lookups of other keys.  If `compute` throws, the error
   /// propagates to the computing caller and to every joiner; nothing is
   /// cached (the next request recomputes).
   [[nodiscard]] Lookup get_or_compute(
@@ -227,10 +224,12 @@ struct SolveResponse {
   [[nodiscard]] bool operator==(const SolveResponse&) const = default;
 };
 
-/// The serving front door, for single requests and batches: every
-/// request is canonicalized, deduplicated through the SolveCache, solved
-/// with the configured pipeline, and answered in the requester's item
-/// order.  Thread-safe: solve/solve_many may be called concurrently.
+/// The serving front door: every request is canonicalized, deduplicated
+/// through the SolveCache, solved with the configured pipeline, and
+/// answered in the requester's item order.  Thread-safe: solve may be
+/// called concurrently (the daemon serves each connection on its own
+/// thread), and concurrent duplicates collapse onto one computation via
+/// single flight, which is visible only in the `outcome` fields.
 class CachingSolver {
  public:
   explicit CachingSolver(const ServeParams& params = {},
@@ -238,15 +237,6 @@ class CachingSolver {
 
   /// Serves one request on the calling thread.
   [[nodiscard]] SolveResponse solve(const Instance& instance);
-
-  /// Serves a batch through runtime::parallel_map (params().threads
-  /// workers, 0 = hardware, capped at the batch size) — the one batch
-  /// path.  Responses are in request order, and every payload (packing,
-  /// peak, winner) is bit-identical to serving that request alone;
-  /// duplicate requests inside the batch collapse onto one computation via
-  /// single-flight, which is visible only in the `outcome` fields.
-  [[nodiscard]] std::vector<SolveResponse> solve_many(
-      const std::vector<Instance>& instances);
 
   [[nodiscard]] const ServeParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
@@ -259,9 +249,7 @@ class CachingSolver {
   ServeParams params_;
   std::uint64_t fingerprint_;
   SolveCache cache_;
-  /// Registry pull-source exporting serve.engine and the cache.* /
-  /// scheduler.executed samples (the latter a process-wide total: every
-  /// solve_many has joined its threads before it returns).
+  /// Registry pull-source exporting serve.engine and the cache.* samples.
   /// Declared last: it captures `this`, so it must unregister (its
   /// destructor) before any member it reads is torn down.
   obs::Registry::Source obs_source_;

@@ -35,6 +35,16 @@ std::size_t parse_count(const std::string& flag, const std::string& value,
   return static_cast<std::size_t>(*parsed);
 }
 
+std::size_t parse_repeat(const std::string& value, UsageError usage_error) {
+  const std::size_t repeat = parse_count("--repeat", value, usage_error);
+  if (repeat == 0) {
+    usage_error("bad value for --repeat: " + value +
+                " (expected a positive integer)");
+    std::exit(1);  // usage_error exits; never reached
+  }
+  return repeat;
+}
+
 std::optional<ServeEngine> parse_engine(std::string_view name) {
   for (const ServeEngine engine :
        {ServeEngine::kPortfolio, ServeEngine::kSolve54}) {

@@ -23,8 +23,8 @@ namespace dsp::service {
 
 /// Strict full-string signed-integer parse: the entire text must be one
 /// base-10 integer (optional leading '-'), or nullopt.  Unlike std::stoll,
-/// trailing garbage is a parse failure — "--threads 4x" must be rejected,
-/// not silently served as 4.
+/// trailing garbage is a parse failure — "--max-queue 4x" must be
+/// rejected, not silently served as 4.
 [[nodiscard]] std::optional<long long> parse_integer(std::string_view text);
 
 /// A front door's usage-error handler: prints the message and the usage
@@ -32,12 +32,18 @@ namespace dsp::service {
 using UsageError = void (*)(const std::string& message);
 
 /// Parses a nonnegative integer flag value with the strict full-string rule
-/// (parse_integer): "--threads 4x" is rejected, not served as 4.  Garbage
+/// (parse_integer): "--max-queue 4x" is rejected, not served as 4.  Garbage
 /// goes to `usage_error` as "bad value for FLAG: VALUE (expected a
 /// nonnegative integer)".
 [[nodiscard]] std::size_t parse_count(const std::string& flag,
                                       const std::string& value,
                                       UsageError usage_error);
+
+/// The `--repeat` flag value: parse_count's rule, and 0 is a usage error
+/// ("bad value for --repeat: VALUE (expected a positive integer)"), not a
+/// run silently served once.
+[[nodiscard]] std::size_t parse_repeat(const std::string& value,
+                                       UsageError usage_error);
 
 /// The `--engine` flag value: "portfolio" or "solve54" exactly (the
 /// to_string spellings), or nullopt for anything else, including the empty

@@ -82,7 +82,7 @@ Daemon::Daemon(const DaemonOptions& options)
                 : runtime::hardware_threads(),
             options.max_queue) {
   if (!options_.persist_dir.empty()) {
-    store_.emplace(options_.persist_dir, options_.snapshot_every);
+    store_.emplace(options_.persist_dir);
     warm_loaded_ = store_->warm_load(solver_.cache());
     // Wired before any serving thread exists (set_insert_observer's
     // contract); the observer runs outside the cache lock, so the store's

@@ -62,8 +62,6 @@ struct DaemonOptions {
   std::size_t max_queue = 64;
   /// State directory for cache persistence; empty = in-memory only.
   std::string persist_dir;
-  /// Log appends between automatic snapshot compactions.
-  std::size_t snapshot_every = 256;
 };
 
 /// The daemon's own lifetime counters (Daemon::stats()); the registry

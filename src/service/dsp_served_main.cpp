@@ -10,8 +10,7 @@
 //
 //   dsp_served [--port P] [--engine portfolio|solve54]
 //              [--cache-mb M] [--max-concurrent N] [--max-queue N]
-//              [--persist DIR] [--snapshot-every N]
-//              [--metrics-out FILE] [--trace-out FILE]
+//              [--persist DIR] [--metrics-out FILE] [--trace-out FILE]
 //
 // Each admitted request is served on its connection's thread, so
 // --max-concurrent is the daemon's concurrency; there is no batch fan-out.
@@ -87,8 +86,8 @@ void print_usage(std::ostream& os) {
   os << "usage: dsp_served [--port P] [--engine portfolio|solve54]\n"
         "                  [--cache-mb M] [--max-concurrent N]"
         " [--max-queue N]\n"
-        "                  [--persist DIR] [--snapshot-every N]\n"
-        "                  [--metrics-out FILE] [--trace-out FILE]\n"
+        "                  [--persist DIR] [--metrics-out FILE]"
+        " [--trace-out FILE]\n"
         "       dsp_served --connect P [--host ADDR] [--repeat R]\n"
         "                  [--format binary|json] [--metrics-out FILE]\n"
         "                  <file-or-directory>...\n";
@@ -112,9 +111,9 @@ void print_usage(std::ostream& os) {
 
 /// Flags only one mode reads.  Passing one in the other mode is a usage
 /// error, not a silently ignored setting.
-constexpr std::array<std::string_view, 8> kDaemonOnlyFlags = {
-    "--port",      "--engine",  "--cache-mb",       "--max-concurrent",
-    "--max-queue", "--persist", "--snapshot-every", "--trace-out"};
+constexpr std::array<std::string_view, 7> kDaemonOnlyFlags = {
+    "--port",      "--engine",  "--cache-mb", "--max-concurrent",
+    "--max-queue", "--persist", "--trace-out"};
 constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
     "--host", "--repeat", "--format"};
 
@@ -159,17 +158,13 @@ constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
       options.metrics_out = next_value(i, arg);
     } else if (arg == "--trace-out") {
       options.trace_out = next_value(i, arg);
-    } else if (arg == "--snapshot-every") {
-      options.daemon.snapshot_every = std::max<std::size_t>(
-          1, service::parse_count(arg, next_value(i, arg), usage_error));
     } else if (arg == "--connect") {
       options.connect = true;
       options.connect_port = parse_port(arg, next_value(i, arg));
     } else if (arg == "--host") {
       options.host = next_value(i, arg);
     } else if (arg == "--repeat") {
-      options.repeat = std::max<std::size_t>(
-          1, service::parse_count(arg, next_value(i, arg), usage_error));
+      options.repeat = service::parse_repeat(next_value(i, arg), usage_error);
     } else if (arg == "--format") {
       const std::string value = next_value(i, arg);
       if (value == "binary") {

@@ -11,10 +11,10 @@
 //
 //   dsp_solve [flags] <file-or-directory>...
 //     --engine portfolio|solve54   pipeline to serve with (default portfolio)
-//     --threads N                  batch fan-out workers (default hardware)
 //     --cache-mb M                 solve-cache budget in MiB (default 64)
-//     --repeat R                   serve the request list R times (default 1;
-//                                  repeats after the first hit the cache)
+//     --repeat R                   serve the request list R >= 1 times
+//                                  (default 1; repeats after the first hit
+//                                  the cache)
 //     --metrics-out FILE           write the Prometheus-style metrics
 //                                  exposition to FILE at exit
 //     --trace-out FILE             enable phase tracing; write the Chrome
@@ -22,13 +22,14 @@
 //     --emit-corpus DIR            write the golden gen corpus to DIR and exit
 //
 // Every request goes through the cache, and every solve places on the
-// run-length Profile (core/profile.hpp), the only profile there is.
+// run-length Profile (core/profile.hpp), the only profile there is.  Each
+// pass serves its files in order on the calling thread.
 //
-// With --repeat > 1 the passes run as separate batches and a per-pass
-// latency breakdown goes to *stderr* (stdout rows stay byte-identical to
-// the golden corpus): one "latency" row each for the cold pass (pass 0),
-// the warm passes (1..R-1 merged), and overall, with p50/p95/p99 solve
-// latencies from the phase histograms (coarse log2-bucket upper bounds).
+// With --repeat > 1 a per-pass latency breakdown goes to *stderr* (stdout
+// rows stay byte-identical to the golden corpus): one "latency" row each
+// for the cold pass (pass 0), the warm passes (1..R-1 merged), and
+// overall, with p50/p95/p99 solve latencies from the phase histograms
+// (coarse log2-bucket upper bounds).
 //
 // Exit status: 0 on success, 1 on usage errors (bad flags, bad paths),
 // 2 on load/solve failures.
@@ -63,9 +64,9 @@ struct CliOptions {
 };
 
 void print_usage(std::ostream& os) {
-  os << "usage: dsp_solve [--engine portfolio|solve54] [--threads N]\n"
-        "                 [--cache-mb M] [--repeat R]\n"
-        "                 [--metrics-out FILE] [--trace-out FILE]\n"
+  os << "usage: dsp_solve [--engine portfolio|solve54] [--cache-mb M]\n"
+        "                 [--repeat R] [--metrics-out FILE]"
+        " [--trace-out FILE]\n"
         "                 [--emit-corpus DIR] <file-or-directory>...\n";
 }
 
@@ -91,9 +92,6 @@ void print_usage(std::ostream& os) {
       const auto engine = service::parse_engine(value);
       if (!engine) usage_error("unknown engine " + value);
       options.serve.engine = *engine;
-    } else if (arg == "--threads") {
-      options.serve.threads =
-          service::parse_count(arg, next_value(i, arg), usage_error);
     } else if (arg == "--cache-mb") {
       const std::string value = next_value(i, arg);
       options.cache_mb = service::parse_count(arg, value, usage_error);
@@ -102,8 +100,7 @@ void print_usage(std::ostream& os) {
                     std::to_string(service::kMaxCacheMb) + ")");
       }
     } else if (arg == "--repeat") {
-      options.repeat = std::max<std::size_t>(
-          1, service::parse_count(arg, next_value(i, arg), usage_error));
+      options.repeat = service::parse_repeat(next_value(i, arg), usage_error);
     } else if (arg == "--metrics-out") {
       options.metrics_out = next_value(i, arg);
     } else if (arg == "--trace-out") {
@@ -187,26 +184,18 @@ int main(int argc, char** argv) {
         options.serve,
         service::CacheOptions{*service::cache_mb_to_bytes(options.cache_mb)});
 
-    // One solve_many per pass (not one flat repeat x files batch): the
-    // per-pass phase-histogram deltas are what turns --repeat into a
-    // cold-vs-warm latency experiment.  Responses are bit-identical either
-    // way (the batch axis is execution-only), and pass 0 misses while
-    // later passes hit, exactly as the flat batch did.
+    // The phase-histogram snapshot after pass 0 is what turns --repeat
+    // into a cold-vs-warm latency experiment: pass 0 misses, later passes
+    // hit.
     const obs::Histogram& solve_hist =
         obs::phase_histogram(obs::Phase::kSolve);
     const obs::HistogramSnapshot before = solve_hist.snapshot();
     obs::HistogramSnapshot after_cold = before;
-    std::vector<Instance> pass_batch(file_instances.begin(),
-                                     file_instances.end());
     std::vector<service::SolveResponse> responses;
-    std::vector<std::size_t> file_of_request;
     responses.reserve(options.repeat * wires.size());
     for (std::size_t pass = 0; pass < options.repeat; ++pass) {
-      std::vector<service::SolveResponse> pass_responses =
-          solver.solve_many(pass_batch);
-      for (std::size_t f = 0; f < wires.size(); ++f) {
-        responses.push_back(std::move(pass_responses[f]));
-        file_of_request.push_back(f);
+      for (const Instance& instance : file_instances) {
+        responses.push_back(solver.solve(instance));
       }
       if (pass == 0) after_cold = solve_hist.snapshot();
     }
@@ -214,7 +203,7 @@ int main(int argc, char** argv) {
     const std::string engine =
         std::string(service::to_string(solver.params().engine));
     for (std::size_t r = 0; r < responses.size(); ++r) {
-      const std::size_t f = file_of_request[r];
+      const std::size_t f = r % files.size();
       const service::SolveResponse& response = responses[r];
       service::print_answer_row(
           std::cout,

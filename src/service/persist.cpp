@@ -1,6 +1,5 @@
 #include "service/persist.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <filesystem>
@@ -132,9 +131,7 @@ PersistLoad load_entries(std::istream& is, PersistKind kind,
 // PersistentStore.
 // ---------------------------------------------------------------------------
 
-PersistentStore::PersistentStore(std::string dir, std::size_t snapshot_every)
-    : dir_(std::move(dir)),
-      snapshot_every_(std::max<std::size_t>(1, snapshot_every)) {
+PersistentStore::PersistentStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   DSP_REQUIRE(!ec, dir_ << ": cannot create state directory: " << ec.message());
@@ -187,7 +184,7 @@ void PersistentStore::append(const SolveCache& cache, const CacheKey& key,
   log_.flush();
   DSP_REQUIRE(log_.good(), log_path() << ": append failed");
   ++appends_;
-  if (++appends_since_compact_ >= snapshot_every_) compact_locked(cache);
+  if (++appends_since_compact_ >= kSnapshotEvery) compact_locked(cache);
 }
 
 void PersistentStore::compact(const SolveCache& cache) {

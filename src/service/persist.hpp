@@ -73,13 +73,16 @@ void save_entries(std::ostream& os, PersistKind kind,
 ///
 /// Thread-safe: `append` (the cache's insert observer) may race `append`
 /// from other solves; `warm_load`/`compact` are serialized with it by the
-/// store mutex.  Compaction runs automatically every `snapshot_every`
+/// store mutex.  Compaction runs automatically every kSnapshotEvery
 /// appends, so the log stays short and a warm boot replays little.
 class PersistentStore {
  public:
+  /// Log appends between automatic compactions.
+  static constexpr std::size_t kSnapshotEvery = 256;
+
   /// Creates `dir` if needed.  Throws InvalidInput when the directory
   /// cannot be created or an existing store is corrupt/unreadable.
-  explicit PersistentStore(std::string dir, std::size_t snapshot_every = 256);
+  explicit PersistentStore(std::string dir);
   ~PersistentStore();
 
   PersistentStore(const PersistentStore&) = delete;
@@ -91,7 +94,7 @@ class PersistentStore {
   std::size_t warm_load(SolveCache& cache);
 
   /// Appends one freshly computed entry to the log (flushed per append);
-  /// every `snapshot_every` appends, compacts against `cache`.  Wire this
+  /// every kSnapshotEvery appends, compacts against `cache`.  Wire this
   /// as the cache's insert observer.
   void append(const SolveCache& cache, const CacheKey& key,
               const CachedSolve& value);
@@ -113,7 +116,6 @@ class PersistentStore {
   void open_log_locked(bool truncate) DSP_REQUIRES(mutex_);
 
   const std::string dir_;
-  const std::size_t snapshot_every_;
 
   mutable runtime::Mutex mutex_;
   std::ofstream log_ DSP_GUARDED_BY(mutex_);

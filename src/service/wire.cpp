@@ -14,6 +14,7 @@
 
 #include "service/binary_codec.hpp"
 #include "util/check.hpp"
+#include "util/json_row.hpp"
 
 namespace dsp::service {
 
@@ -74,27 +75,6 @@ class BinaryReader : public detail::BinaryReader {
 // objects, arrays, strings and 64-bit integers — tracking byte
 // offsets for error messages.
 // ---------------------------------------------------------------------------
-
-void write_json_string(std::ostream& os, const std::string& value) {
-  os << '"';
-  for (const char c : value) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          os << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 class JsonParser {
  public:
@@ -379,7 +359,7 @@ void save_instance_binary(std::ostream& os, const WireInstance& instance) {
 void save_instance_json(std::ostream& os, const WireInstance& instance) {
   os << "{\"dsp\":\"instance\",\"version\":" << int{kWireVersion}
      << ",\"name\":";
-  write_json_string(os, instance.name);
+  os << json_quote(instance.name);
   os << ",\"strip_width\":" << instance.strip_width << ",\"items\":[";
   for (std::size_t i = 0; i < instance.items.size(); ++i) {
     const WireItem& item = instance.items[i];
@@ -387,7 +367,7 @@ void save_instance_json(std::ostream& os, const WireInstance& instance) {
        << ",\"width\":" << item.width << ",\"height\":" << item.height;
     if (!item.label.empty()) {
       os << ",\"label\":";
-      write_json_string(os, item.label);
+      os << json_quote(item.label);
     }
     os << '}';
   }

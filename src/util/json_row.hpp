@@ -14,6 +14,34 @@
 
 namespace dsp {
 
+/// `value` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, every other byte copied as is.  The one string
+/// quoter shared by JsonRow and the JSON wire format (service/wire.cpp),
+/// whose outputs are diffed byte for byte.
+[[nodiscard]] inline std::string json_quote(const std::string& value) {
+  std::string quoted = "\"";
+  for (const char c : value) {
+    switch (c) {
+      case '"': quoted += "\\\""; break;
+      case '\\': quoted += "\\\\"; break;
+      case '\n': quoted += "\\n"; break;
+      case '\r': quoted += "\\r"; break;
+      case '\t': quoted += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          quoted += "\\u00";
+          quoted += kHex[(c >> 4) & 0xf];
+          quoted += kHex[c & 0xf];
+        } else {
+          quoted += c;
+        }
+    }
+  }
+  quoted += '"';
+  return quoted;
+}
+
 /// One flat JSON object, printed as a single line.  Keys appear in insertion
 /// order and must be plain identifiers (they are always caller literals);
 /// string values are escaped, so untrusted text (instance names, file
@@ -21,27 +49,7 @@ namespace dsp {
 class JsonRow {
  public:
   JsonRow& field(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (const char c : value) {
-      switch (c) {
-        case '"': quoted += "\\\""; break;
-        case '\\': quoted += "\\\\"; break;
-        case '\n': quoted += "\\n"; break;
-        case '\r': quoted += "\\r"; break;
-        case '\t': quoted += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            constexpr char kHex[] = "0123456789abcdef";
-            quoted += "\\u00";
-            quoted += kHex[(c >> 4) & 0xf];
-            quoted += kHex[c & 0xf];
-          } else {
-            quoted += c;
-          }
-      }
-    }
-    quoted += '"';
-    return raw(key, std::move(quoted));
+    return raw(key, json_quote(value));
   }
   JsonRow& field(const std::string& key, const char* value) {
     return field(key, std::string(value));

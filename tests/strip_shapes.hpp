@@ -44,8 +44,8 @@ inline void PrintTo(StripShape shape, std::ostream* os) {
   return batch;
 }
 
-/// The (worker threads, strip shape) grid of the parameterized suites, and
-/// its case names ("t2_wide").
+/// The (concurrent callers, strip shape) grid of the parameterized suites
+/// (tests/concurrent_serve.hpp), and its case names ("t2_wide").
 using ThreadsAndShape = std::tuple<std::size_t, StripShape>;
 
 [[nodiscard]] inline auto threads_and_shapes() {

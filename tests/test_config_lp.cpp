@@ -97,7 +97,7 @@ TEST(ConfigLpEngines, ColumnGenerationMatchesDenseOnRandomScenarios) {
   }
 }
 
-/// Folds one value into a running checksum (bench_parallel_scaling's mix).
+/// Folds one value into a running checksum.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;

@@ -171,7 +171,7 @@ TEST(AdmissionGateTest, ConcurrentEnterLeaveNeverExceedsCapacity) {
 
 TEST(CliHelpersTest, ParseIntegerRejectsTrailingGarbage) {
   // Regression: std::stoll silently accepted "4x" as 4, so a mistyped
-  // "--threads 4x" was served with 4 threads instead of failing.
+  // "--max-queue 4x" was served with a queue of 4 instead of failing.
   EXPECT_EQ(parse_integer("4"), 4);
   EXPECT_EQ(parse_integer("0"), 0);
   EXPECT_EQ(parse_integer("-17"), -17);
@@ -283,35 +283,37 @@ TEST(PersistTest, TornLogTailIsRecoveredTornSnapshotThrows) {
 TEST(PersistTest, StoreWarmLoadEqualsLiveCacheAcrossRestart) {
   StateDir dir("store");
   const CacheOptions cache_options{1 << 20};
+  constexpr std::uint64_t kKeys = PersistentStore::kSnapshotEvery + 3;
   {
     SolveCache cache(cache_options);
-    PersistentStore store(dir.path(), /*snapshot_every=*/3);
+    PersistentStore store(dir.path());
     EXPECT_EQ(store.warm_load(cache), 0u);
+    const std::uint64_t boot_compactions = store.compactions();
     cache.set_insert_observer(
         [&](const CacheKey& key,
             const std::shared_ptr<const CachedSolve>& value) {
           store.append(cache, key, *value);
         });
-    for (std::uint64_t k = 1; k <= 7; ++k) {
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
       (void)cache.get_or_compute(key_of(k), [k]() {
         return solve_of(static_cast<Height>(k),
                         std::string("w").append(std::to_string(k)));
       });
     }
-    // 7 appends at snapshot_every=3: two automatic compactions happened and
-    // the log holds the tail.
-    EXPECT_EQ(store.appends(), 7u);
-    EXPECT_GE(store.compactions(), 2u);
+    // kSnapshotEvery + 3 appends: one automatic compaction happened and the
+    // log holds the 3-entry tail.
+    EXPECT_EQ(store.appends(), kKeys);
+    EXPECT_EQ(store.compactions(), boot_compactions + 1);
   }
   // "Restart": a fresh cache warm-loaded from disk equals the live one,
   // bit for bit, for every key.
   SolveCache restarted(cache_options);
-  PersistentStore store(dir.path(), 3);
-  EXPECT_EQ(store.warm_load(restarted), 7u);
+  PersistentStore store(dir.path());
+  EXPECT_EQ(store.warm_load(restarted), kKeys);
   EXPECT_FALSE(store.recovered_truncated_log());
   const CacheStats stats = restarted.stats();
-  EXPECT_EQ(stats.entries, 7u);
-  for (std::uint64_t k = 1; k <= 7; ++k) {
+  EXPECT_EQ(stats.entries, kKeys);
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
     const auto lookup = restarted.get_or_compute(
         key_of(k), []() -> CachedSolve { throw InvalidInput("must hit"); });
     EXPECT_EQ(lookup.outcome, CacheOutcome::kHit);
@@ -324,7 +326,7 @@ TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
   StateDir dir("torn");
   {
     SolveCache cache(CacheOptions{1 << 20});
-    PersistentStore store(dir.path(), /*snapshot_every=*/100);
+    PersistentStore store(dir.path());
     (void)store.warm_load(cache);
     cache.set_insert_observer(
         [&](const CacheKey& key,
@@ -341,13 +343,13 @@ TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
   std::filesystem::resize_file(log_path, size - 3);
 
   SolveCache cache(CacheOptions{1 << 20});
-  PersistentStore store(dir.path(), 100);
+  PersistentStore store(dir.path());
   EXPECT_EQ(store.warm_load(cache), 1u);  // the complete entry survives
   EXPECT_TRUE(store.recovered_truncated_log());
   EXPECT_EQ(cache.stats().entries, 1u);
   // Recovery re-compacted: the next warm load is clean.
   SolveCache again(CacheOptions{1 << 20});
-  PersistentStore clean(dir.path(), 100);
+  PersistentStore clean(dir.path());
   EXPECT_EQ(clean.warm_load(again), 1u);
   EXPECT_FALSE(clean.recovered_truncated_log());
 }
@@ -358,7 +360,6 @@ TEST(PersistTest, CrashTornLogTailIsDroppedOnWarmLoad) {
 
 DaemonOptions test_options() {
   DaemonOptions options;
-  options.serve.threads = 2;
   options.cache.capacity_bytes = 4 << 20;
   options.max_queue = 64;
   return options;

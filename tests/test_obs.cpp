@@ -3,7 +3,7 @@
 // pull-source semantics, reading the exposition back (and what a live
 // daemon's exposition carries), the tracer's ring buffer and Chrome trace
 // JSON, and — the contract everything else rides on — packings
-// bit-identical with tracing on vs. off across {1,2,8} threads and both
+// bit-identical with tracing on vs. off across {1,2,8} callers and both
 // strip shapes (narrow and wide, tests/strip_shapes.hpp), with the obs
 // switches provably outside the cache fingerprint.
 
@@ -24,11 +24,11 @@
 #include <vector>
 
 #include "approx/solve54.hpp"
+#include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "service/daemon.hpp"
 #include "service/frame_codec.hpp"
@@ -36,6 +36,7 @@
 #include "util/prng.hpp"
 
 #include "cache_outcome_print.hpp"
+#include "concurrent_serve.hpp"
 #include "strip_shapes.hpp"
 
 namespace dsp::obs {
@@ -404,14 +405,12 @@ TEST(RequestScopeTest, Solve54SpansAllCarryTheRequestId) {
   }
 }
 
-TEST(TracerTest, Solve54SpansStayOnTheCallingThread) {
-  // A solve54 call run on a fresh thread records every span into that one
-  // thread's ring: the trace shows a single tid, so no work ran elsewhere.
+/// Runs solve54 on a fresh thread with tracing on and returns the thread
+/// id of every span it recorded.
+std::vector<std::string> solve54_span_tids(const Instance& instance) {
   const SwitchGuard guard;
   set_tracing_enabled(true);
   Tracer::global().clear();
-  Rng rng(504);
-  const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
   std::thread caller([&instance] { (void)approx::solve54(instance); });
   caller.join();
   set_tracing_enabled(false);
@@ -427,10 +426,37 @@ TEST(TracerTest, Solve54SpansStayOnTheCallingThread) {
     const std::size_t begin = at + 6;
     tids.push_back(line.substr(begin, line.find(',', begin) - begin));
   }
+  return tids;
+}
+
+/// Every span of a solve54 call landed in its caller's ring: a single tid,
+/// so no work ran on another thread.
+void expect_one_thread(const Instance& instance) {
+  const std::vector<std::string> tids = solve54_span_tids(instance);
   ASSERT_FALSE(tids.empty()) << "solve54 recorded no spans";
   for (const std::string& tid : tids) {
-    EXPECT_EQ(tid, tids.front()) << os.str();
+    EXPECT_EQ(tid, tids.front()) << instance.summary();
   }
+}
+
+TEST(TracerTest, Solve54SpansStayOnTheCallingThread) {
+  Rng rng(504);
+  expect_one_thread(gen::random_uniform(30, 48, 20, 10, rng));
+}
+
+TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    SCOPED_TRACE(golden.name);
+    expect_one_thread(golden.instance);
+  }
+}
+
+TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
+  // Narrow items on a wide strip populate the Lemma-10 LP (column
+  // generation), whose pricing also stays on the caller's thread.
+  Rng rng(909);
+  expect_one_thread(gen::random_uniform(48, 240, 4, 24, rng));
+  expect_one_thread(gen::random_uniform(12, 240, 4, 24, rng));
 }
 
 TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
@@ -440,8 +466,6 @@ TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
   Rng rng(505);
   (void)solver.solve(gen::random_uniform(16, 32, 12, 8, rng));
   const MetricsSnapshot snap = Registry::global().snapshot();
-  const runtime::SchedulerCounters totals = runtime::scheduler_totals();
-  EXPECT_EQ(snap.sample_value("scheduler.executed"), totals.executed);
   EXPECT_EQ(snap.sample_value("cache.misses"), 1u);
   for (const Sample& sample : snap.samples) {
     EXPECT_EQ(sample.name.find("tuner"), std::string::npos) << sample.name;
@@ -520,7 +544,6 @@ TEST(ExpositionReaderTest, LiveDaemonExportsEveryRetiredStatsField) {
           .string();
   std::filesystem::remove_all(state_dir);
   service::DaemonOptions options;
-  options.serve.threads = 1;
   options.cache.capacity_bytes = 4 << 20;
   options.persist_dir = state_dir;
   std::string text;
@@ -561,7 +584,6 @@ TEST(ExpositionReaderTest, LiveDaemonExportsEveryRetiredStatsField) {
       {"daemon.draining", "daemon.draining"},
       {"persisted_appends", "persist.appends"},
       {"compactions", "persist.compactions"},
-      {"scheduler.executed", "scheduler.executed"},
       {"obs.request_count", "phase.request_nanos_count"},
       {"obs.spans_recorded", "trace.spans_recorded"},
       {"obs.spans_dropped", "trace.spans_dropped"},
@@ -641,12 +663,11 @@ TEST_P(TracingBitIdentity, PackingsIdenticalTracingOnAndOff) {
 
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  params.threads = threads;
 
   // A fresh solver per pass: every request is a real solve.
   const auto solve_all = [&]() {
     service::CachingSolver solver(params);
-    return solver.solve_many(batch);
+    return testing_serve::serve_concurrently(solver, batch, threads);
   };
 
   set_metrics_enabled(true);

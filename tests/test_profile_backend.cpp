@@ -783,7 +783,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SolveColdCellReference, ::testing::ValuesIn(solve_cold_cells()),
     ::testing::PrintToStringParamName());
 
-/// bench_parallel_scaling's hash step.
+/// Folds one value into a running checksum.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;

@@ -1,242 +1,32 @@
+// Concurrent callers of the one serve path (CachingSolver::solve): every
+// answer is bit-identical to serving that request alone, for 1, 2 and 8
+// callers on narrow and wide strips, and single flight computes each
+// distinct key once.
+
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <set>
-#include <stdexcept>
-#include <thread>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "algo/portfolio.hpp"
 #include "core/packing.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "service/canonical.hpp"
 #include "util/prng.hpp"
 
 #include "cache_outcome_print.hpp"
+#include "concurrent_serve.hpp"
 #include "strip_shapes.hpp"
 
 namespace dsp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// parallel_map: the one fan-out loop.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelMap, PreservesInputOrderAndRethrows) {
-  const std::vector<int> items = {5, 3, 8, 1, 9};
-  const auto doubled = runtime::parallel_map(
-      4, items, [](const int& x, std::size_t) { return 2 * x; });
-  EXPECT_EQ(doubled, (std::vector<int>{10, 6, 16, 2, 18}));
-  EXPECT_THROW(
-      (void)runtime::parallel_map(4, items,
-                                  [](const int& x, std::size_t) -> int {
-                                    if (x == 8) throw std::logic_error("8");
-                                    return x;
-                                  }),
-      std::logic_error);
-}
-
-TEST(ParallelMap, RethrowsFirstErrorInInputOrder) {
-  // Every item runs, then the first error in *input* order is rethrown —
-  // even when a later-input error completes earlier.
-  const std::vector<int> items = {0, 1, 2, 3};
-  try {
-    (void)runtime::parallel_map(2, items, [&](const int& x, std::size_t) {
-      if (x == 1) {
-        // Give the later-input error every chance to finish first.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        throw std::logic_error("input-order-first");
-      }
-      if (x == 3) throw std::runtime_error("completion-order-first");
-      return x;
-    });
-    FAIL() << "parallel_map must rethrow";
-  } catch (const std::logic_error& error) {
-    EXPECT_STREQ(error.what(), "input-order-first");
-  }
-}
-
-TEST(ParallelMap, EmptyInputSubmitsNothing) {
-  const runtime::SchedulerCounters before = runtime::scheduler_totals();
-  const std::vector<int> none;
-  EXPECT_TRUE(runtime::parallel_map(2, none, [](const int& x, std::size_t) {
-                return x;
-              }).empty());
-  EXPECT_EQ(runtime::scheduler_totals().executed, before.executed);
-}
-
-TEST(ParallelMap, PassesEachItemItsInputIndex) {
-  std::vector<int> items(50);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    items[i] = static_cast<int>(3 * i + 1);
-  }
-  const auto pairs = runtime::parallel_map(
-      4, items, [&items](const int& x, std::size_t index) {
-        // The index names the item's own slot, not a completion order.
-        EXPECT_EQ(&x, &items[index]);
-        return std::make_pair(x, index);
-      });
-  ASSERT_EQ(pairs.size(), items.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(pairs[i].first, items[i]);
-    EXPECT_EQ(pairs[i].second, i);
-  }
-}
-
-TEST(ParallelMap, AwaitsEveryTaskBeforeRethrowing) {
-  // The first item throws at once; the rest are slow and touch caller
-  // state.  All of them must have finished by the time the error surfaces.
-  const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::atomic<int> finished{0};
-  EXPECT_THROW(
-      (void)runtime::parallel_map(4, items,
-                                  [&finished](const int& x, std::size_t) {
-                                    if (x == 0) throw std::logic_error("0");
-                                    std::this_thread::sleep_for(
-                                        std::chrono::milliseconds(5));
-                                    ++finished;
-                                    return x;
-                                  }),
-      std::logic_error);
-  EXPECT_EQ(finished.load(), 7);
-}
-
-TEST(ParallelMap, MoveOnlyResultsArriveInInputOrder) {
-  const std::vector<int> items = {4, 0, 7, 2, 9, 1};
-  const std::vector<std::unique_ptr<int>> boxed = runtime::parallel_map(
-      3, items,
-      [](const int& x, std::size_t) { return std::make_unique<int>(x); });
-  ASSERT_EQ(boxed.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ASSERT_NE(boxed[i], nullptr);
-    EXPECT_EQ(*boxed[i], items[i]);
-  }
-}
-
-TEST(ParallelMap, SingleWorkerRunsItemsInInputOrder) {
-  // The shared cursor hands out indices in increasing order, so one worker
-  // visits the items in input order.
-  const std::vector<int> items = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
-  std::vector<int> visited;  // single worker: appends are serial
-  (void)runtime::parallel_map(1, items, [&visited](const int& x, std::size_t) {
-    visited.push_back(x);
-    return x;
-  });
-  EXPECT_EQ(visited, items);
-}
-
-TEST(ParallelMap, BlockedItemDoesNotStallTheRest) {
-  // Item 0 blocks until every other item has run.  Any static split of the
-  // items over 2 workers queues some of them behind item 0 and hangs until
-  // the deadline; the shared cursor lets the other worker take them all.
-  const std::vector<int> items(8, 0);
-  std::atomic<std::size_t> done{0};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  const std::vector<bool> unblocked = runtime::parallel_map(
-      2, items, [&](const int&, std::size_t index) {
-        if (index != 0) {
-          ++done;
-          return true;
-        }
-        while (done.load() < items.size() - 1) {
-          if (std::chrono::steady_clock::now() > deadline) return false;
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return true;
-      });
-  EXPECT_TRUE(unblocked[0]);
-  EXPECT_EQ(done.load(), items.size() - 1);
-}
-
-TEST(ParallelMap, ZeroWorkersMeansHardwareThreads) {
-  // workers = 0 starts hardware_threads() threads: as many items as that
-  // all meet at a barrier, so each ran on a thread of its own ...
-  const std::size_t hardware = runtime::hardware_threads();
-  std::atomic<std::size_t> arrived{0};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  const auto meet = [&](const int&, std::size_t) {
-    ++arrived;
-    while (arrived.load() < hardware &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return std::this_thread::get_id();
-  };
-  const std::vector<std::thread::id> met =
-      runtime::parallel_map(0, std::vector<int>(hardware, 0), meet);
-  EXPECT_EQ(std::set<std::thread::id>(met.begin(), met.end()).size(),
-            hardware);
-  // ... and more items than that never run on more threads.
-  const std::vector<std::thread::id> ran = runtime::parallel_map(
-      0, std::vector<int>(4 * hardware, 0),
-      [](const int&, std::size_t) { return std::this_thread::get_id(); });
-  EXPECT_LE(std::set<std::thread::id>(ran.begin(), ran.end()).size(),
-            hardware);
-}
-
-// The cursor contract at every worker count, including 0 (hardware) and
-// more workers than items.
-class ParallelMapWorkers : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelMapWorkers, EveryIndexRunsExactlyOnce) {
-  for (const std::size_t size : {std::size_t{1}, std::size_t{7},
-                                 std::size_t{257}}) {
-    const std::vector<int> items(size, 0);
-    std::vector<std::atomic<int>> visits(size);
-    const runtime::SchedulerCounters before = runtime::scheduler_totals();
-    const std::vector<std::size_t> indices = runtime::parallel_map(
-        GetParam(), items, [&visits](const int&, std::size_t index) {
-          ++visits[index];
-          return index;
-        });
-    EXPECT_EQ(runtime::scheduler_totals().executed - before.executed, size);
-    ASSERT_EQ(indices.size(), size);
-    for (std::size_t i = 0; i < size; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "size " << size << " index " << i;
-      EXPECT_EQ(indices[i], i);
-    }
-  }
-}
-
-TEST_P(ParallelMapWorkers, ErrorsNeitherStopTheLoopNorReorder) {
-  // Every third item throws its own index; all items still run, and the
-  // rethrown error is item 0's.
-  const std::vector<int> items(40, 0);
-  std::atomic<std::size_t> ran{0};
-  try {
-    (void)runtime::parallel_map(
-        GetParam(), items, [&ran](const int&, std::size_t index) {
-          ++ran;
-          if (index % 3 == 0) throw std::out_of_range(std::to_string(index));
-          return index;
-        });
-    FAIL() << "parallel_map must rethrow";
-  } catch (const std::out_of_range& error) {
-    EXPECT_STREQ(error.what(), "0");
-  }
-  EXPECT_EQ(ran.load(), items.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelMapWorkers,
-                         ::testing::Values(std::size_t{0}, std::size_t{1},
-                                           std::size_t{2}, std::size_t{3},
-                                           std::size_t{64}),
-                         [](const auto& info) {
-                           return "w" + std::to_string(info.param);
-                         });
-
-// ---------------------------------------------------------------------------
-// Determinism: the batch path (CachingSolver::solve_many) is bit-identical
-// to serving each request alone, for all thread counts and both strip
-// shapes (narrow strips and widened ones, both on the run-length profile;
+// Determinism: concurrent callers get exactly the answers of serving each
+// request alone, for every caller count and both strip shapes (narrow
+// strips and widened ones, both on the run-length profile;
 // tests/strip_shapes.hpp).
 // ---------------------------------------------------------------------------
 
@@ -257,15 +47,13 @@ std::vector<Instance> determinism_batch(testing_shapes::StripShape shape) {
 class RuntimeDeterminism : public ::testing::TestWithParam<ThreadsAndShape> {};
 
 TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
-  // Every batch answer is the sequential best_of_portfolio answer for its
+  // Every answer is the sequential best_of_portfolio answer for its
   // request's canonical form, mapped back to the requester's item order.
   const auto& [threads, shape] = GetParam();
   const std::vector<Instance> batch = determinism_batch(shape);
-  service::ServeParams params;
-  params.threads = threads;
-  service::CachingSolver solver(params);
+  service::CachingSolver solver;
   const std::vector<service::SolveResponse> responses =
-      solver.solve_many(batch);
+      testing_serve::serve_concurrently(solver, batch, threads);
   ASSERT_EQ(responses.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const service::CanonicalForm form = service::canonicalize(batch[i]);
@@ -289,10 +77,10 @@ TEST_P(RuntimeDeterminism, SolveManyMatchesSequentialLoop) {
   for (const Instance& instance : batch) {
     sequential.push_back(sequential_solver.solve(instance));
   }
-  service::ServeParams params;
-  params.threads = threads;
-  service::CachingSolver batch_solver(params);
-  EXPECT_EQ(batch_solver.solve_many(batch), sequential);
+  service::CachingSolver concurrent_solver;
+  EXPECT_EQ(
+      testing_serve::serve_concurrently(concurrent_solver, batch, threads),
+      sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, RuntimeDeterminism,
@@ -300,8 +88,8 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, RuntimeDeterminism,
                          testing_shapes::threads_and_shape_name);
 
 // ---------------------------------------------------------------------------
-// The batch path through the cache and on the solve54 engine, for every
-// thread count x strip shape.
+// Concurrent callers through the cache and on the solve54 engine, for
+// every caller count x strip shape.
 // ---------------------------------------------------------------------------
 
 class BatchPath : public ::testing::TestWithParam<ThreadsAndShape> {};
@@ -321,9 +109,10 @@ TEST_P(BatchPath, Solve54BatchMatchesSequentialLoop) {
   for (const Instance& instance : batch) {
     sequential.push_back(sequential_solver.solve(instance));
   }
-  params.threads = threads;
-  service::CachingSolver batch_solver(params);
-  EXPECT_EQ(batch_solver.solve_many(batch), sequential);
+  service::CachingSolver concurrent_solver(params);
+  EXPECT_EQ(
+      testing_serve::serve_concurrently(concurrent_solver, batch, threads),
+      sequential);
 }
 
 TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
@@ -339,11 +128,9 @@ TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
                                batch[i].items().rend());
     batch.emplace_back(batch[i].strip_width(), reversed);
   }
-  service::ServeParams params;
-  params.threads = threads;
-  service::CachingSolver cached(params);
+  service::CachingSolver cached;
   const std::vector<service::SolveResponse> responses =
-      cached.solve_many(batch);
+      testing_serve::serve_concurrently(cached, batch, threads);
   ASSERT_EQ(responses.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     service::CachingSolver alone;
@@ -361,13 +148,13 @@ TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
 TEST_P(BatchPath, RepeatedBatchIsServedFromTheCache) {
   const auto& [threads, shape] = GetParam();
   const std::vector<Instance> batch = determinism_batch(shape);
-  service::ServeParams params;
-  params.threads = threads;
-  service::CachingSolver solver(params);
-  const std::vector<service::SolveResponse> first = solver.solve_many(batch);
+  service::CachingSolver solver;
+  const std::vector<service::SolveResponse> first =
+      testing_serve::serve_concurrently(solver, batch, threads);
   const service::CacheStats cold = solver.stats();
   EXPECT_EQ(cold.misses, batch.size());
-  std::vector<service::SolveResponse> second = solver.solve_many(batch);
+  std::vector<service::SolveResponse> second =
+      testing_serve::serve_concurrently(solver, batch, threads);
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].outcome, service::CacheOutcome::kMiss) << i;

@@ -1,46 +1,40 @@
-// The batch fan-out (DESIGN.md, "The parallel runtime"): worker-count
-// fallbacks, determinism of skewed batches across thread counts, the
-// process-wide counter plumbing the serving layer reports, and solve54
-// staying on its caller's thread.
+// The runtime that remains once nothing fans out (DESIGN.md, "The
+// parallel runtime"): the hardware-width fallback behind the daemon's
+// default admission capacity, determinism of skewed batches served by
+// concurrent callers, and the zero scheduler-counter shim.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "algo/portfolio.hpp"
-#include "approx/solve54.hpp"
-#include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "util/prng.hpp"
 
+#include "concurrent_serve.hpp"
+
 namespace dsp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Worker counts (hardware_concurrency() == 0 and 1-core hosts).
+// The hardware width (hardware_concurrency() == 0 and 1-core hosts).
 // ---------------------------------------------------------------------------
 
-TEST(ResolveWorkerCount, ExplicitRequestAlwaysWins) {
-  EXPECT_EQ(runtime::resolve_worker_count(4, 0), 4u);
-  EXPECT_EQ(runtime::resolve_worker_count(4, 1), 4u);
-  EXPECT_EQ(runtime::resolve_worker_count(1, 64), 1u);
-}
-
 TEST(ResolveWorkerCount, UnknownHardwareFallsBackToTwo) {
-  // hardware_concurrency() == 0 means "unknown", not "none".  Two workers
-  // keep batch fan-out genuinely concurrent instead of silently
-  // serializing.
-  EXPECT_EQ(runtime::resolve_worker_count(0, 0),
-            runtime::kUnknownHardwareWorkers);
-  EXPECT_EQ(runtime::kUnknownHardwareWorkers, 2u);
+  // hardware_concurrency() == 0 means "unknown", not "none".  Two
+  // admission slots keep the daemon genuinely concurrent instead of
+  // silently serializing.
+  EXPECT_EQ(runtime::hardware_threads(0), runtime::kUnknownHardwareThreads);
+  EXPECT_EQ(runtime::kUnknownHardwareThreads, 2u);
 }
 
 TEST(ResolveWorkerCount, OneCoreContainerGetsOneWorker) {
-  EXPECT_EQ(runtime::resolve_worker_count(0, 1), 1u);
-  EXPECT_EQ(runtime::resolve_worker_count(0, 8), 8u);
+  EXPECT_EQ(runtime::hardware_threads(1), 1u);
+  EXPECT_EQ(runtime::hardware_threads(8), 8u);
 }
 
 TEST(ResolveWorkerCount, HardwareThreadsIsNeverZero) {
@@ -48,31 +42,16 @@ TEST(ResolveWorkerCount, HardwareThreadsIsNeverZero) {
 }
 
 // ---------------------------------------------------------------------------
-// The scheduler counters.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelMap, ExecutedCountsEveryItem) {
-  const std::vector<int> items(16, 3);
-  const runtime::SchedulerCounters before = runtime::scheduler_totals();
-  (void)runtime::parallel_map(2, items,
-                              [](const int& x, std::size_t) { return x * x; });
-  // parallel_map joins its threads before returning, so the total is exact.
-  const runtime::SchedulerCounters after = runtime::scheduler_totals();
-  EXPECT_EQ(after.executed - before.executed, items.size());
-  EXPECT_EQ(after.steals, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Determinism under skew: one 10-100x heavier instance amid cheap ones,
-// bit-identical across thread counts.
+// bit-identical for any number of concurrent callers.
 // ---------------------------------------------------------------------------
 
 std::vector<Instance> skewed_batch(std::uint64_t seed, std::size_t heavy_n,
                                    std::size_t light_n, std::size_t count) {
   std::vector<Instance> batch;
   Rng rng(seed);
-  // The heavy instance leads: whichever worker claims it, the others
-  // must pick up the light tail.
+  // The heavy instance leads: the caller that serves it falls behind
+  // while the others serve the light tail.
   batch.push_back(gen::random_uniform(heavy_n, 120, 60, 24, rng));
   for (std::size_t b = 1; b < count; ++b) {
     Rng shard = rng.spawn(b);
@@ -91,19 +70,18 @@ TEST(SchedulerDeterminism, SkewedBatchesBitIdenticalAcrossSchedules) {
     for (const Instance& instance : batch) {
       reference.push_back(sequential_solver.solve(instance));
     }
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+    for (const std::size_t callers : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      service::ServeParams params;
-      params.threads = threads;
-      service::CachingSolver solver(params);
-      EXPECT_EQ(solver.solve_many(batch), reference)
-          << "seed " << seed << " threads " << threads;
+      service::CachingSolver solver;
+      EXPECT_EQ(testing_serve::serve_concurrently(solver, batch, callers),
+                reference)
+          << "seed " << seed << " callers " << callers;
     }
   }
 }
 
-/// bench_parallel_scaling's hash step, folded over the peak and every
-/// start of each answer in request order.
+/// The checksum mix, folded over the peak and every start of each answer
+/// in request order.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   return h;
@@ -119,12 +97,10 @@ std::uint64_t fold_answer(std::uint64_t checksum, Height peak,
 }
 
 TEST(SchedulerDeterminism, SolveSkewChecksumIsPinned) {
-  // The solve_skew batch of bench_parallel_scaling: one n=192 instance
-  // amid 63 n=48 ones, each light instance drawn from its own spawned
-  // stream.  Two pins: the sequential portfolio over the raw instances,
-  // and the served answers (the portfolio over each canonical form,
-  // mapped back), which the batch path must reproduce at every thread
-  // count.
+  // A skewed batch: one n=192 instance amid 63 n=48 ones, each light
+  // instance drawn from its own spawned stream.  Two pins: the portfolio
+  // over the raw instances, and the served answers (the portfolio over
+  // each canonical form, mapped back), both computed in request order.
   constexpr std::uint64_t kPortfolioPin = 15969027589129456493ull;
   constexpr std::uint64_t kServedPin = 674198318919656810ull;
   Rng rng(20240613 + 9);
@@ -141,114 +117,38 @@ TEST(SchedulerDeterminism, SolveSkewChecksumIsPinned) {
         fold_answer(portfolio, peak_height(instance, packing), packing);
   }
   EXPECT_EQ(portfolio, kPortfolioPin);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    service::ServeParams params;
-    params.threads = threads;
-    service::CachingSolver solver(params);
-    std::uint64_t served = 0;
-    for (const service::SolveResponse& response : solver.solve_many(batch)) {
-      served = fold_answer(served, response.peak, response.packing);
-    }
-    EXPECT_EQ(served, kServedPin) << "threads " << threads;
+  service::CachingSolver solver;
+  std::uint64_t served = 0;
+  for (const Instance& instance : batch) {
+    const service::SolveResponse response = solver.solve(instance);
+    served = fold_answer(served, response.peak, response.packing);
   }
-}
-
-TEST(SchedulerDeterminism, ParallelMapIdenticalAcrossThreadCounts) {
-  std::vector<int> items(64);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    items[i] = static_cast<int>(i);
-  }
-  const auto heavy_square = [](const int& value, std::size_t) {
-    // Skewed: item 0 does ~100x the work of the rest.
-    std::uint64_t acc = static_cast<std::uint64_t>(value);
-    const int spins = value == 0 ? 100'000 : 1'000;
-    for (int s = 0; s < spins; ++s) acc = acc * 6364136223846793005ull + 13u;
-    return acc;
-  };
-  const std::vector<std::uint64_t> reference =
-      runtime::parallel_map(1, items, heavy_square);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(runtime::parallel_map(threads, items, heavy_square), reference)
-        << "threads " << threads;
-  }
+  EXPECT_EQ(served, kServedPin);
 }
 
 // ---------------------------------------------------------------------------
-// solve54 runs on its caller's thread.
-// ---------------------------------------------------------------------------
-
-TEST(Solve54Sequential, SubmitsNoPoolTasksOnGoldenFamilies) {
-  // Every parallel_map item counts into the process totals, so any fan-out
-  // a solve54 call ran would show up here.
-  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
-    const runtime::SchedulerCounters before = runtime::scheduler_totals();
-    (void)approx::solve54(golden.instance);
-    const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.executed, before.executed) << golden.name;
-  }
-}
-
-TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
-  // Narrow items on a wide strip populate the Lemma-10 LP (column
-  // generation), the stage that used to fan its pricing out to a pool.
-  Rng rng(909);
-  const std::vector<Instance> instances = {
-      gen::random_uniform(48, 240, 4, 24, rng),
-      gen::random_uniform(12, 240, 4, 24, rng),
-  };
-  for (const Instance& inst : instances) {
-    const runtime::SchedulerCounters before = runtime::scheduler_totals();
-    (void)approx::solve54(inst);
-    const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.executed, before.executed) << inst.summary();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Serving layer: counters.
+// The scheduler-counter shim the end-to-end benchmark reads.
 // ---------------------------------------------------------------------------
 
 TEST(ServingScheduler, CachingSolverExposesCounters) {
+  // The solver's registry source exports the cache counters and no
+  // scheduler sample; the shim's totals stay 0 across requests served
+  // by concurrent callers.
   service::ServeParams params;
   params.engine = service::ServeEngine::kSolve54;
-  params.threads = 2;
   service::CachingSolver solver(params, service::CacheOptions{1 << 20});
-  Rng rng(913);
-  const Instance inst = gen::random_uniform(24, 120, 40, 16, rng);
-  const runtime::SchedulerCounters before = runtime::scheduler_totals();
-  (void)solver.solve(inst);
-  const runtime::SchedulerCounters after = runtime::scheduler_totals();
-  // A single request is served on the calling thread end to end.
-  EXPECT_EQ(after.executed, before.executed);
-  // A batch fans out; each of its requests counts as one item run.
   const std::vector<Instance> batch = skewed_batch(915, 8, 16, 6);
-  (void)solver.solve_many(batch);
-  const runtime::SchedulerCounters batched = runtime::scheduler_totals();
-  EXPECT_EQ(batched.executed - after.executed, batch.size());
-  // The solver's registry source exports that same process total.
+  (void)testing_serve::serve_concurrently(solver, batch, 2);
+  const runtime::SchedulerCounters totals = runtime::scheduler_totals();
+  EXPECT_EQ(totals.executed, 0u);
+  EXPECT_EQ(totals.steals, 0u);
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
-  EXPECT_EQ(snap.sample_value("scheduler.executed"), batched.executed);
-}
-
-TEST(ServingScheduler, SolveManySubmitsOneTaskPerRequest) {
-  // The batch threads are joined before solve_many returns: every request
-  // was one item and all of them ran.  More threads than requests changes
-  // nothing in the count.
-  Rng rng(917);
-  std::vector<Instance> batch;
-  for (int i = 0; i < 3; ++i) {
-    batch.push_back(gen::random_uniform(12, 48, 16, 8, rng));
-  }
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    service::ServeParams params;
-    params.threads = threads;
-    service::CachingSolver solver(params);
-    const runtime::SchedulerCounters before = runtime::scheduler_totals();
-    EXPECT_EQ(solver.solve_many(batch).size(), batch.size());
-    const runtime::SchedulerCounters after = runtime::scheduler_totals();
-    EXPECT_EQ(after.executed - before.executed, batch.size())
-        << "threads " << threads;
+  EXPECT_EQ(snap.sample_value("cache.misses"), batch.size());
+  EXPECT_EQ(snap.sample_value("serve.engine"),
+            static_cast<std::uint64_t>(service::ServeEngine::kSolve54));
+  for (const obs::Sample& sample : snap.samples) {
+    EXPECT_EQ(sample.name.find("scheduler"), std::string::npos)
+        << sample.name;
   }
 }
 

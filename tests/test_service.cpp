@@ -664,18 +664,37 @@ void throwing_usage_error(const std::string& message) {
 }
 
 TEST(CliTest, ParseCountAcceptsOnlyNonnegativeIntegers) {
-  EXPECT_EQ(parse_count("--threads", "0", throwing_usage_error), 0u);
-  EXPECT_EQ(parse_count("--threads", "12", throwing_usage_error), 12u);
+  EXPECT_EQ(parse_count("--max-queue", "0", throwing_usage_error), 0u);
+  EXPECT_EQ(parse_count("--max-queue", "12", throwing_usage_error), 12u);
   for (const std::string bad : {"", "4x", "-1", " 4", "+", "1e3"}) {
     try {
-      (void)parse_count("--threads", bad, throwing_usage_error);
+      (void)parse_count("--max-queue", bad, throwing_usage_error);
       ADD_FAILURE() << "accepted '" << bad << "'";
     } catch (const std::runtime_error& error) {
       EXPECT_EQ(std::string(error.what()),
-                "bad value for --threads: " + bad +
+                "bad value for --max-queue: " + bad +
                     " (expected a nonnegative integer)");
     }
   }
+}
+
+TEST(CliTest, ParseRepeatRejectsZero) {
+  // Regression: both front doors clamped --repeat 0 to 1 and served the
+  // files once instead of reporting a usage error.
+  EXPECT_EQ(parse_repeat("1", throwing_usage_error), 1u);
+  EXPECT_EQ(parse_repeat("3", throwing_usage_error), 3u);
+  for (const std::string bad : {"0", "00"}) {
+    try {
+      (void)parse_repeat(bad, throwing_usage_error);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "bad value for --repeat: " + bad +
+                    " (expected a positive integer)");
+    }
+  }
+  EXPECT_THROW((void)parse_repeat("-1", throwing_usage_error),
+               std::runtime_error);
 }
 
 TEST(CliTest, WriteOutputFileWritesTheBodyOrWarns) {

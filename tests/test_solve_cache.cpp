@@ -26,6 +26,7 @@
 #include "util/prng.hpp"
 
 #include "cache_outcome_print.hpp"
+#include "concurrent_serve.hpp"
 #include "strip_shapes.hpp"
 
 namespace dsp::service {
@@ -395,14 +396,15 @@ TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
 }
 
 TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
-  // Thread counts are proven result-invariant; changing them must keep the
-  // fingerprint (so a warm cache keeps serving).
-  ServeParams base;
-  base.engine = ServeEngine::kSolve54;
-  const std::uint64_t reference = params_fingerprint(base);
-  ServeParams v = base;
-  v.threads = 8;
-  EXPECT_EQ(params_fingerprint(v), reference);
+  // The cache budget shapes residency, never an answer: solvers with
+  // different budgets share the fingerprint, so a persisted store warms a
+  // daemon restarted with another --cache-mb.
+  ServeParams params;
+  params.engine = ServeEngine::kSolve54;
+  const CachingSolver small(params, CacheOptions{1 << 20});
+  const CachingSolver large(params, CacheOptions{64 << 20});
+  EXPECT_EQ(small.fingerprint(), large.fingerprint());
+  EXPECT_EQ(small.fingerprint(), params_fingerprint(params));
 }
 
 TEST(ParamsFingerprintTest, DefaultFingerprintsArePinned) {
@@ -530,13 +532,11 @@ TEST_P(CachingSolverContract, CachedAndEngineDirectAreBitIdentical) {
   // Each cached answer equals the engine run directly on the request's
   // canonical form, mapped back.
   const auto& [threads, shape] = GetParam();
-  ServeParams params;
-  params.threads = threads;
-
   const std::vector<Instance> batch =
       testing_shapes::shaped_batch(shape, smart_grid_batch(4, 3));
-  CachingSolver cached(params);
-  const std::vector<SolveResponse> warm = cached.solve_many(batch);
+  CachingSolver cached;
+  const std::vector<SolveResponse> warm =
+      testing_serve::serve_concurrently(cached, batch, threads);
   ASSERT_EQ(warm.size(), batch.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
     const CanonicalForm form = canonicalize(batch[i]);
@@ -562,10 +562,11 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, CachingSolverContract,
 TEST(CachingSolverTest, Solve54EngineServesAndDedupes) {
   ServeParams params;
   params.engine = ServeEngine::kSolve54;
-  params.threads = 2;
   CachingSolver solver(params);
+  // 2 distinct requests, each asked twice, from 4 callers at once.
   const std::vector<Instance> batch = smart_grid_batch(2, 2);
-  const std::vector<SolveResponse> responses = solver.solve_many(batch);
+  const std::vector<SolveResponse> responses =
+      testing_serve::serve_concurrently(solver, batch, 4);
   ASSERT_EQ(responses.size(), 4u);
   for (std::size_t i = 0; i < responses.size(); ++i) {
     EXPECT_EQ(responses[i].winner, "solve54");
@@ -577,34 +578,24 @@ TEST(CachingSolverTest, Solve54EngineServesAndDedupes) {
   EXPECT_EQ(solver.stats().misses, 2u);
 }
 
-TEST(CachingSolverTest, EmptyBatchReturnsEmpty) {
-  CachingSolver solver;
-  EXPECT_TRUE(solver.solve_many({}).empty());
-}
-
 TEST(CachingSolverTest, ThrowingRequestRethrowsFromSolveMany) {
-  // Index 1 is an empty instance, which every engine refuses; the batch
-  // still awaits the good requests, then rethrows.
+  // The middle request is an empty instance, which every engine refuses:
+  // its caller gets the error, and the requests around it are served.
   Rng rng(5);
-  std::vector<Instance> batch;
-  batch.push_back(gen::random_uniform(8, 16, 8, 4, rng));
-  batch.push_back(Instance(16, {}));
-  batch.push_back(gen::random_uniform(8, 16, 8, 4, rng));
-  ServeParams params;
-  params.threads = 2;
-  CachingSolver solver(params);
-  EXPECT_THROW((void)solver.solve_many(batch), InvalidInput);
+  CachingSolver solver;
+  EXPECT_NO_THROW((void)solver.solve(gen::random_uniform(8, 16, 8, 4, rng)));
+  EXPECT_THROW((void)solver.solve(Instance(16, {})), InvalidInput);
+  EXPECT_NO_THROW((void)solver.solve(gen::random_uniform(8, 16, 8, 4, rng)));
   EXPECT_EQ(solver.stats().misses, 3u);
   EXPECT_EQ(solver.stats().entries, 2u) << "a failed solve is never cached";
 }
 
 TEST(CachingSolverTest, EightThreadHammerComputesEachDistinctKeyOnce) {
-  ServeParams params;
-  params.threads = 8;
-  CachingSolver solver(params);
-  // 2 distinct requests, 32 total, all in flight together on 8 workers.
+  CachingSolver solver;
+  // 2 distinct requests, 32 total, from 8 callers that start together.
   const std::vector<Instance> batch = smart_grid_batch(2, 16);
-  const std::vector<SolveResponse> responses = solver.solve_many(batch);
+  const std::vector<SolveResponse> responses =
+      testing_serve::serve_concurrently(solver, batch, 8);
   ASSERT_EQ(responses.size(), 32u);
   for (std::size_t i = 2; i < responses.size(); ++i) {
     EXPECT_EQ(responses[i].packing, responses[i % 2].packing);
