@@ -12,8 +12,11 @@
 //     return a feasible packing whose peak is the reported one;
 //   - combined_lower_bound <= either peak, and solve54's peak <= its
 //     report's upper bound (the witness peak);
-//   - when that upper bound exceeds the lower bound, bisect(LB, UB, 1/4)
-//     returns a feasible packing whose peak is its reported peak;
+//   - bisect(LB, UB, 1/4) returns a feasible packing whose peak is its
+//     reported peak;
+//   - solve54 makes no attempt exactly when the witness is certified
+//     (UB <= floor((5/4 + eps) LB)); a certified answer peaks at the
+//     witness's peak, any other at min(witness peak, bisect's peak);
 //   - for n <= 7 and W <= 16, solve54's peak <= floor((5/4 + eps) OPT)
 //     against a proven exact::min_peak (Theorem 5 on the returned peak).
 //
@@ -21,6 +24,7 @@
 // exception, a signal or a sanitizer report is a finding.  Build with
 // -DDSP_FUZZ=ON (see fuzz_load_instance.cpp for the two toolchains).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -117,10 +121,20 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     finding(instance, "solve54 peak outside [LB, witness peak]");
   }
 
-  if (upper > lower) {
-    const dsp::approx::Bisection search =
-        dsp::approx::bisect(instance, lower, upper, epsilon);
-    check_packing(instance, search.packing, search.peak, "bisect");
+  const dsp::approx::Bisection search =
+      dsp::approx::bisect(instance, lower, upper, epsilon);
+  check_packing(instance, search.packing, search.peak, "bisect");
+  const bool certified =
+      upper <= dsp::floor_mul(lower, dsp::Fraction(5, 4) + epsilon);
+  if ((solved.report.attempts == 0) != certified) {
+    finding(instance, certified ? "solve54 searched past a certified witness"
+                                : "solve54 skipped the search uncertified");
+  }
+  if (certified ? solved.peak != upper
+                : solved.peak != std::min(upper, search.peak)) {
+    finding(instance, certified
+                          ? "certified solve54 peak is not the witness peak"
+                          : "solve54 peak is not min(witness, bisect)");
   }
 
   if (instance.size() <= kMaxExactItems &&

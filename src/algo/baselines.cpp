@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <utility>
+#include <vector>
 
 #include "core/profile.hpp"
 #include "sp/bottom_left.hpp"
@@ -38,6 +39,24 @@ std::vector<std::size_t> ordered_indices(const Instance& instance,
   return idx;
 }
 
+/// First fit under `budget` in the given item order (one probe of the
+/// search; the order is sorted once per search, not per probe).
+std::optional<Scored> first_fit_in_order(const Instance& instance,
+                                         const std::vector<std::size_t>& order,
+                                         Height budget) {
+  Profile profile(instance.strip_width());
+  Packing packing;
+  packing.start.resize(instance.size());
+  for (const std::size_t i : order) {
+    const Item& it = instance.item(i);
+    const auto pos = profile.first_fit(it.width, it.height, budget);
+    if (!pos.has_value()) return std::nullopt;
+    packing.start[i] = *pos;
+    profile.add(*pos, it.width, it.height);
+  }
+  return Scored{std::move(packing), profile.peak()};
+}
+
 }  // namespace
 
 Scored greedy_lowest_peak(const Instance& instance, ItemOrder order) {
@@ -55,18 +74,9 @@ Scored greedy_lowest_peak(const Instance& instance, ItemOrder order) {
 
 std::optional<Scored> first_fit_with_budget(const Instance& instance,
                                             Height budget) {
-  Profile profile(instance.strip_width());
-  Packing packing;
-  packing.start.resize(instance.size());
-  for (const std::size_t i :
-       ordered_indices(instance, ItemOrder::kDecreasingHeight)) {
-    const Item& it = instance.item(i);
-    const auto pos = profile.first_fit(it.width, it.height, budget);
-    if (!pos.has_value()) return std::nullopt;
-    packing.start[i] = *pos;
-    profile.add(*pos, it.width, it.height);
-  }
-  return Scored{std::move(packing), profile.peak()};
+  return first_fit_in_order(
+      instance, ordered_indices(instance, ItemOrder::kDecreasingHeight),
+      budget);
 }
 
 Scored first_fit_search(const Instance& instance, Height lower_bound,
@@ -76,9 +86,11 @@ Scored first_fit_search(const Instance& instance, Height lower_bound,
   // Invariant: a feasible packing is known for budget hi (the greedy one).
   // Every probe that succeeds peaks at <= its budget < the greedy peak.
   std::optional<Scored> best;
+  const std::vector<std::size_t> order =
+      ordered_indices(instance, ItemOrder::kDecreasingHeight);
   while (lo < hi) {
     const Height mid = lo + (hi - lo) / 2;
-    if (auto packing = first_fit_with_budget(instance, mid)) {
+    if (auto packing = first_fit_in_order(instance, order, mid)) {
       best = std::move(packing);
       hi = mid;
     } else {

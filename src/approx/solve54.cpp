@@ -236,10 +236,15 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   report.upper_bound = result.peak;
   report.pipeline_peak = result.peak;
 
-  // Step 2 only when it can change the answer: no packing peaks below the
-  // lower bound, and only a strictly lower peak replaces the witness, so a
-  // witness at the lower bound is returned without an attempt.
-  if (report.upper_bound == report.lower_bound) return result;
+  // Step 2 only when the witness does not already prove Theorem 5: LB <= OPT,
+  // so a witness peak <= floor((5/4 + eps) LB) is within the bound and is
+  // returned without an attempt (a witness at the lower bound is the
+  // special case UB == LB).  Written as a difference, like the acceptance
+  // test, so that no sum passes INT64_MAX.
+  if (report.upper_bound - report.lower_bound <=
+      floor_mul(report.lower_bound, Fraction(1, 4) + params.epsilon)) {
+    return result;
+  }
   Bisection search =
       bisect(instance, report.lower_bound, report.upper_bound, params.epsilon);
   report.pipeline_peak = search.peak;

@@ -19,11 +19,13 @@ struct Approx54Params {
 };
 
 /// Diagnostics of one run — the quantities experiments E7/E9/E11 report.
-/// When the witness meets the lower bound, step 2 is skipped: `attempts`
-/// and `rounds` are 0, `pipeline_peak == upper_bound`, and every field
-/// below `pipeline_peak` keeps its default.  `attempts == 0` marks that
-/// step-1 answer; `bisect` measures the pipeline on it, and its
-/// `accepted` attempt carries the classification and every LP counter.
+/// When the witness is certified (its peak is at most
+/// floor((5/4 + eps) lower_bound), so within the Theorem-5 bound since
+/// LB <= OPT), step 2 is skipped: `attempts` and `rounds` are 0,
+/// `pipeline_peak == upper_bound`, and every field below `pipeline_peak`
+/// keeps its default.  `attempts == 0` marks that certified answer;
+/// `bisect` measures the pipeline on it, and its `accepted` attempt
+/// carries the classification and every LP counter.
 struct Approx54Report {
   Height lower_bound = 0;       ///< combined lower bound (binary-search floor)
   Height upper_bound = 0;       ///< witness peak (binary-search ceiling)
@@ -32,7 +34,7 @@ struct Approx54Report {
   Height pipeline_peak = 0;
   bool lp_used = false;          ///< Lemma-10 LP solved at the accepted guess
   std::size_t lp_pricing_rounds = 0;  ///< CG re-solve rounds there
-  std::size_t attempts = 0;      ///< binary-search probes (0: step-1 answer)
+  std::size_t attempts = 0;      ///< binary-search probes (0: certified)
   std::size_t rounds = 0;        ///< binary-search rounds (== attempts)
   /// Phase-level latency breakdown (obs/trace.hpp scoped spans), summed
   /// over every attempt of the bisection: total attempt wall nanos, the
@@ -84,9 +86,9 @@ struct Bisection {
 };
 
 /// Runs step 2 with lower <= upper and eps in (0, 1/2].  `solve54`
-/// calls it with the step-1 bounds only when they differ; the Theorem-5
-/// ratchet, the pins and E7 call it on every instance to measure the
-/// pipeline whether or not `solve54` needed it.
+/// calls it with the step-1 bounds only when the witness is not
+/// certified; the Theorem-5 ratchet, the pins and E7 call it on every
+/// instance to measure the pipeline whether or not `solve54` needed it.
 [[nodiscard]] Bisection bisect(const Instance& instance, Height lower,
                                Height upper, const Fraction& epsilon);
 
@@ -94,7 +96,9 @@ struct Bisection {
 /// realization documented in DESIGN.md (substitution 4):
 ///
 ///   step 1  lower/upper bounds (combined LB; baseline-portfolio witness);
-///           a witness at the lower bound is optimal and is returned
+///           a witness peaking at most floor((5/4 + eps) LB) already meets
+///           the bound and is returned without an attempt (the certificate;
+///           a witness at the lower bound is the special case)
 ///   step 2  otherwise `bisect` over the height guess H' in [LB, witness
 ///           peak], starting with the floor probe H' = lower bound; each
 ///           probe is one `attempt`
@@ -118,7 +122,9 @@ struct Bisection {
 /// against the lower bound (experiment E7 measures the ratio).  The
 /// (5/4 + eps) OPT bound is checked on the returned peak, while the
 /// pipeline alone (`bisect`'s peak) exceeds it on a counted share of the
-/// exact corpus (tests/theorem5_corpus.hpp).
+/// exact corpus (tests/theorem5_corpus.hpp).  A certified witness is
+/// returned even where `bisect` would reach a lower peak; that corpus
+/// counts such answers too.
 [[nodiscard]] Approx54Result solve54(const Instance& instance,
                                      const Approx54Params& params = {});
 

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -34,15 +35,24 @@ constexpr int kAcceptRetryMs = 50;
   }
 }
 
-/// Reads exactly `count` bytes; false on EOF or a connection error.
-[[nodiscard]] bool recv_exact(int fd, char* buffer, std::size_t count) {
+enum class Received {
+  kAll,       ///< all `count` bytes arrived
+  kClosed,    ///< EOF or a connection error first
+  kTimedOut,  ///< the socket's receive timeout (SO_RCVTIMEO) expired first
+};
+
+/// Reads exactly `count` bytes.
+[[nodiscard]] Received recv_exact(int fd, char* buffer, std::size_t count) {
   std::size_t got = 0;
   while (got < count) {
     const ssize_t chunk = recv_some(fd, buffer + got, count - got);
-    if (chunk <= 0) return false;
+    if (chunk < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Received::kTimedOut;
+    }
+    if (chunk <= 0) return Received::kClosed;
     got += static_cast<std::size_t>(chunk);
   }
-  return true;
+  return Received::kAll;
 }
 
 /// Writes all of `count` bytes; false on a connection error.  MSG_NOSIGNAL
@@ -282,7 +292,9 @@ void Daemon::serve_connection(int fd) {
     // still read and answered (with `busy` once the gate is closed).
     if (fds[0].revents != 0) {
       char bytes[frame::kHeaderSize];
-      if (!recv_exact(fd, bytes, sizeof(bytes))) break;  // EOF / reset
+      if (recv_exact(fd, bytes, sizeof(bytes)) != Received::kAll) {
+        break;  // EOF / reset
+      }
       const frame::Header header = frame::parse_header(bytes);
       if (header.length > frame::kMaxPayload) {
         ++errors_;
@@ -293,7 +305,8 @@ void Daemon::serve_connection(int fd) {
         break;
       }
       std::string payload(header.length, '\0');
-      if (header.length > 0 && !recv_exact(fd, payload.data(), header.length)) {
+      if (header.length > 0 &&
+          recv_exact(fd, payload.data(), header.length) != Received::kAll) {
         break;
       }
       ++requests_;
@@ -359,8 +372,12 @@ bool Daemon::handle_frame(int fd, std::uint8_t type, std::string payload) {
 // ---------------------------------------------------------------------------
 
 DaemonClient::DaemonClient(std::uint16_t port, const std::string& host,
-                           int connect_timeout_ms)
-    : peer_(host + ":" + std::to_string(port)) {
+                           int connect_timeout_ms, int reply_timeout_ms)
+    : peer_(host + ":" + std::to_string(port)),
+      reply_timeout_ms_(reply_timeout_ms) {
+  DSP_REQUIRE(reply_timeout_ms > 0,
+              peer_ << ": reply timeout must be positive, got "
+                    << reply_timeout_ms << " ms");
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_port = htons(port);
@@ -374,7 +391,18 @@ DaemonClient::DaemonClient(std::uint16_t port, const std::string& host,
                 peer_ << ": cannot create socket: " << std::strerror(errno));
     if (::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
                   sizeof(address)) == 0) {
-      return;
+      timeval timeout{};
+      timeout.tv_sec = reply_timeout_ms / 1000;
+      timeout.tv_usec = (reply_timeout_ms % 1000) * 1000;
+      if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                       sizeof(timeout)) == 0) {
+        return;
+      }
+      const int error = errno;
+      ::close(fd_);
+      fd_ = -1;
+      throw InvalidInput(peer_ + ": cannot set the reply timeout: " +
+                         std::strerror(error));
     }
     const int error = errno;
     ::close(fd_);
@@ -401,17 +429,23 @@ void DaemonClient::send_frame(std::uint8_t type, const std::string& payload) {
 }
 
 std::pair<std::uint8_t, std::string> DaemonClient::read_frame() {
+  const auto receive = [this](char* buffer, std::size_t count,
+                              const char* closed) {
+    const Received received = recv_exact(fd_, buffer, count);
+    DSP_REQUIRE(received != Received::kTimedOut,
+                peer_ << ": no reply within " << reply_timeout_ms_ << " ms");
+    DSP_REQUIRE(received == Received::kAll, peer_ << ": " << closed);
+  };
   char bytes[frame::kHeaderSize];
-  DSP_REQUIRE(recv_exact(fd_, bytes, sizeof(bytes)),
-              peer_ << ": connection closed before a reply arrived");
+  receive(bytes, sizeof(bytes), "connection closed before a reply arrived");
   const frame::Header header = frame::parse_header(bytes);
   DSP_REQUIRE(header.length <= frame::kMaxPayload,
               peer_ << ": reply frame of " << header.length
                     << " bytes exceeds the limit");
   std::string payload(header.length, '\0');
-  DSP_REQUIRE(header.length == 0 ||
-                  recv_exact(fd_, payload.data(), header.length),
-              peer_ << ": connection closed mid-reply");
+  if (header.length > 0) {
+    receive(payload.data(), header.length, "connection closed mid-reply");
+  }
   return {header.type, std::move(payload)};
 }
 

@@ -156,10 +156,13 @@ class DaemonClient {
  public:
   /// Connects to host:port, retrying refused connections until
   /// `connect_timeout_ms` elapses (covers the daemon-still-booting race).
-  /// `host` is a numeric IPv4 address.
+  /// `host` is a numeric IPv4 address.  Each read of a reply waits at most
+  /// `reply_timeout_ms` (> 0) for bytes, so a stalled daemon makes a
+  /// request throw InvalidInput ("no reply within ...") instead of hanging.
   explicit DaemonClient(std::uint16_t port,
                         const std::string& host = "127.0.0.1",
-                        int connect_timeout_ms = 5000);
+                        int connect_timeout_ms = 5000,
+                        int reply_timeout_ms = 60000);
   ~DaemonClient();
 
   DaemonClient(const DaemonClient&) = delete;
@@ -177,7 +180,8 @@ class DaemonClient {
   };
 
   /// Sends one solve request (the instance travels as `format`) and waits
-  /// for the reply.  Throws InvalidInput on a protocol or connection error.
+  /// for the reply.  Throws InvalidInput on a protocol or connection error,
+  /// or when the reply timeout expires.
   [[nodiscard]] SolveReply try_solve(const WireInstance& instance,
                                      WireFormat format = WireFormat::kBinary);
 
@@ -197,6 +201,7 @@ class DaemonClient {
 
   int fd_ = -1;
   std::string peer_;  ///< "host:port", for error messages
+  int reply_timeout_ms_ = 0;  ///< per-read reply wait (SO_RCVTIMEO)
 };
 
 }  // namespace dsp::service

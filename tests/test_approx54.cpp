@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iostream>
 #include <iterator>
 #include <ostream>
 #include <string>
@@ -100,11 +101,13 @@ TEST(Solve54, NearOptimalOnPerfectPackingFamily) {
 }
 
 TEST(Solve54, ReportIsConsistent) {
-  Rng rng(23);
-  const Instance inst = gen::random_uniform(60, 128, 64, 24, rng);
+  // Adversarial row 1 (LB 13, witness 21): the witness is not certified,
+  // so the search runs.
+  const Instance inst = theorem5::adversarial_instances().front();
   const Approx54Result result = solve54(inst);
   const Approx54Report& report = result.report;
-  ASSERT_GT(report.upper_bound, report.lower_bound);  // the search runs
+  ASSERT_FALSE(theorem5::certified(report.lower_bound, report.upper_bound,
+                                   Approx54Params{}.epsilon));
   EXPECT_GE(result.peak, report.lower_bound);
   EXPECT_LE(result.peak, report.upper_bound);
   EXPECT_GE(report.pipeline_peak, report.lower_bound);
@@ -133,7 +136,8 @@ Bisection pipeline_of(const Instance& inst, const Approx54Result& result) {
 TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
   // E7 reports the pipeline's peak (from bisect) next to the returned
   // peak: the pipeline's own best may exceed the returned peak (the
-  // witness can win), never the other way round.
+  // witness can win), and it is below the returned peak only where the
+  // certified witness was returned without a search.
   std::vector<Instance> instances;
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
     instances.push_back(golden.instance);
@@ -146,57 +150,98 @@ TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
     const Approx54Result result = solve54(inst);
     const Bisection search = pipeline_of(inst, result);
     ASSERT_GE(search.attempts, 1u) << inst.summary();
-    EXPECT_EQ(result.peak, std::min(result.report.upper_bound, search.peak))
-        << inst.summary();
+    if (result.report.attempts == 0) {
+      EXPECT_EQ(result.peak, result.report.upper_bound) << inst.summary();
+    } else {
+      EXPECT_EQ(result.peak, std::min(result.report.upper_bound, search.peak))
+          << inst.summary();
+    }
   }
 }
 
-/// Solves `inst` at `eps` and checks solve54 against its definition: the
-/// witness unless `bisect` over [LB, witness peak] reaches a strictly
-/// lower peak, and then that probe's packing; the report's search fields,
-/// and the LP fields of its accepted attempt, are bisect's whenever solve54
-/// searched.  Returns both.
+/// Solves `inst` at `eps` and checks solve54 against its definition.  A
+/// certified witness (peak <= floor((5/4 + eps) LB)) is returned with no
+/// attempt and the step-1 report.  Otherwise the answer is the witness
+/// unless `bisect` over [LB, witness peak] reaches a strictly lower peak,
+/// and then that probe's packing; the report's search fields, and the LP
+/// fields of its accepted attempt, are bisect's.  `bisect` runs on every
+/// instance; returns both.
 struct Solved {
   Approx54Result result;
   Bisection pipeline;
+  bool certified = false;
 };
 
 Solved solve_and_check(const Instance& inst, const Fraction& eps) {
   Solved solved{solve54(inst, {.epsilon = eps}), {}};
   const Approx54Result& result = solved.result;
+  const Approx54Report& report = result.report;
   const Packing witness = algo::best_of_portfolio(inst);
   const Height witness_peak = peak_height(inst, witness);
   const Height lower = combined_lower_bound(inst);
   solved.pipeline = bisect(inst, lower, witness_peak, eps);
+  solved.certified = theorem5::certified(lower, witness_peak, eps);
   const Bisection& search = solved.pipeline;
+  EXPECT_EQ(report.lower_bound, lower);
+  EXPECT_EQ(report.upper_bound, witness_peak);
+  if (solved.certified) {
+    EXPECT_EQ(result.packing.start, witness.start) << inst.summary();
+    EXPECT_EQ(result.peak, witness_peak) << inst.summary();
+    EXPECT_EQ(report.attempts, 0u) << inst.summary();
+    EXPECT_EQ(report.rounds, 0u) << inst.summary();
+    EXPECT_EQ(report.pipeline_peak, witness_peak) << inst.summary();
+    EXPECT_FALSE(report.lp_used) << inst.summary();
+    EXPECT_EQ(report.lp_pricing_rounds, 0u) << inst.summary();
+    EXPECT_EQ(report.attempt_nanos, 0u) << inst.summary();
+    EXPECT_EQ(report.pricing_nanos, 0u) << inst.summary();
+    EXPECT_EQ(report.lp_resolve_nanos, 0u) << inst.summary();
+    return solved;
+  }
   const Packing& expected =
       search.peak < witness_peak ? search.packing : witness;
   EXPECT_EQ(result.packing.start, expected.start) << inst.summary();
   EXPECT_EQ(result.peak, std::min(witness_peak, search.peak))
       << inst.summary();
-  EXPECT_EQ(result.report.lower_bound, lower);
-  EXPECT_EQ(result.report.upper_bound, witness_peak);
-  if (witness_peak == lower) {
-    EXPECT_EQ(result.report.attempts, 0u) << inst.summary();
-    EXPECT_EQ(result.report.pipeline_peak, witness_peak) << inst.summary();
-  } else {
-    EXPECT_EQ(result.report.attempts, search.attempts) << inst.summary();
-    EXPECT_EQ(result.report.pipeline_peak, search.peak) << inst.summary();
-    const VerticalFillResult* fill =
-        search.accepted ? &search.accepted->fill : nullptr;
-    EXPECT_EQ(result.report.lp_used, fill != nullptr && fill->lp_solved)
-        << inst.summary();
-    EXPECT_EQ(result.report.lp_pricing_rounds,
-              fill != nullptr ? fill->pricing_rounds : 0u)
-        << inst.summary();
-  }
+  EXPECT_EQ(report.attempts, search.attempts) << inst.summary();
+  EXPECT_EQ(report.rounds, search.attempts) << inst.summary();
+  EXPECT_EQ(report.pipeline_peak, search.peak) << inst.summary();
+  const VerticalFillResult* fill =
+      search.accepted ? &search.accepted->fill : nullptr;
+  EXPECT_EQ(report.lp_used, fill != nullptr && fill->lp_solved)
+      << inst.summary();
+  EXPECT_EQ(report.lp_pricing_rounds,
+            fill != nullptr ? fill->pricing_rounds : 0u)
+      << inst.summary();
   return solved;
+}
+
+/// Each adversarial instance at each corpus eps, with whether its witness
+/// is certified there: row 1 never, rows 2-5 only at eps = 1/4 (their
+/// witness sits at exactly floor(3/2 LB)).
+struct AdversarialSolve {
+  Instance instance;
+  Fraction epsilon;
+  bool certified;
+};
+
+std::vector<AdversarialSolve> adversarial_solves() {
+  std::vector<AdversarialSolve> solves;
+  const std::vector<Instance> rows = theorem5::adversarial_instances();
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    for (const Fraction eps :
+         {Fraction(1, 4), Fraction(1, 8), Fraction(1, 20)}) {
+      solves.push_back({rows[row], eps, row > 0 && eps == Fraction(1, 4)});
+    }
+  }
+  return solves;
 }
 
 TEST(Solve54, IsTheBetterOfWitnessAndBisection) {
   // The golden corpus, the 36 solve-cold cells and the 5 solve-wide cell
   // shapes (fresh draws; WideStripPackingsMatchRecordedFingerprints and
-  // the Solve54Pin families run the same check on their own solves).
+  // the Solve54Pin families run the same check on their own solves), all
+  // certified at the default eps, and the adversarial instances, where the
+  // certificate fails and the search runs.
   std::vector<Instance> instances;
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
     instances.push_back(golden.instance);
@@ -208,32 +253,46 @@ TEST(Solve54, IsTheBetterOfWitnessAndBisection) {
   for (Instance& inst : testing_cells::solve_wide_instances()) {
     instances.push_back(std::move(inst));
   }
-  std::size_t step1_answers = 0;
+  std::size_t certified = 0;
+  std::size_t solves = 0;
   for (const Instance& inst : instances) {
     const Solved solved = solve_and_check(inst, Approx54Params{}.epsilon);
-    step1_answers += solved.result.report.attempts == 0 ? 1 : 0;
+    certified += solved.certified ? 1 : 0;
+    ++solves;
+  }
+  for (const AdversarialSolve& adversarial : adversarial_solves()) {
+    const Solved solved =
+        solve_and_check(adversarial.instance, adversarial.epsilon);
+    EXPECT_EQ(solved.certified, adversarial.certified)
+        << "eps " << adversarial.epsilon << " "
+        << adversarial.instance.summary();
+    certified += solved.certified ? 1 : 0;
+    ++solves;
   }
   // Both paths are exercised.
-  EXPECT_GT(step1_answers, 0u);
-  EXPECT_LT(step1_answers, instances.size());
+  EXPECT_GT(certified, 0u);
+  EXPECT_LT(certified, solves);
 }
 
-TEST(Solve54, SkipsTheSearchWhenTheWitnessMeetsTheLowerBound) {
-  // The witness meets the lower bound on these (equal-width 16 = 16,
-  // hardness 4 = 4, one item on W = 1): it is optimal, so it is returned
-  // without an attempt and the report says so.
+TEST(Solve54, SkipsTheSearchWhenTheWitnessIsCertified) {
+  // The witness meets the lower bound on four of these (equal-width
+  // 16 = 16, hardness 4 = 4, smart-grid 74 = 74, one item on W = 1) and
+  // lies strictly between LB and floor((5/4 + eps) LB) on the other golden
+  // instances: either way it proves Theorem 5, so it is returned without
+  // an attempt and the report keeps its step-1 defaults.
   std::vector<Instance> instances;
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
-    if (golden.name == "equal-width" || golden.name == "hardness") {
-      instances.push_back(golden.instance);
-    }
+    instances.push_back(golden.instance);
   }
   instances.push_back(Instance(1, {Item{1, 7}}));
-  ASSERT_EQ(instances.size(), 3u);
+  std::size_t at_lower_bound = 0;
   for (const Instance& inst : instances) {
     const Approx54Result result = solve54(inst);
     const Approx54Report& report = result.report;
-    ASSERT_EQ(report.upper_bound, report.lower_bound) << inst.summary();
+    ASSERT_TRUE(theorem5::certified(report.lower_bound, report.upper_bound,
+                                    Approx54Params{}.epsilon))
+        << inst.summary();
+    at_lower_bound += report.upper_bound == report.lower_bound ? 1 : 0;
     EXPECT_EQ(result.packing.start, algo::best_of_portfolio(inst).start);
     EXPECT_EQ(result.peak, report.upper_bound);
     EXPECT_EQ(report.pipeline_peak, report.upper_bound);
@@ -245,6 +304,7 @@ TEST(Solve54, SkipsTheSearchWhenTheWitnessMeetsTheLowerBound) {
     EXPECT_EQ(report.pricing_nanos, 0u);
     EXPECT_EQ(report.lp_resolve_nanos, 0u);
   }
+  EXPECT_EQ(at_lower_bound, 4u);
 }
 
 /// One item of height h on W = 1: the witness is optimal, so solve54
@@ -308,20 +368,19 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Solve54, RoundOneIsTheFloorProbe) {
   Rng rng(405);
   const Instance inst = gen::random_uniform(30, 48, 20, 10, rng);
-  const Approx54Result result = solve54(inst);
-  ASSERT_GT(result.report.upper_bound, result.report.lower_bound);
+  const Solved solved = solve_and_check(inst, Approx54Params{}.epsilon);
+  const Approx54Report& report = solved.result.report;
+  ASSERT_GT(report.upper_bound, report.lower_bound);
   // If the optimistic floor probe succeeds, the search ends in one round
   // accepting H' = lower_bound; otherwise the bisection continues and the
   // accepted guess (if any) lies strictly above the floor.
-  const Bisection search = pipeline_of(inst, result);
+  const Bisection& search = solved.pipeline;
   if (search.attempts == 1) {
     ASSERT_TRUE(search.accepted.has_value());
-    EXPECT_EQ(search.accepted->cls.h_guess, result.report.lower_bound);
+    EXPECT_EQ(search.accepted->cls.h_guess, report.lower_bound);
   } else if (search.accepted) {
-    EXPECT_GT(search.accepted->cls.h_guess, result.report.lower_bound);
+    EXPECT_GT(search.accepted->cls.h_guess, report.lower_bound);
   }
-  EXPECT_EQ(result.report.attempts, search.attempts);
-  EXPECT_EQ(result.report.rounds, search.attempts);
 }
 
 /// FNV-1a over the start positions: a compact fingerprint of a packing.
@@ -416,6 +475,8 @@ struct Solve54PinFamily {
   int instances;  ///< each solved at three epsilons
   std::size_t min_lp_used;        ///< solves whose best guess used the LP
   std::size_t min_multi_attempt;  ///< solves that made a second attempt
+  /// Certified solves whose pipeline peak is below the returned witness's.
+  std::size_t max_certified_pipeline_lower;
   std::uint64_t pin;
 };
 
@@ -454,6 +515,7 @@ TEST_P(Solve54Pin, ChecksumIsPinned) {
   std::uint64_t checksum = 0;
   std::size_t lp_used = 0;
   std::size_t multi_attempt = 0;
+  std::size_t certified_pipeline_lower = 0;
   for (int round = 0; round < family.instances; ++round) {
     const Instance inst = solve54_pin_instance(family.name, rng);
     for (const Fraction eps :
@@ -476,10 +538,17 @@ TEST_P(Solve54Pin, ChecksumIsPinned) {
       checksum = mix(checksum, fill.overflow.size());
       lp_used += fill.lp_solved ? 1 : 0;
       multi_attempt += search.attempts > 1 ? 1 : 0;
+      if (solved.certified && search.peak < result.peak) {
+        ++certified_pipeline_lower;
+        std::cout << "[certificate] " << family.name << " certified witness "
+                  << result.peak << " above pipeline " << search.peak
+                  << " at eps " << eps << ": " << inst.summary() << "\n";
+      }
     }
   }
   EXPECT_GE(lp_used, family.min_lp_used);
   EXPECT_GE(multi_attempt, family.min_multi_attempt);
+  EXPECT_LE(certified_pipeline_lower, family.max_certified_pipeline_lower);
   EXPECT_EQ(checksum, family.pin)
       << "lp_used " << lp_used << " multi_attempt " << multi_attempt;
 }
@@ -487,21 +556,21 @@ TEST_P(Solve54Pin, ChecksumIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     Families, Solve54Pin,
     ::testing::Values(
-        Solve54PinFamily{"uniform", 29001, 200, 0, 0,
+        Solve54PinFamily{"uniform", 29001, 200, 0, 0, 0,
                          2415448745097680294ull},
-        Solve54PinFamily{"tall", 29002, 1200, 20, 0,
-                         11539846382973702211ull},
-        Solve54PinFamily{"wide", 29003, 200, 0, 0,
+        Solve54PinFamily{"tall", 29002, 1200, 20, 0, 1,
+                         14045403025008284060ull},
+        Solve54PinFamily{"wide", 29003, 200, 0, 0, 0,
                          6321870101629574891ull},
-        Solve54PinFamily{"correlated", 29004, 200, 0, 0,
+        Solve54PinFamily{"correlated", 29004, 200, 0, 0, 0,
                          17039095874240454806ull},
-        Solve54PinFamily{"perfect", 29005, 200, 0, 10,
+        Solve54PinFamily{"perfect", 29005, 200, 0, 10, 0,
                          14698781499667605960ull},
-        Solve54PinFamily{"smart_grid", 29006, 200, 0, 0,
+        Solve54PinFamily{"smart_grid", 29006, 200, 0, 0, 0,
                          15556848410267577370ull},
-        Solve54PinFamily{"small_uniform", 29007, 1500, 0, 10,
-                         12136880371280126981ull},
-        Solve54PinFamily{"small_tall", 29008, 1500, 0, 10,
+        Solve54PinFamily{"small_uniform", 29007, 1500, 0, 10, 1,
+                         15606562963997019019ull},
+        Solve54PinFamily{"small_tall", 29008, 1500, 0, 10, 0,
                          11084143156406489610ull}),
     [](const ::testing::TestParamInfo<Solve54PinFamily>& info) {
       return std::string(info.param.name);
@@ -525,34 +594,45 @@ TEST(Solve54, SoundOnRandomInstances) {
 }
 
 TEST(Solve54, AttemptsStayWithinThePlainBisectionDepth) {
-  // No attempt when the witness meets the lower bound; otherwise the
-  // floor probe, then bisection over the remaining (LB, UB]: at most
+  // No attempt when the witness is certified; otherwise the floor probe,
+  // then bisection over the remaining (LB, UB]: at most
   // 1 + bit_width(UB - LB) attempts, one per round.  bisect itself keeps
-  // the same depth on every instance.
-  std::vector<Instance> instances;
+  // the same depth on every instance.  The adversarial instances keep the
+  // uncertified path covered.
+  std::vector<std::pair<Instance, Fraction>> solves;
   for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
-    instances.push_back(golden.instance);
+    solves.emplace_back(golden.instance, Approx54Params{}.epsilon);
   }
   Rng rng(1235);
   for (int round = 0; round < 4; ++round) {
-    instances.push_back(gen::random_uniform(40, 96, 32, 16, rng));
+    solves.emplace_back(gen::random_uniform(40, 96, 32, 16, rng),
+                        Approx54Params{}.epsilon);
   }
-  for (const Instance& inst : instances) {
-    const Approx54Result result = solve54(inst);
+  for (AdversarialSolve& adversarial : adversarial_solves()) {
+    solves.emplace_back(std::move(adversarial.instance), adversarial.epsilon);
+  }
+  std::size_t searched = 0;
+  for (const auto& [inst, eps] : solves) {
+    const Approx54Result result = solve54(inst, {.epsilon = eps});
     const Approx54Report& report = result.report;
     ASSERT_GE(report.upper_bound, report.lower_bound) << inst.summary();
     const auto gap =
         static_cast<std::uint64_t>(report.upper_bound - report.lower_bound);
-    EXPECT_EQ(report.attempts == 0, gap == 0) << inst.summary();
-    if (gap > 0) {
+    const bool certified =
+        theorem5::certified(report.lower_bound, report.upper_bound, eps);
+    EXPECT_EQ(report.attempts == 0, certified) << inst.summary();
+    if (!certified) {
+      ++searched;
       EXPECT_GE(report.attempts, 1u);
       EXPECT_LE(report.attempts, 1u + std::bit_width(gap)) << inst.summary();
     }
     EXPECT_EQ(report.rounds, report.attempts);
-    const Bisection search = pipeline_of(inst, result);
+    const Bisection search =
+        bisect(inst, report.lower_bound, report.upper_bound, eps);
     EXPECT_GE(search.attempts, 1u);
     EXPECT_LE(search.attempts, 1u + std::bit_width(gap)) << inst.summary();
   }
+  EXPECT_EQ(searched, 11u);  // adversarial row 1 x 3 eps, rows 2-5 x 2 eps
 }
 
 TEST(Solve54, NeverWorseThanWitness) {

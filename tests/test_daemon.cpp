@@ -519,6 +519,41 @@ TEST(DaemonTest, DrainClosesConnectionsAndRefusesNewOnes) {
   EXPECT_THROW(DaemonClient(daemon.port(), "127.0.0.1", 100), InvalidInput);
 }
 
+TEST(DaemonTest, ClientGivesUpOnAPeerThatNeverReplies) {
+  // A listener that never accepts: the kernel completes the handshake and
+  // buffers the request, and no reply ever comes.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  address.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address),
+                   sizeof(address)),
+            0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  socklen_t size = sizeof(address);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
+                          &size),
+            0);
+  const std::uint16_t port = ntohs(address.sin_port);
+
+  EXPECT_THROW(DaemonClient(port, "127.0.0.1", 100, 0), InvalidInput);
+  DaemonClient client(port, "127.0.0.1", 1000, 200);
+  const auto started = std::chrono::steady_clock::now();
+  try {
+    (void)client.try_solve(small_wire(1));
+    ADD_FAILURE() << "try_solve returned without a reply";
+  } catch (const InvalidInput& error) {
+    EXPECT_NE(std::string(error.what()).find("no reply within 200 ms"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(5));
+  ::close(listener);
+}
+
 std::size_t open_fd_count() {
   std::size_t count = 0;
   for ([[maybe_unused]] const auto& entry :

@@ -38,6 +38,7 @@
 #include "cache_outcome_print.hpp"
 #include "concurrent_serve.hpp"
 #include "strip_shapes.hpp"
+#include "theorem5_corpus.hpp"
 
 namespace dsp::obs {
 namespace {
@@ -372,8 +373,8 @@ TEST(RequestScopeTest, Solve54SpansAllCarryTheRequestId) {
   const SwitchGuard guard;
   set_tracing_enabled(true);
   Tracer::global().clear();
-  Rng rng(503);
-  const Instance instance = gen::random_uniform(30, 48, 20, 10, rng);
+  // Adversarial row 1: its witness is not certified, so attempts run.
+  const Instance instance = theorem5::adversarial_instances().front();
   std::uint64_t request_id = 0;
   {
     const RequestScope scope;
@@ -737,11 +738,10 @@ TEST(ObsOutsideFingerprint, EntryCachedDarkIsHitWhenTracing) {
 TEST(PhaseBreakdown, ReportCarriesAttemptNanosWhenMetricsOn) {
   const SwitchGuard guard;
   set_metrics_enabled(true);
-  Rng rng(501);
-  const Instance instance = gen::random_uniform(60, 64, 32, 12, rng);
-  approx::Approx54Params params;
-  const approx::Approx54Result result = approx::solve54(instance, params);
-  ASSERT_GT(result.report.upper_bound, result.report.lower_bound);
+  // Adversarial row 1 (LB 13, witness 21): uncertified at the default eps,
+  // so solve54 searches.
+  const Instance instance = theorem5::adversarial_instances().front();
+  const approx::Approx54Result result = approx::solve54(instance);
   EXPECT_GT(result.report.attempts, 0u);
   EXPECT_GT(result.report.attempt_nanos, 0u);
   // Pricing and LP-resolve time are slices of attempt time (summed over
@@ -751,9 +751,9 @@ TEST(PhaseBreakdown, ReportCarriesAttemptNanosWhenMetricsOn) {
 }
 
 TEST(PhaseBreakdown, StepOneAnswerCarriesNoAttemptNanos) {
-  // One item on W = 1: the witness meets the lower bound, so solve54 makes
-  // no attempt and the attempt nanos stay zero with metrics on; bisect on
-  // the same bounds still times its one probe.
+  // One item on W = 1: the witness meets the lower bound and so certifies
+  // itself, so solve54 makes no attempt and the attempt nanos stay zero
+  // with metrics on; bisect on the same bounds still times its one probe.
   const SwitchGuard guard;
   set_metrics_enabled(true);
   const Instance instance(1, {Item{1, 9}});

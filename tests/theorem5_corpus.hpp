@@ -6,11 +6,12 @@
 // on the adversarial corpus, which breaks that bound today and ratchets
 // its count of returned-peak misses instead (ROADMAP item 1).  The
 // pipeline alone (`bisect` over solve54's [LB, UB], run on every solve:
-// solve54 skips it when the witness meets the lower bound, which would
-// hide its misses) and one `attempt` at H' = OPT are only counted: a
-// ratchet holds each count at or below the value recorded when the suite
-// was introduced, so it may fall, never rise.  Never re-seed or resize a
-// corpus to move a count.
+// solve54 skips it when the witness certifies the bound, which would hide
+// its misses), one `attempt` at H' = OPT, and the certified solves whose
+// pipeline would have been lower are only counted: a ratchet holds each
+// count at or below the value recorded when the suite was introduced, so
+// it may fall, never rise.  Never re-seed or resize a corpus to move a
+// count.
 //
 // test_approx54 (fast label) runs the n = 6 exact families and the
 // certified corpora; test_properties (slow label) runs the exact families
@@ -58,6 +59,9 @@ struct Ratchet {
   /// Solves whose returned peak exceeds (5/4 + eps) OPT, for a corpus that
   /// counts them; unset means every solve must be within the bound.
   std::optional<std::size_t> max_returned_over = std::nullopt;
+  /// Certified solves (returned at step 1) whose pipeline peak is below the
+  /// witness's: answers the certificate rule left worse than the pipeline.
+  std::size_t max_certified_pipeline_lower = 0;
 };
 
 inline std::string label_of(const Ratchet& ratchet) {
@@ -79,6 +83,37 @@ inline Instance exact_instance(const std::string& family, std::size_t n,
   if (family == "equal_width") return gen::equal_width(n, 12, 4, 10, rng);
   if (family == "correlated") return gen::correlated(n, 12, 6, 10, rng);
   return gen::perfect_packing(n, 12, 10, rng);
+}
+
+/// The five 7-item W = 12 instances a hill-climb on returned/OPT found
+/// (ROADMAP, baseline measurements), in the order of that table.  Row 1
+/// (LB 13, witness 21) is uncertified at every eps; rows 2-5 have their
+/// witness at exactly floor(3/2 LB), certified at eps = 1/4 only.
+inline std::vector<Instance> adversarial_instances() {
+  using Sizes = std::vector<std::pair<Length, Height>>;
+  const Sizes rows[] = {
+      {{2, 13}, {1, 7}, {1, 13}, {8, 4}, {4, 7}, {5, 5}, {5, 5}},
+      {{3, 11}, {8, 12}, {7, 10}, {2, 12}, {1, 8}, {7, 1}, {3, 11}},
+      {{7, 6}, {2, 12}, {1, 8}, {8, 4}, {11, 4}, {7, 3}, {3, 9}},
+      {{11, 1}, {2, 6}, {11, 2}, {8, 4}, {3, 10}, {7, 6}, {1, 7}},
+      {{1, 4}, {9, 2}, {6, 6}, {1, 7}, {4, 7}, {8, 4}, {2, 13}},
+  };
+  std::vector<Instance> instances;
+  for (const Sizes& sizes : rows) {
+    std::vector<Item> items;
+    for (const auto& [width, height] : sizes) items.push_back({width, height});
+    instances.emplace_back(12, items);
+  }
+  return instances;
+}
+
+/// Whether a witness peaking at `upper` proves Theorem 5 by itself: the
+/// lower bound is at most OPT, so upper <= floor((5/4 + eps) lower) is
+/// within (5/4 + eps) OPT.  solve54 returns such a witness without an
+/// attempt; this is the rule's textbook form, stated independently of
+/// solve54's difference form.
+inline bool certified(Height lower, Height upper, const Fraction& eps) {
+  return upper <= floor_mul(lower, Fraction(5, 4) + eps);
 }
 
 /// Every solve of one corpus:
@@ -110,20 +145,7 @@ inline std::vector<Solve> corpus(const std::string& name, std::size_t n) {
   } else if (name == "gap") {
     add(gen::gap_instance(), 4);
   } else if (name == "adversarial") {
-    using Sizes = std::vector<std::pair<Length, Height>>;
-    const Sizes rows[] = {
-        {{2, 13}, {1, 7}, {1, 13}, {8, 4}, {4, 7}, {5, 5}, {5, 5}},
-        {{3, 11}, {8, 12}, {7, 10}, {2, 12}, {1, 8}, {7, 1}, {3, 11}},
-        {{7, 6}, {2, 12}, {1, 8}, {8, 4}, {11, 4}, {7, 3}, {3, 9}},
-        {{11, 1}, {2, 6}, {11, 2}, {8, 4}, {3, 10}, {7, 6}, {1, 7}},
-        {{1, 4}, {9, 2}, {6, 6}, {1, 7}, {4, 7}, {8, 4}, {2, 13}},
-    };
-    for (const Sizes& sizes : rows) {
-      std::vector<Item> items;
-      for (const auto& [width, height] : sizes) {
-        items.push_back({width, height});
-      }
-      const Instance instance(12, items);
+    for (const Instance& instance : adversarial_instances()) {
       const exact::OptResult opt = exact::min_peak(instance);
       EXPECT_TRUE(opt.proven_optimal) << instance.summary();
       add(instance, opt.peak);
@@ -155,13 +177,17 @@ struct Tally {
   std::size_t pipeline_over = 0;
   std::size_t attempt_failed = 0;
   std::size_t returned_over = 0;
+  std::size_t certified = 0;
+  std::size_t certified_pipeline_lower = 0;
 };
 
 /// Solves every entry, checks the returned peak against (5/4 + eps) OPT
-/// (or, with `count_returned_over`, only counts its misses), OPT itself
-/// and the better of the witness and the pipeline, and the packing of
-/// `attempt` at H' = OPT for feasibility, counts the pipeline's and the
-/// attempt's misses, and prints the counts to the test log.
+/// (or, with `count_returned_over`, only counts its misses), OPT itself,
+/// and either the witness (a certified solve) or the better of the witness
+/// and the pipeline (any other), and the packing of `attempt` at H' = OPT
+/// for feasibility; counts the pipeline's and the attempt's misses and the
+/// certified solves the pipeline would have beaten, and prints the counts
+/// to the test log.
 inline Tally run(const std::vector<Solve>& solves, const std::string& label,
                  bool count_returned_over = false) {
   Tally tally;
@@ -178,11 +204,24 @@ inline Tally run(const std::vector<Solve>& solves, const std::string& label,
     EXPECT_GE(result.peak, solve.opt)
         << label << " " << solve.instance.summary();
     ++tally.solves;
-    const approx::Bisection pipeline =
-        approx::bisect(solve.instance, result.report.lower_bound,
-                       result.report.upper_bound, solve.epsilon);
-    EXPECT_EQ(result.peak, std::min(result.report.upper_bound, pipeline.peak))
-        << label << " " << solve.instance.summary();
+    const approx::Approx54Report& report = result.report;
+    const approx::Bisection pipeline = approx::bisect(
+        solve.instance, report.lower_bound, report.upper_bound, solve.epsilon);
+    // A certified solve returns the witness, which proves the bound on its
+    // own; any other solve returns the better of witness and pipeline.
+    const bool is_certified =
+        certified(report.lower_bound, report.upper_bound, solve.epsilon);
+    EXPECT_EQ(report.attempts == 0, is_certified)
+        << label << " eps " << solve.epsilon << " " << solve.instance.summary();
+    if (is_certified) {
+      EXPECT_EQ(result.peak, report.upper_bound)
+          << label << " " << solve.instance.summary();
+      ++tally.certified;
+      if (pipeline.peak < report.upper_bound) ++tally.certified_pipeline_lower;
+    } else {
+      EXPECT_EQ(result.peak, std::min(report.upper_bound, pipeline.peak))
+          << label << " " << solve.instance.summary();
+    }
     if (pipeline.peak > bound) ++tally.pipeline_over;
     const approx::Attempt at_opt =
         approx::attempt(solve.instance, solve.opt, solve.epsilon);
@@ -199,7 +238,11 @@ inline Tally run(const std::vector<Solve>& solves, const std::string& label,
     std::cout << ", returned peak over (5/4 + eps) OPT "
               << tally.returned_over << "/" << tally.solves;
   }
-  std::cout << "\n";
+  std::cout << "\n[certificate] " << label << ": certified "
+            << tally.certified << "/" << tally.solves
+            << ", pipeline_peak below the certified witness "
+            << tally.certified_pipeline_lower << "/" << tally.certified
+            << "\n";
   return tally;
 }
 
@@ -213,6 +256,9 @@ inline void check_ratchet(const Ratchet& ratchet) {
   if (ratchet.max_returned_over) {
     EXPECT_LE(tally.returned_over, *ratchet.max_returned_over) << label;
   }
+  EXPECT_LE(tally.certified_pipeline_lower,
+            ratchet.max_certified_pipeline_lower)
+      << label;
 }
 
 }  // namespace dsp::theorem5
