@@ -36,9 +36,8 @@ namespace frame = dsp::service::frame;
 
 /// The samples dsp_served's client mode reads from a daemon's exposition.
 constexpr const char* kClientSamples[] = {
-    "serve.engine",  "cache.capacity_bytes", "cache.hits",
-    "cache.misses",  "cache.inflight_joins", "cache.evictions",
-    "cache.entries",
+    "cache.capacity_bytes", "cache.hits",      "cache.misses",
+    "cache.inflight_joins", "cache.evictions", "cache.entries",
 };
 
 void expect(bool ok, const char* what) {

@@ -2,9 +2,10 @@
 // "Static analysis" → fuzzing).
 //
 // fuzz_load_instance proves that ingest rejects garbage; this harness
-// takes whatever ingest accepts and runs both serving engines on it, so a
-// legal request that drives a solver into an overflow, an infeasible
-// packing or a peak below its own lower bound surfaces as a finding.  Per
+// takes whatever ingest accepts and runs solve54 (the serve pipeline), its
+// portfolio witness and its bisection on it, so a legal request that
+// drives a solver into an overflow, an infeasible packing or a peak below
+// its own lower bound surfaces as a finding.  Per
 // accepted input (at most kMaxFuzzItems items, so one input cannot run for
 // minutes):
 //
@@ -17,6 +18,8 @@
 //   - solve54 makes no attempt exactly when the witness is certified
 //     (UB <= floor((5/4 + eps) LB)); a certified answer peaks at the
 //     witness's peak, any other at min(witness peak, bisect's peak);
+//   - solve54's winner is the witness member's name when it returns the
+//     witness's peak, and "pipeline" when bisect's peak is lower;
 //   - for n <= 7 and W <= 16, solve54's peak <= floor((5/4 + eps) OPT)
 //     against a proven exact::min_peak (Theorem 5 on the returned peak).
 //
@@ -101,8 +104,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     check_packing(instance, result.packing, result.peak, member.name.c_str());
     earlier.push_back(std::move(result));
   }
+  std::string witness_winner;
   const dsp::algo::Scored witness =
-      dsp::algo::best_of_portfolio(instance, lower);
+      dsp::algo::best_of_portfolio(instance, lower, &witness_winner);
   check_packing(instance, witness.packing, witness.peak, "portfolio");
   const dsp::Fraction epsilon(1, 4);
   const dsp::approx::Approx54Result solved =
@@ -135,6 +139,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     finding(instance, certified
                           ? "certified solve54 peak is not the witness peak"
                           : "solve54 peak is not min(witness, bisect)");
+  }
+  if (solved.winner !=
+      (solved.peak < upper ? std::string("pipeline") : witness_winner)) {
+    finding(instance, "solve54 winner names neither the witness member nor "
+                      "a strictly better pipeline");
   }
 
   if (instance.size() <= kMaxExactItems &&

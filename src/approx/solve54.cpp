@@ -228,8 +228,8 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   report.lower_bound = combined_lower_bound(instance);
   {
     const obs::ScopedSpan span(obs::Phase::kWitness);
-    algo::Scored witness =
-        algo::best_of_portfolio(instance, report.lower_bound);
+    algo::Scored witness = algo::best_of_portfolio(
+        instance, report.lower_bound, &result.winner);
     result.packing = std::move(witness.packing);
     result.peak = witness.peak;
   }
@@ -260,6 +260,7 @@ Approx54Result solve54(const Instance& instance, const Approx54Params& params) {
   if (search.peak < result.peak) {
     result.packing = std::move(search.packing);
     result.peak = search.peak;
+    result.winner = "pipeline";
   }
   return result;
 }

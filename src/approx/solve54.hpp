@@ -49,6 +49,9 @@ struct Approx54Report {
 struct Approx54Result {
   Packing packing;
   Height peak = 0;  ///< the returned packing's peak (witness included)
+  /// The witness member's name (algo::best_of_portfolio) when the witness
+  /// is returned; "pipeline" when `bisect` strictly beats it.
+  std::string winner;
   Approx54Report report;
 };
 

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "algo/portfolio.hpp"
 #include "approx/solve54.hpp"
-#include "core/bounds.hpp"
 #include "obs/trace.hpp"
 #include "runtime/sync.hpp"
 #include "util/check.hpp"
@@ -25,19 +23,14 @@ constexpr std::size_t kEntryOverhead = 128;
 
 }  // namespace
 
-std::string_view to_string(ServeEngine engine) {
-  return engine == ServeEngine::kPortfolio ? "portfolio" : "solve54";
-}
-
-std::uint64_t params_fingerprint(const ServeParams& params) {
+std::uint64_t params_fingerprint(const ServeParams& /*params*/) {
   ContentHasher hasher;
-  // Domain salt + fingerprint version: bump if the absorbed field set ever
-  // changes, so keys in a persisted store (service/persist.hpp) written
-  // under the old set cannot alias.
-  hasher.absorb(0x6473702d73727633ull);  // "dsp-srv3"
-  // The engine is the only result-affecting parameter: solve54 always runs
-  // with its default epsilon.
-  hasher.absorb(static_cast<std::uint64_t>(params.engine));
+  // Domain salt + fingerprint version: bump if the absorbed field set or
+  // the served pipeline ever changes, so keys in a persisted store
+  // (service/persist.hpp) written under the old set cannot alias.  No
+  // field is absorbed: every request is served by solve54 with its
+  // default epsilon.
+  hasher.absorb(0x6473702d73727634ull);  // "dsp-srv4"
   return hasher.digest64();
 }
 
@@ -194,8 +187,7 @@ void SolveCache::clear() {
 
 CachingSolver::CachingSolver(const ServeParams& params,
                              const CacheOptions& cache_options)
-    : params_(params),
-      fingerprint_(params_fingerprint(params)),
+    : fingerprint_(params_fingerprint(params)),
       cache_(cache_options) {
   // Pull-source: serving-layer counters materialize in the registry on
   // demand (metrics frame, --metrics-out) instead of being double-counted
@@ -204,8 +196,6 @@ CachingSolver::CachingSolver(const ServeParams& params,
   // "latest solver owns the serving stack" semantics of the daemon.
   obs_source_ = obs::Registry::global().register_source(
       [this](std::vector<obs::Sample>& out) {
-        out.push_back({"serve.engine",
-                       static_cast<std::uint64_t>(params_.engine), true});
         out.push_back({"cache.capacity_bytes", cache_.capacity_bytes(), true});
         const CacheStats cache = cache_.stats();
         out.push_back({"cache.hits", cache.hits, false});
@@ -226,19 +216,9 @@ SolveResponse CachingSolver::solve(const Instance& instance) {
   const CanonicalForm form = canonicalize(instance);
   const CacheKey key{canonical_hash(form), fingerprint_};
   const SolveCache::Lookup lookup = cache_.get_or_compute(key, [&]() {
-    CachedSolve solve;
-    if (params_.engine == ServeEngine::kPortfolio) {
-      algo::Scored best = algo::best_of_portfolio(
-          form.instance, combined_lower_bound(form.instance), &solve.winner);
-      solve.packing = std::move(best.packing);
-      solve.peak = best.peak;
-    } else {
-      approx::Approx54Result result = approx::solve54(form.instance);
-      solve.packing = std::move(result.packing);
-      solve.peak = result.peak;
-      solve.winner = "solve54";
-    }
-    return solve;
+    approx::Approx54Result result = approx::solve54(form.instance);
+    return CachedSolve{std::move(result.packing), result.peak,
+                       std::move(result.winner)};
   });
   SolveResponse response;
   response.packing = restore_item_order(form, lookup.value->packing);

@@ -45,25 +45,24 @@ namespace dsp::service {
 // Keys and fingerprints.
 // ---------------------------------------------------------------------------
 
-/// Pipeline a request is served with.
+/// Every request is served with approx::solve54 over the canonical
+/// instance.  The single-value enum and `ServeParams::engine` are a shim
+/// kept until e2ebench v2, whose driver still sets the field (like
+/// algo's ProfileBackendKind); neither changes any answer.
 enum class ServeEngine {
-  kPortfolio,  ///< algo::best_of_portfolio over the canonical instance
-  kSolve54,    ///< approx::solve54 over the canonical instance
+  kSolve54,
 };
 
-[[nodiscard]] std::string_view to_string(ServeEngine engine);
-
-/// Everything that shapes a served solve, all of it result-affecting and
-/// fingerprinted into the cache key.  There is no profile knob: every
-/// solve places on the one run-length Profile.
+/// The served solve's parameters.  There is no result-affecting knob:
+/// solve54 runs with its default epsilon on the one run-length Profile.
 struct ServeParams {
-  ServeEngine engine = ServeEngine::kPortfolio;
+  ServeEngine engine = ServeEngine::kSolve54;  ///< shim, see ServeEngine
 };
 
-/// 64-bit fingerprint of the result-affecting parameters.  Distinct
-/// parameter sets must never collide in practice; execution settings that
-/// live elsewhere (the cache budget, the obs switches) are never absorbed,
-/// so they never fragment the cache.
+/// 64-bit fingerprint of the result-affecting parameters: one constant,
+/// since there are none.  Execution settings that live elsewhere (the
+/// cache budget, the obs switches) are never absorbed, so they never
+/// fragment the cache.
 [[nodiscard]] std::uint64_t params_fingerprint(const ServeParams& params);
 
 struct CacheKey {
@@ -225,7 +224,7 @@ struct SolveResponse {
 };
 
 /// The serving front door: every request is canonicalized, deduplicated
-/// through the SolveCache, solved with the configured pipeline, and
+/// through the SolveCache, solved with approx::solve54, and
 /// answered in the requester's item order.  Thread-safe: solve may be
 /// called concurrently (the daemon serves each connection on its own
 /// thread), and concurrent duplicates collapse onto one computation via
@@ -238,7 +237,6 @@ class CachingSolver {
   /// Serves one request on the calling thread.
   [[nodiscard]] SolveResponse solve(const Instance& instance);
 
-  [[nodiscard]] const ServeParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
   [[nodiscard]] CacheStats stats() const { return cache_.stats(); }
   /// The underlying cache, for persistence (warm load, export, the insert
@@ -246,10 +244,9 @@ class CachingSolver {
   [[nodiscard]] SolveCache& cache() { return cache_; }
 
  private:
-  ServeParams params_;
   std::uint64_t fingerprint_;
   SolveCache cache_;
-  /// Registry pull-source exporting serve.engine and the cache.* samples.
+  /// Registry pull-source exporting the cache.* samples.
   /// Declared last: it captures `this`, so it must unregister (its
   /// destructor) before any member it reads is torn down.
   obs::Registry::Source obs_source_;

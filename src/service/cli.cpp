@@ -45,14 +45,6 @@ std::size_t parse_repeat(const std::string& value, UsageError usage_error) {
   return repeat;
 }
 
-std::optional<ServeEngine> parse_engine(std::string_view name) {
-  for (const ServeEngine engine :
-       {ServeEngine::kPortfolio, ServeEngine::kSolve54}) {
-    if (name == to_string(engine)) return engine;
-  }
-  return std::nullopt;
-}
-
 std::optional<std::size_t> cache_mb_to_bytes(std::size_t cache_mb) {
   if (cache_mb == 0 || cache_mb > kMaxCacheMb) return std::nullopt;
   return cache_mb << 20;
@@ -112,7 +104,7 @@ void print_answer_row(std::ostream& os, const AnswerRow& row) {
       .field("name", row.name)
       .field("n", row.items)
       .field("W", row.strip_width)
-      .field("engine", row.engine)
+      .field("engine", "solve54")
       .field("lb", row.lower_bound)
       .field("peak", row.peak)
       .field("winner", row.winner)

@@ -1,7 +1,7 @@
 #pragma once
 
 // Helpers shared by the serving executables (dsp_solve, dsp_served): strict
-// flag-value parsing (integers, counts, engine names), instance-path
+// flag-value parsing (integers, counts), instance-path
 // expansion with load-time diagnostics, the --metrics-out / --trace-out
 // file writer, and the JSON-lines row format both front doors print —
 // dsp_served's client mode must stay byte-identical to dsp_solve so the
@@ -45,11 +45,6 @@ using UsageError = void (*)(const std::string& message);
 [[nodiscard]] std::size_t parse_repeat(const std::string& value,
                                        UsageError usage_error);
 
-/// The `--engine` flag value: "portfolio" or "solve54" exactly (the
-/// to_string spellings), or nullopt for anything else, including the empty
-/// string and other letter cases.
-[[nodiscard]] std::optional<ServeEngine> parse_engine(std::string_view name);
-
 /// Largest `--cache-mb` value: its byte count (M << 20) must fit in size_t.
 inline constexpr std::size_t kMaxCacheMb =
     std::numeric_limits<std::size_t>::max() >> 20;
@@ -78,13 +73,13 @@ void write_output_file(std::string_view program, const std::string& path,
 [[nodiscard]] std::string_view outcome_name(CacheOutcome outcome);
 
 /// One served answer as a JSON-lines row.  Field order is fixed; both
-/// front doors print through this so their outputs diff clean.
+/// front doors print through this so their outputs diff clean.  The
+/// "engine" column is always "solve54", the one serve pipeline.
 struct AnswerRow {
   std::string file;
   std::string name;
   std::size_t items = 0;
   Length strip_width = 0;
-  std::string engine;
   Height lower_bound = 0;
   Height peak = 0;
   std::string winner;

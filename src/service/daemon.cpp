@@ -35,24 +35,15 @@ constexpr int kAcceptRetryMs = 50;
   }
 }
 
-enum class Received {
-  kAll,       ///< all `count` bytes arrived
-  kClosed,    ///< EOF or a connection error first
-  kTimedOut,  ///< the socket's receive timeout (SO_RCVTIMEO) expired first
-};
-
-/// Reads exactly `count` bytes.
-[[nodiscard]] Received recv_exact(int fd, char* buffer, std::size_t count) {
+/// Reads exactly `count` bytes; false on EOF or a connection error first.
+[[nodiscard]] bool recv_exact(int fd, char* buffer, std::size_t count) {
   std::size_t got = 0;
   while (got < count) {
     const ssize_t chunk = recv_some(fd, buffer + got, count - got);
-    if (chunk < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return Received::kTimedOut;
-    }
-    if (chunk <= 0) return Received::kClosed;
+    if (chunk <= 0) return false;
     got += static_cast<std::size_t>(chunk);
   }
-  return Received::kAll;
+  return true;
 }
 
 /// Writes all of `count` bytes; false on a connection error.  MSG_NOSIGNAL
@@ -292,7 +283,7 @@ void Daemon::serve_connection(int fd) {
     // still read and answered (with `busy` once the gate is closed).
     if (fds[0].revents != 0) {
       char bytes[frame::kHeaderSize];
-      if (recv_exact(fd, bytes, sizeof(bytes)) != Received::kAll) {
+      if (!recv_exact(fd, bytes, sizeof(bytes))) {
         break;  // EOF / reset
       }
       const frame::Header header = frame::parse_header(bytes);
@@ -306,7 +297,7 @@ void Daemon::serve_connection(int fd) {
       }
       std::string payload(header.length, '\0');
       if (header.length > 0 &&
-          recv_exact(fd, payload.data(), header.length) != Received::kAll) {
+          !recv_exact(fd, payload.data(), header.length)) {
         break;
       }
       ++requests_;
@@ -391,18 +382,7 @@ DaemonClient::DaemonClient(std::uint16_t port, const std::string& host,
                 peer_ << ": cannot create socket: " << std::strerror(errno));
     if (::connect(fd_, reinterpret_cast<const sockaddr*>(&address),
                   sizeof(address)) == 0) {
-      timeval timeout{};
-      timeout.tv_sec = reply_timeout_ms / 1000;
-      timeout.tv_usec = (reply_timeout_ms % 1000) * 1000;
-      if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                       sizeof(timeout)) == 0) {
-        return;
-      }
-      const int error = errno;
-      ::close(fd_);
-      fd_ = -1;
-      throw InvalidInput(peer_ + ": cannot set the reply timeout: " +
-                         std::strerror(error));
+      return;
     }
     const int error = errno;
     ::close(fd_);
@@ -429,12 +409,37 @@ void DaemonClient::send_frame(std::uint8_t type, const std::string& payload) {
 }
 
 std::pair<std::uint8_t, std::string> DaemonClient::read_frame() {
-  const auto receive = [this](char* buffer, std::size_t count,
-                              const char* closed) {
-    const Received received = recv_exact(fd_, buffer, count);
-    DSP_REQUIRE(received != Received::kTimedOut,
-                peer_ << ": no reply within " << reply_timeout_ms_ << " ms");
-    DSP_REQUIRE(received == Received::kAll, peer_ << ": " << closed);
+  // One deadline for the whole reply, header and payload alike.  A read
+  // waits at most the socket's receive timeout (SO_RCVTIMEO), re-armed to
+  // what is left of the deadline whenever that differs from the armed
+  // value, so a peer that trickles bytes cannot stretch a reply past it.
+  // Once armed, replies inside a millisecond re-arm nothing.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(reply_timeout_ms_);
+  const auto receive = [&](char* buffer, std::size_t count,
+                           const char* closed) {
+    std::size_t got = 0;
+    while (got < count) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      DSP_REQUIRE(left > 0,
+                  peer_ << ": no reply within " << reply_timeout_ms_ << " ms");
+      if (left != armed_timeout_ms_) {
+        timeval timeout{};
+        timeout.tv_sec = static_cast<time_t>(left / 1000);
+        timeout.tv_usec = static_cast<suseconds_t>(left % 1000 * 1000);
+        DSP_REQUIRE(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                                 sizeof(timeout)) == 0,
+                    peer_ << ": cannot set the reply timeout: "
+                          << std::strerror(errno));
+        armed_timeout_ms_ = left;
+      }
+      const ssize_t chunk = recv_some(fd_, buffer + got, count - got);
+      if (chunk < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
+      DSP_REQUIRE(chunk > 0, peer_ << ": " << closed);
+      got += static_cast<std::size_t>(chunk);
+    }
   };
   char bytes[frame::kHeaderSize];
   receive(bytes, sizeof(bytes), "connection closed before a reply arrived");

@@ -52,7 +52,7 @@
 namespace dsp::service {
 
 struct DaemonOptions {
-  ServeParams serve;
+  ServeParams serve;  ///< shim, see ServeEngine (service/cache.hpp)
   CacheOptions cache;
   /// Loopback TCP port; 0 = kernel-assigned (read it back via port()).
   std::uint16_t port = 0;
@@ -156,9 +156,10 @@ class DaemonClient {
  public:
   /// Connects to host:port, retrying refused connections until
   /// `connect_timeout_ms` elapses (covers the daemon-still-booting race).
-  /// `host` is a numeric IPv4 address.  Each read of a reply waits at most
-  /// `reply_timeout_ms` (> 0) for bytes, so a stalled daemon makes a
-  /// request throw InvalidInput ("no reply within ...") instead of hanging.
+  /// `host` is a numeric IPv4 address.  A whole reply must arrive within
+  /// `reply_timeout_ms` (> 0) of the request, so a stalled daemon, or one
+  /// that trickles bytes, makes a request throw InvalidInput ("no reply
+  /// within ...") instead of hanging.
   explicit DaemonClient(std::uint16_t port,
                         const std::string& host = "127.0.0.1",
                         int connect_timeout_ms = 5000,
@@ -201,7 +202,10 @@ class DaemonClient {
 
   int fd_ = -1;
   std::string peer_;  ///< "host:port", for error messages
-  int reply_timeout_ms_ = 0;  ///< per-read reply wait (SO_RCVTIMEO)
+  int reply_timeout_ms_ = 0;  ///< whole-reply wait, one deadline per reply
+  /// The socket's SO_RCVTIMEO in ms (0 = not yet set); read_frame re-arms
+  /// it only when what is left of a reply's deadline differs.
+  std::int64_t armed_timeout_ms_ = 0;
 };
 
 }  // namespace dsp::service

@@ -8,13 +8,14 @@
 // since --port 0 asks the kernel), then runs until SIGTERM/SIGINT, drains
 // gracefully, and prints a "drained" row with its lifetime counters.
 //
-//   dsp_served [--port P] [--engine portfolio|solve54]
-//              [--cache-mb M] [--max-concurrent N] [--max-queue N]
-//              [--persist DIR] [--metrics-out FILE] [--trace-out FILE]
+//   dsp_served [--port P] [--cache-mb M] [--max-concurrent N]
+//              [--max-queue N] [--persist DIR] [--metrics-out FILE]
+//              [--trace-out FILE]
 //
 // Each admitted request is served on its connection's thread, so
 // --max-concurrent is the daemon's concurrency; there is no batch fan-out.
-// Every request goes through the cache, and every solve places on the
+// Every request goes through the cache and is solved by approx::solve54
+// (Theorem 5), the only serve pipeline; every solve places on the
 // run-length Profile (core/profile.hpp), the only profile there is.
 //
 // Observability (DESIGN.md, "Observability"): --metrics-out writes the
@@ -31,10 +32,10 @@
 //              [--format binary|json] [--metrics-out FILE]
 //              <file-or-directory>...
 //
-// Client mode reads everything it reports about the daemon — engine, cache
-// budget, summary counters — from the daemon's metrics exposition (one
-// metrics frame before the first solve, one after the last); --metrics-out
-// writes that second exposition to FILE (stdout rows stay byte-identical).
+// Client mode reads everything it reports about the daemon — cache budget,
+// summary counters — from the daemon's metrics exposition (one metrics
+// frame, after the last solve); --metrics-out writes that exposition to
+// FILE (stdout rows stay byte-identical).
 // A flag only the other mode reads (kDaemonOnlyFlags, kClientOnlyFlags) is
 // a usage error.
 //
@@ -83,11 +84,10 @@ struct CliOptions {
 };
 
 void print_usage(std::ostream& os) {
-  os << "usage: dsp_served [--port P] [--engine portfolio|solve54]\n"
-        "                  [--cache-mb M] [--max-concurrent N]"
-        " [--max-queue N]\n"
-        "                  [--persist DIR] [--metrics-out FILE]"
-        " [--trace-out FILE]\n"
+  os << "usage: dsp_served [--port P] [--cache-mb M] [--max-concurrent N]\n"
+        "                  [--max-queue N] [--persist DIR]"
+        " [--metrics-out FILE]\n"
+        "                  [--trace-out FILE]\n"
         "       dsp_served --connect P [--host ADDR] [--repeat R]\n"
         "                  [--format binary|json] [--metrics-out FILE]\n"
         "                  <file-or-directory>...\n";
@@ -111,9 +111,9 @@ void print_usage(std::ostream& os) {
 
 /// Flags only one mode reads.  Passing one in the other mode is a usage
 /// error, not a silently ignored setting.
-constexpr std::array<std::string_view, 7> kDaemonOnlyFlags = {
-    "--port",      "--engine",  "--cache-mb", "--max-concurrent",
-    "--max-queue", "--persist", "--trace-out"};
+constexpr std::array<std::string_view, 6> kDaemonOnlyFlags = {
+    "--port",      "--cache-mb", "--max-concurrent",
+    "--max-queue", "--persist",  "--trace-out"};
 constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
     "--host", "--repeat", "--format"};
 
@@ -134,11 +134,6 @@ constexpr std::array<std::string_view, 3> kClientOnlyFlags = {
       std::exit(0);
     } else if (arg == "--port") {
       options.daemon.port = parse_port(arg, next_value(i, arg));
-    } else if (arg == "--engine") {
-      const std::string value = next_value(i, arg);
-      const auto engine = service::parse_engine(value);
-      if (!engine) usage_error("unknown engine " + value);
-      options.daemon.serve.engine = *engine;
     } else if (arg == "--cache-mb") {
       const std::string value = next_value(i, arg);
       options.cache_mb = service::parse_count(arg, value, usage_error);
@@ -226,8 +221,6 @@ int run_daemon(const CliOptions& options) {
   JsonRow()
       .field("dsp_served", "ready")
       .field("port", daemon.port())
-      .field("engine",
-             std::string(service::to_string(options.daemon.serve.engine)))
       .field("cache_mb", options.cache_mb)
       .field("max_concurrent", daemon.options().max_concurrent)
       .field("max_queue", daemon.options().max_queue)
@@ -305,17 +298,6 @@ int run_daemon(const CliOptions& options) {
 int run_client(const CliOptions& options,
                const std::vector<std::string>& files) {
   service::DaemonClient client(options.connect_port, options.host);
-  // The daemon, not this client, owns the engine and the cache budget the
-  // rows report.
-  const std::string boot = client.metrics();
-  const std::uint64_t engine_ordinal = daemon_sample(boot, "serve.engine");
-  DSP_REQUIRE(engine_ordinal <=
-                  static_cast<std::uint64_t>(service::ServeEngine::kSolve54),
-              "daemon reports unknown serve engine " << engine_ordinal);
-  const auto engine_kind = static_cast<service::ServeEngine>(engine_ordinal);
-  const std::string engine(service::to_string(engine_kind));
-  const std::uint64_t capacity_bytes =
-      daemon_sample(boot, "cache.capacity_bytes");
 
   std::vector<service::WireInstance> wires;
   std::vector<Height> lower_bounds;
@@ -334,13 +316,17 @@ int run_client(const CliOptions& options,
       service::print_answer_row(
           std::cout, service::AnswerRow{files[f], wires[f].name,
                                         wires[f].items.size(),
-                                        wires[f].strip_width, engine,
+                                        wires[f].strip_width,
                                         lower_bounds[f], response.peak,
                                         response.winner, response.outcome});
     }
   }
 
+  // The daemon, not this client, owns the cache budget and the counters
+  // the summary row reports.
   const std::string after = client.metrics();
+  const std::uint64_t capacity_bytes =
+      daemon_sample(after, "cache.capacity_bytes");
   service::CacheStats cache;
   cache.hits = daemon_sample(after, "cache.hits");
   cache.misses = daemon_sample(after, "cache.misses");

@@ -10,7 +10,6 @@
 // mode, which must stay byte-identical to this output.
 //
 //   dsp_solve [flags] <file-or-directory>...
-//     --engine portfolio|solve54   pipeline to serve with (default portfolio)
 //     --cache-mb M                 solve-cache budget in MiB (default 64)
 //     --repeat R                   serve the request list R >= 1 times
 //                                  (default 1; repeats after the first hit
@@ -21,7 +20,8 @@
 //                                  trace-event JSON to FILE at exit
 //     --emit-corpus DIR            write the golden gen corpus to DIR and exit
 //
-// Every request goes through the cache, and every solve places on the
+// Every request goes through the cache and is solved by approx::solve54
+// (Theorem 5), the only serve pipeline; every solve places on the
 // run-length Profile (core/profile.hpp), the only profile there is.  Each
 // pass serves its files in order on the calling thread.
 //
@@ -54,7 +54,6 @@ namespace {
 using namespace dsp;
 
 struct CliOptions {
-  service::ServeParams serve;
   std::size_t cache_mb = 64;
   std::size_t repeat = 1;
   std::string metrics_out;  ///< exposition written at exit
@@ -64,10 +63,9 @@ struct CliOptions {
 };
 
 void print_usage(std::ostream& os) {
-  os << "usage: dsp_solve [--engine portfolio|solve54] [--cache-mb M]\n"
-        "                 [--repeat R] [--metrics-out FILE]"
-        " [--trace-out FILE]\n"
-        "                 [--emit-corpus DIR] <file-or-directory>...\n";
+  os << "usage: dsp_solve [--cache-mb M] [--repeat R] [--metrics-out FILE]\n"
+        "                 [--trace-out FILE] [--emit-corpus DIR]\n"
+        "                 <file-or-directory>...\n";
 }
 
 [[noreturn]] void usage_error(const std::string& message) {
@@ -87,11 +85,6 @@ void print_usage(std::ostream& os) {
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       std::exit(0);
-    } else if (arg == "--engine") {
-      const std::string value = next_value(i, arg);
-      const auto engine = service::parse_engine(value);
-      if (!engine) usage_error("unknown engine " + value);
-      options.serve.engine = *engine;
     } else if (arg == "--cache-mb") {
       const std::string value = next_value(i, arg);
       options.cache_mb = service::parse_count(arg, value, usage_error);
@@ -181,7 +174,7 @@ int main(int argc, char** argv) {
       file_lower_bounds.push_back(combined_lower_bound(file_instances.back()));
     }
     service::CachingSolver solver(
-        options.serve,
+        service::ServeParams{},
         service::CacheOptions{*service::cache_mb_to_bytes(options.cache_mb)});
 
     // The phase-histogram snapshot after pass 0 is what turns --repeat
@@ -200,17 +193,15 @@ int main(int argc, char** argv) {
       if (pass == 0) after_cold = solve_hist.snapshot();
     }
 
-    const std::string engine =
-        std::string(service::to_string(solver.params().engine));
     for (std::size_t r = 0; r < responses.size(); ++r) {
       const std::size_t f = r % files.size();
       const service::SolveResponse& response = responses[r];
       service::print_answer_row(
           std::cout,
           service::AnswerRow{files[f], wires[f].name, wires[f].items.size(),
-                             wires[f].strip_width, engine,
-                             file_lower_bounds[f], response.peak,
-                             response.winner, response.outcome});
+                             wires[f].strip_width, file_lower_bounds[f],
+                             response.peak, response.winner,
+                             response.outcome});
     }
     service::print_summary_row(
         std::cout,

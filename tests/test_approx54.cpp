@@ -164,8 +164,9 @@ TEST(Solve54, ReturnedPeakIsTheBetterOfWitnessAndPipeline) {
 /// attempt and the step-1 report.  Otherwise the answer is the witness
 /// unless `bisect` over [LB, witness peak] reaches a strictly lower peak,
 /// and then that probe's packing; the report's search fields, and the LP
-/// fields of its accepted attempt, are bisect's.  `bisect` runs on every
-/// instance; returns both.
+/// fields of its accepted attempt, are bisect's.  The winner is the witness
+/// member's name, or "pipeline" when bisect's packing is returned.
+/// `bisect` runs on every instance; returns both.
 struct Solved {
   Approx54Result result;
   Bisection pipeline;
@@ -176,7 +177,8 @@ Solved solve_and_check(const Instance& inst, const Fraction& eps) {
   Solved solved{solve54(inst, {.epsilon = eps}), {}};
   const Approx54Result& result = solved.result;
   const Approx54Report& report = result.report;
-  const Packing witness = algo::best_of_portfolio(inst);
+  std::string witness_winner;
+  const Packing witness = algo::best_of_portfolio(inst, &witness_winner);
   const Height witness_peak = peak_height(inst, witness);
   const Height lower = combined_lower_bound(inst);
   solved.pipeline = bisect(inst, lower, witness_peak, eps);
@@ -187,6 +189,7 @@ Solved solve_and_check(const Instance& inst, const Fraction& eps) {
   if (solved.certified) {
     EXPECT_EQ(result.packing.start, witness.start) << inst.summary();
     EXPECT_EQ(result.peak, witness_peak) << inst.summary();
+    EXPECT_EQ(result.winner, witness_winner) << inst.summary();
     EXPECT_EQ(report.attempts, 0u) << inst.summary();
     EXPECT_EQ(report.rounds, 0u) << inst.summary();
     EXPECT_EQ(report.pipeline_peak, witness_peak) << inst.summary();
@@ -201,6 +204,9 @@ Solved solve_and_check(const Instance& inst, const Fraction& eps) {
       search.peak < witness_peak ? search.packing : witness;
   EXPECT_EQ(result.packing.start, expected.start) << inst.summary();
   EXPECT_EQ(result.peak, std::min(witness_peak, search.peak))
+      << inst.summary();
+  EXPECT_EQ(result.winner,
+            search.peak < witness_peak ? "pipeline" : witness_winner)
       << inst.summary();
   EXPECT_EQ(report.attempts, search.attempts) << inst.summary();
   EXPECT_EQ(report.rounds, search.attempts) << inst.summary();

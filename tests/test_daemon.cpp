@@ -384,8 +384,6 @@ TEST(DaemonTest, ServesSolveAndStatsOverTcp) {
   // The daemon's solver is the only CachingSolver alive, so the cache.*
   // samples are its own.
   const std::string metrics = client.metrics();
-  EXPECT_EQ(exposition_sample(metrics, "serve.engine"),
-            static_cast<std::uint64_t>(ServeEngine::kPortfolio));
   EXPECT_EQ(exposition_sample(metrics, "cache.misses"), 1u);
   EXPECT_EQ(exposition_sample(metrics, "cache.hits"), 1u);
   EXPECT_EQ(exposition_sample(metrics, "daemon.served"), 2u);
@@ -519,24 +517,31 @@ TEST(DaemonTest, DrainClosesConnectionsAndRefusesNewOnes) {
   EXPECT_THROW(DaemonClient(daemon.port(), "127.0.0.1", 100), InvalidInput);
 }
 
-TEST(DaemonTest, ClientGivesUpOnAPeerThatNeverReplies) {
-  // A listener that never accepts: the kernel completes the handshake and
-  // buffers the request, and no reply ever comes.
+/// A bare loopback listener on a kernel-chosen port (not a daemon): the
+/// fake peers of the reply-deadline tests.  Returns the socket and port.
+std::pair<int, std::uint16_t> loopback_listener() {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
+  EXPECT_GE(listener, 0);
   sockaddr_in address{};
   address.sin_family = AF_INET;
   address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   address.sin_port = 0;
-  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address),
+  EXPECT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&address),
                    sizeof(address)),
             0);
-  ASSERT_EQ(::listen(listener, 4), 0);
+  EXPECT_EQ(::listen(listener, 4), 0);
   socklen_t size = sizeof(address);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
+  EXPECT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
                           &size),
             0);
-  const std::uint16_t port = ntohs(address.sin_port);
+  return {listener, ntohs(address.sin_port)};
+}
+
+TEST(DaemonTest, ClientGivesUpOnAPeerThatNeverReplies) {
+  // A listener that never accepts: the kernel completes the handshake and
+  // buffers the request, and no reply ever comes.
+  const auto [listener, port] = loopback_listener();
+  ASSERT_GE(listener, 0);
 
   EXPECT_THROW(DaemonClient(port, "127.0.0.1", 100, 0), InvalidInput);
   DaemonClient client(port, "127.0.0.1", 1000, 200);
@@ -552,6 +557,45 @@ TEST(DaemonTest, ClientGivesUpOnAPeerThatNeverReplies) {
   EXPECT_LT(std::chrono::steady_clock::now() - started,
             std::chrono::seconds(5));
   ::close(listener);
+}
+
+TEST(DaemonTest, ClientGivesUpOnAPeerThatTricklesBytes) {
+  // A peer that sends one byte of a never-finished reply every 20 ms:
+  // each read gets a byte long before the 300 ms timeout, so only a
+  // deadline for the whole reply ends the wait.  The peer stops after
+  // 2 s, so a per-read timeout fails the elapsed bound instead of hanging.
+  const auto [listener, port] = loopback_listener();
+  ASSERT_GE(listener, 0);
+  std::atomic<bool> done{false};
+  std::thread peer([&, listener = listener]() {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::string reply =
+        frame::encode_frame(frame::kSolveOk, std::string(4096, 'x'));
+    for (std::size_t sent = 0; sent < 100 && !done; ++sent) {
+      if (::send(fd, reply.data() + sent, 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    while (!done) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ::close(fd);
+  });
+
+  DaemonClient client(port, "127.0.0.1", 1000, 300);
+  const auto started = std::chrono::steady_clock::now();
+  try {
+    (void)client.try_solve(small_wire(1));
+    ADD_FAILURE() << "try_solve returned without a reply";
+  } catch (const InvalidInput& error) {
+    EXPECT_NE(std::string(error.what()).find("no reply within 300 ms"),
+              std::string::npos)
+        << error.what();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  done = true;
+  peer.join();
+  ::close(listener);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(300));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
 }
 
 std::size_t open_fd_count() {

@@ -461,9 +461,7 @@ TEST(Solve54Sequential, LpEnginesAndBackendsSubmitNoPoolTasks) {
 }
 
 TEST(RegistryTest, CachingSolverExportsSchedulerButNoTunerSamples) {
-  service::ServeParams params;
-  params.engine = service::ServeEngine::kSolve54;
-  service::CachingSolver solver(params);
+  service::CachingSolver solver;
   Rng rng(505);
   (void)solver.solve(gen::random_uniform(16, 32, 12, 8, rng));
   const MetricsSnapshot snap = Registry::global().snapshot();
@@ -567,7 +565,6 @@ TEST(ExpositionReaderTest, LiveDaemonExportsEveryRetiredStatsField) {
     const char* sample;
   };
   constexpr Field kMapping[] = {
-      {"engine", "serve.engine"},  // the ServeEngine ordinal
       {"capacity_bytes", "cache.capacity_bytes"},
       {"cache.hits", "cache.hits"},
       {"cache.misses", "cache.misses"},
@@ -607,8 +604,6 @@ TEST(ExpositionReaderTest, LiveDaemonExportsEveryRetiredStatsField) {
 
   // The values, not just their presence (this test's daemon owns the only
   // CachingSolver, so the cache.* samples are its own).
-  EXPECT_EQ(exposition_sample(text, "serve.engine"),
-            static_cast<std::uint64_t>(service::ServeEngine::kPortfolio));
   EXPECT_EQ(exposition_sample(text, "cache.capacity_bytes"), 4u << 20);
   EXPECT_EQ(exposition_sample(text, "cache.misses"), 1u);
   EXPECT_EQ(exposition_sample(text, "cache.hits"), 1u);
@@ -662,12 +657,9 @@ TEST_P(TracingBitIdentity, PackingsIdenticalTracingOnAndOff) {
   const std::vector<Instance> batch =
       testing_shapes::shaped_batch(shape, narrow);
 
-  service::ServeParams params;
-  params.engine = service::ServeEngine::kSolve54;
-
   // A fresh solver per pass: every request is a real solve.
   const auto solve_all = [&]() {
-    service::CachingSolver solver(params);
+    service::CachingSolver solver;
     return testing_serve::serve_concurrently(solver, batch, threads);
   };
 
@@ -697,8 +689,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, TracingBitIdentity,
 
 TEST(ObsOutsideFingerprint, TogglesDoNotChangeTheCacheKey) {
   const SwitchGuard guard;
-  service::ServeParams params;
-  params.engine = service::ServeEngine::kSolve54;
+  const service::ServeParams params;
 
   set_metrics_enabled(true);
   set_tracing_enabled(false);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "algo/portfolio.hpp"
+#include "approx/solve54.hpp"
 #include "core/packing.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
@@ -32,7 +33,12 @@ namespace {
 
 using testing_shapes::ThreadsAndShape;
 
-/// The determinism batch in the given strip shape (narrow as drawn).
+/// Requests drawn at random; the golden corpus follows them in the
+/// determinism batch.
+constexpr std::size_t kDrawnRequests = 5;
+
+/// The determinism batch in the given strip shape (narrow as drawn): five
+/// random draws, then the golden corpus.
 std::vector<Instance> determinism_batch(testing_shapes::StripShape shape) {
   std::vector<Instance> instances;
   Rng rng(424242);
@@ -41,14 +47,18 @@ std::vector<Instance> determinism_batch(testing_shapes::StripShape shape) {
   instances.push_back(gen::wide_items(24, 48, 8, rng));
   instances.push_back(gen::correlated(32, 64, 32, 12, rng));
   instances.push_back(gen::perfect_packing(25, 40, 20, rng));
+  for (const gen::GoldenInstance& golden : gen::golden_corpus()) {
+    instances.push_back(golden.instance);
+  }
   return testing_shapes::shaped_batch(shape, instances);
 }
 
 class RuntimeDeterminism : public ::testing::TestWithParam<ThreadsAndShape> {};
 
-TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
-  // Every answer is the sequential best_of_portfolio answer for its
-  // request's canonical form, mapped back to the requester's item order.
+TEST_P(RuntimeDeterminism, ServedAnswersMatchSolve54) {
+  // Every answer is the sequential solve54 answer for its request's
+  // canonical form, mapped back to the requester's item order.  Every
+  // golden instance is certified, so its winner is the witness member.
   const auto& [threads, shape] = GetParam();
   const std::vector<Instance> batch = determinism_batch(shape);
   service::CachingSolver solver;
@@ -57,14 +67,17 @@ TEST_P(RuntimeDeterminism, SolveManyMatchesPortfolio) {
   ASSERT_EQ(responses.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const service::CanonicalForm form = service::canonicalize(batch[i]);
-    std::string winner;
-    const Packing canonical = algo::best_of_portfolio(form.instance, &winner);
+    const approx::Approx54Result direct = approx::solve54(form.instance);
     EXPECT_EQ(responses[i].packing,
-              service::restore_item_order(form, canonical))
+              service::restore_item_order(form, direct.packing))
         << batch[i].summary();
-    EXPECT_EQ(responses[i].winner, winner) << batch[i].summary();
-    EXPECT_EQ(responses[i].peak, peak_height(form.instance, canonical))
-        << batch[i].summary();
+    EXPECT_EQ(responses[i].peak, direct.peak) << batch[i].summary();
+    EXPECT_EQ(responses[i].winner, direct.winner) << batch[i].summary();
+    if (i >= kDrawnRequests) {
+      std::string witness;
+      (void)algo::best_of_portfolio(form.instance, &witness);
+      EXPECT_EQ(responses[i].winner, witness) << batch[i].summary();
+    }
   }
 }
 
@@ -88,32 +101,11 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, RuntimeDeterminism,
                          testing_shapes::threads_and_shape_name);
 
 // ---------------------------------------------------------------------------
-// Concurrent callers through the cache and on the solve54 engine, for
-// every caller count x strip shape.
+// Single flight and the warm cache under concurrent callers, for every
+// caller count x strip shape.
 // ---------------------------------------------------------------------------
 
 class BatchPath : public ::testing::TestWithParam<ThreadsAndShape> {};
-
-TEST_P(BatchPath, Solve54BatchMatchesSequentialLoop) {
-  const auto& [threads, shape] = GetParam();
-  std::vector<Instance> golden;
-  for (const gen::GoldenInstance& instance : gen::golden_corpus()) {
-    golden.push_back(instance.instance);
-  }
-  const std::vector<Instance> batch =
-      testing_shapes::shaped_batch(shape, golden);
-  service::ServeParams params;
-  params.engine = service::ServeEngine::kSolve54;
-  service::CachingSolver sequential_solver(params);
-  std::vector<service::SolveResponse> sequential;
-  for (const Instance& instance : batch) {
-    sequential.push_back(sequential_solver.solve(instance));
-  }
-  service::CachingSolver concurrent_solver(params);
-  EXPECT_EQ(
-      testing_serve::serve_concurrently(concurrent_solver, batch, threads),
-      sequential);
-}
 
 TEST_P(BatchPath, PermutedCopiesShareOneComputationPerKey) {
   // Each request appears twice: as drawn and with its items reversed.  The

@@ -99,9 +99,9 @@ std::uint64_t fold_answer(std::uint64_t checksum, Height peak,
 TEST(SchedulerDeterminism, SolveSkewChecksumIsPinned) {
   // A skewed batch: one n=192 instance amid 63 n=48 ones, each light
   // instance drawn from its own spawned stream.  Two pins: the portfolio
-  // over the raw instances, and the served answers (the portfolio over
+  // witness over the raw instances, and the served answers (solve54 over
   // each canonical form, mapped back), both computed in request order.
-  constexpr std::uint64_t kPortfolioPin = 15969027589129456493ull;
+  constexpr std::uint64_t kWitnessPin = 15969027589129456493ull;
   constexpr std::uint64_t kServedPin = 674198318919656810ull;
   Rng rng(20240613 + 9);
   std::vector<Instance> batch;
@@ -116,7 +116,7 @@ TEST(SchedulerDeterminism, SolveSkewChecksumIsPinned) {
     portfolio =
         fold_answer(portfolio, peak_height(instance, packing), packing);
   }
-  EXPECT_EQ(portfolio, kPortfolioPin);
+  EXPECT_EQ(portfolio, kWitnessPin);
   service::CachingSolver solver;
   std::uint64_t served = 0;
   for (const Instance& instance : batch) {
@@ -134,9 +134,8 @@ TEST(ServingScheduler, CachingSolverExposesCounters) {
   // The solver's registry source exports the cache counters and no
   // scheduler sample; the shim's totals stay 0 across requests served
   // by concurrent callers.
-  service::ServeParams params;
-  params.engine = service::ServeEngine::kSolve54;
-  service::CachingSolver solver(params, service::CacheOptions{1 << 20});
+  service::CachingSolver solver(service::ServeParams{},
+                                service::CacheOptions{1 << 20});
   const std::vector<Instance> batch = skewed_batch(915, 8, 16, 6);
   (void)testing_serve::serve_concurrently(solver, batch, 2);
   const runtime::SchedulerCounters totals = runtime::scheduler_totals();
@@ -144,8 +143,6 @@ TEST(ServingScheduler, CachingSolverExposesCounters) {
   EXPECT_EQ(totals.steals, 0u);
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   EXPECT_EQ(snap.sample_value("cache.misses"), batch.size());
-  EXPECT_EQ(snap.sample_value("serve.engine"),
-            static_cast<std::uint64_t>(service::ServeEngine::kSolve54));
   for (const obs::Sample& sample : snap.samples) {
     EXPECT_EQ(sample.name.find("scheduler"), std::string::npos)
         << sample.name;

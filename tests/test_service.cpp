@@ -1,7 +1,7 @@
 // The serving layer's wire format and canonicalization: round-trip
 // guarantees across every generator family, ingest validation with
 // index/offset diagnostics, the canonical-hash invariants the solve
-// cache's dedup correctness rests on, and the --engine flag parser.
+// cache's dedup correctness rests on, and the front doors' flag helpers.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -637,20 +636,6 @@ TEST(CanonicalTest, RestoreItemOrderChecksSizes) {
   Packing wrong;
   wrong.start = {0, 0};
   EXPECT_THROW((void)restore_item_order(form, wrong), InvalidInput);
-}
-
-// ---------------------------------------------------------------------------
-// The --engine flag value (both front doors parse it through parse_engine).
-// ---------------------------------------------------------------------------
-
-TEST(CliTest, ParseEngineAcceptsExactlyTheEngineNames) {
-  EXPECT_EQ(parse_engine("portfolio"), ServeEngine::kPortfolio);
-  EXPECT_EQ(parse_engine("solve54"), ServeEngine::kSolve54);
-  for (const std::string_view bad :
-       {"", "auto", "solve", "solve54 ", " portfolio", "Portfolio",
-        "SOLVE54", "Solve54"}) {
-    EXPECT_FALSE(parse_engine(bad).has_value()) << "'" << bad << "'";
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // computation under concurrent identical requests, bit-identical hits, LRU
 // eviction at capacity (the whole budget is one LRU, so an entry is only
 // oversized against all of it), fingerprint separation, and the cached ==
-// engine-direct determinism contract across thread counts and strip shapes
+// solve54-direct determinism contract across thread counts and strip shapes
 // (narrow and wide strips, tests/strip_shapes.hpp).
 
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "algo/portfolio.hpp"
+#include "approx/solve54.hpp"
+#include "core/bounds.hpp"
 #include "gen/corpus.hpp"
 #include "gen/families.hpp"
 #include "gen/smart_grid.hpp"
@@ -28,6 +30,7 @@
 #include "cache_outcome_print.hpp"
 #include "concurrent_serve.hpp"
 #include "strip_shapes.hpp"
+#include "theorem5_corpus.hpp"
 
 namespace dsp::service {
 namespace {
@@ -388,19 +391,20 @@ TEST(SolveCacheTest, ExportIsOneColdToWarmOrderOverEveryKey) {
 // ---------------------------------------------------------------------------
 
 TEST(ParamsFingerprintTest, DistinctResultAffectingParamsNeverCollide) {
-  // The engine is the only result-affecting serve parameter.
-  ServeParams portfolio;
-  ServeParams s54;
-  s54.engine = ServeEngine::kSolve54;
-  EXPECT_NE(params_fingerprint(portfolio), params_fingerprint(s54));
+  // There is one serve pipeline and no result-affecting parameter, so the
+  // distinct parameter sets are the retired ones: the two engines of the
+  // "dsp-srv3" salt.  A store persisted under either must miss, not be
+  // served as a solve54 answer (its winner or packing could differ).
+  const std::uint64_t fingerprint = params_fingerprint(ServeParams{});
+  EXPECT_NE(fingerprint, 0x3d55a26d51096d06ull);  // dsp-srv3, portfolio
+  EXPECT_NE(fingerprint, 0x8763257025c7dd7bull);  // dsp-srv3, solve54
 }
 
 TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
   // The cache budget shapes residency, never an answer: solvers with
   // different budgets share the fingerprint, so a persisted store warms a
   // daemon restarted with another --cache-mb.
-  ServeParams params;
-  params.engine = ServeEngine::kSolve54;
+  const ServeParams params;
   const CachingSolver small(params, CacheOptions{1 << 20});
   const CachingSolver large(params, CacheOptions{64 << 20});
   EXPECT_EQ(small.fingerprint(), large.fingerprint());
@@ -409,13 +413,10 @@ TEST(ParamsFingerprintTest, ExecutionKnobsDoNotFragmentTheCache) {
 
 TEST(ParamsFingerprintTest, DefaultFingerprintsArePinned) {
   // The fingerprint is half of every persisted cache key.  A change to the
-  // absorbed field set must come with a salt bump (and a re-pin here), so
-  // a warm store written under another set can never alias.
-  ServeParams portfolio;
-  ServeParams s54;
-  s54.engine = ServeEngine::kSolve54;
-  EXPECT_EQ(params_fingerprint(portfolio), 0x3d55a26d51096d06ull);
-  EXPECT_EQ(params_fingerprint(s54), 0x8763257025c7dd7bull);
+  // absorbed field set or the served pipeline must come with a salt bump
+  // (and a re-pin here), so a warm store written under another set can
+  // never alias.
+  EXPECT_EQ(params_fingerprint(ServeParams{}), 0x61492bc7746dccf0ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,7 +530,7 @@ class CachingSolverContract
     : public ::testing::TestWithParam<testing_shapes::ThreadsAndShape> {};
 
 TEST_P(CachingSolverContract, CachedAndEngineDirectAreBitIdentical) {
-  // Each cached answer equals the engine run directly on the request's
+  // Each cached answer equals solve54 run directly on the request's
   // canonical form, mapped back.
   const auto& [threads, shape] = GetParam();
   const std::vector<Instance> batch =
@@ -540,13 +541,11 @@ TEST_P(CachingSolverContract, CachedAndEngineDirectAreBitIdentical) {
   ASSERT_EQ(warm.size(), batch.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
     const CanonicalForm form = canonicalize(batch[i]);
-    std::string winner;
-    const Packing direct = algo::best_of_portfolio(form.instance, &winner);
-    EXPECT_EQ(warm[i].packing, restore_item_order(form, direct))
+    const approx::Approx54Result direct = approx::solve54(form.instance);
+    EXPECT_EQ(warm[i].packing, restore_item_order(form, direct.packing))
         << "request " << i;
-    EXPECT_EQ(warm[i].peak, peak_height(form.instance, direct))
-        << "request " << i;
-    EXPECT_EQ(warm[i].winner, winner) << "request " << i;
+    EXPECT_EQ(warm[i].peak, direct.peak) << "request " << i;
+    EXPECT_EQ(warm[i].winner, direct.winner) << "request " << i;
     ASSERT_NO_THROW(validate_packing(batch[i], warm[i].packing));
   }
   // 4 distinct requests, 12 total: the cache computed each key once.
@@ -560,26 +559,39 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndShapes, CachingSolverContract,
                          testing_shapes::threads_and_shape_name);
 
 TEST(CachingSolverTest, Solve54EngineServesAndDedupes) {
-  ServeParams params;
-  params.engine = ServeEngine::kSolve54;
-  CachingSolver solver(params);
+  CachingSolver solver;
   // 2 distinct requests, each asked twice, from 4 callers at once.
   const std::vector<Instance> batch = smart_grid_batch(2, 2);
   const std::vector<SolveResponse> responses =
       testing_serve::serve_concurrently(solver, batch, 4);
   ASSERT_EQ(responses.size(), 4u);
   for (std::size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(responses[i].winner, "solve54");
+    // Certified witnesses: the winner is the portfolio member's name.
+    std::string witness;
+    (void)algo::best_of_portfolio(canonicalize(batch[i]).instance, &witness);
+    EXPECT_EQ(responses[i].winner, witness);
     ASSERT_NO_THROW(validate_packing(batch[i], responses[i].packing));
     EXPECT_EQ(peak_height(batch[i], responses[i].packing), responses[i].peak);
   }
   EXPECT_EQ(responses[0].packing, responses[2].packing);
   EXPECT_EQ(responses[1].packing, responses[3].packing);
   EXPECT_EQ(solver.stats().misses, 2u);
+
+  // Adversarial row 1 (LB 13): the witness peaks at 21, above
+  // floor(3/2 * 13) = 19, so the search runs and its 20 is served.
+  const Instance adversarial = theorem5::adversarial_instances().front();
+  const SolveResponse served = solver.solve(adversarial);
+  EXPECT_EQ(served.peak, 20);
+  EXPECT_EQ(algo::best_of_portfolio(canonicalize(adversarial).instance,
+                                    combined_lower_bound(adversarial))
+                .peak,
+            21);
+  EXPECT_EQ(served.winner, "pipeline");
+  ASSERT_NO_THROW(validate_packing(adversarial, served.packing));
 }
 
 TEST(CachingSolverTest, ThrowingRequestRethrowsFromSolveMany) {
-  // The middle request is an empty instance, which every engine refuses:
+  // The middle request is an empty instance, which solve54 refuses:
   // its caller gets the error, and the requests around it are served.
   Rng rng(5);
   CachingSolver solver;
